@@ -100,12 +100,9 @@ func (o *Ontology) CacheGeneration() (epoch, rulesEpoch, dataMut uint64) {
 // load the epochs, load the cache, reject on generation or data-mutation
 // mismatch. Returns the cached set (nil on miss) and the key a completed
 // evaluation should be stored under ("" when this call is not cacheable:
-// cache disabled, NoCache, a partial Limit result, or a partitioned
-// request — views pin a flat snapshot pointer and are delta-maintained
-// through seeded plans over it, neither of which a PartitionedInstance
-// provides; partitioned answering always evaluates).
+// cache disabled, NoCache, or a partial Limit result).
 func (o *Ontology) lookupAnswerView(q *query.CQ, opts Options) (*Answers, string) {
-	if opts.NoCache || opts.Limit != 0 || opts.effectiveParts() > 1 || o.ansBudget.Load() <= 0 {
+	if opts.NoCache || opts.Limit != 0 || o.ansBudget.Load() <= 0 {
 		return nil, ""
 	}
 	pe := o.planEpoch.Load()
@@ -119,26 +116,23 @@ func (o *Ontology) lookupAnswerView(q *query.CQ, opts Options) (*Answers, string
 // storeAnswerView publishes a completed answer set as a cached view. It
 // runs after a miss — the caller already paid full evaluation — so it may
 // coordinate with writers: under a TryLock of wmu the published snapshots
-// are frozen, and the store proceeds only if ins is still the currently
-// published instance and the data is unmutated, so a result computed over
+// are frozen, and the fill proceeds only if store is still the currently
+// published snapshot and the data is unmutated, so a result computed over
 // a just-retired snapshot is never published under the live generation.
 // When a writer holds wmu the store is skipped outright: the mutation in
 // flight would invalidate the entry anyway. The answering read path never
 // takes a lock; only this post-miss fill does, and only opportunistically.
-func (o *Ontology) storeAnswerView(key string, u *query.UCQ, ins *storage.Instance, ans *Answers, planner eval.Planner, join eval.JoinStrategy) {
+func (o *Ontology) storeAnswerView(key string, u *query.UCQ, store storage.Store, ans *Answers, planner eval.Planner, join eval.JoinStrategy) {
 	budget := o.ansBudget.Load()
 	if budget <= 0 || !o.wmu.TryLock() {
 		return
 	}
 	defer o.wmu.Unlock()
-	if ins == nil {
-		return // partitioned evaluations never store views
-	}
 	dataMut := o.data.Mutations()
 	current := false
-	if m := o.mat.Load(); m != nil && m.ins == ins && m.baseMut == dataMut {
+	if m := o.mat.Load(); m != nil && m.store == store && m.baseMut == dataMut {
 		current = true
-	} else if s := o.base.Load(); s != nil && s.ins == ins && s.baseMut == dataMut {
+	} else if s := o.base.Load(); s != nil && store == s.ins && s.baseMut == dataMut {
 		current = true
 	}
 	if !current {
@@ -148,7 +142,7 @@ func (o *Ontology) storeAnswerView(key string, u *query.UCQ, ins *storage.Instan
 	re := o.rulesEpoch.Load()
 	c := o.ansCache.Load()
 	gen := rescache.Gen{Epoch: pe, RulesEpoch: re}
-	e := rescache.NewEntry(ans, u, ins, dataMut, planner.Effective(), join.Effective())
+	e := rescache.NewEntry(ans, u, store, dataMut, planner.Effective(), join.Effective())
 	o.ansCache.Store(c.WithEntry(gen, budget, key, e, &o.ansStats))
 }
 
@@ -172,11 +166,9 @@ func (o *Ontology) maintainAnswerViews(added []logic.Atom, oldMat *materializati
 		DataMut: dataMut,
 		Budget:  o.ansBudget.Load(),
 	}
-	if oldMat != nil && oldMat.ins != nil {
-		// Partitioned materializations publish no flat instance; their views
-		// were never stored, so there is nothing to carry across.
-		if m := o.mat.Load(); m != nil && m.terminated && m.ins != nil {
-			in.OldMat, in.NewMat = oldMat.ins, m.ins
+	if oldMat != nil {
+		if m := o.mat.Load(); m != nil && m.terminated {
+			in.OldMat, in.NewMat = oldMat.store, m.store
 		}
 	}
 	if oldBase != nil {
@@ -203,7 +195,7 @@ type AnswerStream struct {
 	o       *Ontology
 	key     string
 	u       *query.UCQ
-	ins     *storage.Instance
+	store   storage.Store
 	collect *eval.Answers
 	planner eval.Planner
 	join    eval.JoinStrategy
@@ -222,32 +214,15 @@ func (o *Ontology) AnswerStream(ctx context.Context, querySrc string, opts Optio
 	if view != nil {
 		return &AnswerStream{replay: true, view: view.Tuples(), limit: opts.Limit}, nil
 	}
-	u, ins, pins, published, err := o.resolveAnswer(ctx, q, opts)
+	u, store, published, err := o.resolveAnswer(ctx, q, opts)
 	if err != nil {
 		return nil, err
 	}
-	evalOpts := opts.evalOptions()
-	if pins != nil {
-		// Partitioned streaming: partition-pruned cursors, no view store
-		// (lookupAnswerView already returned key == "").
-		evalOpts.Pruned = &o.prunedProbes
-		var plans []*eval.Plan
-		if published {
-			plans = o.compiledPlansParts(u, pins, evalOpts.Planner, evalOpts.Join)
-		} else {
-			plans = eval.CompileUCQParts(u, pins, evalOpts.Planner, evalOpts.Join)
-		}
-		return &AnswerStream{s: eval.NewStreamParts(plans, pins, evalOpts), limit: opts.Limit}, nil
-	}
-	var plans []*eval.Plan
-	if published {
-		plans = o.compiledPlans(u, ins, evalOpts.Planner, evalOpts.Join)
-	} else {
-		plans = eval.CompileUCQ(u, ins, evalOpts.Planner, evalOpts.Join)
-	}
-	s := &AnswerStream{s: eval.NewStream(plans, ins, evalOpts), limit: opts.Limit}
+	evalOpts := o.evalOptions(opts)
+	plans := o.plansFor(u, store, published, evalOpts.Planner, evalOpts.Join)
+	s := &AnswerStream{s: eval.NewStream(plans, store, evalOpts), limit: opts.Limit}
 	if key != "" && published {
-		s.o, s.key, s.u, s.ins = o, key, u, ins
+		s.o, s.key, s.u, s.store = o, key, u, store
 		s.collect = eval.NewAnswers(u.Arity())
 		s.planner, s.join = evalOpts.Planner, evalOpts.Join
 	}
@@ -273,7 +248,7 @@ func (s *AnswerStream) Next(ctx context.Context) (Answer, bool, error) {
 	}
 	if !ok {
 		if s.collect != nil {
-			s.o.storeAnswerView(s.key, s.u, s.ins, s.collect, s.planner, s.join)
+			s.o.storeAnswerView(s.key, s.u, s.store, s.collect, s.planner, s.join)
 			s.collect = nil
 		}
 		return nil, false, nil

@@ -84,7 +84,10 @@ func main() {
 	defer cancel()
 
 	st := chase.NewState(opts)
-	ins := data.Clone()
+	ins, err := storage.NewStore(data, opts.Partitions, opts.PartitionCol)
+	if err != nil {
+		fatal(err)
+	}
 	res := st.ResumeCtx(ctx, set, ins, ins)
 	checkCtx(res, ins)
 	report(opts, "initial", res, ins)
@@ -206,13 +209,13 @@ func main() {
 		}
 		set = next
 	}
-	fmt.Println(ins)
+	fmt.Println(storage.Flatten(ins))
 }
 
 // checkCtx terminates the run when the -timeout deadline aborted the engine
 // (Result.Err): partial engine state is unsafe to keep mutating, so the
 // command reports how far it got and exits non-zero.
-func checkCtx(res *chase.Result, ins *storage.Instance) {
+func checkCtx(res *chase.Result, ins storage.Store) {
 	if res.Err == nil {
 		return
 	}
@@ -220,7 +223,7 @@ func checkCtx(res *chase.Result, ins *storage.Instance) {
 	os.Exit(1)
 }
 
-func report(opts chase.Options, phase string, res *chase.Result, ins *storage.Instance) {
+func report(opts chase.Options, phase string, res *chase.Result, ins storage.Store) {
 	fmt.Fprintf(os.Stderr, "%s chase (%s): terminated=%v steps=%d rounds=%d nulls=%d facts=%d\n",
 		opts.Variant, phase, res.Terminated, res.Steps, res.Rounds, res.NullsCreated, ins.Size())
 }

@@ -14,8 +14,9 @@ import (
 // wrap mimics the engine's materialization struct: a snapshot field hanging
 // off a published pointer.
 type wrap struct {
-	ins  *storage.Instance
-	pins *storage.PartitionedInstance
+	ins   *storage.Instance
+	pins  *storage.PartitionedInstance
+	store storage.Store
 }
 
 type holder struct {
@@ -63,4 +64,16 @@ func mutateSubInstanceVar(h *holder, sh *storage.Shard) {
 	pins := h.parts.Load()
 	sub := pins.Part(1)
 	sub.MergeShards(sh) // want "storage.Instance.MergeShards on a snapshot"
+}
+
+func mutateStoreThroughField(h *holder, a logic.Atom) {
+	// The engine publishes its materialization as a storage.Store; the
+	// interface is as immutable as either implementation behind it.
+	m := h.mat.Load()
+	m.store.Insert(a) // want "storage.Store.Insert on a snapshot"
+}
+
+func mutateStoreSubInstance(h *holder, sh *storage.Shard) {
+	store := h.mat.Load().store
+	store.Part(0).MergeShardsPart(0, sh) // want "storage.Instance.MergeShardsPart on a snapshot"
 }

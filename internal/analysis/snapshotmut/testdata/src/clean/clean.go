@@ -12,8 +12,9 @@ import (
 )
 
 type wrap struct {
-	ins  *storage.Instance
-	pins *storage.PartitionedInstance
+	ins   *storage.Instance
+	pins  *storage.PartitionedInstance
+	store storage.Store
 }
 
 type holder struct {
@@ -76,4 +77,13 @@ func readOnlyPartitioned(h *holder) int {
 		total += pins.Part(p).Size()
 	}
 	return total
+}
+
+func forkStore(h *holder, a logic.Atom) storage.Store {
+	// Fork is ExtendClone behind the Store interface: the result is freshly
+	// owned, sub-instances included.
+	store := h.mat.Load().store.Fork()
+	store.Insert(a)
+	store.Part(0).InsertAtom(a)
+	return store
 }

@@ -69,23 +69,23 @@ type DeleteResult struct {
 // The state must have been created with Options.TrackProvenance and must not
 // be truncated (a truncated chase dropped triggers that deletion cannot
 // reconsider) — either condition is an error telling the caller to rebuild
-// from scratch instead. ins must be the instance this state materialized,
-// possibly behind storage.ExtendClone.
-func (st *State) Delete(rules *dependency.Set, ins *storage.Instance, facts []logic.Atom, base *storage.Instance) (*DeleteResult, error) {
-	return st.DeleteCtx(context.Background(), rules, ins, facts, base)
+// from scratch instead. store must be the store this state materialized,
+// possibly behind its Fork; removals route to each fact's home partition.
+func (st *State) Delete(rules *dependency.Set, store storage.Store, facts []logic.Atom, base *storage.Instance) (*DeleteResult, error) {
+	return st.DeleteCtx(context.Background(), rules, store, facts, base)
 }
 
 // DeleteCtx is Delete under a cancellation context: the over-deletion sweep
 // polls ctx between queue items and the re-derivation propagation inherits it
 // (see ResumeCtx). On abort the repair is half-applied — facts removed but
 // survivors not yet re-derived — so Result.Err is set and the caller must
-// discard both the instance and the state and rebuild from the base data
+// discard both the store and the state and rebuild from the base data
 // (Ontology.mutate rolls back and drops the cache).
-func (st *State) DeleteCtx(ctx context.Context, rules *dependency.Set, ins *storage.Instance, facts []logic.Atom, base *storage.Instance) (*DeleteResult, error) {
+func (st *State) DeleteCtx(ctx context.Context, rules *dependency.Set, store storage.Store, facts []logic.Atom, base *storage.Instance) (*DeleteResult, error) {
 	if err := st.repairable(); err != nil {
 		return nil, err
 	}
-	res := &DeleteResult{Result: &Result{Instance: ins, Terminated: true}}
+	res := &DeleteResult{Result: &Result{Terminated: true}}
 
 	// Seed the over-deletion with the requested facts themselves.
 	removed := make(map[string]bool)
@@ -94,7 +94,7 @@ func (st *State) DeleteCtx(ctx context.Context, rules *dependency.Set, ins *stor
 		if !f.IsGround() {
 			return nil, fmt.Errorf("chase: cannot delete non-ground atom %v", f)
 		}
-		if k := f.Key(); !removed[k] && ins.Remove(f) {
+		if k := f.Key(); !removed[k] && store.Remove(f) {
 			removed[k] = true
 			queue = append(queue, f)
 			res.Requested++
@@ -103,15 +103,23 @@ func (st *State) DeleteCtx(ctx context.Context, rules *dependency.Set, ins *stor
 	if res.Requested == 0 {
 		return res, nil
 	}
-	queue = st.overDelete(ctx, ins, base, queue, removed, res)
+	st.repair(ctx, rules, store, base, queue, removed, res)
+	return res, nil
+}
+
+// repair finishes a deletion seeded with the already-removed facts in queue:
+// over-delete their derived closure, then re-derive survivors. A ctx abort
+// between the sweeps leaves the repair half-applied and says so in
+// res.Result.
+func (st *State) repair(ctx context.Context, rules *dependency.Set, store storage.Store, base *storage.Instance, queue []logic.Atom, removed map[string]bool, res *DeleteResult) {
+	queue = st.overDelete(ctx, store, base, queue, removed, res)
 	if err := ctx.Err(); err != nil {
 		st.truncated = true // half-repaired: refuse future incremental work
 		res.Result.Err = err
 		res.Result.Terminated = false
-		return res, nil
+		return
 	}
-	st.rederive(ctx, rules, ins, queue, removed, res)
-	return res, nil
+	st.rederive(ctx, rules, store, queue, removed, res)
 }
 
 // DeleteRule removes one rule's contribution from a maintained chase — the
@@ -129,19 +137,19 @@ func (st *State) DeleteCtx(ctx context.Context, rules *dependency.Set, ins *stor
 // the facts removed directly from the rule's firings, OverDeleted the
 // closure beyond them; the work is proportional to the removed rule's
 // contribution, not to the instance.
-func (st *State) DeleteRule(rules *dependency.Set, ins *storage.Instance, ri int, base *storage.Instance) (*DeleteResult, error) {
-	return st.DeleteRuleCtx(context.Background(), rules, ins, ri, base)
+func (st *State) DeleteRule(rules *dependency.Set, store storage.Store, ri int, base *storage.Instance) (*DeleteResult, error) {
+	return st.DeleteRuleCtx(context.Background(), rules, store, ri, base)
 }
 
 // DeleteRuleCtx is DeleteRule under a cancellation context, with the same
 // abort semantics as DeleteCtx: on cancellation the repair is half-applied,
 // Result.Err is set, the state is marked truncated, and the caller must
-// discard instance and state.
-func (st *State) DeleteRuleCtx(ctx context.Context, rules *dependency.Set, ins *storage.Instance, ri int, base *storage.Instance) (*DeleteResult, error) {
+// discard store and state.
+func (st *State) DeleteRuleCtx(ctx context.Context, rules *dependency.Set, store storage.Store, ri int, base *storage.Instance) (*DeleteResult, error) {
 	if err := st.repairable(); err != nil {
 		return nil, err
 	}
-	res := &DeleteResult{Result: &Result{Instance: ins, Terminated: true}}
+	res := &DeleteResult{Result: &Result{Terminated: true}}
 
 	// Rule-keyed over-deletion seed: kill every firing of the removed rule
 	// and take its outputs out of the instance.
@@ -157,7 +165,7 @@ func (st *State) DeleteRuleCtx(ctx context.Context, rules *dependency.Set, ins *
 			if base != nil && base.ContainsAtom(h) {
 				continue // still a base fact; needs no derivation
 			}
-			if hk := h.Key(); !removed[hk] && ins.Remove(h) {
+			if hk := h.Key(); !removed[hk] && store.Remove(h) {
 				removed[hk] = true
 				queue = append(queue, h)
 				res.Requested++
@@ -168,17 +176,9 @@ func (st *State) DeleteRuleCtx(ctx context.Context, rules *dependency.Set, ins *
 	// provenance and fired memory keep meaning the same rules. Must happen
 	// before re-derivation, which records new derivations under new indices.
 	st.remapRuleIndices(ri)
-	if len(queue) == 0 {
-		return res, nil
+	if len(queue) > 0 {
+		st.repair(ctx, rules, store, base, queue, removed, res)
 	}
-	queue = st.overDelete(ctx, ins, base, queue, removed, res)
-	if err := ctx.Err(); err != nil {
-		st.truncated = true // half-repaired: refuse future incremental work
-		res.Result.Err = err
-		res.Result.Terminated = false
-		return res, nil
-	}
-	st.rederive(ctx, rules, ins, queue, removed, res)
 	return res, nil
 }
 
@@ -195,15 +195,8 @@ func (st *State) repairable() error {
 	return nil
 }
 
-// remover abstracts the store overDelete sweeps facts out of: a plain
-// Instance, or a PartitionedInstance whose Remove routes to the fact's home
-// partition. The closure walk itself is store-layout agnostic.
-type remover interface {
-	Remove(logic.Atom) bool
-}
-
-// overDelete is the closure sweep shared by Delete and DeleteRule (and their
-// partitioned counterparts): walk consumer edges breadth-first from the
+// overDelete is the closure sweep shared by Delete and DeleteRule: walk
+// consumer edges breadth-first from the
 // already-removed facts in queue, removing everything derived through a
 // removed fact. Dead derivations are marked (and counted for the compaction
 // sweep) so later deletions skip them, and semi-oblivious trigger memory is
@@ -212,7 +205,7 @@ type remover interface {
 // removed — a base fact needs no derivation. Returns the full removed queue
 // for the re-derivation sweep; res.OverDeleted counts the facts removed
 // beyond the initial seeds.
-func (st *State) overDelete(ctx context.Context, ins remover, base *storage.Instance, queue []logic.Atom, removed map[string]bool, res *DeleteResult) []logic.Atom {
+func (st *State) overDelete(ctx context.Context, store storage.Store, base *storage.Instance, queue []logic.Atom, removed map[string]bool, res *DeleteResult) []logic.Atom {
 	for qi := 0; qi < len(queue); qi++ {
 		if qi&0xFF == 0 && ctx.Err() != nil {
 			return queue // canceled: half-swept, caller surfaces the abort
@@ -236,7 +229,7 @@ func (st *State) overDelete(ctx context.Context, ins remover, base *storage.Inst
 				if base != nil && base.ContainsAtom(h) {
 					continue // still a base fact; needs no derivation
 				}
-				if hk := h.Key(); !removed[hk] && ins.Remove(h) {
+				if hk := h.Key(); !removed[hk] && store.Remove(h) {
 					removed[hk] = true
 					queue = append(queue, h)
 					res.OverDeleted++
@@ -253,23 +246,24 @@ func (st *State) overDelete(ctx context.Context, ins remover, base *storage.Inst
 // unsuppressed must produce (or have had its head satisfied by) a removed
 // fact, so unifying rule heads with removed facts and joining the body from
 // that seed enumerates every candidate without touching the unaffected part
-// of the instance. Survivor triggers re-fire under the usual variant
-// discipline and their consequences propagate through an ordinary
-// semi-naive Resume; res.Result describes the whole increment.
-func (st *State) rederive(ctx context.Context, rules *dependency.Set, ins *storage.Instance, removedFacts []logic.Atom, removed map[string]bool, res *DeleteResult) {
-	cands := st.collectRederiveTriggers(rules, ins, removedFacts)
-	delta := storage.NewInstance()
-	steps, nulls := 0, 0
+// of the store. Survivor triggers re-fire under the usual variant discipline,
+// restored facts route to their home partitions, and their consequences
+// propagate through an ordinary semi-naive resume; res.Result describes the
+// whole increment.
+func (st *State) rederive(ctx context.Context, rules *dependency.Set, store storage.Store, removedFacts []logic.Atom, removed map[string]bool, res *DeleteResult) {
+	cands := st.collectRederiveTriggers(rules, store, removedFacts)
+	deltas := emptyDeltas(store)
+	steps, nulls, restored := 0, 0, 0
 	for ci, tr := range cands {
 		if ci&0x1F == 0 && ctx.Err() != nil {
 			break // canceled: the propagation below reports the abort
 		}
 		rule := rules.Rules[tr.rule]
-		if st.opts.Variant == Restricted && headSatisfied(rule, tr.frontier, ins) {
+		if st.opts.Variant == Restricted && headSatisfied(rule, tr.frontier, store) {
 			continue
 		}
 		if st.opts.Variant == Oblivious {
-			key := triggerKey(tr.rule, tr.frontier, rule.Distinguished())
+			key := triggerKey(int(tr.rule), tr.frontier, rule.Distinguished())
 			if st.fired[key] {
 				continue
 			}
@@ -279,7 +273,7 @@ func (st *State) rederive(ctx context.Context, rules *dependency.Set, ins *stora
 		heads, n := instantiateHead(rule, tr.frontier, st.gens[0])
 		nulls += n
 		for _, ha := range heads {
-			added, err := ins.Insert(ha)
+			added, err := store.Insert(ha)
 			if err != nil {
 				panic(err) // arity conflicts are caught at rule-set validation
 			}
@@ -287,9 +281,10 @@ func (st *State) rederive(ctx context.Context, rules *dependency.Set, ins *stora
 				if removed[ha.Key()] {
 					res.Rederived++
 				}
-				if _, err := delta.Insert(ha); err != nil {
+				if _, err := deltas[store.Route(ha)].Insert(ha); err != nil {
 					panic(err)
 				}
+				restored++
 			}
 		}
 		d := st.newDerivation(rules, tr)
@@ -304,21 +299,16 @@ func (st *State) rederive(ctx context.Context, rules *dependency.Set, ins *stora
 	// the direct sweep above or inside the propagation — surfaces as
 	// Result.Err with Terminated false, and marks the state truncated so
 	// future incremental repairs refuse to build on the half-applied sweep.
-	rres := &Result{Instance: ins, Terminated: true}
+	rres := &Result{Terminated: true}
 	if err := ctx.Err(); err != nil {
-		rres = &Result{Instance: ins, Err: err}
+		rres = &Result{Err: err}
 		st.truncated = true
-	} else if delta.Size() > 0 {
-		rres = st.ResumeCtx(ctx, rules, ins, delta)
+	} else if restored > 0 {
+		rres = st.resume(ctx, rules, store, deltas, 0)
 	}
-	res.Result = &Result{
-		Instance:     ins,
-		Terminated:   rres.Terminated,
-		Err:          rres.Err,
-		Steps:        rres.Steps + steps,
-		Rounds:       rres.Rounds,
-		NullsCreated: rres.NullsCreated + nulls,
-	}
+	rres.Steps += steps
+	rres.NullsCreated += nulls
+	res.Result = rres
 }
 
 // remapRuleIndices rewrites every stored rule index after the rule at ri was
@@ -358,11 +348,12 @@ func (st *State) remapRuleIndices(ri int) {
 // collectRederiveTriggers enumerates, deduplicated, every trigger whose
 // firing could restore one of the removed facts: for each removed fact and
 // each rule head atom it unifies with, the rule body is joined against the
-// surviving instance starting from the unification seed. Existential head
+// surviving store starting from the unification seed (probing one partition
+// wherever the seed fixes the routing column). Existential head
 // positions bind freely during unification but are dropped from the seed
 // (they are not body variables); the full head-satisfaction check happens at
 // fire time.
-func (st *State) collectRederiveTriggers(rules *dependency.Set, ins *storage.Instance, removed []logic.Atom) []trigger {
+func (st *State) collectRederiveTriggers(rules *dependency.Set, store storage.Store, removed []logic.Atom) []trigger {
 	var out []trigger
 	seen := make(map[int]map[string]bool)
 	for _, f := range removed {
@@ -382,12 +373,12 @@ func (st *State) collectRederiveTriggers(rules *dependency.Set, ins *storage.Ins
 					ruleSeen = make(map[string]bool)
 					seen[ri] = ruleSeen
 				}
-				eval.MatchesSeeded(rule.Body, ins, seed.Restrict(bodyVars), func(s logic.Subst) bool {
+				eval.MatchesSeeded(rule.Body, store, seed.Restrict(bodyVars), func(s logic.Subst) bool {
 					frontier := s.Restrict(bodyVars)
 					key := bindingKey(frontier, bodyVars)
 					if !ruleSeen[key] {
 						ruleSeen[key] = true
-						out = append(out, trigger{rule: ri, frontier: frontier})
+						out = append(out, trigger{rule: int32(ri), frontier: frontier})
 					}
 					return true
 				})

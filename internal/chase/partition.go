@@ -1,6 +1,8 @@
 // Hash-partitioned chase (distribution milestone 1): the semi-naive fixpoint
-// over a storage.PartitionedInstance, with rules classified at plan time as
-// partition-local or spanning.
+// runs over a storage.Store of P partitions, with rules classified at plan
+// time as partition-local or spanning. The split is a property of the rules
+// and of P, not of which driver runs: there is one driver (State.resume), and
+// at P = 1 every rule is trivially local.
 //
 // A rule is partition-local when one term occupies the partitioning column of
 // every body AND every head atom (LocalRule): a trigger then fixes that term
@@ -15,32 +17,27 @@
 //
 // Spanning rules (everything else) cannot be confined: a delta fact in one
 // partition may join body atoms anywhere. Their triggers are enumerated
-// during the per-partition sweep through partition-pruned runners
-// (eval.Runner.BindParts) and shipped to a cross-partition exchange queue;
-// the round barrier — thinner than a full-instance merge — dedupes the queue,
-// fires the survivors with head facts routed by hash to their home
-// partitions, then merges each partition's shards into its next delta.
+// during the per-partition sweep through runners bound to the whole store,
+// whose access paths prune to one partition wherever the plan fixes the
+// routing column, and shipped to a cross-partition exchange queue; the round
+// barrier — thinner than a full-instance merge — dedupes the queue, fires the
+// survivors with head facts routed by hash to their home partitions, then
+// merges each partition's shards into its next delta.
 //
-// Any partition count yields the same certain answers as the unpartitioned
-// chase (property-tested); only labelled-null names and redundant-null counts
-// may differ, exactly as for parallelism.
+// Any partition count yields the same certain answers and the same
+// Steps/Rounds/NullsCreated (property-tested); only labelled-null names may
+// differ, exactly as for parallelism.
 package chase
 
 import (
-	"context"
-	"fmt"
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/dependency"
-	"repro/internal/eval"
 	"repro/internal/logic"
 	"repro/internal/storage"
 )
 
-// PartitionStats counts the partitioned driver's locality behaviour: how much
-// of the chase ran coordination-free, how much had to cross partitions, and
-// how often the cross-partition runners still pruned their probes.
+// PartitionStats counts the driver's locality behaviour: how much of the
+// chase ran coordination-free, how much had to cross partitions, and how
+// often the cross-partition runners still pruned their probes.
 type PartitionStats struct {
 	// LocalFirings counts trigger firings of partition-local rules — work
 	// done entirely inside one sub-instance.
@@ -61,9 +58,8 @@ func (s *PartitionStats) add(o PartitionStats) {
 	s.PrunedProbes += o.PrunedProbes
 }
 
-// PartitionTotals returns the partitioned-driver counters accumulated across
-// every partitioned Resume/Extend/Delete call on this state (all zero for a
-// state that only ran unpartitioned).
+// PartitionTotals returns the locality counters accumulated across every
+// Resume/Extend/Delete call on this state.
 func (st *State) PartitionTotals() PartitionStats { return st.pstats }
 
 // LocalRule reports whether the rule is partition-local for routing column
@@ -92,806 +88,12 @@ func LocalRule(rule *dependency.TGD, col int) bool {
 	return aligned(rule.Body) && aligned(rule.Head)
 }
 
-// localityOf classifies every rule of the set against routing column col.
-func localityOf(rules *dependency.Set, col int) []bool {
+// localityOf classifies every rule of the set against the store's layout.
+// With one partition nothing can cross a boundary: every rule is local.
+func localityOf(rules *dependency.Set, store storage.Store) []bool {
 	out := make([]bool, len(rules.Rules))
 	for ri, rule := range rules.Rules {
-		out[ri] = LocalRule(rule, col)
-	}
-	return out
-}
-
-// newPlanSetParts compiles the rule set for a partitioned store. Plans carry
-// no partition state (binding resolves relations by name, per partition or
-// across all of them), so compilation needs only a statistics representative:
-// partition 0, exact at P = 1 and a 1/P sample otherwise — ordering-only, the
-// fixpoint is unaffected. The empty-relation watch list consults the whole
-// store, since a relation can be empty in partition 0 yet populated elsewhere.
-func newPlanSetParts(rules *dependency.Set, pins *storage.PartitionedInstance, planner eval.Planner, join eval.JoinStrategy) *planSet {
-	n := len(rules.Rules)
-	ps := &planSet{
-		delta:      make([][]*eval.Plan, n),
-		slots:      make([][][]int, n),
-		head:       make([]*eval.Plan, n),
-		emptyReads: make([][]string, n),
-		planner:    planner,
-		join:       join,
-	}
-	for ri, rule := range rules.Rules {
-		ps.compileRuleParts(ri, rule, pins)
-	}
-	return ps
-}
-
-// compileRuleParts is compileRule against a partitioned store (see
-// newPlanSetParts for the statistics and watch-list conventions).
-func (ps *planSet) compileRuleParts(ri int, rule *dependency.TGD, pins *storage.PartitionedInstance) {
-	bodyVars := rule.BodyVars()
-	rep := pins.Part(0)
-	ps.delta[ri] = make([]*eval.Plan, len(rule.Body))
-	ps.slots[ri] = make([][]int, len(rule.Body))
-	for bi := range rule.Body {
-		p := eval.CompileDelta(rule.Body, bi, rep, ps.planner, ps.join)
-		ps.delta[ri][bi] = p
-		ps.slots[ri][bi] = p.Slots(bodyVars)
-	}
-	ps.head[ri] = eval.CompileBody(rule.Head, rep, rule.Distinguished(), ps.planner, ps.join)
-
-	var empty []string
-	seen := make(map[string]bool)
-	for _, a := range append(append([]logic.Atom{}, rule.Body...), rule.Head...) {
-		if seen[a.Pred] {
-			continue
-		}
-		seen[a.Pred] = true
-		if pins.Len(a.Pred) == 0 {
-			empty = append(empty, a.Pred)
-		}
-	}
-	ps.emptyReads[ri] = empty
-}
-
-// refreshParts is refresh against a partitioned store: re-cost any rule whose
-// watched relation became non-empty in any partition.
-func (ps *planSet) refreshParts(rules *dependency.Set, pins *storage.PartitionedInstance) int {
-	n := 0
-	for ri, watch := range ps.emptyReads {
-		if len(watch) == 0 {
-			continue
-		}
-		for _, pred := range watch {
-			if pins.Len(pred) > 0 {
-				ps.compileRuleParts(ri, rules.Rules[ri], pins)
-				n++
-				break
-			}
-		}
-	}
-	return n
-}
-
-// headSatisfiedParts is the restricted-chase applicability test for spanning
-// rules: the cached head runner binds across all partitions with partition-
-// pruned access paths, since a spanning rule's head match may live anywhere.
-//
-//repro:hotpath
-func (ps *planSet) headSatisfiedParts(ri int, frontier logic.Subst, pins *storage.PartitionedInstance, runners []*eval.Runner) bool {
-	r := runners[ri]
-	if r == nil {
-		r = ps.head[ri].NewRunner()
-		runners[ri] = r
-	}
-	if !r.BindParts(pins) {
-		return false // a head relation is absent: nothing can satisfy it
-	}
-	r.SeedSubst(frontier)
-	found := false
-	//repro:allow hotalloc non-escaping yield closure; steady state stays 0 allocs/op (TestSeededJoinStepAllocationFree)
-	r.Run(0, 1, func([]logic.Term) bool {
-		found = true
-		return false
-	})
-	return found
-}
-
-// flushRunnersPruned folds the pruned-probe counters of a worker's cached
-// runners into the round's shared sink.
-func flushRunnersPruned(runners []*eval.Runner, sink *atomic.Uint64) {
-	for _, r := range runners {
-		if r != nil {
-			if n := r.TakePruned(); n > 0 {
-				sink.Add(n)
-			}
-		}
-	}
-}
-
-// RunParts chases data hash-partitioned opts.Partitions ways on column
-// opts.PartitionCol. The input instance is only read (partitioning re-hashes
-// its tuples into fresh sub-instances).
-func RunParts(rules *dependency.Set, data *storage.Instance, opts Options) (*Result, error) {
-	return RunPartsCtx(context.Background(), rules, data, opts)
-}
-
-// RunPartsCtx is RunParts under a cancellation context, with the abort
-// semantics of RunCtx: a canceled run stops at a round barrier with the
-// partitions a valid chase prefix and the state unusable for increments.
-func RunPartsCtx(ctx context.Context, rules *dependency.Set, data *storage.Instance, opts Options) (*Result, error) {
-	pins, err := storage.Partition(data, opts.Partitions, opts.PartitionCol)
-	if err != nil {
-		return nil, err
-	}
-	st := NewState(opts)
-	deltas := make([]*storage.Instance, pins.NumParts())
-	for p := range deltas {
-		// Round zero's delta is the whole partition: every initial fact is
-		// "new". Aliasing is safe — rounds only read the delta, writes are
-		// buffered in shards until the barrier.
-		deltas[p] = pins.Part(p)
-	}
-	return st.resumeParts(ctx, rules, pins, deltas, 0), nil
-}
-
-// ResumeParts runs the partitioned fixpoint on pins starting from explicit
-// per-partition deltas (deltas[p] must hold exactly the new facts routed to
-// partition p, a subset of that partition) — Resume's partitioned mirror,
-// with the same budgets-per-call and truncation contract.
-func (st *State) ResumeParts(rules *dependency.Set, pins *storage.PartitionedInstance, deltas []*storage.Instance) *Result {
-	return st.resumeParts(context.Background(), rules, pins, deltas, 0)
-}
-
-// ResumePartsCtx is ResumeParts under a cancellation context (see ResumeCtx
-// for abort semantics).
-func (st *State) ResumePartsCtx(ctx context.Context, rules *dependency.Set, pins *storage.PartitionedInstance, deltas []*storage.Instance) *Result {
-	return st.resumeParts(ctx, rules, pins, deltas, 0)
-}
-
-// ExtendParts inserts ground facts into their home partitions and resumes the
-// chase with the genuinely new ones as per-partition deltas — Extend's
-// partitioned mirror.
-func (st *State) ExtendParts(rules *dependency.Set, pins *storage.PartitionedInstance, facts []logic.Atom) (*Result, error) {
-	return st.ExtendPartsCtx(context.Background(), rules, pins, facts)
-}
-
-// ExtendPartsCtx is ExtendParts under a cancellation context (see ExtendCtx).
-func (st *State) ExtendPartsCtx(ctx context.Context, rules *dependency.Set, pins *storage.PartitionedInstance, facts []logic.Atom) (*Result, error) {
-	deltas := make([]*storage.Instance, pins.NumParts())
-	for p := range deltas {
-		deltas[p] = storage.NewInstance()
-	}
-	added := 0
-	for _, f := range facts {
-		isNew, err := pins.Insert(f)
-		if err != nil {
-			return nil, err
-		}
-		if isNew {
-			if _, err := deltas[pins.Route(f)].Insert(f); err != nil {
-				return nil, err
-			}
-			added++
-		}
-	}
-	if added == 0 {
-		return &Result{Parts: pins, Terminated: true}, nil
-	}
-	return st.resumeParts(ctx, rules, pins, deltas, 0), nil
-}
-
-// ExtendRulesParts resumes the partitioned chase after rules were appended to
-// the set — ExtendRules' partitioned mirror: the first round considers only
-// the new rules with every partition's whole contents as its delta.
-func (st *State) ExtendRulesParts(rules *dependency.Set, pins *storage.PartitionedInstance, firstNew int) *Result {
-	return st.ExtendRulesPartsCtx(context.Background(), rules, pins, firstNew)
-}
-
-// ExtendRulesPartsCtx is ExtendRulesParts under a cancellation context.
-func (st *State) ExtendRulesPartsCtx(ctx context.Context, rules *dependency.Set, pins *storage.PartitionedInstance, firstNew int) *Result {
-	if firstNew >= rules.Len() {
-		return &Result{Parts: pins, Terminated: true} // no new rules
-	}
-	deltas := make([]*storage.Instance, pins.NumParts())
-	for p := range deltas {
-		deltas[p] = pins.Part(p)
-	}
-	return st.resumeParts(ctx, rules, pins, deltas, firstNew)
-}
-
-// resumeParts is the partitioned fixpoint driver — resume's mirror over a
-// PartitionedInstance. Each round: per-partition trigger collection (local
-// rules confined to their sub-instance, spanning rules through partition-
-// pruned cross-partition runners), the exchange barrier (dedupe shipped
-// triggers, apply the oblivious fired filter), local firing into partition-
-// private shards, exchange firing with hash-routed heads, and a per-partition
-// shard merge producing the next deltas. Terminates when every partition's
-// delta is empty.
-func (st *State) resumeParts(ctx context.Context, rules *dependency.Set, pins *storage.PartitionedInstance, deltas []*storage.Instance, onlyFrom int) *Result {
-	opts := st.opts
-	res := &Result{Parts: pins}
-	workers := opts.Parallelism
-	nparts := pins.NumParts()
-
-	var steps atomic.Int64
-	var truncated atomic.Bool
-	var canceled atomic.Bool
-	var localFired atomic.Uint64
-	var prunedProbes atomic.Uint64
-
-	defer func() {
-		res.Partition.LocalFirings = localFired.Load()
-		res.Partition.PrunedProbes = prunedProbes.Load()
-		st.steps += res.Steps
-		st.rounds += res.Rounds
-		st.nulls += res.NullsCreated
-		st.pstats.add(res.Partition)
-		if !res.Terminated {
-			st.truncated = true
-		}
-	}()
-
-	pins.EnsureIndexes()
-	plans := newPlanSetParts(rules, pins, opts.Planner, opts.Join)
-	local := localityOf(rules, pins.Col())
-
-	for res.Rounds < opts.MaxRounds {
-		// Round barrier: a canceled increment aborts between rounds (and at
-		// the finer-grained polls below) without merging partial writes.
-		if err := ctx.Err(); err != nil {
-			res.Err = err
-			return res
-		}
-		res.Rounds++
-
-		// Freeze every partition for this round: indexes pre-built, all reads
-		// below are lock-free and race-free, all writes buffered in shards.
-		pins.EnsureIndexes()
-
-		// Per-partition collection: each partition sweeps its own delta.
-		localTrigs := make([][]trigger, nparts)
-		spanTrigs := make([][]trigger, nparts)
-		runTasks(nparts, workers, func(p int) {
-			localTrigs[p], spanTrigs[p] = collectPartTriggers(ctx, rules, pins, deltas[p], p, plans, local, onlyFrom, &prunedProbes)
-		})
-		if err := ctx.Err(); err != nil {
-			res.Err = err // collection aborted; its partial output is unusable
-			return res
-		}
-		onlyFrom = 0 // the rule filter applies to the first round only
-
-		// Exchange drain, part 1 (the thin barrier): dedupe the spanning
-		// triggers shipped by different partitions — a binding whose delta
-		// atoms straddle partitions is discovered once per partition.
-		shipped := mergeSpanTriggers(spanTrigs)
-		res.Partition.ShippedTriggers += uint64(len(shipped))
-
-		// The semi-oblivious fired filter mutates shared state, so it runs
-		// single-threaded at the barrier for local and shipped triggers alike.
-		if opts.Variant == Oblivious {
-			for p := range localTrigs {
-				localTrigs[p] = st.filterFired(rules, localTrigs[p])
-			}
-			shipped = st.filterFired(rules, shipped)
-		}
-		total := len(shipped)
-		for _, trs := range localTrigs {
-			total += len(trs)
-		}
-		if total == 0 {
-			res.Steps = int(steps.Load())
-			res.Terminated = true
-			return res
-		}
-
-		// Fire local triggers: one task per partition, each checking head
-		// satisfaction against only its own sub-instance and writing to a
-		// partition-private shard — no routing, no coordination.
-		localShards := make([]*storage.Shard, nparts)
-		nullsL := make([]int, nparts)
-		var provsL, provsX [][]derivation
-		if st.prov != nil {
-			provsL = make([][]derivation, nparts)
-			provsX = make([][]derivation, workers)
-		}
-		runTasksWorker(nparts, workers, func(p, w int) {
-			trs := localTrigs[p]
-			if len(trs) == 0 {
-				return
-			}
-			shard := storage.NewShard()
-			localShards[p] = shard
-			part := pins.Part(p)
-			headRunners := make([]*eval.Runner, len(rules.Rules))
-			polled := 0
-			for _, tr := range trs {
-				if truncated.Load() || canceled.Load() {
-					return
-				}
-				if polled++; polled&0x1F == 0 && ctx.Err() != nil {
-					canceled.Store(true)
-					return
-				}
-				rule := rules.Rules[tr.rule]
-				if opts.Variant == Restricted && plans.headSatisfied(tr.rule, tr.frontier, part, headRunners) {
-					continue
-				}
-				if n := steps.Add(1); int(n) > opts.MaxSteps {
-					steps.Add(-1)
-					truncated.Store(true)
-					return
-				}
-				heads, n := instantiateHead(rule, tr.frontier, st.gens[w])
-				nullsL[p] += n
-				for _, ha := range heads {
-					// Locality proof: every head atom carries the trigger's
-					// routing term, so ha's home is partition p by
-					// construction — no Route call needed.
-					if _, err := shard.Insert(ha); err != nil {
-						panic(err)
-					}
-				}
-				localFired.Add(1)
-				if st.prov != nil {
-					d := st.newDerivation(rules, tr)
-					d.heads = heads
-					provsL[p] = append(provsL[p], d)
-				}
-			}
-		})
-
-		// Exchange drain, part 2: fire the shipped triggers, chunked across
-		// workers like the unpartitioned round, with head facts hash-routed
-		// into per-(worker, partition) shards.
-		exShards := make([][]*storage.Shard, workers)
-		nullsX := make([]int, workers)
-		if len(shipped) > 0 && !truncated.Load() && !canceled.Load() {
-			runTasks(workers, workers, func(w int) {
-				shards := make([]*storage.Shard, nparts)
-				exShards[w] = shards
-				headRunners := make([]*eval.Runner, len(rules.Rules))
-				polled := 0
-				for i := w; i < len(shipped); i += workers {
-					if truncated.Load() || canceled.Load() {
-						break
-					}
-					if polled++; polled&0x1F == 0 && ctx.Err() != nil {
-						canceled.Store(true)
-						break
-					}
-					tr := shipped[i]
-					rule := rules.Rules[tr.rule]
-					if opts.Variant == Restricted && plans.headSatisfiedParts(tr.rule, tr.frontier, pins, headRunners) {
-						continue
-					}
-					if n := steps.Add(1); int(n) > opts.MaxSteps {
-						steps.Add(-1)
-						truncated.Store(true)
-						break
-					}
-					heads, n := instantiateHead(rule, tr.frontier, st.gens[w])
-					nullsX[w] += n
-					for _, ha := range heads {
-						home := pins.Route(ha)
-						if shards[home] == nil {
-							shards[home] = storage.NewShard()
-						}
-						if _, err := shards[home].Insert(ha); err != nil {
-							panic(err)
-						}
-					}
-					if st.prov != nil {
-						d := st.newDerivation(rules, tr)
-						d.heads = heads
-						provsX[w] = append(provsX[w], d)
-					}
-				}
-				flushRunnersPruned(headRunners, &prunedProbes)
-			})
-		}
-
-		// A canceled round discards its buffered shards unmerged, exactly as
-		// in the unpartitioned driver.
-		if canceled.Load() || ctx.Err() != nil {
-			res.Steps = int(steps.Load())
-			res.Err = ctx.Err()
-			return res
-		}
-
-		// Round barrier: merge each partition's shards into its next delta.
-		newDeltas := make([]*storage.Instance, nparts)
-		emptyAll := true
-		for p := 0; p < nparts; p++ {
-			var shs []*storage.Shard
-			if localShards[p] != nil {
-				shs = append(shs, localShards[p])
-			}
-			for w := 0; w < workers; w++ {
-				if exShards[w] != nil && exShards[w][p] != nil {
-					shs = append(shs, exShards[w][p])
-				}
-			}
-			d, err := pins.MergeShardsPart(p, shs...)
-			if err != nil {
-				panic(err)
-			}
-			newDeltas[p] = d
-			if d.Size() > 0 {
-				emptyAll = false
-			}
-		}
-		if st.prov != nil {
-			for _, ds := range provsL {
-				for _, d := range ds {
-					st.prov.add(d)
-				}
-			}
-			for _, ds := range provsX {
-				for _, d := range ds {
-					st.prov.add(d)
-				}
-			}
-		}
-		for _, n := range nullsL {
-			res.NullsCreated += n
-		}
-		for _, n := range nullsX {
-			res.NullsCreated += n
-		}
-		res.Steps = int(steps.Load())
-		if truncated.Load() {
-			return res
-		}
-		if emptyAll {
-			res.Terminated = true
-			return res
-		}
-		deltas = newDeltas
-		// Round barrier: re-cost any rule whose plans were compiled while a
-		// relation they read was still empty and has since been populated.
-		st.replans += plans.refreshParts(rules, pins)
-	}
-	return res
-}
-
-// filterFired applies the semi-oblivious fired-trigger memory to a trigger
-// batch, keeping and recording only first-time triggers. Single-threaded: the
-// fired map is shared engine state.
-func (st *State) filterFired(rules *dependency.Set, trs []trigger) []trigger {
-	kept := trs[:0]
-	for _, tr := range trs {
-		key := triggerKey(tr.rule, tr.frontier, rules.Rules[tr.rule].Distinguished())
-		if !st.fired[key] {
-			st.fired[key] = true
-			kept = append(kept, tr)
-		}
-	}
-	return kept
-}
-
-// collectPartTriggers enumerates the triggers seeded by one partition's
-// delta. Local rules bind their delta plans to the partition's own
-// sub-instance — the join never leaves it, by the locality invariant — while
-// spanning rules bind across all partitions with partition-pruned access
-// paths; their triggers are returned separately as the partition's shipment
-// to the exchange. Dedup is per rule within the partition (local bindings
-// cannot recur elsewhere; cross-partition duplicates of spanning bindings are
-// folded at the barrier).
-func collectPartTriggers(ctx context.Context, rules *dependency.Set, pins *storage.PartitionedInstance, delta *storage.Instance, p int, ps *planSet, local []bool, from int, pruned *atomic.Uint64) (localTrigs, spanTrigs []trigger) {
-	part := pins.Part(p)
-	seenLocal := make(map[int]map[string]bool)
-	seenSpan := make(map[int]map[string]bool)
-	for ri, rule := range rules.Rules {
-		if ri < from {
-			continue
-		}
-		bodyVars := rule.BodyVars()
-		for bi, a := range rule.Body {
-			rel := delta.Relation(a.Pred)
-			if rel == nil || rel.Arity() != a.Arity() || rel.Len() == 0 {
-				continue
-			}
-			runner := ps.delta[ri][bi].NewRunner()
-			seen, sink := seenLocal, &localTrigs
-			bound := false
-			if local[ri] {
-				bound = runner.Bind(part)
-			} else {
-				bound = runner.BindParts(pins)
-				seen, sink = seenSpan, &spanTrigs
-			}
-			if !bound {
-				continue // a body relation is absent: the rule cannot fire
-			}
-			runner.SetContext(ctx)
-			ruleSeen := seen[ri]
-			if ruleSeen == nil {
-				ruleSeen = make(map[string]bool)
-				seen[ri] = ruleSeen
-			}
-			slots := ps.slots[ri][bi]
-			for di, tuple := range rel.Tuples() {
-				if runner.Err() != nil || (di&0xFF == 0 && ctx.Err() != nil) {
-					return // canceled: the caller discards the partial collection
-				}
-				runner.RunTuple(tuple, func(regs []logic.Term) bool {
-					key := regsKey(regs, slots)
-					if !ruleSeen[key] {
-						ruleSeen[key] = true
-						frontier := make(logic.Subst, len(slots))
-						for i, v := range bodyVars {
-							frontier[v] = regs[slots[i]]
-						}
-						*sink = append(*sink, trigger{rule: ri, frontier: frontier, key: key})
-					}
-					return true
-				})
-			}
-			pruned.Add(runner.TakePruned())
-		}
-	}
-	return localTrigs, spanTrigs
-}
-
-// mergeSpanTriggers folds the partitions' exchange shipments into one deduped
-// queue, preserving partition order so the sequential path stays
-// deterministic.
-func mergeSpanTriggers(spanTrigs [][]trigger) []trigger {
-	var out []trigger
-	seen := make(map[int]map[string]bool)
-	for _, trs := range spanTrigs {
-		for _, tr := range trs {
-			ruleSeen := seen[tr.rule]
-			if ruleSeen == nil {
-				ruleSeen = make(map[string]bool)
-				seen[tr.rule] = ruleSeen
-			}
-			if !ruleSeen[tr.key] {
-				ruleSeen[tr.key] = true
-				out = append(out, tr)
-			}
-		}
-	}
-	return out
-}
-
-// runTasksWorker is runTasks with the executing goroutine's index passed to
-// fn, for callers that keep per-goroutine state (null generators) while
-// fanning out over more tasks than workers.
-func runTasksWorker(n, workers int, fn func(task, worker int)) {
-	if workers <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i, 0)
-		}
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			//repro:allow ctxpoll bounded by the shared task counter; fn polls per firing
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i, w)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// DeleteParts removes ground base facts from a partitioned maintained chase
-// and incrementally repairs it — Delete's partitioned mirror: the closure
-// sweep routes removals to their home partitions, re-derivation joins run
-// with partition-pruned access paths, and the final propagation is a
-// partitioned resume. base is the surviving unpartitioned base data, exactly
-// as for Delete.
-func (st *State) DeleteParts(rules *dependency.Set, pins *storage.PartitionedInstance, facts []logic.Atom, base *storage.Instance) (*DeleteResult, error) {
-	return st.DeletePartsCtx(context.Background(), rules, pins, facts, base)
-}
-
-// DeletePartsCtx is DeleteParts under a cancellation context (see DeleteCtx
-// for the half-applied abort semantics).
-func (st *State) DeletePartsCtx(ctx context.Context, rules *dependency.Set, pins *storage.PartitionedInstance, facts []logic.Atom, base *storage.Instance) (*DeleteResult, error) {
-	if err := st.repairable(); err != nil {
-		return nil, err
-	}
-	res := &DeleteResult{Result: &Result{Parts: pins, Terminated: true}}
-
-	removed := make(map[string]bool)
-	var queue []logic.Atom
-	for _, f := range facts {
-		if !f.IsGround() {
-			return nil, fmt.Errorf("chase: cannot delete non-ground atom %v", f)
-		}
-		if k := f.Key(); !removed[k] && pins.Remove(f) {
-			removed[k] = true
-			queue = append(queue, f)
-			res.Requested++
-		}
-	}
-	if res.Requested == 0 {
-		return res, nil
-	}
-	queue = st.overDelete(ctx, pins, base, queue, removed, res)
-	if err := ctx.Err(); err != nil {
-		st.truncated = true // half-repaired: refuse future incremental work
-		res.Result.Err = err
-		res.Result.Terminated = false
-		return res, nil
-	}
-	st.rederiveParts(ctx, rules, pins, queue, removed, res)
-	return res, nil
-}
-
-// DeleteRuleParts removes one rule's contribution from a partitioned
-// maintained chase — DeleteRule's partitioned mirror (rules is the surviving
-// set, ri the removed rule's index in the previous set).
-func (st *State) DeleteRuleParts(rules *dependency.Set, pins *storage.PartitionedInstance, ri int, base *storage.Instance) (*DeleteResult, error) {
-	return st.DeleteRulePartsCtx(context.Background(), rules, pins, ri, base)
-}
-
-// DeleteRulePartsCtx is DeleteRuleParts under a cancellation context (see
-// DeleteRuleCtx for the half-applied abort semantics).
-func (st *State) DeleteRulePartsCtx(ctx context.Context, rules *dependency.Set, pins *storage.PartitionedInstance, ri int, base *storage.Instance) (*DeleteResult, error) {
-	if err := st.repairable(); err != nil {
-		return nil, err
-	}
-	res := &DeleteResult{Result: &Result{Parts: pins, Terminated: true}}
-
-	removed := make(map[string]bool)
-	var queue []logic.Atom
-	for di := range st.prov.derivs {
-		d := &st.prov.derivs[di]
-		if d.dead || d.rule != ri {
-			continue
-		}
-		st.markDead(d)
-		for _, h := range d.heads {
-			if base != nil && base.ContainsAtom(h) {
-				continue // still a base fact; needs no derivation
-			}
-			if hk := h.Key(); !removed[hk] && pins.Remove(h) {
-				removed[hk] = true
-				queue = append(queue, h)
-				res.Requested++
-			}
-		}
-	}
-	st.remapRuleIndices(ri)
-	if len(queue) == 0 {
-		return res, nil
-	}
-	queue = st.overDelete(ctx, pins, base, queue, removed, res)
-	if err := ctx.Err(); err != nil {
-		st.truncated = true // half-repaired: refuse future incremental work
-		res.Result.Err = err
-		res.Result.Terminated = false
-		return res, nil
-	}
-	st.rederiveParts(ctx, rules, pins, queue, removed, res)
-	return res, nil
-}
-
-// headSatisfiedParts is headSatisfied over a partitioned store — the
-// compile-per-call form for the DRed direct sweep, where triggers are few.
-func headSatisfiedParts(rule *dependency.TGD, frontier logic.Subst, pins *storage.PartitionedInstance) bool {
-	head := frontier.ApplyAtoms(rule.Head)
-	found := false
-	eval.MatchesSeededParts(head, pins, logic.NewSubst(), func(logic.Subst) bool {
-		found = true
-		return false
-	})
-	return found
-}
-
-// rederiveParts is rederive over a partitioned store: candidate triggers come
-// from partition-pruned seeded joins, restored facts route to their home
-// partitions, and the propagation is a partitioned resume.
-func (st *State) rederiveParts(ctx context.Context, rules *dependency.Set, pins *storage.PartitionedInstance, removedFacts []logic.Atom, removed map[string]bool, res *DeleteResult) {
-	cands := st.collectRederiveTriggersParts(rules, pins, removedFacts)
-	deltas := make([]*storage.Instance, pins.NumParts())
-	for p := range deltas {
-		deltas[p] = storage.NewInstance()
-	}
-	steps, nulls, restored := 0, 0, 0
-	for ci, tr := range cands {
-		if ci&0x1F == 0 && ctx.Err() != nil {
-			break // canceled: the propagation below reports the abort
-		}
-		rule := rules.Rules[tr.rule]
-		if st.opts.Variant == Restricted && headSatisfiedParts(rule, tr.frontier, pins) {
-			continue
-		}
-		if st.opts.Variant == Oblivious {
-			key := triggerKey(tr.rule, tr.frontier, rule.Distinguished())
-			if st.fired[key] {
-				continue
-			}
-			st.fired[key] = true
-		}
-		steps++
-		heads, n := instantiateHead(rule, tr.frontier, st.gens[0])
-		nulls += n
-		for _, ha := range heads {
-			added, err := pins.Insert(ha)
-			if err != nil {
-				panic(err) // arity conflicts are caught at rule-set validation
-			}
-			if added {
-				if removed[ha.Key()] {
-					res.Rederived++
-				}
-				if _, err := deltas[pins.Route(ha)].Insert(ha); err != nil {
-					panic(err)
-				}
-				restored++
-			}
-		}
-		d := st.newDerivation(rules, tr)
-		d.heads = heads
-		st.prov.add(d)
-	}
-	st.steps += steps
-	st.nulls += nulls
-
-	rres := &Result{Parts: pins, Terminated: true}
-	if err := ctx.Err(); err != nil {
-		rres = &Result{Parts: pins, Err: err}
-		st.truncated = true
-	} else if restored > 0 {
-		rres = st.resumeParts(ctx, rules, pins, deltas, 0)
-	}
-	res.Result = &Result{
-		Parts:        pins,
-		Terminated:   rres.Terminated,
-		Err:          rres.Err,
-		Steps:        rres.Steps + steps,
-		Rounds:       rres.Rounds,
-		NullsCreated: rres.NullsCreated + nulls,
-		Partition:    rres.Partition,
-	}
-}
-
-// collectRederiveTriggersParts is collectRederiveTriggers over a partitioned
-// store: the seeded body joins run through eval.MatchesSeededParts, probing
-// one partition wherever the seed fixes the routing column.
-func (st *State) collectRederiveTriggersParts(rules *dependency.Set, pins *storage.PartitionedInstance, removed []logic.Atom) []trigger {
-	var out []trigger
-	seen := make(map[int]map[string]bool)
-	for _, f := range removed {
-		tup := storage.Tuple(f.Args)
-		for ri, rule := range rules.Rules {
-			bodyVars := rule.BodyVars()
-			for _, h := range rule.Head {
-				if h.Pred != f.Pred || h.Arity() != f.Arity() {
-					continue
-				}
-				seed, ok := seedFromTuple(h, tup)
-				if !ok {
-					continue
-				}
-				ruleSeen := seen[ri]
-				if ruleSeen == nil {
-					ruleSeen = make(map[string]bool)
-					seen[ri] = ruleSeen
-				}
-				eval.MatchesSeededParts(rule.Body, pins, seed.Restrict(bodyVars), func(s logic.Subst) bool {
-					frontier := s.Restrict(bodyVars)
-					key := bindingKey(frontier, bodyVars)
-					if !ruleSeen[key] {
-						ruleSeen[key] = true
-						out = append(out, trigger{rule: ri, frontier: frontier})
-					}
-					return true
-				})
-			}
-		}
+		out[ri] = store.NumParts() == 1 || LocalRule(rule, store.Col())
 	}
 	return out
 }

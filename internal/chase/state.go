@@ -29,7 +29,7 @@ type State struct {
 	rounds    int
 	nulls     int
 	replans   int
-	pstats    PartitionStats // cumulative partitioned-driver counters
+	pstats    PartitionStats // cumulative locality counters
 	truncated bool
 }
 
@@ -197,37 +197,58 @@ func (st *State) markDead(d *derivation) {
 // maintenance on top of it is unsound — rebuild from scratch instead.
 func (st *State) Truncated() bool { return st.truncated }
 
-// Extend inserts ground facts into ins and resumes the chase with the
-// genuinely new ones as the delta — the canonical incremental-maintenance
+// Extend inserts ground facts into the store (each into its home partition)
+// and resumes the chase with the genuinely new ones as the delta — the canonical incremental-maintenance
 // step (facts already present, e.g. previously derived, fire nothing). With
 // no new facts it returns an empty terminated Result without running a
 // round. Unsound after a truncated run (see Truncated): dropped triggers
 // would never be reconsidered, so callers must rebuild instead.
-func (st *State) Extend(rules *dependency.Set, ins *storage.Instance, facts []logic.Atom) (*Result, error) {
-	return st.ExtendCtx(context.Background(), rules, ins, facts)
+func (st *State) Extend(rules *dependency.Set, store storage.Store, facts []logic.Atom) (*Result, error) {
+	return st.ExtendCtx(context.Background(), rules, store, facts)
 }
 
 // ExtendCtx is Extend under a cancellation context (see ResumeCtx). On abort
-// the inserted base facts remain in ins and the returned Result carries the
-// context error; the caller owns the rollback of ins and must discard the
-// state.
-func (st *State) ExtendCtx(ctx context.Context, rules *dependency.Set, ins *storage.Instance, facts []logic.Atom) (*Result, error) {
-	delta := storage.NewInstance()
+// the inserted base facts remain in the store and the returned Result carries
+// the context error; the caller owns the rollback of the store and must
+// discard the state.
+func (st *State) ExtendCtx(ctx context.Context, rules *dependency.Set, store storage.Store, facts []logic.Atom) (*Result, error) {
+	deltas := emptyDeltas(store)
+	added := false
 	for _, f := range facts {
-		added, err := ins.Insert(f)
+		isNew, err := store.Insert(f)
 		if err != nil {
 			return nil, err
 		}
-		if added {
-			if _, err := delta.Insert(f); err != nil {
+		if isNew {
+			if _, err := deltas[store.Route(f)].Insert(f); err != nil {
 				return nil, err
 			}
+			added = true
 		}
 	}
-	if delta.Size() == 0 {
-		return &Result{Instance: ins, Terminated: true}, nil
+	if !added {
+		return &Result{Terminated: true}, nil
 	}
-	return st.ResumeCtx(ctx, rules, ins, delta), nil
+	return st.resume(ctx, rules, store, deltas, 0), nil
+}
+
+// emptyDeltas returns one empty delta instance per partition of the store.
+func emptyDeltas(store storage.Store) []*storage.Instance {
+	deltas := make([]*storage.Instance, store.NumParts())
+	for p := range deltas {
+		deltas[p] = storage.NewInstance()
+	}
+	return deltas
+}
+
+// partsOf returns the store's sub-instances, the per-partition form of a
+// delta that is itself a store (round zero: the whole input is "new").
+func partsOf(store storage.Store) []*storage.Instance {
+	parts := make([]*storage.Instance, store.NumParts())
+	for p := range parts {
+		parts[p] = store.Part(p)
+	}
+	return parts
 }
 
 // instantiateHead grounds the rule head for a firing of frontier: frontier
@@ -255,9 +276,9 @@ func instantiateHead(rule *dependency.TGD, frontier logic.Subst, gen *logic.VarG
 // are instantiated.
 func (st *State) newDerivation(rules *dependency.Set, tr trigger) derivation {
 	rule := rules.Rules[tr.rule]
-	d := derivation{rule: tr.rule, body: make([]string, 0, len(rule.Body))}
+	d := derivation{rule: int(tr.rule), body: make([]string, 0, len(rule.Body))}
 	if st.opts.Variant == Oblivious {
-		d.trigger = triggerKey(tr.rule, tr.frontier, rule.Distinguished())
+		d.trigger = triggerKey(int(tr.rule), tr.frontier, rule.Distinguished())
 	}
 	for _, b := range rule.Body {
 		d.body = append(d.body, tr.frontier.ApplyAtom(b).Key())
@@ -265,13 +286,15 @@ func (st *State) newDerivation(rules *dependency.Set, tr trigger) derivation {
 	return d
 }
 
-// Resume runs the chase fixpoint on ins starting from an explicit delta: only
-// triggers with at least one body atom in delta are considered in the first
-// round, exactly as a semi-naive round mid-run. ins is extended in place;
-// delta must be a subset of ins (for a from-scratch run pass ins itself, as
-// Run does; for incremental maintenance pass just the newly inserted facts).
+// Resume runs the chase fixpoint on the store starting from an explicit
+// delta: only triggers with at least one body atom in delta are considered in
+// the first round, exactly as a semi-naive round mid-run. The store is
+// extended in place; delta must have the store's partition layout and hold,
+// per partition, a subset of it (for a from-scratch run pass the store
+// itself, as Run does; for incremental maintenance pass just the newly
+// inserted facts, or use Extend).
 //
-// The restricted variant re-checks head satisfaction against the full ins —
+// The restricted variant re-checks head satisfaction against the full store —
 // including everything derived by earlier Resume calls — so resuming after an
 // insertion yields a valid restricted chase of the extended data: certain
 // answers are identical to a from-scratch chase (property-tested).
@@ -279,8 +302,8 @@ func (st *State) newDerivation(rules *dependency.Set, tr trigger) derivation {
 // The returned Result describes this call only (Steps, Rounds, NullsCreated
 // count the increment); cumulative totals live on the State. Budgets apply
 // per call.
-func (st *State) Resume(rules *dependency.Set, ins, delta *storage.Instance) *Result {
-	return st.resume(context.Background(), rules, ins, delta, 0)
+func (st *State) Resume(rules *dependency.Set, store, delta storage.Store) *Result {
+	return st.ResumeCtx(context.Background(), rules, store, delta)
 }
 
 // ResumeCtx is Resume under a cancellation context. The fixpoint polls ctx
@@ -288,53 +311,69 @@ func (st *State) Resume(rules *dependency.Set, ins, delta *storage.Instance) *Re
 // the compiled-plan runners) and in the firing loop, so a canceled or
 // deadline-expired increment aborts within a bounded amount of work. An
 // aborted run returns with Result.Err set and Terminated false, WITHOUT
-// merging the interrupted round's buffered writes: the instance is a valid
+// merging the interrupted round's buffered writes: the store is a valid
 // chase prefix, but the state has consumed partial bookkeeping and is marked
 // truncated — discard both and rebuild (Ontology.mutate rolls the base data
 // back and drops the cache, so readers keep the pre-mutation snapshot).
-func (st *State) ResumeCtx(ctx context.Context, rules *dependency.Set, ins, delta *storage.Instance) *Result {
-	return st.resume(ctx, rules, ins, delta, 0)
+func (st *State) ResumeCtx(ctx context.Context, rules *dependency.Set, store, delta storage.Store) *Result {
+	if delta.NumParts() != store.NumParts() {
+		panic("chase: delta and store partition counts differ")
+	}
+	return st.resume(ctx, rules, store, partsOf(delta), 0)
 }
 
 // ExtendRules resumes the chase after rules were appended to the set (the
 // AddRule maintenance step): the first round considers only the new rules —
-// those at index firstNew and beyond — with the whole instance as the delta,
+// those at index firstNew and beyond — with the whole store as the delta,
 // since every existing fact is "new" to a rule that has never seen any.
 // Their consequences then propagate through the full set semi-naively, so
 // the work is proportional to what the new rules actually derive, not to a
 // re-chase of the instance. The existing rules need no first-round pass: the
 // instance is already their fixpoint. Unsound after a truncated run, exactly
 // like Extend.
-func (st *State) ExtendRules(rules *dependency.Set, ins *storage.Instance, firstNew int) *Result {
-	return st.ExtendRulesCtx(context.Background(), rules, ins, firstNew)
+func (st *State) ExtendRules(rules *dependency.Set, store storage.Store, firstNew int) *Result {
+	return st.ExtendRulesCtx(context.Background(), rules, store, firstNew)
 }
 
 // ExtendRulesCtx is ExtendRules under a cancellation context (see ResumeCtx
 // for abort semantics).
-func (st *State) ExtendRulesCtx(ctx context.Context, rules *dependency.Set, ins *storage.Instance, firstNew int) *Result {
+func (st *State) ExtendRulesCtx(ctx context.Context, rules *dependency.Set, store storage.Store, firstNew int) *Result {
 	if firstNew >= rules.Len() {
-		return &Result{Instance: ins, Terminated: true} // no new rules
+		return &Result{Terminated: true} // no new rules
 	}
-	return st.resume(ctx, rules, ins, ins, firstNew)
+	return st.resume(ctx, rules, store, partsOf(store), firstNew)
 }
 
-// resume is the shared fixpoint driver. onlyFrom restricts the FIRST round's
-// trigger collection to rules with index ≥ onlyFrom (0 = all rules); later
-// rounds always consider the whole set, which is what makes the restriction
-// sound — anything the filtered round derives is re-examined by every rule.
-func (st *State) resume(ctx context.Context, rules *dependency.Set, ins, delta *storage.Instance, onlyFrom int) *Result {
+// resume is the one fixpoint driver. Each round: collect triggers per
+// partition delta (local rules confined to their sub-instance, spanning rules
+// through partition-pruned runners over the whole store), drain the exchange
+// (dedupe what the partitions shipped, apply the oblivious fired filter),
+// fire the survivors chunked across the workers — a local firing checks and
+// writes only its own partition, a spanning one routes each head fact by hash
+// — and merge every partition's shards into its next delta. It terminates
+// when every delta is empty. At P = 1 every rule is local to the single
+// partition and the round is the plain semi-naive one. onlyFrom restricts the
+// FIRST round's trigger collection to rules with index ≥ onlyFrom (0 = all
+// rules); later rounds always consider the whole set, which is what makes the
+// restriction sound — anything the filtered round derives is re-examined by
+// every rule.
+func (st *State) resume(ctx context.Context, rules *dependency.Set, store storage.Store, deltas []*storage.Instance, onlyFrom int) *Result {
 	opts := st.opts
-	res := &Result{Instance: ins}
+	res := &Result{}
 	workers := opts.Parallelism
+	parts := partsOf(store)
 
 	var steps atomic.Int64
 	var truncated atomic.Bool
 	var canceled atomic.Bool
+	var prunedProbes atomic.Uint64
 
 	defer func() {
+		res.Partition.PrunedProbes = prunedProbes.Load()
 		st.steps += res.Steps
 		st.rounds += res.Rounds
 		st.nulls += res.NullsCreated
+		st.pstats.add(res.Partition)
 		if !res.Terminated {
 			st.truncated = true
 		}
@@ -343,13 +382,14 @@ func (st *State) resume(ctx context.Context, rules *dependency.Set, ins, delta *
 	// Compile every rule body and head once for this Resume call; the plans
 	// (atom order, access paths, register micro-programs) are reused across
 	// all rounds and all delta facts. Column statistics are read from the
-	// instance as of now — relations that grow later keep the order (only
+	// store as of now — relations that grow later keep the order (only
 	// speed is affected), except that a relation transitioning empty→
 	// non-empty re-costs the rules reading it at the round barrier
 	// (planSet.refresh): an order chosen when the relation was empty is
 	// arbitrary, not merely stale.
-	ins.EnsureIndexes()
-	plans := newPlanSet(rules, ins, opts.Planner, opts.Join)
+	store.EnsureIndexes()
+	plans := newPlanSet(rules, store, opts.Planner, opts.Join)
+	local := localityOf(rules, store)
 
 	for res.Rounds < opts.MaxRounds {
 		// Round barrier: a canceled increment aborts between rounds (and at
@@ -360,20 +400,23 @@ func (st *State) resume(ctx context.Context, rules *dependency.Set, ins, delta *
 		}
 		res.Rounds++
 
-		// Freeze the instance for this round: indexes pre-built, all reads
+		// Freeze the store for this round: indexes pre-built, all reads
 		// below are lock-free and race-free, all writes buffered in shards.
-		ins.EnsureIndexes()
+		store.EnsureIndexes()
 
-		triggers := collectTriggers(ctx, rules, ins, delta, workers, plans, onlyFrom)
+		triggers, shipped := collectTriggers(ctx, rules, store, deltas, workers, plans, local, onlyFrom, &prunedProbes)
 		if err := ctx.Err(); err != nil {
 			res.Err = err // collection aborted; its partial output is unusable
 			return res
 		}
 		onlyFrom = 0 // the rule filter applies to the first round only
+		res.Partition.ShippedTriggers += shipped
 		if opts.Variant == Oblivious {
+			// The semi-oblivious fired memory is shared engine state, so the
+			// filter runs single-threaded at the barrier.
 			kept := triggers[:0]
 			for _, tr := range triggers {
-				key := triggerKey(tr.rule, tr.frontier, rules.Rules[tr.rule].Distinguished())
+				key := triggerKey(int(tr.rule), tr.frontier, rules.Rules[tr.rule].Distinguished())
 				if !st.fired[key] {
 					st.fired[key] = true
 					kept = append(kept, tr)
@@ -388,19 +431,21 @@ func (st *State) resume(ctx context.Context, rules *dependency.Set, ins, delta *
 		}
 
 		// Fire the round's triggers: chunked across workers, each writing
-		// into a private shard against the frozen instance.
-		shards := make([]*storage.Shard, workers)
+		// into private per-partition shards against the frozen store.
+		shards := make([][]*storage.Shard, workers)
 		nulls := make([]int, workers)
+		localFired := make([]uint64, workers)
 		var provs [][]derivation
 		if st.prov != nil {
 			provs = make([][]derivation, workers)
 		}
 		runTasks(workers, workers, func(w int) {
-			shard := storage.NewShard()
-			shards[w] = shard
+			mine := make([]*storage.Shard, len(parts))
+			shards[w] = mine
 			// Per-worker head-plan runners, lazily created per rule: repeated
 			// applicability checks reuse the register file, allocation-free.
 			headRunners := make([]*eval.Runner, len(rules.Rules))
+			defer flushRunnersPruned(headRunners, &prunedProbes)
 			polled := 0
 			for i := w; i < len(triggers); i += workers {
 				if truncated.Load() || canceled.Load() {
@@ -416,7 +461,14 @@ func (st *State) resume(ctx context.Context, rules *dependency.Set, ins, delta *
 				}
 				tr := triggers[i]
 				rule := rules.Rules[tr.rule]
-				if opts.Variant == Restricted && plans.headSatisfied(tr.rule, tr.frontier, ins, headRunners) {
+				// Locality proof: a local rule's head facts and every image
+				// that could satisfy its head carry the trigger's routing
+				// term, so the check and the writes stay in partition home.
+				target := store
+				if tr.home >= 0 {
+					target = parts[tr.home]
+				}
+				if opts.Variant == Restricted && plans.headSatisfied(int(tr.rule), tr.frontier, target, headRunners) {
 					continue
 				}
 				if n := steps.Add(1); int(n) > opts.MaxSteps {
@@ -426,8 +478,18 @@ func (st *State) resume(ctx context.Context, rules *dependency.Set, ins, delta *
 				}
 				heads, n := instantiateHead(rule, tr.frontier, st.gens[w])
 				nulls[w] += n
+				if tr.home >= 0 {
+					localFired[w]++
+				}
 				for _, ha := range heads {
-					if _, err := shard.Insert(ha); err != nil {
+					home := int(tr.home)
+					if home < 0 {
+						home = store.Route(ha)
+					}
+					if mine[home] == nil {
+						mine[home] = storage.NewShard()
+					}
+					if _, err := mine[home].Insert(ha); err != nil {
 						// Arity conflicts are caught at rule-set validation;
 						// reaching here is a programming error.
 						panic(err)
@@ -440,9 +502,12 @@ func (st *State) resume(ctx context.Context, rules *dependency.Set, ins, delta *
 				}
 			}
 		})
+		for _, n := range localFired {
+			res.Partition.LocalFirings += n
+		}
 
 		// A canceled round discards its buffered shards unmerged: the
-		// instance stays a consistent prefix (every completed round merged
+		// store stays a consistent prefix (every completed round merged
 		// atomically at its barrier), only the engine bookkeeping is dirty.
 		if canceled.Load() || ctx.Err() != nil {
 			res.Steps = int(steps.Load())
@@ -450,11 +515,23 @@ func (st *State) resume(ctx context.Context, rules *dependency.Set, ins, delta *
 			return res
 		}
 
-		// Round barrier: single-writer merge of all shards, producing the
-		// next delta, and of the workers' provenance records.
-		newDelta, err := ins.MergeShards(shards...)
-		if err != nil {
-			panic(err)
+		// Round barrier: single-writer merge of each partition's shards,
+		// producing the next deltas, and of the workers' provenance records.
+		grew := false
+		deltas = make([]*storage.Instance, len(parts))
+		for p := range deltas {
+			var routed []*storage.Shard
+			for _, ws := range shards {
+				if ws != nil && ws[p] != nil {
+					routed = append(routed, ws[p])
+				}
+			}
+			d, err := store.MergeShardsPart(p, routed...)
+			if err != nil {
+				panic(err)
+			}
+			deltas[p] = d
+			grew = grew || d.Size() > 0
 		}
 		if st.prov != nil {
 			for _, ds := range provs {
@@ -470,14 +547,25 @@ func (st *State) resume(ctx context.Context, rules *dependency.Set, ins, delta *
 		if truncated.Load() {
 			return res
 		}
-		if newDelta.Size() == 0 {
+		if !grew {
 			res.Terminated = true
 			return res
 		}
-		delta = newDelta
 		// Round barrier: re-cost any rule whose plans were compiled while a
 		// relation they read was still empty and has since been populated.
-		st.replans += plans.refresh(rules, ins)
+		st.replans += plans.refresh(rules, store)
 	}
 	return res
+}
+
+// flushRunnersPruned folds the pruned-probe counters of a worker's cached
+// runners into the round's shared sink.
+func flushRunnersPruned(runners []*eval.Runner, sink *atomic.Uint64) {
+	for _, r := range runners {
+		if r != nil {
+			if n := r.TakePruned(); n > 0 {
+				sink.Add(n)
+			}
+		}
+	}
 }

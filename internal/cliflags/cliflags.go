@@ -43,10 +43,10 @@ type Flags struct {
 	MaxSteps int
 	// MaxRounds bounds chase fair rounds (0 = engine default).
 	MaxRounds int
-	// Partitions hash-partitions the chase-mode materialization (1 = the
-	// classic single-instance layout). Any value yields the same answers;
-	// partition-local rules fire coordination-free and plans binding the
-	// partitioning column probe one sub-instance.
+	// Partitions is the partition count of the chase-mode materialization,
+	// 1..repro.MaxPartitions (1 = unpartitioned). Any value yields the same
+	// answers; partition-local rules fire coordination-free and plans binding
+	// the partitioning column probe one sub-instance.
 	Partitions int
 	// Limit bounds the number of answers streamed (0 = all); registered
 	// separately by BindLimit, only on the commands that answer queries.
@@ -68,7 +68,7 @@ func Bind(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.Join, "join", "auto", "join strategy: auto | nested | hash")
 	fs.IntVar(&f.MaxSteps, "max-steps", 0, "chase trigger-firing budget (0 = default 100000)")
 	fs.IntVar(&f.MaxRounds, "max-rounds", 0, "chase fair-round budget (0 = default 1000)")
-	fs.IntVar(&f.Partitions, "partitions", 1, "hash-partition the chase materialization this many ways (1 = unpartitioned; same answers)")
+	fs.IntVar(&f.Partitions, "partitions", 1, fmt.Sprintf("hash-partition the chase materialization this many ways (1 = unpartitioned, max %d; same answers)", repro.MaxPartitions))
 	return f
 }
 
@@ -104,6 +104,16 @@ func (f *Flags) JoinStrategy() (eval.JoinStrategy, error) {
 	return eval.ParseJoin(f.Join)
 }
 
+// checkPartitions rejects a -partitions value outside 1..repro.MaxPartitions:
+// every partition is a whole instance, so the count is an allocation the
+// command line controls.
+func (f *Flags) checkPartitions() error {
+	if f.Partitions < 1 || f.Partitions > repro.MaxPartitions {
+		return fmt.Errorf("bad -partitions %d: want 1..%d", f.Partitions, repro.MaxPartitions)
+	}
+	return nil
+}
+
 // Options maps the shared flags onto the root answering options.
 func (f *Flags) Options(mode repro.AnswerMode) (repro.Options, error) {
 	pl, err := f.PlannerStrategy()
@@ -112,6 +122,9 @@ func (f *Flags) Options(mode repro.AnswerMode) (repro.Options, error) {
 	}
 	jn, err := f.JoinStrategy()
 	if err != nil {
+		return repro.Options{}, err
+	}
+	if err := f.checkPartitions(); err != nil {
 		return repro.Options{}, err
 	}
 	return repro.Options{
@@ -134,6 +147,9 @@ func (f *Flags) ChaseOptions() (chase.Options, error) {
 	}
 	jn, err := f.JoinStrategy()
 	if err != nil {
+		return chase.Options{}, err
+	}
+	if err := f.checkPartitions(); err != nil {
 		return chase.Options{}, err
 	}
 	return chase.Options{

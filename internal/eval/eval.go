@@ -48,9 +48,9 @@ type Options struct {
 	// own strategy.
 	Join JoinStrategy
 	// Pruned, when non-nil, accumulates the partition-pruned probe count of
-	// partitioned evaluations (BindParts runners): join levels that resolved
-	// to exactly one sub-instance instead of all P. Plain-instance
-	// evaluations never touch it.
+	// evaluations over a P > 1 store: join levels that resolved to exactly
+	// one sub-instance instead of all P. Single-partition evaluations never
+	// move it.
 	Pruned *atomic.Uint64
 }
 
@@ -184,31 +184,31 @@ func (a *Answers) String() string {
 // CQ evaluates a conjunctive query over the instance, compiling a plan per
 // call. With Options.Parallelism > 1 the outer loop of the join is sharded
 // across workers; the answer set is identical to the sequential result.
-func CQ(q *query.CQ, ins *storage.Instance, opts Options) *Answers {
-	return RunPlans([]*Plan{CompileCQ(q, ins, opts.Planner, opts.Join)}, q.Arity(), ins, opts)
+func CQ(q *query.CQ, store storage.Store, opts Options) *Answers {
+	return RunPlans([]*Plan{CompileCQ(q, store, opts.Planner, opts.Join)}, q.Arity(), store, opts)
 }
 
 // UCQ evaluates a union of conjunctive queries, unioning the answers. With
 // Options.Parallelism > 1 the member CQs are evaluated concurrently and each
 // join's outer loop is sharded; the answer set is identical to the
 // sequential result.
-func UCQ(u *query.UCQ, ins *storage.Instance, opts Options) *Answers {
-	return RunPlans(CompileUCQ(u, ins, opts.Planner, opts.Join), u.Arity(), ins, opts)
+func UCQ(u *query.UCQ, store storage.Store, opts Options) *Answers {
+	return RunPlans(CompileUCQ(u, store, opts.Planner, opts.Join), u.Arity(), store, opts)
 }
 
 // UCQCtx is UCQ under a cancellation context: evaluation aborts promptly
 // (amortized per-candidate polling in the executor) when ctx is canceled and
 // returns the context error; the partial answer set is discarded.
-func UCQCtx(ctx context.Context, u *query.UCQ, ins *storage.Instance, opts Options) (*Answers, error) {
-	return RunPlansCtx(ctx, CompileUCQ(u, ins, opts.Planner, opts.Join), u.Arity(), ins, opts)
+func UCQCtx(ctx context.Context, u *query.UCQ, store storage.Store, opts Options) (*Answers, error) {
+	return RunPlansCtx(ctx, CompileUCQ(u, store, opts.Planner, opts.Join), u.Arity(), store, opts)
 }
 
 // RunPlans evaluates precompiled CQ plans (the disjuncts of a union) over
 // the instance, unioning the answers. It is the execution entry point behind
 // CQ and UCQ; callers holding a plan cache (Ontology) invoke it directly so
 // repeated queries skip compilation.
-func RunPlans(plans []*Plan, arity int, ins *storage.Instance, opts Options) *Answers {
-	ans, _ := RunPlansCtx(context.Background(), plans, arity, ins, opts)
+func RunPlans(plans []*Plan, arity int, store storage.Store, opts Options) *Answers {
+	ans, _ := RunPlansCtx(context.Background(), plans, arity, store, opts)
 	return ans
 }
 
@@ -217,12 +217,12 @@ func RunPlans(plans []*Plan, arity int, ins *storage.Instance, opts Options) *An
 // stops within a few thousand candidate tuples per worker. On cancellation
 // the (partial, meaningless) answers are dropped and the context error is
 // returned; a nil error means the answer set is complete.
-func RunPlansCtx(ctx context.Context, plans []*Plan, arity int, ins *storage.Instance, opts Options) (*Answers, error) {
+func RunPlansCtx(ctx context.Context, plans []*Plan, arity int, store storage.Store, opts Options) (*Answers, error) {
 	if p := opts.workers(); p > 1 {
-		return parallelEval(ctx, plans, arity, ins, opts, p)
+		return parallelEval(ctx, plans, arity, store, opts, p)
 	}
 	out := NewAnswers(arity)
-	err := each(ctx, plans, ins, opts, func(t storage.Tuple, k string) bool {
+	err := each(ctx, plans, store, opts, func(t storage.Tuple, k string) bool {
 		out.addKeyed(t, k)
 		return true
 	})
@@ -241,8 +241,8 @@ func RunPlansCtx(ctx context.Context, plans []*Plan, arity int, ins *storage.Ins
 // memory grows with the distinct answers emitted so far (at most Limit when
 // set), never with the full result size. Returns the context error if the
 // enumeration was canceled mid-stream.
-func Each(ctx context.Context, plans []*Plan, ins *storage.Instance, opts Options, yield func(storage.Tuple) bool) error {
-	return each(ctx, plans, ins, opts, func(t storage.Tuple, _ string) bool {
+func Each(ctx context.Context, plans []*Plan, store storage.Store, opts Options, yield func(storage.Tuple) bool) error {
+	return each(ctx, plans, store, opts, func(t storage.Tuple, _ string) bool {
 		return yield(t)
 	})
 }
@@ -252,12 +252,12 @@ func Each(ctx context.Context, plans []*Plan, ins *storage.Instance, opts Option
 // answers under FilterNulls, deduplicates across union members, enforces
 // Limit by abandoning the iterators early, and hands every fresh answer —
 // with its dedup key, so collectors don't re-encode it — to emit.
-func each(ctx context.Context, plans []*Plan, ins *storage.Instance, opts Options, emit func(t storage.Tuple, key string) bool) error {
+func each(ctx context.Context, plans []*Plan, store storage.Store, opts Options, emit func(t storage.Tuple, key string) bool) error {
 	seen := make(map[string]bool)
 	count := 0
 	for _, plan := range plans {
 		r := plan.NewRunner()
-		if !r.Bind(ins) {
+		if !r.Bind(store) {
 			continue
 		}
 		r.SetContext(ctx)
@@ -275,13 +275,16 @@ func each(ctx context.Context, plans []*Plan, ins *storage.Instance, opts Option
 			}
 			seen[k] = true
 			if !emit(t, k) {
+				flushPruned(r, opts)
 				return nil
 			}
 			count++
 			if opts.Limit > 0 && count >= opts.Limit {
+				flushPruned(r, opts)
 				return nil
 			}
 		}
+		flushPruned(r, opts)
 		if err := r.Err(); err != nil {
 			return err
 		}
@@ -321,8 +324,8 @@ func projectHead(plan *Plan, regs []logic.Term) storage.Tuple {
 // ctx is canceled every worker aborts its current shard at the next poll and
 // drains the remaining units without running them, so no goroutine outlives
 // the call.
-func parallelEval(ctx context.Context, plans []*Plan, arity int, ins *storage.Instance, opts Options, p int) (*Answers, error) {
-	ins.EnsureIndexes()
+func parallelEval(ctx context.Context, plans []*Plan, arity int, store storage.Store, opts Options, p int) (*Answers, error) {
+	store.EnsureIndexes()
 	type unit struct {
 		plan  *Plan
 		shard int
@@ -344,7 +347,7 @@ func parallelEval(ctx context.Context, plans []*Plan, arity int, ins *storage.In
 			//repro:allow ctxpoll bounded by the closed work channel; runPlanShard polls ctx per shard
 			for i := range next {
 				out := NewAnswers(arity)
-				_, err := runPlanShard(ctx, units[i].plan, ins, opts, units[i].shard, p, out)
+				_, err := runPlanShard(ctx, units[i].plan, store, opts, units[i].shard, p, out)
 				results[i] = out
 				errs[i] = err
 			}
@@ -373,9 +376,9 @@ func parallelEval(ctx context.Context, plans []*Plan, arity int, ins *storage.In
 // runPlanShard runs one shard of a compiled CQ plan, projecting head tuples
 // into out. cont is false when the answer limit was reached; err is the
 // context error when ctx canceled the enumeration mid-run.
-func runPlanShard(ctx context.Context, plan *Plan, ins *storage.Instance, opts Options, shard, nshards int, out *Answers) (cont bool, err error) {
+func runPlanShard(ctx context.Context, plan *Plan, store storage.Store, opts Options, shard, nshards int, out *Answers) (cont bool, err error) {
 	r := plan.NewRunner()
-	if !r.Bind(ins) {
+	if !r.Bind(store) {
 		return true, nil
 	}
 	r.SetContext(ctx)
@@ -391,35 +394,36 @@ func runPlanShard(ctx context.Context, plan *Plan, ins *storage.Instance, opts O
 		}
 		return true
 	})
+	flushPruned(r, opts)
 	return cont, r.Err()
 }
 
 // Holds reports whether a boolean query (arity 0) is satisfied.
-func Holds(q *query.CQ, ins *storage.Instance, opts Options) bool {
+func Holds(q *query.CQ, store storage.Store, opts Options) bool {
 	opts.Limit = 1
-	return CQ(q, ins, opts).Len() > 0
+	return CQ(q, store, opts).Len() > 0
 }
 
 // Matches enumerates every substitution of the body variables such that all
 // body atoms hold in the instance, invoking yield for each; enumeration
 // stops when yield returns false. The substitution passed to yield is
 // reused across calls — callers must copy what they keep.
-func Matches(body []logic.Atom, ins *storage.Instance, yield func(logic.Subst) bool) {
-	MatchesSeeded(body, ins, nil, yield)
+func Matches(body []logic.Atom, store storage.Store, yield func(logic.Subst) bool) {
+	MatchesSeeded(body, store, nil, yield)
 }
 
 // MatchesSeeded is Matches with an initial binding: only extensions of seed
 // are enumerated. It compiles a plan per call; hot callers (the chase)
 // compile once with CompileBody/CompileDelta and drive the Runner directly.
-func MatchesSeeded(body []logic.Atom, ins *storage.Instance, seed logic.Subst, yield func(logic.Subst) bool) {
+func MatchesSeeded(body []logic.Atom, store storage.Store, seed logic.Subst, yield func(logic.Subst) bool) {
 	seedVars := make([]logic.Term, 0, len(seed))
 	for v := range seed {
 		seedVars = append(seedVars, v)
 	}
 	sort.Slice(seedVars, func(i, j int) bool { return seedVars[i].Name < seedVars[j].Name })
-	plan := CompileBody(body, ins, seedVars, PlannerDefault, JoinDefault)
+	plan := CompileBody(body, store, seedVars, PlannerDefault, JoinDefault)
 	r := plan.NewRunner()
-	if !r.Bind(ins) {
+	if !r.Bind(store) {
 		return
 	}
 	r.SeedSubst(seed)

@@ -31,11 +31,11 @@ type cursor struct {
 	pos     int
 	stride  int
 	// start is the first candidate offset (the outer shard origin), kept so
-	// a partitioned cursor can restart the stride in its next partition.
+	// the cursor can restart the stride in its next partition.
 	start int
-	// part and lastPart bound the sub-instances a partitioned cursor visits:
-	// a pruned level has part == lastPart (exactly one probe), an unpruned
-	// one walks 0..P-1. Unused when the runner is bound to a plain Instance.
+	// part and lastPart bound the partitions the cursor visits: a level whose
+	// partitioning column is fixed has part == lastPart (exactly one probe,
+	// always the case at P = 1), any other walks 0..P-1.
 	part, lastPart int
 }
 
@@ -49,27 +49,23 @@ type hashTable struct {
 
 // Runner is the mutable execution state of one plan: the register file, the
 // per-level cursors, pooled hash tables, and the relation pointers resolved
-// against an instance. A Runner belongs to one goroutine; allocate one per
+// against a store. A Runner belongs to one goroutine; allocate one per
 // worker (NewRunner) and reuse it across executions — Bind, seed, Start and
 // Next allocate nothing in steady state.
 type Runner struct {
 	plan *Plan
 	regs []logic.Term
 	curs []cursor
-	rels []*storage.Relation
-	tabs []hashTable
-
-	// Partitioned binding (BindParts): the store, the per-atom per-partition
-	// relations, the per-atom partition source (how the level picks its
-	// sub-instance), per-(atom, partition) hash tables, and the count of
-	// probes pruned to a single partition. pins is the discriminator: nil
-	// means the runner is bound to a plain Instance and every partitioned
-	// branch is skipped.
-	pins   *storage.PartitionedInstance
-	prels  [][]*storage.Relation
+	// rels and tabs (nil unless some level hash-probes) hold one entry per
+	// (level, partition) at index level*nparts+part; psrc is how each level
+	// picks its partitions. All three are shaped for the (nparts, col) layout
+	// of the last bound store and reshaped only when a Bind sees another.
+	rels   []*storage.Relation
+	tabs   []hashTable
 	psrc   []partSrc
-	ptabs  [][]hashTable
 	nparts int
+	col    int
+	// pruned counts probes of a P > 1 store confined to a single partition.
 	pruned uint64
 
 	// keyBuf is the reused scratch buffer for composite hash-probe keys.
@@ -92,17 +88,32 @@ func (p *Plan) NewRunner() *Runner {
 		plan: p,
 		regs: make([]logic.Term, p.nslots),
 		curs: make([]cursor, len(p.atoms)),
-		rels: make([]*storage.Relation, len(p.atoms)),
+		psrc: make([]partSrc, len(p.atoms)),
 		done: true,
 	}
 	for _, a := range p.atoms {
 		if len(a.hashKey) > 0 {
-			r.tabs = make([]hashTable, len(p.atoms))
 			r.keyBuf = make([]byte, 0, 64)
 			break
 		}
 	}
+	r.reshape(1, 0)
 	return r
+}
+
+// reshape sizes the per-(level, partition) state for a store layout and
+// derives each level's partition source — the cold half of Bind, paid once
+// per (runner, layout).
+func (r *Runner) reshape(nparts, col int) {
+	n := len(r.plan.atoms)
+	r.nparts, r.col = nparts, col
+	r.rels = make([]*storage.Relation, n*nparts)
+	if r.keyBuf != nil {
+		r.tabs = make([]hashTable, n*nparts)
+	}
+	for i := range r.psrc {
+		r.psrc[i] = partSource(&r.plan.atoms[i], col, nparts)
+	}
 }
 
 // SetContext arms the runner with a cancellation context: Run (and RunTuple)
@@ -141,24 +152,41 @@ func (r *Runner) canceled() bool {
 	return false
 }
 
-// Bind resolves the plan's relations against ins, reporting whether every
-// atom has a matching relation (false means no binding can ever match, and
-// Run must not be called). Resolution is by name on every Bind, so plans
-// survive copy-on-write relation swaps and relations created after
-// compilation; within one enumeration the instance must be frozen, as for
-// all concurrent reads.
+// Bind resolves the plan's relations against every partition of the store,
+// reporting whether every atom has a matching relation (false means no
+// binding can ever match, and Run must not be called; by the alignment
+// invariant, present in one partition means present in all). Resolution is
+// by name on every Bind, so plans survive copy-on-write relation swaps and
+// relations created after compilation; within one enumeration the store must
+// be frozen, as for all concurrent reads. The store is only consulted here:
+// enumeration reads the resolved relations directly.
 //
 //repro:hotpath
-func (r *Runner) Bind(ins *storage.Instance) bool {
-	r.pins = nil
-	for i := range r.plan.atoms {
-		rel := ins.Relation(r.plan.atoms[i].pred)
-		if rel == nil || rel.Arity() != r.plan.atoms[i].arity {
-			return false
+func (r *Runner) Bind(store storage.Store) bool {
+	p := store.NumParts()
+	if col := store.Col(); p != r.nparts || col != r.col {
+		r.reshape(p, col)
+	}
+	atoms := r.plan.atoms
+	for j := 0; j < p; j++ {
+		part := store.Part(j)
+		for i := range atoms {
+			rel := part.Relation(atoms[i].pred)
+			if rel == nil || rel.Arity() != atoms[i].arity {
+				return false
+			}
+			r.rels[i*p+j] = rel
 		}
-		r.rels[i] = rel
 	}
 	return true
+}
+
+// TakePruned returns and resets the count of join-level probes the runner
+// pruned to a single partition of a P > 1 store since the last call.
+func (r *Runner) TakePruned() uint64 {
+	n := r.pruned
+	r.pruned = 0
+	return n
 }
 
 // SeedSubst fills the seed registers of a Subst-seeded plan (CompileBody):
@@ -209,7 +237,7 @@ func (r *Runner) Start(shard, nshards int) {
 	r.depth = 0
 	r.done = false
 	if len(r.plan.atoms) > 0 {
-		r.initCursor(0, shard, nshards)
+		r.initCursor(0, shard, nshards, false)
 	}
 }
 
@@ -255,7 +283,8 @@ func (r *Runner) Next() bool {
 			}
 		}
 		if !matched {
-			if r.pins != nil && r.nextPart(depth) {
+			if cur.part < cur.lastPart {
+				r.initCursor(depth, cur.start, cur.stride, true)
 				continue // same level, next partition
 			}
 			depth--
@@ -271,7 +300,7 @@ func (r *Runner) Next() bool {
 			return true
 		}
 		depth++
-		r.initCursor(depth, 0, 1)
+		r.initCursor(depth, 0, 1, false)
 	}
 }
 
@@ -300,28 +329,43 @@ func (r *Runner) Run(shard, nshards int, yield func(regs []logic.Term) bool) boo
 	return r.err == nil
 }
 
-// initCursor positions the cursor of one level on its candidate set: a
-// composite hash probe when the plan chose a hash join for the level, an
-// index probe on the planned column otherwise, a scan as the fallback.
+// initCursor positions the cursor of one level on a partition's candidate
+// set: a composite hash probe when the plan chose a hash join for the level,
+// an index probe on the planned column otherwise, a scan as the fallback. A
+// fresh init first resolves the partitions the level visits from its source —
+// one when the partitioning column is fixed (always, at P = 1), all P
+// otherwise — and opens the first; advance instead moves an exhausted level
+// to the next partition of that range, restarting the stride.
 //
 //repro:hotpath
-func (r *Runner) initCursor(depth, start, stride int) {
-	if r.pins != nil {
-		r.initCursorPart(depth, start, stride)
-		return
-	}
+func (r *Runner) initCursor(depth, start, stride int, advance bool) {
 	step := &r.plan.atoms[depth]
-	rel := r.rels[depth]
 	cur := &r.curs[depth]
+	if advance {
+		cur.part++
+	} else {
+		cur.start = start
+		cur.stride = stride
+		src := &r.psrc[depth]
+		cur.part, cur.lastPart = src.part, src.last
+		if src.slot >= 0 {
+			cur.part = storage.RoutePart(r.regs[src.slot], r.nparts)
+			cur.lastPart = cur.part
+		}
+		if r.nparts > 1 && cur.part == cur.lastPart {
+			r.pruned++
+		}
+	}
+	at := depth*r.nparts + cur.part
+	rel := r.rels[at]
 	cur.tuples = rel.Tuples()
 	cur.pos = start
-	cur.stride = stride
 	if len(step.hashKey) > 0 {
-		if r.tabs[depth].rel != rel {
-			r.buildHashTable(depth, rel)
+		if r.tabs[at].rel != rel {
+			r.buildHashTable(step, at, rel)
 		}
 		//repro:allow hotalloc map read through string(key) is allocation-elided by the compiler
-		cur.posting = r.tabs[depth].m[string(r.probeKey(step))]
+		cur.posting = r.tabs[at].m[string(r.probeKey(step))]
 		cur.n = len(cur.posting)
 		return
 	}
@@ -339,14 +383,14 @@ func (r *Runner) initCursor(depth, start, stride int) {
 }
 
 // buildHashTable materializes the composite-key table for one hash-probed
-// level: every tuple of the relation keyed by the concatenation of its
-// hash-key columns (constant key entries use the tuple's own column value, so
-// non-matching tuples land in buckets no probe ever assembles). Built once
-// per (runner, relation snapshot) and amortized across every probe at the
-// level; deliberately not //repro:hotpath — it is the cold open of the
-// iterator, not its steady state.
-func (r *Runner) buildHashTable(depth int, rel *storage.Relation) {
-	step := &r.plan.atoms[depth]
+// (level, partition): every tuple of the relation keyed by the concatenation
+// of its hash-key columns (constant key entries use the tuple's own column
+// value, so non-matching tuples land in buckets no probe ever assembles).
+// Built once per (runner, relation snapshot) and amortized across every probe
+// at the level — over 1/P of the data when the probe is pruned; deliberately
+// not //repro:hotpath — it is the cold open of the iterator, not its steady
+// state.
+func (r *Runner) buildHashTable(step *atomStep, at int, rel *storage.Relation) {
 	tuples := rel.Tuples()
 	m := make(map[string][]int, len(tuples))
 	buf := r.keyBuf
@@ -358,7 +402,7 @@ func (r *Runner) buildHashTable(depth int, rel *storage.Relation) {
 		m[string(buf)] = append(m[string(buf)], i)
 	}
 	r.keyBuf = buf
-	r.tabs[depth] = hashTable{rel: rel, m: m}
+	r.tabs[at] = hashTable{rel: rel, m: m}
 }
 
 // probeKey assembles the composite probe key for a hash-probed level into the

@@ -1,45 +1,32 @@
-// Partition-pruned evaluation: a Runner bound to a storage.PartitionedInstance
-// (BindParts) resolves each join level's relation per partition and, whenever
-// the plan fixes the partitioning column's value before the level runs — a
-// compile-time constant, or a register bound by a shallower level — probes
+// Partition-pruned evaluation: Runner.Bind resolves each join level's
+// relation per partition of the store and, whenever the plan fixes the
+// partitioning column's value before the level runs — a compile-time
+// constant, or a register bound by a shallower level — the level probes
 // exactly one sub-instance instead of all P. Pruned levels see indexes and
 // hash-table builds over 1/P of the data, the single-core win partitioning
 // buys; levels that leave the partitioning column free iterate the
-// sub-instances in order, so the answer set is identical to the
-// unpartitioned one.
+// sub-instances in order, so the answer set is identical for every P. At
+// P = 1 every level is fixed to partition 0 and nothing counts as pruned.
 package eval
 
-import (
-	"context"
-	"sort"
-	"sync"
+import "repro/internal/storage"
 
-	"repro/internal/logic"
-	"repro/internal/query"
-	"repro/internal/storage"
-)
-
-// partMode discriminates how a join level picks its partition.
-type partMode uint8
-
-const (
-	// partAll iterates every sub-instance (the partitioning column is not
-	// fixed before the level runs).
-	partAll partMode = iota
-	// partFixed probes one precomputed partition (constant key, or a
-	// predicate too narrow to route, which stores wholly in partition 0).
-	partFixed
-	// partSlot routes through a register holding the partitioning column's
-	// value at cursor-init time — a variable bound by a shallower level.
-	partSlot
-)
-
-// partSrc is one level's partition source, fixed at BindParts time.
+// partSrc is how one join level picks its partitions, derived per store
+// layout: the range part..last (one precomputed partition for a constant key
+// or a predicate too narrow to route, which stores wholly in partition 0;
+// 0..P-1 when the partitioning column is not fixed before the level runs),
+// unless slot >= 0 — then that register, bound by a shallower level, holds
+// the partitioning column's value at cursor-init time and routes the level
+// to one partition.
 type partSrc struct {
-	mode partMode
-	part int
-	slot int
+	part, last int
+	slot       int
 }
+
+// fixedPart, slotPart and allParts build the three kinds of source.
+func fixedPart(p int) partSrc     { return partSrc{part: p, last: p, slot: -1} }
+func slotPart(slot int) partSrc   { return partSrc{slot: slot} }
+func allParts(nparts int) partSrc { return partSrc{last: nparts - 1, slot: -1} }
 
 // partSource derives the partition source of one compiled atom from its
 // access path and micro-program: the partitioning column's value comes from
@@ -47,24 +34,24 @@ type partSrc struct {
 // fixed partition, an equality against a register bound by an earlier level
 // routes at run time, and anything else (the column is first bound by this
 // very atom) forces the all-partitions walk.
-func partSource(step *atomStep, col int, pins *storage.PartitionedInstance) partSrc {
-	if step.arity <= col {
-		return partSrc{mode: partFixed, part: 0}
+func partSource(step *atomStep, col, nparts int) partSrc {
+	if nparts == 1 || step.arity <= col {
+		return fixedPart(0)
 	}
 	if step.idxCol == col {
 		if step.keySlot >= 0 {
-			return partSrc{mode: partSlot, slot: step.keySlot}
+			return slotPart(step.keySlot)
 		}
-		return partSrc{mode: partFixed, part: pins.RouteTerm(step.keyTerm)}
+		return fixedPart(storage.RoutePart(step.keyTerm, nparts))
 	}
 	for _, k := range step.hashKey {
 		if k.col != col {
 			continue
 		}
 		if k.kind == opEq {
-			return partSrc{mode: partSlot, slot: k.slot}
+			return slotPart(k.slot)
 		}
-		return partSrc{mode: partFixed, part: pins.RouteTerm(k.term)}
+		return fixedPart(storage.RoutePart(k.term, nparts))
 	}
 	for _, o := range step.ops {
 		if o.col != col {
@@ -75,17 +62,17 @@ func partSource(step *atomStep, col int, pins *storage.PartitionedInstance) part
 		}
 		switch o.kind {
 		case opConst:
-			return partSrc{mode: partFixed, part: pins.RouteTerm(o.term)}
+			return fixedPart(storage.RoutePart(o.term, nparts))
 		case opEq:
 			if slotBoundWithin(step, o.slot) {
-				return partSrc{mode: partAll}
+				return allParts(nparts)
 			}
-			return partSrc{mode: partSlot, slot: o.slot}
+			return slotPart(o.slot)
 		default:
-			return partSrc{mode: partAll}
+			return allParts(nparts)
 		}
 	}
-	return partSrc{mode: partAll}
+	return allParts(nparts)
 }
 
 // slotBoundWithin reports whether the atom's own micro-program binds the
@@ -100,146 +87,6 @@ func slotBoundWithin(step *atomStep, slot int) bool {
 	return false
 }
 
-// BindParts resolves the plan's relations against every partition of the
-// store, reporting whether each atom has a matching relation (by the
-// alignment invariant, present in one partition means present in all).
-// Like Bind, resolution is by name on every call, so plans survive
-// copy-on-write relation swaps. The per-level partition sources are derived
-// here once and reused across enumerations.
-func (r *Runner) BindParts(pins *storage.PartitionedInstance) bool {
-	p := pins.NumParts()
-	n := len(r.plan.atoms)
-	if len(r.prels) != n || (n > 0 && len(r.prels[0]) != p) {
-		r.prels = make([][]*storage.Relation, n)
-		for i := range r.prels {
-			r.prels[i] = make([]*storage.Relation, p)
-		}
-		r.psrc = make([]partSrc, n)
-		if r.tabs != nil {
-			r.ptabs = make([][]hashTable, n)
-			for i := range r.ptabs {
-				r.ptabs[i] = make([]hashTable, p)
-			}
-		}
-	}
-	col := pins.Col()
-	for i := range r.plan.atoms {
-		step := &r.plan.atoms[i]
-		for j := 0; j < p; j++ {
-			rel := pins.Part(j).Relation(step.pred)
-			if rel == nil || rel.Arity() != step.arity {
-				return false
-			}
-			r.prels[i][j] = rel
-		}
-		r.psrc[i] = partSource(step, col, pins)
-	}
-	r.pins = pins
-	r.nparts = p
-	return true
-}
-
-// TakePruned returns and resets the count of join-level probes the runner
-// pruned to a single partition since the last call.
-func (r *Runner) TakePruned() uint64 {
-	n := r.pruned
-	r.pruned = 0
-	return n
-}
-
-// initCursorPart positions a partitioned level: resolve the partition set
-// from the level's source — one partition when the partitioning column is
-// fixed (the pruned probe), all P otherwise — then open the cursor on the
-// first of them.
-//
-//repro:hotpath
-func (r *Runner) initCursorPart(depth, start, stride int) {
-	cur := &r.curs[depth]
-	cur.start = start
-	cur.stride = stride
-	src := &r.psrc[depth]
-	switch src.mode {
-	case partFixed:
-		cur.part, cur.lastPart = src.part, src.part
-	case partSlot:
-		p := r.pins.RouteTerm(r.regs[src.slot])
-		cur.part, cur.lastPart = p, p
-	default:
-		cur.part, cur.lastPart = 0, r.nparts-1
-	}
-	if r.nparts > 1 && cur.part == cur.lastPart {
-		r.pruned++
-	}
-	r.openPart(depth)
-}
-
-// openPart opens the cursor of one level on its current partition's
-// relation: composite hash probe, index probe, or scan — the partitioned
-// mirror of initCursor's tail.
-//
-//repro:hotpath
-func (r *Runner) openPart(depth int) {
-	step := &r.plan.atoms[depth]
-	cur := &r.curs[depth]
-	rel := r.prels[depth][cur.part]
-	cur.tuples = rel.Tuples()
-	cur.pos = cur.start
-	if len(step.hashKey) > 0 {
-		if r.ptabs[depth][cur.part].rel != rel {
-			r.buildPartHashTable(depth, cur.part, rel)
-		}
-		//repro:allow hotalloc map read through string(key) is allocation-elided by the compiler
-		cur.posting = r.ptabs[depth][cur.part].m[string(r.probeKey(step))]
-		cur.n = len(cur.posting)
-		return
-	}
-	if step.idxCol >= 0 {
-		key := step.keyTerm
-		if step.keySlot >= 0 {
-			key = r.regs[step.keySlot]
-		}
-		cur.posting = rel.Lookup(step.idxCol, key)
-		cur.n = len(cur.posting)
-		return
-	}
-	cur.posting = nil
-	cur.n = len(cur.tuples)
-}
-
-// nextPart advances an exhausted partitioned level to its next partition,
-// reporting false when the level's partition set is drained (backtrack).
-//
-//repro:hotpath
-func (r *Runner) nextPart(depth int) bool {
-	cur := &r.curs[depth]
-	if cur.part >= cur.lastPart {
-		return false
-	}
-	cur.part++
-	r.openPart(depth)
-	return true
-}
-
-// buildPartHashTable materializes the composite-key table of one
-// (level, partition): the pruning payoff for hash joins — a pruned probe
-// builds over one partition's tuples, 1/P of the unpartitioned build. Cold
-// open, amortized across the level's probes, like buildHashTable.
-func (r *Runner) buildPartHashTable(depth, part int, rel *storage.Relation) {
-	step := &r.plan.atoms[depth]
-	tuples := rel.Tuples()
-	m := make(map[string][]int, len(tuples))
-	buf := r.keyBuf
-	for i, t := range tuples {
-		buf = buf[:0]
-		for _, k := range step.hashKey {
-			buf = appendTermKey(buf, t[k.col])
-		}
-		m[string(buf)] = append(m[string(buf)], i)
-	}
-	r.keyBuf = buf
-	r.ptabs[depth][part] = hashTable{rel: rel, m: m}
-}
-
 // flushPruned folds a drained runner's pruned-probe count into the
 // caller-provided counter, when one is armed.
 func flushPruned(r *Runner, opts Options) {
@@ -248,197 +95,4 @@ func flushPruned(r *Runner, opts Options) {
 			opts.Pruned.Add(n)
 		}
 	}
-}
-
-// CompileCQParts compiles a conjunctive query for a partitioned store.
-// Plans carry no partition state — pruning is resolved by BindParts — so
-// compilation only needs a statistics representative: partition 0 (exact at
-// P = 1, a 1/P sample otherwise; ordering-only, answers are unaffected).
-func CompileCQParts(q *query.CQ, pins *storage.PartitionedInstance, planner Planner, join JoinStrategy) *Plan {
-	return CompileCQ(q, pins.Part(0), planner, join)
-}
-
-// CompileUCQParts compiles every member CQ of a union for a partitioned
-// store (see CompileCQParts).
-func CompileUCQParts(u *query.UCQ, pins *storage.PartitionedInstance, planner Planner, join JoinStrategy) []*Plan {
-	plans := make([]*Plan, len(u.CQs))
-	for i, q := range u.CQs {
-		plans[i] = CompileCQParts(q, pins, planner, join)
-	}
-	return plans
-}
-
-// RunPlansPartsCtx evaluates precompiled CQ plans over a partitioned store,
-// unioning the answers — RunPlansCtx's partitioned mirror, with per-level
-// partition pruning. Any partition count yields the same answer set.
-func RunPlansPartsCtx(ctx context.Context, plans []*Plan, arity int, pins *storage.PartitionedInstance, opts Options) (*Answers, error) {
-	if p := opts.workers(); p > 1 {
-		return parallelEvalParts(ctx, plans, arity, pins, opts, p)
-	}
-	out := NewAnswers(arity)
-	err := eachParts(ctx, plans, pins, opts, func(t storage.Tuple, k string) bool {
-		out.addKeyed(t, k)
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// EachParts streams the union's answers over a partitioned store in the
-// deterministic sequential order — Each's partitioned mirror.
-func EachParts(ctx context.Context, plans []*Plan, pins *storage.PartitionedInstance, opts Options, yield func(storage.Tuple) bool) error {
-	return eachParts(ctx, plans, pins, opts, func(t storage.Tuple, _ string) bool {
-		return yield(t)
-	})
-}
-
-// eachParts is the sequential streaming core over a partitioned store:
-// each's mirror with BindParts instead of Bind and the pruned-probe counter
-// flushed as each plan drains.
-func eachParts(ctx context.Context, plans []*Plan, pins *storage.PartitionedInstance, opts Options, emit func(t storage.Tuple, key string) bool) error {
-	seen := make(map[string]bool)
-	count := 0
-	for _, plan := range plans {
-		r := plan.NewRunner()
-		if !r.BindParts(pins) {
-			continue
-		}
-		r.SetContext(ctx)
-		r.Start(0, 1)
-		//repro:allow ctxpoll Next polls the armed context per candidate batch
-		for r.Next() {
-			regs := r.Regs()
-			if opts.FilterNulls && headHasNull(plan, regs) {
-				continue
-			}
-			t := projectHead(plan, regs)
-			k := t.Key()
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			if !emit(t, k) {
-				flushPruned(r, opts)
-				return nil
-			}
-			count++
-			if opts.Limit > 0 && count >= opts.Limit {
-				flushPruned(r, opts)
-				return nil
-			}
-		}
-		flushPruned(r, opts)
-		if err := r.Err(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// parallelEvalParts fans the (plan × outer-shard) units out over p workers
-// against the partitioned store — parallelEval's mirror. Shard k of a
-// partitioned outer level takes every nshards-th candidate within each
-// partition it visits, so the shards still partition the match space
-// exactly.
-func parallelEvalParts(ctx context.Context, plans []*Plan, arity int, pins *storage.PartitionedInstance, opts Options, p int) (*Answers, error) {
-	pins.EnsureIndexes()
-	type unit struct {
-		plan  *Plan
-		shard int
-	}
-	units := make([]unit, 0, len(plans)*p)
-	for _, plan := range plans {
-		for s := 0; s < p; s++ {
-			units = append(units, unit{plan: plan, shard: s})
-		}
-	}
-	results := make([]*Answers, len(units))
-	errs := make([]error, len(units))
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < p; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			//repro:allow ctxpoll bounded by the closed work channel; runPlanShardParts polls ctx per shard
-			for i := range next {
-				out := NewAnswers(arity)
-				_, err := runPlanShardParts(ctx, units[i].plan, pins, opts, units[i].shard, p, out)
-				results[i] = out
-				errs[i] = err
-			}
-		}()
-	}
-	for i := range units {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	merged := NewAnswers(arity)
-	for _, r := range results {
-		for _, t := range r.Tuples() {
-			merged.AddOwned(t)
-		}
-	}
-	return merged, nil
-}
-
-// runPlanShardParts runs one outer shard of a plan over the partitioned
-// store — runPlanShard's mirror.
-func runPlanShardParts(ctx context.Context, plan *Plan, pins *storage.PartitionedInstance, opts Options, shard, nshards int, out *Answers) (cont bool, err error) {
-	r := plan.NewRunner()
-	if !r.BindParts(pins) {
-		return true, nil
-	}
-	r.SetContext(ctx)
-	cont = true
-	r.Run(shard, nshards, func(regs []logic.Term) bool {
-		if opts.FilterNulls && headHasNull(plan, regs) {
-			return true
-		}
-		out.AddOwned(projectHead(plan, regs))
-		if opts.Limit > 0 && out.Len() >= opts.Limit {
-			cont = false
-			return false
-		}
-		return true
-	})
-	flushPruned(r, opts)
-	return cont, r.Err()
-}
-
-// MatchesSeededParts is MatchesSeeded over a partitioned store: only
-// extensions of seed are enumerated, with partition-pruned access paths.
-// The partitioned DRed repair drives its re-derivation joins through it.
-func MatchesSeededParts(body []logic.Atom, pins *storage.PartitionedInstance, seed logic.Subst, yield func(logic.Subst) bool) {
-	seedVars := make([]logic.Term, 0, len(seed))
-	for v := range seed {
-		seedVars = append(seedVars, v)
-	}
-	sort.Slice(seedVars, func(i, j int) bool { return seedVars[i].Name < seedVars[j].Name })
-	plan := CompileBody(body, pins.Part(0), seedVars, PlannerDefault, JoinDefault)
-	r := plan.NewRunner()
-	if !r.BindParts(pins) {
-		return
-	}
-	r.SeedSubst(seed)
-	binding := logic.NewSubst()
-	r.Run(0, 1, func(regs []logic.Term) bool {
-		for v := range binding {
-			delete(binding, v)
-		}
-		for i, v := range plan.slotVar {
-			if t := regs[i]; t != v {
-				binding[v] = t
-			}
-		}
-		return yield(binding)
-	})
 }

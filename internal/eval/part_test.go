@@ -4,13 +4,18 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/logic"
+	"repro/internal/naive"
 	"repro/internal/query"
 	"repro/internal/storage"
 )
+
+// rendered returns the answer set in the oracle's form (naive.Answers).
+func rendered(ans *Answers) []string { return naive.RenderAll(ans.Tuples()) }
 
 // randInstance builds a pseudo-random multi-relation instance with enough
 // rows and value skew to exercise index probes, hash joins and scans.
@@ -49,17 +54,18 @@ var partQueries = []struct {
 		[]logic.Atom{at("u", v("A")), at("r", v("A"), v("B")), at("s", v("B"), v("X"), v("A"))})},
 }
 
-// TestPartitionedEquivalence checks that evaluation over a partitioned
-// store returns exactly the unpartitioned answers for every P, routing
-// column, planner, join strategy and parallelism.
+// TestPartitionedEquivalence checks that evaluation returns exactly the
+// nested-loop oracle's answers for every P (1 being the plain instance),
+// routing column, planner, join strategy and parallelism.
 func TestPartitionedEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ins := randInstance(t, rng, 240)
 	for _, tc := range partQueries {
-		want := CQ(tc.q, ins, Options{})
+		u := query.MustNewUCQ(tc.q)
+		want := naive.Answers(u, ins.Atoms())
 		for _, p := range []int{1, 2, 4} {
 			for _, col := range []int{0, 1} {
-				pins, err := storage.Partition(ins, p, col)
+				store, err := storage.NewStore(ins, p, col)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -67,15 +73,13 @@ func TestPartitionedEquivalence(t *testing.T) {
 					for _, jn := range []JoinStrategy{JoinNested, JoinHash, JoinAuto} {
 						for _, par := range []int{1, 3} {
 							opts := Options{Planner: pl, Join: jn, Parallelism: par}
-							plans := CompileUCQParts(query.MustNewUCQ(tc.q), pins, pl, jn)
-							got, err := RunPlansPartsCtx(context.Background(), plans, tc.q.Arity(), pins, opts)
+							got, err := RunPlansCtx(context.Background(), CompileUCQ(u, store, pl, jn), tc.q.Arity(), store, opts)
 							if err != nil {
 								t.Fatal(err)
 							}
-							if !got.Equal(want) {
-								t.Fatalf("%s P=%d col=%d planner=%v join=%v par=%d: got %d answers, want %d\nmissing: %v\nextra: %v",
-									tc.name, p, col, pl, jn, par, got.Len(), want.Len(),
-									want.Minus(got), got.Minus(want))
+							if g := rendered(got); !slices.Equal(g, want) {
+								t.Fatalf("%s P=%d col=%d planner=%v join=%v par=%d: got %d answers, oracle %d\ngot:    %v\noracle: %v",
+									tc.name, p, col, pl, jn, par, len(g), len(want), g, want)
 							}
 						}
 					}
@@ -86,7 +90,8 @@ func TestPartitionedEquivalence(t *testing.T) {
 }
 
 // TestPartitionPruningCounter checks that a query binding the partitioning
-// column probes exactly one sub-instance and reports it.
+// column probes exactly one sub-instance and reports it — and that a single
+// partition never reports pruning, since there is nothing to prune.
 func TestPartitionPruningCounter(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	ins := randInstance(t, rng, 200)
@@ -94,49 +99,45 @@ func TestPartitionPruningCounter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := query.MustNew(at("q", v("Y")), []logic.Atom{at("r", c("a1"), v("Y"))})
-	var pruned atomic.Uint64
-	opts := Options{Pruned: &pruned}
-	plans := CompileUCQParts(query.MustNewUCQ(q), pins, PlannerDefault, JoinDefault)
-	want := CQ(q, ins, Options{})
-	got, err := RunPlansPartsCtx(context.Background(), plans, q.Arity(), pins, opts)
-	if err != nil {
-		t.Fatal(err)
+	bound := query.MustNewUCQ(query.MustNew(at("q", v("Y")), []logic.Atom{at("r", c("a1"), v("Y"))}))
+	free := query.MustNewUCQ(query.MustNew(at("q", v("X"), v("Y")), []logic.Atom{at("r", v("X"), v("Y"))}))
+	run := func(u *query.UCQ, store storage.Store) uint64 {
+		t.Helper()
+		var pruned atomic.Uint64
+		got, err := RunPlansCtx(context.Background(), CompileUCQ(u, store, PlannerDefault, JoinDefault), u.Arity(), store, Options{Pruned: &pruned})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, want := rendered(got), naive.Answers(u, ins.Atoms()); !slices.Equal(g, want) {
+			t.Fatalf("answers differ from the oracle: got %v want %v", g, want)
+		}
+		return pruned.Load()
 	}
-	if !got.Equal(want) {
-		t.Fatalf("pruned answers differ: got %v want %v", got, want)
-	}
-	if pruned.Load() == 0 {
+	if run(bound, pins) == 0 {
 		t.Fatal("bound partitioning column did not prune any probe")
 	}
-
 	// An unbound partitioning column must not count pruned probes on the
 	// atom that leaves it free.
-	pruned.Store(0)
-	qa := query.MustNew(at("q", v("X"), v("Y")), []logic.Atom{at("r", v("X"), v("Y"))})
-	plansA := CompileUCQParts(query.MustNewUCQ(qa), pins, PlannerDefault, JoinDefault)
-	if _, err := RunPlansPartsCtx(context.Background(), plansA, qa.Arity(), pins, Options{Pruned: &pruned}); err != nil {
-		t.Fatal(err)
+	if n := run(free, pins); n != 0 {
+		t.Fatalf("free partitioning column counted %d pruned probes", n)
 	}
-	if pruned.Load() != 0 {
-		t.Fatalf("free partitioning column counted %d pruned probes", pruned.Load())
+	if n := run(bound, ins); n != 0 {
+		t.Fatalf("a single partition counted %d pruned probes", n)
 	}
 }
 
-// TestStreamParts checks the pull iterator over a partitioned store against
-// the unpartitioned stream order-insensitively.
-func TestStreamParts(t *testing.T) {
+// TestStreamOverPartitions checks the pull iterator over a P = 3 store
+// against the oracle, order-insensitively.
+func TestStreamOverPartitions(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ins := randInstance(t, rng, 150)
 	pins, err := storage.Partition(ins, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := partQueries[1].q
-	want := CQ(q, ins, Options{})
-	plans := CompileUCQParts(query.MustNewUCQ(q), pins, PlannerDefault, JoinDefault)
-	s := NewStreamParts(plans, pins, Options{})
-	got := NewAnswers(q.Arity())
+	u := query.MustNewUCQ(partQueries[1].q)
+	s := NewStream(CompileUCQ(u, pins, PlannerDefault, JoinDefault), pins, Options{})
+	got := NewAnswers(u.Arity())
 	for {
 		tup, ok, err := s.Next(context.Background())
 		if err != nil {
@@ -147,7 +148,7 @@ func TestStreamParts(t *testing.T) {
 		}
 		got.AddOwned(tup)
 	}
-	if !got.Equal(want) {
-		t.Fatalf("stream answers differ: got %d want %d", got.Len(), want.Len())
+	if g, want := rendered(got), naive.Answers(u, ins.Atoms()); !slices.Equal(g, want) {
+		t.Fatalf("stream answers differ: got %d, oracle %d", len(g), len(want))
 	}
 }

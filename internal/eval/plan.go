@@ -258,15 +258,15 @@ func (p *Plan) Slots(vars []logic.Term) []int {
 }
 
 // CompileCQ compiles a conjunctive query into a plan with head projection.
-func CompileCQ(q *query.CQ, ins *storage.Instance, planner Planner, join JoinStrategy) *Plan {
-	return compile(&q.Head, q.Body, -1, nil, ins, planner, join)
+func CompileCQ(q *query.CQ, store storage.Store, planner Planner, join JoinStrategy) *Plan {
+	return compile(&q.Head, q.Body, -1, nil, store, planner, join)
 }
 
 // CompileUCQ compiles every member CQ of a union.
-func CompileUCQ(u *query.UCQ, ins *storage.Instance, planner Planner, join JoinStrategy) []*Plan {
+func CompileUCQ(u *query.UCQ, store storage.Store, planner Planner, join JoinStrategy) []*Plan {
 	plans := make([]*Plan, len(u.CQs))
 	for i, q := range u.CQs {
-		plans[i] = CompileCQ(q, ins, planner, join)
+		plans[i] = CompileCQ(q, store, planner, join)
 	}
 	return plans
 }
@@ -275,8 +275,8 @@ func CompileUCQ(u *query.UCQ, ins *storage.Instance, planner Planner, join JoinS
 // pre-bound: they occupy the first registers, filled by Runner.SeedSubst
 // before enumeration, and steer the atom order toward atoms they make
 // selective. Every seed variable must be mapped to a rigid term at run time.
-func CompileBody(body []logic.Atom, ins *storage.Instance, seedVars []logic.Term, planner Planner, join JoinStrategy) *Plan {
-	return compile(nil, body, -1, seedVars, ins, planner, join)
+func CompileBody(body []logic.Atom, store storage.Store, seedVars []logic.Term, planner Planner, join JoinStrategy) *Plan {
+	return compile(nil, body, -1, seedVars, store, planner, join)
 }
 
 // CompileDelta compiles a rule body with atom di pinned to a seed tuple: the
@@ -285,13 +285,17 @@ func CompileBody(body []logic.Atom, ins *storage.Instance, seedVars []logic.Term
 // and constants — then joins the remaining atoms. The semi-naive chase
 // compiles one delta plan per (rule, body atom) and reuses it for every
 // delta fact of every round.
-func CompileDelta(body []logic.Atom, di int, ins *storage.Instance, planner Planner, join JoinStrategy) *Plan {
-	return compile(nil, body, di, nil, ins, planner, join)
+func CompileDelta(body []logic.Atom, di int, store storage.Store, planner Planner, join JoinStrategy) *Plan {
+	return compile(nil, body, di, nil, store, planner, join)
 }
 
 // compile is the shared planner: number variables into slots, order the
-// atoms, fix each atom's access path, and emit the micro-programs.
-func compile(head *logic.Atom, body []logic.Atom, seedAtom int, seedVars []logic.Term, ins *storage.Instance, planner Planner, join JoinStrategy) *Plan {
+// atoms, fix each atom's access path, and emit the micro-programs. Plans
+// carry no partition state — Runner.Bind resolves that per store — so the
+// planner only needs a statistics representative: partition 0, exact at
+// P = 1 and a 1/P sample otherwise (ordering-only; answers are unaffected).
+func compile(head *logic.Atom, body []logic.Atom, seedAtom int, seedVars []logic.Term, store storage.Store, planner Planner, join JoinStrategy) *Plan {
+	ins := store.Part(0)
 	planner = planner.Effective()
 	join = join.Effective()
 	p := &Plan{planner: planner, join: join, varSlot: make(map[logic.Term]int)}

@@ -14,8 +14,8 @@ import (
 // head tuple exactly as CompileCQ's plans do. The answer-view cache compiles
 // one such plan per (CQ, body atom) so an inserted delta can be joined
 // against a cached result without re-running the full query.
-func CompileDeltaCQ(q *query.CQ, di int, ins *storage.Instance, planner Planner, join JoinStrategy) *Plan {
-	return compile(&q.Head, q.Body, di, nil, ins, planner, join)
+func CompileDeltaCQ(q *query.CQ, di int, store storage.Store, planner Planner, join JoinStrategy) *Plan {
+	return compile(&q.Head, q.Body, di, nil, store, planner, join)
 }
 
 // SeedPred returns the predicate of a delta plan's pinned atom ("" for
@@ -23,21 +23,21 @@ func CompileDeltaCQ(q *query.CQ, di int, ins *storage.Instance, planner Planner,
 // plans that consume them.
 func (p *Plan) SeedPred() string { return p.seedPred }
 
-// EachDelta joins every delta tuple against the instance through the delta
+// EachDelta joins every delta tuple against the store through the delta
 // plans compiled for its predicate (CompileDeltaCQ) and hands each resulting
 // head tuple to yield. Null-carrying heads are dropped (certain-answer
 // semantics); duplicates are NOT suppressed — callers merge into a
 // deduplicating set. Yield owns the tuple it receives. The work is bounded
 // by the delta, so there is no cancellation context: callers run it inside
 // the mutation pipeline's publish step, past the point of no return.
-func EachDelta(plans []*Plan, ins *storage.Instance, delta map[string][]storage.Tuple, yield func(storage.Tuple)) {
+func EachDelta(plans []*Plan, store storage.Store, delta map[string][]storage.Tuple, yield func(storage.Tuple)) {
 	for _, plan := range plans {
 		tuples := delta[plan.seedPred]
 		if len(tuples) == 0 {
 			continue
 		}
 		r := plan.NewRunner()
-		if !r.Bind(ins) {
+		if !r.Bind(store) {
 			continue
 		}
 		for _, t := range tuples {
@@ -59,10 +59,7 @@ func EachDelta(plans []*Plan, ins *storage.Instance, delta map[string][]storage.
 // pace-car serializes drivers behind its drive token.
 type Stream struct {
 	plans []*Plan
-	ins   *storage.Instance
-	// pins, when non-nil, evaluates over the partitioned store instead of
-	// ins (NewStreamParts) with partition-pruned access paths.
-	pins  *storage.PartitionedInstance
+	store storage.Store
 	opts  Options
 	pi    int
 	r     *Runner
@@ -74,14 +71,8 @@ type Stream struct {
 // NewStream builds a stream over the plans. Parallelism is ignored — a
 // resumable stream is only defined sequentially, in the same deterministic
 // order Each produces.
-func NewStream(plans []*Plan, ins *storage.Instance, opts Options) *Stream {
-	return &Stream{plans: plans, ins: ins, opts: opts, seen: make(map[string]bool)}
-}
-
-// NewStreamParts builds a stream evaluating over a partitioned store — the
-// pull counterpart of EachParts, same deterministic order for any P.
-func NewStreamParts(plans []*Plan, pins *storage.PartitionedInstance, opts Options) *Stream {
-	return &Stream{plans: plans, pins: pins, opts: opts, seen: make(map[string]bool)}
+func NewStream(plans []*Plan, store storage.Store, opts Options) *Stream {
+	return &Stream{plans: plans, store: store, opts: opts, seen: make(map[string]bool)}
 }
 
 // Next returns the next distinct answer, or ok=false when the stream is
@@ -99,13 +90,7 @@ func (s *Stream) Next(ctx context.Context) (storage.Tuple, bool, error) {
 		plan := s.plans[s.pi]
 		if s.r == nil {
 			r := plan.NewRunner()
-			bound := false
-			if s.pins != nil {
-				bound = r.BindParts(s.pins)
-			} else {
-				bound = r.Bind(s.ins)
-			}
-			if !bound {
+			if !r.Bind(s.store) {
 				s.pi++
 				continue
 			}

@@ -55,15 +55,15 @@ type Stats struct {
 // mutation instead of maintained.
 const maxDeltaPlans = 128
 
-// Entry is one cached answer view, pinned to the exact instance snapshot it
-// was evaluated over. Published entries are immutable except for lastUsed
+// Entry is one cached answer view, pinned to the exact store snapshot it was
+// evaluated over. Published entries are immutable except for lastUsed
 // (an atomic recency stamp shared across republished copies of the view)
 // and delta (the lazily compiled maintenance plans, touched only under the
 // ontology's writer lock).
 type Entry struct {
 	ans      *eval.Answers
 	u        *query.UCQ
-	ins      *storage.Instance
+	store    storage.Store
 	dataMut  uint64
 	planner  eval.Planner
 	join     eval.JoinStrategy
@@ -74,15 +74,15 @@ type Entry struct {
 }
 
 // NewEntry builds a cache entry for a completed answer set. u is the
-// resolved UCQ the answers satisfy over ins (the rewriting in rewrite mode,
+// resolved UCQ the answers satisfy over store (the rewriting in rewrite mode,
 // the original query in chase mode); dataMut is the underlying store's
 // mutation counter as of evaluation, re-checked on every lookup to catch
 // out-of-band mutations that bump no epoch.
-func NewEntry(ans *eval.Answers, u *query.UCQ, ins *storage.Instance, dataMut uint64, planner eval.Planner, join eval.JoinStrategy) *Entry {
+func NewEntry(ans *eval.Answers, u *query.UCQ, store storage.Store, dataMut uint64, planner eval.Planner, join eval.JoinStrategy) *Entry {
 	return &Entry{
 		ans:      ans,
 		u:        u,
-		ins:      ins,
+		store:    store,
 		dataMut:  dataMut,
 		planner:  planner,
 		join:     join,
@@ -194,12 +194,12 @@ func (c *Cache) evict(budget int64, stats *Stats) {
 }
 
 // MaintainInput describes one committed insert-only mutation: the exact
-// instance pointers cached views may be pinned to (old) and their
-// successors (new), plus the inserted base facts. NewMat/NewBase are nil
+// stores cached views may be pinned to (old) and their successors (new, same
+// partition layout), plus the inserted base facts. NewMat/NewBase are nil
 // when the corresponding snapshot was not (re)published.
 type MaintainInput struct {
-	OldMat, NewMat   *storage.Instance
-	OldBase, NewBase *storage.Instance
+	OldMat, NewMat   storage.Store
+	OldBase, NewBase storage.Store
 	Added            []logic.Atom
 	DataMut          uint64
 	Budget           int64
@@ -207,8 +207,8 @@ type MaintainInput struct {
 
 // MaintainInsert republishes the cache under the post-mutation generation
 // gen, carrying each view across the insert by joining the delta through
-// its seeded plans and merging any new answers. Entries pinned to an
-// instance other than OldMat/OldBase (or too wide to maintain cheaply) are
+// its seeded plans and merging any new answers. Entries pinned to a
+// store other than OldMat/OldBase (or too wide to maintain cheaply) are
 // dropped; their answers may be stale or their upkeep dearer than a miss.
 // Runs under the ontology's writer lock; the returned cache is freshly
 // allocated and safe to publish with a plain atomic store.
@@ -222,9 +222,9 @@ func (c *Cache) MaintainInsert(gen Gen, in MaintainInput, stats *Stats) *Cache {
 	for k, e := range c.m {
 		var next *Entry
 		switch {
-		case in.NewMat != nil && e.ins == in.OldMat:
+		case in.NewMat != nil && e.store == in.OldMat:
 			next = e.maintain(in.NewMat, matDelta, in.DataMut, stats)
-		case in.NewBase != nil && e.ins == in.OldBase:
+		case in.NewBase != nil && e.store == in.OldBase:
 			next = e.maintain(in.NewBase, baseDelta, in.DataMut, stats)
 		}
 		if next != nil {
@@ -239,22 +239,22 @@ func (c *Cache) MaintainInsert(gen Gen, in MaintainInput, stats *Stats) *Cache {
 	return n
 }
 
-// maintain carries one view from its pinned instance to newIns given the
+// maintain carries one view from its pinned store to newStore given the
 // delta between them, returning the republished entry (nil to drop). When
 // the delta joins produce no fresh answers — the common case — the answer
 // set is shared with the old entry, so upkeep costs only the delta join
 // and a struct copy, never an O(result) rebuild.
-func (e *Entry) maintain(newIns *storage.Instance, delta map[string][]storage.Tuple, dataMut uint64, stats *Stats) *Entry {
+func (e *Entry) maintain(newStore storage.Store, delta map[string][]storage.Tuple, dataMut uint64, stats *Stats) *Entry {
 	next := *e
-	next.ins = newIns
+	next.store = newStore
 	next.dataMut = dataMut
 	if len(delta) > 0 {
-		if !e.ensureDeltaPlans(newIns) {
+		if !e.ensureDeltaPlans(newStore) {
 			return nil
 		}
 		next.delta = e.delta
 		var fresh []storage.Tuple
-		eval.EachDelta(e.delta, newIns, delta, func(t storage.Tuple) {
+		eval.EachDelta(e.delta, newStore, delta, func(t storage.Tuple) {
 			if !e.ans.Contains(t) {
 				fresh = append(fresh, t)
 			}
@@ -280,7 +280,7 @@ func (e *Entry) maintain(newIns *storage.Instance, delta map[string][]storage.Tu
 // Called only under the writer lock; the plans are stored on the receiver
 // and shared by every republished copy of the view. Reports false when the
 // union is too wide to maintain under maxDeltaPlans.
-func (e *Entry) ensureDeltaPlans(ins *storage.Instance) bool {
+func (e *Entry) ensureDeltaPlans(store storage.Store) bool {
 	if e.noDelta {
 		return false
 	}
@@ -298,41 +298,50 @@ func (e *Entry) ensureDeltaPlans(ins *storage.Instance) bool {
 	plans := make([]*eval.Plan, 0, total)
 	for _, q := range e.u.CQs {
 		for di := range q.Body {
-			plans = append(plans, eval.CompileDeltaCQ(q, di, ins, e.planner, e.join))
+			plans = append(plans, eval.CompileDeltaCQ(q, di, store, e.planner, e.join))
 		}
 	}
 	e.delta = plans
 	return true
 }
 
-// suffixDelta computes the per-relation delta between an instance and its
-// copy-on-write extension: relations are append-only under inserts and
-// shared by pointer when untouched, so the delta of a changed relation is
-// exactly the tuple suffix past the old length. Nil when either side is
-// missing.
-func suffixDelta(old, new_ *storage.Instance) map[string][]storage.Tuple {
+// suffixDelta computes the per-relation delta between a store and its
+// copy-on-write extension: within each partition relations are append-only
+// under inserts and shared by pointer when untouched, so the delta of a
+// changed relation is exactly the tuple suffix past the old length. Nil when
+// either side is missing.
+func suffixDelta(old, new_ storage.Store) map[string][]storage.Tuple {
 	if old == nil || new_ == nil {
 		return nil
 	}
 	var delta map[string][]storage.Tuple
-	for _, pred := range new_.Predicates() {
-		nr := new_.Relation(pred)
-		or := old.Relation(pred)
-		if or == nr {
-			continue
-		}
-		var tail []storage.Tuple
-		switch {
-		case or == nil:
-			tail = nr.Tuples()
-		case nr.Len() > or.Len():
-			tail = nr.Tuples()[or.Len():]
-		}
-		if len(tail) > 0 {
-			if delta == nil {
-				delta = make(map[string][]storage.Tuple)
+	for p := 0; p < new_.NumParts(); p++ {
+		oldPart, newPart := old.Part(p), new_.Part(p)
+		for _, pred := range newPart.Predicates() {
+			nr := newPart.Relation(pred)
+			or := oldPart.Relation(pred)
+			if or == nr {
+				continue
 			}
-			delta[pred] = tail
+			var tail []storage.Tuple
+			switch {
+			case or == nil:
+				tail = nr.Tuples()
+			case nr.Len() > or.Len():
+				tail = nr.Tuples()[or.Len():]
+			}
+			if len(tail) > 0 {
+				if delta == nil {
+					delta = make(map[string][]storage.Tuple)
+				}
+				if have := delta[pred]; have == nil {
+					// Capacity-clipped alias: a later partition's append
+					// copies instead of writing into the relation's array.
+					delta[pred] = tail[:len(tail):len(tail)]
+				} else {
+					delta[pred] = append(have, tail...)
+				}
+			}
 		}
 	}
 	return delta

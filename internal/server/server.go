@@ -387,7 +387,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, t *tenant) 
 	if req.Limit > 0 {
 		opts.Limit = req.Limit
 	}
-	if req.Partitions > 0 {
+	if req.Partitions != 0 {
+		// Every partition is a whole instance allocated under the writer lock:
+		// an unchecked count is one request taking every tenant down.
+		if req.Partitions < 1 || req.Partitions > repro.MaxPartitions {
+			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad partitions %d: want 1..%d", req.Partitions, repro.MaxPartitions))
+			return
+		}
 		opts.Partitions = req.Partitions
 	}
 	if req.NoCache {

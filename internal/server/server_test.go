@@ -549,3 +549,32 @@ func TestQueryStreamNDJSON(t *testing.T) {
 		t.Fatalf("stats missing fullRebuilds: %v", m)
 	}
 }
+
+// TestQueryPartitionsBounded checks that a request body cannot size the
+// store: "partitions" outside 1..repro.MaxPartitions is a 400 before anything
+// is built (two billion partitions used to be allocated under the writer
+// lock), and the tenant keeps answering: the bounds themselves are served.
+func TestQueryPartitionsBounded(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	s.Add("fam", repro.MustParse(familyProgram))
+	url := ts.URL + "/v1/ontologies/fam/query"
+	for _, tc := range []struct {
+		parts int
+		want  int
+	}{
+		{2000000000, http.StatusBadRequest},
+		{repro.MaxPartitions + 1, http.StatusBadRequest},
+		{-1, http.StatusBadRequest},
+		{1, http.StatusOK},
+		{repro.MaxPartitions, http.StatusOK},
+	} {
+		body := fmt.Sprintf(`{"query": "q(X) :- ancestor(ada, X) .", "mode": "chase", "partitions": %d}`, tc.parts)
+		st, m := doJSON(t, "POST", url, body)
+		if st != tc.want {
+			t.Errorf("partitions=%d: status %d, want %d (%v)", tc.parts, st, tc.want, m)
+		}
+		if st == http.StatusOK && int(m["count"].(float64)) != 2 {
+			t.Errorf("partitions=%d: %v answers, want 2", tc.parts, m["count"])
+		}
+	}
+}

@@ -1,28 +1,12 @@
 package storage
 
-import (
-	"fmt"
-	"strings"
+import "repro/internal/logic"
 
-	"repro/internal/logic"
-)
-
-// PartitionedInstance hash-partitions a database instance by one term
-// position: P sub-instances, each with its own relations, per-column
-// indexes and pair statistics, with a fact routed to partition
-// hash(args[col]) % P. Facts whose predicate has arity <= col cannot be
-// routed by value and all live in partition 0. P = 1 degenerates to a
-// single Instance behind a routing veneer.
-//
-// Relation-alignment invariant: a relation present in any partition is
-// present (possibly empty, same arity) in every partition. Mutating entry
-// points maintain it, so per-partition plan binding is all-or-none across
-// partitions: an evaluator never finds a predicate resolvable in one
-// sub-instance but missing in another.
-//
-// Concurrency contract is the Instance one, per partition: any number of
-// concurrent readers, single writer, and published snapshots are extended
-// copy-on-write via ExtendClone, never written through.
+// PartitionedInstance is the Store for P > 1: P sub-instances, each with its
+// own relations, per-column indexes and pair statistics, with a fact routed
+// to partition hash(args[col]) % P. Facts whose predicate has arity <= col
+// cannot be routed by value and all live in partition 0. Its mutating entry
+// points maintain the Store relation-alignment invariant.
 type PartitionedInstance struct {
 	col   int
 	parts []*Instance
@@ -63,11 +47,13 @@ func Partition(src *Instance, p, col int) (*PartitionedInstance, error) {
 	return pi, nil
 }
 
-// TermHash returns a stable FNV-1a hash of a term (kind byte plus name),
-// the routing function of the partitioned store. Exported so that higher
-// layers (the chase's exchange routing, partition-pruned evaluation) agree
-// with storage on where a fact lives.
-func TermHash(t logic.Term) uint64 {
+// RoutePart returns the partition, of nparts, a fact carrying t at the routing
+// column lives in: a stable FNV-1a hash of the term (kind byte plus name)
+// modulo nparts. Exported so that partition-pruned evaluation agrees with
+// storage on where a fact lives without an interface call per probe.
+//
+//repro:hotpath
+func RoutePart(t logic.Term, nparts int) int {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -79,7 +65,7 @@ func TermHash(t logic.Term) uint64 {
 		h ^= uint64(t.Name[i])
 		h *= prime64
 	}
-	return h
+	return int(h % uint64(nparts))
 }
 
 // NumParts returns the partition count P.
@@ -92,14 +78,6 @@ func (pi *PartitionedInstance) Col() int { return pi.col }
 // unless they own the whole store under the single-writer contract.
 func (pi *PartitionedInstance) Part(i int) *Instance { return pi.parts[i] }
 
-// RouteTerm returns the partition a fact carrying t at the routing column
-// lives in.
-//
-//repro:hotpath
-func (pi *PartitionedInstance) RouteTerm(t logic.Term) int {
-	return int(TermHash(t) % uint64(len(pi.parts)))
-}
-
 // Route returns the home partition of a ground atom: hash of the routing
 // column's term, or partition 0 when the predicate's arity does not reach
 // the routing column.
@@ -109,14 +87,14 @@ func (pi *PartitionedInstance) Route(a logic.Atom) int {
 	if a.Arity() <= pi.col {
 		return 0
 	}
-	return pi.RouteTerm(a.Args[pi.col])
+	return RoutePart(a.Args[pi.col], len(pi.parts))
 }
 
 func (pi *PartitionedInstance) routeTuple(arity int, t Tuple) int {
 	if arity <= pi.col {
 		return 0
 	}
-	return pi.RouteTerm(t[pi.col])
+	return RoutePart(t[pi.col], len(pi.parts))
 }
 
 // ensureAligned creates the relation empty in every partition it is missing
@@ -143,24 +121,10 @@ func (pi *PartitionedInstance) Insert(a logic.Atom) (bool, error) {
 	return home.Insert(a)
 }
 
-// InsertAtom is Insert discarding the newness report.
-func (pi *PartitionedInstance) InsertAtom(a logic.Atom) error {
-	_, err := pi.Insert(a)
-	return err
-}
-
 // Remove deletes a ground atom from its home partition, reporting whether
 // it was present. Single-writer.
 func (pi *PartitionedInstance) Remove(a logic.Atom) bool {
 	return pi.parts[pi.Route(a)].Remove(a)
-}
-
-// ContainsAtom reports whether the ground atom is stored — one probe of its
-// home partition, never a scan of all P.
-//
-//repro:hotpath
-func (pi *PartitionedInstance) ContainsAtom(a logic.Atom) bool {
-	return pi.parts[pi.Route(a)].ContainsAtom(a)
 }
 
 // MergeShardsPart folds chase write buffers into partition p and returns
@@ -181,17 +145,6 @@ func (pi *PartitionedInstance) MergeShardsPart(p int, shards ...*Shard) (*Instan
 	return delta, nil
 }
 
-// Mutations sums the partitions' monotonic mutation counters; like
-// Instance.Mutations it detects out-of-band mutation where balanced
-// insert/delete pairs would fool a size comparison.
-func (pi *PartitionedInstance) Mutations() uint64 {
-	var n uint64
-	for _, p := range pi.parts {
-		n += p.Mutations()
-	}
-	return n
-}
-
 // Size returns the total number of tuples across all partitions.
 func (pi *PartitionedInstance) Size() int {
 	n := 0
@@ -201,89 +154,12 @@ func (pi *PartitionedInstance) Size() int {
 	return n
 }
 
-// Predicates returns the predicate names present, sorted. By the alignment
-// invariant partition 0 sees every relation.
-func (pi *PartitionedInstance) Predicates() []string {
-	return pi.parts[0].Predicates()
-}
-
-// Arity returns the arity of pred, or -1 when absent.
-func (pi *PartitionedInstance) Arity(pred string) int {
-	if r := pi.parts[0].Relation(pred); r != nil {
-		return r.Arity()
-	}
-	return -1
-}
-
-// Len returns the total tuple count of pred across partitions (0 when
-// absent).
-func (pi *PartitionedInstance) Len(pred string) int {
-	n := 0
-	for _, p := range pi.parts {
-		if r := p.Relation(pred); r != nil {
-			n += r.Len()
-		}
-	}
-	return n
-}
-
-// Atoms returns every fact as an atom, grouped by predicate in sorted
-// order; within a predicate, partitions are visited in index order.
-func (pi *PartitionedInstance) Atoms() []logic.Atom {
-	var out []logic.Atom
-	for _, pred := range pi.Predicates() {
-		for _, p := range pi.parts {
-			if r := p.Relation(pred); r != nil {
-				for _, t := range r.Tuples() {
-					out = append(out, logic.NewAtom(pred, t.Clone()...))
-				}
-			}
-		}
-	}
-	return out
-}
-
 // EnsureIndexes pre-builds every partition's per-column indexes so that
 // subsequent concurrent readers never race on the lazy build.
 func (pi *PartitionedInstance) EnsureIndexes() {
 	for _, p := range pi.parts {
 		p.EnsureIndexes()
 	}
-}
-
-// Flatten merges the partitions into one fresh unpartitioned Instance (the
-// routing makes partitions disjoint, so no cross-partition dedup is
-// needed beyond each relation's own key map).
-func (pi *PartitionedInstance) Flatten() (*Instance, error) {
-	out := NewInstance()
-	for _, pred := range pi.Predicates() {
-		arity := pi.Arity(pred)
-		dst, err := out.EnsureRelation(pred, arity)
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range pi.parts {
-			if r := p.Relation(pred); r != nil {
-				for _, t := range r.Tuples() {
-					if dst.Insert(t) {
-						out.muts.Add(1)
-					}
-				}
-			}
-		}
-	}
-	return out, nil
-}
-
-// Clone deep-copies the store: per-partition wholesale copies (see
-// Instance.Clone). Safe while other goroutines read pi; must not race with
-// writers.
-func (pi *PartitionedInstance) Clone() *PartitionedInstance {
-	out := &PartitionedInstance{col: pi.col, parts: make([]*Instance, len(pi.parts))}
-	for i, p := range pi.parts {
-		out.parts[i] = p.Clone()
-	}
-	return out
 }
 
 // ExtendClone returns a copy-on-write snapshot: every partition is an
@@ -298,22 +174,5 @@ func (pi *PartitionedInstance) ExtendClone() *PartitionedInstance {
 	return out
 }
 
-// PartSizes returns the per-partition tuple counts, a skew diagnostic.
-func (pi *PartitionedInstance) PartSizes() []int {
-	out := make([]int, len(pi.parts))
-	for i, p := range pi.parts {
-		out[i] = p.Size()
-	}
-	return out
-}
-
-// String renders the store as sorted fact lines per partition, a debugging
-// aid.
-func (pi *PartitionedInstance) String() string {
-	var lines []string
-	for i, p := range pi.parts {
-		lines = append(lines, fmt.Sprintf("-- partition %d/%d (col %d)", i, len(pi.parts), pi.col))
-		lines = append(lines, p.String())
-	}
-	return strings.Join(lines, "\n")
-}
+// Fork is ExtendClone as a Store.
+func (pi *PartitionedInstance) Fork() Store { return pi.ExtendClone() }

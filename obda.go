@@ -128,10 +128,10 @@ type Ontology struct {
 	// penalty is observable.
 	fullRebuilds atomic.Uint64
 	// prunedProbes counts evaluation-side partition pruning: join probes
-	// that a plan over a partitioned materialization confined to a single
+	// that a plan over a P > 1 materialization confined to a single
 	// sub-instance because the partitioning column was bound. Accumulated
-	// live by every partitioned Answer* call (eval.Options.Pruned sink) and
-	// surfaced through MaterializationStats.Partition.
+	// live by every Answer* call (eval.Options.Pruned sink) and surfaced
+	// through MaterializationStats.Partition.
 	prunedProbes atomic.Uint64
 
 	// planEpoch counts snapshot publications (materializations and base
@@ -198,9 +198,9 @@ func newOntology(rules *dependency.Set, data *storage.Instance) *Ontology {
 // (snapshot, rule set) generation: rulesEpoch joins the snapshot epoch in
 // the key because rule mutations change what a rewritten query means even
 // when the base instance is untouched. Entries additionally pin the exact
-// instance they were compiled for, so a reader still evaluating a
-// just-retired snapshot can never be served plans whose frozen statistics
-// and resolved order belong to a different instance generation.
+// store they were compiled for, so a reader still evaluating a just-retired
+// snapshot can never be served plans whose frozen statistics and resolved
+// order belong to a different generation.
 type planCache struct {
 	epoch      uint64
 	rulesEpoch uint64
@@ -209,11 +209,9 @@ type planCache struct {
 }
 
 type cachedPlans struct {
-	// ins pins an unpartitioned snapshot, pins a partitioned one; exactly
-	// one is set, and an entry only serves a caller evaluating the identical
-	// snapshot pointer.
-	ins   *storage.Instance
-	pins  *storage.PartitionedInstance
+	// store pins the snapshot: an entry only serves a caller evaluating the
+	// identical store.
+	store storage.Store
 	plans []*eval.Plan
 }
 
@@ -250,24 +248,27 @@ func ParseJoin(s string) (JoinStrategy, error) { return eval.ParseJoin(s) }
 // evalUCQ evaluates a union over a published snapshot through the
 // compiled-plan cache: the UCQ is compiled once per (canonical query,
 // planner, snapshot) and repeated queries run the cached plans directly.
-func (o *Ontology) evalUCQ(u *query.UCQ, ins *storage.Instance, opts eval.Options) *eval.Answers {
-	ans, _ := o.evalUCQCtx(context.Background(), u, ins, opts)
+func (o *Ontology) evalUCQ(u *query.UCQ, store storage.Store, opts eval.Options) *eval.Answers {
+	ans, _ := eval.RunPlansCtx(context.Background(), o.compiledPlans(u, store, opts.Planner, opts.Join), u.Arity(), store, opts)
 	return ans
 }
 
-// evalUCQCtx is evalUCQ under a cancellation context: the executor polls ctx
-// at amortized intervals, so a canceled or deadline-expired evaluation stops
-// promptly and returns the context error. The snapshot being immutable,
-// abandoning an evaluation needs no cleanup.
-func (o *Ontology) evalUCQCtx(ctx context.Context, u *query.UCQ, ins *storage.Instance, opts eval.Options) (*eval.Answers, error) {
-	return eval.RunPlansCtx(ctx, o.compiledPlans(u, ins, opts.Planner, opts.Join), u.Arity(), ins, opts)
+// plansFor returns the plans for u over store: through the cache when the
+// store is a published snapshot, compiled directly otherwise — no later query
+// can hit an entry pinning a store that was never published, so caching it
+// would only pollute.
+func (o *Ontology) plansFor(u *query.UCQ, store storage.Store, published bool, planner eval.Planner, join eval.JoinStrategy) []*eval.Plan {
+	if !published {
+		return eval.CompileUCQ(u, store, planner, join)
+	}
+	return o.compiledPlans(u, store, planner, join)
 }
 
-// compiledPlans returns the plans for u over ins, from the cache when warm.
+// compiledPlans returns the plans for u over store, from the cache when warm.
 // Lock-free fast path aside from a short read-lock on the epoch's map; a
 // miss compiles outside any lock (compilation only reads the immutable
 // snapshot) and publishes the entry for the next caller.
-func (o *Ontology) compiledPlans(u *query.UCQ, ins *storage.Instance, planner eval.Planner, join eval.JoinStrategy) []*eval.Plan {
+func (o *Ontology) compiledPlans(u *query.UCQ, store storage.Store, planner eval.Planner, join eval.JoinStrategy) []*eval.Plan {
 	epoch := o.planEpoch.Load()
 	repoch := o.rulesEpoch.Load()
 	pc := o.planCache.Load()
@@ -283,44 +284,12 @@ func (o *Ontology) compiledPlans(u *query.UCQ, ins *storage.Instance, planner ev
 	pc.mu.RLock()
 	e := pc.m[key]
 	pc.mu.RUnlock()
-	if e != nil && e.ins == ins {
+	if e != nil && e.store == store {
 		return e.plans
 	}
-	plans := eval.CompileUCQ(u, ins, planner, join)
+	plans := eval.CompileUCQ(u, store, planner, join)
 	pc.mu.Lock()
-	pc.m[key] = &cachedPlans{ins: ins, plans: plans}
-	pc.mu.Unlock()
-	return plans
-}
-
-// compiledPlansParts is compiledPlans over a partitioned snapshot: entries
-// pin the exact PartitionedInstance pointer and the key carries the
-// partition count, so plans compiled for different partition layouts never
-// thrash one cache slot. Pruning plans bind per evaluation (BindParts), so
-// the cached plan itself is layout-independent — the pinning guards only
-// the frozen statistics, exactly as for unpartitioned entries.
-func (o *Ontology) compiledPlansParts(u *query.UCQ, pins *storage.PartitionedInstance, planner eval.Planner, join eval.JoinStrategy) []*eval.Plan {
-	epoch := o.planEpoch.Load()
-	repoch := o.rulesEpoch.Load()
-	pc := o.planCache.Load()
-	if pc == nil || pc.epoch != epoch || pc.rulesEpoch != repoch {
-		fresh := &planCache{epoch: epoch, rulesEpoch: repoch, m: make(map[string]*cachedPlans)}
-		if o.planCache.CompareAndSwap(pc, fresh) {
-			pc = fresh
-		} else {
-			pc = o.planCache.Load()
-		}
-	}
-	key := fmt.Sprintf("P%d|", pins.NumParts()) + planKey(u, planner, join)
-	pc.mu.RLock()
-	e := pc.m[key]
-	pc.mu.RUnlock()
-	if e != nil && e.pins == pins {
-		return e.plans
-	}
-	plans := eval.CompileUCQParts(u, pins, planner, join)
-	pc.mu.Lock()
-	pc.m[key] = &cachedPlans{pins: pins, plans: plans}
+	pc.m[key] = &cachedPlans{store: store, plans: plans}
 	pc.mu.Unlock()
 	return plans
 }
@@ -345,14 +314,9 @@ func planKey(u *query.UCQ, planner eval.Planner, join eval.JoinStrategy) string 
 // counter fields are immutable once published; state is only ever touched by
 // writers serialized under Ontology.wmu.
 type materialization struct {
-	// ins is the expansion as one instance; nil for a partitioned build,
-	// which publishes pins instead (Options.Partitions > 1).
-	ins *storage.Instance
-	// pins is the hash-partitioned expansion; nil for the classic layout.
-	pins *storage.PartitionedInstance
-	// parts is the partition count the expansion was built with (1 =
-	// unpartitioned); a request for a different layout rebuilds.
-	parts int
+	// store is the expansion, in Options.Partitions partitions; a request
+	// for a different partition count rebuilds.
+	store storage.Store
 	state *chase.State
 	// terminated mirrors the last increment's fixpoint flag; a truncated
 	// cache is only served to callers whose budgets cannot do better.
@@ -370,8 +334,7 @@ type materialization struct {
 	// provDerivs/provDead/compactions freeze the provenance-graph size, its
 	// dead (compactable) portion and the completed sweep count.
 	provDerivs, provDead, compactions int
-	// pstats freezes the partitioned driver's cumulative locality counters
-	// (all zero for unpartitioned builds).
+	// pstats freezes the chase driver's cumulative locality counters.
 	pstats chase.PartitionStats
 }
 
@@ -384,20 +347,16 @@ type baseSnapshot struct {
 
 // usable reports whether the published cache can serve a request with the
 // given (defaulted) budgets against the current base data: the data must not
-// have been mutated since the cache last saw it, the partition layout must
-// match the request's (answers are identical either way, but the evaluation
-// paths and plan shapes differ), and a truncated cache only serves requests
+// have been mutated since the cache last saw it, the partition count must
+// match the request's (answers are identical either way; the caller asked
+// for that layout's locality and pruning), and a truncated cache only serves requests
 // whose budgets are no larger than the ones it was built with (a larger
 // budget could derive more). A terminated fixpoint serves any budget.
 func (m *materialization) usable(copts chase.Options, dataMut uint64) bool {
 	if m.baseMut != dataMut {
 		return false
 	}
-	want := copts.Partitions
-	if want < 1 {
-		want = 1
-	}
-	if m.parts != want {
+	if m.store.NumParts() != copts.Partitions {
 		return false
 	}
 	if m.terminated {
@@ -656,7 +615,7 @@ func (o *Ontology) mutate(ctx context.Context, mut mutation) (mutationResult, er
 	}
 	switch {
 	case w.touched:
-		o.publishMat(w.ins, w.pins, w.state, w.terminated, dataMut, w.steps, w.rounds)
+		o.publishMat(w.store, w.state, w.terminated, dataMut, w.steps, w.rounds)
 	case w.had && !w.live:
 		// Maintenance became impossible (truncated cache, missing
 		// provenance): rebuild lazily, and count the formerly silent full
@@ -687,11 +646,9 @@ func (o *Ontology) dropMat() {
 // before publishing: every apply step threads it, so a multi-part mutation
 // repairs one extension and publishes once.
 type matWork struct {
-	// ins is the copy-on-write extension under repair (classic layout); pins
-	// its partitioned counterpart — exactly one is set when live, mirroring
-	// the published materialization's layout.
-	ins           *storage.Instance
-	pins          *storage.PartitionedInstance
+	// store is the copy-on-write extension under repair, in the published
+	// materialization's layout.
+	store         storage.Store
 	state         *chase.State
 	terminated    bool
 	steps, rounds int  // accumulated across this mutation's steps
@@ -740,18 +697,13 @@ func (o *Ontology) beginMatWork() *matWork {
 	if m == nil {
 		return &matWork{}
 	}
-	w := &matWork{
+	return &matWork{
+		store:      m.store.Fork(),
 		state:      m.state,
 		terminated: m.terminated,
 		live:       true,
 		had:        true,
 	}
-	if m.pins != nil {
-		w.pins = m.pins.ExtendClone()
-	} else {
-		w.ins = m.ins.ExtendClone()
-	}
-	return w
 }
 
 // drop abandons maintenance: the published materialization is stale and the
@@ -798,13 +750,7 @@ func (o *Ontology) applyRuleDrop(ctx context.Context, w *matWork, afterDrop *dep
 	if !w.repairableWork() {
 		return
 	}
-	var dres *chase.DeleteResult
-	var err error
-	if w.pins != nil {
-		dres, err = w.state.DeleteRulePartsCtx(ctx, afterDrop, w.pins, dropIdx, o.data)
-	} else {
-		dres, err = w.state.DeleteRuleCtx(ctx, afterDrop, w.ins, dropIdx, o.data)
-	}
+	dres, err := w.state.DeleteRuleCtx(ctx, afterDrop, w.store, dropIdx, o.data)
 	if err != nil {
 		w.drop()
 		return
@@ -823,11 +769,7 @@ func (o *Ontology) applyRuleAdd(ctx context.Context, w *matWork, newRules *depen
 		w.drop() // a truncated cache cannot be extended soundly
 		return
 	}
-	if w.pins != nil {
-		w.record(w.state.ExtendRulesPartsCtx(ctx, newRules, w.pins, firstNew))
-		return
-	}
-	w.record(w.state.ExtendRulesCtx(ctx, newRules, w.ins, firstNew))
+	w.record(w.state.ExtendRulesCtx(ctx, newRules, w.store, firstNew))
 }
 
 // applyFactDelete repairs the work-set DRed-style after base facts were
@@ -836,13 +778,7 @@ func (o *Ontology) applyFactDelete(ctx context.Context, w *matWork, rules *depen
 	if !w.repairableWork() {
 		return
 	}
-	var dres *chase.DeleteResult
-	var err error
-	if w.pins != nil {
-		dres, err = w.state.DeletePartsCtx(ctx, rules, w.pins, removed, o.data)
-	} else {
-		dres, err = w.state.DeleteCtx(ctx, rules, w.ins, removed, o.data)
-	}
+	dres, err := w.state.DeleteCtx(ctx, rules, w.store, removed, o.data)
 	if err != nil {
 		w.drop() // the base removal stands; the next answer rebuilds
 		return
@@ -860,13 +796,7 @@ func (o *Ontology) applyFactInsert(ctx context.Context, w *matWork, rules *depen
 		w.drop() // a truncated cache cannot be extended soundly
 		return
 	}
-	var res *chase.Result
-	var err error
-	if w.pins != nil {
-		res, err = w.state.ExtendPartsCtx(ctx, rules, w.pins, added)
-	} else {
-		res, err = w.state.ExtendCtx(ctx, rules, w.ins, added)
-	}
+	res, err := w.state.ExtendCtx(ctx, rules, w.store, added)
 	if err != nil {
 		w.drop()
 		w.err = err
@@ -883,31 +813,24 @@ func (o *Ontology) checkRuleArities(rules *dependency.Set) error {
 	if err != nil {
 		return err
 	}
-	stored := func(pred string) int {
-		if rel := o.data.Relation(pred); rel != nil {
-			return rel.Arity()
-		}
-		return -1
-	}
-	if m := o.mat.Load(); m != nil {
-		if m.pins != nil {
-			stored = m.pins.Arity
-		} else {
-			mi := m.ins
-			stored = func(pred string) int {
-				if rel := mi.Relation(pred); rel != nil {
-					return rel.Arity()
-				}
-				return -1
-			}
-		}
-	}
+	stored := o.storedRelations()
 	for pred, arity := range sig {
-		if have := stored(pred); have >= 0 && have != arity {
-			return fmt.Errorf("repro: rule uses %s with arity %d, stored relation has %d", pred, arity, have)
+		if rel := stored.Relation(pred); rel != nil && rel.Arity() != arity {
+			return fmt.Errorf("repro: rule uses %s with arity %d, stored relation has %d", pred, arity, rel.Arity())
 		}
 	}
 	return nil
+}
+
+// storedRelations returns an instance naming every stored relation, for
+// arity validation: partition 0 of the published expansion (a superset of the
+// base data; by the alignment invariant it sees every relation), or the base
+// data when nothing is published. Requires o.wmu.
+func (o *Ontology) storedRelations() *storage.Instance {
+	if m := o.mat.Load(); m != nil {
+		return m.store.Part(0)
+	}
+	return o.data
 }
 
 // AddFact inserts ground facts, parsed from text like `person(alice) .`.
@@ -1073,25 +996,10 @@ func (o *Ontology) dropStaleSnapshots() {
 // o.wmu.
 func (o *Ontology) stageFacts(facts []logic.Atom) ([]logic.Atom, error) {
 	staged := storage.NewInstance()
-	m := o.mat.Load()
+	stored := o.storedRelations()
 	for _, f := range facts {
-		want := f.Arity()
-		switch {
-		case m != nil && m.pins != nil:
-			if a := m.pins.Arity(f.Pred); a >= 0 {
-				want = a
-			}
-		case m != nil:
-			if rel := m.ins.Relation(f.Pred); rel != nil {
-				want = rel.Arity()
-			}
-		default:
-			if rel := o.data.Relation(f.Pred); rel != nil {
-				want = rel.Arity()
-			}
-		}
-		if f.Arity() != want {
-			return nil, fmt.Errorf("repro: predicate %s used with arity %d and %d", f.Pred, want, f.Arity())
+		if rel := stored.Relation(f.Pred); rel != nil && rel.Arity() != f.Arity() {
+			return nil, fmt.Errorf("repro: predicate %s used with arity %d and %d", f.Pred, rel.Arity(), f.Arity())
 		}
 		if _, err := staged.Insert(f); err != nil {
 			return nil, err // intra-batch arity conflict
@@ -1146,20 +1054,13 @@ func (o *Ontology) updateBaseSnapshot(added, removed []logic.Atom, mut uint64) {
 }
 
 // publishMat freezes the engine counters into an immutable materialization
-// and publishes it, bumping the epoch. Exactly one of ins (classic layout)
-// and pins (hash-partitioned) is non-nil. Requires o.wmu.
-func (o *Ontology) publishMat(ins *storage.Instance, pins *storage.PartitionedInstance, st *chase.State, terminated bool, baseMut uint64, lastSteps, lastRounds int) {
+// and publishes it, bumping the epoch. Requires o.wmu.
+func (o *Ontology) publishMat(store storage.Store, st *chase.State, terminated bool, baseMut uint64, lastSteps, lastRounds int) {
 	o.epoch.Add(1)
 	o.planEpoch.Add(1)
-	parts := 1
-	if pins != nil {
-		parts = pins.NumParts()
-	}
 	derivs, dead, compactions := st.ProvenanceStats()
 	o.mat.Store(&materialization{
-		ins:         ins,
-		pins:        pins,
-		parts:       parts,
+		store:       store,
 		state:       st,
 		terminated:  terminated,
 		baseMut:     baseMut,
@@ -1352,28 +1253,31 @@ type Options struct {
 	// property tests use it to compare cached against uncached answers on
 	// one ontology.
 	NoCache bool
-	// Partitions hash-partitions the chase-mode materialization into this
-	// many sub-instances routed on the first term position (distribution
-	// milestone 1): rules the classifier proves partition-local fire with
-	// zero cross-partition coordination, and query plans that bind the
+	// Partitions is the partition count P of the chase-mode materialization,
+	// hash-routed on the first term position (distribution milestone 1):
+	// rules the classifier proves partition-local fire with zero
+	// cross-partition coordination, and query plans that bind the
 	// partitioning column probe exactly one sub-instance (see
 	// MaterializationStats.Partition for the counters). 0 uses the package
-	// default (unpartitioned unless the bench harness overrides it); 1
-	// forces the classic single-instance layout. Rewrite-mode answering is
-	// unaffected — it evaluates the base data. Any value yields the same
-	// certain answers.
+	// default (1 unless the test harness overrides it); 1 is the
+	// unpartitioned store. Rewrite-mode answering is unaffected — it
+	// evaluates the base data. Any value yields the same certain answers.
 	Partitions int
 }
 
+// MaxPartitions bounds Options.Partitions where the value arrives from outside
+// the program; the server and the CLI flags reject anything beyond it.
+const MaxPartitions = storage.MaxPartitions
+
 // defaultPartitions seeds Options.Partitions when callers leave it zero.
-// The library default is unpartitioned; the benchmark harness flips it
-// (PART env, read by TestMain) to measure the partitioning axis across the
-// existing benchmarks without touching their call sites.
+// The library default is one partition; the test harness flips it (PART env,
+// read by TestMain) to run the public-API suite and the benchmarks at P > 1
+// without touching their call sites.
 var defaultPartitions int
 
-// effectiveParts resolves Options.Partitions against the package default,
+// partitions resolves Options.Partitions against the package default,
 // normalized to >= 1.
-func (opts Options) effectiveParts() int {
+func (opts Options) partitions() int {
 	p := opts.Partitions
 	if p == 0 {
 		p = defaultPartitions
@@ -1392,7 +1296,7 @@ func (opts Options) chaseOptions() chase.Options {
 		Parallelism: opts.Parallelism,
 		Planner:     opts.Planner,
 		Join:        opts.Join,
-		Partitions:  opts.effectiveParts(),
+		Partitions:  opts.partitions(),
 	}
 	if co.MaxSteps == 0 {
 		co.MaxSteps = chase.DefaultMaxSteps
@@ -1404,14 +1308,16 @@ func (opts Options) chaseOptions() chase.Options {
 }
 
 // evalOptions maps Options onto the evaluation configuration shared by the
-// collecting and streaming answer paths.
-func (opts Options) evalOptions() eval.Options {
+// collecting and streaming answer paths; partition-pruned probes (P > 1
+// materializations only) accumulate into the ontology's live counter.
+func (o *Ontology) evalOptions(opts Options) eval.Options {
 	return eval.Options{
 		FilterNulls: true,
 		Limit:       opts.Limit,
 		Parallelism: opts.Parallelism,
 		Planner:     opts.Planner,
 		Join:        opts.Join,
+		Pruned:      &o.prunedProbes,
 	}
 }
 
@@ -1449,31 +1355,15 @@ func (o *Ontology) AnswerCtx(ctx context.Context, querySrc string, opts Options)
 	if view != nil {
 		return view, nil
 	}
-	u, ins, pins, published, err := o.resolveAnswer(ctx, q, opts)
+	u, store, published, err := o.resolveAnswer(ctx, q, opts)
 	if err != nil {
 		return nil, err
 	}
-	evalOpts := opts.evalOptions()
-	if pins != nil {
-		// Partitioned chase-mode evaluation: plans bind per partition and
-		// prune single-partition probes (counted through the shared sink).
-		evalOpts.Pruned = &o.prunedProbes
-		var plans []*eval.Plan
-		if published {
-			plans = o.compiledPlansParts(u, pins, evalOpts.Planner, evalOpts.Join)
-		} else {
-			plans = eval.CompileUCQParts(u, pins, evalOpts.Planner, evalOpts.Join)
-		}
-		return eval.RunPlansPartsCtx(ctx, plans, u.Arity(), pins, evalOpts)
-	}
-	if !published {
-		// The instance was never published, so no later query can hit a cache
-		// entry pinning it; compile directly instead of polluting the cache.
-		return eval.RunPlansCtx(ctx, eval.CompileUCQ(u, ins, evalOpts.Planner, evalOpts.Join), u.Arity(), ins, evalOpts)
-	}
-	ans, err := o.evalUCQCtx(ctx, u, ins, evalOpts)
-	if err == nil && viewKey != "" {
-		o.storeAnswerView(viewKey, u, ins, ans, evalOpts.Planner, evalOpts.Join)
+	evalOpts := o.evalOptions(opts)
+	plans := o.plansFor(u, store, published, evalOpts.Planner, evalOpts.Join)
+	ans, err := eval.RunPlansCtx(ctx, plans, u.Arity(), store, evalOpts)
+	if err == nil && viewKey != "" && published {
+		o.storeAnswerView(viewKey, u, store, ans, evalOpts.Planner, evalOpts.Join)
 	}
 	return ans, err
 }
@@ -1497,38 +1387,21 @@ func (o *Ontology) AnswerEach(ctx context.Context, querySrc string, opts Options
 	if err != nil {
 		return err
 	}
-	u, ins, pins, published, err := o.resolveAnswer(ctx, q, opts)
+	u, store, published, err := o.resolveAnswer(ctx, q, opts)
 	if err != nil {
 		return err
 	}
-	evalOpts := opts.evalOptions()
-	if pins != nil {
-		evalOpts.Pruned = &o.prunedProbes
-		var plans []*eval.Plan
-		if published {
-			plans = o.compiledPlansParts(u, pins, evalOpts.Planner, evalOpts.Join)
-		} else {
-			plans = eval.CompileUCQParts(u, pins, evalOpts.Planner, evalOpts.Join)
-		}
-		return eval.EachParts(ctx, plans, pins, evalOpts, yield)
-	}
-	var plans []*eval.Plan
-	if published {
-		plans = o.compiledPlans(u, ins, evalOpts.Planner, evalOpts.Join)
-	} else {
-		plans = eval.CompileUCQ(u, ins, evalOpts.Planner, evalOpts.Join)
-	}
-	return eval.Each(ctx, plans, ins, evalOpts, yield)
+	evalOpts := o.evalOptions(opts)
+	plans := o.plansFor(u, store, published, evalOpts.Planner, evalOpts.Join)
+	return eval.Each(ctx, plans, store, evalOpts, yield)
 }
 
 // resolveAnswer resolves the answering mode and produces the evaluation
 // input shared by the collecting (AnswerCtx) and streaming (AnswerEach)
-// paths: the UCQ to run and the immutable snapshot to run it over — the
+// paths: the UCQ to run and the immutable store to run it over — the
 // rewriting over the published base snapshot, or the query itself over the
-// (built-on-demand) materialization. Exactly one of ins and pins is
-// non-nil: pins when chase-mode answering runs over a hash-partitioned
-// materialization (Options.Partitions > 1), ins otherwise. The returned
-// flag reports whether the snapshot is published, i.e. safe to key
+// (built-on-demand) materialization in Options.Partitions partitions. The
+// returned flag reports whether the store is published, i.e. safe to key
 // compiled-plan cache entries to.
 //
 // Resolution never outlives its deadline. The exit check below covers two
@@ -1536,8 +1409,8 @@ func (o *Ontology) AnswerEach(ctx context.Context, querySrc string, opts Options
 // so a whole build can complete between them; and a build that saturates
 // every P can starve the context's timer goroutine, leaving ctx.Err() nil
 // long past the deadline — hence the explicit clock comparison.
-func (o *Ontology) resolveAnswer(ctx context.Context, q *query.CQ, opts Options) (*query.UCQ, *storage.Instance, *storage.PartitionedInstance, bool, error) {
-	u, ins, pins, published, err := o.resolveAnswerMode(ctx, q, opts)
+func (o *Ontology) resolveAnswer(ctx context.Context, q *query.CQ, opts Options) (*query.UCQ, storage.Store, bool, error) {
+	u, store, published, err := o.resolveAnswerMode(ctx, q, opts)
 	if err == nil {
 		err = ctx.Err()
 	}
@@ -1547,12 +1420,12 @@ func (o *Ontology) resolveAnswer(ctx context.Context, q *query.CQ, opts Options)
 		}
 	}
 	if err != nil {
-		return nil, nil, nil, false, err
+		return nil, nil, false, err
 	}
-	return u, ins, pins, published, nil
+	return u, store, published, nil
 }
 
-func (o *Ontology) resolveAnswerMode(ctx context.Context, q *query.CQ, opts Options) (*query.UCQ, *storage.Instance, *storage.PartitionedInstance, bool, error) {
+func (o *Ontology) resolveAnswerMode(ctx context.Context, q *query.CQ, opts Options) (*query.UCQ, storage.Store, bool, error) {
 	mode := opts.Mode
 	auto := mode == ModeAuto
 	if auto {
@@ -1566,7 +1439,7 @@ func (o *Ontology) resolveAnswerMode(ctx context.Context, q *query.CQ, opts Opti
 	case ModeRewrite:
 		rw := o.rewriteCQCtx(ctx, q, opts.MaxRewriteCQs)
 		if rwErr := rw.Stats.Err; rwErr != nil {
-			return nil, nil, nil, false, rwErr // canceled mid-rewriting; not a budget miss
+			return nil, nil, false, rwErr // canceled mid-rewriting; not a budget miss
 		}
 		if !rw.Complete {
 			if auto {
@@ -1575,21 +1448,21 @@ func (o *Ontology) resolveAnswerMode(ctx context.Context, q *query.CQ, opts Opti
 				// instead of surfacing the rewriting error.
 				return o.chaseForAnswer(ctx, q, opts)
 			}
-			return nil, nil, nil, false, fmt.Errorf("repro: rewriting did not reach a fixpoint (budget hit); use ModeChase")
+			return nil, nil, false, fmt.Errorf("repro: rewriting did not reach a fixpoint (budget hit); use ModeChase")
 		}
 		// Evaluate over the published base snapshot with no lock held: a
 		// slow evaluation neither blocks writers nor queues other readers
 		// behind them. Repeated queries rewrite to the same UCQ, so the
 		// compiled plans come from the cache.
-		return rw.UCQ, o.snapshotBase(), nil, true, nil
+		return rw.UCQ, o.snapshotBase(), true, nil
 	case ModeChase:
 		return o.chaseForAnswer(ctx, q, opts)
 	default:
-		return nil, nil, nil, false, fmt.Errorf("repro: unknown answer mode %d", mode)
+		return nil, nil, false, fmt.Errorf("repro: unknown answer mode %d", mode)
 	}
 }
 
-// chaseForAnswer returns the materialized instance chase-mode answering
+// chaseForAnswer returns the materialized store chase-mode answering
 // evaluates over, building or rebuilding it when absent or unusable for the
 // requested budgets. The fast path is lock-free: the published pointer is
 // loaded once and the query evaluates over the immutable instance, so a slow
@@ -1597,15 +1470,15 @@ func (o *Ontology) resolveAnswerMode(ctx context.Context, q *query.CQ, opts Opti
 // Builds run under wmu (single-flight, serialized with writers — so the base
 // cannot change underneath) and always serve their own result, so a build is
 // never wasted and nothing can starve.
-func (o *Ontology) chaseForAnswer(ctx context.Context, q *query.CQ, opts Options) (*query.UCQ, *storage.Instance, *storage.PartitionedInstance, bool, error) {
+func (o *Ontology) chaseForAnswer(ctx context.Context, q *query.CQ, opts Options) (*query.UCQ, storage.Store, bool, error) {
 	copts := opts.chaseOptions()
 	u := query.MustNewUCQ(q)
 
 	if m := o.mat.Load(); m != nil && m.usable(copts, o.data.Mutations()) {
 		if !m.terminated {
-			return nil, nil, nil, false, budgetErr(m.lastSteps)
+			return nil, nil, false, budgetErr(m.lastSteps)
 		}
-		return u, m.ins, m.pins, true, nil
+		return u, m.store, true, nil
 	}
 
 	o.wmu.Lock()
@@ -1613,56 +1486,43 @@ func (o *Ontology) chaseForAnswer(ctx context.Context, q *query.CQ, opts Options
 		// Built while we queued; evaluate after releasing the lock.
 		o.wmu.Unlock()
 		if !m.terminated {
-			return nil, nil, nil, false, budgetErr(m.lastSteps)
+			return nil, nil, false, budgetErr(m.lastSteps)
 		}
-		return u, m.ins, m.pins, true, nil
+		return u, m.store, true, nil
 	}
 	o.mu.RLock()
-	ins := o.data.Clone()
+	store, err := storage.NewStore(o.data, copts.Partitions, copts.PartitionCol)
 	snapMut := o.data.Mutations()
 	o.mu.RUnlock()
+	if err != nil {
+		o.wmu.Unlock()
+		return nil, nil, false, err
+	}
 	// Record provenance only once a DeleteFact/RemoveRule has shown it is
 	// needed. Rules are loaded under wmu, so the build matches the set
 	// current at publication.
 	copts.TrackProvenance = o.wantProv.Load()
 	st := chase.NewState(copts)
-	var res *chase.Result
-	var pins *storage.PartitionedInstance
-	if copts.Partitions > 1 {
-		var err error
-		pins, err = storage.Partition(ins, copts.Partitions, copts.PartitionCol)
-		if err != nil {
-			o.wmu.Unlock()
-			return nil, nil, nil, false, err
-		}
-		ins = nil // drop the flat clone; the partitions own the tuples now
-		deltas := make([]*storage.Instance, pins.NumParts())
-		for p := range deltas {
-			deltas[p] = pins.Part(p)
-		}
-		res = st.ResumePartsCtx(ctx, o.rules.Load(), pins, deltas)
-	} else {
-		res = st.ResumeCtx(ctx, o.rules.Load(), ins, ins)
-	}
+	res := st.ResumeCtx(ctx, o.rules.Load(), store, store)
 	if res.Err != nil {
 		// Canceled mid-build: the half-chased clone and its engine state are
 		// simply discarded — nothing was published, every snapshot is as it
 		// was before the call.
 		o.wmu.Unlock()
-		return nil, nil, nil, false, res.Err
+		return nil, nil, false, res.Err
 	}
 	// Publish unless the data was mutated out-of-band while we chased (a
 	// legitimate writer cannot have: we hold wmu). Either way, serve our own
 	// build — it is a valid chase of the data as of the clone.
 	published := o.data.Mutations() == snapMut
 	if published {
-		o.publishMat(ins, pins, st, res.Terminated, snapMut, res.Steps, res.Rounds)
+		o.publishMat(store, st, res.Terminated, snapMut, res.Steps, res.Rounds)
 	}
 	o.wmu.Unlock()
 	if !res.Terminated {
-		return nil, nil, nil, false, budgetErr(res.Steps)
+		return nil, nil, false, budgetErr(res.Steps)
 	}
-	return u, ins, pins, published, nil
+	return u, store, published, nil
 }
 
 func budgetErr(steps int) error {
@@ -1704,15 +1564,15 @@ type MaterializationStats struct {
 	// AnswerCache counts shared answer-view cache activity (hits, misses,
 	// evictions, views delta-maintained across inserts, live entry bytes).
 	AnswerCache AnswerCacheStats
-	// Partitions is the partition count of the cached expansion (1 =
-	// classic single-instance layout, 0 when nothing is cached).
+	// Partitions is the partition count of the cached expansion (0 when
+	// nothing is cached).
 	Partitions int
 	// Partition aggregates the partitioned engine's locality counters.
 	Partition PartitionStats
 }
 
-// PartitionStats surfaces how much of a hash-partitioned ontology's work
-// stayed inside single partitions (see Options.Partitions).
+// PartitionStats surfaces how much of the materialization's work stayed
+// inside single partitions (see Options.Partitions; at P = 1 all of it).
 type PartitionStats struct {
 	// LocalFirings counts chase trigger firings of partition-local rules —
 	// work done entirely inside one sub-instance, with zero cross-partition
@@ -1742,17 +1602,11 @@ func (o *Ontology) MaterializationStats() MaterializationStats {
 			Partition:    PartitionStats{PrunedProbes: o.prunedProbes.Load()},
 		}
 	}
-	facts := 0
-	if m.pins != nil {
-		facts = m.pins.Size()
-	} else {
-		facts = m.ins.Size()
-	}
 	return MaterializationStats{
 		Cached:              true,
 		Epoch:               o.epoch.Load(),
 		Terminated:          m.terminated,
-		Facts:               facts,
+		Facts:               m.store.Size(),
 		Steps:               m.steps,
 		Rounds:              m.rounds,
 		NullsCreated:        m.nulls,
@@ -1763,7 +1617,7 @@ func (o *Ontology) MaterializationStats() MaterializationStats {
 		Compactions:         m.compactions,
 		FullRebuilds:        o.fullRebuilds.Load(),
 		AnswerCache:         o.AnswerCacheStats(),
-		Partitions:          m.parts,
+		Partitions:          m.store.NumParts(),
 		Partition: PartitionStats{
 			LocalFirings:    m.pstats.LocalFirings,
 			ShippedTriggers: m.pstats.ShippedTriggers,
@@ -1791,23 +1645,17 @@ func (o *Ontology) ChaseOptions(opts Options) *chase.Result {
 // prefix of the data, and the ontology's own caches are untouched (the run
 // is always fresh and private).
 func (o *Ontology) ChaseCtx(ctx context.Context, opts Options) *chase.Result {
-	// Read lock suffices: Clone synchronizes with concurrent lazy index
-	// builds itself (it ensures the index before copying it).
-	o.mu.RLock()
-	data := o.data.Clone()
-	o.mu.RUnlock()
 	copts := opts.chaseOptions()
-	if copts.Partitions > 1 {
-		res, err := chase.RunPartsCtx(ctx, o.rules.Load(), data, copts)
-		if err != nil {
-			return &chase.Result{Err: err}
-		}
-		// Callers of Chase expect one instance; flatten the partitions into
-		// Result.Instance while keeping Parts populated for inspection.
-		if flat, ferr := res.Parts.Flatten(); ferr == nil {
-			res.Instance = flat
-		}
-		return res
+	// Read lock suffices: copying the data synchronizes with concurrent lazy
+	// index builds itself. chase.RunCtx would copy a second time, so the
+	// private store is chased directly.
+	o.mu.RLock()
+	store, err := storage.NewStore(o.data, copts.Partitions, copts.PartitionCol)
+	o.mu.RUnlock()
+	if err != nil {
+		return &chase.Result{Err: err}
 	}
-	return chase.NewState(copts).ResumeCtx(ctx, o.rules.Load(), data, data)
+	res := chase.NewState(copts).ResumeCtx(ctx, o.rules.Load(), store, store)
+	res.Instance = storage.Flatten(store)
+	return res
 }

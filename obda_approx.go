@@ -114,20 +114,10 @@ func (o *Ontology) AnswerApprox(querySrc string, opts ApproxOptions) (*Approx, e
 	}
 	// Serve the chase side from the published materialization when it
 	// already holds a fresh fixpoint: exact under any budget, no re-chase
-	// needed, no lock held. A partitioned materialization (m.ins == nil)
-	// serves through the partition-pruned evaluation path instead.
+	// needed, no lock held.
 	if m := o.mat.Load(); m != nil && m.terminated && m.baseMut == o.data.Mutations() {
-		u := query.MustNewUCQ(q)
-		var ans *eval.Answers
-		if m.pins != nil {
-			evalOpts := eval.Options{FilterNulls: true, Pruned: &o.prunedProbes}
-			plans := o.compiledPlansParts(u, m.pins, evalOpts.Planner, evalOpts.Join)
-			ans, _ = eval.RunPlansPartsCtx(context.Background(), plans, u.Arity(), m.pins, evalOpts)
-		} else {
-			ans = o.evalUCQ(u, m.ins, eval.Options{FilterNulls: true})
-		}
 		return &Approx{
-			Answers:         ans,
+			Answers:         o.evalUCQ(query.MustNewUCQ(q), m.store, o.evalOptions(Options{})),
 			Exact:           true,
 			ChaseTerminated: true,
 		}, nil
@@ -151,14 +141,14 @@ func (o *Ontology) AnswerApprox(querySrc string, opts ApproxOptions) (*Approx, e
 	switch {
 	case ch.Terminated:
 		// Exact via the chase.
-		res.Answers = eval.UCQ(query.MustNewUCQ(q), ch.Instance, eval.Options{FilterNulls: true})
+		res.Answers = eval.UCQ(query.MustNewUCQ(q), data, eval.Options{FilterNulls: true})
 	default:
 		// Both truncated: each is sound, so their union is a sound
 		// under-approximation (the truncated rewriting evaluated on raw
 		// data only uses certain disjuncts; the truncated chase contains
 		// only entailed facts).
 		ans := eval.UCQ(rw.UCQ, o.snapshotBase(), eval.Options{FilterNulls: true})
-		for _, t := range eval.UCQ(query.MustNewUCQ(q), ch.Instance, eval.Options{FilterNulls: true}).Tuples() {
+		for _, t := range eval.UCQ(query.MustNewUCQ(q), data, eval.Options{FilterNulls: true}).Tuples() {
 			ans.Add(t)
 		}
 		res.Answers = ans
@@ -175,7 +165,7 @@ func (o *Ontology) AnswerApprox(querySrc string, opts ApproxOptions) (*Approx, e
 		o.wmu.Lock()
 		if o.data.Mutations() == snapMut && o.rules.Load() == rules {
 			if cur := o.mat.Load(); cur == nil || !cur.terminated || cur.baseMut != snapMut {
-				o.publishMat(ch.Instance, nil, st, true, snapMut, ch.Steps, ch.Rounds)
+				o.publishMat(data, st, true, snapMut, ch.Steps, ch.Rounds)
 			}
 		}
 		o.wmu.Unlock()

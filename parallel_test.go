@@ -2,6 +2,7 @@ package repro
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -23,11 +24,13 @@ func ontologyFromDatagen(t *testing.T, fam datagen.Family, rules int, seed int64
 	return ont
 }
 
-// TestPropertyParallelEqualsSequential is the parallelism-correctness
-// property test: across seeded random ontologies, the sequential and
-// parallel chase/eval pipelines must produce identical sorted answer sets,
-// and classification (which parallelism must not perturb) identical reports.
-func TestPropertyParallelEqualsSequential(t *testing.T) {
+// TestPropertyParallelMatchesOracle is the parallelism-correctness property
+// test: across seeded random ontologies, the sequential and parallel
+// chase/eval pipelines, in both answering modes, must produce the textbook
+// chase's certain answers (and each other's, where the reference chase does
+// not terminate but a rewriting does), and classification (which parallelism
+// must not perturb) identical reports.
+func TestPropertyParallelMatchesOracle(t *testing.T) {
 	families := []datagen.Family{datagen.FamilyLinear, datagen.FamilyChain, datagen.FamilySticky}
 	for _, fam := range families {
 		for seed := int64(1); seed <= 5; seed++ {
@@ -37,6 +40,16 @@ func TestPropertyParallelEqualsSequential(t *testing.T) {
 
 				if a, b := ontSeq.Classify().String(), ontPar.Classify().String(); a != b {
 					t.Fatalf("Classify() reports differ:\n%s\nvs\n%s", a, b)
+				}
+
+				// The reference is only affordable where the chase is finite: size
+				// its budget from an engine run that terminated.
+				var ref *oracle
+				if _, err := ontSeq.AnswerOptions("q() :- nosuchpredicate(X) .", Options{Mode: ModeChase}); err == nil {
+					var ok bool
+					if ref, ok = oracleOf(ontSeq.Rules(), ontSeq.Data().Atoms(), 20*ontSeq.MaterializationStats().Steps+1000); !ok {
+						t.Fatal("oracle over budget on a chase the engine finished")
+					}
 				}
 
 				// One atomic query per predicate of the ontology.
@@ -62,6 +75,12 @@ func TestPropertyParallelEqualsSequential(t *testing.T) {
 						if seq.String() != par.String() {
 							t.Errorf("%s mode %v: answers differ:\nseq:\n%s\npar:\n%s", q, mode, seq, par)
 						}
+						if ref == nil {
+							continue
+						}
+						if got, want := renderedAnswers(par), ref.answers(t, q); !slices.Equal(got, want) {
+							t.Errorf("%s mode %v: answers differ from the oracle:\nengine: %v\noracle: %v", q, mode, got, want)
+						}
 					}
 				}
 			})
@@ -70,28 +89,29 @@ func TestPropertyParallelEqualsSequential(t *testing.T) {
 }
 
 // TestParallelModesAgree cross-checks the two expansion techniques under
-// parallelism on an FO-rewritable workload: rewrite+eval and chase+eval must
-// agree with each other and with their sequential counterparts.
+// parallelism on an FO-rewritable workload: rewrite+eval and chase+eval,
+// sequential and parallel, must all return the oracle's answers.
 func TestParallelModesAgree(t *testing.T) {
 	ont := MustParse(datagen.University().String() + "\n" + datagen.UniversityData(3, 2).String())
+	ref, ok := oracleOf(ont.Rules(), ont.Data().Atoms(), 5000)
+	if !ok {
+		t.Fatal("oracle over budget on University")
+	}
 	for _, q := range []string{
 		`q(X) :- person(X) .`,
 		`q(X,Y) :- advisor(X,Y) .`,
 		`q(X) :- professor(X) .`,
 	} {
-		var renderings []string
+		want := ref.answers(t, q)
 		for _, mode := range []AnswerMode{ModeRewrite, ModeChase} {
 			for _, par := range []int{1, 4} {
 				ans, err := ont.AnswerOptions(q, Options{Mode: mode, Parallelism: par})
 				if err != nil {
 					t.Fatalf("%s mode=%v par=%d: %v", q, mode, par, err)
 				}
-				renderings = append(renderings, ans.String())
-			}
-		}
-		for i := 1; i < len(renderings); i++ {
-			if renderings[i] != renderings[0] {
-				t.Errorf("%s: technique/parallelism combination %d disagrees", q, i)
+				if got := renderedAnswers(ans); !slices.Equal(got, want) {
+					t.Errorf("%s mode=%v par=%d: answers differ from the oracle:\nengine: %v\noracle: %v", q, mode, par, got, want)
+				}
 			}
 		}
 	}
