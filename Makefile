@@ -6,7 +6,7 @@ GO ?= go
 # failure fail the target (and CI), not vanish behind benchjson's exit 0.
 SHELL := /bin/bash -o pipefail
 
-.PHONY: all build test bench lint bench-json bench-compare pprof serve-smoke
+.PHONY: all build test fuzz bench lint bench-json bench-compare pprof serve-smoke
 
 all: lint build test
 
@@ -19,6 +19,14 @@ build:
 test:
 	$(GO) test -race ./...
 	PART=4 $(GO) test -race .
+
+# Short fuzzing leg over the committed seed corpora: the query parser and
+# the POST .../query body (one target per invocation — go test allows no more).
+FUZZTIME ?= 10s
+
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzParseQuery -fuzztime $(FUZZTIME) ./internal/parser
+	$(GO) test -run '^$$' -fuzz FuzzQueryBody -fuzztime $(FUZZTIME) ./internal/server
 
 # Benchmark smoke pass: compile and run every benchmark once.
 bench:
@@ -55,50 +63,25 @@ BENCH_OUT ?= bench.out.json
 bench-json:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./... | $(GO) run ./cmd/benchjson > $(BENCH_OUT)
 
-# Strategy ablations: run the strategy-sensitive benchmarks once per
-# join-order strategy (PLANNER env, read by TestMain) and once per join
-# execution strategy (JOIN env, same mechanism), the repeated-query
-# benchmarks once per answer-cache setting (CACHE env, same mechanism), and
-# the chase-mode benchmarks once per partition layout (PART env, same
-# mechanism), comparing each axis through benchstat when it is installed,
-# falling back to the raw outputs. BenchmarkAnswer* compare the planners
-# within a single run and are deliberately excluded from the strategy axes.
-BENCH_COMPARE_PATTERN ?= BenchmarkCQEvaluation|BenchmarkEvaluationOnly|BenchmarkChaseScaling|BenchmarkParallelUCQEvaluation|BenchmarkIncrementalAddFact
-BENCH_CACHE_PATTERN ?= BenchmarkAnswerChase|BenchmarkAnswerRewrite|BenchmarkIncrementalAddFact
+# Partition-layout ablation: run the chase-mode benchmarks once per
+# partition count (PART env, read by TestMain), compared through benchstat
+# when it is installed, falling back to the raw outputs.
 BENCH_PART_PATTERN ?= BenchmarkAnswerChase|BenchmarkPartitionPruning|BenchmarkIncrementalAddFact
 BENCH_PARTS ?= 4
 BENCH_COMPARE_COUNT ?= 5
 BENCH_COMPARE_TIME ?= 0.2s
 
 bench-compare:
-	PLANNER=greedy $(GO) test -run '^$$' -bench '$(BENCH_COMPARE_PATTERN)' \
-		-count $(BENCH_COMPARE_COUNT) -benchtime $(BENCH_COMPARE_TIME) . > bench.greedy.txt
-	PLANNER=cost $(GO) test -run '^$$' -bench '$(BENCH_COMPARE_PATTERN)' \
-		-count $(BENCH_COMPARE_COUNT) -benchtime $(BENCH_COMPARE_TIME) . > bench.cost.txt
-	JOIN=nested $(GO) test -run '^$$' -bench '$(BENCH_COMPARE_PATTERN)' \
-		-count $(BENCH_COMPARE_COUNT) -benchtime $(BENCH_COMPARE_TIME) . > bench.join-nested.txt
-	JOIN=hash $(GO) test -run '^$$' -bench '$(BENCH_COMPARE_PATTERN)' \
-		-count $(BENCH_COMPARE_COUNT) -benchtime $(BENCH_COMPARE_TIME) . > bench.join-hash.txt
-	CACHE=off $(GO) test -run '^$$' -bench '$(BENCH_CACHE_PATTERN)' \
-		-count $(BENCH_COMPARE_COUNT) -benchtime $(BENCH_COMPARE_TIME) . > bench.cache-off.txt
-	CACHE=on $(GO) test -run '^$$' -bench '$(BENCH_CACHE_PATTERN)' \
-		-count $(BENCH_COMPARE_COUNT) -benchtime $(BENCH_COMPARE_TIME) . > bench.cache-on.txt
 	PART=1 $(GO) test -run '^$$' -bench '$(BENCH_PART_PATTERN)' \
 		-count $(BENCH_COMPARE_COUNT) -benchtime $(BENCH_COMPARE_TIME) . > bench.part-1.txt
 	PART=$(BENCH_PARTS) $(GO) test -run '^$$' -bench '$(BENCH_PART_PATTERN)' \
 		-count $(BENCH_COMPARE_COUNT) -benchtime $(BENCH_COMPARE_TIME) . > bench.part-n.txt
 	@if command -v benchstat >/dev/null 2>&1; then \
-		echo "== planner: greedy vs cost =="; \
-		benchstat bench.greedy.txt bench.cost.txt; \
-		echo "== join: nested vs hash =="; \
-		benchstat bench.join-nested.txt bench.join-hash.txt; \
-		echo "== answer cache: off vs on =="; \
-		benchstat bench.cache-off.txt bench.cache-on.txt; \
 		echo "== partitions: 1 vs $(BENCH_PARTS) =="; \
 		benchstat bench.part-1.txt bench.part-n.txt; \
 	else \
 		echo "benchstat not installed (go install golang.org/x/perf/cmd/benchstat@latest);"; \
-		echo "raw outputs in bench.{greedy,cost,join-nested,join-hash,cache-off,cache-on,part-1,part-n}.txt"; \
+		echo "raw outputs in bench.part-{1,n}.txt"; \
 	fi
 
 # CPU + heap profile of the steady-state answering path (warm snapshot and

@@ -17,12 +17,6 @@ import (
 // off — SetAnswerCacheBudget opts an Ontology in.
 const DefaultAnswerCacheBytes = 32 << 20
 
-// defaultAnswerCacheBudget seeds the budget of newly constructed
-// ontologies. Zero keeps caching opt-in; the benchmark harness flips it
-// (CACHE env, read by TestMain) to measure the cache axis across the
-// existing repeated-query benchmarks without touching their call sites.
-var defaultAnswerCacheBudget int64
-
 // SetAnswerCacheBudget sets the answer-view cache byte budget. n <= 0
 // disables the cache and drops any cached views; a positive budget bounds
 // the estimated bytes of cached answer sets (least-recently-used views are
@@ -69,8 +63,6 @@ func (o *Ontology) AnswerCacheStats() AnswerCacheStats {
 func answerViewKey(q *query.CQ, opts Options) string {
 	var b strings.Builder
 	b.WriteByte('0' + byte(opts.Mode))
-	b.WriteByte('0' + byte(opts.Planner.Effective()))
-	b.WriteByte('0' + byte(opts.Join.Effective()))
 	fmt.Fprintf(&b, "|%d|%d|%d|", opts.MaxSteps, opts.MaxRounds, opts.MaxRewriteCQs)
 	b.WriteString(q.DedupKey())
 	return b.String()
@@ -98,11 +90,10 @@ func (o *Ontology) CacheGeneration() (epoch, rulesEpoch, dataMut uint64) {
 
 // lookupAnswerView is the lock-free read path of the answer-view cache:
 // load the epochs, load the cache, reject on generation or data-mutation
-// mismatch. Returns the cached set (nil on miss) and the key a completed
-// evaluation should be stored under ("" when this call is not cacheable:
-// cache disabled, NoCache, or a partial Limit result).
+// mismatch. Returns the cached set (nil on miss) and the view's key (""
+// when this call bypasses the cache: cache disabled or NoCache).
 func (o *Ontology) lookupAnswerView(q *query.CQ, opts Options) (*Answers, string) {
-	if opts.NoCache || opts.Limit != 0 || o.ansBudget.Load() <= 0 {
+	if opts.NoCache || o.ansBudget.Load() <= 0 {
 		return nil, ""
 	}
 	pe := o.planEpoch.Load()
@@ -122,7 +113,7 @@ func (o *Ontology) lookupAnswerView(q *query.CQ, opts Options) (*Answers, string
 // When a writer holds wmu the store is skipped outright: the mutation in
 // flight would invalidate the entry anyway. The answering read path never
 // takes a lock; only this post-miss fill does, and only opportunistically.
-func (o *Ontology) storeAnswerView(key string, u *query.UCQ, store storage.Store, ans *Answers, planner eval.Planner, join eval.JoinStrategy) {
+func (o *Ontology) storeAnswerView(key string, u *query.UCQ, store storage.Store, ans *Answers) {
 	budget := o.ansBudget.Load()
 	if budget <= 0 || !o.wmu.TryLock() {
 		return
@@ -142,7 +133,7 @@ func (o *Ontology) storeAnswerView(key string, u *query.UCQ, store storage.Store
 	re := o.rulesEpoch.Load()
 	c := o.ansCache.Load()
 	gen := rescache.Gen{Epoch: pe, RulesEpoch: re}
-	e := rescache.NewEntry(ans, u, store, dataMut, planner.Effective(), join.Effective())
+	e := rescache.NewEntry(ans, u, store, dataMut)
 	o.ansCache.Store(c.WithEntry(gen, budget, key, e, &o.ansStats))
 }
 
@@ -182,79 +173,106 @@ func (o *Ontology) maintainAnswerViews(added []logic.Atom, oldMat *materializati
 // AnswerStream is a resumable certain-answer iterator: the pull-based
 // counterpart of AnswerEach, built for consumers that park between rows —
 // the server's pace-car flights drive one shared stream for N concurrent
-// requests. A stream over a cached view replays it without evaluating;
-// a stream that evaluates to completion (no Limit, never canceled) stores
-// its result as a view for the next caller. Not safe for concurrent use.
+// requests. Not safe for concurrent use.
 type AnswerStream struct {
-	replay bool
-	view   []storage.Tuple
-	i      int
-	limit  int
-
-	s       *eval.Stream
-	o       *Ontology
-	key     string
-	u       *query.UCQ
-	store   storage.Store
-	collect *eval.Answers
-	planner eval.Planner
-	join    eval.JoinStrategy
+	// A cache hit replays rows, the Limit-bounded tuples of the cached view.
+	hit  *Answers
+	rows []storage.Tuple
+	i    int
+	// A miss evaluates s; fill, when the result is cacheable, publishes the
+	// finished answer set as a view.
+	s    *eval.Stream
+	fill func(*Answers)
 }
 
-// AnswerStream resolves the query exactly as AnswerEach does and returns
-// the iterator. Resolution (rewriting, a cold materialization build)
-// honors ctx; each Next call arms its own context. Streaming is
-// sequential by construction; Options.Parallelism is ignored.
-func (o *Ontology) AnswerStream(ctx context.Context, querySrc string, opts Options) (*AnswerStream, error) {
+// openAnswer is the one read path under AnswerCtx (collect), AnswerEach
+// (push) and AnswerStream (pull): parse, look the answer view up, and on a
+// miss resolve the answering mode and prepare the union iterator over the
+// cached plans. The result replays the cached view without evaluating, or
+// evaluates and — when it runs to completion over a published snapshot with
+// no Limit — stores its answer set as a view for the next caller. A Limit
+// reads the cache (a prefix of the view is the limited answer) but never
+// fills it; NoCache does neither. Resolution (rewriting, a cold
+// materialization build) honors ctx.
+func (o *Ontology) openAnswer(ctx context.Context, querySrc string, opts Options) (AnswerStream, error) {
 	q, err := ParseQuery(querySrc)
 	if err != nil {
-		return nil, err
+		return AnswerStream{}, err
 	}
 	view, key := o.lookupAnswerView(q, opts)
 	if view != nil {
-		return &AnswerStream{replay: true, view: view.Tuples(), limit: opts.Limit}, nil
+		rows := view.Tuples()
+		if opts.Limit > 0 && opts.Limit < len(rows) {
+			rows = rows[:opts.Limit]
+		}
+		return AnswerStream{hit: view, rows: rows}, nil
 	}
 	u, store, published, err := o.resolveAnswer(ctx, q, opts)
 	if err != nil {
-		return nil, err
+		return AnswerStream{}, err
 	}
-	evalOpts := o.evalOptions(opts)
-	plans := o.plansFor(u, store, published, evalOpts.Planner, evalOpts.Join)
-	s := &AnswerStream{s: eval.NewStream(plans, store, evalOpts), limit: opts.Limit}
-	if key != "" && published {
-		s.o, s.key, s.u, s.store = o, key, u, store
-		s.collect = eval.NewAnswers(u.Arity())
-		s.planner, s.join = evalOpts.Planner, evalOpts.Join
+	s := AnswerStream{s: eval.NewStream(o.plansFor(u, store, published), u.Arity(), store, o.evalOptions(opts))}
+	if key != "" && published && opts.Limit == 0 {
+		s.fill = func(ans *Answers) { o.storeAnswerView(key, u, store, ans) }
 	}
 	return s, nil
 }
 
+// AnswerStream resolves the query exactly as AnswerEach does and returns
+// the iterator; each Next call arms its own context. Streaming is
+// sequential by construction; Options.Parallelism is ignored.
+func (o *Ontology) AnswerStream(ctx context.Context, querySrc string, opts Options) (*AnswerStream, error) {
+	s, err := o.openAnswer(ctx, querySrc, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &s, nil
+}
+
 // Next returns the next answer, or ok=false on exhaustion. The tuple is
-// freshly allocated — the caller owns it. A canceled Next kills the
-// underlying evaluation permanently; see eval.Stream.Next.
+// read-only, as in AnswerEach. A canceled Next kills the underlying
+// evaluation permanently; see eval.Stream.Next.
 func (s *AnswerStream) Next(ctx context.Context) (Answer, bool, error) {
-	if s.replay {
-		if s.i >= len(s.view) || (s.limit > 0 && s.i >= s.limit) {
+	if s.s == nil {
+		if s.i >= len(s.rows) {
 			return nil, false, nil
 		}
-		t := s.view[s.i].Clone()
 		s.i++
-		return t, true, nil
+		return s.rows[s.i-1], true, nil
 	}
 	t, ok, err := s.s.Next(ctx)
-	if err != nil {
-		s.collect = nil // incomplete: never publish as a view
-		return nil, false, err
+	if err == nil && !ok && s.fill != nil {
+		s.fill(s.s.Answers())
+		s.fill = nil
 	}
-	if !ok {
-		if s.collect != nil {
-			s.o.storeAnswerView(s.key, s.u, s.store, s.collect, s.planner, s.join)
-			s.collect = nil
+	return t, ok, err
+}
+
+// close abandons the stream before exhaustion: nothing is stored.
+func (s *AnswerStream) close() {
+	s.fill = nil
+	if s.s != nil {
+		s.s.Close()
+	}
+}
+
+// collect is the AnswerCtx consumer: the complete answer set. A warm hit
+// returns the shared view itself — no tuple is copied; a miss drains the
+// stream (in parallel when Options.Parallelism asks for it).
+func (s *AnswerStream) collect(ctx context.Context) (*Answers, error) {
+	if s.s == nil {
+		if len(s.rows) == s.hit.Len() {
+			return s.hit, nil
 		}
-		return nil, false, nil
+		ans := eval.NewAnswers(s.hit.Arity())
+		for _, t := range s.rows {
+			ans.AddOwned(t)
+		}
+		return ans, nil
 	}
-	if s.collect != nil {
-		s.collect.Add(t) // copy; the caller owns t
+	ans, err := s.s.Collect(ctx)
+	if err == nil && s.fill != nil {
+		s.fill(ans)
 	}
-	return t, true, nil
+	return ans, err
 }

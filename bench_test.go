@@ -357,38 +357,35 @@ func BenchmarkParallelCQJoin(b *testing.B) {
 	}
 }
 
-// --- Q1: compiled plans, planner strategies and the plan cache ------------
+// --- Q1: compiled plans and the plan cache --------------------------------
 
 // BenchmarkAnswerChase measures steady-state chase-mode answering over a
 // warm materialization and a warm plan cache — the server-style repeated
-// query. Sub-benchmarks compare the cost-based and greedy planners; the
-// single-flight build happens before the timer.
+// query. The single-flight build happens before the timer.
 func BenchmarkAnswerChase(b *testing.B) {
 	src := datagen.University().String() + "\n" + datagen.UniversityData(16, 1).String()
 	for _, q := range []struct{ name, src string }{
 		{"atomic", `q(X) :- person(X) .`},
 		{"join", `q(X,P) :- advisor(X,P), professor(P), person(X) .`},
 	} {
-		for _, pl := range []Planner{PlannerGreedy, PlannerCost} {
-			b.Run(fmt.Sprintf("%s/planner=%v", q.name, pl), func(b *testing.B) {
-				ont := MustParse(src)
-				opts := Options{Mode: ModeChase, Planner: pl}
-				if _, err := ont.AnswerOptions(q.src, opts); err != nil {
+		b.Run(q.name, func(b *testing.B) {
+			ont := MustParse(src)
+			opts := Options{Mode: ModeChase}
+			if _, err := ont.AnswerOptions(q.src, opts); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var n int
+			for i := 0; i < b.N; i++ {
+				ans, err := ont.AnswerOptions(q.src, opts)
+				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				var n int
-				for i := 0; i < b.N; i++ {
-					ans, err := ont.AnswerOptions(q.src, opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					n = ans.Len()
-				}
-				b.ReportMetric(float64(n), "answers")
-			})
-		}
+				n = ans.Len()
+			}
+			b.ReportMetric(float64(n), "answers")
+		})
 	}
 }
 
@@ -399,21 +396,17 @@ func BenchmarkAnswerChase(b *testing.B) {
 func BenchmarkAnswerRewrite(b *testing.B) {
 	src := datagen.University().String() + "\n" + datagen.UniversityData(16, 1).String()
 	const q = `q(X) :- person(X) .`
-	for _, pl := range []Planner{PlannerGreedy, PlannerCost} {
-		b.Run(fmt.Sprintf("planner=%v", pl), func(b *testing.B) {
-			ont := MustParse(src)
-			opts := Options{Mode: ModeRewrite, Planner: pl}
-			if _, err := ont.AnswerOptions(q, opts); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := ont.AnswerOptions(q, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	ont := MustParse(src)
+	opts := Options{Mode: ModeRewrite}
+	if _, err := ont.AnswerOptions(q, opts); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ont.AnswerOptions(q, opts); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -946,7 +939,7 @@ func BenchmarkPartitionPruning(b *testing.B) {
 	for _, parts := range []int{1, 4} {
 		b.Run(fmt.Sprintf("parts=%d", parts), func(b *testing.B) {
 			ont := MustParse(sb.String())
-			opts := Options{Mode: ModeChase, Join: JoinHash, NoCache: true, Partitions: parts}
+			opts := Options{Mode: ModeChase, NoCache: true, Partitions: parts}
 			want, err := ont.AnswerOptions(q, opts) // warm materialization + plans
 			if err != nil {
 				b.Fatal(err)

@@ -1,7 +1,7 @@
 // Command rewrite compiles a conjunctive query over a TGD file into its
 // first-order rewriting, printed as a union of conjunctive queries or as
 // SQL — and, with -eval, evaluates the rewriting over a data file the way a
-// DBMS would, making -planner/-parallel meaningful.
+// DBMS would, making -parallel meaningful.
 //
 // Usage:
 //
@@ -101,8 +101,7 @@ func main() {
 		if err != nil {
 			cliflags.Fatal(err)
 		}
-		plans := eval.CompileUCQ(res.UCQ, data, eopts.Planner, eopts.Join)
-		ans, err := eval.RunPlansCtx(ctx, plans, res.UCQ.Arity(), data, eopts)
+		ans, err := eval.UCQCtx(ctx, res.UCQ, data, eopts)
 		if err != nil {
 			cliflags.Fatal(err)
 		}

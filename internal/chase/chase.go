@@ -87,14 +87,6 @@ type Options struct {
 	// State.Delete needs for DRed-style incremental deletion; runs that will
 	// never delete can leave it off and pay nothing.
 	TrackProvenance bool
-	// Planner selects the join-order strategy for the compiled rule-body
-	// plans (eval.PlannerDefault resolves to eval.DefaultPlanner). Any value
-	// yields the same chase up to null names.
-	Planner eval.Planner
-	// Join selects the join strategy (nested index probe vs. composite hash
-	// table) for the compiled rule-body plans (eval.JoinDefault resolves to
-	// eval.DefaultJoin). Any value yields the same chase up to null names.
-	Join eval.JoinStrategy
 	// Partitions is the partition count P of the store Run chases, routed on
 	// term position PartitionCol (see storage.Store and partition.go); 0
 	// means 1. The State methods chase whatever store they are handed. Any
@@ -176,20 +168,16 @@ type planSet struct {
 	// (body and head) that were empty at compile time — the watch list for
 	// refresh. Emptied lazily as transitions are consumed.
 	emptyReads [][]string
-	planner    eval.Planner
-	join       eval.JoinStrategy
 }
 
 // newPlanSet compiles the rule set against the store.
-func newPlanSet(rules *dependency.Set, store storage.Store, planner eval.Planner, join eval.JoinStrategy) *planSet {
+func newPlanSet(rules *dependency.Set, store storage.Store) *planSet {
 	n := len(rules.Rules)
 	ps := &planSet{
 		delta:      make([][]*eval.Plan, n),
 		slots:      make([][][]int, n),
 		head:       make([]*eval.Plan, n),
 		emptyReads: make([][]string, n),
-		planner:    planner,
-		join:       join,
 	}
 	for ri, rule := range rules.Rules {
 		ps.compileRule(ri, rule, store)
@@ -206,11 +194,11 @@ func (ps *planSet) compileRule(ri int, rule *dependency.TGD, store storage.Store
 	ps.delta[ri] = make([]*eval.Plan, len(rule.Body))
 	ps.slots[ri] = make([][]int, len(rule.Body))
 	for bi := range rule.Body {
-		p := eval.CompileDelta(rule.Body, bi, store, ps.planner, ps.join)
+		p := eval.CompileDelta(rule.Body, bi, store, eval.PlannerDefault, eval.JoinDefault)
 		ps.delta[ri][bi] = p
 		ps.slots[ri][bi] = p.Slots(bodyVars)
 	}
-	ps.head[ri] = eval.CompileBody(rule.Head, store, rule.Distinguished(), ps.planner, ps.join)
+	ps.head[ri] = eval.CompileBody(rule.Head, store, rule.Distinguished(), eval.PlannerDefault, eval.JoinDefault)
 
 	var empty []string
 	seen := make(map[string]bool)
@@ -545,7 +533,7 @@ func buildKey(prefix []byte, frontier logic.Subst, vars []logic.Term) string {
 // Evaluation inherits the chase's Parallelism.
 func CertainAnswers(u *query.UCQ, rules *dependency.Set, data *storage.Instance, opts Options) (*eval.Answers, *Result) {
 	res := Run(rules, data, opts)
-	ans := eval.UCQ(u, res.Instance, eval.Options{FilterNulls: true, Parallelism: opts.Parallelism, Planner: opts.Planner, Join: opts.Join})
+	ans := eval.UCQ(u, res.Instance, eval.Options{FilterNulls: true, Parallelism: opts.Parallelism})
 	return ans, res
 }
 

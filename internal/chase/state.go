@@ -388,7 +388,7 @@ func (st *State) resume(ctx context.Context, rules *dependency.Set, store storag
 	// (planSet.refresh): an order chosen when the relation was empty is
 	// arbitrary, not merely stale.
 	store.EnsureIndexes()
-	plans := newPlanSet(rules, store, opts.Planner, opts.Join)
+	plans := newPlanSet(rules, store)
 	local := localityOf(rules, store)
 
 	for res.Rounds < opts.MaxRounds {

@@ -1,18 +1,9 @@
 // Package cliflags is the one flag surface shared by every command in
-// cmd/: the engine knobs (-parallel, -planner, -join, -max-steps,
-// -max-rounds), the answer bound (-limit, opt-in via BindLimit) and the
-// deadline (-timeout) are declared once here, so answer, chase, rewrite,
-// classify, graphs and serve agree on names, defaults and help text instead
-// of each redeclaring a drifting subset.
-//
-// The two strategy knobs compare execution plans, never answers:
-//
-//   - -planner=greedy|cost picks the join order (cost is the default,
-//     statistics-driven);
-//   - -join=auto|nested|hash picks how atoms with several bound columns are
-//     matched — nested reuses the single best per-column index, hash builds
-//     a composite-key table over all of them, auto (the default) lets the
-//     cost model decide per atom using the correlated-pair statistics.
+// cmd/: the engine knobs (-parallel, -partitions, -max-steps, -max-rounds),
+// the answer bound (-limit, opt-in via BindLimit) and the deadline
+// (-timeout) are declared once here, so answer, chase, rewrite, classify,
+// graphs and serve agree on names, defaults and help text instead of each
+// redeclaring a drifting subset.
 //
 // -limit=N streams only the first N distinct answers and stops the executor
 // early — the cost is proportional to N, not to the full result.
@@ -32,13 +23,9 @@ import (
 
 // Flags holds the parsed shared flag values.
 type Flags struct {
-	// Parallel is the worker count for the chase and query evaluation
-	// (1 = sequential).
+	// Parallel is the worker count for the chase and query evaluation,
+	// 1..repro.MaxParallelism (1 = sequential).
 	Parallel int
-	// Planner names the join-order strategy: "greedy" or "cost".
-	Planner string
-	// Join names the join strategy: "auto", "nested" or "hash".
-	Join string
 	// MaxSteps bounds chase trigger firings (0 = engine default).
 	MaxSteps int
 	// MaxRounds bounds chase fair rounds (0 = engine default).
@@ -59,13 +46,10 @@ type Flags struct {
 }
 
 // Bind registers the full shared surface on fs (flag.CommandLine in the
-// commands): -parallel, -planner, -join, -max-steps, -max-rounds and
-// -timeout.
+// commands): -parallel, -partitions, -max-steps, -max-rounds and -timeout.
 func Bind(fs *flag.FlagSet) *Flags {
 	f := BindTimeout(fs)
-	fs.IntVar(&f.Parallel, "parallel", 1, "worker count for chase and evaluation (1 = sequential)")
-	fs.StringVar(&f.Planner, "planner", "cost", "join-order strategy: greedy | cost")
-	fs.StringVar(&f.Join, "join", "auto", "join strategy: auto | nested | hash")
+	fs.IntVar(&f.Parallel, "parallel", 1, fmt.Sprintf("worker count for chase and evaluation (1 = sequential, max %d)", repro.MaxParallelism))
 	fs.IntVar(&f.MaxSteps, "max-steps", 0, "chase trigger-firing budget (0 = default 100000)")
 	fs.IntVar(&f.MaxRounds, "max-rounds", 0, "chase fair-round budget (0 = default 1000)")
 	fs.IntVar(&f.Partitions, "partitions", 1, fmt.Sprintf("hash-partition the chase materialization this many ways (1 = unpartitioned, max %d; same answers)", repro.MaxPartitions))
@@ -94,20 +78,13 @@ func BindTimeout(fs *flag.FlagSet) *Flags {
 	return f
 }
 
-// PlannerStrategy resolves the -planner value.
-func (f *Flags) PlannerStrategy() (eval.Planner, error) {
-	return eval.ParsePlanner(f.Planner)
-}
-
-// JoinStrategy resolves the -join value.
-func (f *Flags) JoinStrategy() (eval.JoinStrategy, error) {
-	return eval.ParseJoin(f.Join)
-}
-
-// checkPartitions rejects a -partitions value outside 1..repro.MaxPartitions:
-// every partition is a whole instance, so the count is an allocation the
-// command line controls.
-func (f *Flags) checkPartitions() error {
+// check rejects -parallel outside 1..repro.MaxParallelism and -partitions
+// outside 1..repro.MaxPartitions: every worker and every partition is an
+// allocation the command line controls.
+func (f *Flags) check() error {
+	if f.Parallel < 1 || f.Parallel > repro.MaxParallelism {
+		return fmt.Errorf("bad -parallel %d: want 1..%d", f.Parallel, repro.MaxParallelism)
+	}
 	if f.Partitions < 1 || f.Partitions > repro.MaxPartitions {
 		return fmt.Errorf("bad -partitions %d: want 1..%d", f.Partitions, repro.MaxPartitions)
 	}
@@ -116,63 +93,29 @@ func (f *Flags) checkPartitions() error {
 
 // Options maps the shared flags onto the root answering options.
 func (f *Flags) Options(mode repro.AnswerMode) (repro.Options, error) {
-	pl, err := f.PlannerStrategy()
-	if err != nil {
-		return repro.Options{}, err
-	}
-	jn, err := f.JoinStrategy()
-	if err != nil {
-		return repro.Options{}, err
-	}
-	if err := f.checkPartitions(); err != nil {
-		return repro.Options{}, err
-	}
 	return repro.Options{
 		Mode:        mode,
 		Parallelism: f.Parallel,
 		MaxSteps:    f.MaxSteps,
 		MaxRounds:   f.MaxRounds,
-		Planner:     pl,
-		Join:        jn,
 		Limit:       f.Limit,
 		Partitions:  f.Partitions,
-	}, nil
+	}, f.check()
 }
 
 // ChaseOptions maps the shared flags onto a chase engine configuration.
 func (f *Flags) ChaseOptions() (chase.Options, error) {
-	pl, err := f.PlannerStrategy()
-	if err != nil {
-		return chase.Options{}, err
-	}
-	jn, err := f.JoinStrategy()
-	if err != nil {
-		return chase.Options{}, err
-	}
-	if err := f.checkPartitions(); err != nil {
-		return chase.Options{}, err
-	}
 	return chase.Options{
 		MaxSteps:    f.MaxSteps,
 		MaxRounds:   f.MaxRounds,
 		Parallelism: f.Parallel,
-		Planner:     pl,
-		Join:        jn,
 		Partitions:  f.Partitions,
-	}, nil
+	}, f.check()
 }
 
 // EvalOptions maps the shared flags onto query-evaluation options.
 func (f *Flags) EvalOptions() (eval.Options, error) {
-	pl, err := f.PlannerStrategy()
-	if err != nil {
-		return eval.Options{}, err
-	}
-	jn, err := f.JoinStrategy()
-	if err != nil {
-		return eval.Options{}, err
-	}
-	return eval.Options{FilterNulls: true, Parallelism: f.Parallel, Planner: pl, Join: jn, Limit: f.Limit}, nil
+	return eval.Options{FilterNulls: true, Parallelism: f.Parallel, Limit: f.Limit}, f.check()
 }
 
 // Context arms the -timeout deadline: with a zero timeout it returns the

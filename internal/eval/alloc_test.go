@@ -27,7 +27,7 @@ func TestSeededJoinStepAllocationFree(t *testing.T) {
 		at("b", v("Y"), v("Z")),
 		at("g", v("Z")),
 	}
-	plan := CompileDelta(body, 0, ins, PlannerCost, JoinDefault)
+	plan := CompileDelta(body, 0, ins, PlannerDefault, JoinDefault)
 	r := plan.NewRunner()
 	if !r.Bind(ins) {
 		t.Fatal("Bind failed")
@@ -54,7 +54,7 @@ func TestSeededJoinStepAllocationFree(t *testing.T) {
 	}
 
 	// The Subst-seeded path (head-satisfaction checks) is equally clean.
-	headPlan := CompileBody([]logic.Atom{at("b", v("Y"), v("Z"))}, ins, []logic.Term{v("Y")}, PlannerCost, JoinDefault)
+	headPlan := CompileBody([]logic.Atom{at("b", v("Y"), v("Z"))}, ins, []logic.Term{v("Y")}, PlannerDefault, JoinDefault)
 	hr := headPlan.NewRunner()
 	if !hr.Bind(ins) {
 		t.Fatal("Bind failed")
@@ -87,7 +87,7 @@ func TestHashJoinStreamAllocationFree(t *testing.T) {
 		at("a", v("X"), v("Y")),
 		at("b", v("X"), v("Y"), v("Z")),
 	}
-	plan := CompileBody(body, ins, nil, PlannerCost, JoinHash)
+	plan := CompileBody(body, ins, nil, PlannerDefault, JoinHash)
 	hashed := false
 	for _, acc := range plan.Access() {
 		if len(acc.Hash) > 0 {

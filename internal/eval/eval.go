@@ -4,9 +4,8 @@
 //
 // Evaluation is split into a planner and an executor. The planner (plan.go)
 // compiles a query once per (query, instance): variables are numbered into
-// integer register slots, atoms are ordered either by a statistics-driven
-// cost model over the per-column distinct counts storage maintains
-// (PlannerCost) or by the legacy greedy heuristic (PlannerGreedy), and every
+// integer register slots, atoms are ordered by a statistics-driven cost
+// model over the per-column distinct counts storage maintains, and every
 // atom gets a fixed access path plus a check/bind micro-program. The
 // executor (exec.go) runs the plan over a flat register array — no
 // substitution maps, no term walking, no per-binding allocation. CQ, UCQ,
@@ -39,27 +38,11 @@ type Options struct {
 	// sharded across workers. 0 or 1 means sequential. Limit > 0 forces the
 	// sequential path (a deterministic prefix is only defined sequentially).
 	Parallelism int
-	// Planner selects the atom-ordering strategy for plans compiled on the
-	// fly (PlannerDefault resolves to DefaultPlanner). Precompiled plans
-	// carry their own strategy.
-	Planner Planner
-	// Join selects the join strategy for plans compiled on the fly
-	// (JoinDefault resolves to DefaultJoin). Precompiled plans carry their
-	// own strategy.
-	Join JoinStrategy
 	// Pruned, when non-nil, accumulates the partition-pruned probe count of
 	// evaluations over a P > 1 store: join levels that resolved to exactly
 	// one sub-instance instead of all P. Single-partition evaluations never
 	// move it.
 	Pruned *atomic.Uint64
-}
-
-// workers returns the effective worker count.
-func (o Options) workers() int {
-	if o.Parallelism > 1 && o.Limit == 0 {
-		return o.Parallelism
-	}
-	return 1
 }
 
 // Answers is a deduplicated set of answer tuples.
@@ -90,13 +73,7 @@ func (a *Answers) Add(t storage.Tuple) bool {
 // AddOwned inserts the tuple without copying, taking ownership. The caller
 // must not mutate or reuse the tuple afterwards.
 func (a *Answers) AddOwned(t storage.Tuple) bool {
-	return a.addKeyed(t, t.Key())
-}
-
-// addKeyed inserts an owned tuple under its precomputed dedup key — the
-// streaming collector's path, which has already keyed the tuple for the
-// cross-member union dedup and need not pay a second encoding.
-func (a *Answers) addKeyed(t storage.Tuple, k string) bool {
+	k := t.Key()
 	if a.keys[k] {
 		return false
 	}
@@ -185,7 +162,7 @@ func (a *Answers) String() string {
 // call. With Options.Parallelism > 1 the outer loop of the join is sharded
 // across workers; the answer set is identical to the sequential result.
 func CQ(q *query.CQ, store storage.Store, opts Options) *Answers {
-	return RunPlans([]*Plan{CompileCQ(q, store, opts.Planner, opts.Join)}, q.Arity(), store, opts)
+	return RunPlans([]*Plan{CompileCQ(q, store, PlannerDefault, JoinDefault)}, q.Arity(), store, opts)
 }
 
 // UCQ evaluates a union of conjunctive queries, unioning the answers. With
@@ -193,14 +170,14 @@ func CQ(q *query.CQ, store storage.Store, opts Options) *Answers {
 // join's outer loop is sharded; the answer set is identical to the
 // sequential result.
 func UCQ(u *query.UCQ, store storage.Store, opts Options) *Answers {
-	return RunPlans(CompileUCQ(u, store, opts.Planner, opts.Join), u.Arity(), store, opts)
+	return RunPlans(CompileUCQ(u, store, PlannerDefault, JoinDefault), u.Arity(), store, opts)
 }
 
 // UCQCtx is UCQ under a cancellation context: evaluation aborts promptly
 // (amortized per-candidate polling in the executor) when ctx is canceled and
 // returns the context error; the partial answer set is discarded.
 func UCQCtx(ctx context.Context, u *query.UCQ, store storage.Store, opts Options) (*Answers, error) {
-	return RunPlansCtx(ctx, CompileUCQ(u, store, opts.Planner, opts.Join), u.Arity(), store, opts)
+	return RunPlansCtx(ctx, CompileUCQ(u, store, PlannerDefault, JoinDefault), u.Arity(), store, opts)
 }
 
 // RunPlans evaluates precompiled CQ plans (the disjuncts of a union) over
@@ -218,78 +195,7 @@ func RunPlans(plans []*Plan, arity int, store storage.Store, opts Options) *Answ
 // the (partial, meaningless) answers are dropped and the context error is
 // returned; a nil error means the answer set is complete.
 func RunPlansCtx(ctx context.Context, plans []*Plan, arity int, store storage.Store, opts Options) (*Answers, error) {
-	if p := opts.workers(); p > 1 {
-		return parallelEval(ctx, plans, arity, store, opts, p)
-	}
-	out := NewAnswers(arity)
-	err := each(ctx, plans, store, opts, func(t storage.Tuple, k string) bool {
-		out.addKeyed(t, k)
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Each streams the union's answers to yield in the deterministic sequential
-// order, stopping early when yield returns false: the first answers reach
-// the consumer while the iterator tree is still enumerating, and an
-// Options.Limit stops the tree as soon as it is satisfied instead of
-// filtering a materialized set post-hoc. The tuple passed to yield is
-// freshly allocated — the consumer owns it. Cross-member union dedup means
-// memory grows with the distinct answers emitted so far (at most Limit when
-// set), never with the full result size. Returns the context error if the
-// enumeration was canceled mid-stream.
-func Each(ctx context.Context, plans []*Plan, store storage.Store, opts Options, yield func(storage.Tuple) bool) error {
-	return each(ctx, plans, store, opts, func(t storage.Tuple, _ string) bool {
-		return yield(t)
-	})
-}
-
-// each is the sequential streaming core behind Each and RunPlansCtx: it
-// drives each plan's Start/Next iterator in order, drops null-carrying
-// answers under FilterNulls, deduplicates across union members, enforces
-// Limit by abandoning the iterators early, and hands every fresh answer —
-// with its dedup key, so collectors don't re-encode it — to emit.
-func each(ctx context.Context, plans []*Plan, store storage.Store, opts Options, emit func(t storage.Tuple, key string) bool) error {
-	seen := make(map[string]bool)
-	count := 0
-	for _, plan := range plans {
-		r := plan.NewRunner()
-		if !r.Bind(store) {
-			continue
-		}
-		r.SetContext(ctx)
-		r.Start(0, 1)
-		//repro:allow ctxpoll Next polls the armed context per candidate batch
-		for r.Next() {
-			regs := r.Regs()
-			if opts.FilterNulls && headHasNull(plan, regs) {
-				continue
-			}
-			t := projectHead(plan, regs)
-			k := t.Key()
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			if !emit(t, k) {
-				flushPruned(r, opts)
-				return nil
-			}
-			count++
-			if opts.Limit > 0 && count >= opts.Limit {
-				flushPruned(r, opts)
-				return nil
-			}
-		}
-		flushPruned(r, opts)
-		if err := r.Err(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return NewStream(plans, arity, store, opts).Collect(ctx)
 }
 
 // headHasNull reports whether the current match projects a labelled null

@@ -121,14 +121,15 @@ func (r *Runner) reshape(nparts, col int) {
 // canceled, after which Err reports the cause. A nil (or Background) context
 // disarms the checks entirely — the enumeration loop then pays a single
 // pointer compare per polled candidate. SetContext also clears any previous
-// cancellation, so a reused runner starts clean.
+// cancellation, so a reused runner starts clean. The amortized poll counter
+// runs on: a consumer that re-arms between rows (Stream.Next) must still
+// reach a poll every cancelCheckMask+1 candidates, however few each row costs.
 func (r *Runner) SetContext(ctx context.Context) {
 	if ctx != nil && ctx.Done() == nil {
 		ctx = nil // not cancelable: skip the polling entirely
 	}
 	r.ctx = ctx
 	r.err = nil
-	r.tick = 0
 }
 
 // Err returns the context error that aborted the last enumeration, or nil if

@@ -69,18 +69,15 @@ func TestPartitionedEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, pl := range []Planner{PlannerGreedy, PlannerCost} {
-					for _, jn := range []JoinStrategy{JoinNested, JoinHash, JoinAuto} {
-						for _, par := range []int{1, 3} {
-							opts := Options{Planner: pl, Join: jn, Parallelism: par}
-							got, err := RunPlansCtx(context.Background(), CompileUCQ(u, store, pl, jn), tc.q.Arity(), store, opts)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if g := rendered(got); !slices.Equal(g, want) {
-								t.Fatalf("%s P=%d col=%d planner=%v join=%v par=%d: got %d answers, oracle %d\ngot:    %v\noracle: %v",
-									tc.name, p, col, pl, jn, par, len(g), len(want), g, want)
-							}
+				for _, jn := range []JoinStrategy{JoinNested, JoinHash, JoinDefault} {
+					for _, par := range []int{1, 3} {
+						got, err := RunPlansCtx(context.Background(), CompileUCQ(u, store, PlannerDefault, jn), tc.q.Arity(), store, Options{Parallelism: par})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if g := rendered(got); !slices.Equal(g, want) {
+							t.Fatalf("%s P=%d col=%d join=%v par=%d: got %d answers, oracle %d\ngot:    %v\noracle: %v",
+								tc.name, p, col, jn, par, len(g), len(want), g, want)
 						}
 					}
 				}
@@ -136,7 +133,7 @@ func TestStreamOverPartitions(t *testing.T) {
 		t.Fatal(err)
 	}
 	u := query.MustNewUCQ(partQueries[1].q)
-	s := NewStream(CompileUCQ(u, pins, PlannerDefault, JoinDefault), pins, Options{})
+	s := NewStream(CompileUCQ(u, pins, PlannerDefault, JoinDefault), u.Arity(), pins, Options{})
 	got := NewAnswers(u.Arity())
 	for {
 		tup, ok, err := s.Next(context.Background())

@@ -1,137 +1,51 @@
 // The planner half of the evaluation engine: a conjunctive query (or rule
 // body) is compiled once per (query, instance) into a Plan — variables
-// numbered into integer register slots, atoms ordered by a pluggable
-// strategy, and for every atom a fixed access path (index column vs. scan)
+// numbered into integer register slots, atoms ordered by the cost model
+// (orderCost), and for every atom a fixed access path (index column vs. scan)
 // plus a check/bind micro-program resolved entirely at plan time. The
 // executor (exec.go) then runs the plan over a flat register array with no
 // substitution maps, no term walking and no per-binding allocation.
 package eval
 
 import (
-	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/logic"
 	"repro/internal/query"
 	"repro/internal/storage"
 )
 
-// Planner selects the atom-ordering strategy used when compiling a plan.
+// Planner is the atom-ordering parameter of the Compile* functions. One
+// order exists — orderCost, the statistics-driven cost order — so the type
+// has one value. It survives only because the frozen benchmark/ calls
+// CompileUCQ(u, ins, PlannerDefault, JoinDefault); it goes with the next
+// benchmark PR.
 type Planner int
 
-const (
-	// PlannerDefault resolves to the package-wide DefaultPlanner.
-	PlannerDefault Planner = iota
-	// PlannerGreedy is the statistics-free greedy order (smallest relation
-	// and most constants first, then connectivity to already-placed atoms) —
-	// the janus-datalog idiom, kept as a comparison mode.
-	PlannerGreedy
-	// PlannerCost orders atoms by estimated result cardinality, dividing each
-	// relation's size by the distinct counts of its bound columns
-	// (storage.Relation.Distinct) — a Selinger-style greedy cost model.
-	PlannerCost
-)
+// PlannerDefault is the cost order.
+const PlannerDefault Planner = 0
 
-// DefaultPlanner is what PlannerDefault resolves to. Flipped globally by
-// benchmarks (PLANNER env) and CLIs to compare strategies.
-var DefaultPlanner = PlannerCost
-
-// Effective resolves PlannerDefault to the package default.
-func (p Planner) Effective() Planner {
-	if p == PlannerDefault {
-		return DefaultPlanner
-	}
-	return p
-}
-
-// String names the strategy.
-func (p Planner) String() string {
-	switch p.Effective() {
-	case PlannerGreedy:
-		return "greedy"
-	default:
-		return "cost"
-	}
-}
-
-// ParsePlanner parses a -planner flag value.
-func ParsePlanner(s string) (Planner, error) {
-	switch s {
-	case "", "default":
-		return PlannerDefault, nil
-	case "greedy":
-		return PlannerGreedy, nil
-	case "cost":
-		return PlannerCost, nil
-	default:
-		return PlannerDefault, fmt.Errorf("eval: unknown planner %q (want greedy or cost)", s)
-	}
-}
-
-// JoinStrategy selects how an atom with two or more already-known columns is
-// matched: by probing the single most selective per-column index (nested,
-// the PR-4 executor) or by building a composite-key hash table over all known
-// columns (hash), so the probe filters by every known column at once.
+// JoinStrategy is how an atom with two or more already-known columns is
+// matched. Every caller outside this package's tests passes JoinDefault; the
+// two forcing values are the seam those tests use to drive the nested and
+// the hash path on fixtures too small for the automatic choice to pick hash.
 type JoinStrategy int
 
 const (
-	// JoinDefault resolves to the package-wide DefaultJoin.
+	// JoinDefault lets the cost model decide per atom: a composite-key hash
+	// table when the relation is large enough to amortize the build and the
+	// correlated-pair statistics (storage.Relation.PairDistinct) show the
+	// composite key is genuinely more selective than the best single column,
+	// a probe of the single most selective per-column index otherwise.
 	JoinDefault JoinStrategy = iota
-	// JoinAuto lets the cost model decide per atom: hash when the relation is
-	// large enough to amortize the build and the correlated-pair statistics
-	// (storage.Relation.PairDistinct) show the composite key is genuinely
-	// more selective than the best single column.
-	JoinAuto
-	// JoinNested always probes the single best per-column index — kept as a
-	// comparison mode.
+	// JoinNested always probes the single best per-column index.
 	JoinNested
-	// JoinHash forces the composite hash table whenever an atom has at least
+	// JoinHash builds the composite hash table whenever an atom has at least
 	// two known columns.
 	JoinHash
 )
 
-// DefaultJoin is what JoinDefault resolves to. Flipped globally by benchmarks
-// (JOIN env) and CLIs to compare strategies.
-var DefaultJoin = JoinAuto
-
-// Effective resolves JoinDefault to the package default.
-func (j JoinStrategy) Effective() JoinStrategy {
-	if j == JoinDefault {
-		return DefaultJoin
-	}
-	return j
-}
-
-// String names the strategy.
-func (j JoinStrategy) String() string {
-	switch j.Effective() {
-	case JoinNested:
-		return "nested"
-	case JoinHash:
-		return "hash"
-	default:
-		return "auto"
-	}
-}
-
-// ParseJoin parses a -join flag value.
-func ParseJoin(s string) (JoinStrategy, error) {
-	switch s {
-	case "", "default":
-		return JoinDefault, nil
-	case "auto":
-		return JoinAuto, nil
-	case "nested":
-		return JoinNested, nil
-	case "hash":
-		return JoinHash, nil
-	default:
-		return JoinDefault, fmt.Errorf("eval: unknown join strategy %q (want auto, nested or hash)", s)
-	}
-}
-
-// JoinAuto admission thresholds: the relation must carry at least
+// JoinDefault admission thresholds: the relation must carry at least
 // hashJoinMinRows tuples (amortizing the table build over enough probes to
 // matter) and the composite key must be at least hashJoinGain times more
 // selective than the best single column — below that, the single-column
@@ -195,9 +109,7 @@ type headOut struct {
 // after compilation and safe to share across goroutines; per-execution state
 // lives in a Runner.
 type Plan struct {
-	planner Planner
-	join    JoinStrategy
-	nslots  int
+	nslots int
 	// seedOps is the micro-program run against the seed tuple of a delta
 	// plan (CompileDelta); nil for ordinary plans.
 	seedOps  []op
@@ -236,12 +148,6 @@ func (p *Plan) Access() []AtomAccess {
 	return out
 }
 
-// Planner returns the resolved strategy the plan was compiled with.
-func (p *Plan) Planner() Planner { return p.planner }
-
-// Join returns the resolved join strategy the plan was compiled with.
-func (p *Plan) Join() JoinStrategy { return p.join }
-
 // Slots maps variables to their register slots, -1 for variables the plan
 // never binds. The chase uses it to read trigger frontiers straight out of
 // the register file.
@@ -258,15 +164,15 @@ func (p *Plan) Slots(vars []logic.Term) []int {
 }
 
 // CompileCQ compiles a conjunctive query into a plan with head projection.
-func CompileCQ(q *query.CQ, store storage.Store, planner Planner, join JoinStrategy) *Plan {
-	return compile(&q.Head, q.Body, -1, nil, store, planner, join)
+func CompileCQ(q *query.CQ, store storage.Store, _ Planner, join JoinStrategy) *Plan {
+	return compile(&q.Head, q.Body, -1, nil, store, join)
 }
 
 // CompileUCQ compiles every member CQ of a union.
-func CompileUCQ(u *query.UCQ, store storage.Store, planner Planner, join JoinStrategy) []*Plan {
+func CompileUCQ(u *query.UCQ, store storage.Store, _ Planner, join JoinStrategy) []*Plan {
 	plans := make([]*Plan, len(u.CQs))
 	for i, q := range u.CQs {
-		plans[i] = CompileCQ(q, store, planner, join)
+		plans[i] = CompileCQ(q, store, PlannerDefault, join)
 	}
 	return plans
 }
@@ -275,8 +181,8 @@ func CompileUCQ(u *query.UCQ, store storage.Store, planner Planner, join JoinStr
 // pre-bound: they occupy the first registers, filled by Runner.SeedSubst
 // before enumeration, and steer the atom order toward atoms they make
 // selective. Every seed variable must be mapped to a rigid term at run time.
-func CompileBody(body []logic.Atom, store storage.Store, seedVars []logic.Term, planner Planner, join JoinStrategy) *Plan {
-	return compile(nil, body, -1, seedVars, store, planner, join)
+func CompileBody(body []logic.Atom, store storage.Store, seedVars []logic.Term, _ Planner, join JoinStrategy) *Plan {
+	return compile(nil, body, -1, seedVars, store, join)
 }
 
 // CompileDelta compiles a rule body with atom di pinned to a seed tuple: the
@@ -285,8 +191,8 @@ func CompileBody(body []logic.Atom, store storage.Store, seedVars []logic.Term, 
 // and constants — then joins the remaining atoms. The semi-naive chase
 // compiles one delta plan per (rule, body atom) and reuses it for every
 // delta fact of every round.
-func CompileDelta(body []logic.Atom, di int, store storage.Store, planner Planner, join JoinStrategy) *Plan {
-	return compile(nil, body, di, nil, store, planner, join)
+func CompileDelta(body []logic.Atom, di int, store storage.Store, _ Planner, join JoinStrategy) *Plan {
+	return compile(nil, body, di, nil, store, join)
 }
 
 // compile is the shared planner: number variables into slots, order the
@@ -294,11 +200,9 @@ func CompileDelta(body []logic.Atom, di int, store storage.Store, planner Planne
 // carry no partition state — Runner.Bind resolves that per store — so the
 // planner only needs a statistics representative: partition 0, exact at
 // P = 1 and a 1/P sample otherwise (ordering-only; answers are unaffected).
-func compile(head *logic.Atom, body []logic.Atom, seedAtom int, seedVars []logic.Term, store storage.Store, planner Planner, join JoinStrategy) *Plan {
+func compile(head *logic.Atom, body []logic.Atom, seedAtom int, seedVars []logic.Term, store storage.Store, join JoinStrategy) *Plan {
 	ins := store.Part(0)
-	planner = planner.Effective()
-	join = join.Effective()
-	p := &Plan{planner: planner, join: join, varSlot: make(map[logic.Term]int)}
+	p := &Plan{varSlot: make(map[logic.Term]int)}
 	slotOf := func(v logic.Term) int {
 		if s, ok := p.varSlot[v]; ok {
 			return s
@@ -343,16 +247,8 @@ func compile(head *logic.Atom, body []logic.Atom, seedAtom int, seedVars []logic
 		rest = append(rest, body[seedAtom+1:]...)
 	}
 
-	// Order the remaining atoms.
-	var ordered []logic.Atom
-	if planner == PlannerGreedy {
-		ordered = orderGreedy(rest, ins, bound)
-	} else {
-		ordered = orderCost(rest, ins, bound)
-	}
-
 	// Fix access paths and emit micro-programs, threading the bound set.
-	for _, a := range ordered {
+	for _, a := range orderCost(rest, ins, bound) {
 		step := atomStep{pred: a.Pred, arity: a.Arity(), idxCol: -1, keySlot: -1}
 		rel := ins.Relation(a.Pred)
 		statsOK := rel != nil && rel.Arity() == a.Arity()
@@ -446,7 +342,7 @@ func compile(head *logic.Atom, body []logic.Atom, seedAtom int, seedVars []logic
 
 // useHashJoin decides whether an atom with the given known columns should be
 // matched by composite-key hash probe instead of the single-column index.
-// JoinHash forces it whenever there are two or more key columns; JoinAuto
+// JoinHash forces it whenever there are two or more key columns; JoinDefault
 // additionally requires the relation to clear the size threshold and the
 // correlated-pair statistics to show a real selectivity gain over the best
 // single column (two perfectly correlated columns have PairDistinct equal to
@@ -533,58 +429,4 @@ func orderCost(body []logic.Atom, ins *storage.Instance, bound map[logic.Term]bo
 		remaining = append(remaining[:best], remaining[best+1:]...)
 	}
 	return ordered
-}
-
-// orderGreedy is the statistics-free order the interpreter used: smallest
-// relations and most constants first, then greedily by connectivity to
-// already-planned atoms. Variables in bound count as planned from the start.
-func orderGreedy(body []logic.Atom, ins *storage.Instance, bound map[logic.Term]bool) []logic.Atom {
-	scored := make([]logic.Atom, len(body))
-	copy(scored, body)
-	size := func(a logic.Atom) int {
-		rel := ins.Relation(a.Pred)
-		if rel == nil {
-			return 0
-		}
-		n := rel.Len() * 4
-		for _, t := range a.Args {
-			if t.IsRigid() {
-				n--
-			}
-		}
-		return n
-	}
-	sort.SliceStable(scored, func(i, j int) bool { return size(scored[i]) < size(scored[j]) })
-
-	nowBound := make(map[logic.Term]bool, len(bound))
-	for v := range bound {
-		nowBound[v] = true
-	}
-	placed := make([]logic.Atom, 0, len(scored))
-	remaining := scored
-	//repro:allow ctxpoll planning loop, consumes one atom per iteration
-	for len(remaining) > 0 {
-		best := 0
-		if len(nowBound) > 0 {
-			found := false
-			for i, a := range remaining {
-				for _, v := range a.Vars() {
-					if nowBound[v] {
-						best, found = i, true
-						break
-					}
-				}
-				if found {
-					break
-				}
-			}
-		}
-		a := remaining[best]
-		placed = append(placed, a)
-		for _, v := range a.Vars() {
-			nowBound[v] = true
-		}
-		remaining = append(remaining[:best], remaining[best+1:]...)
-	}
-	return placed
 }

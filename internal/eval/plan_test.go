@@ -39,15 +39,14 @@ func mustInsert(t *testing.T, ins *storage.Instance, a logic.Atom) {
 
 // TestCostPlanOrdersBySelectivity: with a constant probing r's key column,
 // the cost planner runs r first (estimated cardinality 1000/1000 = 1) and
-// joins s through the bound variable; the greedy planner, blind to the
-// statistics, runs the smaller relation s first. Both access the planned
-// index columns.
+// joins s through the bound variable, even though s is the smaller relation.
+// Both access the planned index columns.
 func TestCostPlanOrdersBySelectivity(t *testing.T) {
 	ins := statsFixture(t)
 	q := query.MustNew(at("q", v("X")),
 		[]logic.Atom{at("s", v("X")), at("r", c("k7"), v("X"))})
 
-	cost := CompileCQ(q, ins, PlannerCost, JoinDefault).Access()
+	cost := CompileCQ(q, ins, PlannerDefault, JoinDefault).Access()
 	if len(cost) != 2 || cost[0].Pred != "r" || cost[1].Pred != "s" {
 		t.Fatalf("cost order = %+v, want r before s", cost)
 	}
@@ -56,17 +55,6 @@ func TestCostPlanOrdersBySelectivity(t *testing.T) {
 	}
 	if cost[1].Index != 0 {
 		t.Errorf("cost s access = col %d, want probe on the bound variable", cost[1].Index)
-	}
-
-	greedy := CompileCQ(q, ins, PlannerGreedy, JoinDefault).Access()
-	if greedy[0].Pred != "s" || greedy[1].Pred != "r" {
-		t.Fatalf("greedy order = %+v, want s before r (size heuristic)", greedy)
-	}
-
-	// Same answers either way.
-	a, b := CQ(q, ins, Options{Planner: PlannerCost}), CQ(q, ins, Options{Planner: PlannerGreedy})
-	if !a.Equal(b) {
-		t.Fatalf("planner strategies disagree: cost=%d greedy=%d", a.Len(), b.Len())
 	}
 }
 
@@ -78,7 +66,7 @@ func TestAccessPathPicksMostDistinctColumn(t *testing.T) {
 	// Both columns of t are bound constants; column 1 (200 distinct) beats
 	// column 0 (2 distinct).
 	q := query.MustNew(at("q"), []logic.Atom{at("t", c("b0"), c("u4"))})
-	acc := CompileCQ(q, ins, PlannerCost, JoinDefault).Access()
+	acc := CompileCQ(q, ins, PlannerDefault, JoinDefault).Access()
 	if acc[0].Index != 1 {
 		t.Fatalf("access = col %d, want the 200-distinct column 1", acc[0].Index)
 	}
@@ -90,7 +78,7 @@ func TestAccessPathPicksMostDistinctColumn(t *testing.T) {
 			at("t", v("X"), v("Y")),
 			at("t", v("X"), v("Y")), // self-join: second occurrence fully bound
 		})
-	acc2 := CompileCQ(q2, ins, PlannerCost, JoinDefault).Access()
+	acc2 := CompileCQ(q2, ins, PlannerDefault, JoinDefault).Access()
 	if acc2[1].Index != 1 {
 		t.Fatalf("self-join access = col %d, want column 1", acc2[1].Index)
 	}
@@ -100,11 +88,8 @@ func TestAccessPathPicksMostDistinctColumn(t *testing.T) {
 func TestScanWhenNothingBound(t *testing.T) {
 	ins := statsFixture(t)
 	q := query.MustNew(at("q", v("X")), []logic.Atom{at("s", v("X"))})
-	for _, pl := range []Planner{PlannerCost, PlannerGreedy} {
-		acc := CompileCQ(q, ins, pl, JoinDefault).Access()
-		if acc[0].Index != -1 {
-			t.Errorf("%v: access = col %d, want scan (-1)", pl, acc[0].Index)
-		}
+	if acc := CompileCQ(q, ins, PlannerDefault, JoinDefault).Access(); acc[0].Index != -1 {
+		t.Errorf("access = col %d, want scan (-1)", acc[0].Index)
 	}
 }
 
@@ -113,7 +98,7 @@ func TestScanWhenNothingBound(t *testing.T) {
 func TestDeltaPlanSeedsBindings(t *testing.T) {
 	ins := statsFixture(t)
 	body := []logic.Atom{at("r", v("X"), v("Y")), at("s", v("Y"))}
-	plan := CompileDelta(body, 0, ins, PlannerCost, JoinDefault)
+	plan := CompileDelta(body, 0, ins, PlannerDefault, JoinDefault)
 	acc := plan.Access()
 	if len(acc) != 1 || acc[0].Pred != "s" || acc[0].Index != 0 {
 		t.Fatalf("delta plan access = %+v, want s probed on its only column", acc)
@@ -148,7 +133,7 @@ func TestDeltaPlanSeedsBindings(t *testing.T) {
 func TestDeltaPlanRepeatedVariableAndConstant(t *testing.T) {
 	ins := inst(at("e", c("a"), c("a")), at("p", c("a")))
 	body := []logic.Atom{at("e", v("X"), v("X")), at("p", v("X"))}
-	plan := CompileDelta(body, 0, ins, PlannerCost, JoinDefault)
+	plan := CompileDelta(body, 0, ins, PlannerDefault, JoinDefault)
 	r := plan.NewRunner()
 	if !r.Bind(ins) {
 		t.Fatal("Bind failed")
@@ -165,7 +150,7 @@ func TestDeltaPlanRepeatedVariableAndConstant(t *testing.T) {
 	}
 
 	bodyConst := []logic.Atom{at("e", c("a"), v("Y")), at("p", v("Y"))}
-	planC := CompileDelta(bodyConst, 0, ins, PlannerCost, JoinDefault)
+	planC := CompileDelta(bodyConst, 0, ins, PlannerDefault, JoinDefault)
 	rc := planC.NewRunner()
 	if !rc.Bind(ins) {
 		t.Fatal("Bind failed")
@@ -183,11 +168,11 @@ func TestEmptyRelationFirst(t *testing.T) {
 	ins := statsFixture(t)
 	q := query.MustNew(at("q", v("X")),
 		[]logic.Atom{at("r", v("X"), v("Y")), at("nope", v("X"))})
-	acc := CompileCQ(q, ins, PlannerCost, JoinDefault).Access()
+	acc := CompileCQ(q, ins, PlannerDefault, JoinDefault).Access()
 	if acc[0].Pred != "nope" {
 		t.Fatalf("order = %+v, want the empty relation first", acc)
 	}
-	if CQ(q, ins, Options{Planner: PlannerCost}).Len() != 0 {
+	if CQ(q, ins, Options{}).Len() != 0 {
 		t.Fatal("query over an absent relation must have no answers")
 	}
 }
@@ -197,7 +182,7 @@ func TestEmptyRelationFirst(t *testing.T) {
 func TestPlanSlots(t *testing.T) {
 	ins := inst(at("r", c("a"), c("b")))
 	body := []logic.Atom{at("r", v("X"), v("Y"))}
-	plan := CompileBody(body, ins, nil, PlannerCost, JoinDefault)
+	plan := CompileBody(body, ins, nil, PlannerDefault, JoinDefault)
 	slots := plan.Slots([]logic.Term{v("X"), v("Y"), v("Z")})
 	if slots[0] < 0 || slots[1] < 0 || slots[2] != -1 {
 		t.Fatalf("Slots = %v", slots)

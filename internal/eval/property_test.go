@@ -3,9 +3,11 @@ package eval
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/logic"
+	"repro/internal/naive"
 	"repro/internal/query"
 	"repro/internal/storage"
 )
@@ -119,10 +121,11 @@ func TestEvalMonotone(t *testing.T) {
 	}
 }
 
-// TestPlannersAgreeOnRandomQueries: for seeded random instances and queries,
-// the cost-ordered and greedy plans must produce identical answer sets —
-// atom order and access paths are performance choices, never semantics.
-func TestPlannersAgreeOnRandomQueries(t *testing.T) {
+// TestRandomQueriesAgreeWithOracle: for seeded random instances and queries,
+// the compiled plans — sequential and sharded — must produce exactly the
+// naive nested-loop oracle's answers: atom order and access paths are
+// performance choices, never semantics.
+func TestRandomQueriesAgreeWithOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	consts := make([]logic.Term, 6)
 	for i := range consts {
@@ -172,15 +175,12 @@ func TestPlannersAgreeOnRandomQueries(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		costAns := CQ(q, ins, Options{Planner: PlannerCost})
-		greedyAns := CQ(q, ins, Options{Planner: PlannerGreedy})
-		if !costAns.Equal(greedyAns) {
-			t.Fatalf("trial %d: planners disagree on %v\ncost: %v\ngreedy: %v\ninstance:\n%v",
-				trial, q, costAns, greedyAns, ins)
-		}
-		costPar := CQ(q, ins, Options{Planner: PlannerCost, Parallelism: 3})
-		if !costAns.Equal(costPar) {
-			t.Fatalf("trial %d: parallel cost plan diverges on %v", trial, q)
+		want := naive.Answers(query.MustNewUCQ(q), ins.Atoms())
+		for _, par := range []int{1, 3} {
+			if got := rendered(CQ(q, ins, Options{Parallelism: par})); !slices.Equal(got, want) {
+				t.Fatalf("trial %d par=%d: plan disagrees with the oracle on %v\ngot: %v\noracle: %v\ninstance:\n%v",
+					trial, par, q, got, want, ins)
+			}
 		}
 	}
 }

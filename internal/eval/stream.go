@@ -14,8 +14,8 @@ import (
 // head tuple exactly as CompileCQ's plans do. The answer-view cache compiles
 // one such plan per (CQ, body atom) so an inserted delta can be joined
 // against a cached result without re-running the full query.
-func CompileDeltaCQ(q *query.CQ, di int, store storage.Store, planner Planner, join JoinStrategy) *Plan {
-	return compile(&q.Head, q.Body, di, nil, store, planner, join)
+func CompileDeltaCQ(q *query.CQ, di int, store storage.Store, _ Planner, join JoinStrategy) *Plan {
+	return compile(&q.Head, q.Body, di, nil, store, join)
 }
 
 // SeedPred returns the predicate of a delta plan's pinned atom ("" for
@@ -52,79 +52,118 @@ func EachDelta(plans []*Plan, store storage.Store, delta map[string][]storage.Tu
 	}
 }
 
-// Stream is a resumable pull iterator over the union of compiled CQ plans:
-// the streaming core of Each, reified so a consumer that parks between rows
-// (the server's pace-car flights) can resume exactly where it left off,
-// possibly under a different context. Not safe for concurrent use — the
-// pace-car serializes drivers behind its drive token.
+// Stream is the sequential union iterator — the one read path under every
+// collecting, pushing and pulling consumer (RunPlansCtx, and
+// Ontology.AnswerCtx/AnswerEach/AnswerStream). It drives each plan's runner
+// in order, drops null-carrying answers under FilterNulls, deduplicates
+// across union members and stops at Limit: the first answers reach the
+// consumer while the iterator tree is still enumerating, and a Limit
+// abandons the tree as soon as it is satisfied. It is resumable: a consumer
+// that parks between rows (the server's pace-car flights) picks up exactly
+// where it left off, possibly under a different context. The dedup set is
+// the answer set being built, so a collector takes the finished set from
+// Answers instead of re-inserting every row. Not safe for concurrent use —
+// the pace-car serializes drivers behind its drive token.
 type Stream struct {
 	plans []*Plan
 	store storage.Store
 	opts  Options
-	pi    int
-	r     *Runner
-	seen  map[string]bool
-	count int
-	done  bool
+	// pi is the plan being enumerated by r (nil: not opened yet);
+	// len(plans) once the stream is exhausted or closed.
+	pi  int
+	r   *Runner
+	ans *Answers
+	err error
 }
 
-// NewStream builds a stream over the plans. Parallelism is ignored — a
-// resumable stream is only defined sequentially, in the same deterministic
-// order Each produces.
-func NewStream(plans []*Plan, store storage.Store, opts Options) *Stream {
-	return &Stream{plans: plans, store: store, opts: opts, seen: make(map[string]bool)}
+// NewStream builds a stream over the plans of a union of the given arity.
+func NewStream(plans []*Plan, arity int, store storage.Store, opts Options) *Stream {
+	return &Stream{plans: plans, store: store, opts: opts, ans: NewAnswers(arity)}
 }
 
-// Next returns the next distinct answer, or ok=false when the stream is
-// exhausted (Limit reached or all plans drained). The tuple is freshly
-// allocated and owned by the caller. ctx arms the executor's amortized
-// cancellation poll for this step only; a later Next under a live context
-// resumes after a canceled one returned its error, because cancellation
-// kills the underlying runner — callers that share a stream across
-// consumers must drive it under a context that outlives any one of them.
+// Next returns the next distinct answer in the deterministic sequential
+// order, or ok=false when the stream is exhausted (Limit reached, all plans
+// drained, or closed). The tuple belongs to the stream's answer set —
+// read-only for the caller. ctx is polled once per plan and at the
+// executor's amortized interval within one; cancellation kills the stream,
+// and every later Next returns the same error — callers that share a stream
+// across consumers must drive it under a context that outlives any one of
+// them.
 func (s *Stream) Next(ctx context.Context) (storage.Tuple, bool, error) {
-	if s.done {
-		return nil, false, nil
+	if s.err != nil {
+		return nil, false, s.err
 	}
-	for s.pi < len(s.plans) {
+	for ; s.pi < len(s.plans); s.pi++ {
 		plan := s.plans[s.pi]
 		if s.r == nil {
+			if s.err = ctx.Err(); s.err != nil {
+				return nil, false, s.err
+			}
 			r := plan.NewRunner()
 			if !r.Bind(s.store) {
-				s.pi++
 				continue
 			}
-			r.SetContext(ctx)
 			r.Start(0, 1)
 			s.r = r
-		} else {
-			s.r.SetContext(ctx)
 		}
-		//repro:allow ctxpoll Next polls the armed context per candidate batch
+		s.r.SetContext(ctx)
+		//repro:allow ctxpoll Runner.Next polls the armed context per candidate batch
 		for s.r.Next() {
 			regs := s.r.Regs()
 			if s.opts.FilterNulls && headHasNull(plan, regs) {
 				continue
 			}
 			t := projectHead(plan, regs)
-			k := t.Key()
-			if s.seen[k] {
+			if !s.ans.AddOwned(t) {
 				continue
 			}
-			s.seen[k] = true
-			s.count++
-			if s.opts.Limit > 0 && s.count >= s.opts.Limit {
-				s.done = true
+			if s.opts.Limit > 0 && s.ans.Len() >= s.opts.Limit {
+				s.Close()
 			}
 			return t, true, nil
 		}
 		flushPruned(s.r, s.opts)
-		if err := s.r.Err(); err != nil {
-			return nil, false, err
+		if s.err = s.r.Err(); s.err != nil {
+			return nil, false, s.err
 		}
 		s.r = nil
-		s.pi++
 	}
-	s.done = true
 	return nil, false, nil
+}
+
+// Close ends the stream early — the consumer has what it wanted. Later Next
+// calls report exhaustion.
+func (s *Stream) Close() {
+	if s.r != nil {
+		flushPruned(s.r, s.opts)
+		s.r = nil
+	}
+	s.pi = len(s.plans)
+}
+
+// Answers is the set of answers produced so far, in stream order: the
+// complete result once Next has reported exhaustion with a nil error.
+// Callers must not add to it while the stream is live.
+func (s *Stream) Answers() *Answers { return s.ans }
+
+// Collect drains the stream and returns its complete answer set. A stream
+// nothing was pulled from yet is handed to the parallel collector when
+// Options.Parallelism asks for one (Limit > 0 forces the sequential path);
+// the answer set is identical. On cancellation the partial answers are
+// dropped and the context error is returned.
+func (s *Stream) Collect(ctx context.Context) (*Answers, error) {
+	if p := s.opts.Parallelism; p > 1 && s.opts.Limit == 0 && s.pi == 0 && s.r == nil {
+		s.pi = len(s.plans)
+		return parallelEval(ctx, s.plans, s.ans.arity, s.store, s.opts, p)
+	}
+	//repro:allow ctxpoll Next polls ctx per candidate batch and per plan
+	for {
+		_, ok, err := s.Next(ctx)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return s.ans, nil
+		}
+	}
 }

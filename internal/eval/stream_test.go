@@ -2,6 +2,7 @@ package eval
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -81,25 +82,28 @@ func randomWorkload(rng *rand.Rand) (*storage.Instance, *query.UCQ) {
 	return ins, u
 }
 
-// collectStream drains Each into an ordered tuple list.
+// collectStream drains a Stream into an ordered tuple list.
 func collectStream(t *testing.T, plans []*Plan, ins *storage.Instance, opts Options) []storage.Tuple {
 	t.Helper()
+	s := NewStream(plans, 2, ins, opts) // randomWorkload heads are binary
 	var out []storage.Tuple
-	err := Each(context.Background(), plans, ins, opts, func(tp storage.Tuple) bool {
+	for {
+		tp, ok, err := s.Next(context.Background())
+		if err != nil {
+			t.Error(err)
+		}
+		if err != nil || !ok {
+			return out
+		}
 		out = append(out, tp)
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	return out
 }
 
 // TestStreamingProperties is the ISSUE property suite for the iterator
 // executor, over seeded random instances and UCQs:
 //
-//   - streamed ≡ materialized: the answers Each emits are exactly the set
-//     RunPlansCtx materializes;
+//   - streamed ≡ materialized: the answers Stream.Next emits are exactly the
+//     set RunPlansCtx materializes;
 //   - nested ≡ hash ≡ auto: the join strategy is a performance choice, never
 //     semantics;
 //   - seq ≡ par: the parallel evaluator agrees with the sequential stream;
@@ -111,12 +115,12 @@ func TestStreamingProperties(t *testing.T) {
 		ins, u := randomWorkload(rng)
 		arity := u.Arity()
 
-		full := RunPlans(CompileUCQ(u, ins, PlannerCost, JoinNested), arity, ins, Options{})
+		full := RunPlans(CompileUCQ(u, ins, PlannerDefault, JoinNested), arity, ins, Options{})
 
-		for _, join := range []JoinStrategy{JoinAuto, JoinNested, JoinHash} {
-			plans := CompileUCQ(u, ins, PlannerCost, join)
+		for _, join := range []JoinStrategy{JoinDefault, JoinNested, JoinHash} {
+			plans := CompileUCQ(u, ins, PlannerDefault, join)
 
-			streamed := collectStream(t, plans, ins, Options{Join: join})
+			streamed := collectStream(t, plans, ins, Options{})
 			set := NewAnswers(arity)
 			for _, tp := range streamed {
 				set.Add(tp)
@@ -130,7 +134,7 @@ func TestStreamingProperties(t *testing.T) {
 					trial, join, len(streamed), full.Len())
 			}
 
-			par, err := RunPlansCtx(context.Background(), plans, arity, ins, Options{Parallelism: 3, Join: join})
+			par, err := RunPlansCtx(context.Background(), plans, arity, ins, Options{Parallelism: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,7 +143,7 @@ func TestStreamingProperties(t *testing.T) {
 			}
 
 			k := 1 + rng.Intn(full.Len()+2) // 0 means unlimited, so start at 1
-			limited := collectStream(t, plans, ins, Options{Join: join, Limit: k})
+			limited := collectStream(t, plans, ins, Options{Limit: k})
 			want := k
 			if full.Len() < k {
 				want = full.Len()
@@ -166,7 +170,7 @@ func TestStreamConcurrentRunners(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	ins, u := randomWorkload(rng)
 	arity := u.Arity()
-	plans := CompileUCQ(u, ins, PlannerCost, JoinHash)
+	plans := CompileUCQ(u, ins, PlannerDefault, JoinHash)
 	want := RunPlans(plans, arity, ins, Options{})
 
 	var wg sync.WaitGroup
@@ -175,13 +179,8 @@ func TestStreamConcurrentRunners(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			got := NewAnswers(arity)
-			err := Each(context.Background(), plans, ins, Options{Join: JoinHash}, func(tp storage.Tuple) bool {
+			for _, tp := range collectStream(t, plans, ins, Options{}) {
 				got.Add(tp)
-				return true
-			})
-			if err != nil {
-				t.Error(err)
-				return
 			}
 			if !got.Equal(want) {
 				t.Errorf("concurrent stream diverged: %d answers, want %d", got.Len(), want.Len())
@@ -189,4 +188,44 @@ func TestStreamConcurrentRunners(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestStreamNoticesCancellation is the regression test for the dense-stream
+// cancellation bug: every row of a scan costs one candidate, and Next used to
+// re-arm the runner (restarting its amortized poll counter) per row, so the
+// poll never fired and a canceled stream ran to completion. After cancel the
+// stream must fail within two poll intervals, and stay failed.
+func TestStreamNoticesCancellation(t *testing.T) {
+	const facts = 20000
+	ins := storage.NewInstance()
+	for i := 0; i < facts; i++ {
+		if err := ins.InsertAtom(at("p", c(fmt.Sprintf("c%d", i)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	u := query.MustNewUCQ(query.MustNew(at("q", v("X")), []logic.Atom{at("p", v("X"))}))
+	s := NewStream(CompileUCQ(u, ins, PlannerDefault, JoinDefault), 1, ins, Options{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for rows := 1; ; rows++ {
+		_, ok, err := s.Next(ctx)
+		if err != nil {
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("row %d: err = %v, want context.Canceled", rows, err)
+			}
+			break
+		}
+		if !ok {
+			t.Fatalf("stream ran to completion (%d rows) without noticing the cancellation", rows-1)
+		}
+		if rows == 10 {
+			cancel()
+		}
+		if rows > 10+2*(cancelCheckMask+1) {
+			t.Fatalf("no error %d rows after cancel", rows-10)
+		}
+	}
+	if _, ok, err := s.Next(context.Background()); ok || !errors.Is(err, context.Canceled) {
+		t.Fatalf("a canceled stream resumed: ok=%v err=%v", ok, err)
+	}
 }

@@ -65,8 +65,6 @@ type Entry struct {
 	u        *query.UCQ
 	store    storage.Store
 	dataMut  uint64
-	planner  eval.Planner
-	join     eval.JoinStrategy
 	bytes    int64
 	delta    []*eval.Plan
 	noDelta  bool
@@ -78,14 +76,12 @@ type Entry struct {
 // the original query in chase mode); dataMut is the underlying store's
 // mutation counter as of evaluation, re-checked on every lookup to catch
 // out-of-band mutations that bump no epoch.
-func NewEntry(ans *eval.Answers, u *query.UCQ, store storage.Store, dataMut uint64, planner eval.Planner, join eval.JoinStrategy) *Entry {
+func NewEntry(ans *eval.Answers, u *query.UCQ, store storage.Store, dataMut uint64) *Entry {
 	return &Entry{
 		ans:      ans,
 		u:        u,
 		store:    store,
 		dataMut:  dataMut,
-		planner:  planner,
-		join:     join,
 		bytes:    estimateBytes(ans),
 		lastUsed: new(atomic.Uint64),
 	}
@@ -298,7 +294,7 @@ func (e *Entry) ensureDeltaPlans(store storage.Store) bool {
 	plans := make([]*eval.Plan, 0, total)
 	for _, q := range e.u.CQs {
 		for di := range q.Body {
-			plans = append(plans, eval.CompileDeltaCQ(q, di, store, e.planner, e.join))
+			plans = append(plans, eval.CompileDeltaCQ(q, di, store, eval.PlannerDefault, eval.JoinDefault))
 		}
 	}
 	e.delta = plans

@@ -33,7 +33,7 @@ func edgeAtom(a, b string) logic.Atom {
 func evalEntry(t *testing.T, u *query.UCQ, ins *storage.Instance) *Entry {
 	t.Helper()
 	ans := eval.UCQ(u, ins, eval.Options{FilterNulls: true})
-	return NewEntry(ans, u, ins, ins.Mutations(), eval.PlannerCost, eval.JoinAuto)
+	return NewEntry(ans, u, ins, ins.Mutations())
 }
 
 func TestLookupValidatesGenerationAndData(t *testing.T) {

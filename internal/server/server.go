@@ -64,8 +64,8 @@ type Config struct {
 	// MaxTimeout clamps every request deadline, including explicit ones
 	// (0 = no clamp).
 	MaxTimeout time.Duration
-	// Answer are the default answering options (mode, parallelism, budgets,
-	// planner) applied to query requests; per-request fields override.
+	// Answer are the default answering options (mode, parallelism, budgets)
+	// applied to query requests; per-request fields override.
 	Answer repro.Options
 	// AnswerCacheBytes is the answer-view cache budget applied to every
 	// ontology registered with the server (Add and PUT alike). 0 means the
@@ -324,8 +324,6 @@ type queryRequest struct {
 	Parallelism int    `json:"parallelism,omitempty"`
 	MaxSteps    int    `json:"maxSteps,omitempty"`
 	MaxRounds   int    `json:"maxRounds,omitempty"`
-	Planner     string `json:"planner,omitempty"` // "cost" | "greedy"
-	Join        string `json:"join,omitempty"`    // "auto" | "nested" | "hash"
 	// Limit bounds the distinct answers produced (0 = all); the ?limit=
 	// query parameter overrides it.
 	Limit int `json:"limit,omitempty"`
@@ -359,8 +357,23 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, t *tenant) 
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("unknown mode %q", req.Mode))
 		return
 	}
-	if req.Parallelism > 0 {
+	// Parallelism and partitions size allocations made under the writer
+	// lock (a worker's goroutine, null generator and shards; a partition's
+	// whole instance): an unchecked count is one request taking every
+	// tenant down.
+	if req.Parallelism != 0 {
+		if req.Parallelism < 1 || req.Parallelism > repro.MaxParallelism {
+			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad parallelism %d: want 1..%d", req.Parallelism, repro.MaxParallelism))
+			return
+		}
 		opts.Parallelism = req.Parallelism
+	}
+	if req.Partitions != 0 {
+		if req.Partitions < 1 || req.Partitions > repro.MaxPartitions {
+			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad partitions %d: want 1..%d", req.Partitions, repro.MaxPartitions))
+			return
+		}
+		opts.Partitions = req.Partitions
 	}
 	if req.MaxSteps > 0 {
 		opts.MaxSteps = req.MaxSteps
@@ -368,33 +381,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, t *tenant) 
 	if req.MaxRounds > 0 {
 		opts.MaxRounds = req.MaxRounds
 	}
-	if req.Planner != "" {
-		p, err := repro.ParsePlanner(req.Planner)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		opts.Planner = p
-	}
-	if req.Join != "" {
-		j, err := repro.ParseJoin(req.Join)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		opts.Join = j
-	}
 	if req.Limit > 0 {
 		opts.Limit = req.Limit
-	}
-	if req.Partitions != 0 {
-		// Every partition is a whole instance allocated under the writer lock:
-		// an unchecked count is one request taking every tenant down.
-		if req.Partitions < 1 || req.Partitions > repro.MaxPartitions {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad partitions %d: want 1..%d", req.Partitions, repro.MaxPartitions))
-			return
-		}
-		opts.Partitions = req.Partitions
 	}
 	if req.NoCache {
 		opts.NoCache = true

@@ -5,21 +5,12 @@ import (
 	"os"
 	"strconv"
 	"testing"
-
-	"repro/internal/eval"
 )
 
-// TestMain lets the benchmark harness select the join-order and join
-// execution strategies for the whole suite: `PLANNER=greedy go test -bench
-// ...` and `JOIN=hash go test -bench ...` flip the package defaults, which
-// every evaluation without an explicit Options.Planner/Options.Join
-// inherits. `CACHE=on` likewise flips the answer-view cache on for every
-// ontology the suite constructs, so the repeated-query benchmarks measure
-// the cached path without touching their call sites. `PART=4` flips the
-// package default partition count the same way, so the whole suite runs
-// over hash-partitioned materializations. `make bench-compare` runs the
-// suite once per strategy along each axis and benchstats the runs against
-// each other.
+// TestMain lets the harness rerun the whole suite over hash-partitioned
+// materializations: `PART=4 go test .` flips the package default partition
+// count, which every call that leaves Options.Partitions zero inherits
+// (second leg of `make test`, the one axis of `make bench-compare`).
 func TestMain(m *testing.M) {
 	if s := os.Getenv("PART"); s != "" {
 		p, err := strconv.Atoi(s)
@@ -28,30 +19,6 @@ func TestMain(m *testing.M) {
 			os.Exit(2)
 		}
 		defaultPartitions = p
-	}
-	switch s := os.Getenv("CACHE"); s {
-	case "", "off":
-	case "on":
-		defaultAnswerCacheBudget = DefaultAnswerCacheBytes
-	default:
-		fmt.Fprintf(os.Stderr, "unknown CACHE %q (want on | off)\n", s)
-		os.Exit(2)
-	}
-	if s := os.Getenv("PLANNER"); s != "" {
-		p, err := eval.ParsePlanner(s)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		eval.DefaultPlanner = p.Effective()
-	}
-	if s := os.Getenv("JOIN"); s != "" {
-		j, err := eval.ParseJoin(s)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		eval.DefaultJoin = j.Effective()
 	}
 	os.Exit(m.Run())
 }

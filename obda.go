@@ -188,7 +188,6 @@ func New(rules *dependency.Set, data *storage.Instance) *Ontology {
 func newOntology(rules *dependency.Set, data *storage.Instance) *Ontology {
 	o := &Ontology{data: data, compactEvery: DefaultCompactEvery}
 	o.rules.Store(rules)
-	o.ansBudget.Store(defaultAnswerCacheBudget)
 	return o
 }
 
@@ -213,60 +212,29 @@ type cachedPlans struct {
 	plans []*eval.Plan
 }
 
-// Planner selects the join-order strategy used by query evaluation; see
-// eval.Planner. The zero value resolves to the package default (cost-based).
-type Planner = eval.Planner
-
-// Planner strategies, re-exported for Options and CLI flags.
-const (
-	PlannerDefault = eval.PlannerDefault
-	PlannerGreedy  = eval.PlannerGreedy
-	PlannerCost    = eval.PlannerCost
-)
-
-// ParsePlanner parses a -planner flag value ("greedy" or "cost").
-func ParsePlanner(s string) (Planner, error) { return eval.ParsePlanner(s) }
-
-// JoinStrategy selects the join strategy used by query evaluation and the
-// chase; see eval.JoinStrategy. The zero value resolves to the package
-// default (cost-gated composite hash joins).
-type JoinStrategy = eval.JoinStrategy
-
-// Join strategies, re-exported for Options and CLI flags.
-const (
-	JoinDefault = eval.JoinDefault
-	JoinAuto    = eval.JoinAuto
-	JoinNested  = eval.JoinNested
-	JoinHash    = eval.JoinHash
-)
-
-// ParseJoin parses a -join flag value ("auto", "nested" or "hash").
-func ParseJoin(s string) (JoinStrategy, error) { return eval.ParseJoin(s) }
-
 // evalUCQ evaluates a union over a published snapshot through the
 // compiled-plan cache: the UCQ is compiled once per (canonical query,
-// planner, snapshot) and repeated queries run the cached plans directly.
+// snapshot) and repeated queries run the cached plans directly.
 func (o *Ontology) evalUCQ(u *query.UCQ, store storage.Store, opts eval.Options) *eval.Answers {
-	ans, _ := eval.RunPlansCtx(context.Background(), o.compiledPlans(u, store, opts.Planner, opts.Join), u.Arity(), store, opts)
-	return ans
+	return eval.RunPlans(o.compiledPlans(u, store), u.Arity(), store, opts)
 }
 
 // plansFor returns the plans for u over store: through the cache when the
 // store is a published snapshot, compiled directly otherwise — no later query
 // can hit an entry pinning a store that was never published, so caching it
 // would only pollute.
-func (o *Ontology) plansFor(u *query.UCQ, store storage.Store, published bool, planner eval.Planner, join eval.JoinStrategy) []*eval.Plan {
+func (o *Ontology) plansFor(u *query.UCQ, store storage.Store, published bool) []*eval.Plan {
 	if !published {
-		return eval.CompileUCQ(u, store, planner, join)
+		return eval.CompileUCQ(u, store, eval.PlannerDefault, eval.JoinDefault)
 	}
-	return o.compiledPlans(u, store, planner, join)
+	return o.compiledPlans(u, store)
 }
 
 // compiledPlans returns the plans for u over store, from the cache when warm.
 // Lock-free fast path aside from a short read-lock on the epoch's map; a
 // miss compiles outside any lock (compilation only reads the immutable
 // snapshot) and publishes the entry for the next caller.
-func (o *Ontology) compiledPlans(u *query.UCQ, store storage.Store, planner eval.Planner, join eval.JoinStrategy) []*eval.Plan {
+func (o *Ontology) compiledPlans(u *query.UCQ, store storage.Store) []*eval.Plan {
 	epoch := o.planEpoch.Load()
 	repoch := o.rulesEpoch.Load()
 	pc := o.planCache.Load()
@@ -278,27 +246,24 @@ func (o *Ontology) compiledPlans(u *query.UCQ, store storage.Store, planner eval
 			pc = o.planCache.Load()
 		}
 	}
-	key := planKey(u, planner, join)
+	key := planKey(u)
 	pc.mu.RLock()
 	e := pc.m[key]
 	pc.mu.RUnlock()
 	if e != nil && e.store == store {
 		return e.plans
 	}
-	plans := eval.CompileUCQ(u, store, planner, join)
+	plans := eval.CompileUCQ(u, store, eval.PlannerDefault, eval.JoinDefault)
 	pc.mu.Lock()
 	pc.m[key] = &cachedPlans{store: store, plans: plans}
 	pc.mu.Unlock()
 	return plans
 }
 
-// planKey builds the cache key: the resolved planner and join strategies
-// plus the canonical (renaming- and body-order-invariant) form of every
-// disjunct.
-func planKey(u *query.UCQ, planner eval.Planner, join eval.JoinStrategy) string {
+// planKey builds the cache key: the canonical (renaming- and
+// body-order-invariant) form of every disjunct.
+func planKey(u *query.UCQ) string {
 	var b strings.Builder
-	b.WriteByte('0' + byte(planner.Effective()))
-	b.WriteByte('0' + byte(join.Effective()))
 	for _, q := range u.CQs {
 		b.WriteByte('\n')
 		b.WriteString(q.DedupKey())

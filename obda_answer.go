@@ -48,16 +48,6 @@ type Options struct {
 	// (0 = the engine default). Exceeding it makes the rewriting incomplete:
 	// ModeRewrite errors, ModeAuto falls back to the chase.
 	MaxRewriteCQs int
-	// Planner selects the join-order strategy for query evaluation and the
-	// chase (PlannerDefault resolves to the cost-based planner; PlannerGreedy
-	// keeps the statistics-free order as a comparison mode). Any value yields
-	// the same answers.
-	Planner Planner
-	// Join selects the join strategy — single-column index probes
-	// (JoinNested) vs. composite-key hash tables (JoinHash) — for query
-	// evaluation and the chase; JoinAuto (the resolved default) lets the
-	// cost model decide per atom. Any value yields the same answers.
-	Join JoinStrategy
 	// Limit stops answering after this many distinct answers (0 = all). The
 	// limit is pushed into the streaming executor: the iterator tree stops
 	// as soon as it is satisfied instead of filtering a materialized set.
@@ -81,9 +71,15 @@ type Options struct {
 	Partitions int
 }
 
-// MaxPartitions bounds Options.Partitions where the value arrives from outside
-// the program; the server and the CLI flags reject anything beyond it.
-const MaxPartitions = storage.MaxPartitions
+// MaxPartitions and MaxParallelism bound Options.Partitions and
+// Options.Parallelism where the value arrives from outside the program; the
+// server and the CLI flags reject anything beyond them. Both are allocations
+// the caller sizes: a partition is a whole instance, a worker a goroutine
+// with its own null generator, write shards and evaluation work units.
+const (
+	MaxPartitions  = storage.MaxPartitions
+	MaxParallelism = 64
+)
 
 // defaultPartitions seeds Options.Partitions when callers leave it zero.
 // The library default is one partition; the test harness flips it (PART env,
@@ -110,8 +106,6 @@ func (opts Options) chaseOptions() chase.Options {
 		MaxSteps:    opts.MaxSteps,
 		MaxRounds:   opts.MaxRounds,
 		Parallelism: opts.Parallelism,
-		Planner:     opts.Planner,
-		Join:        opts.Join,
 		Partitions:  opts.partitions(),
 	}
 	if co.MaxSteps == 0 {
@@ -131,8 +125,6 @@ func (o *Ontology) evalOptions(opts Options) eval.Options {
 		FilterNulls: true,
 		Limit:       opts.Limit,
 		Parallelism: opts.Parallelism,
-		Planner:     opts.Planner,
-		Join:        opts.Join,
 		Pruned:      &o.prunedProbes,
 	}
 }
@@ -163,25 +155,11 @@ func (o *Ontology) AnswerOptions(querySrc string, opts Options) (*Answers, error
 // timed-out query never corrupts the ontology's caches: the next call simply
 // resumes from the same pre-call state.
 func (o *Ontology) AnswerCtx(ctx context.Context, querySrc string, opts Options) (*Answers, error) {
-	q, err := ParseQuery(querySrc)
+	s, err := o.openAnswer(ctx, querySrc, opts)
 	if err != nil {
 		return nil, err
 	}
-	view, viewKey := o.lookupAnswerView(q, opts)
-	if view != nil {
-		return view, nil
-	}
-	u, store, published, err := o.resolveAnswer(ctx, q, opts)
-	if err != nil {
-		return nil, err
-	}
-	evalOpts := o.evalOptions(opts)
-	plans := o.plansFor(u, store, published, evalOpts.Planner, evalOpts.Join)
-	ans, err := eval.RunPlansCtx(ctx, plans, u.Arity(), store, evalOpts)
-	if err == nil && viewKey != "" && published {
-		o.storeAnswerView(viewKey, u, store, ans, evalOpts.Planner, evalOpts.Join)
-	}
-	return ans, err
+	return s.collect(ctx)
 }
 
 // Answer is one certain-answer tuple as handed to an AnswerEach consumer.
@@ -196,29 +174,33 @@ type Answer = storage.Tuple
 // promptly when ctx is canceled mid-enumeration, returning the context
 // error. Streaming is sequential by construction (the prefix is
 // deterministic); Options.Parallelism is ignored. The tuples passed to yield
-// are freshly allocated — the consumer owns them. AnswerCtx is a collector
-// over this same pipeline.
+// are shared with the answer set the stream builds (and, on a cache hit,
+// with the cached view): read-only, like Answers.Tuples. A stream that runs
+// to the end leaves its answer set behind as a cached view; one yield stops
+// early stores nothing.
 func (o *Ontology) AnswerEach(ctx context.Context, querySrc string, opts Options, yield func(Answer) bool) error {
-	q, err := ParseQuery(querySrc)
+	s, err := o.openAnswer(ctx, querySrc, opts)
 	if err != nil {
 		return err
 	}
-	u, store, published, err := o.resolveAnswer(ctx, q, opts)
-	if err != nil {
-		return err
+	for {
+		t, ok, err := s.Next(ctx)
+		if err != nil || !ok {
+			return err
+		}
+		if !yield(t) {
+			s.close()
+			return nil
+		}
 	}
-	evalOpts := o.evalOptions(opts)
-	plans := o.plansFor(u, store, published, evalOpts.Planner, evalOpts.Join)
-	return eval.Each(ctx, plans, store, evalOpts, yield)
 }
 
 // resolveAnswer resolves the answering mode and produces the evaluation
-// input shared by the collecting (AnswerCtx) and streaming (AnswerEach)
-// paths: the UCQ to run and the immutable store to run it over — the
-// rewriting over the published base snapshot, or the query itself over the
-// (built-on-demand) materialization in Options.Partitions partitions. The
-// returned flag reports whether the store is published, i.e. safe to key
-// compiled-plan cache entries to.
+// input of openAnswer: the UCQ to run and the immutable store to run it over
+// — the rewriting over the published base snapshot, or the query itself over
+// the (built-on-demand) materialization in Options.Partitions partitions.
+// The returned flag reports whether the store is published, i.e. safe to
+// key compiled-plan cache entries to.
 //
 // Resolution never outlives its deadline. The exit check below covers two
 // gaps the in-build polls cannot: ctx polls inside the chase are amortized,
