@@ -20,13 +20,16 @@ test:
 	$(GO) test -race ./...
 	PART=4 $(GO) test -race .
 
-# Short fuzzing leg over the committed seed corpora: the query parser and
-# the POST .../query body (one target per invocation — go test allows no more).
+# Short fuzzing leg over the committed seed corpora: the query parser, the
+# program parser (rules + facts), the POST .../query body and LoadCSV (one
+# target per invocation — go test allows no more).
 FUZZTIME ?= 10s
 
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseQuery -fuzztime $(FUZZTIME) ./internal/parser
+	$(GO) test -run '^$$' -fuzz FuzzParseProgram -fuzztime $(FUZZTIME) ./internal/parser
 	$(GO) test -run '^$$' -fuzz FuzzQueryBody -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzLoadCSV -fuzztime $(FUZZTIME) .
 
 # Benchmark smoke pass: compile and run every benchmark once.
 bench:

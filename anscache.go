@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/eval"
-	"repro/internal/logic"
 	"repro/internal/query"
 	"repro/internal/rescache"
 	"repro/internal/storage"
@@ -24,13 +23,13 @@ const DefaultAnswerCacheBytes = 32 << 20
 func (o *Ontology) SetAnswerCacheBudget(n int64) {
 	o.ansBudget.Store(n)
 	if n <= 0 {
-		o.ansCache.Store(nil)
+		o.snap.Load().views.Store(nil)
 	}
 }
 
 // AnswerCacheStats counts answer-view cache activity since the Ontology
-// was built. Entries and Bytes describe the live generation only — views
-// orphaned by a mutation stop counting even before they are reclaimed.
+// was built. Entries and Bytes describe the current snapshot's views only —
+// views a mutation did not carry forward stop counting at once.
 type AnswerCacheStats struct {
 	Hits            uint64
 	Misses          uint64
@@ -42,16 +41,13 @@ type AnswerCacheStats struct {
 
 // AnswerCacheStats reports the answer-view cache counters. Lock-free.
 func (o *Ontology) AnswerCacheStats() AnswerCacheStats {
-	pe := o.planEpoch.Load()
-	re := o.rulesEpoch.Load()
-	c := o.ansCache.Load()
 	st := AnswerCacheStats{
 		Hits:            o.ansStats.Hits.Load(),
 		Misses:          o.ansStats.Misses.Load(),
 		Evictions:       o.ansStats.Evictions.Load(),
 		DeltaMaintained: o.ansStats.DeltaMaintained.Load(),
 	}
-	st.Entries, st.Bytes = c.Usage(rescache.Gen{Epoch: pe, RulesEpoch: re})
+	st.Entries, st.Bytes = o.snap.Load().views.Load().Usage()
 	return st
 }
 
@@ -80,94 +76,27 @@ func (o *Ontology) AnswerCacheKey(querySrc string, opts Options) (string, error)
 	return answerViewKey(q, opts), nil
 }
 
-// CacheGeneration returns the (snapshot, rules, data) generation triple:
-// it changes whenever a mutation could have changed some query's answers.
-// The server joins it into pace-car flight keys so a request arriving
-// after a mutation opens a fresh flight instead of replaying a stale one.
-func (o *Ontology) CacheGeneration() (epoch, rulesEpoch, dataMut uint64) {
-	return o.planEpoch.Load(), o.rulesEpoch.Load(), o.data.Mutations()
-}
+// CacheGeneration returns the current snapshot's generation number: it
+// changes whenever a mutation could have changed some query's answers. The
+// server joins it into pace-car flight keys so a request arriving after a
+// mutation opens a fresh flight instead of replaying a stale one.
+func (o *Ontology) CacheGeneration() uint64 { return o.load().gen }
 
-// lookupAnswerView is the lock-free read path of the answer-view cache:
-// load the epochs, load the cache, reject on generation or data-mutation
-// mismatch. Returns the cached set (nil on miss) and the view's key (""
-// when this call bypasses the cache: cache disabled or NoCache).
-func (o *Ontology) lookupAnswerView(q *query.CQ, opts Options) (*Answers, string) {
-	if opts.NoCache || o.ansBudget.Load() <= 0 {
-		return nil, ""
-	}
-	pe := o.planEpoch.Load()
-	re := o.rulesEpoch.Load()
-	c := o.ansCache.Load()
-	key := answerViewKey(q, opts)
-	ans := c.Lookup(key, rescache.Gen{Epoch: pe, RulesEpoch: re}, o.data.Mutations(), &o.ansStats)
-	return ans, key
-}
-
-// storeAnswerView publishes a completed answer set as a cached view. It
-// runs after a miss — the caller already paid full evaluation — so it may
-// coordinate with writers: under a TryLock of wmu the published snapshots
-// are frozen, and the fill proceeds only if store is still the currently
-// published snapshot and the data is unmutated, so a result computed over
-// a just-retired snapshot is never published under the live generation.
-// When a writer holds wmu the store is skipped outright: the mutation in
-// flight would invalidate the entry anyway. The answering read path never
-// takes a lock; only this post-miss fill does, and only opportunistically.
-func (o *Ontology) storeAnswerView(key string, u *query.UCQ, store storage.Store, ans *Answers) {
+// storeView adds a completed answer set to the views of the snapshot it was
+// computed over. Rules, store and cache are one generation, so there is
+// nothing to validate and no lock to take: the entry is installed by
+// compare-and-swap on the snapshot's own cache, and a lost race (another
+// reader filled first, or the budget was just cleared) simply skips the
+// fill. Filling a snapshot that has been retired meanwhile is harmless — the
+// entry is valid for it and unreachable from its successors unless publish
+// carried it forward.
+func (o *Ontology) storeView(s *snapshot, key string, u *query.UCQ, onMat bool, ans *Answers) {
 	budget := o.ansBudget.Load()
-	if budget <= 0 || !o.wmu.TryLock() {
+	if budget <= 0 {
 		return
 	}
-	defer o.wmu.Unlock()
-	dataMut := o.data.Mutations()
-	current := false
-	if m := o.mat.Load(); m != nil && m.store == store && m.baseMut == dataMut {
-		current = true
-	} else if s := o.base.Load(); s != nil && store == s.ins && s.baseMut == dataMut {
-		current = true
-	}
-	if !current {
-		return
-	}
-	pe := o.planEpoch.Load()
-	re := o.rulesEpoch.Load()
-	c := o.ansCache.Load()
-	gen := rescache.Gen{Epoch: pe, RulesEpoch: re}
-	e := rescache.NewEntry(ans, u, store, dataMut)
-	o.ansCache.Store(c.WithEntry(gen, budget, key, e, &o.ansStats))
-}
-
-// maintainAnswerViews carries cached answer views across a committed
-// insert-only mutation: each view pinned to a pre-mutation snapshot is
-// joined against the inserted delta through its seeded plans and
-// republished under the post-mutation generation (rescache.MaintainInsert)
-// — CQ answers are monotone under inserts, so merging the delta answers
-// is exact. Views whose snapshot was not republished (or republished
-// truncated) are dropped instead. Runs in mutate's publish phase under
-// o.wmu, after every epoch bump and snapshot store.
-func (o *Ontology) maintainAnswerViews(added []logic.Atom, oldMat *materialization, oldBase *baseSnapshot, dataMut uint64) {
-	c := o.ansCache.Load()
-	pe := o.planEpoch.Load()
-	re := o.rulesEpoch.Load()
-	if c == nil {
-		return
-	}
-	in := rescache.MaintainInput{
-		Added:   added,
-		DataMut: dataMut,
-		Budget:  o.ansBudget.Load(),
-	}
-	if oldMat != nil {
-		if m := o.mat.Load(); m != nil && m.terminated {
-			in.OldMat, in.NewMat = oldMat.store, m.store
-		}
-	}
-	if oldBase != nil {
-		if s := o.base.Load(); s != nil {
-			in.OldBase, in.NewBase = oldBase.ins, s.ins
-		}
-	}
-	o.ansCache.Store(c.MaintainInsert(rescache.Gen{Epoch: pe, RulesEpoch: re}, in, &o.ansStats))
+	c := s.views.Load()
+	s.views.CompareAndSwap(c, c.WithEntry(budget, key, rescache.NewEntry(ans, u, onMat), &o.ansStats))
 }
 
 // AnswerStream is a resumable certain-answer iterator: the pull-based
@@ -186,34 +115,38 @@ type AnswerStream struct {
 }
 
 // openAnswer is the one read path under AnswerCtx (collect), AnswerEach
-// (push) and AnswerStream (pull): parse, look the answer view up, and on a
-// miss resolve the answering mode and prepare the union iterator over the
-// cached plans. The result replays the cached view without evaluating, or
-// evaluates and — when it runs to completion over a published snapshot with
-// no Limit — stores its answer set as a view for the next caller. A Limit
-// reads the cache (a prefix of the view is the limited answer) but never
-// fills it; NoCache does neither. Resolution (rewriting, a cold
-// materialization build) honors ctx.
+// (push) and AnswerStream (pull): parse, load the snapshot, look the answer
+// view up in it, and on a miss resolve the answering mode and prepare the
+// union iterator over the snapshot's cached plans. The result replays the
+// cached view without evaluating, or evaluates and — when it runs to
+// completion with no Limit — stores its answer set as a view of the snapshot
+// it evaluated. A Limit reads the cache (a prefix of the view is the limited
+// answer) but never fills it; NoCache (or a disabled cache) does neither.
+// Resolution (rewriting, a cold materialization build) honors ctx.
 func (o *Ontology) openAnswer(ctx context.Context, querySrc string, opts Options) (AnswerStream, error) {
 	q, err := ParseQuery(querySrc)
 	if err != nil {
 		return AnswerStream{}, err
 	}
-	view, key := o.lookupAnswerView(q, opts)
-	if view != nil {
-		rows := view.Tuples()
-		if opts.Limit > 0 && opts.Limit < len(rows) {
-			rows = rows[:opts.Limit]
+	snap := o.load()
+	key := ""
+	if !opts.NoCache && o.ansBudget.Load() > 0 {
+		key = answerViewKey(q, opts)
+		if view := snap.views.Load().Lookup(key, &o.ansStats); view != nil {
+			rows := view.Tuples()
+			if opts.Limit > 0 && opts.Limit < len(rows) {
+				rows = rows[:opts.Limit]
+			}
+			return AnswerStream{hit: view, rows: rows}, nil
 		}
-		return AnswerStream{hit: view, rows: rows}, nil
 	}
-	u, store, published, err := o.resolveAnswer(ctx, q, opts)
+	u, snap, onMat, err := o.resolveAnswer(ctx, snap, q, opts)
 	if err != nil {
 		return AnswerStream{}, err
 	}
-	s := AnswerStream{s: eval.NewStream(o.plansFor(u, store, published), u.Arity(), store, o.evalOptions(opts))}
-	if key != "" && published && opts.Limit == 0 {
-		s.fill = func(ans *Answers) { o.storeAnswerView(key, u, store, ans) }
+	s := AnswerStream{s: eval.NewStream(snap.plansFor(u, onMat), u.Arity(), snap.store(onMat), o.evalOptions(opts))}
+	if key != "" && opts.Limit == 0 {
+		s.fill = func(ans *Answers) { o.storeView(snap, key, u, onMat, ans) }
 	}
 	return s, nil
 }

@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/datagen"
 	"repro/internal/eval"
@@ -419,5 +421,74 @@ func TestSetAnswerCacheBudgetDisableDropsViews(t *testing.T) {
 	}
 	if st := ont.AnswerCacheStats(); st.Hits != hitsBefore {
 		t.Fatalf("stats=%+v: a disabled cache still served a hit", st)
+	}
+}
+
+// TestRuleMutationLeavesNoStaleRewriteView is the regression for the stale
+// rewrite-mode view: a reader that rewrote the query under the old rule set
+// and finished evaluating after an AddRule published used to pass the fill's
+// currency check (a rule mutation did not republish the base data) and file
+// its answer under the new generation, where it stayed — one certain answer
+// short — until the next mutation. A view is now filed in the cache of the
+// snapshot whose rules and base produced it, so a reader that loads the
+// post-mutation snapshot cannot see it. The rule count only has to make the
+// first rewriting (a few milliseconds) outlast the 0–2 ms jitter of the
+// AddRule, so that the looping readers are mid-rewrite when it lands: with 60
+// rules the pre-snapshot code came out stale in 96 of 100 iterations, with
+// 150 in 99 of 100 at six times the running time.
+func TestRuleMutationLeavesNoStaleRewriteView(t *testing.T) {
+	const staleViewRules = 60
+	var src strings.Builder
+	for i := 0; i < staleViewRules; i++ {
+		fmt.Fprintf(&src, "r%d(X) -> p(X) .\nr%d(a%d) .\n", i, i, i)
+	}
+	src.WriteString("d(z) .\n")
+	const q = `q(X) :- p(X) .`
+	iterations := 100
+	if testing.Short() {
+		iterations = 10
+	}
+	rng := rand.New(rand.NewSource(14))
+	for it := 0; it < iterations; it++ {
+		ont := cachedOnt(t, src.String())
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for r := 0; r < 2; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if _, err := ont.AnswerMode(q, ModeRewrite); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		time.Sleep(time.Duration(rng.Intn(2001)) * time.Microsecond)
+		if err := ont.AddRule(`d(X) -> p(X) .`); err != nil {
+			t.Fatal(err)
+		}
+		// A reader caught mid-rewrite finishes its loop iteration — and its
+		// cache fill — before it sees stop.
+		close(stop)
+		wg.Wait()
+		cached, err := ont.AnswerMode(q, ModeRewrite)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := ont.AnswerOptions(q, Options{Mode: ModeRewrite, NoCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !cached.Equal(fresh) || fresh.Len() != staleViewRules+1 {
+			t.Fatalf("iteration %d: cached answer has %d tuples, uncached %d, want %d after the rule mutation",
+				it, cached.Len(), fresh.Len(), staleViewRules+1)
+		}
 	}
 }

@@ -1,6 +1,6 @@
 // Command reprovet runs the repo's custom invariant checkers
-// (internal/analysis/*): snapshotmut, mutpipeline, hotalloc, ctxpoll and
-// epochcache. It is built on the dependency-free framework in
+// (internal/analysis/*): snapshotmut, mutpipeline, hotalloc and ctxpoll. It
+// is built on the dependency-free framework in
 // internal/analysis and supports two modes:
 //
 //	go vet -vettool=$(pwd)/bin/reprovet ./...   # unitchecker protocol (make lint)

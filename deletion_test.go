@@ -3,6 +3,7 @@ package repro
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -270,73 +271,104 @@ student(bob) .
 	}
 }
 
-// TestAnswersDoNotBlockBehindWriters is the stall regression for the
-// reader-stall defect: chase- and rewrite-mode answering over published
-// snapshots must complete while a writer holds the data lock exclusively —
-// previously readers held the RWMutex across the whole evaluation, so one
-// queued writer stalled every later reader. The test simulates a writer
-// parked mid-mutation by holding o.mu for writing and requires concurrent
-// answers to finish anyway — and, since PR 5, rule mutations too: AddRule
-// and RemoveRule repair the materialization copy-on-write without ever
-// touching the data lock, so ontology evolution neither waits for fact
-// writers nor stalls a single reader.
+// TestAnswersDoNotBlockBehindWriters is the stall regression: reads in both
+// modes issued while a genuinely in-flight, multi-hundred-millisecond
+// AddFact — then DeleteFact — is chasing must finish while the mutation is
+// still running, and must return exactly the pre-mutation answers. A mutation
+// edits forks of the published base and materialization, so the snapshot a
+// reader loads stays intact and current until the mutation publishes; before
+// the single snapshot, the mutation edited the canonical data in place, every
+// read saw the mutation counter ahead of the published snapshots, and queued
+// on the writer lock until the mutation was over.
 func TestAnswersDoNotBlockBehindWriters(t *testing.T) {
-	ont := MustParse(datagen.University().String() + "\n" + datagen.UniversityData(2, 1).String())
+	ont := New(datagen.University(), datagen.UniversityData(100, 1))
 	const q = `q(X) :- person(X) .`
-	// Prime provenance recording so the rule mutation below repairs the
-	// published materialization incrementally instead of dropping it — a
-	// dropped cache would force the racing readers into a cold rebuild,
-	// which (correctly) waits for the data lock.
+	modes := []AnswerMode{ModeChase, ModeRewrite}
+	// Prime provenance recording so the deletion below repairs the published
+	// materialization incrementally instead of dropping it.
 	if err := ont.AddFact(`undergraduateStudent(primer) .`); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := ont.DeleteFact(`undergraduateStudent(primer) .`); err != nil || n != 1 {
 		t.Fatalf("priming delete: n=%d err=%v", n, err)
 	}
-	// Publish both snapshots before locking the writers out.
-	if _, err := ont.AnswerMode(q, ModeChase); err != nil {
-		t.Fatal(err)
+	var batch strings.Builder
+	for i := 0; i < 3000; i++ {
+		fmt.Fprintf(&batch, "graduateStudent(late%d) . takesCourse(late%d, course%d_%d) .\n", i, i, i%100, i%3)
 	}
-	if _, err := ont.AnswerMode(q, ModeRewrite); err != nil {
-		t.Fatal(err)
+	answers := func() map[AnswerMode]*Answers {
+		out := make(map[AnswerMode]*Answers)
+		for _, mode := range modes {
+			ans, err := ont.AnswerMode(q, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[mode] = ans
+		}
+		return out
 	}
 
-	ont.mu.Lock() // a writer parked mid-mutation
-	defer ont.mu.Unlock()
-	const tasks = 6
-	done := make(chan error, tasks)
-	for _, mode := range []AnswerMode{ModeChase, ModeRewrite, ModeChase, ModeRewrite} {
-		mode := mode
+	during := func(name string, mutate func() error) {
+		before := answers()
+		done := make(chan error, 1)
+		start := time.Now()
+		var took time.Duration
 		go func() {
-			_, err := ont.AnswerMode(q, mode)
+			err := mutate()
+			took = time.Since(start)
 			done <- err
 		}()
-	}
-	// A full rule-mutation cycle must also complete: it repairs the
-	// published materialization without the data lock.
-	go func() {
-		if err := ont.AddRule(`department(X) -> organization(X) .`); err != nil {
-			done <- err
-			return
-		}
-		done <- ont.RemoveRule(ont.Rules().Rules[ont.Rules().Len()-1].Label)
-	}()
-	// And readers racing that rule mutation must not block either.
-	go func() {
-		_, err := ont.AnswerMode(q, ModeChase)
-		done <- err
-	}()
-	timeout := time.After(10 * time.Second)
-	for i := 0; i < tasks; i++ {
-		select {
-		case err := <-done:
+		inFlight := make(map[AnswerMode]int)
+		var slowest time.Duration
+		for i, running := 0, true; running; i++ {
+			mode := modes[i%len(modes)]
+			t0 := time.Now()
+			ans, err := ont.AnswerMode(q, mode)
 			if err != nil {
-				t.Error(err)
+				t.Fatalf("%s: read in mode %d: %v", name, mode, err)
 			}
-		case <-timeout:
-			t.Fatal("reader or rule mutator stalled behind a writer holding the data lock")
+			slowest = max(slowest, time.Since(t0))
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				running = false // this read straddled the publication: either answer is right
+			default:
+				inFlight[mode]++
+				if !ans.Equal(before[mode]) {
+					t.Fatalf("%s: mode %d read %d answers during the mutation, want the %d pre-mutation ones",
+						name, mode, ans.Len(), before[mode].Len())
+				}
+			}
+		}
+		t.Logf("%s took %v; reads finished in flight: chase %d, rewrite %d; slowest read %v",
+			name, took, inFlight[ModeChase], inFlight[ModeRewrite], slowest)
+		if took < 50*time.Millisecond {
+			t.Skipf("%s took only %v: too fast to observe readers beside it", name, took)
+		}
+		for _, mode := range modes {
+			if inFlight[mode] < 3 {
+				t.Errorf("%s: only %d reads in mode %d finished while it ran", name, inFlight[mode], mode)
+			}
+		}
+		if slowest > took/2 {
+			t.Errorf("%s: a read took %v of the mutation's %v: it queued behind the writer", name, slowest, took)
+		}
+		for mode, ans := range answers() {
+			if ans.Equal(before[mode]) {
+				t.Errorf("%s: mode %d answers unchanged after the mutation", name, mode)
+			}
 		}
 	}
+	during("AddFact", func() error { return ont.AddFact(batch.String()) })
+	during("DeleteFact", func() error {
+		n, err := ont.DeleteFact(batch.String())
+		if err == nil && n != 6000 {
+			err = fmt.Errorf("removed %d facts, want 6000", n)
+		}
+		return err
+	})
 }
 
 // TestConcurrentAnswerAddDelete hammers the snapshot seam from both

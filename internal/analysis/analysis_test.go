@@ -28,7 +28,7 @@ func f() {
 	spinA()
 	spinB() //repro:allow hotalloc lazy one-time init
 	spinC()
-	//repro:allow epochcache
+	//repro:allow mutpipeline
 	spinD()
 }
 
@@ -61,12 +61,12 @@ func TestSuppressions(t *testing.T) {
 		analyzer string
 		want     bool
 	}{
-		{"spinA", "ctxpoll", true},     // directive on the line above
-		{"spinA", "hotalloc", false},   // wrong analyzer
-		{"spinB", "hotalloc", true},    // trailing directive on the same line
-		{"spinC", "hotalloc", true},    // a directive reaches exactly one line down
-		{"spinC", "ctxpoll", false},    // ...for its named analyzer only
-		{"spinD", "epochcache", false}, // reason is mandatory: bare directive ignored
+		{"spinA", "ctxpoll", true},      // directive on the line above
+		{"spinA", "hotalloc", false},    // wrong analyzer
+		{"spinB", "hotalloc", true},     // trailing directive on the same line
+		{"spinC", "hotalloc", true},     // a directive reaches exactly one line down
+		{"spinC", "ctxpoll", false},     // ...for its named analyzer only
+		{"spinD", "mutpipeline", false}, // reason is mandatory: bare directive ignored
 	}
 	for _, c := range cases {
 		if got := sup.Allows(fset, c.analyzer, pos[c.fn]); got != c.want {

@@ -1,21 +1,16 @@
-// Package mutpipeline defines an analyzer that keeps every snapshot
-// publication inside the unified mutation pipeline.
+// Package mutpipeline defines an analyzer that keeps the one published
+// pointer of an Ontology inside the one function that publishes.
 //
-// PR 5 funneled all writer paths through Ontology.mutate
-// (stage→validate→apply→publish); PR 3 established that readers only ever
-// observe immutable snapshots published through atomic.Pointer stores. Those
-// guarantees hold exactly as long as no new code path stores to the
-// published pointers (`rules`, `mat`, `base`, `class`) or bumps the
-// generation counters (`epoch`, `rulesEpoch`, `planEpoch`) from outside the
-// small set of pipeline functions. A well-meaning helper that does
-// `o.mat.Store(...)` on its own silently forfeits rollback, epoch
-// discipline, and the single-writer protocol.
+// Everything a reader observes hangs off a single immutable snapshot behind
+// Ontology.snap; a generation is complete, ordered and carried forward
+// correctly exactly because Ontology.publish is the only code that installs
+// one (newOntology installs generation zero). A well-meaning helper that
+// does `o.snap.Store(...)` on its own silently forfeits the writer-lock
+// protocol and the carry-forward of the caches.
 //
-// The analyzer flags any write call (Store, Swap, CompareAndSwap, Add) on
-// one of those fields of a type named Ontology when the enclosing function
-// is not on the field's allowlist. Loads are always fine; the planCache
-// field is governed by the epochcache analyzer instead (its CAS publication
-// is safe anywhere by construction).
+// The analyzer flags any write call (Store, Swap, CompareAndSwap) on the
+// snap field of a type named Ontology when the enclosing function is neither
+// publish nor newOntology. Loads are always fine.
 package mutpipeline
 
 import (
@@ -26,62 +21,21 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "mutpipeline",
-	Doc:  "restrict snapshot-pointer stores and epoch bumps on Ontology to the unified mutation pipeline",
+	Doc:  "restrict stores to Ontology.snap to publish and newOntology",
 	Run:  run,
 }
 
-// pipelineFuncs are the functions allowed to publish snapshots: the
-// pipeline itself, its rollback, construction, the snapshot-refresh
-// helpers that run under the writer mutex, and the counted
-// materialization-drop helper they all route through.
-var pipelineFuncs = []string{
-	"mutate",
-	"abortMutation",
-	"newOntology",
-	"dropStaleSnapshots",
-	"updateBaseSnapshot",
-	"publishMat",
-	"snapshotBase",
-	"dropMat",
-}
+// publishers are the functions allowed to store the published pointer.
+var publishers = map[string]bool{"publish": true, "newOntology": true}
 
-// counterFuncs are the functions allowed to advance the epoch counters;
-// a counter bump outside a publication point would invalidate caches
-// without changing what readers see (or worse, fail to).
-var counterFuncs = []string{
-	"mutate",
-	"publishMat",
-	"updateBaseSnapshot",
-	"snapshotBase",
-}
-
-// allowedWriters maps each guarded Ontology field to the functions that may
-// write it.
-var allowedWriters = map[string][]string{
-	"rules": pipelineFuncs,
-	"mat":   pipelineFuncs,
-	"base":  pipelineFuncs,
-	// Classification is a lazy per-rule-set cache: Classify may publish a
-	// freshly computed entry; the pipeline clears it on rule mutation.
-	"class":      append(append([]string(nil), pipelineFuncs...), "Classify"),
-	"epoch":      counterFuncs,
-	"rulesEpoch": counterFuncs,
-	"planEpoch":  counterFuncs,
-}
-
-// writeMethods are the atomic methods that publish or mutate state.
-var writeMethods = map[string]bool{
-	"Store":          true,
-	"Swap":           true,
-	"Add":            true,
-	"CompareAndSwap": true,
-}
+// writeMethods are the atomic methods that publish.
+var writeMethods = map[string]bool{"Store": true, "Swap": true, "CompareAndSwap": true}
 
 func run(pass *analysis.Pass) (any, error) {
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
+			if !ok || fn.Body == nil || publishers[fn.Name.Name] {
 				continue
 			}
 			checkFunc(pass, fn)
@@ -101,25 +55,14 @@ func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl) {
 			return true
 		}
 		sel, ok := recv.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		allowed, guarded := allowedWriters[sel.Sel.Name]
-		if !guarded {
+		if !ok || sel.Sel.Name != "snap" {
 			return true
 		}
 		base, ok := pass.TypesInfo.Types[sel.X]
 		if !ok || !analysis.IsTypeNamed(base.Type, "Ontology") {
 			return true
 		}
-		for _, name := range allowed {
-			if fn.Name.Name == name {
-				return true
-			}
-		}
-		pass.Reportf(n.Pos(),
-			"%s.%s outside the mutation pipeline (in %s); publish through Ontology.mutate or one of %v",
-			sel.Sel.Name, method, fn.Name.Name, allowed)
+		pass.Reportf(n.Pos(), "snap.%s outside publish (in %s); hand the next snapshot to Ontology.publish", method, fn.Name.Name)
 		return true
 	})
 }

@@ -1,64 +1,40 @@
-// Package a seeds mutpipeline violations: snapshot publications and epoch
-// bumps on an Ontology from outside the unified mutation pipeline. The type
-// is a structural stand-in for the engine's Ontology — the analyzer keys on
-// the type and field names, not the import path.
+// Package a seeds mutpipeline violations: stores to an Ontology's published
+// pointer from outside publish. The type is a structural stand-in for the
+// engine's Ontology — the analyzer keys on the type and field names, not the
+// import path.
 package a
 
 import "sync/atomic"
 
 type snapshot struct {
-	facts int
+	gen   uint64
+	views atomic.Pointer[int]
 }
 
 type Ontology struct {
-	rules      atomic.Pointer[snapshot]
-	mat        atomic.Pointer[snapshot]
-	base       atomic.Pointer[snapshot]
-	class      atomic.Pointer[snapshot]
-	epoch      atomic.Uint64
-	rulesEpoch atomic.Uint64
-	planEpoch  atomic.Uint64
+	snap atomic.Pointer[snapshot]
 }
 
-// mutate is the pipeline: every publication below is allowed.
-func (o *Ontology) mutate(next *snapshot) {
-	o.rules.Store(next)
-	o.mat.Store(next)
-	o.rulesEpoch.Add(1)
-	o.planEpoch.Add(1)
+// publish is the one publisher: allowed.
+func (o *Ontology) publish(next *snapshot) {
+	o.snap.Store(next)
 }
 
-func (o *Ontology) abortMutation() {
-	o.mat.Store(nil)
-}
-
-func (o *Ontology) publishMat(next *snapshot) {
-	o.mat.Store(next)
-	o.epoch.Add(1)
-	o.planEpoch.Add(1)
-}
-
-func (o *Ontology) Classify(next *snapshot) {
-	o.class.Store(next)
-}
-
-// refreshCache bypasses the pipeline: it publishes a snapshot and bumps a
-// generation from a helper that never staged or validated anything.
+// refreshCache bypasses publish: it installs a snapshot from a helper that
+// never took the writer lock or carried the caches forward.
 func (o *Ontology) refreshCache(next *snapshot) {
-	o.mat.Store(next)    // want "mat.Store outside the mutation pipeline"
-	o.rulesEpoch.Add(1)  // want "rulesEpoch.Add outside the mutation pipeline"
-	o.base.Swap(next)    // want "base.Swap outside the mutation pipeline"
-	o.class.Store(next)  // want "class.Store outside the mutation pipeline"
-	o.planEpoch.Store(0) // want "planEpoch.Store outside the mutation pipeline"
+	o.snap.Store(next) // want "snap.Store outside publish"
+	o.snap.Swap(next)  // want "snap.Swap outside publish"
 }
 
 // freeFunc shows the rule applies to plain functions too.
 func freeFunc(o *Ontology, next *snapshot) {
-	o.rules.CompareAndSwap(nil, next) // want "rules.CompareAndSwap outside the mutation pipeline"
+	o.snap.CompareAndSwap(nil, next) // want "snap.CompareAndSwap outside publish"
 }
 
-// reader loads freely: reads are governed by epochcache, not mutpipeline.
-func (o *Ontology) reader() *snapshot {
-	o.rulesEpoch.Load()
-	return o.mat.Load()
+// reader loads freely, and fills its own snapshot's caches.
+func (o *Ontology) reader(v *int) *snapshot {
+	s := o.snap.Load()
+	s.views.CompareAndSwap(nil, v)
+	return s
 }

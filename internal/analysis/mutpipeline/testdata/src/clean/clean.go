@@ -1,57 +1,49 @@
-// Package clean exercises the writes mutpipeline must accept: publications
-// from pipeline functions, unguarded fields, non-Ontology types with
-// colliding field names, and plain loads.
+// Package clean exercises the writes mutpipeline must accept: publication
+// from publish and newOntology, cache fills on a loaded snapshot, non-Ontology
+// types with a colliding field name, and plain loads.
 package clean
 
 import "sync/atomic"
 
 type snapshot struct {
-	facts int
+	gen   uint64
+	views atomic.Pointer[int]
 }
 
 type Ontology struct {
-	rules     atomic.Pointer[snapshot]
-	mat       atomic.Pointer[snapshot]
-	planCache atomic.Pointer[snapshot]
-	planEpoch atomic.Uint64
-	mutCount  atomic.Uint64
+	snap     atomic.Pointer[snapshot]
+	mutCount atomic.Uint64
 }
 
 func newOntology(first *snapshot) *Ontology {
 	o := &Ontology{}
-	o.rules.Store(first)
+	o.snap.Store(first)
 	return o
 }
 
-func (o *Ontology) mutate(next *snapshot) {
-	o.rules.Store(next)
-	o.mat.Store(next)
-	o.planEpoch.Add(1)
-	// Unguarded counters may move anywhere.
+func (o *Ontology) publish(next *snapshot) {
+	o.snap.Store(next)
+}
+
+func (o *Ontology) mutate() {
+	prev := o.snap.Load()
+	o.publish(&snapshot{gen: prev.gen + 1})
+	// Counters that are not the published pointer may move anywhere.
 	o.mutCount.Add(1)
 }
 
-func (o *Ontology) dropStaleSnapshots() {
-	o.mat.Store(nil)
+// storeView fills a cache of the snapshot the reader loaded.
+func (o *Ontology) storeView(v *int) {
+	s := o.snap.Load()
+	s.views.CompareAndSwap(nil, v)
 }
 
-// compiledPlans publishes into the plan cache from a reader path: planCache
-// is epoch-validated (epochcache's concern), not pipeline-restricted.
-func (o *Ontology) compiledPlans(next *snapshot) *snapshot {
-	o.planEpoch.Load()
-	if c := o.planCache.Load(); c != nil {
-		return c
-	}
-	o.planCache.CompareAndSwap(nil, next)
-	return next
-}
-
-// notOntology has the same field names on a different type; the analyzer
-// must not care.
+// notOntology has the same field name on a different type; the analyzer must
+// not care.
 type notOntology struct {
-	mat atomic.Pointer[snapshot]
+	snap atomic.Pointer[snapshot]
 }
 
 func (n *notOntology) anywhere(next *snapshot) {
-	n.mat.Store(next)
+	n.snap.Store(next)
 }

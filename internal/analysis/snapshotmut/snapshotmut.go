@@ -1,9 +1,10 @@
 // Package snapshotmut defines an analyzer enforcing the copy-on-write
 // snapshot discipline from PRs 3 and 5.
 //
-// Readers obtain state exclusively through atomic.Pointer.Load() — the
-// published materialization, base snapshot, and rule set — and those
-// snapshots are immutable by convention: a writer must first launder the
+// Readers obtain state exclusively through atomic.Pointer.Load() — the one
+// published snapshot carrying the rule set, the base data and the
+// materialization — and everything reachable from it is immutable by
+// convention: a writer must first launder the
 // value through Clone()/ExtendClone() (or build a fresh one) before
 // mutating. A single in-place Insert on a loaded snapshot is a data race
 // against every concurrent reader and corrupts history for every future
@@ -11,7 +12,9 @@
 //
 // The analyzer runs an intra-procedural taint pass per function:
 //
-//   - seeds: the result of any `.Load()` call on a sync/atomic Pointer;
+//   - seeds: the result of any `.Load()` call on a sync/atomic Pointer, and
+//     of any call returning a pointer to a type named snapshot (the engine's
+//     load/loadLocked wrappers around the one published pointer);
 //   - propagation: through assignments to local variables and through
 //     field selection (x tainted ⇒ x.f tainted);
 //   - laundering: `Clone()`, `ExtendClone()` and `Fork()` results are fresh.
@@ -103,6 +106,9 @@ func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl) {
 				return exprTainted(e.X)
 			}
 		case *ast.CallExpr:
+			if analysis.IsTypeNamed(info.TypeOf(e), "snapshot") {
+				return true
+			}
 			if recv, method, ok := analysis.SelectorCall(e); ok {
 				if launderMethods[method] {
 					return false

@@ -77,3 +77,20 @@ func mutateStoreSubInstance(h *holder, sh *storage.Shard) {
 	store := h.mat.Load().store
 	store.Part(0).MergeShardsPart(0, sh) // want "storage.Instance.MergeShardsPart on a snapshot"
 }
+
+// snapshot mimics the engine's published generation; load its accessor. The
+// result of a call returning *snapshot is as published as a direct Load.
+type snapshot struct {
+	base *storage.Instance
+}
+
+type ontology struct {
+	snap atomic.Pointer[snapshot]
+}
+
+func (o *ontology) load() *snapshot { return o.snap.Load() }
+
+func mutateThroughAccessor(o *ontology, a logic.Atom) {
+	s := o.load()
+	s.base.Insert(a) // want "storage.Instance.Insert on a snapshot"
+}

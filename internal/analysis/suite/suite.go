@@ -5,19 +5,17 @@ package suite
 import (
 	"repro/internal/analysis"
 	"repro/internal/analysis/ctxpoll"
-	"repro/internal/analysis/epochcache"
 	"repro/internal/analysis/hotalloc"
 	"repro/internal/analysis/mutpipeline"
 	"repro/internal/analysis/snapshotmut"
 )
 
-// Analyzers returns the five invariant checkers in reporting order.
+// Analyzers returns the four invariant checkers in reporting order.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		snapshotmut.Analyzer,
 		mutpipeline.Analyzer,
 		hotalloc.Analyzer,
 		ctxpoll.Analyzer,
-		epochcache.Analyzer,
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/query"
+	"repro/internal/storage"
 )
 
 // FuzzParseQuery feeds arbitrary text to the query parser — the first thing
@@ -41,6 +42,51 @@ func FuzzParseQuery(f *testing.F) {
 		}
 		if cq.String() == "" || cq.DedupKey() == "" {
 			t.Fatalf("accepted %q but printed it as %q with key %q", src, cq.String(), cq.DedupKey())
+		}
+	})
+}
+
+// FuzzParseProgram feeds arbitrary text to the program parser — what Parse,
+// ParseFiles, AddRule and AddFact read their rules and facts with. It must
+// never panic, and a program it accepts must hold only ground facts and must
+// survive what every caller does next: building the rule set, printing it,
+// collecting its signature and loading the facts into an instance (each of
+// which may reject the program, none of which may panic).
+func FuzzParseProgram(f *testing.F) {
+	for _, seed := range []string{
+		"student(X) -> person(X) .\nperson(X) -> hasParent(X, Y) .\nstudent(alice) .",
+		`U22: takesCourse(X, C), teacherOf(Y, C) -> taughtBy(X, Y) .`,
+		`department(X) -> subOrganizationOf(X, U), university(U) .`,
+		`r(a, "b c", 7) . r(a, b) .`,
+		`p(X) -> p(X) . p(X, Y) -> p(X) .`,
+		`p(X) -> q(Y, Y), r(Y, X) . q(a, _n) .`,
+		`p(X) .`,
+		`-> p(a) .`,
+		`p(a) -> .`,
+		`L: L: p(X) -> q(X) .`,
+		"p(a) . % comment\n q(X) :- p(X) .",
+		`p("unterminated`,
+		``,
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		prog, err := Parse(src)
+		if err != nil {
+			return
+		}
+		for _, a := range prog.Facts {
+			if !a.IsGround() {
+				t.Fatalf("accepted %q with the non-ground fact %v", src, a)
+			}
+		}
+		_, _ = storage.FromAtoms(prog.Facts)
+		set, err := prog.RuleSet()
+		if err != nil {
+			return
+		}
+		if _, err := set.Predicates(); err == nil && set.Len() > 0 && set.String() == "" {
+			t.Fatalf("accepted %q but printed its %d rules as nothing", src, set.Len())
 		}
 	})
 }

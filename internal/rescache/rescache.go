@@ -1,21 +1,21 @@
 // Package rescache is the shared answer cache behind Ontology answering:
-// completed, deduplicated answer sets cached per (canonical query, snapshot
-// generation, options key) with a byte-budgeted LRU (level 1), and pace-car
-// flights that let N concurrent streaming consumers of the same query share
-// one driving iterator (level 2, pacecar.go).
+// completed, deduplicated answer sets cached per (canonical query, options
+// key) with a byte-budgeted LRU (level 1), and pace-car flights that let N
+// concurrent streaming consumers of the same query share one driving
+// iterator (level 2, pacecar.go).
 //
-// A Cache value is one immutable generation: readers load it through an
-// atomic.Pointer and validate it against the ontology's planEpoch and
-// rulesEpoch before trusting any entry — the same discipline the plan cache
-// follows, enforced by the epochcache analyzer. Writers publish a fresh
-// Cache value (copy-on-write map) and never mutate a published one, so the
-// answering path stays lock-free. On an insert-only mutation the cache is
-// not dropped: MaintainInsert joins the inserted delta against each view
-// through precompiled seeded plans (eval.CompileDeltaCQ + RunTuple) and
-// republishes the views under the new generation — CQ monotonicity makes
-// this sound, since inserts can only add answers, and every added answer
-// uses at least one delta tuple. Deletions and rule mutations invalidate by
-// generation mismatch instead.
+// A Cache value is immutable and belongs to exactly one published ontology
+// snapshot: it hangs off that snapshot, every entry in it was evaluated over
+// that snapshot's rules and stores, and it is valid for as long as the
+// snapshot is reachable — readers validate nothing. Adding an entry builds a
+// fresh Cache value (copy-on-write map) which the owner installs by
+// compare-and-swap, so the answering path stays lock-free. When the ontology
+// publishes a successor snapshot that only inserted facts, the cache is not
+// dropped: MaintainInsert joins the inserted delta against each view through
+// precompiled seeded plans (eval.CompileDeltaCQ + RunTuple) and returns the
+// successor's cache — CQ monotonicity makes this sound, since inserts can
+// only add answers, and every added answer uses at least one delta tuple.
+// Deletions and rule mutations start the successor with an empty cache.
 package rescache
 
 import (
@@ -27,15 +27,6 @@ import (
 	"repro/internal/query"
 	"repro/internal/storage"
 )
-
-// Gen identifies the snapshot generation a cache was built against. Epoch
-// is the ontology's planEpoch (bumped at every snapshot publication),
-// RulesEpoch its rule-set epoch; a cache whose Gen differs from the
-// currently loaded epochs is invisible to readers.
-type Gen struct {
-	Epoch      uint64
-	RulesEpoch uint64
-}
 
 // Stats carries the cache counters across generations. Hits/Misses count
 // lookups, Evictions budget-driven removals, DeltaMaintained views carried
@@ -55,16 +46,17 @@ type Stats struct {
 // mutation instead of maintained.
 const maxDeltaPlans = 128
 
-// Entry is one cached answer view, pinned to the exact store snapshot it was
-// evaluated over. Published entries are immutable except for lastUsed
-// (an atomic recency stamp shared across republished copies of the view)
-// and delta (the lazily compiled maintenance plans, touched only under the
-// ontology's writer lock).
+// Entry is one cached answer view over one of its snapshot's two stores.
+// Published entries are immutable except for lastUsed (an atomic recency
+// stamp shared across carried-forward copies of the view) and delta (the
+// lazily compiled maintenance plans, touched only under the ontology's
+// writer lock).
 type Entry struct {
-	ans      *eval.Answers
-	u        *query.UCQ
-	store    storage.Store
-	dataMut  uint64
+	ans *eval.Answers
+	u   *query.UCQ
+	// onMat says which store the view was evaluated over: the chase
+	// materialization, or the base data.
+	onMat    bool
 	bytes    int64
 	delta    []*eval.Plan
 	noDelta  bool
@@ -72,16 +64,14 @@ type Entry struct {
 }
 
 // NewEntry builds a cache entry for a completed answer set. u is the
-// resolved UCQ the answers satisfy over store (the rewriting in rewrite mode,
-// the original query in chase mode); dataMut is the underlying store's
-// mutation counter as of evaluation, re-checked on every lookup to catch
-// out-of-band mutations that bump no epoch.
-func NewEntry(ans *eval.Answers, u *query.UCQ, store storage.Store, dataMut uint64) *Entry {
+// resolved UCQ the answers satisfy (the rewriting in rewrite mode, evaluated
+// over the base data; the original query in chase mode, evaluated over the
+// materialization — onMat).
+func NewEntry(ans *eval.Answers, u *query.UCQ, onMat bool) *Entry {
 	return &Entry{
 		ans:      ans,
 		u:        u,
-		store:    store,
-		dataMut:  dataMut,
+		onMat:    onMat,
 		bytes:    estimateBytes(ans),
 		lastUsed: new(atomic.Uint64),
 	}
@@ -100,27 +90,22 @@ func estimateBytes(ans *eval.Answers) int64 {
 	return n
 }
 
-// Cache is one immutable generation of the answer-view cache. The zero
+// Cache is one immutable value of a snapshot's answer-view cache. The zero
 // value is never used; a nil *Cache behaves as an empty cache on every
 // read-side method.
 type Cache struct {
-	gen   Gen
 	bytes int64
 	m     map[string]*Entry
 }
 
-// Lookup returns the cached answer set for key, or nil. gen must be the
-// planEpoch/rulesEpoch pair the caller loaded before loading the cache
-// pointer, and dataMut the store's current mutation counter: a generation
-// mismatch hides the whole cache, a dataMut mismatch the single entry.
-// Counts a hit or miss on stats and stamps the entry's LRU recency.
-func (c *Cache) Lookup(key string, gen Gen, dataMut uint64, stats *Stats) *eval.Answers {
-	if c == nil || c.gen != gen {
-		stats.Misses.Add(1)
-		return nil
+// Lookup returns the cached answer set for key, or nil. Counts a hit or miss
+// on stats and stamps the entry's LRU recency.
+func (c *Cache) Lookup(key string, stats *Stats) *eval.Answers {
+	var e *Entry
+	if c != nil {
+		e = c.m[key]
 	}
-	e := c.m[key]
-	if e == nil || e.dataMut != dataMut {
+	if e == nil {
 		stats.Misses.Add(1)
 		return nil
 	}
@@ -129,23 +114,19 @@ func (c *Cache) Lookup(key string, gen Gen, dataMut uint64, stats *Stats) *eval.
 	return e.ans
 }
 
-// Usage reports the live entry count and byte estimate — zero when the
-// cache's generation no longer matches gen (its entries can never be
-// served again).
-func (c *Cache) Usage(gen Gen) (entries int, bytes int64) {
-	if c == nil || c.gen != gen {
+// Usage reports the entry count and byte estimate.
+func (c *Cache) Usage() (entries int, bytes int64) {
+	if c == nil {
 		return 0, 0
 	}
 	return len(c.m), c.bytes
 }
 
-// WithEntry returns a new cache generation containing e under key, evicting
-// least-recently-used entries while the byte estimate exceeds budget. When
-// the receiver is nil or belongs to another generation its entries are
-// unreachable anyway, so the result starts fresh.
-func (c *Cache) WithEntry(gen Gen, budget int64, key string, e *Entry, stats *Stats) *Cache {
-	n := &Cache{gen: gen, m: make(map[string]*Entry)}
-	if c != nil && c.gen == gen {
+// WithEntry returns a new cache value containing e under key, evicting
+// least-recently-used entries while the byte estimate exceeds budget.
+func (c *Cache) WithEntry(budget int64, key string, e *Entry, stats *Stats) *Cache {
+	n := &Cache{m: make(map[string]*Entry)}
+	if c != nil {
 		for k, old := range c.m {
 			n.m[k] = old
 			n.bytes += old.bytes
@@ -189,39 +170,38 @@ func (c *Cache) evict(budget int64, stats *Stats) {
 	}
 }
 
-// MaintainInput describes one committed insert-only mutation: the exact
-// stores cached views may be pinned to (old) and their successors (new, same
-// partition layout), plus the inserted base facts. NewMat/NewBase are nil
-// when the corresponding snapshot was not (re)published.
+// MaintainInput describes one insert-only step from a snapshot to its
+// successor: the successor's base data and the facts inserted into it, and —
+// when the successor's materialization is the previous one or a
+// copy-on-write extension of it — both materializations (same partition
+// layout). NewMat is nil when the materialization was dropped or rebuilt.
 type MaintainInput struct {
-	OldMat, NewMat   storage.Store
-	OldBase, NewBase storage.Store
-	Added            []logic.Atom
-	DataMut          uint64
-	Budget           int64
+	Base           storage.Store
+	Added          []logic.Atom
+	OldMat, NewMat storage.Store
+	Budget         int64
 }
 
-// MaintainInsert republishes the cache under the post-mutation generation
-// gen, carrying each view across the insert by joining the delta through
-// its seeded plans and merging any new answers. Entries pinned to a
-// store other than OldMat/OldBase (or too wide to maintain cheaply) are
-// dropped; their answers may be stale or their upkeep dearer than a miss.
-// Runs under the ontology's writer lock; the returned cache is freshly
-// allocated and safe to publish with a plain atomic store.
-func (c *Cache) MaintainInsert(gen Gen, in MaintainInput, stats *Stats) *Cache {
+// MaintainInsert returns the successor snapshot's cache, carrying each view
+// across the insert by joining the delta through its seeded plans and
+// merging any new answers. Views over a materialization that did not survive
+// (NewMat nil), or too wide to maintain cheaply, are dropped: their upkeep
+// is dearer than a miss. Runs under the ontology's writer lock; the returned
+// cache is freshly allocated.
+func (c *Cache) MaintainInsert(in MaintainInput, stats *Stats) *Cache {
 	if c == nil || len(c.m) == 0 {
 		return nil
 	}
-	n := &Cache{gen: gen, m: make(map[string]*Entry, len(c.m))}
+	n := &Cache{m: make(map[string]*Entry, len(c.m))}
 	matDelta := suffixDelta(in.OldMat, in.NewMat)
 	baseDelta := atomsDelta(in.Added)
 	for k, e := range c.m {
 		var next *Entry
 		switch {
-		case in.NewMat != nil && e.store == in.OldMat:
-			next = e.maintain(in.NewMat, matDelta, in.DataMut, stats)
-		case in.NewBase != nil && e.store == in.OldBase:
-			next = e.maintain(in.NewBase, baseDelta, in.DataMut, stats)
+		case !e.onMat:
+			next = e.maintain(in.Base, baseDelta, stats)
+		case in.NewMat != nil:
+			next = e.maintain(in.NewMat, matDelta, stats)
 		}
 		if next != nil {
 			n.m[k] = next
@@ -235,46 +215,45 @@ func (c *Cache) MaintainInsert(gen Gen, in MaintainInput, stats *Stats) *Cache {
 	return n
 }
 
-// maintain carries one view from its pinned store to newStore given the
-// delta between them, returning the republished entry (nil to drop). When
-// the delta joins produce no fresh answers — the common case — the answer
-// set is shared with the old entry, so upkeep costs only the delta join
-// and a struct copy, never an O(result) rebuild.
-func (e *Entry) maintain(newStore storage.Store, delta map[string][]storage.Tuple, dataMut uint64, stats *Stats) *Entry {
-	next := *e
-	next.store = newStore
-	next.dataMut = dataMut
-	if len(delta) > 0 {
-		if !e.ensureDeltaPlans(newStore) {
-			return nil
-		}
-		next.delta = e.delta
-		var fresh []storage.Tuple
-		eval.EachDelta(e.delta, newStore, delta, func(t storage.Tuple) {
-			if !e.ans.Contains(t) {
-				fresh = append(fresh, t)
-			}
-		})
-		if len(fresh) > 0 {
-			merged := eval.NewAnswers(e.ans.Arity())
-			for _, t := range e.ans.Tuples() {
-				merged.AddOwned(t)
-			}
-			for _, t := range fresh {
-				merged.AddOwned(t)
-			}
-			next.ans = merged
-			next.bytes = estimateBytes(merged)
-		}
+// maintain carries one view to store, the successor of the store it was
+// evaluated over, given the delta between them, returning the successor's
+// entry (nil to drop). When the delta is empty or its joins produce no fresh
+// answers — the common case — the entry itself is carried, so upkeep costs
+// only the delta join, never an O(result) rebuild.
+func (e *Entry) maintain(store storage.Store, delta map[string][]storage.Tuple, stats *Stats) *Entry {
+	if len(delta) == 0 {
+		return e
 	}
+	if !e.ensureDeltaPlans(store) {
+		return nil
+	}
+	var fresh []storage.Tuple
+	eval.EachDelta(e.delta, store, delta, func(t storage.Tuple) {
+		if !e.ans.Contains(t) {
+			fresh = append(fresh, t)
+		}
+	})
 	stats.DeltaMaintained.Add(1)
+	if len(fresh) == 0 {
+		return e
+	}
+	merged := eval.NewAnswers(e.ans.Arity())
+	for _, t := range e.ans.Tuples() {
+		merged.AddOwned(t)
+	}
+	for _, t := range fresh {
+		merged.AddOwned(t)
+	}
+	next := *e
+	next.ans = merged
+	next.bytes = estimateBytes(merged)
 	return &next
 }
 
 // ensureDeltaPlans lazily compiles the seeded maintenance plans — one per
 // (member CQ, body atom) — the first time the view survives a mutation.
 // Called only under the writer lock; the plans are stored on the receiver
-// and shared by every republished copy of the view. Reports false when the
+// and shared by every carried-forward copy of the view. Reports false when the
 // union is too wide to maintain under maxDeltaPlans.
 func (e *Entry) ensureDeltaPlans(store storage.Store) bool {
 	if e.noDelta {
@@ -344,7 +323,7 @@ func suffixDelta(old, new_ storage.Store) map[string][]storage.Tuple {
 }
 
 // atomsDelta groups inserted base facts by predicate as tuples — the delta
-// shape EachDelta consumes for views pinned to the base snapshot.
+// shape EachDelta consumes for views over the base data.
 func atomsDelta(added []logic.Atom) map[string][]storage.Tuple {
 	if len(added) == 0 {
 		return nil

@@ -29,91 +29,77 @@ func edgeAtom(a, b string) logic.Atom {
 	return logic.NewAtom("edge", logic.NewConst(a), logic.NewConst(b))
 }
 
-// evalEntry evaluates u over ins and wraps the result as a cache entry.
+// evalEntry evaluates u over ins and wraps the result as a cache entry over
+// the materialization side.
 func evalEntry(t *testing.T, u *query.UCQ, ins *storage.Instance) *Entry {
 	t.Helper()
 	ans := eval.UCQ(u, ins, eval.Options{FilterNulls: true})
-	return NewEntry(ans, u, ins, ins.Mutations())
+	return NewEntry(ans, u, true)
 }
 
-func TestLookupValidatesGenerationAndData(t *testing.T) {
+func TestLookupCountsHitsAndMisses(t *testing.T) {
 	u := edgeQuery(t)
 	ins := storage.MustFromAtoms([]logic.Atom{edgeAtom("a", "b")})
-	gen := Gen{Epoch: 3, RulesEpoch: 1}
 	var stats Stats
 	var c *Cache
-	if got := c.Lookup("k", gen, ins.Mutations(), &stats); got != nil {
+	if got := c.Lookup("k", &stats); got != nil {
 		t.Fatal("nil cache returned an answer set")
 	}
-	c = c.WithEntry(gen, 1<<20, "k", evalEntry(t, u, ins), &stats)
+	c = c.WithEntry(1<<20, "k", evalEntry(t, u, ins), &stats)
 
-	if got := c.Lookup("k", gen, ins.Mutations(), &stats); got == nil || got.Len() != 1 {
-		t.Fatalf("hit on matching generation returned %v", got)
+	if got := c.Lookup("k", &stats); got == nil || got.Len() != 1 {
+		t.Fatalf("hit returned %v", got)
 	}
-	if got := c.Lookup("other", gen, ins.Mutations(), &stats); got != nil {
+	if got := c.Lookup("other", &stats); got != nil {
 		t.Fatal("hit on an absent key")
 	}
-	if got := c.Lookup("k", Gen{Epoch: 4, RulesEpoch: 1}, ins.Mutations(), &stats); got != nil {
-		t.Fatal("hit across a snapshot epoch bump")
-	}
-	if got := c.Lookup("k", Gen{Epoch: 3, RulesEpoch: 2}, ins.Mutations(), &stats); got != nil {
-		t.Fatal("hit across a rules epoch bump")
-	}
-	if got := c.Lookup("k", gen, ins.Mutations()+1, &stats); got != nil {
-		t.Fatal("hit across an out-of-band data mutation")
-	}
-	if h, m := stats.Hits.Load(), stats.Misses.Load(); h != 1 || m != 5 {
-		t.Errorf("hits=%d misses=%d, want 1 and 5", h, m)
+	if h, m := stats.Hits.Load(), stats.Misses.Load(); h != 1 || m != 2 {
+		t.Errorf("hits=%d misses=%d, want 1 and 2", h, m)
 	}
 }
 
 func TestWithEntryEvictsLeastRecentlyUsed(t *testing.T) {
 	u := edgeQuery(t)
 	ins := storage.MustFromAtoms([]logic.Atom{edgeAtom("a", "b")})
-	gen := Gen{Epoch: 1}
 	var stats Stats
 
 	one := evalEntry(t, u, ins)
 	budget := 3 * one.bytes
 	var c *Cache
 	for i := 0; i < 3; i++ {
-		c = c.WithEntry(gen, budget, fmt.Sprintf("k%d", i), evalEntry(t, u, ins), &stats)
+		c = c.WithEntry(budget, fmt.Sprintf("k%d", i), evalEntry(t, u, ins), &stats)
 	}
 	// Touch k0 and k2 so k1 is the LRU victim when a fourth entry lands.
-	c.Lookup("k0", gen, ins.Mutations(), &stats)
-	c.Lookup("k2", gen, ins.Mutations(), &stats)
-	c = c.WithEntry(gen, budget, "k3", evalEntry(t, u, ins), &stats)
+	c.Lookup("k0", &stats)
+	c.Lookup("k2", &stats)
+	c = c.WithEntry(budget, "k3", evalEntry(t, u, ins), &stats)
 
-	if got := c.Lookup("k1", gen, ins.Mutations(), &stats); got != nil {
+	if got := c.Lookup("k1", &stats); got != nil {
 		t.Fatal("LRU entry k1 survived eviction")
 	}
 	for _, k := range []string{"k0", "k2", "k3"} {
-		if got := c.Lookup(k, gen, ins.Mutations(), &stats); got == nil {
+		if got := c.Lookup(k, &stats); got == nil {
 			t.Fatalf("recently used entry %s was evicted", k)
 		}
 	}
 	if n := stats.Evictions.Load(); n != 1 {
 		t.Errorf("evictions=%d, want 1", n)
 	}
-	if entries, bytes := c.Usage(gen); entries != 3 || bytes > budget {
+	if entries, bytes := c.Usage(); entries != 3 || bytes > budget {
 		t.Errorf("usage=(%d, %d), want 3 entries within budget %d", entries, bytes, budget)
-	}
-	if entries, _ := c.Usage(Gen{Epoch: 9}); entries != 0 {
-		t.Error("Usage reported entries for a retired generation")
 	}
 }
 
 func TestWithEntryReplaceAdjustsBytes(t *testing.T) {
 	u := edgeQuery(t)
 	ins := storage.MustFromAtoms([]logic.Atom{edgeAtom("a", "b")})
-	gen := Gen{Epoch: 1}
 	var stats Stats
 
 	var c *Cache
-	c = c.WithEntry(gen, 1<<20, "k", evalEntry(t, u, ins), &stats)
-	_, before := c.Usage(gen)
-	c = c.WithEntry(gen, 1<<20, "k", evalEntry(t, u, ins), &stats)
-	if entries, after := c.Usage(gen); entries != 1 || after != before {
+	c = c.WithEntry(1<<20, "k", evalEntry(t, u, ins), &stats)
+	_, before := c.Usage()
+	c = c.WithEntry(1<<20, "k", evalEntry(t, u, ins), &stats)
+	if entries, after := c.Usage(); entries != 1 || after != before {
 		t.Errorf("replacing a key gave usage (%d, %d), want (1, %d)", entries, after, before)
 	}
 }
@@ -123,10 +109,9 @@ func TestWithEntryReplaceAdjustsBytes(t *testing.T) {
 func TestMaintainInsertMatchesReEvaluation(t *testing.T) {
 	u := edgeQuery(t)
 	old := storage.MustFromAtoms([]logic.Atom{edgeAtom("a", "b"), edgeAtom("b", "c")})
-	gen := Gen{Epoch: 1}
 	var stats Stats
 	var c *Cache
-	c = c.WithEntry(gen, 1<<20, "k", evalEntry(t, u, old), &stats)
+	c = c.WithEntry(1<<20, "k", evalEntry(t, u, old), &stats)
 
 	next := old.ExtendClone()
 	added := []logic.Atom{edgeAtom("c", "d"), edgeAtom("d", "e")}
@@ -135,18 +120,17 @@ func TestMaintainInsertMatchesReEvaluation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	gen2 := Gen{Epoch: 2}
-	c = c.MaintainInsert(gen2, MaintainInput{
-		OldMat:  old,
-		NewMat:  next,
-		Added:   added,
-		DataMut: next.Mutations(),
-		Budget:  1 << 20,
+	c = c.MaintainInsert(MaintainInput{
+		Base:   next,
+		OldMat: old,
+		NewMat: next,
+		Added:  added,
+		Budget: 1 << 20,
 	}, &stats)
 
-	got := c.Lookup("k", gen2, next.Mutations(), &stats)
+	got := c.Lookup("k", &stats)
 	if got == nil {
-		t.Fatal("maintained view missing under the new generation")
+		t.Fatal("maintained view missing from the successor cache")
 	}
 	want := eval.UCQ(u, next, eval.Options{FilterNulls: true})
 	if !got.Equal(want) {
@@ -157,29 +141,26 @@ func TestMaintainInsertMatchesReEvaluation(t *testing.T) {
 	}
 }
 
-// TestMaintainInsertDropsUnrelatedInstance asserts a view pinned to an
-// instance the mutation did not extend is dropped, not served stale.
-func TestMaintainInsertDropsUnrelatedInstance(t *testing.T) {
+// TestMaintainInsertDropsViewsOfLostMaterialization asserts a view over a
+// materialization the successor does not extend is dropped, not served
+// stale, while a view over the unchanged base data is carried as it is.
+func TestMaintainInsertDropsViewsOfLostMaterialization(t *testing.T) {
 	u := edgeQuery(t)
-	old := storage.MustFromAtoms([]logic.Atom{edgeAtom("a", "b")})
-	other := storage.MustFromAtoms([]logic.Atom{edgeAtom("x", "y")})
-	gen := Gen{Epoch: 1}
+	base := storage.MustFromAtoms([]logic.Atom{edgeAtom("a", "b")})
 	var stats Stats
 	var c *Cache
-	c = c.WithEntry(gen, 1<<20, "k", evalEntry(t, u, other), &stats)
+	c = c.WithEntry(1<<20, "mat", evalEntry(t, u, base), &stats)
+	onBase := NewEntry(eval.UCQ(u, base, eval.Options{FilterNulls: true}), u, false)
+	c = c.WithEntry(1<<20, "base", onBase, &stats)
 
-	next := old.ExtendClone()
-	if err := next.InsertAtom(edgeAtom("b", "c")); err != nil {
-		t.Fatal(err)
+	c = c.MaintainInsert(MaintainInput{Base: base, Budget: 1 << 20}, &stats)
+	if got := c.Lookup("mat", &stats); got != nil {
+		t.Fatal("view over a dropped materialization survived")
 	}
-	c = c.MaintainInsert(Gen{Epoch: 2}, MaintainInput{
-		OldMat:  old,
-		NewMat:  next,
-		Added:   []logic.Atom{edgeAtom("b", "c")},
-		DataMut: next.Mutations(),
-		Budget:  1 << 20,
-	}, &stats)
-	if c != nil {
-		t.Fatal("view pinned to an unrelated instance survived maintenance")
+	if got := c.Lookup("base", &stats); got != onBase.ans {
+		t.Fatal("view over the unchanged base data was not carried as it is")
+	}
+	if n := stats.DeltaMaintained.Load(); n != 0 {
+		t.Errorf("deltaMaintained=%d, want 0 (no delta join ran)", n)
 	}
 }

@@ -452,8 +452,8 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, t *tenant, 
 	if key, kerr := t.ont.AnswerCacheKey(query, opts); kerr == nil && !opts.NoCache {
 		// Flights of a retired generation drain and die on their own: new
 		// arrivals compute a fresh key and open a fresh flight.
-		pe, re, dm := t.ont.CacheGeneration()
-		fkey := fmt.Sprintf("%s|%d.%d.%d|%s", r.PathValue("name"), pe, re, dm, key)
+		gen := t.ont.CacheGeneration()
+		fkey := fmt.Sprintf("%s|%d|%s", r.PathValue("name"), gen, key)
 		fopts := opts
 		fopts.Limit = 0 // the flight is shared; each consumer applies its own limit
 		err = s.flights.Do(r.Context(), fkey, func(ctx context.Context) (rescache.Source, error) {

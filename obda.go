@@ -41,6 +41,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dependency"
 	"repro/internal/eval"
+	"repro/internal/logic"
 	"repro/internal/parser"
 	"repro/internal/query"
 	"repro/internal/rescache"
@@ -51,67 +52,56 @@ import (
 
 // Ontology is a set of TGDs together with a database instance.
 //
+// Everything a reader can observe — the rule set, the base data, the chase
+// materialization, the classification, the compiled plans and the cached
+// answer views — hangs off one immutable snapshot behind one atomic pointer.
+// A reader loads that pointer once per operation, so the pair (P, D) it
+// answers cert(q, P, D) over, and every cache entry it reads or fills, belong
+// to one generation by construction: nothing is cross-validated on the read
+// side, and a cache entry is valid exactly as long as the snapshot it hangs
+// off is reachable.
+//
 // An Ontology is safe for concurrent use: any number of goroutines may call
 // Answer*/Classify/Chase concurrently, and every mutator —
 // AddFact/DeleteFact/LoadCSV/AddRule/RemoveRule — may run alongside them.
-// Reads over a published snapshot are lock-free: the answering paths
-// evaluate an immutable instance loaded through an atomic pointer, so a
-// slow query neither blocks nor queues behind concurrent writers — not even
-// behind a rule mutation. Only a cache miss — the first chase-mode answer,
-// or one after an out-of-band Data() mutation or a budget raise — builds
+// Reads never queue behind writers: a mutation forks the published base and
+// materialization copy-on-write, applies itself to the forks, and publishes
+// the next snapshot with one pointer store (publish) — or, when rejected or
+// canceled, publishes nothing — while readers keep evaluating the previous
+// generation, untouched. Only a cold chase materialization (the first
+// chase-mode answer, or one after a budget or partition-count change) builds
 // under the writer lock, single-flight and serialized with mutators; once
-// published, the snapshot serves every reader until the next write.
+// published it serves every reader until the next write.
 //
-// All writes flow through one unified mutation pipeline (mutate): the
-// change is staged and validated in full, applied to a copy-on-write
-// extension of the published snapshots, and published atomically at the
-// end. Maintenance is incremental in every direction: AddFact chases only
-// the newly inserted facts as a delta, DeleteFact repairs the
-// materialization DRed-style (over-delete the derived closure, re-derive
-// survivors), AddRule resumes the chase with the whole instance as delta
-// against only the new rule, and RemoveRule over-deletes every fact whose
-// provenance cites the removed rule before re-deriving survivors (see
-// MaterializationStats for the counters). Dead derivations left behind by
-// repairs are reclaimed by a generational provenance sweep every
-// DefaultCompactEvery mutations (SetCompactEvery tunes it).
+// publish guarantees that the snapshot it installs is complete before it is
+// visible (rules, base, materialization and carried-forward caches all refer
+// to one another), that generations are totally ordered (gen grows by one per
+// publication, all under wmu), and that a published snapshot is never written
+// again except for its own lazily filled caches.
+//
+// Data() and the instance passed to New are the currently published base — a
+// snapshot, not a live handle: mutations fork it and publish the fork, so an
+// instance held across a mutation is the old generation.
+//
+// Maintenance is incremental in every direction: AddFact chases only the
+// newly inserted facts as a delta, DeleteFact repairs the materialization
+// DRed-style (over-delete the derived closure, re-derive survivors), AddRule
+// resumes the chase with the whole instance as delta against only the new
+// rule, and RemoveRule over-deletes every fact whose provenance cites the
+// removed rule before re-deriving survivors (see MaterializationStats for the
+// counters). Dead derivations left behind by repairs are reclaimed by a
+// generational provenance sweep every DefaultCompactEvery mutations
+// (SetCompactEvery tunes it).
 type Ontology struct {
-	// rules is the current TGD set, swapped wholesale (copy-on-write, rule
-	// pointers shared) by rule mutations under wmu; readers load it once per
-	// operation and never observe a half-applied change.
-	rules atomic.Pointer[dependency.Set]
-	data  *storage.Instance
-
-	// class caches the classification for the exact rule set it was computed
-	// from: set pointer identity is the invalidation key, so any rule
-	// mutation — which swaps the set — implicitly drops the entry.
-	class atomic.Pointer[classEntry]
-
-	// mu guards structural access to the canonical base instance o.data:
-	// writers hold it exclusively while inserting or removing, snapshot
-	// builders hold it shared while cloning. No code path holds it during
-	// query evaluation, and rule mutations never take it at all (asserted by
-	// TestAnswersDoNotBlockBehindWriters).
-	mu sync.RWMutex
-	// wmu serializes snapshot publishers — every mutation, cold
-	// materialization builds and base-snapshot rebuilds — so the chase
-	// engine state is single-writer and cold builds single-flight. Always
-	// acquired before mu; never held while evaluating a published snapshot.
+	// snap is the one published pointer; only publish (and newOntology)
+	// stores it.
+	snap atomic.Pointer[snapshot]
+	// wmu serializes publishers — every mutation, cold materialization builds
+	// and the republication after an out-of-band Data() write — so the chase
+	// engine state is single-writer and cold builds single-flight. Never held
+	// while evaluating a published snapshot.
 	wmu sync.Mutex
 
-	// mat is the published chase materialization: an immutable instance plus
-	// frozen counters. Readers load it once and evaluate with no lock held;
-	// writers publish a copy-on-write extension (never mutate a published
-	// instance) under wmu.
-	mat atomic.Pointer[materialization]
-	// base is the published snapshot of the base data that rewrite-mode
-	// evaluation reads, maintained by writers the same copy-on-write way.
-	base atomic.Pointer[baseSnapshot]
-	// epoch counts completed materialization builds and extensions,
-	// monotonic across cache drops and rebuilds.
-	epoch atomic.Uint64
-	// rulesEpoch counts rule mutations; rules-derived caches (compiled query
-	// plans, classification) are keyed to it.
-	rulesEpoch atomic.Uint64
 	// wantProv turns on derivation-provenance recording for future
 	// materialization builds. It is set (sticky) by the first DeleteFact or
 	// RemoveRule, so ontologies that never delete pay nothing for the graph;
@@ -120,10 +110,9 @@ type Ontology struct {
 	wantProv atomic.Bool
 	// fullRebuilds counts every time a published materialization was dropped
 	// — RemoveRule on a provenance-less cache, a repair that became
-	// impossible, a canceled mutation's rollback, an out-of-band Data()
-	// mutation — forcing the next chase-mode answer to rebuild from scratch.
-	// Surfaced through MaterializationStats so the formerly silent rebuild
-	// penalty is observable.
+	// impossible, a canceled mutation, an out-of-band Data() mutation —
+	// forcing the next chase-mode answer to rebuild from scratch. Surfaced
+	// through MaterializationStats so the rebuild penalty is observable.
 	fullRebuilds atomic.Uint64
 	// prunedProbes counts evaluation-side partition pruning: join probes
 	// that a plan over a P > 1 materialization confined to a single
@@ -132,28 +121,10 @@ type Ontology struct {
 	// through MaterializationStats.Partition.
 	prunedProbes atomic.Uint64
 
-	// planEpoch counts snapshot publications (materializations and base
-	// snapshots alike); the compiled-plan cache generation is keyed to it
-	// (together with rulesEpoch), so plans compiled against a retired
-	// snapshot are dropped wholesale.
-	planEpoch atomic.Uint64
-	// planCache holds the compiled query plans for the current epoch, keyed
-	// by canonical query string. Server-style workloads re-answering the
-	// same (or α-equivalent) queries hit warm plans and skip the planner.
-	planCache atomic.Pointer[planCache]
-
 	// ansBudget is the answer-view cache byte budget; <= 0 disables the
 	// cache entirely (the library default — servers and CLIs opt in via
 	// their -cache flag and SetAnswerCacheBudget).
 	ansBudget atomic.Int64
-	// ansCache is the published answer-view cache generation: completed
-	// deduplicated answer sets keyed by canonical query + options, valid
-	// only while planEpoch and rulesEpoch still match the generation they
-	// were stored under (readers must load both — enforced by the
-	// epochcache analyzer, like planCache). Insert-only mutations maintain
-	// the views incrementally in mutate's publish phase; every other
-	// mutation invalidates them by generation mismatch.
-	ansCache atomic.Pointer[rescache.Cache]
 	// ansStats carries the answer-cache counters across generations.
 	ansStats rescache.Stats
 
@@ -165,10 +136,40 @@ type Ontology struct {
 	mutCount     int
 }
 
-// classEntry caches one classification, pinned to the exact rule set it was
-// computed from.
-type classEntry struct {
-	rules  *dependency.Set
+// snapshot is one published generation of the ontology. rules, base, mat and
+// the counters are immutable once published; class, plans and views are
+// caches of values derived from them, filled lazily by whoever needs them
+// first and carried into the next generation only by publish.
+type snapshot struct {
+	// gen counts publications. It is the one generation number: the server
+	// keys its shared flights to it, nothing compares it on a read path.
+	gen   uint64
+	rules *dependency.Set
+	// base is the canonical base data. Mutations fork it (ExtendClone) and
+	// publish the fork; baseMut is its mutation counter as published, so a
+	// write that bypassed the Ontology through Data() shows up as a mismatch
+	// (intact, the one validation a read performs).
+	base    *storage.Instance
+	baseMut uint64
+	// mat is the chase materialization of (rules, base), nil until a
+	// chase-mode answer builds it or after a drop. matEpoch counts completed
+	// builds and extensions, monotonic across drops.
+	mat      *materialization
+	matEpoch uint64
+	// class is shared by consecutive snapshots over the same rule set.
+	class *classification
+	// plans holds the compiled query plans (planKey -> []*eval.Plan), so
+	// workloads re-answering the same (or α-equivalent) queries skip the
+	// planner; the cache dies with the snapshot.
+	plans sync.Map
+	// views is this generation's answer-view cache: readers that completed
+	// an evaluation over this snapshot add to it by compare-and-swap.
+	views atomic.Pointer[rescache.Cache]
+}
+
+// classification computes the report for one rule set at most once.
+type classification struct {
+	once   sync.Once
 	report *core.Report
 }
 
@@ -179,103 +180,176 @@ const DefaultCompactEvery = 64
 // New wires an already-built rule set and database instance into an
 // Ontology — the programmatic counterpart of Parse for callers (servers,
 // generators, tests) that assemble components directly. The Ontology takes
-// ownership of data: mutate it only through the Ontology afterwards.
+// ownership of data: it becomes the first published base (see Data).
 func New(rules *dependency.Set, data *storage.Instance) *Ontology {
 	return newOntology(rules, data)
 }
 
-// newOntology wires a rule set and an instance into an Ontology.
+// newOntology publishes generation zero.
 func newOntology(rules *dependency.Set, data *storage.Instance) *Ontology {
-	o := &Ontology{data: data, compactEvery: DefaultCompactEvery}
-	o.rules.Store(rules)
+	o := &Ontology{compactEvery: DefaultCompactEvery}
+	o.snap.Store(&snapshot{
+		rules:   rules,
+		base:    data,
+		baseMut: data.Mutations(),
+		class:   new(classification),
+	})
 	return o
 }
 
-// planCache maps canonical query strings to plans compiled against one
-// (snapshot, rule set) generation: rulesEpoch joins the snapshot epoch in
-// the key because rule mutations change what a rewritten query means even
-// when the base instance is untouched. Entries additionally pin the exact
-// store they were compiled for, so a reader still evaluating a just-retired
-// snapshot can never be served plans whose frozen statistics and resolved
-// order belong to a different generation.
-type planCache struct {
-	epoch      uint64
-	rulesEpoch uint64
-	mu         sync.RWMutex
-	m          map[string]*cachedPlans
-}
+// intact reports whether the published base is still what was published: a
+// write through Data() moves the instance's mutation counter (balanced
+// insert/delete pairs included) without publishing anything.
+func (s *snapshot) intact() bool { return s.base.Mutations() == s.baseMut }
 
-type cachedPlans struct {
-	// store pins the snapshot: an entry only serves a caller evaluating the
-	// identical store.
-	store storage.Store
-	plans []*eval.Plan
-}
-
-// evalUCQ evaluates a union over a published snapshot through the
-// compiled-plan cache: the UCQ is compiled once per (canonical query,
-// snapshot) and repeated queries run the cached plans directly.
-func (o *Ontology) evalUCQ(u *query.UCQ, store storage.Store, opts eval.Options) *eval.Answers {
-	return eval.RunPlans(o.compiledPlans(u, store), u.Arity(), store, opts)
-}
-
-// plansFor returns the plans for u over store: through the cache when the
-// store is a published snapshot, compiled directly otherwise — no later query
-// can hit an entry pinning a store that was never published, so caching it
-// would only pollute.
-func (o *Ontology) plansFor(u *query.UCQ, store storage.Store, published bool) []*eval.Plan {
-	if !published {
-		return eval.CompileUCQ(u, store, eval.PlannerDefault, eval.JoinDefault)
+// load returns the current snapshot — the one load every read path starts
+// with. When the base was written out-of-band, everything derived from it is
+// stale, so a generation that re-reads it is published first.
+func (o *Ontology) load() *snapshot {
+	if s := o.snap.Load(); s.intact() {
+		return s
 	}
-	return o.compiledPlans(u, store)
+	o.wmu.Lock()
+	defer o.wmu.Unlock()
+	return o.loadLocked()
 }
 
-// compiledPlans returns the plans for u over store, from the cache when warm.
-// Lock-free fast path aside from a short read-lock on the epoch's map; a
-// miss compiles outside any lock (compilation only reads the immutable
-// snapshot) and publishes the entry for the next caller.
-func (o *Ontology) compiledPlans(u *query.UCQ, store storage.Store) []*eval.Plan {
-	epoch := o.planEpoch.Load()
-	repoch := o.rulesEpoch.Load()
-	pc := o.planCache.Load()
-	if pc == nil || pc.epoch != epoch || pc.rulesEpoch != repoch {
-		fresh := &planCache{epoch: epoch, rulesEpoch: repoch, m: make(map[string]*cachedPlans)}
-		if o.planCache.CompareAndSwap(pc, fresh) {
-			pc = fresh
-		} else {
-			pc = o.planCache.Load()
+// loadLocked is load for publishers. Requires o.wmu.
+func (o *Ontology) loadLocked() *snapshot {
+	s := o.snap.Load()
+	if s.intact() {
+		return s
+	}
+	next := s.next()
+	next.baseMut = s.base.Mutations()
+	o.dropMat(next)
+	o.publish(next, false, nil)
+	return next
+}
+
+// next starts the successor of s: same contents, next generation, empty
+// plan cache. The caller edits it, then hands it to publish.
+func (s *snapshot) next() *snapshot {
+	return &snapshot{
+		gen:      s.gen + 1,
+		rules:    s.rules,
+		base:     s.base,
+		baseMut:  s.baseMut,
+		mat:      s.mat,
+		matEpoch: s.matEpoch,
+		class:    s.class,
+	}
+}
+
+// publish installs next as the current snapshot: the only store to o.snap
+// after construction. Its one other job is the explicit carry-forward of the
+// previous generation's answer views. They survive only a monotone step
+// (same rules, nothing deleted): views over the base are joined against the
+// inserted facts, views over the materialization against the tuples its
+// copy-on-write extension appended (rescache.MaintainInsert) — CQ answers are
+// monotone under inserts, so merging the delta answers is exact. Views over
+// a materialization that was dropped, rebuilt or left truncated are not
+// carried. Requires o.wmu.
+func (o *Ontology) publish(next *snapshot, monotone bool, added []logic.Atom) {
+	prev := o.snap.Load()
+	if next.rules != prev.rules {
+		next.class = new(classification)
+	}
+	if budget := o.ansBudget.Load(); monotone && budget > 0 {
+		in := rescache.MaintainInput{Base: next.base, Added: added, Budget: budget}
+		// An extension shares its engine state with the materialization it
+		// extends; a rebuild starts a new one.
+		if prev.mat != nil && next.mat != nil && next.mat.state == prev.mat.state && next.mat.terminated {
+			in.OldMat, in.NewMat = prev.mat.store, next.mat.store
 		}
+		next.views.Store(prev.views.Load().MaintainInsert(in, &o.ansStats))
 	}
-	key := planKey(u)
-	pc.mu.RLock()
-	e := pc.m[key]
-	pc.mu.RUnlock()
-	if e != nil && e.store == store {
-		return e.plans
-	}
-	plans := eval.CompileUCQ(u, store, eval.PlannerDefault, eval.JoinDefault)
-	pc.mu.Lock()
-	pc.m[key] = &cachedPlans{store: store, plans: plans}
-	pc.mu.Unlock()
-	return plans
+	o.snap.Store(next)
 }
 
-// planKey builds the cache key: the canonical (renaming- and
-// body-order-invariant) form of every disjunct.
-func planKey(u *query.UCQ) string {
+// dropMat discards next's materialization and counts the drop: the next
+// chase-mode answer pays a full rebuild. Every drop site routes through here
+// so MaterializationStats.FullRebuilds reflects the true rebuild debt.
+func (o *Ontology) dropMat(next *snapshot) {
+	if next.mat != nil {
+		next.mat = nil
+		o.fullRebuilds.Add(1)
+	}
+}
+
+// setMat freezes the engine counters into an immutable materialization of
+// the not yet published snapshot. The engine state is the writer's: requires
+// Ontology.wmu.
+func (s *snapshot) setMat(store storage.Store, st *chase.State, terminated bool, lastSteps, lastRounds int) {
+	derivs, dead, compactions := st.ProvenanceStats()
+	s.matEpoch++
+	s.mat = &materialization{
+		store:       store,
+		state:       st,
+		terminated:  terminated,
+		steps:       st.TotalSteps(),
+		rounds:      st.TotalRounds(),
+		nulls:       st.TotalNulls(),
+		lastSteps:   lastSteps,
+		lastRounds:  lastRounds,
+		provDerivs:  derivs,
+		provDead:    dead,
+		compactions: compactions,
+		pstats:      st.PartitionTotals(),
+	}
+}
+
+// planKey files one snapshot's compiled plans by which of its two stores
+// they were compiled for plus the canonical query: the frozen statistics and
+// resolved join order inside a plan belong to that store.
+type planKey struct {
+	onMat bool
+	ucq   string
+}
+
+// compileUCQ is eval.CompileUCQ behind a seam the plan-cache test counts
+// calls through.
+var compileUCQ = eval.CompileUCQ
+
+// store returns the instance a query over this snapshot evaluates: the
+// materialization or the base data.
+func (s *snapshot) store(onMat bool) storage.Store {
+	if onMat {
+		return s.mat.store
+	}
+	return s.base
+}
+
+// plansFor returns the plans for u over one of the snapshot's stores, from
+// the cache when warm. A miss compiles (compilation only reads the immutable
+// snapshot; racing callers may each compile once, which is benign) and files
+// the entry for the next caller.
+func (s *snapshot) plansFor(u *query.UCQ, onMat bool) []*eval.Plan {
 	var b strings.Builder
 	for _, q := range u.CQs {
 		b.WriteByte('\n')
-		b.WriteString(q.DedupKey())
+		b.WriteString(q.DedupKey()) // renaming- and body-order-invariant
 	}
-	return b.String()
+	key := planKey{onMat: onMat, ucq: b.String()}
+	if plans, ok := s.plans.Load(key); ok {
+		return plans.([]*eval.Plan)
+	}
+	plans := compileUCQ(u, s.store(onMat), eval.PlannerDefault, eval.JoinDefault)
+	s.plans.Store(key, plans)
+	return plans
 }
 
-// materialization is the published chase expansion plus the resumable engine
-// state (null generators, semi-oblivious memory, provenance, counters) that
-// maintains it across AddFact/DeleteFact deltas. The instance and the
-// counter fields are immutable once published; state is only ever touched by
-// writers serialized under Ontology.wmu.
+// evalUCQ evaluates a union over one of the snapshot's stores through its
+// plan cache.
+func (s *snapshot) evalUCQ(u *query.UCQ, onMat bool, opts eval.Options) *eval.Answers {
+	return eval.RunPlans(s.plansFor(u, onMat), u.Arity(), s.store(onMat), opts)
+}
+
+// materialization is the chase expansion of one snapshot plus the resumable
+// engine state (null generators, semi-oblivious memory, provenance, counters)
+// that maintains it across mutations. The instance and the counter fields are
+// immutable once published; state is only ever touched by writers serialized
+// under Ontology.wmu.
 type materialization struct {
 	// store is the expansion, in Options.Partitions partitions; a request
 	// for a different partition count rebuilds.
@@ -284,11 +358,6 @@ type materialization struct {
 	// terminated mirrors the last increment's fixpoint flag; a truncated
 	// cache is only served to callers whose budgets cannot do better.
 	terminated bool
-	// baseMut is o.data.Mutations() when the cache was last built or
-	// extended; a mismatch means the base data was mutated out-of-band (via
-	// Data()), so the cache must be rebuilt rather than served stale. A
-	// counter, not a size: balanced insert/delete pairs move it.
-	baseMut uint64
 	// steps/rounds/nulls freeze the engine's cumulative counters at publish
 	// time so readers never touch the writer-owned state.
 	steps, rounds, nulls int
@@ -301,25 +370,14 @@ type materialization struct {
 	pstats chase.PartitionStats
 }
 
-// baseSnapshot is the published immutable view of the base data serving
-// rewrite-mode evaluation, tagged with the mutation count it reflects.
-type baseSnapshot struct {
-	ins     *storage.Instance
-	baseMut uint64
-}
-
-// usable reports whether the published cache can serve a request with the
-// given (defaulted) budgets against the current base data: the data must not
-// have been mutated since the cache last saw it, the partition count must
-// match the request's (answers are identical either way; the caller asked
-// for that layout's locality and pruning), and a truncated cache only serves requests
-// whose budgets are no larger than the ones it was built with (a larger
-// budget could derive more). A terminated fixpoint serves any budget.
-func (m *materialization) usable(copts chase.Options, dataMut uint64) bool {
-	if m.baseMut != dataMut {
-		return false
-	}
-	if m.store.NumParts() != copts.Partitions {
+// usable reports whether the materialization can serve a request with the
+// given (defaulted) budgets: the partition count must match the request's
+// (answers are identical either way; the caller asked for that layout's
+// locality and pruning), and a truncated cache only serves requests whose
+// budgets are no larger than the ones it was built with (a larger budget
+// could derive more). A terminated fixpoint serves any budget.
+func (m *materialization) usable(copts chase.Options) bool {
+	if m == nil || m.store.NumParts() != copts.Partitions {
 		return false
 	}
 	if m.terminated {
@@ -374,9 +432,9 @@ func ParseFiles(rulesPath string, dataPaths ...string) (*Ontology, error) {
 	if err != nil {
 		return nil, err
 	}
-	o := newOntology(rules, storage.NewInstance())
+	data := storage.NewInstance()
 	for _, f := range prog.Facts {
-		if err := o.data.InsertAtom(f); err != nil {
+		if err := data.InsertAtom(f); err != nil {
 			return nil, err
 		}
 	}
@@ -389,42 +447,40 @@ func ParseFiles(rulesPath string, dataPaths ...string) (*Ontology, error) {
 			return nil, fmt.Errorf("%s: data file contains rules or queries", p)
 		}
 		for _, f := range dp.Facts {
-			if err := o.data.InsertAtom(f); err != nil {
+			if err := data.InsertAtom(f); err != nil {
 				return nil, err
 			}
 		}
 	}
-	return o, nil
+	return newOntology(rules, data), nil
 }
 
 // Rules returns the ontology's current TGD set. Rule mutations (AddRule,
-// RemoveRule) replace the set wholesale, so the returned value is an
-// immutable snapshot: it never changes under the caller.
-func (o *Ontology) Rules() *dependency.Set { return o.rules.Load() }
+// RemoveRule) publish a new set, so the returned value is an immutable
+// snapshot: it never changes under the caller.
+func (o *Ontology) Rules() *dependency.Set { return o.snap.Load().rules }
 
-// Data returns the ontology's canonical database instance. Treat it as
-// read-only: mutate the ontology through AddFact/DeleteFact/LoadCSV, which
-// maintain the published snapshots incrementally. Out-of-band mutations are
-// detected through the instance's monotonic mutation counter (so even
-// balanced insert/delete pairs are caught) and force a full rebuild on the
-// next answer — but they race with concurrent Answer and mutator calls.
-func (o *Ontology) Data() *storage.Instance { return o.data }
+// Data returns the currently published base instance — a snapshot, not a
+// live handle: AddFact/DeleteFact/LoadCSV fork it copy-on-write and publish
+// the fork, so an instance held across a mutation is the old generation and
+// never changes again. Treat it as read-only. A write through it is detected
+// by the instance's monotonic mutation counter (so even balanced
+// insert/delete pairs are caught) and forces a full rebuild on the next
+// answer — but it races with concurrent Answer and mutator calls, and is only
+// seen while the instance is still the published one.
+func (o *Ontology) Data() *storage.Instance { return o.snap.Load().base }
 
 // Classify runs every class test of the paper's landscape (simple, Linear,
 // Multilinear, Sticky, Sticky-Join, Guarded, Domain-Restricted,
 // Weakly-Acyclic, Acyclic-GRD, SWR, WR) and recommends an answering
-// strategy. The report is cached per rule set: a rule mutation swaps the set
-// and thereby invalidates the entry, so Classify never serves a
-// pre-mutation landscape (regression-tested). Lock-free; concurrent callers
-// may compute the same report once each, which is benign.
-func (o *Ontology) Classify() *core.Report {
-	rules := o.rules.Load()
-	if e := o.class.Load(); e != nil && e.rules == rules {
-		return e.report
-	}
-	rep := core.Classify(rules)
-	o.class.Store(&classEntry{rules: rules, report: rep})
-	return rep
+// strategy. The report is computed once per rule set and shared by every
+// snapshot over it: a rule mutation publishes a snapshot with an empty slot,
+// so Classify never serves a pre-mutation landscape (regression-tested).
+func (o *Ontology) Classify() *core.Report { return o.snap.Load().classify() }
+
+func (s *snapshot) classify() *core.Report {
+	s.class.once.Do(func() { s.class.report = core.Classify(s.rules) })
+	return s.class.report
 }
 
 // Rewriting is a compiled first-order rewriting of a query.
@@ -477,7 +533,7 @@ func (o *Ontology) RewriteCtx(ctx context.Context, querySrc string) (*Rewriting,
 	if err != nil {
 		return nil, err
 	}
-	rw := o.rewriteCQCtx(ctx, q, 0)
+	rw := rewriteCQCtx(ctx, q, o.Rules(), 0)
 	if rw.Stats.Err != nil {
 		return nil, rw.Stats.Err
 	}
@@ -486,23 +542,17 @@ func (o *Ontology) RewriteCtx(ctx context.Context, querySrc string) (*Rewriting,
 
 // RewriteCQ compiles an already-parsed query.
 func (o *Ontology) RewriteCQ(q *query.CQ) *Rewriting {
-	return o.rewriteCQ(q, 0)
+	return rewriteCQCtx(context.Background(), q, o.Rules(), 0)
 }
 
-// rewriteCQ compiles q with the default engine options, optionally
-// overriding the kept-CQ budget (0 keeps the default).
-func (o *Ontology) rewriteCQ(q *query.CQ, maxCQs int) *Rewriting {
-	return o.rewriteCQCtx(context.Background(), q, maxCQs)
-}
-
-// rewriteCQCtx compiles q under ctx with the default engine options,
-// optionally overriding the kept-CQ budget (0 keeps the default). A canceled
-// run surfaces through Stats.Err with Complete false.
-func (o *Ontology) rewriteCQCtx(ctx context.Context, q *query.CQ, maxCQs int) *Rewriting {
+// rewriteCQCtx compiles q against rules under ctx with the default engine
+// options, optionally overriding the kept-CQ budget (0 keeps the default). A
+// canceled run surfaces through Stats.Err with Complete false.
+func rewriteCQCtx(ctx context.Context, q *query.CQ, rules *dependency.Set, maxCQs int) *Rewriting {
 	ropts := rewrite.DefaultOptions()
 	if maxCQs > 0 {
 		ropts.MaxCQs = maxCQs
 	}
-	res := rewrite.RewriteCtx(ctx, q, o.rules.Load(), ropts)
+	res := rewrite.RewriteCtx(ctx, q, rules, ropts)
 	return &Rewriting{UCQ: res.UCQ, Complete: res.Complete, Stats: res}
 }

@@ -195,20 +195,20 @@ func (o *Ontology) AnswerEach(ctx context.Context, querySrc string, opts Options
 	}
 }
 
-// resolveAnswer resolves the answering mode and produces the evaluation
-// input of openAnswer: the UCQ to run and the immutable store to run it over
-// — the rewriting over the published base snapshot, or the query itself over
-// the (built-on-demand) materialization in Options.Partitions partitions.
-// The returned flag reports whether the store is published, i.e. safe to
-// key compiled-plan cache entries to.
+// resolveAnswer resolves the answering mode against the reader's snapshot and
+// produces the evaluation input of openAnswer: the UCQ to run, the snapshot
+// to run it over and which of its stores — the rewriting over the base data,
+// or the query itself over the materialization in Options.Partitions
+// partitions. The snapshot returned is s unless the materialization had to be
+// built, which publishes a successor.
 //
 // Resolution never outlives its deadline. The exit check below covers two
 // gaps the in-build polls cannot: ctx polls inside the chase are amortized,
 // so a whole build can complete between them; and a build that saturates
 // every P can starve the context's timer goroutine, leaving ctx.Err() nil
 // long past the deadline — hence the explicit clock comparison.
-func (o *Ontology) resolveAnswer(ctx context.Context, q *query.CQ, opts Options) (*query.UCQ, storage.Store, bool, error) {
-	u, store, published, err := o.resolveAnswerMode(ctx, q, opts)
+func (o *Ontology) resolveAnswer(ctx context.Context, s *snapshot, q *query.CQ, opts Options) (*query.UCQ, *snapshot, bool, error) {
+	u, s, onMat, err := o.resolveAnswerMode(ctx, s, q, opts)
 	if err == nil {
 		err = ctx.Err()
 	}
@@ -220,14 +220,14 @@ func (o *Ontology) resolveAnswer(ctx context.Context, q *query.CQ, opts Options)
 	if err != nil {
 		return nil, nil, false, err
 	}
-	return u, store, published, nil
+	return u, s, onMat, nil
 }
 
-func (o *Ontology) resolveAnswerMode(ctx context.Context, q *query.CQ, opts Options) (*query.UCQ, storage.Store, bool, error) {
+func (o *Ontology) resolveAnswerMode(ctx context.Context, s *snapshot, q *query.CQ, opts Options) (*query.UCQ, *snapshot, bool, error) {
 	mode := opts.Mode
 	auto := mode == ModeAuto
 	if auto {
-		if o.Classify().FORewritable {
+		if s.classify().FORewritable {
 			mode = ModeRewrite
 		} else {
 			mode = ModeChase
@@ -235,7 +235,7 @@ func (o *Ontology) resolveAnswerMode(ctx context.Context, q *query.CQ, opts Opti
 	}
 	switch mode {
 	case ModeRewrite:
-		rw := o.rewriteCQCtx(ctx, q, opts.MaxRewriteCQs)
+		rw := rewriteCQCtx(ctx, q, s.rules, opts.MaxRewriteCQs)
 		if rwErr := rw.Stats.Err; rwErr != nil {
 			return nil, nil, false, rwErr // canceled mid-rewriting; not a budget miss
 		}
@@ -244,85 +244,64 @@ func (o *Ontology) resolveAnswerMode(ctx context.Context, q *query.CQ, opts Opti
 				// ModeAuto promised an answer, not a technique: when the
 				// rewriting hits its budget, fall back to materialization
 				// instead of surfacing the rewriting error.
-				return o.chaseForAnswer(ctx, q, opts)
+				return o.chaseForAnswer(ctx, s, q, opts)
 			}
 			return nil, nil, false, fmt.Errorf("repro: rewriting did not reach a fixpoint (budget hit); use ModeChase")
 		}
-		// Evaluate over the published base snapshot with no lock held: a
-		// slow evaluation neither blocks writers nor queues other readers
-		// behind them. Repeated queries rewrite to the same UCQ, so the
-		// compiled plans come from the cache.
-		return rw.UCQ, o.snapshotBase(), true, nil
+		// The rewriting was compiled from s.rules and evaluates over s.base:
+		// one generation, no lock held. Repeated queries rewrite to the same
+		// UCQ, so the compiled plans come from the snapshot's cache.
+		return rw.UCQ, s, false, nil
 	case ModeChase:
-		return o.chaseForAnswer(ctx, q, opts)
+		return o.chaseForAnswer(ctx, s, q, opts)
 	default:
 		return nil, nil, false, fmt.Errorf("repro: unknown answer mode %d", mode)
 	}
 }
 
-// chaseForAnswer returns the materialized store chase-mode answering
-// evaluates over, building or rebuilding it when absent or unusable for the
-// requested budgets. The fast path is lock-free: the published pointer is
-// loaded once and the query evaluates over the immutable instance, so a slow
-// evaluation neither blocks writers nor queues other readers behind them.
-// Builds run under wmu (single-flight, serialized with writers — so the base
-// cannot change underneath) and always serve their own result, so a build is
-// never wasted and nothing can starve.
-func (o *Ontology) chaseForAnswer(ctx context.Context, q *query.CQ, opts Options) (*query.UCQ, storage.Store, bool, error) {
+// chaseForAnswer returns the snapshot whose materialization chase-mode
+// answering evaluates over: s itself when its materialization serves the
+// requested budgets and partition count — the lock-free fast path — or the
+// successor a cold build publishes.
+func (o *Ontology) chaseForAnswer(ctx context.Context, s *snapshot, q *query.CQ, opts Options) (*query.UCQ, *snapshot, bool, error) {
 	copts := opts.chaseOptions()
-	u := query.MustNewUCQ(q)
-
-	if m := o.mat.Load(); m != nil && m.usable(copts, o.data.Mutations()) {
-		if !m.terminated {
-			return nil, nil, false, budgetErr(m.lastSteps)
+	if !s.mat.usable(copts) {
+		var err error
+		if s, err = o.buildMat(ctx, copts); err != nil {
+			return nil, nil, false, err
 		}
-		return u, m.store, true, nil
 	}
-
-	o.wmu.Lock()
-	if m := o.mat.Load(); m != nil && m.usable(copts, o.data.Mutations()) {
-		// Built while we queued; evaluate after releasing the lock.
-		o.wmu.Unlock()
-		if !m.terminated {
-			return nil, nil, false, budgetErr(m.lastSteps)
-		}
-		return u, m.store, true, nil
+	if !s.mat.terminated {
+		return nil, nil, false, fmt.Errorf("repro: chase did not terminate within budget (last run: %d steps); raise Options.MaxSteps/MaxRounds", s.mat.lastSteps)
 	}
-	o.mu.RLock()
-	store, err := storage.NewStore(o.data, copts.Partitions, copts.PartitionCol)
-	snapMut := o.data.Mutations()
-	o.mu.RUnlock()
-	if err != nil {
-		o.wmu.Unlock()
-		return nil, nil, false, err
-	}
-	// Record provenance only once a DeleteFact/RemoveRule has shown it is
-	// needed. Rules are loaded under wmu, so the build matches the set
-	// current at publication.
-	copts.TrackProvenance = o.wantProv.Load()
-	st := chase.NewState(copts)
-	res := st.ResumeCtx(ctx, o.rules.Load(), store, store)
-	if res.Err != nil {
-		// Canceled mid-build: the half-chased clone and its engine state are
-		// simply discarded — nothing was published, every snapshot is as it
-		// was before the call.
-		o.wmu.Unlock()
-		return nil, nil, false, res.Err
-	}
-	// Publish unless the data was mutated out-of-band while we chased (a
-	// legitimate writer cannot have: we hold wmu). Either way, serve our own
-	// build — it is a valid chase of the data as of the clone.
-	published := o.data.Mutations() == snapMut
-	if published {
-		o.publishMat(store, st, res.Terminated, snapMut, res.Steps, res.Rounds)
-	}
-	o.wmu.Unlock()
-	if !res.Terminated {
-		return nil, nil, false, budgetErr(res.Steps)
-	}
-	return u, store, published, nil
+	return query.MustNewUCQ(q), s, true, nil
 }
 
-func budgetErr(steps int) error {
-	return fmt.Errorf("repro: chase did not terminate within budget (last run: %d steps); raise Options.MaxSteps/MaxRounds", steps)
+// buildMat chases the current base under wmu — single-flight, serialized
+// with writers, so nothing can be published underneath it — and publishes the
+// result as the next snapshot's materialization. A canceled build publishes
+// nothing: the half-chased copy and its engine state are simply discarded.
+func (o *Ontology) buildMat(ctx context.Context, copts chase.Options) (*snapshot, error) {
+	o.wmu.Lock()
+	defer o.wmu.Unlock()
+	s := o.loadLocked()
+	if s.mat.usable(copts) {
+		return s, nil // built while we queued
+	}
+	store, err := storage.NewStore(s.base, copts.Partitions, copts.PartitionCol)
+	if err != nil {
+		return nil, err
+	}
+	// Record provenance only once a DeleteFact/RemoveRule has shown it is
+	// needed.
+	copts.TrackProvenance = o.wantProv.Load()
+	st := chase.NewState(copts)
+	res := st.ResumeCtx(ctx, s.rules, store, store)
+	if res.Err != nil {
+		return nil, res.Err
+	}
+	next := s.next()
+	next.setMat(store, st, res.Terminated, res.Steps, res.Rounds)
+	o.publish(next, true, nil)
+	return next, nil
 }

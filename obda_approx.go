@@ -24,9 +24,8 @@ func (o *Ontology) LoadCSV(pred string, r io.Reader) (added int, err error) {
 }
 
 // LoadCSVCtx is LoadCSV under a cancellation context: a load canceled
-// mid-chase rolls the inserted tuples back out of the base data and
-// publishes nothing, so the bulk load either lands in full or observably
-// never happened (see AddFactCtx).
+// mid-chase publishes nothing, so the bulk load either lands in full or
+// observably never happened (see AddFactCtx).
 func (o *Ontology) LoadCSVCtx(ctx context.Context, pred string, r io.Reader) (added int, err error) {
 	// Stage into a private instance first so parse errors leave the
 	// ontology untouched and the new facts are known for the delta; the
@@ -100,36 +99,33 @@ func (o *Ontology) AnswerApprox(querySrc string, opts ApproxOptions) (*Approx, e
 		return nil, err
 	}
 
-	rules := o.rules.Load()
-	rw := rewrite.Rewrite(q, rules, rewrite.Options{MaxCQs: opts.MaxCQs, Minimize: true})
+	s := o.load()
+	rw := rewrite.Rewrite(q, s.rules, rewrite.Options{MaxCQs: opts.MaxCQs, Minimize: true})
 	if rw.Complete {
-		// Exact via rewriting; evaluating over the published base snapshot
+		// Exact via rewriting; evaluating over the snapshot's base data
 		// suffices and the chase need not run at all. No lock held.
 		return &Approx{
-			Answers:           o.evalUCQ(rw.UCQ, o.snapshotBase(), eval.Options{FilterNulls: true}),
+			Answers:           s.evalUCQ(rw.UCQ, false, eval.Options{FilterNulls: true}),
 			Exact:             true,
 			RewritingComplete: true,
 			QueryRewritable:   true,
 		}, nil
 	}
-	// Serve the chase side from the published materialization when it
-	// already holds a fresh fixpoint: exact under any budget, no re-chase
-	// needed, no lock held.
-	if m := o.mat.Load(); m != nil && m.terminated && m.baseMut == o.data.Mutations() {
+	// Serve the chase side from the snapshot's materialization when it
+	// already holds a fixpoint: exact under any budget, no re-chase needed,
+	// no lock held.
+	if s.mat != nil && s.mat.terminated {
 		return &Approx{
-			Answers:         o.evalUCQ(query.MustNewUCQ(q), m.store, o.evalOptions(Options{})),
+			Answers:         s.evalUCQ(query.MustNewUCQ(q), true, o.evalOptions(Options{})),
 			Exact:           true,
 			ChaseTerminated: true,
 		}, nil
 	}
-	// Snapshot under the read lock (Clone synchronizes with concurrent lazy
-	// index builds itself); the chase runs on the private clone, unlocked.
-	o.mu.RLock()
-	data := o.data.Clone()
-	snapMut := o.data.Mutations()
-	o.mu.RUnlock()
+	// The chase runs on a private clone of the snapshot's base, unlocked
+	// (Clone synchronizes with concurrent lazy index builds itself).
+	data := s.base.Clone()
 	st := chase.NewState(chase.Options{MaxSteps: opts.MaxChaseSteps, TrackProvenance: o.wantProv.Load()})
-	ch := st.Resume(rules, data, data)
+	ch := st.Resume(s.rules, data, data)
 
 	res := &Approx{
 		RewritingComplete: rw.Complete,
@@ -147,26 +143,24 @@ func (o *Ontology) AnswerApprox(querySrc string, opts ApproxOptions) (*Approx, e
 		// under-approximation (the truncated rewriting evaluated on raw
 		// data only uses certain disjuncts; the truncated chase contains
 		// only entailed facts).
-		ans := eval.UCQ(rw.UCQ, o.snapshotBase(), eval.Options{FilterNulls: true})
+		ans := eval.UCQ(rw.UCQ, s.base, eval.Options{FilterNulls: true})
 		for _, t := range eval.UCQ(query.MustNewUCQ(q), data, eval.Options{FilterNulls: true}).Tuples() {
 			ans.Add(t)
 		}
 		res.Answers = ans
 	}
 	if ch.Terminated {
-		// Donate the fixpoint to the materialization cache so later
-		// chase-mode answers (and repeated AnswerApprox calls) are cache
-		// hits. Done after all evaluation over the private instance — once
-		// published it is shared and extended copy-on-write by the writers.
-		// Install only if neither the base data nor the rule set changed
-		// while we chased (the chase ran outside wmu, so a concurrent rule
-		// mutation would make this fixpoint describe a retired ontology) and
-		// no fresh terminated cache exists already.
+		// Donate the fixpoint to the next snapshot so later chase-mode answers
+		// (and repeated AnswerApprox calls) are cache hits. Done after all
+		// evaluation over the private instance — once published it is shared
+		// and extended copy-on-write by the writers. The chase ran outside
+		// wmu, so it describes the current ontology only if s is still the
+		// published snapshot.
 		o.wmu.Lock()
-		if o.data.Mutations() == snapMut && o.rules.Load() == rules {
-			if cur := o.mat.Load(); cur == nil || !cur.terminated || cur.baseMut != snapMut {
-				o.publishMat(data, st, true, snapMut, ch.Steps, ch.Rounds)
-			}
+		if o.loadLocked() == s {
+			next := s.next()
+			next.setMat(data, st, true, ch.Steps, ch.Rounds)
+			o.publish(next, true, nil)
 		}
 		o.wmu.Unlock()
 	}

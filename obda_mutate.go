@@ -16,7 +16,7 @@ import (
 // additions and one rule removal. Every mutator — AddFact, DeleteFact,
 // LoadCSV, AddRule, RemoveRule — builds a mutation and hands it to mutate,
 // which runs the same stage → validate → apply → publish sequence over
-// copy-on-write snapshots.
+// copy-on-write forks of the published snapshot.
 type mutation struct {
 	addFacts []logic.Atom
 	delFacts []logic.Atom
@@ -34,33 +34,31 @@ type mutationResult struct {
 //
 //  1. stages and validates the whole mutation — rule arities against the
 //     set's signature and the stored relations, fact arities against the
-//     published expansion — before anything is touched, so a rejected
+//     published expansion — before anything is forked, so a rejected
 //     mutation is a strict no-op;
-//  2. applies it: rule removal first (DRed rule-keyed over-deletion +
+//  2. applies it to copy-on-write forks of the published base and
+//     materialization: rule removal first (DRed rule-keyed over-deletion +
 //     re-derivation via chase.State.DeleteRule), then rule additions (the
 //     whole instance as delta against only the new rules via
 //     chase.State.ExtendRules), then fact deletions (chase.State.Delete),
-//     then fact insertions (chase.State.Extend) — each step maintaining the
-//     same copy-on-write extension of the published materialization, or
-//     dropping it when incremental repair is impossible (truncated cache,
-//     missing provenance);
-//  3. publishes: the rule set is swapped (bumping rulesEpoch, invalidating
-//     classification and compiled plans), the base snapshot is extended for
-//     fact deltas, the repaired materialization is published atomically —
-//     concurrent readers keep the previous snapshot throughout — and every
+//     then fact insertions (chase.State.Extend) — each step repairing the
+//     same fork of the materialization, or giving it up when incremental
+//     repair is impossible (truncated cache, missing provenance);
+//  3. publishes the next snapshot — new rule set, forked base, repaired
+//     materialization, carried-forward answer views — with one pointer
+//     store; concurrent readers keep the previous snapshot throughout. Every
 //     compactEvery-th mutation first runs the generational provenance sweep.
 //
 // Cancellation is honored at step boundaries and inside every chase-driven
 // apply step (the engines poll ctx at amortized intervals). An aborted
-// mutation publishes nothing and rolls the canonical base data back to its
-// pre-mutation contents — facts it had inserted are removed again, facts it
-// had removed are re-inserted — so subsequent answers are identical to ones
-// computed before the mutation started. The chase engine state a canceled
-// step may have half-repaired is discarded along with the cached
-// materialization (rebuilt lazily from the restored base data). Once every
-// step has completed, the mutation commits even if ctx expires during
-// publication — like a database commit, the point of no return is the start
-// of the publish phase.
+// mutation throws its forks away: nothing it did was ever visible, so
+// subsequent answers are identical to ones computed before it started. The
+// one thing a canceled step may have half-repaired is the chase engine state
+// the published materialization shares with its forks, so that
+// materialization is dropped (rebuilt lazily from the untouched base, counted
+// in FullRebuilds). Once every step has completed, the mutation commits even
+// if ctx expires during publication — like a database commit, the point of
+// no return is the start of the publish phase.
 func (o *Ontology) mutate(ctx context.Context, mut mutation) (mutationResult, error) {
 	var res mutationResult
 	if err := ctx.Err(); err != nil {
@@ -68,18 +66,17 @@ func (o *Ontology) mutate(ctx context.Context, mut mutation) (mutationResult, er
 	}
 	o.wmu.Lock()
 	defer o.wmu.Unlock()
-	o.dropStaleSnapshots()
+	prev := o.loadLocked()
 
 	// --- stage & validate ---
-	oldRules := o.rules.Load()
-	afterDrop := oldRules
+	afterDrop := prev.rules
 	dropIdx := -1
 	if mut.dropRule != "" {
-		if dropIdx = oldRules.IndexOfLabel(mut.dropRule); dropIdx < 0 {
+		if dropIdx = prev.rules.IndexOfLabel(mut.dropRule); dropIdx < 0 {
 			return res, fmt.Errorf("repro: no rule labeled %q", mut.dropRule)
 		}
 		var err error
-		if afterDrop, err = oldRules.WithoutRule(dropIdx); err != nil {
+		if afterDrop, err = prev.rules.WithoutRule(dropIdx); err != nil {
 			return res, err
 		}
 	}
@@ -91,87 +88,85 @@ func (o *Ontology) mutate(ctx context.Context, mut mutation) (mutationResult, er
 		}
 	}
 	if len(mut.addRules) > 0 {
-		if err := o.checkRuleArities(newRules); err != nil {
+		if err := prev.checkRuleArities(newRules); err != nil {
 			return res, err
 		}
 	}
-	stagedAdds, err := o.stageFacts(mut.addFacts)
+	stagedAdds, err := prev.stageFacts(mut.addFacts)
 	if err != nil {
 		return res, err
 	}
 
 	// --- apply ---
-	w := o.beginMatWork()
+	w := beginMatWork(prev.mat)
+	next := prev.next()
+	// abort throws the forks away. The one thing it publishes is the loss of
+	// the materialization whose engine state a canceled step may have
+	// poisoned.
+	abort := func(err error) (mutationResult, error) {
+		if w.had {
+			o.dropMat(next)
+			o.publish(next, true, nil)
+		}
+		return mutationResult{}, err
+	}
 	if dropIdx >= 0 {
 		// Future builds must record provenance so later rule removals can
 		// repair incrementally instead of rebuilding (sticky, like DeleteFact).
 		o.wantProv.Store(true)
-		o.applyRuleDrop(ctx, w, afterDrop, dropIdx)
+		w.applyRuleDrop(ctx, afterDrop, dropIdx, prev.base)
 	}
 	if len(mut.addRules) > 0 {
-		o.applyRuleAdd(ctx, w, newRules, afterDrop.Len())
+		w.applyRuleAdd(ctx, newRules, afterDrop.Len())
 	}
 	if w.ctxErr != nil {
-		// A rule step was canceled mid-repair. No base data has changed yet;
-		// discard the poisoned engine state and publish nothing.
-		return mutationResult{}, o.abortMutation(w, nil, nil)
+		return abort(w.ctxErr)
 	}
-	var removed []logic.Atom
+	// Forked unconditionally (a map of relation pointers): a variable that is
+	// only sometimes the published base is what snapshotmut exists to refuse.
+	base := prev.base.ExtendClone()
+	var removed, added []logic.Atom
 	if len(mut.delFacts) > 0 {
 		if err := ctx.Err(); err != nil {
-			w.ctxErr = err // canceled between steps: base data still untouched
-			return mutationResult{}, o.abortMutation(w, nil, nil)
+			return abort(err)
 		}
-		o.mu.Lock()
 		for _, f := range mut.delFacts {
 			// Remove is idempotent: a duplicated fact in the batch removes once.
-			if o.data.Remove(f) {
+			if base.Remove(f) {
 				removed = append(removed, f)
 			}
 		}
-		o.mu.Unlock()
-		res.removedFacts = len(removed)
 		if len(removed) > 0 {
 			o.wantProv.Store(true)
-			o.applyFactDelete(ctx, w, newRules, removed)
+			w.applyFactDelete(ctx, newRules, removed, base)
 			if w.ctxErr != nil {
-				return mutationResult{}, o.abortMutation(w, nil, removed)
+				return abort(w.ctxErr)
 			}
 		}
 	}
-	var added []logic.Atom
 	if len(stagedAdds) > 0 {
 		if err := ctx.Err(); err != nil {
-			w.ctxErr = err
-			return mutationResult{}, o.abortMutation(w, nil, removed)
+			return abort(err)
 		}
-		var err error
-		if added, _, err = o.commitInserts(stagedAdds); err != nil {
-			// Unreachable after staging; commitInserts rolled the batch back.
-			// Publish nothing and drop any half-repaired materialization.
-			if w.touched {
-				o.dropMat()
+		for _, f := range stagedAdds {
+			// Cannot fail: staging checked every arity against the stored
+			// relations, a superset of the base.
+			if isNew, _ := base.Insert(f); isNew {
+				added = append(added, f)
 			}
-			return res, err
 		}
-		res.addedFacts = len(added)
-		o.applyFactInsert(ctx, w, newRules, added)
+		w.applyFactInsert(ctx, newRules, added)
 		if w.ctxErr != nil {
-			return mutationResult{}, o.abortMutation(w, added, removed)
+			return abort(w.ctxErr)
 		}
 	}
 
 	// --- publish ---
-	if newRules != oldRules {
-		o.rules.Store(newRules)
-		o.rulesEpoch.Add(1)
-		o.planEpoch.Add(1) // compiled plans are rules-derived state
-		o.class.Store(nil)
+	res = mutationResult{addedFacts: len(added), removedFacts: len(removed)}
+	next.rules = newRules
+	if len(added)+len(removed) > 0 {
+		next.base, next.baseMut = base, base.Mutations()
 	}
-	oldMat := o.mat.Load()
-	oldBase := o.base.Load()
-	dataMut := o.data.Mutations()
-	o.updateBaseSnapshot(added, removed, dataMut)
 	o.mutCount++
 	if w.live && o.compactEvery > 0 && o.mutCount >= o.compactEvery {
 		w.state.CompactProvenance()
@@ -179,31 +174,15 @@ func (o *Ontology) mutate(ctx context.Context, mut mutation) (mutationResult, er
 	}
 	switch {
 	case w.touched:
-		o.publishMat(w.store, w.state, w.terminated, dataMut, w.steps, w.rounds)
-	case w.had && !w.live:
+		next.setMat(w.store, w.state, w.terminated, w.steps, w.rounds)
+	case !w.live:
 		// Maintenance became impossible (truncated cache, missing
-		// provenance): rebuild lazily, and count the formerly silent full
-		// rebuild so MaterializationStats.FullRebuilds surfaces the penalty.
-		o.dropMat()
+		// provenance): rebuild lazily, and count it so
+		// MaterializationStats.FullRebuilds surfaces the penalty.
+		o.dropMat(next)
 	}
-	if newRules == oldRules && len(removed) == 0 {
-		// Insert-only commit: answer views are carried across the delta
-		// instead of dropped (inserts only ever add CQ answers).
-		o.maintainAnswerViews(added, oldMat, oldBase, dataMut)
-	} else {
-		// Deletions and rule mutations already invalidate every view by
-		// generation mismatch; dropping the cache just reclaims it eagerly.
-		o.ansCache.Store(nil)
-	}
+	o.publish(next, newRules == prev.rules && len(removed) == 0, added)
 	return res, w.err
-}
-
-// dropMat discards the published materialization and counts the drop: the
-// next chase-mode answer pays a full rebuild. Every drop site routes through
-// here so MaterializationStats.FullRebuilds reflects the true rebuild debt.
-func (o *Ontology) dropMat() {
-	o.mat.Store(nil)
-	o.fullRebuilds.Add(1)
 }
 
 // matWork is the in-flight copy-on-write materialization a mutation edits
@@ -221,43 +200,14 @@ type matWork struct {
 	touched       bool // at least one step edited the work-set
 	err           error
 	// ctxErr is the context error that aborted an apply step; when set the
-	// mutation must roll back and publish nothing (see Ontology.abortMutation).
+	// mutation aborts (see Ontology.mutate).
 	ctxErr error
 }
 
-// abortMutation unwinds a mutation whose apply step was canceled: base facts
-// the mutation inserted are removed again, base facts it removed are
-// re-inserted, and any chase engine state a canceled step may have touched is
-// discarded together with the cached materialization (the canceled round
-// never merged, so the published instance itself was never corrupted — but
-// the engine's fired-trigger memory and provenance are mid-repair and cannot
-// be trusted). The published base snapshot self-invalidates through the
-// mutation counter. The next answer rebuilds from the restored base data,
-// yielding exactly the pre-mutation answers. Requires o.wmu.
-func (o *Ontology) abortMutation(w *matWork, added, removed []logic.Atom) error {
-	if len(added) > 0 || len(removed) > 0 {
-		o.mu.Lock()
-		for _, a := range added {
-			o.data.Remove(a)
-		}
-		for _, a := range removed {
-			// Re-insert cannot fail: the fact was stored under this arity
-			// moments ago and o.wmu serializes writers.
-			o.data.Insert(a)
-		}
-		o.mu.Unlock()
-	}
-	if w.had {
-		o.dropMat()
-	}
-	return w.ctxErr
-}
-
-// beginMatWork loads the published materialization and opens a copy-on-write
-// extension for the mutation's apply steps; with nothing published the
-// work-set starts dead and every step is a no-op. Requires o.wmu.
-func (o *Ontology) beginMatWork() *matWork {
-	m := o.mat.Load()
+// beginMatWork opens a copy-on-write fork of the published materialization
+// for the mutation's apply steps; with nothing published the work-set starts
+// dead and every step is a no-op.
+func beginMatWork(m *materialization) *matWork {
 	if m == nil {
 		return &matWork{}
 	}
@@ -279,7 +229,7 @@ func (w *matWork) drop() {
 
 // record folds one apply step's chase increment into the work-set. A step
 // aborted by context cancellation (res.Err) poisons the work-set instead:
-// the mutation unwinds through Ontology.abortMutation.
+// the mutation aborts and publishes at most the loss of the materialization.
 func (w *matWork) record(res *chase.Result) {
 	if res.Err != nil {
 		w.ctxErr = res.Err
@@ -309,12 +259,12 @@ func (w *matWork) repairableWork() bool {
 
 // applyRuleDrop repairs the work-set after a rule removal: every fact whose
 // provenance cites the removed rule is over-deleted, survivors re-derived
-// against the surviving set, stored rule indices remapped. Requires o.wmu.
-func (o *Ontology) applyRuleDrop(ctx context.Context, w *matWork, afterDrop *dependency.Set, dropIdx int) {
+// against the surviving set, stored rule indices remapped.
+func (w *matWork) applyRuleDrop(ctx context.Context, afterDrop *dependency.Set, dropIdx int, base *storage.Instance) {
 	if !w.repairableWork() {
 		return
 	}
-	dres, err := w.state.DeleteRuleCtx(ctx, afterDrop, w.store, dropIdx, o.data)
+	dres, err := w.state.DeleteRuleCtx(ctx, afterDrop, w.store, dropIdx, base)
 	if err != nil {
 		w.drop()
 		return
@@ -324,8 +274,8 @@ func (o *Ontology) applyRuleDrop(ctx context.Context, w *matWork, afterDrop *dep
 
 // applyRuleAdd extends the work-set with newly appended rules by resuming
 // the chase with the whole instance as the delta against only those rules —
-// work proportional to what the new rules derive. Requires o.wmu.
-func (o *Ontology) applyRuleAdd(ctx context.Context, w *matWork, newRules *dependency.Set, firstNew int) {
+// work proportional to what the new rules derive.
+func (w *matWork) applyRuleAdd(ctx context.Context, newRules *dependency.Set, firstNew int) {
 	if !w.live {
 		return
 	}
@@ -336,13 +286,13 @@ func (o *Ontology) applyRuleAdd(ctx context.Context, w *matWork, newRules *depen
 	w.record(w.state.ExtendRulesCtx(ctx, newRules, w.store, firstNew))
 }
 
-// applyFactDelete repairs the work-set DRed-style after base facts were
-// removed from the canonical data. Requires o.wmu.
-func (o *Ontology) applyFactDelete(ctx context.Context, w *matWork, rules *dependency.Set, removed []logic.Atom) {
+// applyFactDelete repairs the work-set DRed-style after facts were removed
+// from base, the mutation's fork of the base data.
+func (w *matWork) applyFactDelete(ctx context.Context, rules *dependency.Set, removed []logic.Atom, base *storage.Instance) {
 	if !w.repairableWork() {
 		return
 	}
-	dres, err := w.state.DeleteCtx(ctx, rules, w.store, removed, o.data)
+	dres, err := w.state.DeleteCtx(ctx, rules, w.store, removed, base)
 	if err != nil {
 		w.drop() // the base removal stands; the next answer rebuilds
 		return
@@ -351,8 +301,8 @@ func (o *Ontology) applyFactDelete(ctx context.Context, w *matWork, rules *depen
 }
 
 // applyFactInsert folds newly inserted base facts into the work-set by
-// resuming the chase with just those facts as the delta. Requires o.wmu.
-func (o *Ontology) applyFactInsert(ctx context.Context, w *matWork, rules *dependency.Set, added []logic.Atom) {
+// resuming the chase with just those facts as the delta.
+func (w *matWork) applyFactInsert(ctx context.Context, rules *dependency.Set, added []logic.Atom) {
 	if !w.live {
 		return
 	}
@@ -371,13 +321,13 @@ func (o *Ontology) applyFactInsert(ctx context.Context, w *matWork, rules *depen
 
 // checkRuleArities verifies that a mutated rule set's signature agrees with
 // the arities of the relations already stored (published expansion first,
-// which is a superset of the base data). Requires o.wmu.
-func (o *Ontology) checkRuleArities(rules *dependency.Set) error {
+// which is a superset of the base data).
+func (s *snapshot) checkRuleArities(rules *dependency.Set) error {
 	sig, err := rules.Predicates()
 	if err != nil {
 		return err
 	}
-	stored := o.storedRelations()
+	stored := s.storedRelations()
 	for pred, arity := range sig {
 		if rel := stored.Relation(pred); rel != nil && rel.Arity() != arity {
 			return fmt.Errorf("repro: rule uses %s with arity %d, stored relation has %d", pred, arity, rel.Arity())
@@ -389,18 +339,17 @@ func (o *Ontology) checkRuleArities(rules *dependency.Set) error {
 // storedRelations returns an instance naming every stored relation, for
 // arity validation: partition 0 of the published expansion (a superset of the
 // base data; by the alignment invariant it sees every relation), or the base
-// data when nothing is published. Requires o.wmu.
-func (o *Ontology) storedRelations() *storage.Instance {
-	if m := o.mat.Load(); m != nil {
-		return m.store.Part(0)
+// data when nothing is materialized.
+func (s *snapshot) storedRelations() *storage.Instance {
+	if s.mat != nil {
+		return s.mat.store.Part(0)
 	}
-	return o.data
+	return s.base
 }
 
 // AddFact inserts ground facts, parsed from text like `person(alice) .`.
 // The batch is staged and validated in full before the ontology is touched,
-// so AddFact is all-or-nothing: a rejected batch leaves data and snapshots
-// unchanged. When a chase materialization is published, it is maintained
+// so AddFact is all-or-nothing: a rejected batch publishes nothing. When a chase materialization is published, it is maintained
 // incrementally: only the genuinely new facts are chased as a delta against
 // a copy-on-write extension of the published instance (restricted-chase
 // head checks run against the full cache), so the cost is proportional to
@@ -412,9 +361,9 @@ func (o *Ontology) AddFact(src string) error {
 }
 
 // AddFactCtx is AddFact under a cancellation context: a canceled or
-// deadline-expired insertion aborts mid-chase, rolls the base data back and
-// publishes nothing, so subsequent answers are identical to pre-mutation
-// ones (see mutate). A ctx that is already done at entry is a strict no-op.
+// deadline-expired insertion aborts mid-chase and publishes none of its
+// facts, so subsequent answers are identical to pre-mutation ones (see
+// mutate). A ctx that is already done at entry is a strict no-op.
 func (o *Ontology) AddFactCtx(ctx context.Context, src string) error {
 	facts, err := parser.ParseFacts(src)
 	if err != nil {
@@ -428,8 +377,8 @@ func (o *Ontology) AddFactCtx(ctx context.Context, src string) error {
 // cancellation context, reporting how many were genuinely new. It is the
 // batching entry point for serving layers that coalesce concurrent writers'
 // facts into one staged batch per chase delta; semantics are exactly
-// AddFactCtx's (all-or-nothing staging, incremental delta chase, rollback on
-// cancellation).
+// AddFactCtx's (all-or-nothing staging, incremental delta chase, nothing
+// published on cancellation).
 func (o *Ontology) AddFactAtoms(ctx context.Context, facts []logic.Atom) (int, error) {
 	res, err := o.mutate(ctx, mutation{addFacts: facts})
 	return res.addedFacts, err
@@ -450,8 +399,8 @@ func (o *Ontology) DeleteFact(src string) (int, error) {
 }
 
 // DeleteFactCtx is DeleteFact under a cancellation context: a canceled
-// DRed repair re-inserts the removed base facts and publishes nothing, so
-// the deletion either completes in full or observably never happened.
+// DRed repair publishes none of the removals, so the deletion either
+// completes in full or observably never happened.
 func (o *Ontology) DeleteFactCtx(ctx context.Context, src string) (int, error) {
 	facts, err := parser.ParseFacts(src)
 	if err != nil {
@@ -470,8 +419,9 @@ func (o *Ontology) DeleteFactCtx(ctx context.Context, src string) (int, error) {
 // whole instance as the delta against only the new rule, then consequences
 // propagate semi-naively — work proportional to what the rule derives, not
 // to a re-chase (see MaterializationStats.LastSteps). Rules-derived caches
-// (classification, compiled plans) are epoch-invalidated; concurrent
-// readers keep answering over the previous snapshot throughout.
+// (classification, compiled plans, answer views) do not reach the next
+// snapshot; concurrent readers keep answering over the previous one
+// throughout.
 func (o *Ontology) AddRule(src string) error {
 	return o.AddRuleCtx(context.Background(), src)
 }
@@ -530,37 +480,20 @@ func (o *Ontology) SetCompactEvery(n int) {
 func (o *Ontology) CompactProvenance() int {
 	o.wmu.Lock()
 	defer o.wmu.Unlock()
-	m := o.mat.Load()
+	m := o.snap.Load().mat
 	if m == nil {
 		return 0
 	}
 	return m.state.CompactProvenance()
 }
 
-// dropStaleSnapshots discards published snapshots whose recorded mutation
-// count no longer matches the base data — i.e. the data was mutated
-// out-of-band via Data() since they were built. Mutators must call it
-// BEFORE touching the data: extending a stale snapshot would re-align the
-// counter and permanently mask the staleness, serving wrong answers.
-// Requires o.wmu.
-func (o *Ontology) dropStaleSnapshots() {
-	mut := o.data.Mutations()
-	if m := o.mat.Load(); m != nil && m.baseMut != mut {
-		o.dropMat()
-	}
-	if s := o.base.Load(); s != nil && s.baseMut != mut {
-		o.base.Store(nil)
-	}
-}
-
 // stageFacts validates an AddFact batch against the published expansion (a
 // superset of the base data) when one exists, staging it into a private
 // instance so intra-batch arity conflicts also surface — all before the
-// ontology is touched. Returns the staged batch deduplicated. Requires
-// o.wmu.
-func (o *Ontology) stageFacts(facts []logic.Atom) ([]logic.Atom, error) {
+// ontology is touched. Returns the staged batch deduplicated.
+func (s *snapshot) stageFacts(facts []logic.Atom) ([]logic.Atom, error) {
 	staged := storage.NewInstance()
-	stored := o.storedRelations()
+	stored := s.storedRelations()
 	for _, f := range facts {
 		if rel := stored.Relation(f.Pred); rel != nil && rel.Arity() != f.Arity() {
 			return nil, fmt.Errorf("repro: predicate %s used with arity %d and %d", f.Pred, rel.Arity(), f.Arity())
@@ -570,94 +503,4 @@ func (o *Ontology) stageFacts(facts []logic.Atom) ([]logic.Atom, error) {
 		}
 	}
 	return staged.Atoms(), nil
-}
-
-// commitInserts applies a staged (pre-validated) batch to the canonical base
-// data under the write lock, returning the genuinely new facts and the
-// resulting mutation count. An insert failure — unreachable after staging —
-// rolls the batch back so the all-or-nothing contract survives even a
-// validation bug. Requires o.wmu.
-func (o *Ontology) commitInserts(atoms []logic.Atom) (added []logic.Atom, mut uint64, err error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	for _, a := range atoms {
-		isNew, err := o.data.Insert(a)
-		if err != nil {
-			for _, b := range added {
-				o.data.Remove(b)
-			}
-			return nil, 0, err
-		}
-		if isNew {
-			added = append(added, a)
-		}
-	}
-	return added, o.data.Mutations(), nil
-}
-
-// updateBaseSnapshot folds a writer's delta into the published base
-// snapshot, if one exists, via copy-on-write — rewrite-mode readers of the
-// previous snapshot are undisturbed. Requires o.wmu.
-func (o *Ontology) updateBaseSnapshot(added, removed []logic.Atom, mut uint64) {
-	s := o.base.Load()
-	if s == nil || (len(added) == 0 && len(removed) == 0) {
-		return
-	}
-	ins := s.ins.ExtendClone()
-	for _, a := range added {
-		if _, err := ins.Insert(a); err != nil {
-			o.base.Store(nil) // unreachable after staging; rebuild lazily
-			return
-		}
-	}
-	for _, a := range removed {
-		ins.Remove(a)
-	}
-	o.planEpoch.Add(1)
-	o.base.Store(&baseSnapshot{ins: ins, baseMut: mut})
-}
-
-// publishMat freezes the engine counters into an immutable materialization
-// and publishes it, bumping the epoch. Requires o.wmu.
-func (o *Ontology) publishMat(store storage.Store, st *chase.State, terminated bool, baseMut uint64, lastSteps, lastRounds int) {
-	o.epoch.Add(1)
-	o.planEpoch.Add(1)
-	derivs, dead, compactions := st.ProvenanceStats()
-	o.mat.Store(&materialization{
-		store:       store,
-		state:       st,
-		terminated:  terminated,
-		baseMut:     baseMut,
-		steps:       st.TotalSteps(),
-		rounds:      st.TotalRounds(),
-		nulls:       st.TotalNulls(),
-		lastSteps:   lastSteps,
-		lastRounds:  lastRounds,
-		provDerivs:  derivs,
-		provDead:    dead,
-		compactions: compactions,
-		pstats:      st.PartitionTotals(),
-	})
-}
-
-// snapshotBase returns the published immutable base snapshot, building it
-// from the canonical data on first use or after out-of-band mutation.
-// Evaluators read the result with no lock held; writers keep it current
-// copy-on-write (updateBaseSnapshot).
-func (o *Ontology) snapshotBase() *storage.Instance {
-	if s := o.base.Load(); s != nil && s.baseMut == o.data.Mutations() {
-		return s.ins
-	}
-	o.wmu.Lock()
-	defer o.wmu.Unlock()
-	if s := o.base.Load(); s != nil && s.baseMut == o.data.Mutations() {
-		return s.ins // rebuilt while we queued
-	}
-	o.mu.RLock()
-	ins := o.data.Clone()
-	mut := o.data.Mutations()
-	o.mu.RUnlock()
-	o.planEpoch.Add(1)
-	o.base.Store(&baseSnapshot{ins: ins, baseMut: mut})
-	return ins
 }

@@ -35,7 +35,7 @@ type MaterializationStats struct {
 	// FullRebuilds counts every time a published materialization was dropped
 	// and the next chase-mode answer had to rebuild from scratch — e.g. a
 	// RemoveRule against a cache built without provenance, a repair on a
-	// truncated cache, a canceled mutation's rollback, or an out-of-band
+	// truncated cache, a canceled mutation, or an out-of-band
 	// Data() mutation. A growing counter on a serving process is the signal
 	// that incremental maintenance is being bypassed.
 	FullRebuilds uint64
@@ -71,10 +71,11 @@ type PartitionStats struct {
 // truncation/error); Epoch still reports the monotonic build/extension
 // count in that case. Lock-free: the counters were frozen at publish time.
 func (o *Ontology) MaterializationStats() MaterializationStats {
-	m := o.mat.Load()
+	s := o.snap.Load()
+	m := s.mat
 	if m == nil {
 		return MaterializationStats{
-			Epoch:        o.epoch.Load(),
+			Epoch:        s.matEpoch,
 			FullRebuilds: o.fullRebuilds.Load(),
 			AnswerCache:  o.AnswerCacheStats(),
 			Partition:    PartitionStats{PrunedProbes: o.prunedProbes.Load()},
@@ -82,7 +83,7 @@ func (o *Ontology) MaterializationStats() MaterializationStats {
 	}
 	return MaterializationStats{
 		Cached:              true,
-		Epoch:               o.epoch.Load(),
+		Epoch:               s.matEpoch,
 		Terminated:          m.terminated,
 		Facts:               m.store.Size(),
 		Steps:               m.steps,
@@ -124,16 +125,14 @@ func (o *Ontology) ChaseOptions(opts Options) *chase.Result {
 // is always fresh and private).
 func (o *Ontology) ChaseCtx(ctx context.Context, opts Options) *chase.Result {
 	copts := opts.chaseOptions()
-	// Read lock suffices: copying the data synchronizes with concurrent lazy
-	// index builds itself. chase.RunCtx would copy a second time, so the
-	// private store is chased directly.
-	o.mu.RLock()
-	store, err := storage.NewStore(o.data, copts.Partitions, copts.PartitionCol)
-	o.mu.RUnlock()
+	s := o.load()
+	// chase.RunCtx would copy a second time, so the private copy is chased
+	// directly.
+	store, err := storage.NewStore(s.base, copts.Partitions, copts.PartitionCol)
 	if err != nil {
 		return &chase.Result{Err: err}
 	}
-	res := chase.NewState(copts).ResumeCtx(ctx, o.rules.Load(), store, store)
+	res := chase.NewState(copts).ResumeCtx(ctx, s.rules, store, store)
 	res.Instance = storage.Flatten(store)
 	return res
 }

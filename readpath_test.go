@@ -4,12 +4,21 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/dependency"
+	"repro/internal/eval"
+	"repro/internal/logic"
 	"repro/internal/naive"
+	"repro/internal/query"
+	"repro/internal/storage"
 )
 
 // pushAnswers and pullAnswers drain AnswerEach and AnswerStream into the
@@ -258,5 +267,225 @@ func diffReadPath(t *testing.T, ont *Ontology, ref *oracle, q string, opts Optio
 		if state == "warm" && streamErr == nil && ont.AnswerCacheStats().Hits < hitsBefore+10 {
 			t.Fatalf("%s %+v: warm surfaces did not hit the view (hits %d → %d)", q, opts, hitsBefore, ont.AnswerCacheStats().Hits)
 		}
+	}
+}
+
+// TestMutationScriptsDifferential is the differential test over mutation
+// scripts: a seeded random script of AddFact / DeleteFact / AddRule /
+// RemoveRule — some under a context that cancels at a random poll — runs
+// beside a reader that keeps answering. The test mirrors the committed
+// prefixes of the script (rule set and facts after each mutation that
+// returned nil) and chases each with the naive oracle. Snapshot isolation:
+// every answer the reader saw equals the oracle's on one committed prefix,
+// and on one that was current at some point during the read. Afterwards the
+// three answering surfaces agree with the oracle on the final state, cache
+// off, cold and warm. P ∈ {1, 4}; `make test` runs it under -race.
+func TestMutationScriptsDifferential(t *testing.T) {
+	for _, fam := range []datagen.Family{datagen.FamilyLinear, datagen.FamilyChain, datagen.FamilySticky} {
+		for seed := int64(1); seed <= 3; seed++ {
+			for _, parts := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%v/seed=%d/P=%d", fam, seed, parts), func(t *testing.T) {
+					runMutationScript(t, fam, seed, parts)
+				})
+			}
+		}
+	}
+}
+
+func runMutationScript(t *testing.T, fam datagen.Family, seed int64, parts int) {
+	full := datagen.Rules(datagen.Config{Family: fam, Rules: 8, Seed: seed})
+	atoms := datagen.Instance(full, 20, 8, seed).Atoms()
+	rng := rand.New(rand.NewSource(seed * 2654435761))
+	rng.Shuffle(len(atoms), func(i, j int) { atoms[i], atoms[j] = atoms[j], atoms[i] })
+
+	ruleReserve := full.Rules[5:]
+	cut := 2 * len(atoms) / 3
+	factReserve := atoms[cut:]
+	live := make(map[string]logic.Atom)
+	for _, a := range atoms[:cut] {
+		live[a.Key()] = a
+	}
+	ont := cachedOnt(t, dependency.MustNewSet(full.Rules[:5]...).String()+"\n"+factSrc(atoms[:cut]))
+	opts := Options{Partitions: parts, MaxSteps: 20000}
+	queries := atomicQueriesOf(t, full) // the full signature: reserve rules' predicates too
+
+	// prefixes[i] is the ontology after i committed mutations.
+	type prefix struct {
+		rules *dependency.Set
+		facts []logic.Atom
+	}
+	var prefixes []prefix
+	var committed atomic.Int64
+	commit := func() {
+		facts := make([]logic.Atom, 0, len(live))
+		for _, a := range live {
+			facts = append(facts, a)
+		}
+		prefixes = append(prefixes, prefix{ont.Rules(), facts})
+		committed.Store(int64(len(prefixes) - 1))
+	}
+	commit()
+
+	// The reader: random query, ModeAuto or ModeChase, through the cache or
+	// past it, bracketed by the committed count before and after.
+	type observation struct {
+		q      string
+		lo, hi int
+		rows   []string
+		err    error
+	}
+	var seen []observation
+	var started atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rrng := rand.New(rand.NewSource(seed))
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			o := opts
+			o.Mode = []AnswerMode{ModeAuto, ModeChase}[rrng.Intn(2)]
+			o.NoCache = rrng.Intn(2) == 0
+			ob := observation{q: queries[rrng.Intn(len(queries))], lo: int(committed.Load())}
+			started.Add(1)
+			ans, err := ont.AnswerOptions(ob.q, o)
+			// A mutation publishes before the script counts it.
+			ob.hi = int(committed.Load()) + 1
+			if ob.err = err; err == nil {
+				ob.rows = renderedAnswers(ans)
+			}
+			seen = append(seen, ob)
+		}
+	}()
+
+	for step := 0; step < 16; step++ {
+		// Each mutation lands beside a read in flight.
+		for n := started.Load(); started.Load() == n; {
+			runtime.Gosched()
+		}
+		// One mutation in three runs under a context that cancels at a random
+		// poll: it either aborts (publishing nothing) or had already finished.
+		ctx := context.Context(context.Background())
+		if rng.Intn(3) == 0 {
+			ctx = newTrippingCtx(int64(rng.Intn(4)))
+		}
+		var err error
+		var apply func()
+		switch op := rng.Intn(6); {
+		case op == 0 && len(ruleReserve) > 0:
+			err = ont.AddRuleCtx(ctx, ruleSrc(ruleReserve[0]))
+			apply = func() { ruleReserve = ruleReserve[1:] }
+		case op == 1 && ont.Rules().Len() > 1:
+			rules := ont.Rules()
+			err = ont.RemoveRuleCtx(ctx, rules.Rules[rng.Intn(rules.Len())].Label)
+			apply = func() {}
+		case op <= 3 && len(factReserve) > 0:
+			batch := factReserve[:min(1+rng.Intn(3), len(factReserve))]
+			err = ont.AddFactCtx(ctx, factSrc(batch))
+			apply = func() {
+				for _, a := range batch {
+					live[a.Key()] = a
+				}
+				factReserve = factReserve[len(batch):]
+			}
+		default:
+			var victims []logic.Atom
+			for _, a := range live {
+				if victims = append(victims, a); len(victims) == 1+rng.Intn(3) {
+					break
+				}
+			}
+			var n int
+			n, err = ont.DeleteFactCtx(ctx, factSrc(victims))
+			if err == nil && n != len(victims) {
+				t.Fatalf("DeleteFact removed %d of %d live facts", n, len(victims))
+			}
+			apply = func() {
+				for _, a := range victims {
+					delete(live, a.Key())
+				}
+			}
+		}
+		switch {
+		case err == nil:
+			apply()
+			commit()
+		case !errors.Is(err, context.Canceled):
+			t.Fatalf("step %d: %v", step, err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+
+	// The oracle's answers on every committed prefix. Random rule additions
+	// can evolve the set into a non-terminating one; nothing is comparable
+	// from there on.
+	refs := make([]*oracle, len(prefixes))
+	for i, p := range prefixes {
+		var ok bool
+		if refs[i], ok = oracleOf(p.rules, p.facts, 20000); !ok {
+			t.Skipf("reference chase of prefix %d over budget", i)
+		}
+	}
+	for _, ob := range seen {
+		if ob.err != nil {
+			t.Fatalf("%s read between prefixes %d and %d: %v", ob.q, ob.lo, ob.hi, ob.err)
+		}
+		match := false
+		for i := ob.lo; i <= min(ob.hi, len(refs)-1) && !match; i++ {
+			match = slices.Equal(ob.rows, refs[i].answers(t, ob.q))
+		}
+		if !match {
+			t.Fatalf("%s read between prefixes %d and %d matches none of them:\nread:   %v\noracle: %v",
+				ob.q, ob.lo, ob.hi, ob.rows, refs[ob.lo].answers(t, ob.q))
+		}
+	}
+	t.Logf("%d reads beside %d committed mutations of 16", len(seen), len(prefixes)-1)
+
+	final := refs[len(refs)-1]
+	if got, want := naive.GroundFacts(ont.Data().Atoms()), naive.GroundFacts(prefixes[len(prefixes)-1].facts); !slices.Equal(got, want) {
+		t.Fatalf("published base differs from the mirrored facts:\ngot  %v\nwant %v", got, want)
+	}
+	for _, mode := range []AnswerMode{ModeAuto, ModeChase} {
+		o := opts
+		o.Mode = mode
+		for _, q := range queries {
+			diffReadPath(t, ont, final, q, o)
+		}
+	}
+}
+
+// TestPlanCacheKeyedByStore pins the plan cache key: a query whose rewriting
+// is the query itself has the same canonical UCQ in both modes, and the plans
+// compiled for the base data and for the materialization used to evict each
+// other, so alternating the modes recompiled on every call.
+func TestPlanCacheKeyedByStore(t *testing.T) {
+	ont := MustParse(`
+a(X) -> b(X) .
+a(c1) . a(c2) .
+`)
+	var compiles atomic.Int64
+	compileUCQ = func(u *query.UCQ, store storage.Store, p eval.Planner, j eval.JoinStrategy) []*eval.Plan {
+		compiles.Add(1)
+		return eval.CompileUCQ(u, store, p, j)
+	}
+	defer func() { compileUCQ = eval.CompileUCQ }()
+	const q = `q(X) :- a(X) .` // no rule derives a: the rewriting is q itself
+	for i := 0; i < 5; i++ {
+		for _, mode := range []AnswerMode{ModeChase, ModeRewrite} {
+			ans, err := ont.AnswerMode(q, mode)
+			if err != nil || ans.Len() != 2 {
+				t.Fatalf("mode %d: %v, err=%v", mode, ans, err)
+			}
+		}
+	}
+	// One compilation over the materialization, one over the base data.
+	if n := compiles.Load(); n != 2 {
+		t.Errorf("eval.CompileUCQ ran %d times over 5 chase/rewrite alternations, want 2", n)
 	}
 }
