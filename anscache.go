@@ -28,12 +28,14 @@ func (o *Ontology) SetAnswerCacheBudget(n int64) {
 }
 
 // AnswerCacheStats counts answer-view cache activity since the Ontology
-// was built. Entries and Bytes describe the current snapshot's views only —
-// views a mutation did not carry forward stop counting at once.
+// was built. Entries and Bytes describe the current snapshot's views only:
+// every publication starts the next snapshot with an empty cache.
 type AnswerCacheStats struct {
-	Hits            uint64
-	Misses          uint64
-	Evictions       uint64
+	Hits      uint64
+	Misses    uint64
+	Evictions uint64
+	// DeltaMaintained is always 0: views are no longer carried across
+	// mutations. The field stays so callers that read it keep compiling.
 	DeltaMaintained uint64
 	Entries         int
 	Bytes           int64
@@ -42,12 +44,15 @@ type AnswerCacheStats struct {
 // AnswerCacheStats reports the answer-view cache counters. Lock-free.
 func (o *Ontology) AnswerCacheStats() AnswerCacheStats {
 	st := AnswerCacheStats{
-		Hits:            o.ansStats.Hits.Load(),
-		Misses:          o.ansStats.Misses.Load(),
-		Evictions:       o.ansStats.Evictions.Load(),
-		DeltaMaintained: o.ansStats.DeltaMaintained.Load(),
+		Hits:      o.ansStats.Hits.Load(),
+		Misses:    o.ansStats.Misses.Load(),
+		Evictions: o.ansStats.Evictions.Load(),
 	}
-	st.Entries, st.Bytes = o.snap.Load().views.Load().Usage()
+	// A snapshot whose base was written through Data() is replaced by the
+	// next read, so its views are already unreachable.
+	if s := o.snap.Load(); s.intact() {
+		st.Entries, st.Bytes = s.views.Load().Usage()
+	}
 	return st
 }
 
@@ -64,46 +69,26 @@ func answerViewKey(q *query.CQ, opts Options) string {
 	return b.String()
 }
 
-// AnswerCacheKey returns the canonical cache key this query answers under
-// — the handle the server's pace-car flights deduplicate concurrent
-// streams on. Two requests share a key exactly when they are guaranteed
-// the same complete answer set (Limit and Parallelism are excluded).
-func (o *Ontology) AnswerCacheKey(querySrc string, opts Options) (string, error) {
-	q, err := ParseQuery(querySrc)
-	if err != nil {
-		return "", err
-	}
-	return answerViewKey(q, opts), nil
-}
-
-// CacheGeneration returns the current snapshot's generation number: it
-// changes whenever a mutation could have changed some query's answers. The
-// server joins it into pace-car flight keys so a request arriving after a
-// mutation opens a fresh flight instead of replaying a stale one.
-func (o *Ontology) CacheGeneration() uint64 { return o.load().gen }
-
 // storeView adds a completed answer set to the views of the snapshot it was
 // computed over. Rules, store and cache are one generation, so there is
 // nothing to validate and no lock to take: the entry is installed by
 // compare-and-swap on the snapshot's own cache, and a lost race (another
 // reader filled first, or the budget was just cleared) simply skips the
 // fill. Filling a snapshot that has been retired meanwhile is harmless — the
-// entry is valid for it and unreachable from its successors unless publish
-// carried it forward.
-func (o *Ontology) storeView(s *snapshot, key string, u *query.UCQ, onMat bool, ans *Answers) {
+// entry is valid for it and unreachable from its successors.
+func (o *Ontology) storeView(s *snapshot, key string, ans *Answers) {
 	budget := o.ansBudget.Load()
 	if budget <= 0 {
 		return
 	}
 	c := s.views.Load()
-	s.views.CompareAndSwap(c, c.WithEntry(budget, key, rescache.NewEntry(ans, u, onMat), &o.ansStats))
+	s.views.CompareAndSwap(c, c.WithEntry(budget, key, rescache.NewEntry(ans), &o.ansStats))
 }
 
-// AnswerStream is a resumable certain-answer iterator: the pull-based
-// counterpart of AnswerEach, built for consumers that park between rows —
-// the server's pace-car flights drive one shared stream for N concurrent
-// requests. Not safe for concurrent use.
-type AnswerStream struct {
+// answerStream is the one read path's iterator, opened by openAnswer and
+// drained by AnswerCtx (collect) and AnswerEach (next). Not safe for
+// concurrent use.
+type answerStream struct {
 	// A cache hit replays rows, the Limit-bounded tuples of the cached view.
 	hit  *Answers
 	rows []storage.Tuple
@@ -114,19 +99,19 @@ type AnswerStream struct {
 	fill func(*Answers)
 }
 
-// openAnswer is the one read path under AnswerCtx (collect), AnswerEach
-// (push) and AnswerStream (pull): parse, load the snapshot, look the answer
-// view up in it, and on a miss resolve the answering mode and prepare the
-// union iterator over the snapshot's cached plans. The result replays the
-// cached view without evaluating, or evaluates and — when it runs to
-// completion with no Limit — stores its answer set as a view of the snapshot
-// it evaluated. A Limit reads the cache (a prefix of the view is the limited
-// answer) but never fills it; NoCache (or a disabled cache) does neither.
-// Resolution (rewriting, a cold materialization build) honors ctx.
-func (o *Ontology) openAnswer(ctx context.Context, querySrc string, opts Options) (AnswerStream, error) {
+// openAnswer is the one read path under AnswerCtx and AnswerEach: parse, load
+// the snapshot, look the answer view up in it, and on a miss resolve the
+// answering mode and prepare the union iterator over the snapshot's cached
+// plans. The result replays the cached view without evaluating, or evaluates
+// and — when it runs to completion with no Limit — stores its answer set as a
+// view of the snapshot it evaluated. A Limit reads the cache (a prefix of the
+// view is the limited answer) but never fills it; NoCache (or a disabled
+// cache) does neither. Resolution (rewriting, a cold materialization build)
+// honors ctx.
+func (o *Ontology) openAnswer(ctx context.Context, querySrc string, opts Options) (answerStream, error) {
 	q, err := ParseQuery(querySrc)
 	if err != nil {
-		return AnswerStream{}, err
+		return answerStream{}, err
 	}
 	snap := o.load()
 	key := ""
@@ -137,35 +122,24 @@ func (o *Ontology) openAnswer(ctx context.Context, querySrc string, opts Options
 			if opts.Limit > 0 && opts.Limit < len(rows) {
 				rows = rows[:opts.Limit]
 			}
-			return AnswerStream{hit: view, rows: rows}, nil
+			return answerStream{hit: view, rows: rows}, nil
 		}
 	}
 	u, snap, onMat, err := o.resolveAnswer(ctx, snap, q, opts)
 	if err != nil {
-		return AnswerStream{}, err
+		return answerStream{}, err
 	}
-	s := AnswerStream{s: eval.NewStream(snap.plansFor(u, onMat), u.Arity(), snap.store(onMat), o.evalOptions(opts))}
+	s := answerStream{s: eval.NewStream(snap.plansFor(u, onMat), u.Arity(), snap.store(onMat), o.evalOptions(opts))}
 	if key != "" && opts.Limit == 0 {
-		s.fill = func(ans *Answers) { o.storeView(snap, key, u, onMat, ans) }
+		s.fill = func(ans *Answers) { o.storeView(snap, key, ans) }
 	}
 	return s, nil
 }
 
-// AnswerStream resolves the query exactly as AnswerEach does and returns
-// the iterator; each Next call arms its own context. Streaming is
-// sequential by construction; Options.Parallelism is ignored.
-func (o *Ontology) AnswerStream(ctx context.Context, querySrc string, opts Options) (*AnswerStream, error) {
-	s, err := o.openAnswer(ctx, querySrc, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &s, nil
-}
-
-// Next returns the next answer, or ok=false on exhaustion. The tuple is
-// read-only, as in AnswerEach. A canceled Next kills the underlying
+// next returns the next answer, or ok=false on exhaustion. The tuple is
+// read-only, as in AnswerEach. A canceled next kills the underlying
 // evaluation permanently; see eval.Stream.Next.
-func (s *AnswerStream) Next(ctx context.Context) (Answer, bool, error) {
+func (s *answerStream) next(ctx context.Context) (Answer, bool, error) {
 	if s.s == nil {
 		if s.i >= len(s.rows) {
 			return nil, false, nil
@@ -182,7 +156,7 @@ func (s *AnswerStream) Next(ctx context.Context) (Answer, bool, error) {
 }
 
 // close abandons the stream before exhaustion: nothing is stored.
-func (s *AnswerStream) close() {
+func (s *answerStream) close() {
 	s.fill = nil
 	if s.s != nil {
 		s.s.Close()
@@ -192,7 +166,7 @@ func (s *AnswerStream) close() {
 // collect is the AnswerCtx consumer: the complete answer set. A warm hit
 // returns the shared view itself — no tuple is copied; a miss drains the
 // stream (in parallel when Options.Parallelism asks for it).
-func (s *AnswerStream) collect(ctx context.Context) (*Answers, error) {
+func (s *answerStream) collect(ctx context.Context) (*Answers, error) {
 	if s.s == nil {
 		if len(s.rows) == s.hit.Len() {
 			return s.hit, nil

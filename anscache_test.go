@@ -2,6 +2,7 @@ package repro
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -28,8 +29,8 @@ func cachedOnt(t *testing.T, src string) *Ontology {
 // TestPropertyCachedEqualsUncached is the cache-correctness property:
 // over seeded random ontologies, interleaving AddFact batches with
 // repeated answering must give exactly the answers of an uncached
-// evaluation at every step — hits, delta-maintained views and misses
-// alike. Sequential and parallel.
+// evaluation at every step — hits and misses alike. Sequential and
+// parallel.
 func TestPropertyCachedEqualsUncached(t *testing.T) {
 	families := []datagen.Family{datagen.FamilyLinear, datagen.FamilyChain, datagen.FamilySticky}
 	for _, fam := range families {
@@ -97,10 +98,10 @@ func TestPropertyCachedEqualsUncached(t *testing.T) {
 }
 
 // TestCachedPartitionedEqualsUncachedFlat checks that the answer-view cache
-// works at any P: views are stored, validated and delta-maintained through
-// the one evaluator, so across a script of inserts and deletes a cached P = 4
-// ontology must give exactly the answers of an uncached P = 1 twin, serve
-// some of them from views (hits), and carry views across the inserts.
+// works at any P: views are stored and served through the one evaluator, so
+// across a script of inserts and deletes a cached P = 4 ontology must give
+// exactly the answers of an uncached P = 1 twin and serve some of them from
+// views (hits).
 func TestCachedPartitionedEqualsUncachedFlat(t *testing.T) {
 	for _, fam := range []datagen.Family{datagen.FamilyLinear, datagen.FamilySticky} {
 		for seed := int64(2); seed <= 3; seed++ {
@@ -169,8 +170,8 @@ func TestCachedPartitionedEqualsUncachedFlat(t *testing.T) {
 				if st := cached.MaterializationStats(); st.Partitions != 4 {
 					t.Fatalf("cached ontology runs over %d partitions, want 4", st.Partitions)
 				}
-				if st := cached.AnswerCacheStats(); st.Hits == 0 || st.DeltaMaintained == 0 {
-					t.Errorf("stats=%+v: a P=4 ontology must hit its views and maintain them across inserts", st)
+				if st := cached.AnswerCacheStats(); st.Hits == 0 {
+					t.Errorf("stats=%+v: a P=4 ontology must hit its views", st)
 				}
 			})
 		}
@@ -178,8 +179,7 @@ func TestCachedPartitionedEqualsUncachedFlat(t *testing.T) {
 }
 
 // TestCacheHitAvoidsDivergenceAcrossMutationKinds asserts every mutation
-// kind that can change answers makes the cache step aside: deletions and
-// rule mutations invalidate, insertions maintain.
+// kind that can change answers makes the cache step aside.
 func TestCacheHitAvoidsDivergenceAcrossMutationKinds(t *testing.T) {
 	const prog = `
 		parent(X, Y) -> ancestor(X, Y) .
@@ -223,45 +223,118 @@ func TestCacheHitAvoidsDivergenceAcrossMutationKinds(t *testing.T) {
 	}
 }
 
-// TestCacheDeltaMaintainedAcrossInsert asserts an insert carries the warm
-// view over instead of dropping it: the post-insert answer is a hit and the
-// DeltaMaintained counter moves.
-func TestCacheDeltaMaintainedAcrossInsert(t *testing.T) {
+// viewQuery is the query whose answer view the contract tests watch.
+const viewQuery = `q(X) :- person(X) .`
+
+// warmView returns a chase-mode ontology whose published snapshot holds one
+// answer view for viewQuery, proven warm by one hit.
+func warmView(t *testing.T) *Ontology {
+	t.Helper()
 	ont := cachedOnt(t, universityMini)
-	const q = `q(X) :- person(X) .`
-	opts := Options{Mode: ModeChase}
-	if _, err := ont.AnswerOptions(q, opts); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ { // miss (building the materialization), then hit
+		if _, err := ont.AnswerOptions(viewQuery, Options{Mode: ModeChase}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := ont.AnswerOptions(q, opts); err != nil {
-		t.Fatal(err)
+	if st := ont.AnswerCacheStats(); st.Entries != 1 || st.Hits != 1 {
+		t.Fatalf("stats=%+v: warm-up produced no cached view", st)
 	}
+	return ont
+}
+
+// readIsHit answers viewQuery once and reports whether the cache served it.
+func readIsHit(t *testing.T, ont *Ontology) bool {
+	t.Helper()
 	before := ont.AnswerCacheStats()
-	if before.Hits == 0 || before.Entries == 0 {
-		t.Fatalf("stats=%+v: warm-up produced no cached view", before)
-	}
-	if err := ont.AddFact(`teacher(newhire) .`); err != nil {
-		t.Fatal(err)
-	}
-	ans, err := ont.AnswerOptions(q, opts)
-	if err != nil {
+	if _, err := ont.AnswerOptions(viewQuery, Options{Mode: ModeChase}); err != nil {
 		t.Fatal(err)
 	}
 	after := ont.AnswerCacheStats()
-	if after.DeltaMaintained <= before.DeltaMaintained {
-		t.Errorf("deltaMaintained did not move across the insert: %+v -> %+v", before, after)
+	if after.Hits+after.Misses != before.Hits+before.Misses+1 {
+		t.Fatalf("one read moved the counters %+v -> %+v", before, after)
 	}
-	if after.Hits <= before.Hits {
-		t.Errorf("post-insert answer was not a cache hit: %+v -> %+v", before, after)
+	return after.Hits > before.Hits
+}
+
+// TestEveryPublicationEmptiesViews pins the answer-view contract: a view
+// belongs to the snapshot it was evaluated over, so every publication —
+// each kind of mutation, a canceled mutation that gives up the published
+// materialization, and the republication after an out-of-band Data() write —
+// leaves no view behind, and the next read is a miss.
+func TestEveryPublicationEmptiesViews(t *testing.T) {
+	steps := []struct {
+		name   string
+		mutate func(o *Ontology) error
+	}{
+		{"addFact", func(o *Ontology) error { return o.AddFact(`teacher(newhire) .`) }},
+		{"deleteFact", func(o *Ontology) error { _, err := o.DeleteFact(`student(alice) .`); return err }},
+		{"addRule", func(o *Ontology) error { return o.AddRule(`teacher(X) -> staff(X) .`) }},
+		{"removeRule", func(o *Ontology) error { return o.RemoveRule(o.Rules().Rules[0].Label) }},
+		{"canceled", func(o *Ontology) error {
+			// Polled once at entry, then canceled before the insert.
+			if err := o.AddFactCtx(newTrippingCtx(1), `teacher(newhire) .`); !errors.Is(err, context.Canceled) {
+				return fmt.Errorf("AddFactCtx under a tripping context = %v, want context.Canceled", err)
+			}
+			return nil
+		}},
+		{"dataWrite", func(o *Ontology) error {
+			return o.Data().InsertAtom(logic.NewAtom("teacher", logic.NewConst("newhire")))
+		}},
 	}
-	if !ans.Contains(Answer{logic.NewConst("newhire")}) {
-		t.Errorf("maintained view is missing the inserted person:\n%s", ans)
+	for _, step := range steps {
+		t.Run(step.name, func(t *testing.T) {
+			ont := warmView(t)
+			if err := step.mutate(ont); err != nil {
+				t.Fatal(err)
+			}
+			if st := ont.AnswerCacheStats(); st.Entries != 0 {
+				t.Fatalf("stats=%+v: a view outlived its snapshot", st)
+			}
+			if readIsHit(t, ont) {
+				t.Fatal("the first read after the publication was a hit")
+			}
+		})
 	}
 }
 
-// TestAnswerStreamMatchesAnswer asserts the pull iterator yields exactly
-// the certain answers — cold (evaluating), warm (view replay) and with a
-// limit (a prefix of the complete set).
+// TestUnchangedSnapshotKeepsViews is the other half of the contract: a
+// mutation that changes nothing (facts already present or already absent)
+// or is rejected publishes nothing, so the views stay and the next read hits.
+func TestUnchangedSnapshotKeepsViews(t *testing.T) {
+	steps := []struct {
+		name    string
+		mutate  func(o *Ontology) error
+		wantErr bool
+	}{
+		{"duplicateAddFact", func(o *Ontology) error { return o.AddFact(`student(alice) . teacher(bob) .`) }, false},
+		{"absentDeleteFact", func(o *Ontology) error { _, err := o.DeleteFact(`student(nobody) .`); return err }, false},
+		{"rejectedAddFact", func(o *Ontology) error { return o.AddFact(`student(alice, bob) .`) }, true},
+		{"rejectedRemoveRule", func(o *Ontology) error { return o.RemoveRule("no-such-rule") }, true},
+	}
+	for _, step := range steps {
+		t.Run(step.name, func(t *testing.T) {
+			ont := warmView(t)
+			epoch := ont.MaterializationStats().Epoch
+			if err := step.mutate(ont); (err != nil) != step.wantErr {
+				t.Fatalf("err = %v, want error: %v", err, step.wantErr)
+			}
+			if st := ont.AnswerCacheStats(); st.Entries != 1 {
+				t.Fatalf("stats=%+v: an unchanged snapshot lost its view", st)
+			}
+			if e := ont.MaterializationStats().Epoch; e != epoch {
+				t.Errorf("materialization epoch %d -> %d: something was published", epoch, e)
+			}
+			if !readIsHit(t, ont) {
+				t.Fatal("the first read after the mutation missed")
+			}
+		})
+	}
+}
+
+// TestAnswerStreamMatchesAnswer asserts the read path's pull iterator
+// (answerStream, under AnswerEach) yields exactly the certain answers — cold
+// (evaluating), warm (view replay) and with a limit (a prefix of the
+// complete set).
 func TestAnswerStreamMatchesAnswer(t *testing.T) {
 	ont := cachedOnt(t, universityMini)
 	const q = `q(X) :- person(X) .`
@@ -272,13 +345,13 @@ func TestAnswerStreamMatchesAnswer(t *testing.T) {
 
 	drain := func(opts Options) []Answer {
 		t.Helper()
-		s, err := ont.AnswerStream(context.Background(), q, opts)
+		s, err := ont.openAnswer(context.Background(), q, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var out []Answer
 		for {
-			a, ok, err := s.Next(context.Background())
+			a, ok, err := s.next(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}

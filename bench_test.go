@@ -970,11 +970,7 @@ func BenchmarkPartitionPruning(b *testing.B) {
 
 // BenchmarkCachedAnswer measures the answer-view cache against full
 // evaluation on a repeated query. uncached re-evaluates every call; warm
-// answers from the cached view (a lock-free generation check plus a map
-// lookup — the issue's bar is ≥10× under uncached); delta inserts one fact
-// per iteration and answers again, so each hit is a view the maintenance
-// pipeline carried across the insert, against delta-uncached re-evaluating
-// after the same insert.
+// answers from the cached view (one snapshot load plus a map lookup).
 func BenchmarkCachedAnswer(b *testing.B) {
 	src := datagen.University().String() + "\n" + datagen.UniversityData(16, 1).String()
 	const q = `q(X) :- person(X) .`
@@ -1015,34 +1011,4 @@ func BenchmarkCachedAnswer(b *testing.B) {
 			b.Fatalf("stats=%+v: the warm arm was not served from the cache", st)
 		}
 	})
-	for _, arm := range []struct {
-		name   string
-		budget int64
-	}{{"delta", DefaultAnswerCacheBytes}, {"delta-uncached", 0}} {
-		b.Run(arm.name, func(b *testing.B) {
-			ont := MustParse(src)
-			ont.SetAnswerCacheBudget(arm.budget)
-			for i := 0; i < 2; i++ {
-				if _, err := ont.AnswerOptions(q, chase); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := ont.AddFact(fmt.Sprintf("graduateStudent(cachebench%d) .", i)); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := ont.AnswerOptions(q, chase); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			if arm.budget > 0 {
-				if st := ont.AnswerCacheStats(); st.DeltaMaintained == 0 || st.Hits == 0 {
-					b.Fatalf("stats=%+v: the delta arm never hit a maintained view", st)
-				}
-			}
-		})
-	}
 }

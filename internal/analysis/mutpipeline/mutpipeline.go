@@ -2,11 +2,11 @@
 // pointer of an Ontology inside the one function that publishes.
 //
 // Everything a reader observes hangs off a single immutable snapshot behind
-// Ontology.snap; a generation is complete, ordered and carried forward
-// correctly exactly because Ontology.publish is the only code that installs
-// one (newOntology installs generation zero). A well-meaning helper that
-// does `o.snap.Store(...)` on its own silently forfeits the writer-lock
-// protocol and the carry-forward of the caches.
+// Ontology.snap; a generation is complete and ordered exactly because
+// Ontology.publish is the only code that installs one (newOntology installs
+// generation zero). A well-meaning helper that does `o.snap.Store(...)` on
+// its own silently forfeits the writer-lock protocol and the fresh
+// classification a rule change needs.
 //
 // The analyzer flags any write call (Store, Swap, CompareAndSwap) on the
 // snap field of a type named Ontology when the enclosing function is neither

@@ -7,7 +7,7 @@ package a
 import "sync/atomic"
 
 type snapshot struct {
-	gen   uint64
+	rules *int
 	views atomic.Pointer[int]
 }
 
@@ -21,7 +21,7 @@ func (o *Ontology) publish(next *snapshot) {
 }
 
 // refreshCache bypasses publish: it installs a snapshot from a helper that
-// never took the writer lock or carried the caches forward.
+// never took the writer lock.
 func (o *Ontology) refreshCache(next *snapshot) {
 	o.snap.Store(next) // want "snap.Store outside publish"
 	o.snap.Swap(next)  // want "snap.Swap outside publish"

@@ -6,7 +6,7 @@ package clean
 import "sync/atomic"
 
 type snapshot struct {
-	gen   uint64
+	rules *int
 	views atomic.Pointer[int]
 }
 
@@ -27,7 +27,7 @@ func (o *Ontology) publish(next *snapshot) {
 
 func (o *Ontology) mutate() {
 	prev := o.snap.Load()
-	o.publish(&snapshot{gen: prev.gen + 1})
+	o.publish(&snapshot{rules: prev.rules})
 	// Counters that are not the published pointer may move anywhere.
 	o.mutCount.Add(1)
 }

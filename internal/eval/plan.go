@@ -17,9 +17,9 @@ import (
 
 // Planner is the atom-ordering parameter of the Compile* functions. One
 // order exists — orderCost, the statistics-driven cost order — so the type
-// has one value. It survives only because the frozen benchmark/ calls
-// CompileUCQ(u, ins, PlannerDefault, JoinDefault); it goes with the next
-// benchmark PR.
+// has one value. It survives only because benchmark/ calls
+// CompileUCQ(u, ins, PlannerDefault, JoinDefault); the type and the
+// parameter can go once that call does.
 type Planner int
 
 // PlannerDefault is the cost order.
@@ -112,8 +112,7 @@ type Plan struct {
 	nslots int
 	// seedOps is the micro-program run against the seed tuple of a delta
 	// plan (CompileDelta); nil for ordinary plans.
-	seedOps  []op
-	seedPred string
+	seedOps []op
 	// seedVars are the pre-bound variables of a Subst-seeded plan, occupying
 	// slots 0..len(seedVars)-1 in order (Runner.SeedSubst fills them).
 	seedVars []logic.Term
@@ -227,9 +226,7 @@ func compile(head *logic.Atom, body []logic.Atom, seedAtom int, seedVars []logic
 	// bound before the join starts.
 	rest := body
 	if seedAtom >= 0 {
-		sa := body[seedAtom]
-		p.seedPred = sa.Pred
-		for j, t := range sa.Args {
+		for j, t := range body[seedAtom].Args {
 			if !t.IsVar() {
 				p.seedOps = append(p.seedOps, op{kind: opConst, col: j, term: t})
 				continue

@@ -1,21 +1,15 @@
-// Package rescache is the shared answer cache behind Ontology answering:
+// Package rescache is the answer-view cache behind Ontology answering:
 // completed, deduplicated answer sets cached per (canonical query, options
-// key) with a byte-budgeted LRU (level 1), and pace-car flights that let N
-// concurrent streaming consumers of the same query share one driving
-// iterator (level 2, pacecar.go).
+// key) with a byte-budgeted LRU.
 //
 // A Cache value is immutable and belongs to exactly one published ontology
 // snapshot: it hangs off that snapshot, every entry in it was evaluated over
 // that snapshot's rules and stores, and it is valid for as long as the
 // snapshot is reachable — readers validate nothing. Adding an entry builds a
 // fresh Cache value (copy-on-write map) which the owner installs by
-// compare-and-swap, so the answering path stays lock-free. When the ontology
-// publishes a successor snapshot that only inserted facts, the cache is not
-// dropped: MaintainInsert joins the inserted delta against each view through
-// precompiled seeded plans (eval.CompileDeltaCQ + RunTuple) and returns the
-// successor's cache — CQ monotonicity makes this sound, since inserts can
-// only add answers, and every added answer uses at least one delta tuple.
-// Deletions and rule mutations start the successor with an empty cache.
+// compare-and-swap, so the answering path stays lock-free. Nothing is ever
+// carried to another snapshot: every publication starts its snapshot with an
+// empty cache, which the readers of that snapshot fill.
 package rescache
 
 import (
@@ -23,58 +17,29 @@ import (
 	"sync/atomic"
 
 	"repro/internal/eval"
-	"repro/internal/logic"
-	"repro/internal/query"
-	"repro/internal/storage"
 )
 
-// Stats carries the cache counters across generations. Hits/Misses count
-// lookups, Evictions budget-driven removals, DeltaMaintained views carried
-// across an insert-only mutation by delta join rather than dropped. The
-// clock orders entries for LRU eviction without any per-lookup locking.
+// Stats carries the cache counters across snapshots. Hits/Misses count
+// lookups, Evictions budget-driven removals. The clock orders entries for
+// LRU eviction without any per-lookup locking.
 type Stats struct {
-	Hits            atomic.Uint64
-	Misses          atomic.Uint64
-	Evictions       atomic.Uint64
-	DeltaMaintained atomic.Uint64
-	clock           atomic.Uint64
+	Hits      atomic.Uint64
+	Misses    atomic.Uint64
+	Evictions atomic.Uint64
+	clock     atomic.Uint64
 }
 
-// maxDeltaPlans bounds the seeded plans compiled per entry (one per CQ ×
-// body atom). A rewriting with a huge union is cheaper to re-evaluate on
-// the next miss than to maintain, so entries over the cap are dropped on
-// mutation instead of maintained.
-const maxDeltaPlans = 128
-
-// Entry is one cached answer view over one of its snapshot's two stores.
-// Published entries are immutable except for lastUsed (an atomic recency
-// stamp shared across carried-forward copies of the view) and delta (the
-// lazily compiled maintenance plans, touched only under the ontology's
-// writer lock).
+// Entry is one cached answer set. Published entries are immutable except for
+// lastUsed, the recency stamp concurrent lookups write.
 type Entry struct {
-	ans *eval.Answers
-	u   *query.UCQ
-	// onMat says which store the view was evaluated over: the chase
-	// materialization, or the base data.
-	onMat    bool
+	ans      *eval.Answers
 	bytes    int64
-	delta    []*eval.Plan
-	noDelta  bool
-	lastUsed *atomic.Uint64
+	lastUsed atomic.Uint64
 }
 
-// NewEntry builds a cache entry for a completed answer set. u is the
-// resolved UCQ the answers satisfy (the rewriting in rewrite mode, evaluated
-// over the base data; the original query in chase mode, evaluated over the
-// materialization — onMat).
-func NewEntry(ans *eval.Answers, u *query.UCQ, onMat bool) *Entry {
-	return &Entry{
-		ans:      ans,
-		u:        u,
-		onMat:    onMat,
-		bytes:    estimateBytes(ans),
-		lastUsed: new(atomic.Uint64),
-	}
+// NewEntry builds a cache entry for a completed answer set.
+func NewEntry(ans *eval.Answers) *Entry {
+	return &Entry{ans: ans, bytes: estimateBytes(ans)}
 }
 
 // estimateBytes approximates the heap footprint of an answer set: tuple
@@ -168,169 +133,4 @@ func (c *Cache) evict(budget int64, stats *Stats) {
 		delete(c.m, a.key)
 		stats.Evictions.Add(1)
 	}
-}
-
-// MaintainInput describes one insert-only step from a snapshot to its
-// successor: the successor's base data and the facts inserted into it, and —
-// when the successor's materialization is the previous one or a
-// copy-on-write extension of it — both materializations (same partition
-// layout). NewMat is nil when the materialization was dropped or rebuilt.
-type MaintainInput struct {
-	Base           storage.Store
-	Added          []logic.Atom
-	OldMat, NewMat storage.Store
-	Budget         int64
-}
-
-// MaintainInsert returns the successor snapshot's cache, carrying each view
-// across the insert by joining the delta through its seeded plans and
-// merging any new answers. Views over a materialization that did not survive
-// (NewMat nil), or too wide to maintain cheaply, are dropped: their upkeep
-// is dearer than a miss. Runs under the ontology's writer lock; the returned
-// cache is freshly allocated.
-func (c *Cache) MaintainInsert(in MaintainInput, stats *Stats) *Cache {
-	if c == nil || len(c.m) == 0 {
-		return nil
-	}
-	n := &Cache{m: make(map[string]*Entry, len(c.m))}
-	matDelta := suffixDelta(in.OldMat, in.NewMat)
-	baseDelta := atomsDelta(in.Added)
-	for k, e := range c.m {
-		var next *Entry
-		switch {
-		case !e.onMat:
-			next = e.maintain(in.Base, baseDelta, stats)
-		case in.NewMat != nil:
-			next = e.maintain(in.NewMat, matDelta, stats)
-		}
-		if next != nil {
-			n.m[k] = next
-			n.bytes += next.bytes
-		}
-	}
-	if len(n.m) == 0 {
-		return nil
-	}
-	n.evict(in.Budget, stats)
-	return n
-}
-
-// maintain carries one view to store, the successor of the store it was
-// evaluated over, given the delta between them, returning the successor's
-// entry (nil to drop). When the delta is empty or its joins produce no fresh
-// answers — the common case — the entry itself is carried, so upkeep costs
-// only the delta join, never an O(result) rebuild.
-func (e *Entry) maintain(store storage.Store, delta map[string][]storage.Tuple, stats *Stats) *Entry {
-	if len(delta) == 0 {
-		return e
-	}
-	if !e.ensureDeltaPlans(store) {
-		return nil
-	}
-	var fresh []storage.Tuple
-	eval.EachDelta(e.delta, store, delta, func(t storage.Tuple) {
-		if !e.ans.Contains(t) {
-			fresh = append(fresh, t)
-		}
-	})
-	stats.DeltaMaintained.Add(1)
-	if len(fresh) == 0 {
-		return e
-	}
-	merged := eval.NewAnswers(e.ans.Arity())
-	for _, t := range e.ans.Tuples() {
-		merged.AddOwned(t)
-	}
-	for _, t := range fresh {
-		merged.AddOwned(t)
-	}
-	next := *e
-	next.ans = merged
-	next.bytes = estimateBytes(merged)
-	return &next
-}
-
-// ensureDeltaPlans lazily compiles the seeded maintenance plans — one per
-// (member CQ, body atom) — the first time the view survives a mutation.
-// Called only under the writer lock; the plans are stored on the receiver
-// and shared by every carried-forward copy of the view. Reports false when the
-// union is too wide to maintain under maxDeltaPlans.
-func (e *Entry) ensureDeltaPlans(store storage.Store) bool {
-	if e.noDelta {
-		return false
-	}
-	if e.delta != nil {
-		return true
-	}
-	total := 0
-	for _, q := range e.u.CQs {
-		total += len(q.Body)
-	}
-	if total > maxDeltaPlans {
-		e.noDelta = true
-		return false
-	}
-	plans := make([]*eval.Plan, 0, total)
-	for _, q := range e.u.CQs {
-		for di := range q.Body {
-			plans = append(plans, eval.CompileDeltaCQ(q, di, store, eval.PlannerDefault, eval.JoinDefault))
-		}
-	}
-	e.delta = plans
-	return true
-}
-
-// suffixDelta computes the per-relation delta between a store and its
-// copy-on-write extension: within each partition relations are append-only
-// under inserts and shared by pointer when untouched, so the delta of a
-// changed relation is exactly the tuple suffix past the old length. Nil when
-// either side is missing.
-func suffixDelta(old, new_ storage.Store) map[string][]storage.Tuple {
-	if old == nil || new_ == nil {
-		return nil
-	}
-	var delta map[string][]storage.Tuple
-	for p := 0; p < new_.NumParts(); p++ {
-		oldPart, newPart := old.Part(p), new_.Part(p)
-		for _, pred := range newPart.Predicates() {
-			nr := newPart.Relation(pred)
-			or := oldPart.Relation(pred)
-			if or == nr {
-				continue
-			}
-			var tail []storage.Tuple
-			switch {
-			case or == nil:
-				tail = nr.Tuples()
-			case nr.Len() > or.Len():
-				tail = nr.Tuples()[or.Len():]
-			}
-			if len(tail) > 0 {
-				if delta == nil {
-					delta = make(map[string][]storage.Tuple)
-				}
-				if have := delta[pred]; have == nil {
-					// Capacity-clipped alias: a later partition's append
-					// copies instead of writing into the relation's array.
-					delta[pred] = tail[:len(tail):len(tail)]
-				} else {
-					delta[pred] = append(have, tail...)
-				}
-			}
-		}
-	}
-	return delta
-}
-
-// atomsDelta groups inserted base facts by predicate as tuples — the delta
-// shape EachDelta consumes for views over the base data.
-func atomsDelta(added []logic.Atom) map[string][]storage.Tuple {
-	if len(added) == 0 {
-		return nil
-	}
-	delta := make(map[string][]storage.Tuple)
-	for _, a := range added {
-		delta[a.Pred] = append(delta[a.Pred], storage.Tuple(a.Args))
-	}
-	return delta
 }

@@ -29,12 +29,10 @@ func edgeAtom(a, b string) logic.Atom {
 	return logic.NewAtom("edge", logic.NewConst(a), logic.NewConst(b))
 }
 
-// evalEntry evaluates u over ins and wraps the result as a cache entry over
-// the materialization side.
+// evalEntry evaluates u over ins and wraps the result as a cache entry.
 func evalEntry(t *testing.T, u *query.UCQ, ins *storage.Instance) *Entry {
 	t.Helper()
-	ans := eval.UCQ(u, ins, eval.Options{FilterNulls: true})
-	return NewEntry(ans, u, true)
+	return NewEntry(eval.UCQ(u, ins, eval.Options{FilterNulls: true}))
 }
 
 func TestLookupCountsHitsAndMisses(t *testing.T) {
@@ -101,66 +99,5 @@ func TestWithEntryReplaceAdjustsBytes(t *testing.T) {
 	c = c.WithEntry(1<<20, "k", evalEntry(t, u, ins), &stats)
 	if entries, after := c.Usage(); entries != 1 || after != before {
 		t.Errorf("replacing a key gave usage (%d, %d), want (1, %d)", entries, after, before)
-	}
-}
-
-// TestMaintainInsertMatchesReEvaluation carries a view across a suffix
-// delta and checks it equals full re-evaluation over the new instance.
-func TestMaintainInsertMatchesReEvaluation(t *testing.T) {
-	u := edgeQuery(t)
-	old := storage.MustFromAtoms([]logic.Atom{edgeAtom("a", "b"), edgeAtom("b", "c")})
-	var stats Stats
-	var c *Cache
-	c = c.WithEntry(1<<20, "k", evalEntry(t, u, old), &stats)
-
-	next := old.ExtendClone()
-	added := []logic.Atom{edgeAtom("c", "d"), edgeAtom("d", "e")}
-	for _, a := range added {
-		if err := next.InsertAtom(a); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c = c.MaintainInsert(MaintainInput{
-		Base:   next,
-		OldMat: old,
-		NewMat: next,
-		Added:  added,
-		Budget: 1 << 20,
-	}, &stats)
-
-	got := c.Lookup("k", &stats)
-	if got == nil {
-		t.Fatal("maintained view missing from the successor cache")
-	}
-	want := eval.UCQ(u, next, eval.Options{FilterNulls: true})
-	if !got.Equal(want) {
-		t.Fatalf("maintained view:\n%s\nre-evaluation:\n%s", got, want)
-	}
-	if n := stats.DeltaMaintained.Load(); n != 1 {
-		t.Errorf("deltaMaintained=%d, want 1", n)
-	}
-}
-
-// TestMaintainInsertDropsViewsOfLostMaterialization asserts a view over a
-// materialization the successor does not extend is dropped, not served
-// stale, while a view over the unchanged base data is carried as it is.
-func TestMaintainInsertDropsViewsOfLostMaterialization(t *testing.T) {
-	u := edgeQuery(t)
-	base := storage.MustFromAtoms([]logic.Atom{edgeAtom("a", "b")})
-	var stats Stats
-	var c *Cache
-	c = c.WithEntry(1<<20, "mat", evalEntry(t, u, base), &stats)
-	onBase := NewEntry(eval.UCQ(u, base, eval.Options{FilterNulls: true}), u, false)
-	c = c.WithEntry(1<<20, "base", onBase, &stats)
-
-	c = c.MaintainInsert(MaintainInput{Base: base, Budget: 1 << 20}, &stats)
-	if got := c.Lookup("mat", &stats); got != nil {
-		t.Fatal("view over a dropped materialization survived")
-	}
-	if got := c.Lookup("base", &stats); got != onBase.ans {
-		t.Fatal("view over the unchanged base data was not carried as it is")
-	}
-	if n := stats.DeltaMaintained.Load(); n != 0 {
-		t.Errorf("deltaMaintained=%d, want 0 (no delta join ran)", n)
 	}
 }

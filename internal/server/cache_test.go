@@ -1,12 +1,10 @@
 package server
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -15,132 +13,69 @@ import (
 	"repro"
 )
 
-// streamRows runs one NDJSON query and returns its rows (joined per line)
-// plus the trailer.
-func streamRows(t *testing.T, url, body string) (int, []string, map[string]any) {
-	t.Helper()
-	req, err := http.NewRequest("POST", url, strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Accept", "application/x-ndjson")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var rows []string
-	var trailer map[string]any
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		if line[0] == '[' {
-			var row []string
-			if err := json.Unmarshal(line, &row); err != nil {
-				t.Fatalf("bad NDJSON row %q: %v", line, err)
-			}
-			rows = append(rows, strings.Join(row, ","))
-			continue
-		}
-		if err := json.Unmarshal(line, &trailer); err != nil {
-			t.Fatalf("bad NDJSON trailer %q: %v", line, err)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, rows, trailer
-}
-
-// TestStreamSingleFlight fires many concurrent NDJSON requests for one
-// query and asserts they all stream the identical answer multiset while
-// the pace-car registry reports shared flights — followers joined and rows
-// were replayed well beyond what one evaluation produced.
-func TestStreamSingleFlight(t *testing.T) {
+// TestConcurrentIdenticalStreams fires many concurrent NDJSON requests for
+// one query and asserts each streams the complete answer set with a trailer
+// counting its rows. Every stream is its own AnswerEach: the ones that miss
+// the view evaluate, the rest replay it.
+func TestConcurrentIdenticalStreams(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	s.Add("fam", repro.MustParse(familyProgram))
-	const body = `{"query": "q(X, Y) :- ancestor(X, Y) ."}`
 	url := ts.URL + "/v1/ontologies/fam/query"
+	body := map[string]any{"query": "q(X, Y) :- ancestor(X, Y) .", "stream": true}
+	want := []string{"[ada bob]", "[ada cyd]", "[bob cyd]"}
 
 	const clients = 8
 	var wg sync.WaitGroup
 	results := make([][]string, clients)
+	errs := make([]error, clients)
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
-		go func(c int) {
+		go func() {
 			defer wg.Done()
-			st, rows, trailer := streamRows(t, url, body)
-			if st != http.StatusOK {
-				t.Errorf("client %d: status %d", c, st)
-				return
-			}
-			if trailer == nil || trailer["count"].(float64) != float64(len(rows)) {
-				t.Errorf("client %d: trailer %v over %d rows", c, trailer, len(rows))
-			}
-			sort.Strings(rows)
-			results[c] = rows
-		}(c)
+			results[c], errs[c] = fetchAnswers(url, body)
+		}()
 	}
 	wg.Wait()
-
-	want := strings.Join(results[0], "|")
-	if want == "" {
-		t.Fatal("no rows streamed")
-	}
-	for c := 1; c < clients; c++ {
-		if got := strings.Join(results[c], "|"); got != want {
-			t.Fatalf("client %d streamed %q, client 0 %q", c, got, want)
+	for c := 0; c < clients; c++ {
+		if errs[c] != nil {
+			t.Fatalf("client %d: %v", c, errs[c])
 		}
-	}
-	fs := s.flights.Stats()
-	if fs.Flights.Load() == 0 {
-		t.Error("no pace-car flight opened for a cacheable stream")
-	}
-	if fs.Joined.Load()+fs.Flights.Load() < clients {
-		t.Errorf("flights=%d joined=%d across %d clients: some requests bypassed the registry",
-			fs.Flights.Load(), fs.Joined.Load(), clients)
-	}
-	if fs.RowsReplayed.Load() < fs.RowsProduced.Load() {
-		t.Errorf("rowsReplayed=%d < rowsProduced=%d: followers did not share the buffer",
-			fs.RowsReplayed.Load(), fs.RowsProduced.Load())
+		if got := slices.Sorted(slices.Values(results[c])); !slices.Equal(got, want) {
+			t.Fatalf("client %d streamed %v, want %v", c, got, want)
+		}
 	}
 }
 
 // TestStreamLimitAndNoCache asserts a limited stream is a prefix-sized
-// subset of the shared flight and noCache opts out of it entirely.
+// subset of the answers and noCache opts out of the answer-view cache
+// entirely.
 func TestStreamLimitAndNoCache(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	s.Add("fam", repro.MustParse(familyProgram))
 	url := ts.URL + "/v1/ontologies/fam/query"
+	const q = "q(X, Y) :- ancestor(X, Y) ."
 
-	st, full, _ := streamRows(t, url, `{"query": "q(X, Y) :- ancestor(X, Y) ."}`)
-	if st != http.StatusOK || len(full) != 3 {
-		t.Fatalf("full stream: status %d, %d rows", st, len(full))
+	full, err := fetchAnswers(url, map[string]any{"query": q, "stream": true})
+	if err != nil || len(full) != 3 {
+		t.Fatalf("full stream: %d rows, err %v", len(full), err)
 	}
-	st, limited, trailer := streamRows(t, url, `{"query": "q(X, Y) :- ancestor(X, Y) .", "limit": 2}`)
-	if st != http.StatusOK || len(limited) != 2 || trailer["count"].(float64) != 2 {
-		t.Fatalf("limited stream: status %d, %d rows, trailer %v", st, len(limited), trailer)
-	}
-	all := map[string]bool{}
-	for _, r := range full {
-		all[r] = true
+	limited, err := fetchAnswers(url, map[string]any{"query": q, "stream": true, "limit": 2})
+	if err != nil || len(limited) != 2 {
+		t.Fatalf("limited stream: %d rows, err %v", len(limited), err)
 	}
 	for _, r := range limited {
-		if !all[r] {
+		if !slices.Contains(full, r) {
 			t.Fatalf("limited stream row %q is not an answer", r)
 		}
 	}
 
-	before := s.flights.Stats().Flights.Load()
-	st, rows, _ := streamRows(t, url, `{"query": "q(X, Y) :- ancestor(X, Y) .", "noCache": true}`)
-	if st != http.StatusOK || len(rows) != 3 {
-		t.Fatalf("noCache stream: status %d, %d rows", st, len(rows))
+	before := s.Ontology("fam").AnswerCacheStats()
+	rows, err := fetchAnswers(url, map[string]any{"query": q, "stream": true, "noCache": true})
+	if err != nil || len(rows) != 3 {
+		t.Fatalf("noCache stream: %d rows, err %v", len(rows), err)
 	}
-	if after := s.flights.Stats().Flights.Load(); after != before {
-		t.Errorf("noCache stream opened a flight (%d -> %d)", before, after)
+	if after := s.Ontology("fam").AnswerCacheStats(); after != before {
+		t.Errorf("noCache stream touched the cache: %+v -> %+v", before, after)
 	}
 }
 
@@ -167,9 +102,6 @@ func TestStatsExposeCacheCounters(t *testing.T) {
 	}
 	if ac["Hits"].(float64) < 1 || ac["Misses"].(float64) < 1 || ac["Entries"].(float64) < 1 {
 		t.Errorf("answerCache=%v, want at least one hit, miss and entry", ac)
-	}
-	if _, ok := m["streamFlights"].(map[string]any); !ok {
-		t.Errorf("stats carry no streamFlights object: %v", m)
 	}
 	if _, ok := m["shedRequests"]; !ok {
 		t.Errorf("stats carry no shedRequests counter: %v", m)

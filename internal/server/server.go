@@ -53,7 +53,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/rescache"
 )
 
 // Config tunes the server.
@@ -89,11 +88,6 @@ type Server struct {
 	mu      sync.RWMutex
 	tenants map[string]*tenant
 
-	// flights deduplicates concurrent NDJSON streams of the same (tenant,
-	// query, options, generation) key: one driver evaluates, followers
-	// replay its shared buffer (pace-car; see internal/rescache).
-	flights *rescache.Flights
-
 	// sem, queued and shed implement admission control: a semaphore of
 	// MaxConcurrent slots, an atomic count of requests waiting for one,
 	// and the running total of requests shed with 429.
@@ -110,7 +104,7 @@ type tenant struct {
 
 // New creates an empty server.
 func New(cfg Config) *Server {
-	s := &Server{cfg: cfg, tenants: make(map[string]*tenant), flights: rescache.NewFlights()}
+	s := &Server{cfg: cfg, tenants: make(map[string]*tenant)}
 	if cfg.MaxConcurrent > 0 {
 		s.sem = make(chan struct{}, cfg.MaxConcurrent)
 	}
@@ -288,7 +282,6 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, t *tenant) {
 	m := t.ont.MaterializationStats()
-	fs := s.flights.Stats()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"rules":           t.ont.Rules().Len(),
 		"baseFacts":       t.ont.Data().Size(),
@@ -304,14 +297,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, t *tenant) 
 		// probes the partition-pruned plans confined to one sub-instance.
 		"partitions": m.Partitions,
 		"partition":  m.Partition,
-		// Pace-car streaming and admission counters; server-wide, not
-		// per-tenant — flights and the semaphore are shared.
-		"streamFlights": map[string]any{
-			"flights":      fs.Flights.Load(),
-			"joined":       fs.Joined.Load(),
-			"rowsProduced": fs.RowsProduced.Load(),
-			"rowsReplayed": fs.RowsReplayed.Load(),
-		},
+		// Admission counter; server-wide, not per-tenant — the semaphore is
+		// shared.
 		"shedRequests": s.shed.Load(),
 	})
 }
@@ -335,8 +322,8 @@ type queryRequest struct {
 	// flushed as produced, then a trailing object with the count. The
 	// Accept: application/x-ndjson header has the same effect.
 	Stream bool `json:"stream,omitempty"`
-	// NoCache bypasses the shared answer cache and pace-car flights for
-	// this request: evaluate from scratch, cache nothing.
+	// NoCache bypasses the answer-view cache for this request: evaluate
+	// from scratch, cache nothing.
 	NoCache bool `json:"noCache,omitempty"`
 }
 
@@ -417,9 +404,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, t *tenant) 
 // the first answer still gets a proper error status; after the first row
 // the status is committed and the error can only ride in the trailer.
 //
-// Cacheable requests ride a pace-car flight keyed on (tenant, canonical
-// query+options, cache generation): concurrent identical streams share one
-// driving evaluation and replay its buffer, each under its own limit.
+// A stream is one AnswerEach: it replays a cached view or evaluates on its
+// own, so concurrent identical streams each evaluate until one of them has
+// filled the view.
 func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, t *tenant, query string, opts repro.Options) {
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
@@ -448,20 +435,7 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, t *tenant, 
 		n++
 		return true
 	}
-	var err error
-	if key, kerr := t.ont.AnswerCacheKey(query, opts); kerr == nil && !opts.NoCache {
-		// Flights of a retired generation drain and die on their own: new
-		// arrivals compute a fresh key and open a fresh flight.
-		gen := t.ont.CacheGeneration()
-		fkey := fmt.Sprintf("%s|%d|%s", r.PathValue("name"), gen, key)
-		fopts := opts
-		fopts.Limit = 0 // the flight is shared; each consumer applies its own limit
-		err = s.flights.Do(r.Context(), fkey, func(ctx context.Context) (rescache.Source, error) {
-			return t.ont.AnswerStream(ctx, query, fopts)
-		}, opts.Limit, yield)
-	} else {
-		err = t.ont.AnswerEach(r.Context(), query, opts, yield)
-	}
+	err := t.ont.AnswerEach(r.Context(), query, opts, yield)
 	if err != nil && !started {
 		writeErr(w, errStatus(err), err)
 		return

@@ -10,7 +10,7 @@ import (
 // TestMain lets the harness rerun the whole suite over hash-partitioned
 // materializations: `PART=4 go test .` flips the package default partition
 // count, which every call that leaves Options.Partitions zero inherits
-// (second leg of `make test`, the one axis of `make bench-compare`).
+// (second leg of `make test`).
 func TestMain(m *testing.M) {
 	if s := os.Getenv("PART"); s != "" {
 		p, err := strconv.Atoi(s)

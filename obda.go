@@ -41,7 +41,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dependency"
 	"repro/internal/eval"
-	"repro/internal/logic"
 	"repro/internal/parser"
 	"repro/internal/query"
 	"repro/internal/rescache"
@@ -74,10 +73,12 @@ import (
 // published it serves every reader until the next write.
 //
 // publish guarantees that the snapshot it installs is complete before it is
-// visible (rules, base, materialization and carried-forward caches all refer
-// to one another), that generations are totally ordered (gen grows by one per
-// publication, all under wmu), and that a published snapshot is never written
-// again except for its own lazily filled caches.
+// visible (rules, base and materialization all refer to one another), that
+// generations are totally ordered (every publication happens under wmu), and
+// that a published snapshot is never written again except for its own lazily
+// filled caches. The answer views are one of those caches: every publication
+// starts empty, and a mutation that changes nothing publishes nothing, so it
+// keeps the views it found.
 //
 // Data() and the instance passed to New are the currently published base — a
 // snapshot, not a live handle: mutations fork it and publish the fork, so an
@@ -139,11 +140,9 @@ type Ontology struct {
 // snapshot is one published generation of the ontology. rules, base, mat and
 // the counters are immutable once published; class, plans and views are
 // caches of values derived from them, filled lazily by whoever needs them
-// first and carried into the next generation only by publish.
+// first. Only class, which depends on the rules alone, reaches the next
+// generation, and only while the rules are unchanged.
 type snapshot struct {
-	// gen counts publications. It is the one generation number: the server
-	// keys its shared flights to it, nothing compares it on a read path.
-	gen   uint64
 	rules *dependency.Set
 	// base is the canonical base data. Mutations fork it (ExtendClone) and
 	// publish the fork; baseMut is its mutation counter as published, so a
@@ -163,7 +162,8 @@ type snapshot struct {
 	// planner; the cache dies with the snapshot.
 	plans sync.Map
 	// views is this generation's answer-view cache: readers that completed
-	// an evaluation over this snapshot add to it by compare-and-swap.
+	// an evaluation over this snapshot add to it by compare-and-swap. It
+	// starts empty and dies with the snapshot.
 	views atomic.Pointer[rescache.Cache]
 }
 
@@ -223,15 +223,14 @@ func (o *Ontology) loadLocked() *snapshot {
 	next := s.next()
 	next.baseMut = s.base.Mutations()
 	o.dropMat(next)
-	o.publish(next, false, nil)
+	o.publish(next)
 	return next
 }
 
-// next starts the successor of s: same contents, next generation, empty
-// plan cache. The caller edits it, then hands it to publish.
+// next starts the successor of s: same contents, empty plan and answer-view
+// caches. The caller edits it, then hands it to publish.
 func (s *snapshot) next() *snapshot {
 	return &snapshot{
-		gen:      s.gen + 1,
 		rules:    s.rules,
 		base:     s.base,
 		baseMut:  s.baseMut,
@@ -242,27 +241,11 @@ func (s *snapshot) next() *snapshot {
 }
 
 // publish installs next as the current snapshot: the only store to o.snap
-// after construction. Its one other job is the explicit carry-forward of the
-// previous generation's answer views. They survive only a monotone step
-// (same rules, nothing deleted): views over the base are joined against the
-// inserted facts, views over the materialization against the tuples its
-// copy-on-write extension appended (rescache.MaintainInsert) — CQ answers are
-// monotone under inserts, so merging the delta answers is exact. Views over
-// a materialization that was dropped, rebuilt or left truncated are not
-// carried. Requires o.wmu.
-func (o *Ontology) publish(next *snapshot, monotone bool, added []logic.Atom) {
-	prev := o.snap.Load()
-	if next.rules != prev.rules {
+// after construction. A rule change gives next a fresh classification slot;
+// next's answer views are empty (see next). Requires o.wmu.
+func (o *Ontology) publish(next *snapshot) {
+	if next.rules != o.snap.Load().rules {
 		next.class = new(classification)
-	}
-	if budget := o.ansBudget.Load(); monotone && budget > 0 {
-		in := rescache.MaintainInput{Base: next.base, Added: added, Budget: budget}
-		// An extension shares its engine state with the materialization it
-		// extends; a rebuild starts a new one.
-		if prev.mat != nil && next.mat != nil && next.mat.state == prev.mat.state && next.mat.terminated {
-			in.OldMat, in.NewMat = prev.mat.store, next.mat.store
-		}
-		next.views.Store(prev.views.Load().MaintainInsert(in, &o.ansStats))
 	}
 	o.snap.Store(next)
 }

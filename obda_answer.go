@@ -184,7 +184,7 @@ func (o *Ontology) AnswerEach(ctx context.Context, querySrc string, opts Options
 		return err
 	}
 	for {
-		t, ok, err := s.Next(ctx)
+		t, ok, err := s.next(ctx)
 		if err != nil || !ok {
 			return err
 		}
@@ -302,6 +302,6 @@ func (o *Ontology) buildMat(ctx context.Context, copts chase.Options) (*snapshot
 	}
 	next := s.next()
 	next.setMat(store, st, res.Terminated, res.Steps, res.Rounds)
-	o.publish(next, true, nil)
+	o.publish(next)
 	return next, nil
 }

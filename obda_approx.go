@@ -160,7 +160,7 @@ func (o *Ontology) AnswerApprox(querySrc string, opts ApproxOptions) (*Approx, e
 		if o.loadLocked() == s {
 			next := s.next()
 			next.setMat(data, st, true, ch.Steps, ch.Rounds)
-			o.publish(next, true, nil)
+			o.publish(next)
 		}
 		o.wmu.Unlock()
 	}

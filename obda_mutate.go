@@ -45,9 +45,12 @@ type mutationResult struct {
 //     same fork of the materialization, or giving it up when incremental
 //     repair is impossible (truncated cache, missing provenance);
 //  3. publishes the next snapshot — new rule set, forked base, repaired
-//     materialization, carried-forward answer views — with one pointer
-//     store; concurrent readers keep the previous snapshot throughout. Every
+//     materialization, empty answer views — with one pointer store;
+//     concurrent readers keep the previous snapshot throughout. Every
 //     compactEvery-th mutation first runs the generational provenance sweep.
+//     A mutation that changes nothing (every inserted fact already present,
+//     every deleted fact absent) publishes nothing, so the published snapshot
+//     and its answer views stay in place.
 //
 // Cancellation is honored at step boundaries and inside every chase-driven
 // apply step (the engines poll ctx at amortized intervals). An aborted
@@ -106,7 +109,7 @@ func (o *Ontology) mutate(ctx context.Context, mut mutation) (mutationResult, er
 	abort := func(err error) (mutationResult, error) {
 		if w.had {
 			o.dropMat(next)
-			o.publish(next, true, nil)
+			o.publish(next)
 		}
 		return mutationResult{}, err
 	}
@@ -155,13 +158,18 @@ func (o *Ontology) mutate(ctx context.Context, mut mutation) (mutationResult, er
 				added = append(added, f)
 			}
 		}
-		w.applyFactInsert(ctx, newRules, added)
-		if w.ctxErr != nil {
-			return abort(w.ctxErr)
+		if len(added) > 0 {
+			w.applyFactInsert(ctx, newRules, added)
+			if w.ctxErr != nil {
+				return abort(w.ctxErr)
+			}
 		}
 	}
 
 	// --- publish ---
+	if newRules == prev.rules && len(added)+len(removed) == 0 {
+		return res, nil // nothing changed: keep the published snapshot
+	}
 	res = mutationResult{addedFacts: len(added), removedFacts: len(removed)}
 	next.rules = newRules
 	if len(added)+len(removed) > 0 {
@@ -181,7 +189,7 @@ func (o *Ontology) mutate(ctx context.Context, mut mutation) (mutationResult, er
 		// MaterializationStats.FullRebuilds surfaces the penalty.
 		o.dropMat(next)
 	}
-	o.publish(next, newRules == prev.rules && len(removed) == 0, added)
+	o.publish(next)
 	return res, w.err
 }
 
@@ -418,9 +426,9 @@ func (o *Ontology) DeleteFactCtx(ctx context.Context, src string) (int, error) {
 // materialization is extended incrementally: the chase resumes with the
 // whole instance as the delta against only the new rule, then consequences
 // propagate semi-naively — work proportional to what the rule derives, not
-// to a re-chase (see MaterializationStats.LastSteps). Rules-derived caches
-// (classification, compiled plans, answer views) do not reach the next
-// snapshot; concurrent readers keep answering over the previous one
+// to a re-chase (see MaterializationStats.LastSteps). The snapshot it
+// publishes starts with empty caches (classification, compiled plans, answer
+// views); concurrent readers keep answering over the previous one
 // throughout.
 func (o *Ontology) AddRule(src string) error {
 	return o.AddRuleCtx(context.Background(), src)

@@ -39,8 +39,8 @@ type MaterializationStats struct {
 	// Data() mutation. A growing counter on a serving process is the signal
 	// that incremental maintenance is being bypassed.
 	FullRebuilds uint64
-	// AnswerCache counts shared answer-view cache activity (hits, misses,
-	// evictions, views delta-maintained across inserts, live entry bytes).
+	// AnswerCache counts answer-view cache activity (hits, misses,
+	// evictions, the current snapshot's entries and bytes).
 	AnswerCache AnswerCacheStats
 	// Partitions is the partition count of the cached expansion (0 when
 	// nothing is cached).

@@ -191,8 +191,8 @@ func TestPartitionedEvolutionMatchesOracle(t *testing.T) {
 }
 
 // TestPartitionedAnswerSurfacesAgree drives every answering surface —
-// AnswerOptions, the push iterator AnswerEach and the pull iterator
-// AnswerStream — over the same P = 4 ontology and requires the oracle's
+// AnswerOptions, the push iterator AnswerEach and the pull iterator under it
+// (openAnswer) — over the same P = 4 ontology and requires the oracle's
 // answer set from each, plus a live pruned-probe counter once a query binds
 // the partitioning column.
 func TestPartitionedAnswerSurfacesAgree(t *testing.T) {
@@ -226,13 +226,13 @@ func TestPartitionedAnswerSurfacesAgree(t *testing.T) {
 			t.Errorf("%s: AnswerEach diverges:\n%s\nvs\n%s", q, each, want)
 		}
 
-		s, err := ont.AnswerStream(context.Background(), q, opts)
+		s, err := ont.openAnswer(context.Background(), q, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		streamed := eval.NewAnswers(want.Arity())
 		for {
-			a, ok, err := s.Next(context.Background())
+			a, ok, err := s.next(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -242,7 +242,7 @@ func TestPartitionedAnswerSurfacesAgree(t *testing.T) {
 			streamed.Add(a)
 		}
 		if !streamed.Equal(want) {
-			t.Errorf("%s: AnswerStream diverges:\n%s\nvs\n%s", q, streamed, want)
+			t.Errorf("%s: the pull iterator diverges:\n%s\nvs\n%s", q, streamed, want)
 		}
 	}
 

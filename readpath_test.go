@@ -21,8 +21,8 @@ import (
 	"repro/internal/storage"
 )
 
-// pushAnswers and pullAnswers drain AnswerEach and AnswerStream into the
-// rendered rows, in stream order.
+// pushAnswers and pullAnswers drain AnswerEach and the read path's own
+// iterator (openAnswer) into the rendered rows, in stream order.
 func pushAnswers(ont *Ontology, q string, opts Options) ([]string, error) {
 	var out []string
 	err := ont.AnswerEach(context.Background(), q, opts, func(a Answer) bool {
@@ -33,13 +33,13 @@ func pushAnswers(ont *Ontology, q string, opts Options) ([]string, error) {
 }
 
 func pullAnswers(ont *Ontology, q string, opts Options) ([]string, error) {
-	s, err := ont.AnswerStream(context.Background(), q, opts)
+	s, err := ont.openAnswer(context.Background(), q, opts)
 	if err != nil {
 		return nil, err
 	}
 	var out []string
 	for {
-		a, ok, err := s.Next(context.Background())
+		a, ok, err := s.next(context.Background())
 		if err != nil || !ok {
 			return out, err
 		}
@@ -49,8 +49,9 @@ func pullAnswers(ont *Ontology, q string, opts Options) ([]string, error) {
 
 // TestStreamingAnswersNoticeCancellation is the public-API half of the
 // dense-stream cancellation regression (see eval.TestStreamNoticesCancellation):
-// both streaming surfaces must fail within two poll intervals of a cancel
-// that lands mid-stream, instead of delivering all 20 000 rows.
+// AnswerEach and the pull iterator under it (answerStream) must fail within
+// two poll intervals of a cancel that lands mid-stream, instead of delivering
+// all 20 000 rows.
 func TestStreamingAnswersNoticeCancellation(t *testing.T) {
 	const facts, pollInterval = 20000, 4096
 	var src strings.Builder
@@ -77,14 +78,14 @@ func TestStreamingAnswersNoticeCancellation(t *testing.T) {
 	t.Run("AnswerStream", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		s, err := ont.AnswerStream(ctx, q, Options{})
+		s, err := ont.openAnswer(ctx, q, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		rows := 0
 		for err == nil && rows <= 10+2*pollInterval {
 			var ok bool
-			if _, ok, err = s.Next(ctx); !ok {
+			if _, ok, err = s.next(ctx); !ok {
 				break
 			}
 			if rows++; rows == 10 {
@@ -153,11 +154,12 @@ func TestAnswerEachJoinsCache(t *testing.T) {
 }
 
 // TestReadPathDifferential compares the three consumers of the one read
-// path — AnswerCtx (collect), AnswerEach (push), AnswerStream (pull) — with
-// each other and with the naive oracle, across answering mode, cache state
-// (bypassed, cold, warm), Limit, partition count and parallelism. Unlimited,
-// every surface returns the oracle's set; limited, every surface returns the
-// same rows, the prefix of the unlimited stream in the same cache state.
+// path — AnswerCtx (collect), AnswerEach (push), openAnswer's iterator
+// (pull) — with each other and with the naive oracle, across answering mode,
+// cache state (bypassed, cold, warm), Limit, partition count and
+// parallelism. Unlimited, every surface returns the oracle's set; limited,
+// every surface returns the same rows, the prefix of the unlimited stream in
+// the same cache state.
 func TestReadPathDifferential(t *testing.T) {
 	inputs := map[string]func(t *testing.T) *Ontology{}
 	for seed := int64(1); seed <= 3; seed++ {
@@ -215,7 +217,7 @@ func diffReadPath(t *testing.T, ont *Ontology, ref *oracle, q string, opts Optio
 			return rows, nil
 		}},
 		{"AnswerEach", func(o Options) ([]string, error) { return pushAnswers(ont, q, o) }},
-		{"AnswerStream", func(o Options) ([]string, error) { return pullAnswers(ont, q, o) }},
+		{"openAnswer", func(o Options) ([]string, error) { return pullAnswers(ont, q, o) }},
 	}
 	dropViews := func() {
 		ont.SetAnswerCacheBudget(0)
