@@ -920,11 +920,11 @@ func BenchmarkAnswerLimited(b *testing.B) {
 // --- PR 9: shared answer cache -------------------------------------------
 
 // BenchmarkPartitionPruning measures partition-pruned evaluation — not
-// parallelism: Parallelism stays 1 in every arm. The query's hash-join plan
-// binds the partitioning column of edge/3 through the single anchor tuple,
-// so over a partitioned materialization the composite-key table is built
-// over one sub-instance (~N/P tuples) instead of the whole relation; parts=1
-// is the classic single-instance baseline paying the full build per call.
+// parallelism: Parallelism stays 1 in every arm. The plan binds the
+// partitioning column of edge/3 through the single anchor tuple, so over a
+// partitioned materialization the edge level probes its key index in one
+// sub-instance (~N/P tuples) instead of all P; parts=1 is the
+// single-instance baseline probing the same index over the whole relation.
 func BenchmarkPartitionPruning(b *testing.B) {
 	var sb strings.Builder
 	sb.WriteString("edge(K, A, V) -> reach(K, V) .\n")

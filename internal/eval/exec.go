@@ -23,8 +23,7 @@ const cancelCheckMask = 0x0FFF
 
 // cursor is the iteration state of one join level.
 type cursor struct {
-	// posting lists candidate tuple offsets (index or hash path); nil scans
-	// tuples.
+	// posting lists candidate tuple offsets (index probe); nil scans tuples.
 	posting []int
 	tuples  []storage.Tuple
 	n       int // candidates to visit
@@ -39,37 +38,25 @@ type cursor struct {
 	part, lastPart int
 }
 
-// hashTable is the pooled composite-key table of one hash-probed join level,
-// tagged with the relation snapshot it was built from so a runner rebinding
-// to a new snapshot rebuilds lazily.
-type hashTable struct {
-	rel *storage.Relation
-	m   map[string][]int
-}
-
 // Runner is the mutable execution state of one plan: the register file, the
-// per-level cursors, pooled hash tables, and the relation pointers resolved
-// against a store. A Runner belongs to one goroutine; allocate one per
-// worker (NewRunner) and reuse it across executions — Bind, seed, Start and
-// Next allocate nothing in steady state.
+// per-level cursors, and the relation pointers resolved against a store. A
+// Runner belongs to one goroutine; allocate one per worker (NewRunner) and
+// reuse it across executions — Bind, seed, Start and Next allocate nothing in
+// steady state.
 type Runner struct {
 	plan *Plan
 	regs []logic.Term
 	curs []cursor
-	// rels and tabs (nil unless some level hash-probes) hold one entry per
-	// (level, partition) at index level*nparts+part; psrc is how each level
-	// picks its partitions. All three are shaped for the (nparts, col) layout
-	// of the last bound store and reshaped only when a Bind sees another.
+	// rels holds one entry per (level, partition) at index
+	// level*nparts+part; psrc is how each level picks its partitions. Both
+	// are shaped for the (nparts, col) layout of the last bound store and
+	// reshaped only when a Bind sees another.
 	rels   []*storage.Relation
-	tabs   []hashTable
 	psrc   []partSrc
 	nparts int
 	col    int
 	// pruned counts probes of a P > 1 store confined to a single partition.
 	pruned uint64
-
-	// keyBuf is the reused scratch buffer for composite hash-probe keys.
-	keyBuf []byte
 
 	// depth and done are the resumable iterator position between Next calls.
 	depth int
@@ -91,12 +78,6 @@ func (p *Plan) NewRunner() *Runner {
 		psrc: make([]partSrc, len(p.atoms)),
 		done: true,
 	}
-	for _, a := range p.atoms {
-		if len(a.hashKey) > 0 {
-			r.keyBuf = make([]byte, 0, 64)
-			break
-		}
-	}
 	r.reshape(1, 0)
 	return r
 }
@@ -108,9 +89,6 @@ func (r *Runner) reshape(nparts, col int) {
 	n := len(r.plan.atoms)
 	r.nparts, r.col = nparts, col
 	r.rels = make([]*storage.Relation, n*nparts)
-	if r.keyBuf != nil {
-		r.tabs = make([]hashTable, n*nparts)
-	}
 	for i := range r.psrc {
 		r.psrc[i] = partSource(&r.plan.atoms[i], col, nparts)
 	}
@@ -331,11 +309,10 @@ func (r *Runner) Run(shard, nshards int, yield func(regs []logic.Term) bool) boo
 }
 
 // initCursor positions the cursor of one level on a partition's candidate
-// set: a composite hash probe when the plan chose a hash join for the level,
-// an index probe on the planned column otherwise, a scan as the fallback. A
-// fresh init first resolves the partitions the level visits from its source —
-// one when the partitioning column is fixed (always, at P = 1), all P
-// otherwise — and opens the first; advance instead moves an exhausted level
+// set: an index probe on the planned column, or a scan when the plan fixed
+// none. A fresh init first resolves the partitions the level visits from its
+// source — one when the partitioning column is fixed (always, at P = 1), all
+// P otherwise — and opens the first; advance instead moves an exhausted level
 // to the next partition of that range, restarting the stride.
 //
 //repro:hotpath
@@ -357,19 +334,9 @@ func (r *Runner) initCursor(depth, start, stride int, advance bool) {
 			r.pruned++
 		}
 	}
-	at := depth*r.nparts + cur.part
-	rel := r.rels[at]
+	rel := r.rels[depth*r.nparts+cur.part]
 	cur.tuples = rel.Tuples()
 	cur.pos = start
-	if len(step.hashKey) > 0 {
-		if r.tabs[at].rel != rel {
-			r.buildHashTable(step, at, rel)
-		}
-		//repro:allow hotalloc map read through string(key) is allocation-elided by the compiler
-		cur.posting = r.tabs[at].m[string(r.probeKey(step))]
-		cur.n = len(cur.posting)
-		return
-	}
 	if step.idxCol >= 0 {
 		key := step.keyTerm
 		if step.keySlot >= 0 {
@@ -381,54 +348,6 @@ func (r *Runner) initCursor(depth, start, stride int, advance bool) {
 	}
 	cur.posting = nil
 	cur.n = len(cur.tuples)
-}
-
-// buildHashTable materializes the composite-key table for one hash-probed
-// (level, partition): every tuple of the relation keyed by the concatenation
-// of its hash-key columns (constant key entries use the tuple's own column
-// value, so non-matching tuples land in buckets no probe ever assembles).
-// Built once per (runner, relation snapshot) and amortized across every probe
-// at the level — over 1/P of the data when the probe is pruned; deliberately
-// not //repro:hotpath — it is the cold open of the iterator, not its steady
-// state.
-func (r *Runner) buildHashTable(step *atomStep, at int, rel *storage.Relation) {
-	tuples := rel.Tuples()
-	m := make(map[string][]int, len(tuples))
-	buf := r.keyBuf
-	for i, t := range tuples {
-		buf = buf[:0]
-		for _, k := range step.hashKey {
-			buf = appendTermKey(buf, t[k.col])
-		}
-		m[string(buf)] = append(m[string(buf)], i)
-	}
-	r.keyBuf = buf
-	r.tabs[at] = hashTable{rel: rel, m: m}
-}
-
-// probeKey assembles the composite probe key for a hash-probed level into the
-// runner's reused scratch buffer. Hot but allocation-free in steady state
-// (the buffer is reused across probes), so — like the chase's trigger-key
-// helpers — it stays un-annotated by design.
-func (r *Runner) probeKey(step *atomStep) []byte {
-	buf := r.keyBuf[:0]
-	for _, k := range step.hashKey {
-		t := k.term
-		if k.kind == opEq {
-			t = r.regs[k.slot]
-		}
-		buf = appendTermKey(buf, t)
-	}
-	r.keyBuf = buf
-	return buf
-}
-
-// appendTermKey appends one term's canonical encoding (kind digit, name, NUL
-// separator — the storage.Tuple.Key scheme) to a hash-key buffer.
-func appendTermKey(buf []byte, t logic.Term) []byte {
-	buf = append(buf, '0'+byte(t.Kind))
-	buf = append(buf, t.Name...)
-	return append(buf, 0)
 }
 
 // check runs one atom's micro-program against a candidate tuple, binding

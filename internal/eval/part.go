@@ -2,9 +2,8 @@
 // relation per partition of the store and, whenever the plan fixes the
 // partitioning column's value before the level runs — a compile-time
 // constant, or a register bound by a shallower level — the level probes
-// exactly one sub-instance instead of all P. Pruned levels see indexes and
-// hash-table builds over 1/P of the data, the single-core win partitioning
-// buys; levels that leave the partitioning column free iterate the
+// exactly one sub-instance instead of all P, so its index probe sees 1/P of
+// the data; levels that leave the partitioning column free iterate the
 // sub-instances in order, so the answer set is identical for every P. At
 // P = 1 every level is fixed to partition 0 and nothing counts as pruned.
 package eval
@@ -30,7 +29,7 @@ func allParts(nparts int) partSrc { return partSrc{last: nparts - 1, slot: -1} }
 
 // partSource derives the partition source of one compiled atom from its
 // access path and micro-program: the partitioning column's value comes from
-// the probe key, a hash-key entry, or a micro-op — a constant resolves to a
+// the probe key or a micro-op — a constant resolves to a
 // fixed partition, an equality against a register bound by an earlier level
 // routes at run time, and anything else (the column is first bound by this
 // very atom) forces the all-partitions walk.
@@ -43,15 +42,6 @@ func partSource(step *atomStep, col, nparts int) partSrc {
 			return slotPart(step.keySlot)
 		}
 		return fixedPart(storage.RoutePart(step.keyTerm, nparts))
-	}
-	for _, k := range step.hashKey {
-		if k.col != col {
-			continue
-		}
-		if k.kind == opEq {
-			return slotPart(k.slot)
-		}
-		return fixedPart(storage.RoutePart(k.term, nparts))
 	}
 	for _, o := range step.ops {
 		if o.col != col {

@@ -18,7 +18,7 @@ import (
 func rendered(ans *Answers) []string { return naive.RenderAll(ans.Tuples()) }
 
 // randInstance builds a pseudo-random multi-relation instance with enough
-// rows and value skew to exercise index probes, hash joins and scans.
+// rows and value skew to exercise index probes and scans.
 func randInstance(t *testing.T, rng *rand.Rand, rows int) *storage.Instance {
 	t.Helper()
 	ins := storage.NewInstance()
@@ -56,7 +56,7 @@ var partQueries = []struct {
 
 // TestPartitionedEquivalence checks that evaluation returns exactly the
 // nested-loop oracle's answers for every P (1 being the plain instance),
-// routing column, planner, join strategy and parallelism.
+// routing column and parallelism.
 func TestPartitionedEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ins := randInstance(t, rng, 240)
@@ -69,16 +69,14 @@ func TestPartitionedEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, jn := range []JoinStrategy{JoinNested, JoinHash, JoinDefault} {
-					for _, par := range []int{1, 3} {
-						got, err := RunPlansCtx(context.Background(), CompileUCQ(u, store, PlannerDefault, jn), tc.q.Arity(), store, Options{Parallelism: par})
-						if err != nil {
-							t.Fatal(err)
-						}
-						if g := rendered(got); !slices.Equal(g, want) {
-							t.Fatalf("%s P=%d col=%d join=%v par=%d: got %d answers, oracle %d\ngot:    %v\noracle: %v",
-								tc.name, p, col, jn, par, len(g), len(want), g, want)
-						}
+				for _, par := range []int{1, 3} {
+					got, err := RunPlansCtx(context.Background(), CompileUCQ(u, store, PlannerDefault, JoinDefault), tc.q.Arity(), store, Options{Parallelism: par})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if g := rendered(got); !slices.Equal(g, want) {
+						t.Fatalf("%s P=%d col=%d par=%d: got %d answers, oracle %d\ngot:    %v\noracle: %v",
+							tc.name, p, col, par, len(g), len(want), g, want)
 					}
 				}
 			}

@@ -1,10 +1,12 @@
 // The planner half of the evaluation engine: a conjunctive query (or rule
 // body) is compiled once per (query, instance) into a Plan — variables
 // numbered into integer register slots, atoms ordered by the cost model
-// (orderCost), and for every atom a fixed access path (index column vs. scan)
-// plus a check/bind micro-program resolved entirely at plan time. The
-// executor (exec.go) then runs the plan over a flat register array with no
-// substitution maps, no term walking and no per-binding allocation.
+// (orderCost), and for every atom its one access path — a probe of the
+// per-column index of the known column with the most distinct values, or a
+// scan when no column is known — plus a check/bind micro-program resolved
+// entirely at plan time. The executor (exec.go) then runs the plan over a
+// flat register array with no substitution maps, no term walking and no
+// per-binding allocation.
 package eval
 
 import (
@@ -25,35 +27,14 @@ type Planner int
 // PlannerDefault is the cost order.
 const PlannerDefault Planner = 0
 
-// JoinStrategy is how an atom with two or more already-known columns is
-// matched. Every caller outside this package's tests passes JoinDefault; the
-// two forcing values are the seam those tests use to drive the nested and
-// the hash path on fixtures too small for the automatic choice to pick hash.
+// JoinStrategy is the join parameter of the Compile* functions. Every atom
+// has one access path (see the package comment), so the type has one value.
+// Like Planner it survives only because benchmark/ calls
+// CompileUCQ(u, ins, PlannerDefault, JoinDefault).
 type JoinStrategy int
 
-const (
-	// JoinDefault lets the cost model decide per atom: a composite-key hash
-	// table when the relation is large enough to amortize the build and the
-	// correlated-pair statistics (storage.Relation.PairDistinct) show the
-	// composite key is genuinely more selective than the best single column,
-	// a probe of the single most selective per-column index otherwise.
-	JoinDefault JoinStrategy = iota
-	// JoinNested always probes the single best per-column index.
-	JoinNested
-	// JoinHash builds the composite hash table whenever an atom has at least
-	// two known columns.
-	JoinHash
-)
-
-// JoinDefault admission thresholds: the relation must carry at least
-// hashJoinMinRows tuples (amortizing the table build over enough probes to
-// matter) and the composite key must be at least hashJoinGain times more
-// selective than the best single column — below that, the single-column
-// index probe already returns nearly the same posting list for free.
-const (
-	hashJoinMinRows = 64
-	hashJoinGain    = 2.0
-)
+// JoinDefault is the single-column index probe.
+const JoinDefault JoinStrategy = 0
 
 // opKind discriminates the executor's per-argument micro-operations.
 type opKind uint8
@@ -89,13 +70,6 @@ type atomStep struct {
 	// compile-time constant key).
 	keySlot int
 	keyTerm logic.Term
-	// hashKey, when non-empty, switches the atom to a composite-key hash
-	// probe: the executor builds (once per relation snapshot) a hash table
-	// keyed by every listed column and probes it with the key assembled from
-	// registers (opEq entries) and constants (opConst entries). Equality on
-	// every key column is guaranteed by the probe, so ops skips them. idxCol
-	// is -1 when hashKey is set.
-	hashKey []op
 	ops     []op
 }
 
@@ -128,9 +102,6 @@ type AtomAccess struct {
 	Pred string
 	// Index is the probed index column, or -1 for a full scan.
 	Index int
-	// Hash lists the composite hash-key columns when the atom is matched by
-	// hash probe; nil for index probe or scan.
-	Hash []int
 }
 
 // Access returns the planned atom order with each atom's access path, in
@@ -138,11 +109,7 @@ type AtomAccess struct {
 func (p *Plan) Access() []AtomAccess {
 	out := make([]AtomAccess, len(p.atoms))
 	for i, a := range p.atoms {
-		acc := AtomAccess{Pred: a.pred, Index: a.idxCol}
-		for _, k := range a.hashKey {
-			acc.Hash = append(acc.Hash, k.col)
-		}
-		out[i] = acc
+		out[i] = AtomAccess{Pred: a.pred, Index: a.idxCol}
 	}
 	return out
 }
@@ -163,15 +130,15 @@ func (p *Plan) Slots(vars []logic.Term) []int {
 }
 
 // CompileCQ compiles a conjunctive query into a plan with head projection.
-func CompileCQ(q *query.CQ, store storage.Store, _ Planner, join JoinStrategy) *Plan {
-	return compile(&q.Head, q.Body, -1, nil, store, join)
+func CompileCQ(q *query.CQ, store storage.Store, _ Planner, _ JoinStrategy) *Plan {
+	return compile(&q.Head, q.Body, -1, nil, store)
 }
 
 // CompileUCQ compiles every member CQ of a union.
-func CompileUCQ(u *query.UCQ, store storage.Store, _ Planner, join JoinStrategy) []*Plan {
+func CompileUCQ(u *query.UCQ, store storage.Store, _ Planner, _ JoinStrategy) []*Plan {
 	plans := make([]*Plan, len(u.CQs))
 	for i, q := range u.CQs {
-		plans[i] = CompileCQ(q, store, PlannerDefault, join)
+		plans[i] = CompileCQ(q, store, PlannerDefault, JoinDefault)
 	}
 	return plans
 }
@@ -180,8 +147,8 @@ func CompileUCQ(u *query.UCQ, store storage.Store, _ Planner, join JoinStrategy)
 // pre-bound: they occupy the first registers, filled by Runner.SeedSubst
 // before enumeration, and steer the atom order toward atoms they make
 // selective. Every seed variable must be mapped to a rigid term at run time.
-func CompileBody(body []logic.Atom, store storage.Store, seedVars []logic.Term, _ Planner, join JoinStrategy) *Plan {
-	return compile(nil, body, -1, seedVars, store, join)
+func CompileBody(body []logic.Atom, store storage.Store, seedVars []logic.Term, _ Planner, _ JoinStrategy) *Plan {
+	return compile(nil, body, -1, seedVars, store)
 }
 
 // CompileDelta compiles a rule body with atom di pinned to a seed tuple: the
@@ -190,8 +157,8 @@ func CompileBody(body []logic.Atom, store storage.Store, seedVars []logic.Term, 
 // and constants — then joins the remaining atoms. The semi-naive chase
 // compiles one delta plan per (rule, body atom) and reuses it for every
 // delta fact of every round.
-func CompileDelta(body []logic.Atom, di int, store storage.Store, _ Planner, join JoinStrategy) *Plan {
-	return compile(nil, body, di, nil, store, join)
+func CompileDelta(body []logic.Atom, di int, store storage.Store, _ Planner, _ JoinStrategy) *Plan {
+	return compile(nil, body, di, nil, store)
 }
 
 // compile is the shared planner: number variables into slots, order the
@@ -199,7 +166,7 @@ func CompileDelta(body []logic.Atom, di int, store storage.Store, _ Planner, joi
 // carry no partition state — Runner.Bind resolves that per store — so the
 // planner only needs a statistics representative: partition 0, exact at
 // P = 1 and a 1/P sample otherwise (ordering-only; answers are unaffected).
-func compile(head *logic.Atom, body []logic.Atom, seedAtom int, seedVars []logic.Term, store storage.Store, join JoinStrategy) *Plan {
+func compile(head *logic.Atom, body []logic.Atom, seedAtom int, seedVars []logic.Term, store storage.Store) *Plan {
 	ins := store.Part(0)
 	p := &Plan{varSlot: make(map[logic.Term]int)}
 	slotOf := func(v logic.Term) int {
@@ -254,56 +221,34 @@ func compile(head *logic.Atom, body []logic.Atom, seedAtom int, seedVars []logic
 		// runs (a constant/null argument, or a variable bound earlier), probe
 		// the one with the most distinct values — the shortest expected
 		// posting list. Unknown stats fall back to the first such column.
-		best, bestDistinct := -1, -1
-		var known []int
+		bestDistinct := -1
 		for j, t := range a.Args {
 			if t.IsVar() && !bound[t] {
 				continue
 			}
-			known = append(known, j)
 			d := 0
 			if statsOK {
 				d = rel.Distinct(j)
 			}
-			if best == -1 || d > bestDistinct {
-				best, bestDistinct = j, d
+			if d > bestDistinct {
+				step.idxCol, bestDistinct = j, d
 			}
 		}
-		if useHashJoin(join, rel, statsOK, known, bestDistinct) {
-			// Composite-key hash probe over every known column: the executor
-			// builds the table once per relation snapshot and the probe
-			// guarantees equality on all of them at once.
-			for _, j := range known {
-				if t := a.Args[j]; t.IsVar() {
-					step.hashKey = append(step.hashKey, op{kind: opEq, col: j, slot: p.varSlot[t]})
-				} else {
-					step.hashKey = append(step.hashKey, op{kind: opConst, col: j, term: t})
-				}
-			}
-		} else if best >= 0 {
-			step.idxCol = best
-			if t := a.Args[best]; t.IsVar() {
+		if step.idxCol >= 0 {
+			if t := a.Args[step.idxCol]; t.IsVar() {
 				step.keySlot = p.varSlot[t]
 			} else {
 				step.keyTerm = t
 			}
 		}
-		keyed := func(col int) bool {
-			for _, k := range step.hashKey {
-				if k.col == col {
-					return true
-				}
-			}
-			return false
-		}
 
-		// Micro-program: one op per column, except columns the access path
-		// already guarantees — the probed index column (a probe on slot s
-		// implies tuple[col] == regs[s]; further occurrences of the same
-		// variable still emit opEq) and every hash-key column.
+		// Micro-program: one op per column, except the probed index column,
+		// which the access path already guarantees (a probe on slot s implies
+		// tuple[col] == regs[s]; further occurrences of the same variable
+		// still emit opEq).
 		for j, t := range a.Args {
 			if !t.IsVar() {
-				if j == step.idxCol || keyed(j) {
+				if j == step.idxCol {
 					continue // probe guarantees the constant
 				}
 				step.ops = append(step.ops, op{kind: opConst, col: j, term: t})
@@ -311,7 +256,7 @@ func compile(head *logic.Atom, body []logic.Atom, seedAtom int, seedVars []logic
 			}
 			s := slotOf(t)
 			if bound[t] {
-				if (j == step.idxCol && step.keySlot == s) || keyed(j) {
+				if j == step.idxCol && step.keySlot == s {
 					continue // probe guarantees the equality
 				}
 				step.ops = append(step.ops, op{kind: opEq, col: j, slot: s})
@@ -337,48 +282,13 @@ func compile(head *logic.Atom, body []logic.Atom, seedAtom int, seedVars []logic
 	return p
 }
 
-// useHashJoin decides whether an atom with the given known columns should be
-// matched by composite-key hash probe instead of the single-column index.
-// JoinHash forces it whenever there are two or more key columns; JoinDefault
-// additionally requires the relation to clear the size threshold and the
-// correlated-pair statistics to show a real selectivity gain over the best
-// single column (two perfectly correlated columns have PairDistinct equal to
-// the single-column distinct count — hashing both buys nothing).
-func useHashJoin(join JoinStrategy, rel *storage.Relation, statsOK bool, known []int, bestDistinct int) bool {
-	if len(known) < 2 {
-		return false
-	}
-	switch join {
-	case JoinNested:
-		return false
-	case JoinHash:
-		return true
-	}
-	if !statsOK || rel.Len() < hashJoinMinRows {
-		return false
-	}
-	composite := bestDistinct
-	for x := 0; x < len(known); x++ {
-		for y := x + 1; y < len(known); y++ {
-			if d := rel.PairDistinct(known[x], known[y]); d > composite {
-				composite = d
-			}
-		}
-	}
-	return float64(composite) >= hashJoinGain*float64(bestDistinct)
-}
-
 // orderCost greedily picks, at each step, the atom with the smallest
-// estimated result cardinality given the variables bound so far: the
-// relation size divided by the selectivity of every bound column. The first
-// bound column divides by its distinct count; each further one divides by
-// its conditional fanout given the previous bound column —
-// PairDistinct(prev,j)/Distinct(prev) — so correlated column pairs no longer
-// get double-counted by the independence assumption (perfectly correlated
-// pairs contribute a factor of 1; independent pairs recover the classical
-// Distinct(j)). Bound variables from earlier picks make joins selective, so
-// the order chains through shared variables whenever the statistics reward
-// it.
+// estimated candidate count given the variables bound so far: the relation
+// size divided by the largest distinct count among its known columns —
+// exactly the posting-list length compile's access path then expects, or
+// the whole relation when no column is known. Bound variables from earlier
+// picks make joins selective, so the order chains through shared variables
+// whenever the statistics reward it.
 func orderCost(body []logic.Atom, ins *storage.Instance, bound map[logic.Term]bool) []logic.Atom {
 	nowBound := make(map[logic.Term]bool, len(bound))
 	for v := range bound {
@@ -391,24 +301,13 @@ func orderCost(body []logic.Atom, ins *storage.Instance, bound map[logic.Term]bo
 		if rel == nil || rel.Arity() != a.Arity() {
 			return 0 // empty relation: prunes everything, run it first
 		}
-		est := float64(rel.Len())
-		prev := -1
+		d := 1
 		for j, t := range a.Args {
-			if t.IsVar() && !nowBound[t] {
-				continue
+			if !t.IsVar() || nowBound[t] {
+				d = max(d, rel.Distinct(j))
 			}
-			if prev < 0 {
-				if d := rel.Distinct(j); d > 1 {
-					est /= float64(d)
-				}
-			} else if dp := rel.Distinct(prev); dp > 0 {
-				if f := float64(rel.PairDistinct(prev, j)) / float64(dp); f > 1 {
-					est /= f
-				}
-			}
-			prev = j
 		}
-		return est
+		return float64(rel.Len()) / float64(d)
 	}
 	//repro:allow ctxpoll planning loop, consumes one atom per iteration
 	for len(remaining) > 0 {

@@ -198,3 +198,36 @@ func TestPlanSlots(t *testing.T) {
 		return true
 	})
 }
+
+// TestCompileOnForkIsSizeIndependent: compiling a plan over a freshly forked
+// and written relation costs the same allocations whatever the relation's
+// size. Planning reads only per-column distinct counts, which the fork's
+// copied index already holds; a statistic rebuilt from the tuples on every
+// fork would put relation-sized work on each mutation's critical path.
+func TestCompileOnForkIsSizeIndependent(t *testing.T) {
+	const runs = 4
+	body := []logic.Atom{at("r", v("X"), v("Y"))}
+	seed := []logic.Term{v("X"), v("Y")}
+	compileAllocs := func(rows int) float64 {
+		base := storage.NewInstance()
+		for i := 0; i < rows; i++ {
+			mustInsert(t, base, at("r", c(fmt.Sprintf("a%d", i%50)), c(fmt.Sprintf("b%d", i))))
+		}
+		base.EnsureIndexes()
+		// One owned fork per call (AllocsPerRun adds a warm-up call), so no
+		// call can reuse anything a previous one built on its fork.
+		forks := make([]*storage.Instance, runs+1)
+		for i := range forks {
+			forks[i] = base.ExtendClone()
+			mustInsert(t, forks[i], at("r", c("new"), c(fmt.Sprintf("n%d", i))))
+		}
+		next := 0
+		return testing.AllocsPerRun(runs, func() {
+			CompileBody(body, forks[next], seed, PlannerDefault, JoinDefault)
+			next++
+		})
+	}
+	if small, large := compileAllocs(500), compileAllocs(5000); small != large {
+		t.Fatalf("compile on a fork allocates %.1f times at 500 rows and %.1f at 5000, want equal", small, large)
+	}
+}

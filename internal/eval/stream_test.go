@@ -14,8 +14,8 @@ import (
 )
 
 // randomWorkload builds a seeded random instance and query with enough
-// shared variables and constants to exercise multi-column joins (the hash
-// path needs atoms with two or more bound columns).
+// shared variables and constants to exercise multi-column joins (atoms with
+// two or more bound columns, where the planner picks one index to probe).
 func randomWorkload(rng *rand.Rand) (*storage.Instance, *query.UCQ) {
 	consts := make([]logic.Term, 6)
 	for i := range consts {
@@ -104,8 +104,6 @@ func collectStream(t *testing.T, plans []*Plan, ins *storage.Instance, opts Opti
 //
 //   - streamed ≡ materialized: the answers Stream.Next emits are exactly the
 //     set RunPlansCtx materializes;
-//   - nested ≡ hash ≡ auto: the join strategy is a performance choice, never
-//     semantics;
 //   - seq ≡ par: the parallel evaluator agrees with the sequential stream;
 //   - limit-k ≡ prefix: the k-limited stream is exactly the first
 //     min(k, n) tuples of the unlimited (deterministic, sequential) stream.
@@ -115,62 +113,56 @@ func TestStreamingProperties(t *testing.T) {
 		ins, u := randomWorkload(rng)
 		arity := u.Arity()
 
-		full := RunPlans(CompileUCQ(u, ins, PlannerDefault, JoinNested), arity, ins, Options{})
+		plans := CompileUCQ(u, ins, PlannerDefault, JoinDefault)
+		full := RunPlans(plans, arity, ins, Options{})
 
-		for _, join := range []JoinStrategy{JoinDefault, JoinNested, JoinHash} {
-			plans := CompileUCQ(u, ins, PlannerDefault, join)
+		streamed := collectStream(t, plans, ins, Options{})
+		set := NewAnswers(arity)
+		for _, tp := range streamed {
+			set.Add(tp)
+		}
+		if !set.Equal(full) {
+			t.Fatalf("trial %d: streamed set differs from materialized\nstreamed: %v\nfull: %v\nquery: %v",
+				trial, set, full, u)
+		}
+		if len(streamed) != full.Len() {
+			t.Fatalf("trial %d: stream emitted %d tuples, %d distinct expected (dedup leak)",
+				trial, len(streamed), full.Len())
+		}
 
-			streamed := collectStream(t, plans, ins, Options{})
-			set := NewAnswers(arity)
-			for _, tp := range streamed {
-				set.Add(tp)
-			}
-			if !set.Equal(full) {
-				t.Fatalf("trial %d join=%v: streamed set differs from materialized\nstreamed: %v\nfull: %v\nquery: %v",
-					trial, join, set, full, u)
-			}
-			if len(streamed) != full.Len() {
-				t.Fatalf("trial %d join=%v: stream emitted %d tuples, %d distinct expected (dedup leak)",
-					trial, join, len(streamed), full.Len())
-			}
+		par, err := RunPlansCtx(context.Background(), plans, arity, ins, Options{Parallelism: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !par.Equal(full) {
+			t.Fatalf("trial %d: parallel answers diverge from sequential", trial)
+		}
 
-			par, err := RunPlansCtx(context.Background(), plans, arity, ins, Options{Parallelism: 3})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !par.Equal(full) {
-				t.Fatalf("trial %d join=%v: parallel answers diverge from sequential", trial, join)
-			}
-
-			k := 1 + rng.Intn(full.Len()+2) // 0 means unlimited, so start at 1
-			limited := collectStream(t, plans, ins, Options{Limit: k})
-			want := k
-			if full.Len() < k {
-				want = full.Len()
-			}
-			if len(limited) != want {
-				t.Fatalf("trial %d join=%v: limit %d emitted %d tuples, want %d",
-					trial, join, k, len(limited), want)
-			}
-			for i, tp := range limited {
-				if tp.Key() != streamed[i].Key() {
-					t.Fatalf("trial %d join=%v: limit %d row %d = %v, want prefix of unlimited stream (%v)",
-						trial, join, k, i, tp, streamed[i])
-				}
+		k := 1 + rng.Intn(full.Len()+2) // 0 means unlimited, so start at 1
+		limited := collectStream(t, plans, ins, Options{Limit: k})
+		want := min(k, full.Len())
+		if len(limited) != want {
+			t.Fatalf("trial %d: limit %d emitted %d tuples, want %d",
+				trial, k, len(limited), want)
+		}
+		for i, tp := range limited {
+			if tp.Key() != streamed[i].Key() {
+				t.Fatalf("trial %d: limit %d row %d = %v, want prefix of unlimited stream (%v)",
+					trial, k, i, tp, streamed[i])
 			}
 		}
 	}
 }
 
 // TestStreamConcurrentRunners runs many streaming iterators over one shared
-// plan set and instance concurrently — hash tables and register files are
+// plan set and instance concurrently — cursors and register files are
 // per-Runner state, so concurrent streams over shared immutable plans must
 // be race-clean (this test earns its keep under -race).
 func TestStreamConcurrentRunners(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	ins, u := randomWorkload(rng)
 	arity := u.Arity()
-	plans := CompileUCQ(u, ins, PlannerDefault, JoinHash)
+	plans := CompileUCQ(u, ins, PlannerDefault, JoinDefault)
 	want := RunPlans(plans, arity, ins, Options{})
 
 	var wg sync.WaitGroup

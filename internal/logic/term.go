@@ -78,8 +78,9 @@ func (t Term) IsNull() bool { return t.Kind == Null }
 func (t Term) IsRigid() bool { return t.Kind != Var }
 
 // String renders the term in surface syntax: variables verbatim, nulls with
-// a "_:" prefix, and constants verbatim (quoted when they do not look like a
-// plain lowercase identifier).
+// a "_:" prefix, and constants bare when the parser's lexer reads them back
+// as one constant token, quoted otherwise — so a printed query re-parses to
+// the same query.
 func (t Term) String() string {
 	switch t.Kind {
 	case Var:
@@ -90,28 +91,58 @@ func (t Term) String() string {
 		if isPlainConstName(t.Name) {
 			return t.Name
 		}
-		return fmt.Sprintf("%q", t.Name)
+		return quoteConst(t.Name)
 	}
 }
 
-// isPlainConstName reports whether name can be printed as a bare constant
-// token (lowercase identifier or number) without quoting.
+// isPlainConstName reports whether name lexes back as one constant token
+// when printed bare: a number (ASCII digits only) or an identifier (a
+// lowercase ASCII letter, then ASCII letters, digits and '_'). Anything else
+// — `0A` lexes as the number 0 then the variable A — must be quoted.
 func isPlainConstName(name string) bool {
 	if name == "" {
 		return false
 	}
-	for i, r := range name {
+	digits := name[0] >= '0' && name[0] <= '9'
+	if !digits && (name[0] < 'a' || name[0] > 'z') {
+		return false
+	}
+	for i := 1; i < len(name); i++ {
+		c := name[i]
 		switch {
-		case r >= 'a' && r <= 'z':
-		case r >= '0' && r <= '9':
-		case r == '_' && i > 0:
-		case (r >= 'A' && r <= 'Z') && i > 0:
+		case c >= '0' && c <= '9':
+		case digits:
+			return false
+		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c == '_':
 		default:
 			return false
 		}
 	}
-	first := name[0]
-	return (first >= 'a' && first <= 'z') || (first >= '0' && first <= '9')
+	return true
+}
+
+// quoteConst renders name as a string literal in the lexer's escape syntax:
+// only '"', '\\', newline and tab are escaped, every other byte is written
+// as is (the lexer reads string bodies byte by byte).
+func quoteConst(name string) string {
+	var b strings.Builder
+	b.Grow(len(name) + 2)
+	b.WriteByte('"')
+	for i := 0; i < len(name); i++ {
+		switch c := name[i]; c {
+		case '"', '\\':
+			b.WriteByte('\\')
+			b.WriteByte(c)
+		case '\n':
+			b.WriteString(`\n`)
+		case '\t':
+			b.WriteString(`\t`)
+		default:
+			b.WriteByte(c)
+		}
+	}
+	b.WriteByte('"')
+	return b.String()
 }
 
 // Atom is a predicate applied to a list of terms, e.g. parent(X, "bob").

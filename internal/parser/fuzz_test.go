@@ -10,11 +10,8 @@ import (
 // FuzzParseQuery feeds arbitrary text to the query parser — the first thing
 // every Answer* call and every POST .../query body reaches. It must never
 // panic, and neither may validating, canonicalizing or printing a query it
-// accepts (the answer and plan caches key on DedupKey).
-//
-// Printing is not checked to re-parse: Term.String does not re-quote
-// constants that needed quotes (`a("0A")` prints as `a(0A)`), a known gap
-// recorded in ROADMAP.md.
+// accepts (the answer and plan caches key on DedupKey). A query it accepts
+// must print as text that parses back to the same query: same DedupKey.
 func FuzzParseQuery(f *testing.F) {
 	for _, seed := range []string{
 		`q(X) :- person(X) .`,
@@ -27,6 +24,7 @@ func FuzzParseQuery(f *testing.F) {
 		"q(X) :- p(X) % comment\n .",
 		`q(X) :- p("unterminated .`,
 		`a():-a("0AAAAAA00").`,
+		`q() :- a("0A") .`,
 		``,
 	} {
 		f.Add(seed)
@@ -40,8 +38,20 @@ func FuzzParseQuery(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if cq.String() == "" || cq.DedupKey() == "" {
-			t.Fatalf("accepted %q but printed it as %q with key %q", src, cq.String(), cq.DedupKey())
+		printed, key := cq.String(), cq.DedupKey()
+		if printed == "" || key == "" {
+			t.Fatalf("accepted %q but printed it as %q with key %q", src, printed, key)
+		}
+		again, err := ParseQuery(printed)
+		if err != nil {
+			t.Fatalf("accepted %q but its printed form %q does not parse: %v", src, printed, err)
+		}
+		cq2, err := query.New(again.Head, again.Body)
+		if err != nil {
+			t.Fatalf("accepted %q but its printed form %q is not a valid query: %v", src, printed, err)
+		}
+		if k2 := cq2.DedupKey(); k2 != key {
+			t.Fatalf("accepted %q, printed %q, re-parsed with key %q, want %q", src, printed, k2, key)
 		}
 	})
 }

@@ -210,6 +210,36 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPrintedConstantsReparse: every constant prints as text the lexer reads
+// back as that one constant — bare when it lexes as a single identifier or
+// number, quoted otherwise.
+func TestPrintedConstantsReparse(t *testing.T) {
+	for _, tc := range []struct{ name, printed string }{
+		{"0A", `"0A"`},
+		{"Hello", `"Hello"`},
+		{"x y", `"x y"`},
+		{"_x", `"_x"`},
+		{"alice", `alice`},
+		{"aB_9", `aB_9`},
+		{"007", `007`},
+		{"1.5", `"1.5"`},
+		{"a\"b\\c\nd\te", `"a\"b\\c\nd\te"`},
+	} {
+		c := logic.NewConst(tc.name)
+		if got := c.String(); got != tc.printed {
+			t.Errorf("constant %q prints as %s, want %s", tc.name, got, tc.printed)
+		}
+		facts, err := ParseFacts("p(" + c.String() + ") .")
+		if err != nil {
+			t.Errorf("constant %q printed as %s does not re-parse: %v", tc.name, c.String(), err)
+			continue
+		}
+		if got := facts[0].Args; len(got) != 1 || got[0] != c {
+			t.Errorf("constant %q printed as %s re-parses as %v", tc.name, c.String(), got)
+		}
+	}
+}
+
 func TestParseRulesRejectsNonRules(t *testing.T) {
 	if _, err := ParseRules(`p(a) .`); err == nil {
 		t.Error("facts must be rejected by ParseRules")

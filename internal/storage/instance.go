@@ -65,19 +65,7 @@ type Relation struct {
 	// index[col][term] lists tuple offsets having term at col.
 	index     []map[logic.Term][]int
 	indexOnce sync.Once
-
-	// pairs caches, per ordered column pair, the multiset of distinct
-	// (term_i, term_j) value pairs — the correlated-pair statistics behind
-	// PairDistinct. A pair's map is built lazily on first request (planner
-	// time, cold) and maintained incrementally by Insert/Remove thereafter,
-	// like the per-column index. pairsMu synchronizes concurrent readers on
-	// the lazy build; mutation follows the single-writer contract.
-	pairs   map[pairKey]map[string]int
-	pairsMu sync.Mutex
 }
-
-// pairKey identifies an ordered column pair (i < j).
-type pairKey struct{ i, j int }
 
 // NewRelation creates an empty relation.
 func NewRelation(name string, arity int) *Relation {
@@ -112,7 +100,6 @@ func (r *Relation) Insert(t Tuple) bool {
 			r.index[col][term] = append(r.index[col][term], len(r.tuples)-1)
 		}
 	}
-	r.notePairs(t, 1)
 	return true
 }
 
@@ -128,7 +115,6 @@ func (r *Relation) Remove(t Tuple) bool {
 		return false
 	}
 	last := len(r.tuples) - 1
-	r.notePairs(r.tuples[i], -1)
 	if r.index != nil {
 		for col, term := range r.tuples[i] {
 			dropOffset(r.index[col], term, i)
@@ -234,85 +220,6 @@ func (r *Relation) Lookup(col int, term logic.Term) []int {
 func (r *Relation) Distinct(col int) int {
 	r.EnsureIndex()
 	return len(r.index[col])
-}
-
-// Stats returns the per-column distinct counts, one per column. Same
-// provenance and concurrency contract as Distinct.
-func (r *Relation) Stats() []int {
-	r.EnsureIndex()
-	out := make([]int, r.arity)
-	for col := range out {
-		out[col] = len(r.index[col])
-	}
-	return out
-}
-
-// PairDistinct returns the number of distinct (term_i, term_j) value pairs
-// across the relation — the correlated-pair statistic the join planner uses
-// to narrow the cost model's independence assumption: the conditional fanout
-// of binding column j once column i is bound is PairDistinct(i,j)/Distinct(i)
-// rather than Distinct(j). Perfectly correlated columns give a fanout of 1
-// (binding the second column filters nothing further); independent columns
-// recover the classical estimate. The pair's multiset is built lazily on
-// first request and maintained incrementally by Insert/Remove afterwards,
-// alongside the per-column distinct counts. Safe for concurrent readers
-// under the Relation concurrency contract.
-func (r *Relation) PairDistinct(i, j int) int {
-	if i == j {
-		return r.Distinct(i)
-	}
-	if i > j {
-		i, j = j, i
-	}
-	r.pairsMu.Lock()
-	defer r.pairsMu.Unlock()
-	if r.pairs == nil {
-		r.pairs = make(map[pairKey]map[string]int)
-	}
-	pk := pairKey{i: i, j: j}
-	m, ok := r.pairs[pk]
-	if !ok {
-		m = make(map[string]int, len(r.tuples))
-		for _, t := range r.tuples {
-			m[pairStatKey(t[i], t[j])]++
-		}
-		r.pairs[pk] = m
-	}
-	return len(m)
-}
-
-// notePairs folds one tuple insertion (delta=1) or removal (delta=-1) into
-// every already-built pair multiset; pairs never requested cost nothing.
-// Runs under the single-writer contract; the lock only orders it against the
-// lazy build of a new pair by a straggling reader.
-func (r *Relation) notePairs(t Tuple, delta int) {
-	if r.pairs == nil {
-		return
-	}
-	r.pairsMu.Lock()
-	for pk, m := range r.pairs {
-		k := pairStatKey(t[pk.i], t[pk.j])
-		n := m[k] + delta
-		if n <= 0 {
-			delete(m, k)
-		} else {
-			m[k] = n
-		}
-	}
-	r.pairsMu.Unlock()
-}
-
-// pairStatKey canonically encodes one (term, term) value pair, same scheme as
-// Tuple.Key (kind digit, name, NUL separator).
-func pairStatKey(a, b logic.Term) string {
-	var sb strings.Builder
-	sb.Grow(len(a.Name) + len(b.Name) + 4)
-	sb.WriteByte('0' + byte(a.Kind))
-	sb.WriteString(a.Name)
-	sb.WriteByte(0)
-	sb.WriteByte('0' + byte(b.Kind))
-	sb.WriteString(b.Name)
-	return sb.String()
 }
 
 // Instance is a database instance: a collection of relations keyed by
