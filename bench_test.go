@@ -1,5 +1,5 @@
 // Benchmarks regenerating every figure, example and complexity claim of the
-// paper (experiment IDs from DESIGN.md §3). The paper reports no absolute
+// paper (one section per experiment ID below). The paper reports no absolute
 // numbers — these benches reproduce the *shapes*: graph constructions are
 // cheap and polynomial (E1, E2, C1), the P-node graph is costlier but
 // feasible (C2), Example 2's rewriting grows without bound (E2), Example 3
@@ -742,7 +742,7 @@ func BenchmarkInstanceClone(b *testing.B) {
 	}
 }
 
-// --- Ablations: design choices called out in DESIGN.md -------------------
+// --- Ablations: design choices of the rewriter, the chase and the graphs --
 
 // BenchmarkAblationMinimize compares the rewriting engine with and without
 // per-CQ core minimization on the university workload: minimization costs
@@ -824,7 +824,7 @@ func BenchmarkGraphConstructionOnly(b *testing.B) {
 	b.Run("pnode-graph", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			pnode.Build(set, pnode.Options{})
+			pnode.Build(set)
 		}
 	})
 }

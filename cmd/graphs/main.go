@@ -60,7 +60,7 @@ func emit(set *dependency.Set, kind string) error {
 			fmt.Fprintf(os.Stderr, "dangerous: %v\n", dc[0])
 		}
 	case "pnode":
-		g := pnode.Build(set, pnode.Options{})
+		g := pnode.Build(set)
 		fmt.Print(dot.PNodeGraph(g, "pnodegraph"))
 		if dc := g.DangerousCycles(); len(dc) > 0 {
 			fmt.Fprintf(os.Stderr, "dangerous: %v\n", dc[0])

@@ -45,7 +45,7 @@ s(Y1,Y1,Y2) -> r(Y2,Y3) .
 	}
 	write("figure1_position_graph.dot", dot.PositionGraph(posgraph.Build(ex1), "figure1"))
 	write("figure2_position_graph.dot", dot.PositionGraph(posgraph.Build(ex2), "figure2"))
-	write("figure3_pnode_graph.dot", dot.PNodeGraph(pnode.Build(ex2, pnode.Options{}), "figure3"))
+	write("figure3_pnode_graph.dot", dot.PNodeGraph(pnode.Build(ex2), "figure3"))
 
 	// The unbounded chain: rewriting q() :- r("a",X) over Example 2 keeps
 	// producing strictly larger CQs; show the growth per budget.

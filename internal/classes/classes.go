@@ -32,6 +32,7 @@ import (
 	"strings"
 
 	"repro/internal/dependency"
+	"repro/internal/digraph"
 	"repro/internal/grd"
 	"repro/internal/logic"
 	"repro/internal/pnode"
@@ -332,7 +333,12 @@ func WeaklyAcyclic(set *dependency.Set) Verdict {
 		special  bool
 	}
 	var edges []edge
-	nodes := make(map[dependency.Position]bool)
+	idx := make(map[dependency.Position]int) // node -> first-seen index
+	node := func(p dependency.Position) {
+		if _, ok := idx[p]; !ok {
+			idx[p] = len(idx)
+		}
+	}
 	for _, r := range set.Rules {
 		existHead := make(map[logic.Term]bool)
 		for _, v := range r.ExistentialHead() {
@@ -354,30 +360,24 @@ func WeaklyAcyclic(set *dependency.Set) Verdict {
 				}
 			}
 			for _, bp := range bodyPos {
-				nodes[bp] = true
+				node(bp)
 				for _, hp := range headPos {
-					nodes[hp] = true
+					node(hp)
 					edges = append(edges, edge{bp, hp, false})
 				}
 				for _, sp := range specialPos {
-					nodes[sp] = true
+					node(sp)
 					edges = append(edges, edge{bp, sp, true})
 				}
 			}
 		}
 	}
 	// A special edge inside a strongly connected component is a violation.
-	idx := make(map[dependency.Position]int)
-	var order []dependency.Position
-	for n := range nodes {
-		idx[n] = len(order)
-		order = append(order, n)
-	}
-	adj := make([][]int, len(order))
+	adj := make([][]int, len(idx))
 	for _, e := range edges {
 		adj[idx[e.from]] = append(adj[idx[e.from]], idx[e.to])
 	}
-	comp := sccInts(adj)
+	comp := digraph.SCC(adj)
 	for _, e := range edges {
 		if e.special && comp[idx[e.from]] == comp[idx[e.to]] {
 			return Verdict{"weakly-acyclic", false,
@@ -387,78 +387,12 @@ func WeaklyAcyclic(set *dependency.Set) Verdict {
 	return Verdict{Class: "weakly-acyclic", Member: true}
 }
 
-// sccInts computes strongly connected components over integer-indexed
-// adjacency lists (iterative Tarjan), returning a component id per node.
-func sccInts(adj [][]int) []int {
-	n := len(adj)
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	comp := make([]int, n)
-	for i := range index {
-		index[i] = -1
-		comp[i] = -1
-	}
-	var stack []int
-	counter, compID := 0, 0
-	type frame struct{ node, next int }
-	for start := 0; start < n; start++ {
-		if index[start] != -1 {
-			continue
-		}
-		frames := []frame{{node: start}}
-		index[start], low[start] = counter, counter
-		counter++
-		stack = append(stack, start)
-		onStack[start] = true
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			if f.next < len(adj[f.node]) {
-				next := adj[f.node][f.next]
-				f.next++
-				if index[next] == -1 {
-					index[next], low[next] = counter, counter
-					counter++
-					stack = append(stack, next)
-					onStack[next] = true
-					frames = append(frames, frame{node: next})
-				} else if onStack[next] && index[next] < low[f.node] {
-					low[f.node] = index[next]
-				}
-				continue
-			}
-			node := f.node
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				parent := frames[len(frames)-1].node
-				if low[node] < low[parent] {
-					low[parent] = low[node]
-				}
-			}
-			if low[node] == index[node] {
-				for {
-					top := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[top] = false
-					comp[top] = compID
-					if top == node {
-						break
-					}
-				}
-				compID++
-			}
-		}
-	}
-	return comp
-}
-
 // AcyclicGRD reports whether the graph of rule dependencies is acyclic.
 func AcyclicGRD(set *dependency.Set) Verdict {
-	g := grd.Build(set)
-	if g.Acyclic() {
+	cycle := grd.Build(set).Cycle()
+	if len(cycle) == 0 {
 		return Verdict{Class: "acyclic-grd", Member: true}
 	}
-	cycle := g.Cycle()
 	return Verdict{"acyclic-grd", false,
 		fmt.Sprintf("dependency cycle %s", strings.Join(cycle, " -> "))}
 }
@@ -516,19 +450,22 @@ func Survey(set *dependency.Set) []Verdict {
 	}
 }
 
-// FORewritableByAnyKnown reports whether any of the implemented
-// FO-rewritability sufficient conditions certifies the set: Linear,
-// Multilinear, Sticky, Sticky-Join, Domain-Restricted, Acyclic-GRD, SWR or
-// WR.
-func FORewritableByAnyKnown(set *dependency.Set) (bool, []string) {
+// foCertifying names the classes whose membership is a sufficient condition
+// for FO-rewritability: Linear, Multilinear, Sticky, Sticky-Join,
+// Domain-Restricted, Acyclic-GRD, SWR and WR.
+var foCertifying = map[string]bool{
+	"linear": true, "multilinear": true, "sticky": true, "sticky-join": true,
+	"domain-restricted": true, "acyclic-grd": true, "swr": true, "wr": true,
+}
+
+// Certificates returns, in verdict order, the FO-rewritability sufficient
+// conditions the verdicts report membership in (nil when none does).
+func Certificates(verdicts []Verdict) []string {
 	var by []string
-	for _, v := range []Verdict{
-		Linear(set), Multilinear(set), Sticky(set), StickyJoin(set),
-		DomainRestricted(set), AcyclicGRD(set), SWR(set), WR(set),
-	} {
-		if v.Member {
+	for _, v := range verdicts {
+		if v.Member && foCertifying[v.Class] {
 			by = append(by, v.Class)
 		}
 	}
-	return len(by) > 0, by
+	return by
 }

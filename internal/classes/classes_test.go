@@ -71,8 +71,8 @@ func TestPaperExample3NotSWRButWR(t *testing.T) {
 	if !WR(set).Member {
 		t.Error("Example 3 must be WR")
 	}
-	ok, by := FORewritableByAnyKnown(set)
-	if !ok {
+	by := Certificates(Survey(set))
+	if len(by) == 0 {
 		t.Fatal("Example 3 must be certified FO-rewritable")
 	}
 	// Of the four classes the paper names, none applies; WR does (and the
@@ -251,8 +251,47 @@ func TestFORewritableExample2(t *testing.T) {
 t(Y1,Y2), r(Y3,Y4) -> s(Y1,Y3,Y2) .
 s(Y1,Y1,Y2) -> r(Y2,Y3) .
 `)
-	ok, by := FORewritableByAnyKnown(ex2)
-	if ok {
+	if by := Certificates(Survey(ex2)); len(by) > 0 {
 		t.Errorf("Example 2 wrongly certified FO-rewritable by %v", by)
+	}
+}
+
+func TestCertificatesKeepSurveyOrder(t *testing.T) {
+	got := Certificates([]Verdict{
+		{Class: "simple", Member: true},
+		{Class: "linear", Member: true},
+		{Class: "sticky", Member: false},
+		{Class: "guarded", Member: true},
+		{Class: "weakly-acyclic", Member: true},
+		{Class: "acyclic-grd", Member: true},
+		{Class: "wr", Member: true},
+	})
+	if strings.Join(got, ",") != "linear,acyclic-grd,wr" {
+		t.Errorf("Certificates = %v, want [linear acyclic-grd wr]", got)
+	}
+	if got := Certificates([]Verdict{{Class: "guarded", Member: true}}); got != nil {
+		t.Errorf("no certifying member: Certificates = %v, want nil", got)
+	}
+}
+
+// TestSWRReasonIsDeterministic: the set's position graph has one dangerous
+// component with several m- and s-edges, so the reason names whichever
+// witnesses DangerousCycles picks; it must pick the same ones every time.
+func TestSWRReasonIsDeterministic(t *testing.T) {
+	set := rules(`
+r(X,Y), s(Y,W) -> r(X,Z) .
+r(X,Y) -> s(Y,Z) .
+t(X,Y), r(Y,W) -> t(X,Z) .
+`)
+	reasons := make(map[string]bool)
+	for i := 0; i < 50; i++ {
+		for _, v := range Survey(set) {
+			if v.Class == "swr" {
+				reasons[v.Reason] = true
+			}
+		}
+	}
+	if len(reasons) != 1 {
+		t.Errorf("50 surveys gave %d distinct SWR reasons: %v", len(reasons), reasons)
 	}
 }

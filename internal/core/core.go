@@ -1,9 +1,10 @@
 // Package core ties the paper's contribution together: given a set of TGDs
-// it builds the position graph and the P-node graph, runs the SWR and WR
-// tests alongside every competitor classifier, and reports whether — and by
-// which sufficient condition — query answering over the set is first-order
-// rewritable. This is the decision layer an OBDA system consults before
-// choosing between query rewriting and chase-based materialization.
+// it runs one classes.Survey — the SWR and WR tests (each building its graph
+// once) alongside every competitor classifier — and reads off whether, and
+// by which sufficient condition, query answering over the set is first-order
+// rewritable, and whether the chase terminates. This is the decision layer
+// an OBDA system consults before choosing between query rewriting and
+// chase-based materialization.
 package core
 
 import (
@@ -12,8 +13,6 @@ import (
 
 	"repro/internal/classes"
 	"repro/internal/dependency"
-	"repro/internal/pnode"
-	"repro/internal/posgraph"
 )
 
 // Report is the full classification of a rule set.
@@ -25,31 +24,18 @@ type Report struct {
 	FORewritable bool
 	// CertifiedBy lists the certifying classes (empty when !FORewritable).
 	CertifiedBy []string
-	// PositionGraph is the constructed position graph (paper Definition 4).
-	PositionGraph *posgraph.Graph
-	// PNodeGraph is the constructed P-node graph (paper §6).
-	PNodeGraph *pnode.Graph
 	// ChaseTerminates reports whether the chase is guaranteed to terminate
 	// (weak acyclicity), independent of FO-rewritability.
 	ChaseTerminates bool
 }
 
-// Classify runs every analysis on the rule set.
+// Classify runs every analysis on the rule set once and derives the
+// certificates and chase termination from those verdicts.
 func Classify(set *dependency.Set) *Report {
 	verdicts := classes.Survey(set)
-	fo, by := classes.FORewritableByAnyKnown(set)
-	rep := &Report{
-		Verdicts:      verdicts,
-		FORewritable:  fo,
-		CertifiedBy:   by,
-		PositionGraph: posgraph.Build(set),
-		PNodeGraph:    pnode.Build(set, pnode.Options{}),
-	}
-	for _, v := range verdicts {
-		if v.Class == "weakly-acyclic" && v.Member {
-			rep.ChaseTerminates = true
-		}
-	}
+	by := classes.Certificates(verdicts)
+	rep := &Report{Verdicts: verdicts, FORewritable: len(by) > 0, CertifiedBy: by}
+	rep.ChaseTerminates = rep.Is("weakly-acyclic")
 	return rep
 }
 

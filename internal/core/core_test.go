@@ -22,9 +22,6 @@ r(Y1,Y2) -> v(Y1,Y2) .
 	if rep.Strategy() != "rewrite" {
 		t.Errorf("Strategy = %q, want rewrite", rep.Strategy())
 	}
-	if rep.PositionGraph == nil || rep.PNodeGraph == nil {
-		t.Error("graphs must be attached to the report")
-	}
 }
 
 func TestClassifyExample2(t *testing.T) {

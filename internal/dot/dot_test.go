@@ -37,7 +37,7 @@ func TestPNodeGraphDOT(t *testing.T) {
 t(Y1,Y2), r(Y3,Y4) -> s(Y1,Y3,Y2) .
 s(Y1,Y1,Y2) -> r(Y2,Y3) .
 `)
-	out := PNodeGraph(pnode.Build(set, pnode.Options{}), "figure3")
+	out := PNodeGraph(pnode.Build(set), "figure3")
 	for _, want := range []string{"digraph", "s(z1, z1, x1)", "->"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("DOT missing %q:\n%s", want, out)

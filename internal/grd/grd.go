@@ -18,13 +18,14 @@ import (
 // R1 → R2 states that R2 depends on R1.
 type Graph struct {
 	rules []*dependency.TGD
-	// adj[i] lists indexes j such that rule j depends on rule i.
-	adj map[int][]int
+	// adj[i] lists, ascending, the indexes j such that rule j depends on
+	// rule i.
+	adj [][]int
 }
 
 // Build computes the dependency graph of the set.
 func Build(set *dependency.Set) *Graph {
-	g := &Graph{rules: set.Rules, adj: make(map[int][]int)}
+	g := &Graph{rules: set.Rules, adj: make([][]int, len(set.Rules))}
 	gen := logic.NewVarGen("grd")
 	for i, r1 := range set.Rules {
 		for j, r2 := range set.Rules {
@@ -32,9 +33,6 @@ func Build(set *dependency.Set) *Graph {
 				g.adj[i] = append(g.adj[i], j)
 			}
 		}
-	}
-	for i := range g.adj {
-		sort.Ints(g.adj[i])
 	}
 	return g
 }
@@ -93,38 +91,10 @@ func (g *Graph) DependsOn(i int) []int { return g.adj[i] }
 
 // Acyclic reports whether the dependency graph has no directed cycle
 // (self-loops count as cycles).
-func (g *Graph) Acyclic() bool {
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make([]int, len(g.rules))
-	var visit func(int) bool
-	visit = func(i int) bool {
-		color[i] = gray
-		for _, j := range g.adj[i] {
-			switch color[j] {
-			case gray:
-				return false
-			case white:
-				if !visit(j) {
-					return false
-				}
-			}
-		}
-		color[i] = black
-		return true
-	}
-	for i := range g.rules {
-		if color[i] == white && !visit(i) {
-			return false
-		}
-	}
-	return true
-}
+func (g *Graph) Acyclic() bool { return len(g.Cycle()) == 0 }
 
-// Cycle returns the labels of one rule cycle if any exists.
+// Cycle returns the labels of one rule cycle, or nothing when the graph is
+// acyclic.
 func (g *Graph) Cycle() []string {
 	const (
 		white = 0

@@ -5,7 +5,7 @@
 // (Definition 6), P-nodes pairing a P-atom with its context (Definition 7),
 // four edge labels s/m/d/i, and the acyclicity condition (Definition 8) —
 // but defers the full construction to an unpublished manuscript [12]. This
-// package is therefore a documented reconstruction (see DESIGN.md §6),
+// package is therefore a documented reconstruction (summarized below),
 // validated against every data point the paper fixes:
 //
 //   - Example 2 is classified NOT WR (a cycle carrying d, m and s);
@@ -43,6 +43,7 @@ import (
 	"strings"
 
 	"repro/internal/dependency"
+	"repro/internal/digraph"
 	"repro/internal/logic"
 )
 
@@ -102,6 +103,7 @@ type Node struct {
 	// (just {Sigma} for initial nodes).
 	Context []logic.Atom
 	key     string
+	id      int // index in the graph's construction order
 }
 
 // Key returns the canonical identity of the node.
@@ -128,24 +130,14 @@ type Graph struct {
 	Complete bool
 
 	nodes  map[string]*Node
-	order  []string
-	labels map[[2]string]Label
+	order  []*Node
+	labels map[[2]string]Label // key: (from, to) node keys
 }
 
-// Options configures construction.
-type Options struct {
-	// MaxNodes bounds the node count (0 = default 20000). The node space is
-	// finite but exponential in the worst case — matching the paper's
-	// PSPACE membership conjecture for WR.
-	MaxNodes int
-}
-
-func (o Options) withDefaults() Options {
-	if o.MaxNodes == 0 {
-		o.MaxNodes = 20000
-	}
-	return o
-}
+// maxNodes bounds the node count of one graph. The node space is finite but
+// exponential in the worst case — matching the paper's PSPACE membership
+// conjecture for WR.
+var maxNodes = 20000
 
 // canonicalize builds the canonical Node for (sigma, context), renaming
 // variables to x/z markers. unbound tells which variables are unbound.
@@ -220,8 +212,7 @@ func genericNode(pred string, arity int) *Node {
 }
 
 // Build constructs the P-node graph of the rule set.
-func Build(set *dependency.Set, opts Options) *Graph {
-	opts = opts.withDefaults()
+func Build(set *dependency.Set) *Graph {
 	g := &Graph{
 		Complete: true,
 		nodes:    make(map[string]*Node),
@@ -234,12 +225,13 @@ func Build(set *dependency.Set, opts Options) *Graph {
 		if existing, ok := g.nodes[n.key]; ok {
 			return existing
 		}
-		if len(g.nodes) >= opts.MaxNodes {
+		if len(g.nodes) >= maxNodes {
 			g.Complete = false
 			return n
 		}
+		n.id = len(g.order)
 		g.nodes[n.key] = n
-		g.order = append(g.order, n.key)
+		g.order = append(g.order, n)
 		work = append(work, n)
 		return n
 	}
@@ -497,15 +489,6 @@ func countAtomsWith(atoms []logic.Atom, v logic.Term) int {
 	return n
 }
 
-func occursIn(a logic.Atom, t logic.Term) bool {
-	for _, x := range a.Args {
-		if x == t {
-			return true
-		}
-	}
-	return false
-}
-
 func (g *Graph) addEdge(from, to *Node, label Label) {
 	// When the node budget is exhausted push returns unregistered nodes;
 	// edges to them would dangle, so drop them (Complete is already false).
@@ -517,11 +500,7 @@ func (g *Graph) addEdge(from, to *Node, label Label) {
 
 // Nodes returns the graph's nodes in construction order.
 func (g *Graph) Nodes() []*Node {
-	out := make([]*Node, 0, len(g.order))
-	for _, k := range g.order {
-		out = append(out, g.nodes[k])
-	}
-	return out
+	return append([]*Node(nil), g.order...)
 }
 
 // NodeCount returns the number of nodes.
@@ -553,9 +532,9 @@ func (g *Graph) Edges() []Edge {
 // FindNode returns the node whose Sigma renders as the given string (e.g.
 // "s(z1, z1, x1)"), or nil. Intended for tests and inspection.
 func (g *Graph) FindNode(sigma string) *Node {
-	for _, k := range g.order {
-		if g.nodes[k].Sigma.String() == sigma {
-			return g.nodes[k]
+	for _, n := range g.order {
+		if n.Sigma.String() == sigma {
+			return n
 		}
 	}
 	return nil
@@ -579,137 +558,54 @@ func (d DangerousCycle) String() string {
 }
 
 // DangerousCycles returns one witness per strongly connected component of
-// the non-i subgraph containing d-, m- and s-labelled intra-component edges.
-// In a strongly connected component any set of edges lies on a common closed
-// walk, so a non-empty result is exactly Definition 8's "some cycle contains
-// a d-edge, an m-edge and an s-edge and no i-edge" under the conservative
-// closed-walk reading.
+// the non-i subgraph containing d-, m- and s-labelled intra-component edges,
+// in component order; the witnesses are the component's first such edges in
+// Edges order. In a strongly connected component any set of edges lies on a
+// common closed walk, so a non-empty result is exactly Definition 8's "some
+// cycle contains a d-edge, an m-edge and an s-edge and no i-edge" under the
+// conservative closed-walk reading.
 func (g *Graph) DangerousCycles() []DangerousCycle {
-	comp := g.sccs()
-	type witness struct{ d, m, s *Edge }
-	byComp := make(map[int]*witness)
-	for k, l := range g.labels {
-		if l.Has(I) {
-			continue
-		}
-		cf, okf := comp[k[0]]
-		ct, okt := comp[k[1]]
-		if !okf || !okt || cf != ct {
-			continue
-		}
-		w := byComp[cf]
-		if w == nil {
-			w = &witness{}
-			byComp[cf] = w
-		}
-		e := Edge{From: g.nodes[k[0]], To: g.nodes[k[1]], Label: l}
-		if l.Has(D) && w.d == nil {
-			cp := e
-			w.d = &cp
-		}
-		if l.Has(M) && w.m == nil {
-			cp := e
-			w.m = &cp
-		}
-		if l.Has(S) && w.s == nil {
-			cp := e
-			w.s = &cp
+	var edges []Edge
+	adj := make([][]int, len(g.order))
+	for _, e := range g.Edges() {
+		if !e.Label.Has(I) {
+			edges = append(edges, e)
+			adj[e.From.id] = append(adj[e.From.id], e.To.id)
 		}
 	}
-	var ids []int
-	for id, w := range byComp {
-		if w.d != nil && w.m != nil && w.s != nil {
-			ids = append(ids, id)
+	comp := digraph.SCC(adj)
+	witness := make([]struct{ d, m, s *Edge }, len(g.order)) // by component id
+	for i := range edges {
+		e := &edges[i]
+		c := comp[e.From.id]
+		if c != comp[e.To.id] {
+			continue
+		}
+		w := &witness[c]
+		if e.Label.Has(D) && w.d == nil {
+			w.d = e
+		}
+		if e.Label.Has(M) && w.m == nil {
+			w.m = e
+		}
+		if e.Label.Has(S) && w.s == nil {
+			w.s = e
 		}
 	}
-	sort.Ints(ids)
 	var out []DangerousCycle
-	for _, id := range ids {
-		w := byComp[id]
+	for id, w := range witness {
+		if w.d == nil || w.m == nil || w.s == nil {
+			continue
+		}
 		var nodes []*Node
-		for _, k := range g.order {
-			if c, ok := comp[k]; ok && c == id {
-				nodes = append(nodes, g.nodes[k])
+		for i, n := range g.order {
+			if comp[i] == id {
+				nodes = append(nodes, n)
 			}
 		}
 		out = append(out, DangerousCycle{Nodes: nodes, DEdge: *w.d, MEdge: *w.m, SEdge: *w.s})
 	}
 	return out
-}
-
-// sccs computes strongly connected components of the non-i subgraph.
-func (g *Graph) sccs() map[string]int {
-	adj := make(map[string][]string)
-	for k, l := range g.labels {
-		if l.Has(I) {
-			continue
-		}
-		adj[k[0]] = append(adj[k[0]], k[1])
-	}
-	for _, vs := range adj {
-		sort.Strings(vs)
-	}
-	index := make(map[string]int)
-	low := make(map[string]int)
-	onStack := make(map[string]bool)
-	comp := make(map[string]int)
-	var stack []string
-	counter, compID := 0, 0
-
-	type frame struct {
-		node string
-		next int
-	}
-	for _, start := range g.order {
-		if _, seen := index[start]; seen {
-			continue
-		}
-		frames := []frame{{node: start}}
-		index[start] = counter
-		low[start] = counter
-		counter++
-		stack = append(stack, start)
-		onStack[start] = true
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			if f.next < len(adj[f.node]) {
-				next := adj[f.node][f.next]
-				f.next++
-				if _, seen := index[next]; !seen {
-					index[next] = counter
-					low[next] = counter
-					counter++
-					stack = append(stack, next)
-					onStack[next] = true
-					frames = append(frames, frame{node: next})
-				} else if onStack[next] && index[next] < low[f.node] {
-					low[f.node] = index[next]
-				}
-				continue
-			}
-			node := f.node
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				parent := frames[len(frames)-1].node
-				if low[node] < low[parent] {
-					low[parent] = low[node]
-				}
-			}
-			if low[node] == index[node] {
-				for {
-					top := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[top] = false
-					comp[top] = compID
-					if top == node {
-						break
-					}
-				}
-				compID++
-			}
-		}
-	}
-	return comp
 }
 
 // Result is the outcome of the WR test.
@@ -727,12 +623,7 @@ type Result struct {
 
 // Check builds the P-node graph and applies Definition 8.
 func Check(set *dependency.Set) *Result {
-	return CheckOpts(set, Options{})
-}
-
-// CheckOpts is Check with explicit construction options.
-func CheckOpts(set *dependency.Set, opts Options) *Result {
-	g := Build(set, opts)
+	g := Build(set)
 	viol := g.DangerousCycles()
 	return &Result{
 		WR:         g.Complete && len(viol) == 0,

@@ -1,6 +1,7 @@
 package pnode
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/parser"
@@ -45,7 +46,7 @@ func TestPaperExample2NotWR(t *testing.T) {
 }
 
 func TestPaperExample2Figure3Nodes(t *testing.T) {
-	g := Build(parser.MustParseRules(example2()), Options{})
+	g := Build(parser.MustParseRules(example2()))
 	// Figure 3's visible P-atoms (modulo our two-sorted renaming):
 	// the generic head nodes r(x1,x2) and s(x1,x2,x3), the traced node
 	// s(z,z,x1) — ours is s(z1,z1,x1) — and the generic body nodes
@@ -63,7 +64,7 @@ func TestPaperExample2DangerousEdgeLabels(t *testing.T) {
 	// The R1 step out of the traced node s(z1,z1,x1) loses the bound x1
 	// (d), misses distinguished variables in the r body atom (m), and
 	// splits the traced existential across t and r (s) — all on one edge.
-	g := Build(parser.MustParseRules(example2()), Options{})
+	g := Build(parser.MustParseRules(example2()))
 	sNode := g.FindNode("s(z1, z1, x1)")
 	if sNode == nil {
 		t.Fatal("missing traced s node")
@@ -98,7 +99,7 @@ func TestExample3RecursionBlockedByContext(t *testing.T) {
 	// unifying it with R1's head t(Y3,Y1,Y1) must fail (the existential Y3
 	// would merge with the distinguished Y1), so the node has no outgoing
 	// edges via R1 — the paper's "recursion is only apparent".
-	g := Build(parser.MustParseRules(example3()), Options{})
+	g := Build(parser.MustParseRules(example3()))
 	tNode := g.FindNode("t(x1, x1, z1)")
 	if tNode == nil {
 		t.Fatal("missing context-constrained t node")
@@ -191,7 +192,9 @@ q(X) -> r(X, "admin") .
 }
 
 func TestNodeBudgetReportsIncomplete(t *testing.T) {
-	res := CheckOpts(parser.MustParseRules(example2()), Options{MaxNodes: 3})
+	defer func(saved int) { maxNodes = saved }(maxNodes)
+	maxNodes = 3
+	res := Check(parser.MustParseRules(example2()))
 	if res.Complete {
 		t.Error("3-node budget must be insufficient")
 	}
@@ -201,8 +204,8 @@ func TestNodeBudgetReportsIncomplete(t *testing.T) {
 }
 
 func TestGraphDeterminism(t *testing.T) {
-	a := Build(parser.MustParseRules(example3()), Options{})
-	b := Build(parser.MustParseRules(example3()), Options{})
+	a := Build(parser.MustParseRules(example3()))
+	b := Build(parser.MustParseRules(example3()))
 	ae, be := a.Edges(), b.Edges()
 	if len(ae) != len(be) || a.NodeCount() != b.NodeCount() {
 		t.Fatalf("graph shape must be deterministic: %d/%d nodes, %d/%d edges",
@@ -216,11 +219,35 @@ func TestGraphDeterminism(t *testing.T) {
 	}
 }
 
+// TestWitnessEdgesAreDeterministic: the set's dangerous component holds
+// several d-, m- and s-edges; every Check must name the same three.
+func TestWitnessEdgesAreDeterministic(t *testing.T) {
+	set := parser.MustParseRules(`
+r(X,Y), s(Y,W) -> r(X,Z) .
+r(X,Y) -> s(Y,Z) .
+t(X,Y), r(Y,W) -> t(X,Z) .
+`)
+	witnesses := func() string {
+		res := Check(set)
+		if len(res.Violations) == 0 {
+			t.Fatal("the set must have a dangerous component")
+		}
+		v := res.Violations[0]
+		return fmt.Sprint(v.Nodes, v.DEdge.From, v.DEdge.To, v.MEdge.From, v.MEdge.To, v.SEdge.From, v.SEdge.To)
+	}
+	first := witnesses()
+	for i := 0; i < 20; i++ {
+		if got := witnesses(); got != first {
+			t.Fatalf("witnesses changed between calls:\n%s\n%s", first, got)
+		}
+	}
+}
+
 func TestIsolatedAtomGetsILabel(t *testing.T) {
 	// Example 1's R1 has the isolated body atom t(Y4).
 	g := Build(parser.MustParseRules(`
 s(Y1,Y2,Y3), t(Y4) -> r(Y1,Y3) .
-`), Options{})
+`))
 	foundI := false
 	for _, e := range g.Edges() {
 		if e.To.Sigma.Pred == "t" && e.Label.Has(I) {

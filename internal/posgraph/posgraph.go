@@ -30,6 +30,7 @@ import (
 	"strings"
 
 	"repro/internal/dependency"
+	"repro/internal/digraph"
 	"repro/internal/logic"
 )
 
@@ -72,29 +73,23 @@ type Graph struct {
 	// best-effort extension described in the package comment.
 	Exact bool
 
-	nodes   map[dependency.Position]bool
-	order   []dependency.Position
-	labels  map[[2]string]Label // key: encoded (from,to)
-	edgeSrc map[[2]string][2]dependency.Position
-}
-
-func edgeKey(from, to dependency.Position) [2]string {
-	return [2]string{from.String(), to.String()}
+	nodes  map[dependency.Position]int // node -> its index in order
+	order  []dependency.Position
+	labels map[[2]dependency.Position]Label // key: (from, to)
 }
 
 // Build constructs AG(P) for the rule set.
 func Build(set *dependency.Set) *Graph {
 	g := &Graph{
-		Exact:   set.IsSimple(),
-		nodes:   make(map[dependency.Position]bool),
-		labels:  make(map[[2]string]Label),
-		edgeSrc: make(map[[2]string][2]dependency.Position),
+		Exact:  set.IsSimple(),
+		nodes:  make(map[dependency.Position]int),
+		labels: make(map[[2]dependency.Position]Label),
 	}
 
 	var work []dependency.Position
 	push := func(p dependency.Position) {
-		if !g.nodes[p] {
-			g.nodes[p] = true
+		if _, ok := g.nodes[p]; !ok {
+			g.nodes[p] = len(g.order)
 			g.order = append(g.order, p)
 			work = append(work, p)
 		}
@@ -228,9 +223,7 @@ func countAtomsWith(atoms []logic.Atom, v logic.Term) int {
 }
 
 func (g *Graph) addEdge(from, to dependency.Position, label Label) {
-	k := edgeKey(from, to)
-	g.labels[k] |= label
-	g.edgeSrc[k] = [2]dependency.Position{from, to}
+	g.labels[[2]dependency.Position{from, to}] |= label
 }
 
 // Nodes returns the graph's nodes in deterministic order (insertion order of
@@ -242,27 +235,34 @@ func (g *Graph) Nodes() []dependency.Position {
 }
 
 // HasNode reports whether p is a node of the graph.
-func (g *Graph) HasNode(p dependency.Position) bool { return g.nodes[p] }
+func (g *Graph) HasNode(p dependency.Position) bool {
+	_, ok := g.nodes[p]
+	return ok
+}
 
-// Edges returns all edges sorted by (from, to).
+// Edges returns all edges sorted by the rendered (from, to) positions.
 func (g *Graph) Edges() []Edge {
+	name := make([]string, len(g.order))
+	for i, p := range g.order {
+		name[i] = p.String()
+	}
 	out := make([]Edge, 0, len(g.labels))
 	for k, l := range g.labels {
-		pair := g.edgeSrc[k]
-		out = append(out, Edge{From: pair[0], To: pair[1], Label: l})
+		out = append(out, Edge{From: k[0], To: k[1], Label: l})
 	}
 	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From.String() < out[j].From.String()
+		fi, fj := name[g.nodes[out[i].From]], name[g.nodes[out[j].From]]
+		if fi != fj {
+			return fi < fj
 		}
-		return out[i].To.String() < out[j].To.String()
+		return name[g.nodes[out[i].To]] < name[g.nodes[out[j].To]]
 	})
 	return out
 }
 
 // EdgeLabel returns the label of the edge from→to and whether it exists.
 func (g *Graph) EdgeLabel(from, to dependency.Position) (Label, bool) {
-	l, ok := g.labels[edgeKey(from, to)]
+	l, ok := g.labels[[2]dependency.Position{from, to}]
 	return l, ok
 }
 
@@ -286,52 +286,37 @@ func (d DangerousCycle) String() string {
 }
 
 // DangerousCycles returns one witness per strongly connected component that
-// contains both an m-labelled and an s-labelled edge. In a strongly
-// connected component any two edges lie on a common closed walk, so a
-// non-empty result is exactly "some cycle contains both an m-edge and an
-// s-edge" (reading cycle as closed walk; this is the conservative reading —
-// it can only make the sufficient condition more cautious).
+// contains both an m-labelled and an s-labelled edge, in component order;
+// the witnesses are the component's first such edges in Edges order. In a
+// strongly connected component any two edges lie on a common closed walk,
+// so a non-empty result is exactly "some cycle contains both an m-edge and
+// an s-edge" (reading cycle as closed walk; this is the conservative reading
+// — it can only make the sufficient condition more cautious).
 func (g *Graph) DangerousCycles() []DangerousCycle {
-	comp := g.sccs()
-	type witness struct {
-		m, s  *Edge
-		nodes []dependency.Position
-	}
-	byComp := make(map[int]*witness)
-	for k, l := range g.labels {
-		pair := g.edgeSrc[k]
-		cf, ct := comp[pair[0]], comp[pair[1]]
-		if cf != ct {
+	edges := g.Edges()
+	comp := g.components(edges)
+	witness := make([]struct{ m, s *Edge }, len(g.order)) // by component id
+	for i := range edges {
+		e := &edges[i]
+		c := comp[g.nodes[e.From]]
+		if c != comp[g.nodes[e.To]] {
 			continue
 		}
-		w := byComp[cf]
-		if w == nil {
-			w = &witness{}
-			byComp[cf] = w
+		if e.Label.Has(M) && witness[c].m == nil {
+			witness[c].m = e
 		}
-		e := Edge{From: pair[0], To: pair[1], Label: l}
-		if l.Has(M) && w.m == nil {
-			cp := e
-			w.m = &cp
-		}
-		if l.Has(S) && w.s == nil {
-			cp := e
-			w.s = &cp
+		if e.Label.Has(S) && witness[c].s == nil {
+			witness[c].s = e
 		}
 	}
 	var out []DangerousCycle
-	var compIDs []int
-	for id, w := range byComp {
-		if w.m != nil && w.s != nil {
-			compIDs = append(compIDs, id)
+	for id, w := range witness {
+		if w.m == nil || w.s == nil {
+			continue
 		}
-	}
-	sort.Ints(compIDs)
-	for _, id := range compIDs {
-		w := byComp[id]
 		var nodes []dependency.Position
-		for _, n := range g.order {
-			if comp[n] == id {
+		for i, n := range g.order {
+			if comp[i] == id {
 				nodes = append(nodes, n)
 			}
 		}
@@ -342,89 +327,25 @@ func (g *Graph) DangerousCycles() []DangerousCycle {
 
 // HasCycle reports whether the graph has any directed cycle at all.
 func (g *Graph) HasCycle() bool {
-	comp := g.sccs()
-	for k := range g.labels {
-		pair := g.edgeSrc[k]
-		if comp[pair[0]] == comp[pair[1]] {
+	edges := g.Edges()
+	comp := g.components(edges)
+	for _, e := range edges {
+		if comp[g.nodes[e.From]] == comp[g.nodes[e.To]] {
 			return true
 		}
 	}
 	return false
 }
 
-// sccs computes strongly connected components (iterative Tarjan), returning
-// a component id per node.
-func (g *Graph) sccs() map[dependency.Position]int {
-	adj := make(map[dependency.Position][]dependency.Position)
-	for k := range g.labels {
-		pair := g.edgeSrc[k]
-		adj[pair[0]] = append(adj[pair[0]], pair[1])
+// components returns the strongly connected component id of every node,
+// indexed like order, over the given edges of the graph.
+func (g *Graph) components(edges []Edge) []int {
+	adj := make([][]int, len(g.order))
+	for _, e := range edges {
+		from := g.nodes[e.From]
+		adj[from] = append(adj[from], g.nodes[e.To])
 	}
-	index := make(map[dependency.Position]int)
-	low := make(map[dependency.Position]int)
-	onStack := make(map[dependency.Position]bool)
-	comp := make(map[dependency.Position]int)
-	var stack []dependency.Position
-	counter, compID := 0, 0
-
-	type frame struct {
-		node dependency.Position
-		next int
-	}
-	for _, start := range g.order {
-		if _, seen := index[start]; seen {
-			continue
-		}
-		frames := []frame{{node: start}}
-		index[start] = counter
-		low[start] = counter
-		counter++
-		stack = append(stack, start)
-		onStack[start] = true
-
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			if f.next < len(adj[f.node]) {
-				next := adj[f.node][f.next]
-				f.next++
-				if _, seen := index[next]; !seen {
-					index[next] = counter
-					low[next] = counter
-					counter++
-					stack = append(stack, next)
-					onStack[next] = true
-					frames = append(frames, frame{node: next})
-				} else if onStack[next] {
-					if index[next] < low[f.node] {
-						low[f.node] = index[next]
-					}
-				}
-				continue
-			}
-			// Pop frame.
-			node := f.node
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				parent := frames[len(frames)-1].node
-				if low[node] < low[parent] {
-					low[parent] = low[node]
-				}
-			}
-			if low[node] == index[node] {
-				for {
-					top := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[top] = false
-					comp[top] = compID
-					if top == node {
-						break
-					}
-				}
-				compID++
-			}
-		}
-	}
-	return comp
+	return digraph.SCC(adj)
 }
 
 // Result is the outcome of the SWR test.
