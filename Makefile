@@ -18,8 +18,9 @@ test:
 	PART=4 $(GO) test -race .
 
 # Short fuzzing leg over the committed seed corpora: the query parser, the
-# program parser (rules + facts), the POST .../query body, LoadCSV and the
-# classifier's report (one target per invocation — go test allows no more).
+# program parser (rules + facts), the POST .../query body, LoadCSV, the
+# classifier's report and the rewriter's pool invariant (one target per
+# invocation — go test allows no more).
 FUZZTIME ?= 10s
 
 fuzz:
@@ -28,6 +29,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzQueryBody -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzLoadCSV -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz FuzzClassify -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzRewrite -fuzztime $(FUZZTIME) ./internal/rewrite
 
 # Benchmark smoke pass: compile and run every benchmark once. Performance
 # claims are measured with the gated benchmark BENCHMARK.json declares

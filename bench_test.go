@@ -61,7 +61,7 @@ s(Y1,Y1,Y2) -> r(Y2,Y3) .
 		b.Run(fmt.Sprintf("budget=%d", budget), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res := rewrite.Rewrite(q, set, rewrite.Options{MaxCQs: budget, Minimize: true})
+				res := rewrite.Rewrite(q, set, rewrite.Options{MaxCQs: budget})
 				if res.Complete {
 					b.Fatal("Example 2 must not complete")
 				}
@@ -743,51 +743,6 @@ func BenchmarkInstanceClone(b *testing.B) {
 }
 
 // --- Ablations: design choices of the rewriter, the chase and the graphs --
-
-// BenchmarkAblationMinimize compares the rewriting engine with and without
-// per-CQ core minimization on the university workload: minimization costs
-// homomorphism checks per generated CQ but shrinks the pool and the final
-// UCQ.
-func BenchmarkAblationMinimize(b *testing.B) {
-	rules := datagen.University()
-	pq := parser.MustParseQuery(`q(X) :- person(X) .`)
-	q := query.MustNew(pq.Head, pq.Body)
-	for _, min := range []bool{true, false} {
-		b.Run(fmt.Sprintf("minimize=%v", min), func(b *testing.B) {
-			b.ReportAllocs()
-			kept := 0
-			for i := 0; i < b.N; i++ {
-				res := rewrite.Rewrite(q, rules, rewrite.Options{Minimize: min})
-				if !res.Complete {
-					b.Fatal("must complete")
-				}
-				kept = res.Kept
-			}
-			b.ReportMetric(float64(kept), "disjuncts")
-		})
-	}
-}
-
-// BenchmarkAblationPieceSize compares piece-unification caps: size 1 is the
-// classical atom-at-a-time rewriting plus no factorization; larger pieces
-// admit multi-atom steps (needed for multi-head rules and factorization) at
-// the price of subset enumeration.
-func BenchmarkAblationPieceSize(b *testing.B) {
-	rules := datagen.University()
-	pq := parser.MustParseQuery(`q(X) :- advisor(X, P), professor(P) .`)
-	q := query.MustNew(pq.Head, pq.Body)
-	for _, size := range []int{1, 2, 3} {
-		b.Run(fmt.Sprintf("maxpiece=%d", size), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res := rewrite.Rewrite(q, rules, rewrite.Options{MaxPieceSize: size, Minimize: true})
-				if !res.Complete {
-					b.Fatal("must complete")
-				}
-			}
-		})
-	}
-}
 
 // BenchmarkAblationChaseVariant compares the restricted chase (checks head
 // satisfaction before firing) against the semi-oblivious chase (fires once

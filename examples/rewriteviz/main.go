@@ -53,7 +53,7 @@ s(Y1,Y1,Y2) -> r(Y2,Y3) .
 	pq := parser.MustParseQuery(`q() :- r("a", X) .`)
 	q := query.MustNew(pq.Head, pq.Body)
 	for _, budget := range []int{10, 20, 40, 80} {
-		res := rewrite.Rewrite(q, ex2, rewrite.Options{MaxCQs: budget, Minimize: true})
+		res := rewrite.Rewrite(q, ex2, rewrite.Options{MaxCQs: budget})
 		fmt.Printf("  budget %3d CQs -> complete=%-5v largest CQ %2d atoms, depth %d\n",
 			budget, res.Complete, res.LargestCQ, res.MaxDepthSeen)
 	}

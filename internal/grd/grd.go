@@ -23,13 +23,23 @@ type Graph struct {
 	adj [][]int
 }
 
-// Build computes the dependency graph of the set.
+// Build computes the dependency graph of the set. Every rule is renamed
+// apart twice, once per side of the test, and each trigger side's variable
+// sets are computed once, so the n² pair tests only unify.
 func Build(set *dependency.Set) *Graph {
 	g := &Graph{rules: set.Rules, adj: make([][]int, len(set.Rules))}
 	gen := logic.NewVarGen("grd")
-	for i, r1 := range set.Rules {
-		for j, r2 := range set.Rules {
-			if Depends(r1, r2, gen) {
+	triggers := make([]trigger, len(set.Rules))
+	for i, r := range set.Rules {
+		triggers[i] = newTrigger(r.Rename(gen))
+	}
+	bodies := make([][]logic.Atom, len(set.Rules))
+	for j, r := range set.Rules {
+		bodies[j] = r.Rename(gen).Body
+	}
+	for i, t := range triggers {
+		for j, body := range bodies {
+			if t.triggers(body) {
 				g.adj[i] = append(g.adj[i], j)
 			}
 		}
@@ -37,39 +47,52 @@ func Build(set *dependency.Set) *Graph {
 	return g
 }
 
-// Depends reports whether r2 depends on r1: some atom of r2's body unifies
-// with some atom of r1's head such that existential head variables of r1
-// unify only with variables of r2 that could be mapped to the invented
-// nulls (not constants, not repeated-demand positions requiring equality
-// with frontier terms). This is the standard sufficient test by piece
-// unification on single atoms.
-func Depends(r1, r2 *dependency.TGD, gen *logic.VarGen) bool {
-	a := r1.Rename(gen)
-	b := r2.Rename(gen)
-	existHead := make(map[logic.Term]bool)
-	for _, v := range a.ExistentialHead() {
-		existHead[v] = true
+// trigger is a rule renamed apart as the side whose head may trigger another
+// rule's body, with its existential and frontier variables as sets.
+type trigger struct {
+	head     []logic.Atom
+	exist    map[logic.Term]bool
+	frontier map[logic.Term]bool
+}
+
+func newTrigger(r *dependency.TGD) trigger {
+	t := trigger{head: r.Head, exist: make(map[logic.Term]bool), frontier: make(map[logic.Term]bool)}
+	for _, v := range r.ExistentialHead() {
+		t.exist[v] = true
 	}
-	frontierA := make(map[logic.Term]bool)
-	for _, v := range a.Distinguished() {
-		frontierA[v] = true
+	for _, v := range r.Distinguished() {
+		t.frontier[v] = true
 	}
-	for _, h := range a.Head {
-		for _, bb := range b.Body {
+	return t
+}
+
+// triggers reports whether a rule with this (renamed-apart) body depends on
+// the trigger rule: some atom of the body unifies with some atom of the
+// trigger's head such that existential head variables unify only with
+// variables that could be mapped to the invented nulls (not constants, not
+// repeated-demand positions requiring equality with frontier terms). This is
+// the standard sufficient test by piece unification on single atoms. Pairs
+// of atoms with different predicates are skipped before a unifier is built.
+func (t trigger) triggers(body []logic.Atom) bool {
+	for _, h := range t.head {
+		for _, bb := range body {
+			if h.Pred != bb.Pred {
+				continue
+			}
 			u := logic.NewUnifier()
 			if !u.UnifyAtoms(h, bb) {
 				continue
 			}
 			ok := true
-			for e := range existHead {
+			for e := range t.exist {
 				for _, member := range u.ClassOf(e) {
 					if member == e {
 						continue
 					}
 					// A null invented for e cannot equal a constant or a
-					// frontier value of r1; unification demanding that is
-					// not a real trigger.
-					if member.IsRigid() || frontierA[member] || existHead[member] {
+					// frontier value of the trigger rule; unification
+					// demanding that is not a real trigger.
+					if member.IsRigid() || t.frontier[member] || t.exist[member] {
 						ok = false
 						break
 					}

@@ -4,20 +4,29 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/logic"
 	"repro/internal/parser"
 )
+
+// dependsOn reports whether rule j depends on rule i in g.
+func dependsOn(g *Graph, i, j int) bool {
+	for _, k := range g.DependsOn(i) {
+		if k == j {
+			return true
+		}
+	}
+	return false
+}
 
 func TestDependsBasic(t *testing.T) {
 	set := parser.MustParseRules(`
 a(X) -> b(X) .
 b(X) -> c(X) .
 `)
-	gen := logic.NewVarGen("t")
-	if !Depends(set.Rules[0], set.Rules[1], gen) {
+	g := Build(set)
+	if !dependsOn(g, 0, 1) {
 		t.Error("R2 depends on R1 (b feeds b)")
 	}
-	if Depends(set.Rules[1], set.Rules[0], gen) {
+	if dependsOn(g, 1, 0) {
 		t.Error("R1 does not depend on R2 (a is not produced)")
 	}
 }
@@ -29,8 +38,7 @@ func TestDependsBlockedByConstant(t *testing.T) {
 p(X) -> q(X,Y) .
 q(X, "k") -> r(X) .
 `)
-	gen := logic.NewVarGen("t")
-	if Depends(set.Rules[0], set.Rules[1], gen) {
+	if dependsOn(Build(set), 0, 1) {
 		t.Error("constant demand on an existential position is not a trigger")
 	}
 }
@@ -42,8 +50,7 @@ func TestDependsBlockedByRepeatedExistential(t *testing.T) {
 p(X) -> q(X,Y) .
 q(W,W) -> r(W) .
 `)
-	gen := logic.NewVarGen("t")
-	if Depends(set.Rules[0], set.Rules[1], gen) {
+	if dependsOn(Build(set), 0, 1) {
 		t.Error("q(W,W) cannot be triggered by q(frontier, null)")
 	}
 }

@@ -3,6 +3,7 @@ package logic
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -135,15 +136,17 @@ type VarGen struct {
 func NewVarGen(prefix string) *VarGen { return &VarGen{prefix: prefix} }
 
 // FreshVar returns a fresh variable, distinct from all earlier ones.
-func (g *VarGen) FreshVar() Term {
-	g.n++
-	return NewVar(fmt.Sprintf("%s#%d", g.prefix, g.n))
-}
+func (g *VarGen) FreshVar() Term { return NewVar(g.next()) }
 
 // FreshNull returns a fresh labelled null, distinct from all earlier ones.
-func (g *VarGen) FreshNull() Term {
+func (g *VarGen) FreshNull() Term { return NewNull(g.next()) }
+
+// next counts one more fresh term and returns its name, prefix#n.
+func (g *VarGen) next() string {
 	g.n++
-	return NewNull(fmt.Sprintf("%s#%d", g.prefix, g.n))
+	var buf [32]byte
+	b := append(append(buf[:0], g.prefix...), '#')
+	return string(strconv.AppendInt(b, int64(g.n), 10))
 }
 
 // Count returns how many fresh terms have been generated.

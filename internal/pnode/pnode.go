@@ -249,13 +249,22 @@ func Build(set *dependency.Set) *Graph {
 		}
 	}
 
+	// One renamed copy of each rule serves every node: node variables are
+	// canonical x/z markers, while a copy's variables (and the fresh ones
+	// expand invents) are named pn#k.
+	renamed := make([]*dependency.TGD, len(set.Rules))
+	for i, r := range set.Rules {
+		renamed[i] = r.Rename(gen)
+	}
 	for len(work) > 0 {
 		n := work[0]
 		work = work[1:]
-		for _, rule := range set.Rules {
-			renamed := rule.Rename(gen)
-			for _, alpha := range renamed.Head {
-				g.expand(n, renamed, alpha, sig, gen, push)
+		for _, rule := range renamed {
+			for _, alpha := range rule.Head {
+				if alpha.Pred != n.Sigma.Pred {
+					continue
+				}
+				g.expand(n, rule, alpha, sig, gen, push)
 				if !g.Complete {
 					return g
 				}

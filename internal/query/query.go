@@ -7,6 +7,7 @@ package query
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/logic"
@@ -136,9 +137,9 @@ func (q *CQ) Canonical() *CQ {
 			return
 		}
 		n++
-		tmp := logic.NewVar(fmt.Sprintf("\x00c%d", n))
+		tmp := logic.NewVar("\x00c" + strconv.Itoa(n))
 		phase1.Bind(v, tmp)
-		phase2.Bind(tmp, logic.NewVar(fmt.Sprintf("V%d", n)))
+		phase2.Bind(tmp, logic.NewVar("V"+strconv.Itoa(n)))
 	}
 	for _, t := range q.Head.Args {
 		fresh(t)
@@ -181,33 +182,43 @@ func (q *CQ) DedupKey() string {
 	return c.Key()
 }
 
+// Frozen is the canonical database of a CQ: its head and body with every
+// variable replaced by a distinct fresh constant.
+type Frozen struct {
+	Head logic.Atom
+	Body []logic.Atom
+}
+
 // Freeze replaces every variable of q with a fresh constant, returning the
-// frozen body (the canonical database of q) and the frozen head. Used for
-// containment checks.
-func (q *CQ) Freeze() (head logic.Atom, body []logic.Atom) {
+// frozen query (the canonical database of q). A caller testing one query
+// against many freezes it once and calls Frozen.ContainedIn for each.
+func (q *CQ) Freeze() Frozen {
 	s := logic.NewSubst()
 	i := 0
 	for _, v := range logic.VarsOf(append([]logic.Atom{q.Head}, q.Body...)) {
 		i++
-		s.Bind(v, logic.NewConst(fmt.Sprintf("\x00frz%d", i)))
+		s.Bind(v, logic.NewConst("\x00frz"+strconv.Itoa(i)))
 	}
-	return s.ApplyAtom(q.Head), s.ApplyAtoms(q.Body)
+	return Frozen{Head: s.ApplyAtom(q.Head), Body: s.ApplyAtoms(q.Body)}
 }
 
 // ContainedIn reports whether q ⊆ p: every answer of q over any database is
-// an answer of p. Decided by the classical homomorphism criterion — freeze q
-// and look for a homomorphism from p's body into q's frozen body mapping p's
-// head to q's frozen head.
-func (q *CQ) ContainedIn(p *CQ) bool {
-	if q.Head.Pred != p.Head.Pred || q.Arity() != p.Arity() {
+// an answer of p. It freezes q and calls Frozen.ContainedIn.
+func (q *CQ) ContainedIn(p *CQ) bool { return q.Freeze().ContainedIn(p) }
+
+// ContainedIn reports whether the frozen query is contained in p. This is
+// the classical homomorphism criterion, and the one containment routine: it
+// looks for a homomorphism from p's body into the frozen body that maps p's
+// head to the frozen head.
+func (f Frozen) ContainedIn(p *CQ) bool {
+	if f.Head.Pred != p.Head.Pred || f.Head.Arity() != p.Arity() {
 		return false
 	}
-	frzHead, frzBody := q.Freeze()
 	// Require the head atoms to match under the homomorphism by pinning
-	// p's head arguments to q's frozen head arguments.
+	// p's head arguments to the frozen head arguments.
 	fixed := logic.NewSubst()
 	for i, t := range p.Head.Args {
-		img := frzHead.Args[i]
+		img := f.Head.Args[i]
 		switch {
 		case t.IsVar():
 			if prev, ok := fixed[t]; ok && prev != img {
@@ -218,7 +229,7 @@ func (q *CQ) ContainedIn(p *CQ) bool {
 			return false
 		}
 	}
-	_, ok := logic.Homomorphism(p.Body, frzBody, logic.HomOptions{Fixed: fixed})
+	_, ok := logic.Homomorphism(p.Body, f.Body, logic.HomOptions{Fixed: fixed})
 	return ok
 }
 
@@ -239,6 +250,12 @@ func (q *CQ) Minimize() *CQ {
 			if len(cur.Body) == 1 {
 				break
 			}
+			// A homomorphism from cur into the smaller query maps atom i to
+			// an atom of the same predicate, so an atom whose predicate
+			// occurs once cannot be dropped.
+			if !predRepeats(cur.Body, i) {
+				continue
+			}
 			cand := &CQ{Head: cur.Head, Body: removeAtom(cur.Body, i)}
 			// Removing an atom can only generalize; equivalence holds iff
 			// the smaller query is contained in the original.
@@ -252,6 +269,17 @@ func (q *CQ) Minimize() *CQ {
 			return cur
 		}
 	}
+}
+
+// predRepeats reports whether another atom of body has the predicate of
+// body[i].
+func predRepeats(body []logic.Atom, i int) bool {
+	for j, a := range body {
+		if j != i && a.Pred == body[i].Pred {
+			return true
+		}
+	}
+	return false
 }
 
 func safeCQ(q *CQ) bool { return q.Validate() == nil }

@@ -213,7 +213,8 @@ func TestApplyDoesNotMutate(t *testing.T) {
 
 func TestFreezeProducesGroundBody(t *testing.T) {
 	q := cq(at("q", v("X")), at("r", v("X"), v("Y")), at("s", v("Y"), c("k")))
-	head, body := q.Freeze()
+	frozen := q.Freeze()
+	head, body := frozen.Head, frozen.Body
 	for _, a := range body {
 		if !a.IsGround() {
 			t.Errorf("frozen body atom %v not ground", a)

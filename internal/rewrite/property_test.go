@@ -2,6 +2,7 @@ package rewrite
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/chase"
@@ -9,6 +10,9 @@ import (
 	"repro/internal/dependency"
 	"repro/internal/eval"
 	"repro/internal/logic"
+	"repro/internal/naive"
+	"repro/internal/parser"
+	"repro/internal/pnode"
 	"repro/internal/posgraph"
 	"repro/internal/query"
 )
@@ -24,36 +28,112 @@ func atomicQueryFor(set *dependency.Set, pred string, arity int) *query.CQ {
 		[]logic.Atom{logic.NewAtom(pred, args...)})
 }
 
-// TestSWRImpliesTerminatingRewriting is the computational content of the
-// paper's Theorem 1 over generated workloads: for every generated simple
-// set accepted by SWR, the rewriting of every atomic query over a head
-// predicate reaches a fixpoint within a generous budget.
-func TestSWRImpliesTerminatingRewriting(t *testing.T) {
-	families := []datagen.Family{datagen.FamilyLinear, datagen.FamilyMultilinear, datagen.FamilySticky}
-	checked := 0
+// certifiedSet is a rule set the classifier certifies FO-rewritable, with
+// the certificate.
+type certifiedSet struct {
+	name, cert string
+	set        *dependency.Set
+}
+
+// certifiedSets returns every generated set (each datagen family at 4 rules,
+// seeds 0–11) that SWR or, failing that, WR certifies, plus the paper's
+// Example 3 and University, which only WR certifies.
+func certifiedSets() []certifiedSet {
+	var out []certifiedSet
+	add := func(name string, set *dependency.Set) {
+		switch {
+		case posgraph.Check(set).SWR:
+			out = append(out, certifiedSet{name, "swr", set})
+		case pnode.Check(set).WR:
+			out = append(out, certifiedSet{name, "wr", set})
+		}
+	}
+	families := []datagen.Family{datagen.FamilyLinear, datagen.FamilyMultilinear, datagen.FamilySticky, datagen.FamilyChain}
 	for _, fam := range families {
 		for seed := int64(0); seed < 12; seed++ {
-			set := datagen.Rules(datagen.Config{Family: fam, Rules: 4, Seed: seed})
-			if !posgraph.Check(set).SWR {
+			add(fmt.Sprintf("%s/%d", fam, seed), datagen.Rules(datagen.Config{Family: fam, Rules: 4, Seed: seed}))
+		}
+	}
+	add("example3", parser.MustParseRules(example3))
+	add("university", datagen.University())
+	return out
+}
+
+// TestSWRImpliesTerminatingRewriting is the computational content of the
+// paper's Theorem 1 and of its WR generalization over generated workloads:
+// for every set SWR or WR certifies, the rewriting of every atomic query
+// over a head predicate, and of two-atom joins over them, reaches a fixpoint
+// within a generous budget. Where the chase of a random instance terminates,
+// the rewriting's answers equal the chase's certain answers, and both equal
+// the test-only reference's (internal/naive: its textbook chase, and its
+// nested-loop evaluation of the query and of the rewriting).
+func TestSWRImpliesTerminatingRewriting(t *testing.T) {
+	checked, agreed := map[string]int{}, map[string]int{}
+	joins := 0
+	for i, cs := range certifiedSets() {
+		set := cs.set
+		sig, err := set.Predicates()
+		if err != nil {
+			t.Fatal(err)
+		}
+		heads := set.HeadPredicates()
+		var qs []*query.CQ
+		for _, pred := range heads {
+			qs = append(qs, atomicQueryFor(set, pred, sig[pred]))
+		}
+		// One join per pair of consecutive head predicates: joinQueries
+		// with n = 1 joins preds[1] and preds[2] of the rotated list.
+		if len(heads) > 1 {
+			for j := range heads {
+				rotated := append(append([]string{}, heads[j:]...), heads[:j]...)
+				qs = append(qs, joinQueries(set, rotated, 1)[1])
+			}
+		}
+		data := datagen.Instance(set, 6, 4, int64(i))
+		facts := data.Atoms()
+		// The reference chase runs only where the engine's terminates: on a
+		// diverging set its nested loops would take minutes to exhaust any
+		// budget.
+		var chased []logic.Atom
+		run := chase.Run(set, data, chase.Options{MaxSteps: 20000})
+		chaseOK := run.Terminated
+		if chaseOK {
+			if chased, chaseOK = naive.Chase(set, facts, false, 20000); !chaseOK {
+				t.Errorf("%s: the engine's chase terminates, the reference chase does not", cs.name)
+			}
+		}
+		for _, q := range qs {
+			res := Rewrite(q, set, Options{MaxCQs: 2000})
+			checked[cs.cert]++
+			if len(q.Body) > 1 {
+				joins++
+			}
+			if !res.Complete {
+				t.Errorf("%s (%s): rewriting of %s diverged\n%s", cs.name, cs.cert, q, set)
 				continue
 			}
-			sig, err := set.Predicates()
-			if err != nil {
-				t.Fatal(err)
+			rw := naive.RenderAll(eval.UCQ(res.UCQ, data, eval.Options{FilterNulls: true}).Tuples())
+			if ref := naive.Answers(res.UCQ, facts); !slices.Equal(rw, ref) {
+				t.Errorf("%s: %s: engine and reference evaluate the rewriting differently\n%v\n%v", cs.name, q, rw, ref)
 			}
-			for _, pred := range set.HeadPredicates() {
-				q := atomicQueryFor(set, pred, sig[pred])
-				res := Rewrite(q, set, Options{MaxCQs: 2000, Minimize: true})
-				checked++
-				if !res.Complete {
-					t.Errorf("family %v seed %d: rewriting of %s diverged on an SWR set\n%s",
-						fam, seed, pred, set)
-				}
+			if !chaseOK {
+				continue
+			}
+			agreed[cs.cert]++
+			chAns := naive.RenderAll(eval.UCQ(query.MustNewUCQ(q), run.Instance, eval.Options{FilterNulls: true}).Tuples())
+			ref := naive.Answers(query.MustNewUCQ(q), chased)
+			if !slices.Equal(rw, chAns) || !slices.Equal(chAns, ref) {
+				t.Errorf("%s (%s): %s: rewriting %v, chase %v, reference chase %v\nrules:\n%s",
+					cs.name, cs.cert, q, rw, chAns, ref, set)
 			}
 		}
 	}
-	if checked < 20 {
-		t.Errorf("too few rewritings exercised (%d)", checked)
+	t.Logf("rewritings checked %v (%d joins), agreement checks %v", checked, joins, agreed)
+	if checked["swr"] < 40 || checked["wr"] < 10 || joins < 20 {
+		t.Errorf("too few rewritings exercised: %v, %d joins", checked, joins)
+	}
+	if agreed["swr"] < 20 || agreed["wr"] < 5 {
+		t.Errorf("too few agreement checks: %v", agreed)
 	}
 }
 
@@ -77,7 +157,7 @@ func TestRewriteChaseAgreementRandom(t *testing.T) {
 			data := datagen.Instance(set, 6, 4, seed)
 			for _, pred := range set.HeadPredicates() {
 				q := atomicQueryFor(set, pred, sig[pred])
-				res := Rewrite(q, set, Options{MaxCQs: 2000, Minimize: true})
+				res := Rewrite(q, set, Options{MaxCQs: 2000})
 				if !res.Complete {
 					continue // covered by the theorem test above
 				}
@@ -121,7 +201,7 @@ func TestRewritingSoundOnArbitrarySets(t *testing.T) {
 		data := datagen.Instance(set, 5, 3, seed)
 		for _, pred := range set.HeadPredicates() {
 			q := atomicQueryFor(set, pred, sig[pred])
-			res := Rewrite(q, set, Options{MaxCQs: 150, Minimize: true})
+			res := Rewrite(q, set, Options{MaxCQs: 150})
 			chAns, chRes := chase.CertainAnswers(query.MustNewUCQ(q), set, data,
 				chase.Options{MaxRounds: 80, MaxSteps: 50000})
 			if !chRes.Terminated {

@@ -21,6 +21,7 @@ package rewrite
 
 import (
 	"context"
+	"sort"
 
 	"repro/internal/dependency"
 	"repro/internal/logic"
@@ -32,34 +33,16 @@ type Options struct {
 	// MaxCQs bounds the number of distinct CQs kept in the rewriting
 	// (0 = default 5000). Exceeding it stops the loop with Complete=false.
 	MaxCQs int
-	// MaxDepth bounds the number of rewriting steps applied to derive any
-	// single CQ (0 = unbounded; budgets still apply).
-	MaxDepth int
-	// MaxPieceSize bounds how many query atoms one step may unify
-	// (0 = default 3). Pieces larger than the largest rule head only matter
-	// for factorization, so small values lose no completeness in practice
-	// for the classes studied here.
-	MaxPieceSize int
-	// Minimize core-minimizes every generated CQ (slower per CQ, smaller
-	// output; defaults to true via NewOptions — zero value means off).
-	Minimize bool
 }
 
-func (o Options) withDefaults() Options {
-	if o.MaxCQs == 0 {
-		o.MaxCQs = 5000
-	}
-	if o.MaxPieceSize == 0 {
-		o.MaxPieceSize = 3
-	}
-	return o
-}
+// maxPieceSize bounds how many query atoms one step may unify. Pieces larger
+// than the largest rule head only matter for factorization, so this loses no
+// completeness in practice for the classes studied here.
+const maxPieceSize = 3
 
-// DefaultOptions returns the recommended configuration: minimization on,
-// default budgets.
-func DefaultOptions() Options {
-	return Options{Minimize: true}
-}
+// DefaultOptions returns the recommended configuration: the default budget.
+// Every generated CQ is core-minimized.
+func DefaultOptions() Options { return Options{} }
 
 // Result is the outcome of a rewriting run.
 type Result struct {
@@ -107,10 +90,19 @@ func RewriteUCQ(u *query.UCQ, rules *dependency.Set, opts Options) *Result {
 }
 
 // RewriteUCQCtx is RewriteUCQ under a cancellation context; see RewriteCtx.
+//
+// The work is proportional to what can match: a pool entry meets only the
+// rules with a head predicate among its body predicates (in rules.Rules
+// order), each rule is renamed apart once per run, on first use, and a
+// subsumption test runs only between entries whose predicate sets allow a
+// homomorphism.
 func RewriteUCQCtx(ctx context.Context, u *query.UCQ, rules *dependency.Set, opts Options) *Result {
-	opts = opts.withDefaults()
-	st := &state{opts: opts, rules: rules, gen: logic.NewVarGen("rw"),
-		byKey: make(map[string]int)}
+	maxCQs := opts.MaxCQs
+	if maxCQs == 0 {
+		maxCQs = 5000
+	}
+	st := &state{gen: logic.NewVarGen("rw"), byKey: make(map[string]int),
+		renamed: make([]*dependency.TGD, len(rules.Rules))}
 
 	for _, q := range u.CQs {
 		st.offer(q, 0, nil)
@@ -131,19 +123,16 @@ func RewriteUCQCtx(ctx context.Context, u *query.UCQ, rules *dependency.Set, opt
 		if entry.dead {
 			continue
 		}
-		if opts.MaxDepth > 0 && entry.depth >= opts.MaxDepth {
-			res.Complete = false
-			continue
-		}
-		for _, rule := range rules.Rules {
-			renamed := rule.Rename(st.gen)
-			st.applyRule(entry, renamed)
-			if st.overBudget() {
-				res.Complete = false
+		for i, rule := range rules.Rules {
+			if !meets(rule, entry.preds) {
+				continue
+			}
+			st.applyRule(entry, st.renamedRule(i, rule))
+			if st.live > maxCQs {
 				break
 			}
 		}
-		if st.overBudget() {
+		if st.live > maxCQs {
 			res.Complete = false
 			break
 		}
@@ -169,7 +158,9 @@ func RewriteUCQCtx(ctx context.Context, u *query.UCQ, rules *dependency.Set, opt
 }
 
 type poolEntry struct {
-	cq    *query.CQ
+	cq *query.CQ
+	// preds holds the distinct predicates of cq's body, sorted.
+	preds []string
 	depth int
 	dead  bool
 	// path records the labels of the rules applied to reach this CQ.
@@ -177,63 +168,100 @@ type poolEntry struct {
 }
 
 type state struct {
-	opts      Options
-	rules     *dependency.Set
-	gen       *logic.VarGen
+	gen *logic.VarGen
+	// renamed[i] is rule i renamed apart, or nil until a pool entry first
+	// meets it.
+	renamed   []*dependency.TGD
 	pool      []*poolEntry
 	byKey     map[string]int
 	cursor    int
+	live      int // pool entries not dead
 	generated int
 	largest   int
 }
 
-func (st *state) overBudget() bool { return st.liveCount() > st.opts.MaxCQs }
+// renamedRule returns rule (rules.Rules[i]) renamed apart, renaming it on
+// first use. One copy serves the whole run: every pool entry went through
+// offer's Canonical, so its variables are exactly V1…Vn, while a copy's
+// variables are named rw#k, which no Canonical name equals. A copy therefore
+// shares no variable with any entry it meets, and each piece unification
+// starts from a fresh unifier.
+func (st *state) renamedRule(i int, rule *dependency.TGD) *dependency.TGD {
+	if st.renamed[i] == nil {
+		st.renamed[i] = rule.Rename(st.gen)
+	}
+	return st.renamed[i]
+}
 
-func (st *state) liveCount() int {
-	n := 0
-	for _, e := range st.pool {
-		if !e.dead {
-			n++
+// meets reports whether some head atom of rule has a predicate in preds
+// (sorted): only then can a piece of the entry unify with the rule's head.
+func meets(rule *dependency.TGD, preds []string) bool {
+	for _, h := range rule.Head {
+		if i := sort.SearchStrings(preds, h.Pred); i < len(preds) && preds[i] == h.Pred {
+			return true
 		}
 	}
-	return n
+	return false
+}
+
+// bodyPreds returns the distinct predicates of a body sorted by atom Key,
+// in order. An atom's Key starts with its predicate followed by a NUL byte,
+// so sorting by Key sorts by predicate.
+func bodyPreds(body []logic.Atom) []string {
+	var out []string
+	for _, a := range body {
+		if len(out) == 0 || out[len(out)-1] != a.Pred {
+			out = append(out, a.Pred)
+		}
+	}
+	return out
+}
+
+// subset reports whether every element of the sorted, distinct slice a
+// occurs in the sorted, distinct slice b. preds(p) ⊆ preds(q) is necessary for q ⊆ p: a
+// homomorphism maps every body atom of p onto a body atom of q with the same
+// predicate.
+func subset(a, b []string) bool {
+	i := 0
+	for _, y := range b {
+		if i < len(a) && a[i] == y {
+			i++
+		}
+	}
+	return i == len(a)
 }
 
 // offer adds a candidate CQ to the pool unless it duplicates or is subsumed
 // by a live entry; live entries strictly subsumed by the candidate are
-// retired. Returns whether the candidate was kept.
-func (st *state) offer(q *query.CQ, depth int, path []string) bool {
+// retired.
+func (st *state) offer(q *query.CQ, depth int, path []string) {
 	st.generated++
-	if st.opts.Minimize {
-		q = q.Minimize()
-	}
-	q = q.SortBody().Canonical()
+	q = q.Minimize().SortBody().Canonical()
 	if len(q.Body) > st.largest {
 		st.largest = len(q.Body)
 	}
-	key := q.DedupKey()
+	// q is sorted and canonical, so an exact duplicate of a live entry has
+	// its Key; any other equivalent CQ fails the containment test below.
+	key := q.Key()
 	if idx, ok := st.byKey[key]; ok && !st.pool[idx].dead {
-		return false
+		return
+	}
+	preds := bodyPreds(q.Body)
+	frozen := q.Freeze()
+	for _, e := range st.pool {
+		if !e.dead && subset(e.preds, preds) && frozen.ContainedIn(e.cq) {
+			return
+		}
 	}
 	for _, e := range st.pool {
-		if e.dead {
-			continue
-		}
-		if q.ContainedIn(e.cq) {
-			return false
-		}
-	}
-	for _, e := range st.pool {
-		if e.dead {
-			continue
-		}
-		if e.cq.ContainedIn(q) {
+		if !e.dead && subset(preds, e.preds) && e.cq.ContainedIn(q) {
 			e.dead = true
+			st.live--
 		}
 	}
-	st.pool = append(st.pool, &poolEntry{cq: q, depth: depth, path: path})
+	st.pool = append(st.pool, &poolEntry{cq: q, preds: preds, depth: depth, path: path})
 	st.byKey[key] = len(st.pool) - 1
-	return true
+	st.live++
 }
 
 // cand pairs a query-atom index with the head-atom index it unifies with in
@@ -256,7 +284,7 @@ func (st *state) applyRule(entry *poolEntry, rule *dependency.TGD) {
 	if len(cands) == 0 {
 		return
 	}
-	maxPiece := st.opts.MaxPieceSize
+	maxPiece := maxPieceSize
 	if maxPiece > len(q.Body) {
 		maxPiece = len(q.Body)
 	}

@@ -139,7 +139,7 @@ func TestRewriteExample2UnboundedChain(t *testing.T) {
 t(Y1,Y2), r(Y3,Y4) -> s(Y1,Y3,Y2) .
 s(Y1,Y1,Y2) -> r(Y2,Y3) .
 `)
-	res := Rewrite(mustQ(`q() :- r("a",X) .`), rules, Options{MaxCQs: 60, Minimize: true})
+	res := Rewrite(mustQ(`q() :- r("a",X) .`), rules, Options{MaxCQs: 60})
 	if res.Complete {
 		t.Fatalf("Example 2 rewriting must not complete within 60 CQs (kept=%d)", res.Kept)
 	}
@@ -339,21 +339,6 @@ func TestRewriteUCQInput(t *testing.T) {
 	res := RewriteUCQ(u, rules, DefaultOptions())
 	if !res.Complete || res.Kept != 2 {
 		t.Fatalf("UCQ rewriting = %d disjuncts:\n%s", res.Kept, res.UCQ)
-	}
-}
-
-func TestRewriteMaxDepthTruncates(t *testing.T) {
-	rules := parser.MustParseRules(`
-a(X) -> b(X) .
-b(X) -> c(X) .
-c(X) -> d(X) .
-`)
-	res := Rewrite(mustQ(`q(X) :- d(X) .`), rules, Options{MaxDepth: 1, Minimize: true})
-	if res.Complete {
-		t.Error("depth-truncated run must report incomplete")
-	}
-	if res.Kept != 2 {
-		t.Errorf("depth 1 keeps d and c only, got %d", res.Kept)
 	}
 }
 

@@ -100,7 +100,7 @@ func (o *Ontology) AnswerApprox(querySrc string, opts ApproxOptions) (*Approx, e
 	}
 
 	s := o.load()
-	rw := rewrite.Rewrite(q, s.rules, rewrite.Options{MaxCQs: opts.MaxCQs, Minimize: true})
+	rw := rewrite.Rewrite(q, s.rules, rewrite.Options{MaxCQs: opts.MaxCQs})
 	if rw.Complete {
 		// Exact via rewriting; evaluating over the snapshot's base data
 		// suffices and the chase need not run at all. No lock held.
