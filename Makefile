@@ -10,23 +10,20 @@ all: lint build test
 build:
 	$(GO) build ./...
 
-# The second leg reruns the public-API suite with the package default
-# partition count flipped to 4 (PART env, read by TestMain): the same driver
-# the first leg runs at P = 1, over a 4-partition store.
 test:
 	$(GO) test -race ./...
-	PART=4 $(GO) test -race .
 
 # Short fuzzing leg over the committed seed corpora: the query parser, the
-# program parser (rules + facts), the POST .../query body, LoadCSV, the
-# classifier's report and the rewriter's pool invariant (one target per
-# invocation — go test allows no more).
+# program parser (rules + facts), the POST .../query body, the fact and rule
+# mutation bodies, LoadCSV, the classifier's report and the rewriter's pool
+# invariant (one target per invocation — go test allows no more).
 FUZZTIME ?= 10s
 
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseQuery -fuzztime $(FUZZTIME) ./internal/parser
 	$(GO) test -run '^$$' -fuzz FuzzParseProgram -fuzztime $(FUZZTIME) ./internal/parser
 	$(GO) test -run '^$$' -fuzz FuzzQueryBody -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzMutationBody -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzLoadCSV -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz FuzzClassify -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzRewrite -fuzztime $(FUZZTIME) ./internal/rewrite

@@ -129,7 +129,7 @@ func (o *Ontology) openAnswer(ctx context.Context, querySrc string, opts Options
 	if err != nil {
 		return answerStream{}, err
 	}
-	s := answerStream{s: eval.NewStream(snap.plansFor(u, onMat), u.Arity(), snap.store(onMat), o.evalOptions(opts))}
+	s := answerStream{s: eval.NewStream(snap.plansFor(u, onMat), u.Arity(), snap.store(onMat), evalOptions(opts))}
 	if key != "" && opts.Limit == 0 {
 		s.fill = func(ans *Answers) { o.storeView(snap, key, ans) }
 	}
@@ -165,7 +165,7 @@ func (s *answerStream) close() {
 
 // collect is the AnswerCtx consumer: the complete answer set. A warm hit
 // returns the shared view itself — no tuple is copied; a miss drains the
-// stream (in parallel when Options.Parallelism asks for it).
+// stream.
 func (s *answerStream) collect(ctx context.Context) (*Answers, error) {
 	if s.s == nil {
 		if len(s.rows) == s.hit.Len() {

@@ -97,87 +97,6 @@ func TestPropertyCachedEqualsUncached(t *testing.T) {
 	}
 }
 
-// TestCachedPartitionedEqualsUncachedFlat checks that the answer-view cache
-// works at any P: views are stored and served through the one evaluator, so
-// across a script of inserts and deletes a cached P = 4 ontology must give
-// exactly the answers of an uncached P = 1 twin and serve some of them from
-// views (hits).
-func TestCachedPartitionedEqualsUncachedFlat(t *testing.T) {
-	for _, fam := range []datagen.Family{datagen.FamilyLinear, datagen.FamilySticky} {
-		for seed := int64(2); seed <= 3; seed++ {
-			t.Run(fmt.Sprintf("%v/seed=%d", fam, seed), func(t *testing.T) {
-				set := datagen.Rules(datagen.Config{Family: fam, Rules: 5, Seed: seed})
-				atoms := datagen.Instance(set, 20, 8, seed).Atoms()
-				rng := rand.New(rand.NewSource(seed * 15485863))
-				rng.Shuffle(len(atoms), func(i, j int) { atoms[i], atoms[j] = atoms[j], atoms[i] })
-				cut := len(atoms) / 2
-				src := set.String() + "\n" + factSrc(atoms[:cut])
-
-				cached := cachedOnt(t, src)
-				flat, err := Parse(src)
-				if err != nil {
-					t.Fatal(err)
-				}
-				flat.SetAnswerCacheBudget(0)
-				cachedOpts := Options{Mode: ModeChase, Partitions: 4}
-				flatOpts := Options{Mode: ModeChase, Partitions: 1, NoCache: true}
-				queries := atomicQueries(t, cached)
-				if _, err := flat.AnswerOptions(queries[0], flatOpts); err != nil {
-					t.Skipf("initial chase over budget: %v", err)
-				}
-
-				check := func(when string) {
-					t.Helper()
-					for _, q := range queries {
-						want, err := flat.AnswerOptions(q, flatOpts)
-						if err != nil {
-							t.Fatal(err)
-						}
-						for i := 0; i < 2; i++ { // the second call can be served from a view
-							got, err := cached.AnswerOptions(q, cachedOpts)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if !got.Equal(want) {
-								t.Fatalf("%s, %s: cached P=4 diverges from uncached P=1:\ncached:\n%s\nuncached:\n%s", when, q, got, want)
-							}
-						}
-					}
-				}
-
-				check("initially")
-				live, rest := atoms[:cut:cut], atoms[cut:]
-				for step := 0; len(rest) > 0; step++ {
-					if step%3 == 2 { // every third step deletes instead
-						victim := live[rng.Intn(len(live))]
-						for _, o := range []*Ontology{cached, flat} {
-							if _, err := o.DeleteFact(factSrc([]logic.Atom{victim})); err != nil {
-								t.Fatal(err)
-							}
-						}
-						check(fmt.Sprintf("after deleting %v", victim))
-						continue
-					}
-					n := min(1+rng.Intn(4), len(rest))
-					for _, o := range []*Ontology{cached, flat} {
-						if err := o.AddFact(factSrc(rest[:n])); err != nil {
-							t.Fatal(err)
-						}
-					}
-					live, rest = append(live, rest[:n]...), rest[n:]
-					check(fmt.Sprintf("after inserting %d facts", n))
-				}
-				if st := cached.MaterializationStats(); st.Partitions != 4 {
-					t.Fatalf("cached ontology runs over %d partitions, want 4", st.Partitions)
-				}
-				if st := cached.AnswerCacheStats(); st.Hits == 0 {
-					t.Errorf("stats=%+v: a P=4 ontology must hit its views", st)
-				}
-			})
-		}
-	}
-}
-
 // TestCacheHitAvoidsDivergenceAcrossMutationKinds asserts every mutation
 // kind that can change answers makes the cache step aside.
 func TestCacheHitAvoidsDivergenceAcrossMutationKinds(t *testing.T) {

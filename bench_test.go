@@ -292,7 +292,7 @@ c(X,Y) -> x3(X) .
 	}
 }
 
-// --- P1: parallel chase and evaluation -----------------------------------
+// --- P1: parallel chase ---------------------------------------------------
 
 // BenchmarkParallelChase materializes the university ontology with the
 // semi-naive chase at growing worker counts. The workers=1 run is the
@@ -309,49 +309,6 @@ func BenchmarkParallelChase(b *testing.B) {
 				if !res.Terminated {
 					b.Fatal("chase must terminate")
 				}
-			}
-		})
-	}
-}
-
-// BenchmarkParallelUCQEvaluation evaluates a precompiled rewriting (a
-// multi-CQ union) at growing worker counts: the CQs run concurrently and
-// each join's outer loop is sharded.
-func BenchmarkParallelUCQEvaluation(b *testing.B) {
-	rules := datagen.University()
-	pq := parser.MustParseQuery(`q(X) :- person(X) .`)
-	q := query.MustNew(pq.Head, pq.Body)
-	res := rewrite.Rewrite(q, rules, rewrite.DefaultOptions())
-	if !res.Complete {
-		b.Fatal("rewriting must complete")
-	}
-	data := datagen.UniversityData(64, 1)
-	data.EnsureIndexes()
-	for _, p := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", p), func(b *testing.B) {
-			b.ReportAllocs()
-			var n int
-			for i := 0; i < b.N; i++ {
-				ans := eval.UCQ(res.UCQ, data, eval.Options{FilterNulls: true, Parallelism: p})
-				n = ans.Len()
-			}
-			b.ReportMetric(float64(n), "answers")
-		})
-	}
-}
-
-// BenchmarkParallelCQJoin shards the outer loop of a single 2-way join.
-func BenchmarkParallelCQJoin(b *testing.B) {
-	rules := parser.MustParseRules(`a(X,Y) -> x1(X) .`)
-	pq := parser.MustParseQuery(`q(X,Z) :- a(X,Y), a(Y,Z) .`)
-	q := query.MustNew(pq.Head, pq.Body)
-	data := datagen.Instance(rules, 2000, 200, 3)
-	data.EnsureIndexes()
-	for _, p := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", p), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				eval.CQ(q, data, eval.Options{Parallelism: p})
 			}
 		})
 	}
@@ -873,55 +830,6 @@ func BenchmarkAnswerLimited(b *testing.B) {
 }
 
 // --- PR 9: shared answer cache -------------------------------------------
-
-// BenchmarkPartitionPruning measures partition-pruned evaluation — not
-// parallelism: Parallelism stays 1 in every arm. The plan binds the
-// partitioning column of edge/3 through the single anchor tuple, so over a
-// partitioned materialization the edge level probes its key index in one
-// sub-instance (~N/P tuples) instead of all P; parts=1 is the
-// single-instance baseline probing the same index over the whole relation.
-func BenchmarkPartitionPruning(b *testing.B) {
-	var sb strings.Builder
-	sb.WriteString("edge(K, A, V) -> reach(K, V) .\n")
-	const keys, per = 200, 200
-	for k := 0; k < keys; k++ {
-		for i := 0; i < per; i++ {
-			fmt.Fprintf(&sb, "edge(k%d, a%d, v%d_%d) .\n", k, i%7, k, i)
-		}
-	}
-	sb.WriteString("anchor(k7, a3) .\n")
-	const q = `q(V) :- anchor(K, A), edge(K, A, V) .`
-	for _, parts := range []int{1, 4} {
-		b.Run(fmt.Sprintf("parts=%d", parts), func(b *testing.B) {
-			ont := MustParse(sb.String())
-			opts := Options{Mode: ModeChase, NoCache: true, Partitions: parts}
-			want, err := ont.AnswerOptions(q, opts) // warm materialization + plans
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			var n int
-			for i := 0; i < b.N; i++ {
-				ans, err := ont.AnswerOptions(q, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				n = ans.Len()
-			}
-			b.StopTimer()
-			if n != want.Len() || n == 0 {
-				b.Fatalf("answers drifted: got %d, want %d (non-zero)", n, want.Len())
-			}
-			if parts > 1 {
-				if st := ont.MaterializationStats(); st.Partition.PrunedProbes == 0 {
-					b.Fatalf("stats=%+v: partitioned arm never pruned a probe", st.Partition)
-				}
-			}
-			b.ReportMetric(float64(n), "answers")
-		})
-	}
-}
 
 // BenchmarkCachedAnswer measures the answer-view cache against full
 // evaluation on a repeated query. uncached re-evaluates every call; warm

@@ -84,10 +84,7 @@ func main() {
 	defer cancel()
 
 	st := chase.NewState(opts)
-	ins, err := storage.NewStore(data, opts.Partitions, opts.PartitionCol)
-	if err != nil {
-		fatal(err)
-	}
+	ins := data.Clone()
 	res := st.ResumeCtx(ctx, set, ins, ins)
 	checkCtx(res, ins)
 	report(opts, "initial", res, ins)
@@ -209,13 +206,13 @@ func main() {
 		}
 		set = next
 	}
-	fmt.Println(storage.Flatten(ins))
+	fmt.Println(ins)
 }
 
 // checkCtx terminates the run when the -timeout deadline aborted the engine
 // (Result.Err): partial engine state is unsafe to keep mutating, so the
 // command reports how far it got and exits non-zero.
-func checkCtx(res *chase.Result, ins storage.Store) {
+func checkCtx(res *chase.Result, ins *storage.Instance) {
 	if res.Err == nil {
 		return
 	}
@@ -223,7 +220,7 @@ func checkCtx(res *chase.Result, ins storage.Store) {
 	os.Exit(1)
 }
 
-func report(opts chase.Options, phase string, res *chase.Result, ins storage.Store) {
+func report(opts chase.Options, phase string, res *chase.Result, ins *storage.Instance) {
 	fmt.Fprintf(os.Stderr, "%s chase (%s): terminated=%v steps=%d rounds=%d nulls=%d facts=%d\n",
 		opts.Variant, phase, res.Terminated, res.Steps, res.Rounds, res.NullsCreated, ins.Size())
 }

@@ -3,6 +3,7 @@ package repro
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/datagen"
@@ -535,5 +536,117 @@ func TestFullRebuildsSurfacedInStats(t *testing.T) {
 	}
 	if s2.FullRebuilds != 1 {
 		t.Fatalf("FullRebuilds after incremental RemoveRule = %d, want still 1", s2.FullRebuilds)
+	}
+}
+
+// TestPartitionedEvolutionMatchesOracle runs the live-mutation pipeline over
+// a 2-worker materialization: a seeded interleaving of AddRule, RemoveRule,
+// AddFact and DeleteFact — with chase-mode answers in between, so the build
+// is repeatedly extended and DRed-repaired in place — must end with exactly
+// the answers of the textbook chase of the final rule set over the surviving
+// facts. The name dates from the hash-partitioned store; this is its one-store
+// leg.
+func TestPartitionedEvolutionMatchesOracle(t *testing.T) {
+	families := []datagen.Family{datagen.FamilyLinear, datagen.FamilyChain, datagen.FamilySticky}
+	for _, fam := range families {
+		for seed := int64(1); seed <= 2; seed++ {
+			t.Run(fmt.Sprintf("%v/seed=%d", fam, seed), func(t *testing.T) {
+				full := datagen.Rules(datagen.Config{Family: fam, Rules: 8, Seed: seed})
+				data := datagen.Instance(full, 20, 8, seed)
+				atoms := data.Atoms()
+
+				rng := rand.New(rand.NewSource(seed * 97073159))
+				rng.Shuffle(len(atoms), func(i, j int) { atoms[i], atoms[j] = atoms[j], atoms[i] })
+
+				initRules := dependency.MustNewSet(full.Rules[:5]...)
+				ruleReserve := full.Rules[5:]
+				cut := 2 * len(atoms) / 3
+				live := make(map[string]logic.Atom)
+				for _, a := range atoms[:cut] {
+					live[a.Key()] = a
+				}
+				factReserve := atoms[cut:]
+
+				ont, err := Parse(initRules.String() + "\n" + factSrc(atoms[:cut]))
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts := Options{Mode: ModeChase, Parallelism: 2}
+				queries := atomicQueriesOf(t, full)
+				if _, err := ont.AnswerOptions(queries[0], opts); err != nil {
+					t.Skipf("initial chase over budget: %v", err)
+				}
+
+				for step := 0; step < 20; step++ {
+					switch op := rng.Intn(6); {
+					case op == 0 && len(ruleReserve) > 0:
+						if err := ont.AddRule(ruleSrc(ruleReserve[0])); err != nil {
+							t.Fatal(err)
+						}
+						ruleReserve = ruleReserve[1:]
+					case op == 1 && ont.Rules().Len() > 1:
+						rules := ont.Rules()
+						label := rules.Rules[rng.Intn(rules.Len())].Label
+						if err := ont.RemoveRule(label); err != nil {
+							t.Fatal(err)
+						}
+					case op <= 3 && len(factReserve) > 0:
+						n := 1 + rng.Intn(3)
+						if n > len(factReserve) {
+							n = len(factReserve)
+						}
+						if err := ont.AddFact(factSrc(factReserve[:n])); err != nil {
+							t.Fatal(err)
+						}
+						for _, a := range factReserve[:n] {
+							live[a.Key()] = a
+						}
+						factReserve = factReserve[n:]
+					case len(live) > 0:
+						var victims []logic.Atom
+						want := 1 + rng.Intn(3)
+						for _, a := range live {
+							victims = append(victims, a)
+							if len(victims) == want {
+								break
+							}
+						}
+						if n, err := ont.DeleteFact(factSrc(victims)); err != nil || n != len(victims) {
+							t.Fatalf("DeleteFact removed %d of %d live facts, err=%v", n, len(victims), err)
+						}
+						for _, a := range victims {
+							delete(live, a.Key())
+						}
+					}
+					if rng.Intn(2) == 0 {
+						if _, err := ont.AnswerOptions(queries[rng.Intn(len(queries))], opts); err != nil {
+							t.Skipf("evolved chase over budget: %v", err)
+						}
+					}
+				}
+
+				var final []logic.Atom
+				for _, a := range live {
+					final = append(final, a)
+				}
+				inc := make(map[string]*Answers)
+				for _, q := range queries {
+					ans, err := ont.AnswerOptions(q, opts)
+					if err != nil {
+						t.Skipf("evolved chase over budget: %v", err)
+					}
+					inc[q] = ans
+				}
+				ref, ok := oracleOf(ont.Rules(), final, 20*ont.MaterializationStats().Steps+1000)
+				if !ok {
+					t.Skip("oracle chase of the final state over budget")
+				}
+				for _, q := range queries {
+					if got, want := renderedAnswers(inc[q]), ref.answers(t, q); !slices.Equal(got, want) {
+						t.Errorf("%s: answers differ from the oracle:\nincremental: %v\noracle:      %v", q, got, want)
+					}
+				}
+			})
+		}
 	}
 }

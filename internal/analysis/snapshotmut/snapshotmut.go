@@ -17,19 +17,14 @@
 //     load/loadLocked wrappers around the one published pointer);
 //   - propagation: through assignments to local variables and through
 //     field selection (x tainted ⇒ x.f tainted);
-//   - laundering: `Clone()`, `ExtendClone()` and `Fork()` results are fresh.
+//   - laundering: `Clone()` and `ExtendClone()` results are fresh.
 //
-// It flags, on tainted values of the snapshot-carrying types (storage.Store
-// and its two implementations storage.Instance and
-// storage.PartitionedInstance, storage.Relation, dependency.Set):
+// It flags, on tainted values of the snapshot-carrying types
+// (storage.Instance, storage.Relation, dependency.Set):
 //
 //   - calls to their mutating methods (Insert, InsertAtom, Remove,
-//     MergeShards, MergeShardsPart, LoadCSV);
+//     MergeShards, LoadCSV);
 //   - assignments through their fields (e.g. `set.Rules = ...`).
-//
-// A store's sub-instances are part of the same published value: taint flows
-// through Part(i), so mutating a sub-instance of a loaded snapshot is flagged
-// exactly like mutating the store itself.
 package snapshotmut
 
 import (
@@ -49,10 +44,8 @@ var Analyzer = &analysis.Analyzer{
 // keyed by package name then type name (package-name matching keeps the
 // analyzer honest over both the real packages and fixtures importing them).
 var mutators = map[[2]string]map[string]bool{
-	{"storage", "Store"}:               {"Insert": true, "Remove": true, "MergeShardsPart": true},
-	{"storage", "Instance"}:            {"Insert": true, "InsertAtom": true, "Remove": true, "MergeShards": true, "MergeShardsPart": true, "LoadCSV": true},
-	{"storage", "PartitionedInstance"}: {"Insert": true, "Remove": true, "MergeShardsPart": true},
-	{"storage", "Relation"}:            {"Insert": true, "Remove": true},
+	{"storage", "Instance"}: {"Insert": true, "InsertAtom": true, "Remove": true, "MergeShards": true, "LoadCSV": true},
+	{"storage", "Relation"}: {"Insert": true, "Remove": true},
 	// dependency.Set mutates only through exported fields (Rules), caught
 	// by the field-write rule; its methods (WithRule, WithoutRule) are
 	// persistent-style and return fresh sets.
@@ -61,7 +54,7 @@ var mutators = map[[2]string]map[string]bool{
 
 // launderMethods return a freshly owned value even when called on a
 // snapshot; taint does not flow through them.
-var launderMethods = map[string]bool{"Clone": true, "ExtendClone": true, "Fork": true}
+var launderMethods = map[string]bool{"Clone": true, "ExtendClone": true}
 
 // snapshotType resolves a type to its mutators key when it is one of the
 // snapshot-carrying types.
@@ -115,13 +108,6 @@ func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl) {
 				}
 				if method == "Load" && analysis.IsNamed(info.TypeOf(recv), "atomic", "Pointer") {
 					return true
-				}
-				// A sub-instance is owned by its store: if the snapshot is
-				// tainted, so is every Part(i).
-				if method == "Part" {
-					if _, ok := snapshotType(info.TypeOf(recv)); ok {
-						return exprTainted(recv)
-					}
 				}
 			}
 		case *ast.ParenExpr:

@@ -14,14 +14,11 @@ import (
 // wrap mimics the engine's materialization struct: a snapshot field hanging
 // off a published pointer.
 type wrap struct {
-	ins   *storage.Instance
-	pins  *storage.PartitionedInstance
-	store storage.Store
+	ins *storage.Instance
 }
 
 type holder struct {
 	data  atomic.Pointer[storage.Instance]
-	parts atomic.Pointer[storage.PartitionedInstance]
 	rules atomic.Pointer[dependency.Set]
 	mat   atomic.Pointer[wrap]
 }
@@ -45,37 +42,10 @@ func mutateRuleSet(h *holder) {
 	set.Rules = nil // want "write to field Rules of a dependency.Set loaded from an atomic.Pointer"
 }
 
-func mutateLoadedPartitioned(h *holder, a logic.Atom) {
-	pins := h.parts.Load()
-	pins.Insert(a) // want "storage.PartitionedInstance.Insert on a snapshot loaded from an atomic.Pointer"
-}
-
-func mutatePartitionedThroughField(h *holder, a logic.Atom) {
-	m := h.mat.Load()
-	m.pins.Remove(a) // want "storage.PartitionedInstance.Remove on a snapshot"
-}
-
-func mutateSubInstance(h *holder, a logic.Atom) {
-	// Part(i) hands back a sub-instance of the published value, not a copy.
-	h.parts.Load().Part(0).InsertAtom(a) // want "storage.Instance.InsertAtom on a snapshot"
-}
-
-func mutateSubInstanceVar(h *holder, sh *storage.Shard) {
-	pins := h.parts.Load()
-	sub := pins.Part(1)
-	sub.MergeShards(sh) // want "storage.Instance.MergeShards on a snapshot"
-}
-
-func mutateStoreThroughField(h *holder, a logic.Atom) {
-	// The engine publishes its materialization as a storage.Store; the
-	// interface is as immutable as either implementation behind it.
-	m := h.mat.Load()
-	m.store.Insert(a) // want "storage.Store.Insert on a snapshot"
-}
-
-func mutateStoreSubInstance(h *holder, sh *storage.Shard) {
-	store := h.mat.Load().store
-	store.Part(0).MergeShardsPart(0, sh) // want "storage.Instance.MergeShardsPart on a snapshot"
+func mergeIntoLoaded(h *holder, sh *storage.Shard) {
+	// The chase's round-barrier merge is as much a write as an Insert.
+	ins := h.mat.Load().ins
+	ins.MergeShards(sh) // want "storage.Instance.MergeShards on a snapshot"
 }
 
 // snapshot mimics the engine's published generation; load its accessor. The

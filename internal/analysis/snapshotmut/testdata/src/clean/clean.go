@@ -12,14 +12,11 @@ import (
 )
 
 type wrap struct {
-	ins   *storage.Instance
-	pins  *storage.PartitionedInstance
-	store storage.Store
+	ins *storage.Instance
 }
 
 type holder struct {
 	data  atomic.Pointer[storage.Instance]
-	parts atomic.Pointer[storage.PartitionedInstance]
 	rules atomic.Pointer[dependency.Set]
 	mat   atomic.Pointer[wrap]
 }
@@ -57,33 +54,10 @@ func persistentRules(h *holder, i int) (*dependency.Set, error) {
 	return set.WithoutRule(i)
 }
 
-func extendClonePartitioned(h *holder, a logic.Atom) *storage.PartitionedInstance {
-	pins := h.parts.Load().ExtendClone()
-	pins.Insert(a)
-	return pins
-}
-
-func launderedSubInstance(h *holder, a logic.Atom) {
-	// ExtendClone launders the whole partitioned value: its sub-instances
-	// are freshly owned and free to mutate.
-	pins := h.parts.Load().ExtendClone()
-	pins.Part(0).InsertAtom(a)
-}
-
-func readOnlyPartitioned(h *holder) int {
-	pins := h.parts.Load()
-	total := 0
-	for p := 0; p < pins.NumParts(); p++ {
-		total += pins.Part(p).Size()
-	}
-	return total
-}
-
-func forkStore(h *holder, a logic.Atom) storage.Store {
-	// Fork is ExtendClone behind the Store interface: the result is freshly
-	// owned, sub-instances included.
-	store := h.mat.Load().store.Fork()
-	store.Insert(a)
-	store.Part(0).InsertAtom(a)
-	return store
+func mergeIntoExtension(h *holder, sh *storage.Shard) (*storage.Instance, error) {
+	// A mutation's materialization work-set: an ExtendClone of the published
+	// expansion, merged into at the chase's round barrier.
+	ins := h.mat.Load().ins.ExtendClone()
+	_, err := ins.MergeShards(sh)
+	return ins, err
 }

@@ -10,21 +10,19 @@
 // only the triggers in which at least one body atom matches a fact derived
 // in the previous round (the delta), instead of re-joining the whole
 // instance. Within a round the work fans out over a worker pool
-// (Options.Parallelism): trigger collection is parallel over (partition,
-// rule, delta atom) tasks against the frozen store, and trigger firing is
-// parallel over trigger chunks with per-worker sharded writes
-// (storage.Shard) that are merged per partition, coordination-free, at the
-// round barrier. The chase yields the same certain answers for every worker
-// and partition count; only labelled-null names and redundant-null counts
-// may differ.
+// (Options.Parallelism): trigger collection is parallel over (rule, delta
+// atom) tasks against the frozen instance, and trigger firing is parallel
+// over trigger chunks with per-worker sharded writes (storage.Shard) that
+// are merged, coordination-free, at the round barrier. The chase yields the
+// same certain answers for every worker count; only labelled-null names and
+// redundant-null counts may differ.
 //
-// The fixpoint is resumable: Run is a thin wrapper that copies the data into
-// a store of Options.Partitions partitions, creates a State (NewState) and
-// calls State.Resume with the whole input as the starting delta. Incremental
-// maintenance calls Resume again with only the newly inserted facts as the
-// delta, against the already-chased store — paying for the consequences of
-// the new facts instead of a full re-chase (see Ontology.AddFact in the repro
-// package).
+// The fixpoint is resumable: Run is a thin wrapper that copies the data,
+// creates a State (NewState) and calls State.Resume with the whole input as
+// the starting delta. Incremental maintenance calls Resume again with only
+// the newly inserted facts as the delta, against the already-chased instance
+// — paying for the consequences of the new facts instead of a full re-chase
+// (see Ontology.AddFact in the repro package).
 package chase
 
 import (
@@ -87,14 +85,6 @@ type Options struct {
 	// State.Delete needs for DRed-style incremental deletion; runs that will
 	// never delete can leave it off and pay nothing.
 	TrackProvenance bool
-	// Partitions is the partition count P of the store Run chases, routed on
-	// term position PartitionCol (see storage.Store and partition.go); 0
-	// means 1. The State methods chase whatever store they are handed. Any
-	// value yields the same certain answers.
-	Partitions int
-	// PartitionCol is the term position facts route on when Partitions > 1
-	// (default 0).
-	PartitionCol int
 }
 
 func (o Options) withDefaults() Options {
@@ -112,9 +102,9 @@ func (o Options) withDefaults() Options {
 
 // Result is the outcome of a chase run (or of one Resume increment).
 type Result struct {
-	// Instance is the (possibly truncated) chase of the input as one
-	// instance. Set by Run, which owns the store it chased; the State methods
-	// extend a store the caller holds and leave it nil.
+	// Instance is the (possibly truncated) chase of the input. Set by Run,
+	// which owns the copy it chased; the State methods extend an instance the
+	// caller holds and leave it nil.
 	Instance *storage.Instance
 	// Terminated reports whether a fixpoint was reached within budget.
 	// When false the instance is a sound but incomplete approximation.
@@ -133,20 +123,13 @@ type Result struct {
 	Rounds int
 	// NullsCreated counts invented labelled nulls.
 	NullsCreated int
-	// Partition aggregates the locality counters for this increment.
-	Partition PartitionStats
 }
 
 // trigger is one candidate rule application: a rule index, the full-body
-// binding restricted to the body variables, its canonical key (computed once
-// at discovery, reused for cross-task dedup), and for a partition-local rule
-// the partition the whole firing is confined to (-1 for a spanning rule,
-// whose head facts are routed by hash). One of these is allocated per
-// binding per round, so the two indices share a word: the struct stays in the
-// 32-byte size class it had before it carried a home.
+// binding restricted to the body variables, and its canonical key (computed
+// once at discovery, reused for cross-task dedup).
 type trigger struct {
 	rule     int32
-	home     int32
 	frontier logic.Subst
 	key      string
 }
@@ -170,8 +153,8 @@ type planSet struct {
 	emptyReads [][]string
 }
 
-// newPlanSet compiles the rule set against the store.
-func newPlanSet(rules *dependency.Set, store storage.Store) *planSet {
+// newPlanSet compiles the rule set against the instance.
+func newPlanSet(rules *dependency.Set, ins *storage.Instance) *planSet {
 	n := len(rules.Rules)
 	ps := &planSet{
 		delta:      make([][]*eval.Plan, n),
@@ -180,25 +163,23 @@ func newPlanSet(rules *dependency.Set, store storage.Store) *planSet {
 		emptyReads: make([][]string, n),
 	}
 	for ri, rule := range rules.Rules {
-		ps.compileRule(ri, rule, store)
+		ps.compileRule(ri, rule, ins)
 	}
 	return ps
 }
 
-// compileRule (re)compiles one rule's delta and head plans against the store
-// and records which of the relations it reads are still empty — in every
-// partition: a relation can be empty in the planner's statistics sample
-// (partition 0) yet populated elsewhere.
-func (ps *planSet) compileRule(ri int, rule *dependency.TGD, store storage.Store) {
+// compileRule (re)compiles one rule's delta and head plans against the
+// instance and records which of the relations it reads are still empty.
+func (ps *planSet) compileRule(ri int, rule *dependency.TGD, ins *storage.Instance) {
 	bodyVars := rule.BodyVars()
 	ps.delta[ri] = make([]*eval.Plan, len(rule.Body))
 	ps.slots[ri] = make([][]int, len(rule.Body))
 	for bi := range rule.Body {
-		p := eval.CompileDelta(rule.Body, bi, store, eval.PlannerDefault, eval.JoinDefault)
+		p := eval.CompileDelta(rule.Body, bi, ins, eval.PlannerDefault, eval.JoinDefault)
 		ps.delta[ri][bi] = p
 		ps.slots[ri][bi] = p.Slots(bodyVars)
 	}
-	ps.head[ri] = eval.CompileBody(rule.Head, store, rule.Distinguished(), eval.PlannerDefault, eval.JoinDefault)
+	ps.head[ri] = eval.CompileBody(rule.Head, ins, rule.Distinguished(), eval.PlannerDefault, eval.JoinDefault)
 
 	var empty []string
 	seen := make(map[string]bool)
@@ -207,21 +188,17 @@ func (ps *planSet) compileRule(ri int, rule *dependency.TGD, store storage.Store
 			continue
 		}
 		seen[a.Pred] = true
-		if !populated(store, a.Pred) {
+		if !populated(ins, a.Pred) {
 			empty = append(empty, a.Pred)
 		}
 	}
 	ps.emptyReads[ri] = empty
 }
 
-// populated reports whether any partition holds a tuple of pred.
-func populated(store storage.Store, pred string) bool {
-	for p := 0; p < store.NumParts(); p++ {
-		if rel := store.Part(p).Relation(pred); rel != nil && rel.Len() > 0 {
-			return true
-		}
-	}
-	return false
+// populated reports whether the instance holds a tuple of pred.
+func populated(ins *storage.Instance, pred string) bool {
+	rel := ins.Relation(pred)
+	return rel != nil && rel.Len() > 0
 }
 
 // refresh re-costs the plans of every rule for which a watched relation
@@ -229,15 +206,15 @@ func populated(store storage.Store, pred string) bool {
 // were re-planned. Runs at the round barrier, where no plan runners are in
 // flight; the recompiled plans pick up both fresh statistics and genuine
 // access paths for the newly populated relation.
-func (ps *planSet) refresh(rules *dependency.Set, store storage.Store) int {
+func (ps *planSet) refresh(rules *dependency.Set, ins *storage.Instance) int {
 	n := 0
 	for ri, watch := range ps.emptyReads {
 		if len(watch) == 0 {
 			continue
 		}
 		for _, pred := range watch {
-			if populated(store, pred) {
-				ps.compileRule(ri, rules.Rules[ri], store)
+			if populated(ins, pred) {
+				ps.compileRule(ri, rules.Rules[ri], ins)
 				n++
 				break
 			}
@@ -249,26 +226,23 @@ func (ps *planSet) refresh(rules *dependency.Set, store storage.Store) int {
 // headSatisfied is the restricted-chase applicability test on the compiled
 // head plan: with the distinguished variables seeded from the trigger
 // frontier, any match of the head atoms (existential variables free) means
-// the head already holds. A local rule's trigger passes the one partition its
-// firing is confined to; a spanning rule's passes the whole store, whose
-// partition-pruned access paths find a head match wherever it lives. runners
-// caches one Runner per rule for the calling worker, so repeated checks
-// allocate nothing.
+// the head already holds. runners caches one Runner per rule for the calling
+// worker, so repeated checks allocate nothing.
 //
 //repro:hotpath
-func (ps *planSet) headSatisfied(ri int, frontier logic.Subst, store storage.Store, runners []*eval.Runner) bool {
+func (ps *planSet) headSatisfied(ri int, frontier logic.Subst, ins *storage.Instance, runners []*eval.Runner) bool {
 	r := runners[ri]
 	if r == nil {
 		r = ps.head[ri].NewRunner()
 		runners[ri] = r
 	}
-	if !r.Bind(store) {
+	if !r.Bind(ins) {
 		return false // a head relation is absent: nothing can satisfy it
 	}
 	r.SeedSubst(frontier)
 	found := false
 	//repro:allow hotalloc non-escaping yield closure; steady state stays 0 allocs/op (TestSeededJoinStepAllocationFree)
-	r.Run(0, 1, func([]logic.Term) bool {
+	r.Run(func([]logic.Term) bool {
 		found = true
 		return false
 	})
@@ -285,50 +259,40 @@ func Run(rules *dependency.Set, data *storage.Instance, opts Options) *Result {
 // firing, so a canceled or deadline-expired chase aborts promptly with
 // Result.Err set instead of running to its budget.
 func RunCtx(ctx context.Context, rules *dependency.Set, data *storage.Instance, opts Options) *Result {
-	store, err := storage.NewStore(data, opts.Partitions, opts.PartitionCol)
-	if err != nil {
-		return &Result{Err: err}
-	}
+	ins := data.Clone()
 	// Round zero's delta is the whole input: every initial fact is "new".
-	// Aliasing the store is safe — rounds only read the delta, writes are
+	// Aliasing the instance is safe — rounds only read the delta, writes are
 	// buffered in shards until the barrier.
-	res := NewState(opts).ResumeCtx(ctx, rules, store, store)
-	res.Instance = storage.Flatten(store)
+	res := NewState(opts).ResumeCtx(ctx, rules, ins, ins)
+	res.Instance = ins
 	return res
 }
 
 // collectTriggers enumerates, semi-naively, every rule binding with at least
-// one body atom in a partition's delta: task (p, rule, i) runs the
-// precompiled delta plan that pins body atom i to a tuple of deltas[p] and
-// joins the remaining atoms against the frozen store — no substitution maps
-// and no re-planning per delta fact; frontiers and their keys are read
-// straight out of the register file and a Subst is materialized only for
-// genuinely new bindings. A local rule's join never leaves partition p (the
-// locality invariant), so it binds that sub-instance alone; a spanning rule
-// binds the whole store with partition-pruned access paths, and its triggers
-// are the partition's shipment to the exchange. Bindings found through
-// several delta atoms — or, for spanning rules, from several partitions — are
-// deduplicated at the merge, preserving task order so the sequential path
-// stays deterministic. from restricts collection to rules with index ≥ from
-// (0 = all): the AddRule maintenance round only re-examines the store against
-// the new rules. Collection reads only, so a ctx abort (runner-level polling
-// plus a per-tuple guard) leaves the store untouched; the caller detects it
-// via ctx.Err() and discards the partial trigger list. Returns the triggers
-// and how many of them were shipped.
-func collectTriggers(ctx context.Context, rules *dependency.Set, store storage.Store, deltas []*storage.Instance, workers int, ps *planSet, local []bool, from int, pruned *atomic.Uint64) ([]trigger, uint64) {
+// one body atom in the delta: task (rule, i) runs the precompiled delta plan
+// that pins body atom i to a delta tuple and joins the remaining atoms
+// against the frozen instance — no substitution maps and no re-planning per
+// delta fact; frontiers and their keys are read straight out of the register
+// file and a Subst is materialized only for genuinely new bindings. Bindings
+// found through several delta atoms are deduplicated at the merge, preserving
+// task order so the sequential path stays deterministic. from restricts
+// collection to rules with index ≥ from (0 = all): the AddRule maintenance
+// round only re-examines the instance against the new rules. Collection reads
+// only, so a ctx abort (runner-level polling plus a per-tuple guard) leaves
+// the instance untouched; the caller detects it via ctx.Err() and discards
+// the partial trigger list.
+func collectTriggers(ctx context.Context, rules *dependency.Set, ins, delta *storage.Instance, workers int, ps *planSet, from int) []trigger {
 	type task struct {
-		part, rule, atom int
+		rule, atom int
 	}
 	var tasks []task
-	for p, delta := range deltas {
-		for ri, rule := range rules.Rules {
-			if ri < from {
-				continue
-			}
-			for bi, a := range rule.Body {
-				if rel := delta.Relation(a.Pred); rel != nil && rel.Arity() == a.Arity() && rel.Len() > 0 {
-					tasks = append(tasks, task{part: p, rule: ri, atom: bi})
-				}
+	for ri, rule := range rules.Rules {
+		if ri < from {
+			continue
+		}
+		for bi, a := range rule.Body {
+			if rel := delta.Relation(a.Pred); rel != nil && rel.Arity() == a.Arity() && rel.Len() > 0 {
+				tasks = append(tasks, task{rule: ri, atom: bi})
 			}
 		}
 	}
@@ -339,16 +303,12 @@ func collectTriggers(ctx context.Context, rules *dependency.Set, store storage.S
 		bodyVars := rule.BodyVars()
 		slots := ps.slots[t.rule][t.atom]
 		runner := ps.delta[t.rule][t.atom].NewRunner()
-		target, home := store, int32(-1)
-		if local[t.rule] {
-			target, home = store.Part(t.part), int32(t.part)
-		}
-		if !runner.Bind(target) {
+		if !runner.Bind(ins) {
 			return // a body relation is absent: the rule cannot fire
 		}
 		runner.SetContext(ctx)
 		seen := make(map[string]bool)
-		for di, tuple := range deltas[t.part].Relation(rule.Body[t.atom].Pred).Tuples() {
+		for di, tuple := range delta.Relation(rule.Body[t.atom].Pred).Tuples() {
 			if runner.Err() != nil || (di&0xFF == 0 && ctx.Err() != nil) {
 				return // canceled: the caller discards the partial collection
 			}
@@ -360,17 +320,15 @@ func collectTriggers(ctx context.Context, rules *dependency.Set, store storage.S
 					for i, v := range bodyVars {
 						frontier[v] = regs[slots[i]]
 					}
-					found[ti] = append(found[ti], trigger{rule: int32(t.rule), home: home, frontier: frontier, key: key})
+					found[ti] = append(found[ti], trigger{rule: int32(t.rule), frontier: frontier, key: key})
 				}
 				return true
 			})
 		}
-		pruned.Add(runner.TakePruned())
 	})
 	// Merge, deduplicating across tasks of the same rule (a binding with two
 	// delta atoms is found once per delta atom).
 	var out []trigger
-	var shipped uint64
 	seen := make(map[int]map[string]bool, len(rules.Rules))
 	for ti, trs := range found {
 		ruleSeen := seen[tasks[ti].rule]
@@ -382,13 +340,10 @@ func collectTriggers(ctx context.Context, rules *dependency.Set, store storage.S
 			if !ruleSeen[tr.key] {
 				ruleSeen[tr.key] = true
 				out = append(out, tr)
-				if tr.home < 0 {
-					shipped++
-				}
 			}
 		}
 	}
-	return out, shipped
+	return out
 }
 
 // seedFromTuple unifies one body atom with a ground tuple, producing the
@@ -445,10 +400,10 @@ func runTasks(n, workers int, fn func(i int)) {
 // applicability test). Existential head variables may map to anything.
 // Compiles per call — the Resume hot path uses planSet.headSatisfied
 // instead; this stays for the DRed direct sweep, where triggers are few.
-func headSatisfied(rule *dependency.TGD, frontier logic.Subst, store storage.Store) bool {
+func headSatisfied(rule *dependency.TGD, frontier logic.Subst, ins *storage.Instance) bool {
 	head := frontier.ApplyAtoms(rule.Head)
 	found := false
-	eval.Matches(head, store, func(logic.Subst) bool {
+	eval.Matches(head, ins, func(logic.Subst) bool {
 		found = true
 		return false
 	})
@@ -530,10 +485,9 @@ func buildKey(prefix []byte, frontier logic.Subst, vars []logic.Term) string {
 // only null-free tuples. When the chase terminated, the result is exactly
 // cert(q, P, D); when truncated, it is a sound under-approximation
 // (every reported tuple is a certain answer, but some may be missing).
-// Evaluation inherits the chase's Parallelism.
 func CertainAnswers(u *query.UCQ, rules *dependency.Set, data *storage.Instance, opts Options) (*eval.Answers, *Result) {
 	res := Run(rules, data, opts)
-	ans := eval.UCQ(u, res.Instance, eval.Options{FilterNulls: true, Parallelism: opts.Parallelism})
+	ans := eval.UCQ(u, res.Instance, eval.Options{FilterNulls: true})
 	return ans, res
 }
 

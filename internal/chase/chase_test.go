@@ -1,9 +1,15 @@
 package chase
 
 import (
+	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 
+	"repro/internal/datagen"
+	"repro/internal/dependency"
 	"repro/internal/logic"
+	"repro/internal/naive"
 	"repro/internal/parser"
 	"repro/internal/query"
 	"repro/internal/storage"
@@ -227,5 +233,196 @@ agent(X) -> thing(X) .
 func TestVariantString(t *testing.T) {
 	if Restricted.String() != "restricted" || Oblivious.String() != "oblivious" {
 		t.Error("Variant.String wrong")
+	}
+}
+
+// naiveBudget bounds the reference chase; comparisons are skipped when the
+// oracle needs more (the engine run it would be compared to is tiny).
+const naiveBudget = 5000
+
+// oracleFacts returns the null-free facts of the textbook chase of data under
+// rules, newline-joined like constFacts, or ok=false past naiveBudget.
+func oracleFacts(rules *dependency.Set, data []logic.Atom, variant Variant) (string, bool) {
+	chased, ok := naive.Chase(rules, data, variant == Oblivious, naiveBudget)
+	return strings.Join(naive.GroundFacts(chased), "\n"), ok
+}
+
+// TestGoldenChaseCounters pins Steps/Rounds/NullsCreated of the chase driver
+// to the values the pre-unification classic driver (commit 6f0abc1) produced
+// on the fixed-seed datagen families (Rules 6, 25 tuples, domain 8, MaxRounds
+// 30, MaxSteps 20000) and on University(4 departments, seed 1, default
+// budgets), both variants: what still checks "counters identical to the old
+// classic driver" now that it is gone. Truncated rows are pinned too — at one
+// worker truncation is deterministic; under 4 workers only a round-budget
+// truncation is.
+func TestGoldenChaseCounters(t *testing.T) {
+	type row struct {
+		family               string
+		seed                 int64
+		variant              Variant
+		terminated           bool
+		steps, rounds, nulls int
+	}
+	golden := []row{
+		{"linear", 1, Restricted, false, 20000, 24, 24568},
+		{"linear", 1, Oblivious, false, 20000, 18, 24528},
+		{"linear", 2, Restricted, false, 1690, 30, 1176},
+		{"linear", 2, Oblivious, false, 2561, 30, 1779},
+		{"linear", 3, Restricted, true, 6, 3, 1},
+		{"linear", 3, Oblivious, true, 51, 4, 10},
+		{"multilinear", 1, Restricted, true, 14, 2, 14},
+		{"multilinear", 1, Oblivious, true, 49, 2, 20},
+		{"multilinear", 2, Restricted, true, 7, 2, 0},
+		{"multilinear", 2, Oblivious, true, 35, 3, 36},
+		{"multilinear", 3, Restricted, false, 190, 30, 300},
+		{"multilinear", 3, Oblivious, false, 330, 30, 484},
+		{"sticky", 1, Restricted, true, 7, 2, 14},
+		{"sticky", 1, Oblivious, true, 48, 2, 56},
+		{"sticky", 2, Restricted, true, 8, 2, 10},
+		{"sticky", 2, Oblivious, true, 48, 3, 72},
+		{"sticky", 3, Restricted, true, 2, 2, 3},
+		{"sticky", 3, Oblivious, true, 42, 3, 55},
+		{"chain", 1, Restricted, false, 20000, 24, 24568},
+		{"chain", 1, Oblivious, false, 20000, 18, 24528},
+		{"chain", 2, Restricted, false, 1690, 30, 1176},
+		{"chain", 2, Oblivious, false, 2561, 30, 1779},
+		{"chain", 3, Restricted, true, 6, 3, 1},
+		{"chain", 3, Oblivious, true, 51, 4, 10},
+		{"university", 1, Restricted, true, 244, 3, 4},
+		{"university", 1, Oblivious, true, 540, 7, 104},
+	}
+	families := map[string]datagen.Family{
+		"linear": datagen.FamilyLinear, "multilinear": datagen.FamilyMultilinear,
+		"sticky": datagen.FamilySticky, "chain": datagen.FamilyChain,
+	}
+	for _, g := range golden {
+		opts := Options{Variant: g.variant}
+		rules, data := datagen.University(), datagen.UniversityData(4, g.seed)
+		if fam, ok := families[g.family]; ok {
+			opts.MaxRounds, opts.MaxSteps = 30, 20000
+			rules = datagen.Rules(datagen.Config{Family: fam, Rules: 6, Seed: g.seed})
+			data = datagen.Instance(rules, 25, 8, g.seed)
+		}
+		for _, par := range []int{1, 4} {
+			if par > 1 && g.steps == opts.MaxSteps {
+				continue // which triggers beat a step-budget truncation is a race
+			}
+			opts.Parallelism = par
+			res := Run(rules, data, opts)
+			if res.Terminated != g.terminated || res.Steps != g.steps || res.Rounds != g.rounds || res.NullsCreated != g.nulls {
+				t.Errorf("%s/seed=%d/%v/par=%d: terminated=%v steps=%d rounds=%d nulls=%d, golden %v %d %d %d",
+					g.family, g.seed, g.variant, par, res.Terminated, res.Steps, res.Rounds, res.NullsCreated,
+					g.terminated, g.steps, g.rounds, g.nulls)
+			}
+		}
+	}
+}
+
+// TestPartitionedMutationMatchesOracle is the ontology-evolution property
+// over the one driver, sequential and parallel: a random interleaving of
+// ExtendRules, DeleteRule, Extend and Delete must leave the null-free fact set
+// of the textbook chase of the final rule set over the surviving base facts.
+// The name and the P=1 in the subtest names date from the hash-partitioned
+// store, whose one-partition leg this is.
+func TestPartitionedMutationMatchesOracle(t *testing.T) {
+	families := []datagen.Family{datagen.FamilyLinear, datagen.FamilyChain}
+	for _, fam := range families {
+		for seed := int64(1); seed <= 3; seed++ {
+			for _, variant := range []Variant{Restricted, Oblivious} {
+				for _, par := range []int{1, 4} {
+					name := fmt.Sprintf("%v/seed=%d/%v/par=%d/P=1", fam, seed, variant, par)
+					t.Run(name, func(t *testing.T) {
+						full := datagen.Rules(datagen.Config{Family: fam, Rules: 8, Seed: seed})
+						data := datagen.Instance(full, 20, 8, seed)
+						opts := Options{Variant: variant, MaxRounds: 60, MaxSteps: 40000, Parallelism: par, TrackProvenance: true}
+
+						cur := dependency.MustNewSet(full.Rules[:5]...)
+						reserve := full.Rules[5:]
+
+						baseAtoms := data.Atoms()
+						rng := rand.New(rand.NewSource(seed * 70001))
+						rng.Shuffle(len(baseAtoms), func(i, j int) { baseAtoms[i], baseAtoms[j] = baseAtoms[j], baseAtoms[i] })
+						cut := 3 * len(baseAtoms) / 4
+						baseIns := storage.MustFromAtoms(baseAtoms[:cut])
+						factReserve := baseAtoms[cut:]
+
+						st := NewState(opts)
+						store := baseIns.Clone()
+						if res := st.Resume(cur, store, store); !res.Terminated {
+							t.Skip("initial chase truncated; nothing exact to compare")
+						}
+
+						for step := 0; step < 16; step++ {
+							switch op := rng.Intn(4); {
+							case op == 0 && len(reserve) > 0: // add a rule
+								next, err := cur.WithRule(reserve[0])
+								if err != nil {
+									t.Fatal(err)
+								}
+								reserve = reserve[1:]
+								if res := st.ExtendRules(next, store, cur.Len()); !res.Terminated {
+									t.Skip("rule-extension increment truncated")
+								}
+								cur = next
+							case op == 1 && cur.Len() > 1: // drop a rule
+								ri := rng.Intn(cur.Len())
+								next, err := cur.WithoutRule(ri)
+								if err != nil {
+									t.Fatal(err)
+								}
+								dres, err := st.DeleteRule(next, store, ri, baseIns)
+								if err != nil {
+									t.Fatal(err)
+								}
+								if !dres.Result.Terminated {
+									t.Skip("rule-removal repair truncated")
+								}
+								cur = next
+							case op == 2 && len(factReserve) > 0: // insert facts
+								n := 1 + rng.Intn(3)
+								if n > len(factReserve) {
+									n = len(factReserve)
+								}
+								for _, f := range factReserve[:n] {
+									if err := baseIns.InsertAtom(f); err != nil {
+										t.Fatal(err)
+									}
+								}
+								res, err := st.Extend(cur, store, factReserve[:n])
+								if err != nil {
+									t.Fatal(err)
+								}
+								if !res.Terminated {
+									t.Skip("fact-extension increment truncated")
+								}
+								factReserve = factReserve[n:]
+							default: // delete facts
+								live := baseIns.Atoms()
+								if len(live) == 0 {
+									continue
+								}
+								victim := live[rng.Intn(len(live))]
+								baseIns.Remove(victim)
+								dres, err := st.DeleteCtx(t.Context(), cur, store, []logic.Atom{victim}, baseIns)
+								if err != nil {
+									t.Fatal(err)
+								}
+								if !dres.Result.Terminated {
+									t.Skip("deletion repair truncated")
+								}
+							}
+						}
+
+						want, ok := oracleFacts(cur, baseIns.Atoms(), variant)
+						if !ok {
+							t.Skip("oracle chase of the final state over budget")
+						}
+						if got := constFacts(store); got != want {
+							t.Errorf("null-free facts differ after mutations:\noracle:\n%s\nincremental:\n%s", want, got)
+						}
+					})
+				}
+			}
+		}
 	}
 }

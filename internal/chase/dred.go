@@ -69,19 +69,19 @@ type DeleteResult struct {
 // The state must have been created with Options.TrackProvenance and must not
 // be truncated (a truncated chase dropped triggers that deletion cannot
 // reconsider) — either condition is an error telling the caller to rebuild
-// from scratch instead. store must be the store this state materialized,
-// possibly behind its Fork; removals route to each fact's home partition.
-func (st *State) Delete(rules *dependency.Set, store storage.Store, facts []logic.Atom, base *storage.Instance) (*DeleteResult, error) {
-	return st.DeleteCtx(context.Background(), rules, store, facts, base)
+// from scratch instead. ins must be the instance this state materialized,
+// possibly behind its ExtendClone.
+func (st *State) Delete(rules *dependency.Set, ins *storage.Instance, facts []logic.Atom, base *storage.Instance) (*DeleteResult, error) {
+	return st.DeleteCtx(context.Background(), rules, ins, facts, base)
 }
 
 // DeleteCtx is Delete under a cancellation context: the over-deletion sweep
 // polls ctx between queue items and the re-derivation propagation inherits it
 // (see ResumeCtx). On abort the repair is half-applied — facts removed but
 // survivors not yet re-derived — so Result.Err is set and the caller must
-// discard both the store and the state and rebuild from the base data
+// discard both the instance and the state and rebuild from the base data
 // (Ontology.mutate rolls back and drops the cache).
-func (st *State) DeleteCtx(ctx context.Context, rules *dependency.Set, store storage.Store, facts []logic.Atom, base *storage.Instance) (*DeleteResult, error) {
+func (st *State) DeleteCtx(ctx context.Context, rules *dependency.Set, ins *storage.Instance, facts []logic.Atom, base *storage.Instance) (*DeleteResult, error) {
 	if err := st.repairable(); err != nil {
 		return nil, err
 	}
@@ -94,7 +94,7 @@ func (st *State) DeleteCtx(ctx context.Context, rules *dependency.Set, store sto
 		if !f.IsGround() {
 			return nil, fmt.Errorf("chase: cannot delete non-ground atom %v", f)
 		}
-		if k := f.Key(); !removed[k] && store.Remove(f) {
+		if k := f.Key(); !removed[k] && ins.Remove(f) {
 			removed[k] = true
 			queue = append(queue, f)
 			res.Requested++
@@ -103,7 +103,7 @@ func (st *State) DeleteCtx(ctx context.Context, rules *dependency.Set, store sto
 	if res.Requested == 0 {
 		return res, nil
 	}
-	st.repair(ctx, rules, store, base, queue, removed, res)
+	st.repair(ctx, rules, ins, base, queue, removed, res)
 	return res, nil
 }
 
@@ -111,15 +111,15 @@ func (st *State) DeleteCtx(ctx context.Context, rules *dependency.Set, store sto
 // over-delete their derived closure, then re-derive survivors. A ctx abort
 // between the sweeps leaves the repair half-applied and says so in
 // res.Result.
-func (st *State) repair(ctx context.Context, rules *dependency.Set, store storage.Store, base *storage.Instance, queue []logic.Atom, removed map[string]bool, res *DeleteResult) {
-	queue = st.overDelete(ctx, store, base, queue, removed, res)
+func (st *State) repair(ctx context.Context, rules *dependency.Set, ins *storage.Instance, base *storage.Instance, queue []logic.Atom, removed map[string]bool, res *DeleteResult) {
+	queue = st.overDelete(ctx, ins, base, queue, removed, res)
 	if err := ctx.Err(); err != nil {
 		st.truncated = true // half-repaired: refuse future incremental work
 		res.Result.Err = err
 		res.Result.Terminated = false
 		return
 	}
-	st.rederive(ctx, rules, store, queue, removed, res)
+	st.rederive(ctx, rules, ins, queue, removed, res)
 }
 
 // DeleteRule removes one rule's contribution from a maintained chase — the
@@ -137,15 +137,15 @@ func (st *State) repair(ctx context.Context, rules *dependency.Set, store storag
 // the facts removed directly from the rule's firings, OverDeleted the
 // closure beyond them; the work is proportional to the removed rule's
 // contribution, not to the instance.
-func (st *State) DeleteRule(rules *dependency.Set, store storage.Store, ri int, base *storage.Instance) (*DeleteResult, error) {
-	return st.DeleteRuleCtx(context.Background(), rules, store, ri, base)
+func (st *State) DeleteRule(rules *dependency.Set, ins *storage.Instance, ri int, base *storage.Instance) (*DeleteResult, error) {
+	return st.DeleteRuleCtx(context.Background(), rules, ins, ri, base)
 }
 
 // DeleteRuleCtx is DeleteRule under a cancellation context, with the same
 // abort semantics as DeleteCtx: on cancellation the repair is half-applied,
 // Result.Err is set, the state is marked truncated, and the caller must
-// discard store and state.
-func (st *State) DeleteRuleCtx(ctx context.Context, rules *dependency.Set, store storage.Store, ri int, base *storage.Instance) (*DeleteResult, error) {
+// discard instance and state.
+func (st *State) DeleteRuleCtx(ctx context.Context, rules *dependency.Set, ins *storage.Instance, ri int, base *storage.Instance) (*DeleteResult, error) {
 	if err := st.repairable(); err != nil {
 		return nil, err
 	}
@@ -165,7 +165,7 @@ func (st *State) DeleteRuleCtx(ctx context.Context, rules *dependency.Set, store
 			if base != nil && base.ContainsAtom(h) {
 				continue // still a base fact; needs no derivation
 			}
-			if hk := h.Key(); !removed[hk] && store.Remove(h) {
+			if hk := h.Key(); !removed[hk] && ins.Remove(h) {
 				removed[hk] = true
 				queue = append(queue, h)
 				res.Requested++
@@ -177,7 +177,7 @@ func (st *State) DeleteRuleCtx(ctx context.Context, rules *dependency.Set, store
 	// before re-derivation, which records new derivations under new indices.
 	st.remapRuleIndices(ri)
 	if len(queue) > 0 {
-		st.repair(ctx, rules, store, base, queue, removed, res)
+		st.repair(ctx, rules, ins, base, queue, removed, res)
 	}
 	return res, nil
 }
@@ -205,7 +205,7 @@ func (st *State) repairable() error {
 // removed — a base fact needs no derivation. Returns the full removed queue
 // for the re-derivation sweep; res.OverDeleted counts the facts removed
 // beyond the initial seeds.
-func (st *State) overDelete(ctx context.Context, store storage.Store, base *storage.Instance, queue []logic.Atom, removed map[string]bool, res *DeleteResult) []logic.Atom {
+func (st *State) overDelete(ctx context.Context, ins *storage.Instance, base *storage.Instance, queue []logic.Atom, removed map[string]bool, res *DeleteResult) []logic.Atom {
 	for qi := 0; qi < len(queue); qi++ {
 		if qi&0xFF == 0 && ctx.Err() != nil {
 			return queue // canceled: half-swept, caller surfaces the abort
@@ -229,7 +229,7 @@ func (st *State) overDelete(ctx context.Context, store storage.Store, base *stor
 				if base != nil && base.ContainsAtom(h) {
 					continue // still a base fact; needs no derivation
 				}
-				if hk := h.Key(); !removed[hk] && store.Remove(h) {
+				if hk := h.Key(); !removed[hk] && ins.Remove(h) {
 					removed[hk] = true
 					queue = append(queue, h)
 					res.OverDeleted++
@@ -246,20 +246,19 @@ func (st *State) overDelete(ctx context.Context, store storage.Store, base *stor
 // unsuppressed must produce (or have had its head satisfied by) a removed
 // fact, so unifying rule heads with removed facts and joining the body from
 // that seed enumerates every candidate without touching the unaffected part
-// of the store. Survivor triggers re-fire under the usual variant discipline,
-// restored facts route to their home partitions, and their consequences
-// propagate through an ordinary semi-naive resume; res.Result describes the
-// whole increment.
-func (st *State) rederive(ctx context.Context, rules *dependency.Set, store storage.Store, removedFacts []logic.Atom, removed map[string]bool, res *DeleteResult) {
-	cands := st.collectRederiveTriggers(rules, store, removedFacts)
-	deltas := emptyDeltas(store)
+// of the instance. Survivor triggers re-fire under the usual variant
+// discipline, and the consequences of the restored facts propagate through
+// an ordinary semi-naive resume; res.Result describes the whole increment.
+func (st *State) rederive(ctx context.Context, rules *dependency.Set, ins *storage.Instance, removedFacts []logic.Atom, removed map[string]bool, res *DeleteResult) {
+	cands := st.collectRederiveTriggers(rules, ins, removedFacts)
+	delta := storage.NewInstance()
 	steps, nulls, restored := 0, 0, 0
 	for ci, tr := range cands {
 		if ci&0x1F == 0 && ctx.Err() != nil {
 			break // canceled: the propagation below reports the abort
 		}
 		rule := rules.Rules[tr.rule]
-		if st.opts.Variant == Restricted && headSatisfied(rule, tr.frontier, store) {
+		if st.opts.Variant == Restricted && headSatisfied(rule, tr.frontier, ins) {
 			continue
 		}
 		if st.opts.Variant == Oblivious {
@@ -273,7 +272,7 @@ func (st *State) rederive(ctx context.Context, rules *dependency.Set, store stor
 		heads, n := instantiateHead(rule, tr.frontier, st.gens[0])
 		nulls += n
 		for _, ha := range heads {
-			added, err := store.Insert(ha)
+			added, err := ins.Insert(ha)
 			if err != nil {
 				panic(err) // arity conflicts are caught at rule-set validation
 			}
@@ -281,7 +280,7 @@ func (st *State) rederive(ctx context.Context, rules *dependency.Set, store stor
 				if removed[ha.Key()] {
 					res.Rederived++
 				}
-				if _, err := deltas[store.Route(ha)].Insert(ha); err != nil {
+				if _, err := delta.Insert(ha); err != nil {
 					panic(err)
 				}
 				restored++
@@ -304,7 +303,7 @@ func (st *State) rederive(ctx context.Context, rules *dependency.Set, store stor
 		rres = &Result{Err: err}
 		st.truncated = true
 	} else if restored > 0 {
-		rres = st.resume(ctx, rules, store, deltas, 0)
+		rres = st.resume(ctx, rules, ins, delta, 0)
 	}
 	rres.Steps += steps
 	rres.NullsCreated += nulls
@@ -348,12 +347,11 @@ func (st *State) remapRuleIndices(ri int) {
 // collectRederiveTriggers enumerates, deduplicated, every trigger whose
 // firing could restore one of the removed facts: for each removed fact and
 // each rule head atom it unifies with, the rule body is joined against the
-// surviving store starting from the unification seed (probing one partition
-// wherever the seed fixes the routing column). Existential head
+// surviving instance starting from the unification seed. Existential head
 // positions bind freely during unification but are dropped from the seed
 // (they are not body variables); the full head-satisfaction check happens at
 // fire time.
-func (st *State) collectRederiveTriggers(rules *dependency.Set, store storage.Store, removed []logic.Atom) []trigger {
+func (st *State) collectRederiveTriggers(rules *dependency.Set, ins *storage.Instance, removed []logic.Atom) []trigger {
 	var out []trigger
 	seen := make(map[int]map[string]bool)
 	for _, f := range removed {
@@ -373,7 +371,7 @@ func (st *State) collectRederiveTriggers(rules *dependency.Set, store storage.St
 					ruleSeen = make(map[string]bool)
 					seen[ri] = ruleSeen
 				}
-				eval.MatchesSeeded(rule.Body, store, seed.Restrict(bodyVars), func(s logic.Subst) bool {
+				eval.MatchesSeeded(rule.Body, ins, seed.Restrict(bodyVars), func(s logic.Subst) bool {
 					frontier := s.Restrict(bodyVars)
 					key := bindingKey(frontier, bodyVars)
 					if !ruleSeen[key] {

@@ -65,6 +65,54 @@ func TestParallelChaseMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestPartitionedChaseMatchesOracle chases seeded random ontologies with 1
+// and 4 workers over the one store and compares each terminated run with the
+// textbook chase: the null-free facts must be the oracle's, and the 4-worker
+// run must report the counters of the 1-worker run. (The name dates from the
+// hash-partitioned store, whose P = 1 leg this is.)
+func TestPartitionedChaseMatchesOracle(t *testing.T) {
+	families := []datagen.Family{
+		datagen.FamilyLinear, datagen.FamilyMultilinear,
+		datagen.FamilySticky, datagen.FamilyChain,
+	}
+	for _, fam := range families {
+		for seed := int64(1); seed <= 3; seed++ {
+			name := fmt.Sprintf("%v/seed=%d", fam, seed)
+			t.Run(name, func(t *testing.T) {
+				rules := datagen.Rules(datagen.Config{Family: fam, Rules: 6, Seed: seed})
+				data := datagen.Instance(rules, 25, 8, seed)
+				for _, variant := range []Variant{Restricted, Oblivious} {
+					opts := Options{Variant: variant, MaxRounds: 30, MaxSteps: 20000}
+					base := Run(rules, data, opts)
+					if !base.Terminated {
+						continue // truncation order may differ; nothing exact to compare
+					}
+					want, ok := oracleFacts(rules, data.Atoms(), variant)
+					if !ok {
+						t.Fatalf("%v: oracle over budget on a chase the engine finished in %d steps", variant, base.Steps)
+					}
+					for _, par := range []int{1, 4} {
+						popts := opts
+						popts.Parallelism = par
+						res := Run(rules, data, popts)
+						tag := fmt.Sprintf("%v par=%d", variant, par)
+						if !res.Terminated {
+							t.Fatalf("%s: truncated where par=1 terminated", tag)
+						}
+						if got := constFacts(res.Instance); got != want {
+							t.Errorf("%s: null-free facts differ from the oracle:\noracle:\n%s\nengine:\n%s", tag, want, got)
+						}
+						if base.Steps != res.Steps || base.Rounds != res.Rounds || base.NullsCreated != res.NullsCreated {
+							t.Errorf("%s: counters differ from par=1: steps %d/%d rounds %d/%d nulls %d/%d",
+								tag, res.Steps, base.Steps, res.Rounds, base.Rounds, res.NullsCreated, base.NullsCreated)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestParallelCertainAnswersMatchSequential compares end-to-end certain
 // answers (chase + UCQ evaluation, both parallel) on the university
 // workload.

@@ -29,7 +29,6 @@ type State struct {
 	rounds    int
 	nulls     int
 	replans   int
-	pstats    PartitionStats // cumulative locality counters
 	truncated bool
 }
 
@@ -197,58 +196,37 @@ func (st *State) markDead(d *derivation) {
 // maintenance on top of it is unsound — rebuild from scratch instead.
 func (st *State) Truncated() bool { return st.truncated }
 
-// Extend inserts ground facts into the store (each into its home partition)
-// and resumes the chase with the genuinely new ones as the delta — the canonical incremental-maintenance
+// Extend inserts ground facts into the instance and resumes the chase with
+// the genuinely new ones as the delta — the canonical incremental-maintenance
 // step (facts already present, e.g. previously derived, fire nothing). With
 // no new facts it returns an empty terminated Result without running a
 // round. Unsound after a truncated run (see Truncated): dropped triggers
 // would never be reconsidered, so callers must rebuild instead.
-func (st *State) Extend(rules *dependency.Set, store storage.Store, facts []logic.Atom) (*Result, error) {
-	return st.ExtendCtx(context.Background(), rules, store, facts)
+func (st *State) Extend(rules *dependency.Set, ins *storage.Instance, facts []logic.Atom) (*Result, error) {
+	return st.ExtendCtx(context.Background(), rules, ins, facts)
 }
 
 // ExtendCtx is Extend under a cancellation context (see ResumeCtx). On abort
-// the inserted base facts remain in the store and the returned Result carries
-// the context error; the caller owns the rollback of the store and must
-// discard the state.
-func (st *State) ExtendCtx(ctx context.Context, rules *dependency.Set, store storage.Store, facts []logic.Atom) (*Result, error) {
-	deltas := emptyDeltas(store)
-	added := false
+// the inserted base facts remain in the instance and the returned Result
+// carries the context error; the caller owns the rollback of the instance and
+// must discard the state.
+func (st *State) ExtendCtx(ctx context.Context, rules *dependency.Set, ins *storage.Instance, facts []logic.Atom) (*Result, error) {
+	delta := storage.NewInstance()
 	for _, f := range facts {
-		isNew, err := store.Insert(f)
+		isNew, err := ins.Insert(f)
 		if err != nil {
 			return nil, err
 		}
 		if isNew {
-			if _, err := deltas[store.Route(f)].Insert(f); err != nil {
+			if _, err := delta.Insert(f); err != nil {
 				return nil, err
 			}
-			added = true
 		}
 	}
-	if !added {
+	if delta.Size() == 0 {
 		return &Result{Terminated: true}, nil
 	}
-	return st.resume(ctx, rules, store, deltas, 0), nil
-}
-
-// emptyDeltas returns one empty delta instance per partition of the store.
-func emptyDeltas(store storage.Store) []*storage.Instance {
-	deltas := make([]*storage.Instance, store.NumParts())
-	for p := range deltas {
-		deltas[p] = storage.NewInstance()
-	}
-	return deltas
-}
-
-// partsOf returns the store's sub-instances, the per-partition form of a
-// delta that is itself a store (round zero: the whole input is "new").
-func partsOf(store storage.Store) []*storage.Instance {
-	parts := make([]*storage.Instance, store.NumParts())
-	for p := range parts {
-		parts[p] = store.Part(p)
-	}
-	return parts
+	return st.resume(ctx, rules, ins, delta, 0), nil
 }
 
 // instantiateHead grounds the rule head for a firing of frontier: frontier
@@ -286,15 +264,14 @@ func (st *State) newDerivation(rules *dependency.Set, tr trigger) derivation {
 	return d
 }
 
-// Resume runs the chase fixpoint on the store starting from an explicit
+// Resume runs the chase fixpoint on the instance starting from an explicit
 // delta: only triggers with at least one body atom in delta are considered in
-// the first round, exactly as a semi-naive round mid-run. The store is
-// extended in place; delta must have the store's partition layout and hold,
-// per partition, a subset of it (for a from-scratch run pass the store
-// itself, as Run does; for incremental maintenance pass just the newly
-// inserted facts, or use Extend).
+// the first round, exactly as a semi-naive round mid-run. The instance is
+// extended in place; delta must be a subset of it (for a from-scratch run
+// pass the instance itself, as Run does; for incremental maintenance pass
+// just the newly inserted facts, or use Extend).
 //
-// The restricted variant re-checks head satisfaction against the full store —
+// The restricted variant re-checks head satisfaction against the full instance —
 // including everything derived by earlier Resume calls — so resuming after an
 // insertion yields a valid restricted chase of the extended data: certain
 // answers are identical to a from-scratch chase (property-tested).
@@ -302,8 +279,8 @@ func (st *State) newDerivation(rules *dependency.Set, tr trigger) derivation {
 // The returned Result describes this call only (Steps, Rounds, NullsCreated
 // count the increment); cumulative totals live on the State. Budgets apply
 // per call.
-func (st *State) Resume(rules *dependency.Set, store, delta storage.Store) *Result {
-	return st.ResumeCtx(context.Background(), rules, store, delta)
+func (st *State) Resume(rules *dependency.Set, ins, delta *storage.Instance) *Result {
+	return st.ResumeCtx(context.Background(), rules, ins, delta)
 }
 
 // ResumeCtx is Resume under a cancellation context. The fixpoint polls ctx
@@ -311,69 +288,57 @@ func (st *State) Resume(rules *dependency.Set, store, delta storage.Store) *Resu
 // the compiled-plan runners) and in the firing loop, so a canceled or
 // deadline-expired increment aborts within a bounded amount of work. An
 // aborted run returns with Result.Err set and Terminated false, WITHOUT
-// merging the interrupted round's buffered writes: the store is a valid
+// merging the interrupted round's buffered writes: the instance is a valid
 // chase prefix, but the state has consumed partial bookkeeping and is marked
 // truncated — discard both and rebuild (Ontology.mutate rolls the base data
 // back and drops the cache, so readers keep the pre-mutation snapshot).
-func (st *State) ResumeCtx(ctx context.Context, rules *dependency.Set, store, delta storage.Store) *Result {
-	if delta.NumParts() != store.NumParts() {
-		panic("chase: delta and store partition counts differ")
-	}
-	return st.resume(ctx, rules, store, partsOf(delta), 0)
+func (st *State) ResumeCtx(ctx context.Context, rules *dependency.Set, ins, delta *storage.Instance) *Result {
+	return st.resume(ctx, rules, ins, delta, 0)
 }
 
 // ExtendRules resumes the chase after rules were appended to the set (the
 // AddRule maintenance step): the first round considers only the new rules —
-// those at index firstNew and beyond — with the whole store as the delta,
+// those at index firstNew and beyond — with the whole instance as the delta,
 // since every existing fact is "new" to a rule that has never seen any.
 // Their consequences then propagate through the full set semi-naively, so
 // the work is proportional to what the new rules actually derive, not to a
 // re-chase of the instance. The existing rules need no first-round pass: the
 // instance is already their fixpoint. Unsound after a truncated run, exactly
 // like Extend.
-func (st *State) ExtendRules(rules *dependency.Set, store storage.Store, firstNew int) *Result {
-	return st.ExtendRulesCtx(context.Background(), rules, store, firstNew)
+func (st *State) ExtendRules(rules *dependency.Set, ins *storage.Instance, firstNew int) *Result {
+	return st.ExtendRulesCtx(context.Background(), rules, ins, firstNew)
 }
 
 // ExtendRulesCtx is ExtendRules under a cancellation context (see ResumeCtx
 // for abort semantics).
-func (st *State) ExtendRulesCtx(ctx context.Context, rules *dependency.Set, store storage.Store, firstNew int) *Result {
+func (st *State) ExtendRulesCtx(ctx context.Context, rules *dependency.Set, ins *storage.Instance, firstNew int) *Result {
 	if firstNew >= rules.Len() {
 		return &Result{Terminated: true} // no new rules
 	}
-	return st.resume(ctx, rules, store, partsOf(store), firstNew)
+	return st.resume(ctx, rules, ins, ins, firstNew)
 }
 
-// resume is the one fixpoint driver. Each round: collect triggers per
-// partition delta (local rules confined to their sub-instance, spanning rules
-// through partition-pruned runners over the whole store), drain the exchange
-// (dedupe what the partitions shipped, apply the oblivious fired filter),
-// fire the survivors chunked across the workers — a local firing checks and
-// writes only its own partition, a spanning one routes each head fact by hash
-// — and merge every partition's shards into its next delta. It terminates
-// when every delta is empty. At P = 1 every rule is local to the single
-// partition and the round is the plain semi-naive one. onlyFrom restricts the
-// FIRST round's trigger collection to rules with index ≥ onlyFrom (0 = all
-// rules); later rounds always consider the whole set, which is what makes the
-// restriction sound — anything the filtered round derives is re-examined by
-// every rule.
-func (st *State) resume(ctx context.Context, rules *dependency.Set, store storage.Store, deltas []*storage.Instance, onlyFrom int) *Result {
+// resume is the one fixpoint driver. Each round: collect the triggers the
+// delta enables, apply the oblivious fired filter, fire the survivors
+// chunked across the workers into per-worker shards, and merge the shards
+// into the next delta. It terminates when the delta is empty. onlyFrom
+// restricts the FIRST round's trigger collection to rules with index ≥
+// onlyFrom (0 = all rules); later rounds always consider the whole set,
+// which is what makes the restriction sound — anything the filtered round
+// derives is re-examined by every rule.
+func (st *State) resume(ctx context.Context, rules *dependency.Set, ins, delta *storage.Instance, onlyFrom int) *Result {
 	opts := st.opts
 	res := &Result{}
 	workers := opts.Parallelism
-	parts := partsOf(store)
 
 	var steps atomic.Int64
 	var truncated atomic.Bool
 	var canceled atomic.Bool
-	var prunedProbes atomic.Uint64
 
 	defer func() {
-		res.Partition.PrunedProbes = prunedProbes.Load()
 		st.steps += res.Steps
 		st.rounds += res.Rounds
 		st.nulls += res.NullsCreated
-		st.pstats.add(res.Partition)
 		if !res.Terminated {
 			st.truncated = true
 		}
@@ -382,14 +347,13 @@ func (st *State) resume(ctx context.Context, rules *dependency.Set, store storag
 	// Compile every rule body and head once for this Resume call; the plans
 	// (atom order, access paths, register micro-programs) are reused across
 	// all rounds and all delta facts. Column statistics are read from the
-	// store as of now — relations that grow later keep the order (only
+	// instance as of now — relations that grow later keep the order (only
 	// speed is affected), except that a relation transitioning empty→
 	// non-empty re-costs the rules reading it at the round barrier
 	// (planSet.refresh): an order chosen when the relation was empty is
 	// arbitrary, not merely stale.
-	store.EnsureIndexes()
-	plans := newPlanSet(rules, store)
-	local := localityOf(rules, store)
+	ins.EnsureIndexes()
+	plans := newPlanSet(rules, ins)
 
 	for res.Rounds < opts.MaxRounds {
 		// Round barrier: a canceled increment aborts between rounds (and at
@@ -400,17 +364,16 @@ func (st *State) resume(ctx context.Context, rules *dependency.Set, store storag
 		}
 		res.Rounds++
 
-		// Freeze the store for this round: indexes pre-built, all reads
+		// Freeze the instance for this round: indexes pre-built, all reads
 		// below are lock-free and race-free, all writes buffered in shards.
-		store.EnsureIndexes()
+		ins.EnsureIndexes()
 
-		triggers, shipped := collectTriggers(ctx, rules, store, deltas, workers, plans, local, onlyFrom, &prunedProbes)
+		triggers := collectTriggers(ctx, rules, ins, delta, workers, plans, onlyFrom)
 		if err := ctx.Err(); err != nil {
 			res.Err = err // collection aborted; its partial output is unusable
 			return res
 		}
 		onlyFrom = 0 // the rule filter applies to the first round only
-		res.Partition.ShippedTriggers += shipped
 		if opts.Variant == Oblivious {
 			// The semi-oblivious fired memory is shared engine state, so the
 			// filter runs single-threaded at the barrier.
@@ -431,21 +394,17 @@ func (st *State) resume(ctx context.Context, rules *dependency.Set, store storag
 		}
 
 		// Fire the round's triggers: chunked across workers, each writing
-		// into private per-partition shards against the frozen store.
-		shards := make([][]*storage.Shard, workers)
+		// into a private shard against the frozen instance.
+		shards := make([]*storage.Shard, workers)
 		nulls := make([]int, workers)
-		localFired := make([]uint64, workers)
 		var provs [][]derivation
 		if st.prov != nil {
 			provs = make([][]derivation, workers)
 		}
 		runTasks(workers, workers, func(w int) {
-			mine := make([]*storage.Shard, len(parts))
-			shards[w] = mine
 			// Per-worker head-plan runners, lazily created per rule: repeated
 			// applicability checks reuse the register file, allocation-free.
 			headRunners := make([]*eval.Runner, len(rules.Rules))
-			defer flushRunnersPruned(headRunners, &prunedProbes)
 			polled := 0
 			for i := w; i < len(triggers); i += workers {
 				if truncated.Load() || canceled.Load() {
@@ -461,14 +420,7 @@ func (st *State) resume(ctx context.Context, rules *dependency.Set, store storag
 				}
 				tr := triggers[i]
 				rule := rules.Rules[tr.rule]
-				// Locality proof: a local rule's head facts and every image
-				// that could satisfy its head carry the trigger's routing
-				// term, so the check and the writes stay in partition home.
-				target := store
-				if tr.home >= 0 {
-					target = parts[tr.home]
-				}
-				if opts.Variant == Restricted && plans.headSatisfied(int(tr.rule), tr.frontier, target, headRunners) {
+				if opts.Variant == Restricted && plans.headSatisfied(int(tr.rule), tr.frontier, ins, headRunners) {
 					continue
 				}
 				if n := steps.Add(1); int(n) > opts.MaxSteps {
@@ -478,18 +430,11 @@ func (st *State) resume(ctx context.Context, rules *dependency.Set, store storag
 				}
 				heads, n := instantiateHead(rule, tr.frontier, st.gens[w])
 				nulls[w] += n
-				if tr.home >= 0 {
-					localFired[w]++
+				if shards[w] == nil {
+					shards[w] = storage.NewShard()
 				}
 				for _, ha := range heads {
-					home := int(tr.home)
-					if home < 0 {
-						home = store.Route(ha)
-					}
-					if mine[home] == nil {
-						mine[home] = storage.NewShard()
-					}
-					if _, err := mine[home].Insert(ha); err != nil {
+					if _, err := shards[w].Insert(ha); err != nil {
 						// Arity conflicts are caught at rule-set validation;
 						// reaching here is a programming error.
 						panic(err)
@@ -502,12 +447,9 @@ func (st *State) resume(ctx context.Context, rules *dependency.Set, store storag
 				}
 			}
 		})
-		for _, n := range localFired {
-			res.Partition.LocalFirings += n
-		}
 
 		// A canceled round discards its buffered shards unmerged: the
-		// store stays a consistent prefix (every completed round merged
+		// instance stays a consistent prefix (every completed round merged
 		// atomically at its barrier), only the engine bookkeeping is dirty.
 		if canceled.Load() || ctx.Err() != nil {
 			res.Steps = int(steps.Load())
@@ -515,23 +457,11 @@ func (st *State) resume(ctx context.Context, rules *dependency.Set, store storag
 			return res
 		}
 
-		// Round barrier: single-writer merge of each partition's shards,
-		// producing the next deltas, and of the workers' provenance records.
-		grew := false
-		deltas = make([]*storage.Instance, len(parts))
-		for p := range deltas {
-			var routed []*storage.Shard
-			for _, ws := range shards {
-				if ws != nil && ws[p] != nil {
-					routed = append(routed, ws[p])
-				}
-			}
-			d, err := store.MergeShardsPart(p, routed...)
-			if err != nil {
-				panic(err)
-			}
-			deltas[p] = d
-			grew = grew || d.Size() > 0
+		// Round barrier: single-writer merge of the shards, producing the
+		// next delta, and of the workers' provenance records.
+		var err error
+		if delta, err = ins.MergeShards(shards...); err != nil {
+			panic(err)
 		}
 		if st.prov != nil {
 			for _, ds := range provs {
@@ -547,25 +477,13 @@ func (st *State) resume(ctx context.Context, rules *dependency.Set, store storag
 		if truncated.Load() {
 			return res
 		}
-		if !grew {
+		if delta.Size() == 0 {
 			res.Terminated = true
 			return res
 		}
 		// Round barrier: re-cost any rule whose plans were compiled while a
 		// relation they read was still empty and has since been populated.
-		st.replans += plans.refresh(rules, store)
+		st.replans += plans.refresh(rules, ins)
 	}
 	return res
-}
-
-// flushRunnersPruned folds the pruned-probe counters of a worker's cached
-// runners into the round's shared sink.
-func flushRunnersPruned(runners []*eval.Runner, sink *atomic.Uint64) {
-	for _, r := range runners {
-		if r != nil {
-			if n := r.TakePruned(); n > 0 {
-				sink.Add(n)
-			}
-		}
-	}
 }

@@ -1,5 +1,5 @@
 // Package cliflags is the one flag surface shared by every command in
-// cmd/: the engine knobs (-parallel, -partitions, -max-steps, -max-rounds),
+// cmd/: the engine knobs (-parallel, -max-steps, -max-rounds),
 // the answer bound (-limit, opt-in via BindLimit) and the deadline
 // (-timeout) are declared once here, so answer, chase, rewrite, classify,
 // graphs and serve agree on names, defaults and help text instead of each
@@ -23,18 +23,13 @@ import (
 
 // Flags holds the parsed shared flag values.
 type Flags struct {
-	// Parallel is the worker count for the chase and query evaluation,
-	// 1..repro.MaxParallelism (1 = sequential).
+	// Parallel is the chase worker count, 1..repro.MaxParallelism (1 =
+	// sequential). Query evaluation is always sequential.
 	Parallel int
 	// MaxSteps bounds chase trigger firings (0 = engine default).
 	MaxSteps int
 	// MaxRounds bounds chase fair rounds (0 = engine default).
 	MaxRounds int
-	// Partitions is the partition count of the chase-mode materialization,
-	// 1..repro.MaxPartitions (1 = unpartitioned). Any value yields the same
-	// answers; partition-local rules fire coordination-free and plans binding
-	// the partitioning column probe one sub-instance.
-	Partitions int
 	// Limit bounds the number of answers streamed (0 = all); registered
 	// separately by BindLimit, only on the commands that answer queries.
 	Limit int
@@ -46,13 +41,12 @@ type Flags struct {
 }
 
 // Bind registers the full shared surface on fs (flag.CommandLine in the
-// commands): -parallel, -partitions, -max-steps, -max-rounds and -timeout.
+// commands): -parallel, -max-steps, -max-rounds and -timeout.
 func Bind(fs *flag.FlagSet) *Flags {
 	f := BindTimeout(fs)
-	fs.IntVar(&f.Parallel, "parallel", 1, fmt.Sprintf("worker count for chase and evaluation (1 = sequential, max %d)", repro.MaxParallelism))
+	fs.IntVar(&f.Parallel, "parallel", 1, fmt.Sprintf("chase worker count (1 = sequential, max %d); query evaluation is sequential", repro.MaxParallelism))
 	fs.IntVar(&f.MaxSteps, "max-steps", 0, "chase trigger-firing budget (0 = default 100000)")
 	fs.IntVar(&f.MaxRounds, "max-rounds", 0, "chase fair-round budget (0 = default 1000)")
-	fs.IntVar(&f.Partitions, "partitions", 1, fmt.Sprintf("hash-partition the chase materialization this many ways (1 = unpartitioned, max %d; same answers)", repro.MaxPartitions))
 	return f
 }
 
@@ -78,15 +72,11 @@ func BindTimeout(fs *flag.FlagSet) *Flags {
 	return f
 }
 
-// check rejects -parallel outside 1..repro.MaxParallelism and -partitions
-// outside 1..repro.MaxPartitions: every worker and every partition is an
-// allocation the command line controls.
+// check rejects -parallel outside 1..repro.MaxParallelism: every worker is
+// an allocation the command line controls.
 func (f *Flags) check() error {
 	if f.Parallel < 1 || f.Parallel > repro.MaxParallelism {
 		return fmt.Errorf("bad -parallel %d: want 1..%d", f.Parallel, repro.MaxParallelism)
-	}
-	if f.Partitions < 1 || f.Partitions > repro.MaxPartitions {
-		return fmt.Errorf("bad -partitions %d: want 1..%d", f.Partitions, repro.MaxPartitions)
 	}
 	return nil
 }
@@ -99,7 +89,6 @@ func (f *Flags) Options(mode repro.AnswerMode) (repro.Options, error) {
 		MaxSteps:    f.MaxSteps,
 		MaxRounds:   f.MaxRounds,
 		Limit:       f.Limit,
-		Partitions:  f.Partitions,
 	}, f.check()
 }
 
@@ -109,13 +98,12 @@ func (f *Flags) ChaseOptions() (chase.Options, error) {
 		MaxSteps:    f.MaxSteps,
 		MaxRounds:   f.MaxRounds,
 		Parallelism: f.Parallel,
-		Partitions:  f.Partitions,
 	}, f.check()
 }
 
 // EvalOptions maps the shared flags onto query-evaluation options.
 func (f *Flags) EvalOptions() (eval.Options, error) {
-	return eval.Options{FilterNulls: true, Parallelism: f.Parallel, Limit: f.Limit}, f.check()
+	return eval.Options{FilterNulls: true, Limit: f.Limit}, f.check()
 }
 
 // Context arms the -timeout deadline: with a zero timeout it returns the

@@ -63,7 +63,7 @@ func TestSeededJoinStepAllocationFree(t *testing.T) {
 	hit := func(regs []logic.Term) bool { return false }
 	avg = testing.AllocsPerRun(100, func() {
 		hr.SeedSubst(seed)
-		hr.Run(0, 1, hit)
+		hr.Run(hit)
 	})
 	if avg != 0 {
 		t.Fatalf("subst-seeded step allocates %.1f times per run, want 0", avg)

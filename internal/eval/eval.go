@@ -18,8 +18,6 @@ import (
 	"context"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/logic"
 	"repro/internal/query"
@@ -33,16 +31,6 @@ type Options struct {
 	FilterNulls bool
 	// Limit stops after this many distinct answers (0 = unlimited).
 	Limit int
-	// Parallelism is the number of workers evaluating a query: the CQs of a
-	// UCQ run concurrently, and the outer loop of each backtracking join is
-	// sharded across workers. 0 or 1 means sequential. Limit > 0 forces the
-	// sequential path (a deterministic prefix is only defined sequentially).
-	Parallelism int
-	// Pruned, when non-nil, accumulates the partition-pruned probe count of
-	// evaluations over a P > 1 store: join levels that resolved to exactly
-	// one sub-instance instead of all P. Single-partition evaluations never
-	// move it.
-	Pruned *atomic.Uint64
 }
 
 // Answers is a deduplicated set of answer tuples.
@@ -159,43 +147,39 @@ func (a *Answers) String() string {
 }
 
 // CQ evaluates a conjunctive query over the instance, compiling a plan per
-// call. With Options.Parallelism > 1 the outer loop of the join is sharded
-// across workers; the answer set is identical to the sequential result.
-func CQ(q *query.CQ, store storage.Store, opts Options) *Answers {
-	return RunPlans([]*Plan{CompileCQ(q, store, PlannerDefault, JoinDefault)}, q.Arity(), store, opts)
+// call.
+func CQ(q *query.CQ, ins *storage.Instance, opts Options) *Answers {
+	return RunPlans([]*Plan{CompileCQ(q, ins, PlannerDefault, JoinDefault)}, q.Arity(), ins, opts)
 }
 
-// UCQ evaluates a union of conjunctive queries, unioning the answers. With
-// Options.Parallelism > 1 the member CQs are evaluated concurrently and each
-// join's outer loop is sharded; the answer set is identical to the
-// sequential result.
-func UCQ(u *query.UCQ, store storage.Store, opts Options) *Answers {
-	return RunPlans(CompileUCQ(u, store, PlannerDefault, JoinDefault), u.Arity(), store, opts)
+// UCQ evaluates a union of conjunctive queries, unioning the answers.
+func UCQ(u *query.UCQ, ins *storage.Instance, opts Options) *Answers {
+	return RunPlans(CompileUCQ(u, ins, PlannerDefault, JoinDefault), u.Arity(), ins, opts)
 }
 
 // UCQCtx is UCQ under a cancellation context: evaluation aborts promptly
 // (amortized per-candidate polling in the executor) when ctx is canceled and
 // returns the context error; the partial answer set is discarded.
-func UCQCtx(ctx context.Context, u *query.UCQ, store storage.Store, opts Options) (*Answers, error) {
-	return RunPlansCtx(ctx, CompileUCQ(u, store, PlannerDefault, JoinDefault), u.Arity(), store, opts)
+func UCQCtx(ctx context.Context, u *query.UCQ, ins *storage.Instance, opts Options) (*Answers, error) {
+	return RunPlansCtx(ctx, CompileUCQ(u, ins, PlannerDefault, JoinDefault), u.Arity(), ins, opts)
 }
 
 // RunPlans evaluates precompiled CQ plans (the disjuncts of a union) over
 // the instance, unioning the answers. It is the execution entry point behind
 // CQ and UCQ; callers holding a plan cache (Ontology) invoke it directly so
 // repeated queries skip compilation.
-func RunPlans(plans []*Plan, arity int, store storage.Store, opts Options) *Answers {
-	ans, _ := RunPlansCtx(context.Background(), plans, arity, store, opts)
+func RunPlans(plans []*Plan, arity int, ins *storage.Instance, opts Options) *Answers {
+	ans, _ := RunPlansCtx(context.Background(), plans, arity, ins, opts)
 	return ans
 }
 
-// RunPlansCtx is RunPlans under a cancellation context: each runner polls
+// RunPlansCtx is RunPlans under a cancellation context: the runner polls
 // ctx at amortized intervals, so a canceled or deadline-expired evaluation
-// stops within a few thousand candidate tuples per worker. On cancellation
-// the (partial, meaningless) answers are dropped and the context error is
+// stops within a few thousand candidate tuples. On cancellation the
+// (partial, meaningless) answers are dropped and the context error is
 // returned; a nil error means the answer set is complete.
-func RunPlansCtx(ctx context.Context, plans []*Plan, arity int, store storage.Store, opts Options) (*Answers, error) {
-	return NewStream(plans, arity, store, opts).Collect(ctx)
+func RunPlansCtx(ctx context.Context, plans []*Plan, arity int, ins *storage.Instance, opts Options) (*Answers, error) {
+	return NewStream(plans, arity, ins, opts).Collect(ctx)
 }
 
 // headHasNull reports whether the current match projects a labelled null
@@ -223,118 +207,37 @@ func projectHead(plan *Plan, regs []logic.Term) storage.Tuple {
 	return t
 }
 
-// parallelEval fans the (plan × outer-shard) work units of a union out over
-// p workers. Each worker accumulates into a private Answers (no locks on the
-// hot path); the privates are merged into the deduplicating result at the
-// end. Indexes are pre-built so workers never race on the lazy build. When
-// ctx is canceled every worker aborts its current shard at the next poll and
-// drains the remaining units without running them, so no goroutine outlives
-// the call.
-func parallelEval(ctx context.Context, plans []*Plan, arity int, store storage.Store, opts Options, p int) (*Answers, error) {
-	store.EnsureIndexes()
-	type unit struct {
-		plan  *Plan
-		shard int
-	}
-	units := make([]unit, 0, len(plans)*p)
-	for _, plan := range plans {
-		for s := 0; s < p; s++ {
-			units = append(units, unit{plan: plan, shard: s})
-		}
-	}
-	results := make([]*Answers, len(units))
-	errs := make([]error, len(units))
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < p; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			//repro:allow ctxpoll bounded by the closed work channel; runPlanShard polls ctx per shard
-			for i := range next {
-				out := NewAnswers(arity)
-				_, err := runPlanShard(ctx, units[i].plan, store, opts, units[i].shard, p, out)
-				results[i] = out
-				errs[i] = err
-			}
-		}()
-	}
-	for i := range units {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	merged := NewAnswers(arity)
-	for _, r := range results {
-		for _, t := range r.Tuples() {
-			// The worker-private sets are discarded; their tuples are owned.
-			merged.AddOwned(t)
-		}
-	}
-	return merged, nil
-}
-
-// runPlanShard runs one shard of a compiled CQ plan, projecting head tuples
-// into out. cont is false when the answer limit was reached; err is the
-// context error when ctx canceled the enumeration mid-run.
-func runPlanShard(ctx context.Context, plan *Plan, store storage.Store, opts Options, shard, nshards int, out *Answers) (cont bool, err error) {
-	r := plan.NewRunner()
-	if !r.Bind(store) {
-		return true, nil
-	}
-	r.SetContext(ctx)
-	cont = true
-	r.Run(shard, nshards, func(regs []logic.Term) bool {
-		if opts.FilterNulls && headHasNull(plan, regs) {
-			return true
-		}
-		out.AddOwned(projectHead(plan, regs))
-		if opts.Limit > 0 && out.Len() >= opts.Limit {
-			cont = false
-			return false
-		}
-		return true
-	})
-	flushPruned(r, opts)
-	return cont, r.Err()
-}
-
 // Holds reports whether a boolean query (arity 0) is satisfied.
-func Holds(q *query.CQ, store storage.Store, opts Options) bool {
+func Holds(q *query.CQ, ins *storage.Instance, opts Options) bool {
 	opts.Limit = 1
-	return CQ(q, store, opts).Len() > 0
+	return CQ(q, ins, opts).Len() > 0
 }
 
 // Matches enumerates every substitution of the body variables such that all
 // body atoms hold in the instance, invoking yield for each; enumeration
 // stops when yield returns false. The substitution passed to yield is
 // reused across calls — callers must copy what they keep.
-func Matches(body []logic.Atom, store storage.Store, yield func(logic.Subst) bool) {
-	MatchesSeeded(body, store, nil, yield)
+func Matches(body []logic.Atom, ins *storage.Instance, yield func(logic.Subst) bool) {
+	MatchesSeeded(body, ins, nil, yield)
 }
 
 // MatchesSeeded is Matches with an initial binding: only extensions of seed
 // are enumerated. It compiles a plan per call; hot callers (the chase)
 // compile once with CompileBody/CompileDelta and drive the Runner directly.
-func MatchesSeeded(body []logic.Atom, store storage.Store, seed logic.Subst, yield func(logic.Subst) bool) {
+func MatchesSeeded(body []logic.Atom, ins *storage.Instance, seed logic.Subst, yield func(logic.Subst) bool) {
 	seedVars := make([]logic.Term, 0, len(seed))
 	for v := range seed {
 		seedVars = append(seedVars, v)
 	}
 	sort.Slice(seedVars, func(i, j int) bool { return seedVars[i].Name < seedVars[j].Name })
-	plan := CompileBody(body, store, seedVars, PlannerDefault, JoinDefault)
+	plan := CompileBody(body, ins, seedVars, PlannerDefault, JoinDefault)
 	r := plan.NewRunner()
-	if !r.Bind(store) {
+	if !r.Bind(ins) {
 		return
 	}
 	r.SeedSubst(seed)
 	binding := logic.NewSubst()
-	r.Run(0, 1, func(regs []logic.Term) bool {
+	r.Run(func(regs []logic.Term) bool {
 		for v := range binding {
 			delete(binding, v)
 		}

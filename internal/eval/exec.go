@@ -28,14 +28,6 @@ type cursor struct {
 	tuples  []storage.Tuple
 	n       int // candidates to visit
 	pos     int
-	stride  int
-	// start is the first candidate offset (the outer shard origin), kept so
-	// the cursor can restart the stride in its next partition.
-	start int
-	// part and lastPart bound the partitions the cursor visits: a level whose
-	// partitioning column is fixed has part == lastPart (exactly one probe,
-	// always the case at P = 1), any other walks 0..P-1.
-	part, lastPart int
 }
 
 // Runner is the mutable execution state of one plan: the register file, the
@@ -47,16 +39,8 @@ type Runner struct {
 	plan *Plan
 	regs []logic.Term
 	curs []cursor
-	// rels holds one entry per (level, partition) at index
-	// level*nparts+part; psrc is how each level picks its partitions. Both
-	// are shaped for the (nparts, col) layout of the last bound store and
-	// reshaped only when a Bind sees another.
-	rels   []*storage.Relation
-	psrc   []partSrc
-	nparts int
-	col    int
-	// pruned counts probes of a P > 1 store confined to a single partition.
-	pruned uint64
+	// rels holds the relation each level reads, resolved by Bind.
+	rels []*storage.Relation
 
 	// depth and done are the resumable iterator position between Next calls.
 	depth int
@@ -71,26 +55,12 @@ type Runner struct {
 
 // NewRunner allocates the execution state for the plan.
 func (p *Plan) NewRunner() *Runner {
-	r := &Runner{
+	return &Runner{
 		plan: p,
 		regs: make([]logic.Term, p.nslots),
 		curs: make([]cursor, len(p.atoms)),
-		psrc: make([]partSrc, len(p.atoms)),
+		rels: make([]*storage.Relation, len(p.atoms)),
 		done: true,
-	}
-	r.reshape(1, 0)
-	return r
-}
-
-// reshape sizes the per-(level, partition) state for a store layout and
-// derives each level's partition source — the cold half of Bind, paid once
-// per (runner, layout).
-func (r *Runner) reshape(nparts, col int) {
-	n := len(r.plan.atoms)
-	r.nparts, r.col = nparts, col
-	r.rels = make([]*storage.Relation, n*nparts)
-	for i := range r.psrc {
-		r.psrc[i] = partSource(&r.plan.atoms[i], col, nparts)
 	}
 }
 
@@ -131,41 +101,25 @@ func (r *Runner) canceled() bool {
 	return false
 }
 
-// Bind resolves the plan's relations against every partition of the store,
-// reporting whether every atom has a matching relation (false means no
-// binding can ever match, and Run must not be called; by the alignment
-// invariant, present in one partition means present in all). Resolution is
-// by name on every Bind, so plans survive copy-on-write relation swaps and
-// relations created after compilation; within one enumeration the store must
-// be frozen, as for all concurrent reads. The store is only consulted here:
-// enumeration reads the resolved relations directly.
+// Bind resolves the plan's relations against the instance, reporting
+// whether every atom has a matching relation (false means no binding can
+// ever match, and Run must not be called). Resolution is by name on every
+// Bind, so plans survive copy-on-write relation swaps and relations created
+// after compilation; within one enumeration the instance must be frozen, as
+// for all concurrent reads. The instance is only consulted here: enumeration
+// reads the resolved relations directly.
 //
 //repro:hotpath
-func (r *Runner) Bind(store storage.Store) bool {
-	p := store.NumParts()
-	if col := store.Col(); p != r.nparts || col != r.col {
-		r.reshape(p, col)
-	}
-	atoms := r.plan.atoms
-	for j := 0; j < p; j++ {
-		part := store.Part(j)
-		for i := range atoms {
-			rel := part.Relation(atoms[i].pred)
-			if rel == nil || rel.Arity() != atoms[i].arity {
-				return false
-			}
-			r.rels[i*p+j] = rel
+func (r *Runner) Bind(ins *storage.Instance) bool {
+	for i := range r.plan.atoms {
+		a := &r.plan.atoms[i]
+		rel := ins.Relation(a.pred)
+		if rel == nil || rel.Arity() != a.arity {
+			return false
 		}
+		r.rels[i] = rel
 	}
 	return true
-}
-
-// TakePruned returns and resets the count of join-level probes the runner
-// pruned to a single partition of a P > 1 store since the last call.
-func (r *Runner) TakePruned() uint64 {
-	n := r.pruned
-	r.pruned = 0
-	return n
 }
 
 // SeedSubst fills the seed registers of a Subst-seeded plan (CompileBody):
@@ -202,21 +156,19 @@ func (r *Runner) RunTuple(tuple storage.Tuple, yield func(regs []logic.Term) boo
 			}
 		}
 	}
-	return r.Run(0, 1, yield)
+	return r.Run(yield)
 }
 
 // Start positions the runner at the beginning of the match space so Next can
-// pull matches one at a time (the Volcano open() of this executor). Shard k
-// of nshards restricts the outermost atom to every nshards-th candidate, so
-// the shards partition the match space exactly; Start(0, 1) iterates it all.
-// Requires a successful Bind (and SeedSubst for seeded plans) first.
+// pull matches one at a time (the Volcano open() of this executor). Requires
+// a successful Bind (and SeedSubst for seeded plans) first.
 //
 //repro:hotpath
-func (r *Runner) Start(shard, nshards int) {
+func (r *Runner) Start() {
 	r.depth = 0
 	r.done = false
 	if len(r.plan.atoms) > 0 {
-		r.initCursor(0, shard, nshards, false)
+		r.initCursor(0)
 	}
 }
 
@@ -249,7 +201,7 @@ func (r *Runner) Next() bool {
 				return false
 			}
 			i := cur.pos
-			cur.pos += cur.stride
+			cur.pos++
 			var tuple storage.Tuple
 			if cur.posting != nil {
 				tuple = cur.tuples[cur.posting[i]]
@@ -262,10 +214,6 @@ func (r *Runner) Next() bool {
 			}
 		}
 		if !matched {
-			if cur.part < cur.lastPart {
-				r.initCursor(depth, cur.start, cur.stride, true)
-				continue // same level, next partition
-			}
 			depth--
 			if depth < 0 {
 				r.done = true
@@ -279,7 +227,7 @@ func (r *Runner) Next() bool {
 			return true
 		}
 		depth++
-		r.initCursor(depth, 0, 1, false)
+		r.initCursor(depth)
 	}
 }
 
@@ -297,8 +245,8 @@ func (r *Runner) Regs() []logic.Term { return r.regs }
 // its context is canceled.
 //
 //repro:hotpath
-func (r *Runner) Run(shard, nshards int, yield func(regs []logic.Term) bool) bool {
-	r.Start(shard, nshards)
+func (r *Runner) Run(yield func(regs []logic.Term) bool) bool {
+	r.Start()
 	//repro:allow ctxpoll Next polls the armed context per candidate batch
 	for r.Next() {
 		if !yield(r.regs) {
@@ -308,35 +256,16 @@ func (r *Runner) Run(shard, nshards int, yield func(regs []logic.Term) bool) boo
 	return r.err == nil
 }
 
-// initCursor positions the cursor of one level on a partition's candidate
-// set: an index probe on the planned column, or a scan when the plan fixed
-// none. A fresh init first resolves the partitions the level visits from its
-// source — one when the partitioning column is fixed (always, at P = 1), all
-// P otherwise — and opens the first; advance instead moves an exhausted level
-// to the next partition of that range, restarting the stride.
+// initCursor positions the cursor of one level on its candidate set: an
+// index probe on the planned column, or a scan when the plan fixed none.
 //
 //repro:hotpath
-func (r *Runner) initCursor(depth, start, stride int, advance bool) {
+func (r *Runner) initCursor(depth int) {
 	step := &r.plan.atoms[depth]
 	cur := &r.curs[depth]
-	if advance {
-		cur.part++
-	} else {
-		cur.start = start
-		cur.stride = stride
-		src := &r.psrc[depth]
-		cur.part, cur.lastPart = src.part, src.last
-		if src.slot >= 0 {
-			cur.part = storage.RoutePart(r.regs[src.slot], r.nparts)
-			cur.lastPart = cur.part
-		}
-		if r.nparts > 1 && cur.part == cur.lastPart {
-			r.pruned++
-		}
-	}
-	rel := r.rels[depth*r.nparts+cur.part]
+	rel := r.rels[depth]
 	cur.tuples = rel.Tuples()
-	cur.pos = start
+	cur.pos = 0
 	if step.idxCol >= 0 {
 		key := step.keyTerm
 		if step.keySlot >= 0 {

@@ -130,15 +130,15 @@ func (p *Plan) Slots(vars []logic.Term) []int {
 }
 
 // CompileCQ compiles a conjunctive query into a plan with head projection.
-func CompileCQ(q *query.CQ, store storage.Store, _ Planner, _ JoinStrategy) *Plan {
-	return compile(&q.Head, q.Body, -1, nil, store)
+func CompileCQ(q *query.CQ, ins *storage.Instance, _ Planner, _ JoinStrategy) *Plan {
+	return compile(&q.Head, q.Body, -1, nil, ins)
 }
 
 // CompileUCQ compiles every member CQ of a union.
-func CompileUCQ(u *query.UCQ, store storage.Store, _ Planner, _ JoinStrategy) []*Plan {
+func CompileUCQ(u *query.UCQ, ins *storage.Instance, _ Planner, _ JoinStrategy) []*Plan {
 	plans := make([]*Plan, len(u.CQs))
 	for i, q := range u.CQs {
-		plans[i] = CompileCQ(q, store, PlannerDefault, JoinDefault)
+		plans[i] = CompileCQ(q, ins, PlannerDefault, JoinDefault)
 	}
 	return plans
 }
@@ -147,8 +147,8 @@ func CompileUCQ(u *query.UCQ, store storage.Store, _ Planner, _ JoinStrategy) []
 // pre-bound: they occupy the first registers, filled by Runner.SeedSubst
 // before enumeration, and steer the atom order toward atoms they make
 // selective. Every seed variable must be mapped to a rigid term at run time.
-func CompileBody(body []logic.Atom, store storage.Store, seedVars []logic.Term, _ Planner, _ JoinStrategy) *Plan {
-	return compile(nil, body, -1, seedVars, store)
+func CompileBody(body []logic.Atom, ins *storage.Instance, seedVars []logic.Term, _ Planner, _ JoinStrategy) *Plan {
+	return compile(nil, body, -1, seedVars, ins)
 }
 
 // CompileDelta compiles a rule body with atom di pinned to a seed tuple: the
@@ -157,17 +157,14 @@ func CompileBody(body []logic.Atom, store storage.Store, seedVars []logic.Term, 
 // and constants — then joins the remaining atoms. The semi-naive chase
 // compiles one delta plan per (rule, body atom) and reuses it for every
 // delta fact of every round.
-func CompileDelta(body []logic.Atom, di int, store storage.Store, _ Planner, _ JoinStrategy) *Plan {
-	return compile(nil, body, di, nil, store)
+func CompileDelta(body []logic.Atom, di int, ins *storage.Instance, _ Planner, _ JoinStrategy) *Plan {
+	return compile(nil, body, di, nil, ins)
 }
 
 // compile is the shared planner: number variables into slots, order the
-// atoms, fix each atom's access path, and emit the micro-programs. Plans
-// carry no partition state — Runner.Bind resolves that per store — so the
-// planner only needs a statistics representative: partition 0, exact at
-// P = 1 and a 1/P sample otherwise (ordering-only; answers are unaffected).
-func compile(head *logic.Atom, body []logic.Atom, seedAtom int, seedVars []logic.Term, store storage.Store) *Plan {
-	ins := store.Part(0)
+// atoms, fix each atom's access path, and emit the micro-programs. The
+// instance supplies the statistics; Runner.Bind resolves the relations.
+func compile(head *logic.Atom, body []logic.Atom, seedAtom int, seedVars []logic.Term, ins *storage.Instance) *Plan {
 	p := &Plan{varSlot: make(map[logic.Term]int)}
 	slotOf := func(v logic.Term) int {
 		if s, ok := p.varSlot[v]; ok {

@@ -191,7 +191,7 @@ func TestPlanSlots(t *testing.T) {
 	if !r.Bind(ins) {
 		t.Fatal("Bind failed")
 	}
-	r.Run(0, 1, func(regs []logic.Term) bool {
+	r.Run(func(regs []logic.Term) bool {
 		if regs[slots[0]] != c("a") || regs[slots[1]] != c("b") {
 			t.Errorf("regs = %v", regs)
 		}

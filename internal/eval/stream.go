@@ -17,7 +17,7 @@ import (
 // row. Not safe for concurrent use: every consumer opens its own stream.
 type Stream struct {
 	plans []*Plan
-	store storage.Store
+	ins   *storage.Instance
 	opts  Options
 	// pi is the plan being enumerated by r (nil: not opened yet);
 	// len(plans) once the stream is exhausted or closed.
@@ -28,8 +28,8 @@ type Stream struct {
 }
 
 // NewStream builds a stream over the plans of a union of the given arity.
-func NewStream(plans []*Plan, arity int, store storage.Store, opts Options) *Stream {
-	return &Stream{plans: plans, store: store, opts: opts, ans: NewAnswers(arity)}
+func NewStream(plans []*Plan, arity int, ins *storage.Instance, opts Options) *Stream {
+	return &Stream{plans: plans, ins: ins, opts: opts, ans: NewAnswers(arity)}
 }
 
 // Next returns the next distinct answer in the deterministic sequential
@@ -49,10 +49,10 @@ func (s *Stream) Next(ctx context.Context) (storage.Tuple, bool, error) {
 				return nil, false, s.err
 			}
 			r := plan.NewRunner()
-			if !r.Bind(s.store) {
+			if !r.Bind(s.ins) {
 				continue
 			}
-			r.Start(0, 1)
+			r.Start()
 			s.r = r
 		}
 		s.r.SetContext(ctx)
@@ -71,7 +71,6 @@ func (s *Stream) Next(ctx context.Context) (storage.Tuple, bool, error) {
 			}
 			return t, true, nil
 		}
-		flushPruned(s.r, s.opts)
 		if s.err = s.r.Err(); s.err != nil {
 			return nil, false, s.err
 		}
@@ -83,10 +82,7 @@ func (s *Stream) Next(ctx context.Context) (storage.Tuple, bool, error) {
 // Close ends the stream early — the consumer has what it wanted. Later Next
 // calls report exhaustion.
 func (s *Stream) Close() {
-	if s.r != nil {
-		flushPruned(s.r, s.opts)
-		s.r = nil
-	}
+	s.r = nil
 	s.pi = len(s.plans)
 }
 
@@ -95,16 +91,10 @@ func (s *Stream) Close() {
 // Callers must not add to it while the stream is live.
 func (s *Stream) Answers() *Answers { return s.ans }
 
-// Collect drains the stream and returns its complete answer set. A stream
-// nothing was pulled from yet is handed to the parallel collector when
-// Options.Parallelism asks for one (Limit > 0 forces the sequential path);
-// the answer set is identical. On cancellation the partial answers are
-// dropped and the context error is returned.
+// Collect drains the stream and returns its complete answer set. On
+// cancellation the partial answers are dropped and the context error is
+// returned.
 func (s *Stream) Collect(ctx context.Context) (*Answers, error) {
-	if p := s.opts.Parallelism; p > 1 && s.opts.Limit == 0 && s.pi == 0 && s.r == nil {
-		s.pi = len(s.plans)
-		return parallelEval(ctx, s.plans, s.ans.arity, s.store, s.opts, p)
-	}
 	//repro:allow ctxpoll Next polls ctx per candidate batch and per plan
 	for {
 		_, ok, err := s.Next(ctx)

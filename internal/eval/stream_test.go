@@ -104,7 +104,6 @@ func collectStream(t *testing.T, plans []*Plan, ins *storage.Instance, opts Opti
 //
 //   - streamed ≡ materialized: the answers Stream.Next emits are exactly the
 //     set RunPlansCtx materializes;
-//   - seq ≡ par: the parallel evaluator agrees with the sequential stream;
 //   - limit-k ≡ prefix: the k-limited stream is exactly the first
 //     min(k, n) tuples of the unlimited (deterministic, sequential) stream.
 func TestStreamingProperties(t *testing.T) {
@@ -128,14 +127,6 @@ func TestStreamingProperties(t *testing.T) {
 		if len(streamed) != full.Len() {
 			t.Fatalf("trial %d: stream emitted %d tuples, %d distinct expected (dedup leak)",
 				trial, len(streamed), full.Len())
-		}
-
-		par, err := RunPlansCtx(context.Background(), plans, arity, ins, Options{Parallelism: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !par.Equal(full) {
-			t.Fatalf("trial %d: parallel answers diverge from sequential", trial)
 		}
 
 		k := 1 + rng.Intn(full.Len()+2) // 0 means unlimited, so start at 1

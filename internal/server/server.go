@@ -292,11 +292,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, t *tenant) 
 		"fullRebuilds": m.FullRebuilds,
 		// Answer-view cache counters for this tenant's ontology.
 		"answerCache": m.AnswerCache,
-		// Partition layout and locality counters of the cached expansion:
-		// local firings vs. triggers shipped through the exchange, plus
-		// probes the partition-pruned plans confined to one sub-instance.
-		"partitions": m.Partitions,
-		"partition":  m.Partition,
 		// Admission counter; server-wide, not per-tenant — the semaphore is
 		// shared.
 		"shedRequests": s.shed.Load(),
@@ -314,10 +309,6 @@ type queryRequest struct {
 	// Limit bounds the distinct answers produced (0 = all); the ?limit=
 	// query parameter overrides it.
 	Limit int `json:"limit,omitempty"`
-	// Partitions hash-partitions the chase-mode materialization this many
-	// ways (same answers; see repro.Options.Partitions). 0 falls back to
-	// the server default.
-	Partitions int `json:"partitions,omitempty"`
 	// Stream switches the response to NDJSON: one JSON array per answer,
 	// flushed as produced, then a trailing object with the count. The
 	// Accept: application/x-ndjson header has the same effect.
@@ -344,23 +335,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, t *tenant) 
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("unknown mode %q", req.Mode))
 		return
 	}
-	// Parallelism and partitions size allocations made under the writer
-	// lock (a worker's goroutine, null generator and shards; a partition's
-	// whole instance): an unchecked count is one request taking every
-	// tenant down.
+	// Parallelism sizes allocations made under the writer lock (a chase
+	// worker's goroutine, null generator and shard): an unchecked count is
+	// one request taking every tenant down.
 	if req.Parallelism != 0 {
 		if req.Parallelism < 1 || req.Parallelism > repro.MaxParallelism {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad parallelism %d: want 1..%d", req.Parallelism, repro.MaxParallelism))
 			return
 		}
 		opts.Parallelism = req.Parallelism
-	}
-	if req.Partitions != 0 {
-		if req.Partitions < 1 || req.Partitions > repro.MaxPartitions {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad partitions %d: want 1..%d", req.Partitions, repro.MaxPartitions))
-			return
-		}
-		opts.Partitions = req.Partitions
 	}
 	if req.MaxSteps > 0 {
 		opts.MaxSteps = req.MaxSteps

@@ -550,39 +550,36 @@ func TestQueryStreamNDJSON(t *testing.T) {
 	}
 }
 
-// TestQuerySizesBounded checks that a request body cannot size the store or
-// the worker pool: "partitions" outside 1..repro.MaxPartitions and
-// "parallelism" outside 1..repro.MaxParallelism are a 400 before anything is
-// built (two billion partitions used to be allocated under the writer lock,
-// a hundred million workers' worth of null generators, shards and work
-// units), the removed "planner"/"join" fields are a 400 naming the field,
-// and the tenant keeps answering: the bounds themselves are served.
+// TestQuerySizesBounded checks that a request body cannot size the worker
+// pool: "parallelism" outside 1..repro.MaxParallelism is a 400 before
+// anything is built (a hundred million workers' worth of null generators and
+// shards used to be allocated under the writer lock), the removed
+// "planner"/"join"/"partitions" fields are a 400 naming the field, and the
+// tenant keeps answering: the bounds themselves are served.
 func TestQuerySizesBounded(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	s.Add("fam", repro.MustParse(familyProgram))
 	url := ts.URL + "/v1/ontologies/fam/query"
-	for field, max := range map[string]int{"partitions": repro.MaxPartitions, "parallelism": repro.MaxParallelism} {
-		for _, tc := range []struct {
-			value int
-			want  int
-		}{
-			{2000000000, http.StatusBadRequest},
-			{max + 1, http.StatusBadRequest},
-			{-1, http.StatusBadRequest},
-			{1, http.StatusOK},
-			{max, http.StatusOK},
-		} {
-			body := fmt.Sprintf(`{"query": "q(X) :- ancestor(ada, X) .", "mode": "chase", %q: %d}`, field, tc.value)
-			st, m := doJSON(t, "POST", url, body)
-			if st != tc.want {
-				t.Errorf("%s=%d: status %d, want %d (%v)", field, tc.value, st, tc.want, m)
-			}
-			if st == http.StatusOK && int(m["count"].(float64)) != 2 {
-				t.Errorf("%s=%d: %v answers, want 2", field, tc.value, m["count"])
-			}
+	for _, tc := range []struct {
+		value int
+		want  int
+	}{
+		{2000000000, http.StatusBadRequest},
+		{repro.MaxParallelism + 1, http.StatusBadRequest},
+		{-1, http.StatusBadRequest},
+		{1, http.StatusOK},
+		{repro.MaxParallelism, http.StatusOK},
+	} {
+		body := fmt.Sprintf(`{"query": "q(X) :- ancestor(ada, X) .", "mode": "chase", "parallelism": %d}`, tc.value)
+		st, m := doJSON(t, "POST", url, body)
+		if st != tc.want {
+			t.Errorf("parallelism=%d: status %d, want %d (%v)", tc.value, st, tc.want, m)
+		}
+		if st == http.StatusOK && int(m["count"].(float64)) != 2 {
+			t.Errorf("parallelism=%d: %v answers, want 2", tc.value, m["count"])
 		}
 	}
-	for _, field := range []string{"planner", "join"} {
+	for _, field := range []string{"planner", "join", "partitions"} {
 		st, m := doJSON(t, "POST", url, fmt.Sprintf(`{"query": "q(X) :- ancestor(ada, X) .", %q: "hash"}`, field))
 		if msg, _ := m["error"].(string); st != http.StatusBadRequest || !strings.Contains(msg, field) {
 			t.Errorf("removed field %q: status %d %v, want a 400 naming it", field, st, m)

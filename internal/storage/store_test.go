@@ -2,85 +2,233 @@ package storage
 
 import (
 	"fmt"
-	"slices"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/logic"
 )
 
-func factStrings(ins *Instance) []string {
-	var out []string
-	for _, a := range ins.Atoms() {
-		out = append(out, a.String())
+// model is the reference a generation is compared against: per predicate,
+// the set of tuples keyed by Tuple.Key.
+type model map[string]map[string]Tuple
+
+func (m model) clone() model {
+	out := make(model, len(m))
+	for pred, ts := range m {
+		c := make(map[string]Tuple, len(ts))
+		for k, t := range ts {
+			c[k] = t
+		}
+		out[pred] = c
 	}
-	slices.Sort(out)
 	return out
 }
 
-// TestStoreContract runs the same script over the P = 1 store (a plain
-// Instance) and over P = 3: every fact lives in exactly the partition Route
-// names, relations stay aligned across partitions, a Fork never writes through
-// to its parent, a shard merge yields exactly the new facts, and Flatten gives
-// back one instance holding everything.
-func TestStoreContract(t *testing.T) {
-	src := NewInstance()
-	for i := 0; i < 20; i++ {
-		k := logic.NewConst(fmt.Sprintf("k%d", i))
-		src.InsertAtom(logic.NewAtom("r", k, logic.NewConst("v")))
-		src.InsertAtom(logic.NewAtom("unary", k))
+func (m model) has(a logic.Atom) bool {
+	_, ok := m[a.Pred][Tuple(a.Args).Key()]
+	return ok
+}
+
+func (m model) add(a logic.Atom) {
+	if m[a.Pred] == nil {
+		m[a.Pred] = make(map[string]Tuple)
 	}
-	for _, p := range []int{1, 3} {
-		t.Run(fmt.Sprintf("P=%d", p), func(t *testing.T) {
-			store, err := NewStore(src, p, 0)
-			if err != nil {
-				t.Fatal(err)
+	m[a.Pred][Tuple(a.Args).Key()] = Tuple(a.Args).Clone()
+}
+
+// modelArity is the fixed arity of every predicate the script uses; a fact
+// of any other width is an arity conflict.
+var modelArity = map[string]int{"r": 2, "s": 1, "t": 3}
+
+// check compares an instance against the model through every read the
+// evaluator and the chase use: Relation, Tuples, Lookup and Distinct.
+func check(ins *Instance, m model) error {
+	for _, pred := range ins.Predicates() {
+		if len(m[pred]) == 0 && ins.Relation(pred).Len() != 0 {
+			return fmt.Errorf("%s holds %d tuples, model none", pred, ins.Relation(pred).Len())
+		}
+	}
+	for pred, want := range m {
+		rel := ins.Relation(pred)
+		if len(want) == 0 {
+			continue
+		}
+		if rel == nil {
+			return fmt.Errorf("%s missing, want %d tuples", pred, len(want))
+		}
+		if rel.Len() != len(want) {
+			return fmt.Errorf("%s holds %d tuples, want %d", pred, rel.Len(), len(want))
+		}
+		for _, t := range rel.Tuples() {
+			if _, ok := want[t.Key()]; !ok {
+				return fmt.Errorf("%s holds %v, absent from the model", pred, t)
 			}
-			if store.NumParts() != p || store.Size() != src.Size() {
-				t.Fatalf("NumParts=%d Size=%d, want %d and %d", store.NumParts(), store.Size(), p, src.Size())
+		}
+		for col := 0; col < rel.Arity(); col++ {
+			count := make(map[logic.Term]int)
+			for _, t := range want {
+				count[t[col]]++
 			}
-			if got, want := factStrings(Flatten(store)), factStrings(src); !slices.Equal(got, want) {
-				t.Fatalf("Flatten lost or invented facts:\ngot  %v\nwant %v", got, want)
+			if d := rel.Distinct(col); d != len(count) {
+				return fmt.Errorf("%s Distinct(%d) = %d, want %d", pred, col, d, len(count))
 			}
-			for _, a := range src.Atoms() {
-				for i := 0; i < p; i++ {
-					if got, want := store.Part(i).ContainsAtom(a), i == store.Route(a); got != want {
-						t.Errorf("%v in partition %d: %v, Route says %d", a, i, got, store.Route(a))
+			for term, n := range count {
+				offs := rel.Lookup(col, term)
+				if len(offs) != n {
+					return fmt.Errorf("%s Lookup(%d, %v) = %d offsets, want %d", pred, col, term, len(offs), n)
+				}
+				for _, o := range offs {
+					if rel.Tuples()[o][col] != term {
+						return fmt.Errorf("%s Lookup(%d, %v) points at %v", pred, col, term, rel.Tuples()[o])
+					}
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// randAtom draws a fact over a small domain, so duplicates are frequent;
+// with probability 1/8 its width disagrees with its predicate's arity.
+func randAtom(rng *rand.Rand) logic.Atom {
+	preds := []string{"r", "s", "t"}
+	pred := preds[rng.Intn(len(preds))]
+	arity := modelArity[pred]
+	if rng.Intn(8) == 0 {
+		arity = arity%3 + 1
+	}
+	args := make([]logic.Term, arity)
+	for i := range args {
+		if rng.Intn(6) == 0 {
+			args[i] = logic.NewNull(fmt.Sprintf("n%d", rng.Intn(2)))
+		} else {
+			args[i] = logic.NewConst(fmt.Sprintf("c%d", rng.Intn(4)))
+		}
+	}
+	return logic.NewAtom(pred, args...)
+}
+
+func conflicts(a logic.Atom) bool { return a.Arity() != modelArity[a.Pred] }
+
+// TestStoreContract runs random Insert/Remove/MergeShards scripts over a
+// chain of ExtendClone generations and compares every generation against a
+// plain set model. Every older generation keeps being read concurrently
+// while its descendants are written, so -race sees any write through to a
+// parent snapshot, and every re-check demands that it never changed.
+func TestStoreContract(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			stop := make(chan struct{})
+			var readers sync.WaitGroup
+			defer func() {
+				close(stop)
+				readers.Wait()
+			}()
+			read := func(gen int, ins *Instance, m model) {
+				defer readers.Done()
+				//repro:allow ctxpoll test reader, bounded by the stop channel
+				for {
+					if err := check(ins, m); err != nil {
+						t.Errorf("generation %d changed under its descendants: %v", gen, err)
+						return
+					}
+					select {
+					case <-stop:
+						return
+					default:
 					}
 				}
 			}
 
-			fork := store.Fork()
-			fresh := logic.NewAtom("s", logic.NewConst("k1"), logic.NewConst("w"))
-			if added, err := fork.Insert(fresh); err != nil || !added {
-				t.Fatalf("Insert into the fork: added=%v err=%v", added, err)
-			}
-			for i := 0; i < p; i++ {
-				if fork.Part(i).Relation("s") == nil {
-					t.Errorf("first-use predicate missing from partition %d: alignment broken", i)
+			// Every predicate exists from the start, so a fact of another
+			// width always conflicts.
+			ins, m := NewInstance(), model{}
+			for pred, arity := range modelArity {
+				if _, err := ins.EnsureRelation(pred, arity); err != nil {
+					t.Fatal(err)
 				}
 			}
-			if !fork.Remove(logic.NewAtom("unary", logic.NewConst("k2"))) {
-				t.Error("Remove of a stored fact reported absent")
-			}
-			if store.Size() != src.Size() || store.Part(0).Relation("s") != nil {
-				t.Error("mutating a Fork wrote through to its parent")
-			}
-
-			home := fork.Route(fresh)
-			shard := NewShard()
-			shard.Insert(fresh) // already stored: must not reach the delta
-			again := logic.NewAtom("s", logic.NewConst("k1"), logic.NewConst("x"))
-			shard.Insert(again)
-			delta, err := fork.MergeShardsPart(home, shard)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if delta.Size() != 1 || !delta.ContainsAtom(again) || !fork.Part(home).ContainsAtom(again) {
-				t.Errorf("merge delta = %v, want exactly %v, stored in partition %d", delta, again, home)
+			for gen := 0; gen < 8; gen++ {
+				for op := 0; op < 24; op++ {
+					step(t, rng, ins, m)
+				}
+				if err := check(ins, m); err != nil {
+					t.Fatalf("generation %d: %v", gen, err)
+				}
+				readers.Add(1)
+				go read(gen, ins, m)
+				ins, m = ins.ExtendClone(), m.clone()
 			}
 		})
 	}
-	if _, ok := Store(src).(*Instance); !ok || src.Part(0) != src || Flatten(src) != src {
-		t.Error("an Instance must be its own zero-copy single-partition store")
+}
+
+// step applies one random mutation to ins and to the model, checking the
+// reported outcome against the model.
+func step(t *testing.T, rng *rand.Rand, ins *Instance, m model) {
+	t.Helper()
+	switch rng.Intn(3) {
+	case 0:
+		a := randAtom(rng)
+		added, err := ins.Insert(a)
+		switch {
+		case conflicts(a):
+			if err == nil {
+				t.Fatalf("Insert(%v): arity conflict not reported", a)
+			}
+		case err != nil || added == m.has(a):
+			t.Fatalf("Insert(%v) = %v, %v; model has it: %v", a, added, err, m.has(a))
+		default:
+			m.add(a)
+		}
+	case 1:
+		a := randAtom(rng)
+		if got, want := ins.Remove(a), !conflicts(a) && m.has(a); got != want {
+			t.Fatalf("Remove(%v) = %v, want %v", a, got, want)
+		}
+		if !conflicts(a) {
+			delete(m[a.Pred], Tuple(a.Args).Key())
+		}
+	default:
+		shards := make([]*Shard, 1+rng.Intn(3))
+		var buffered []logic.Atom
+		conflict := false
+		for i := range shards {
+			shards[i] = NewShard()
+			for j := rng.Intn(5); j >= 0; j-- {
+				a := randAtom(rng)
+				if _, err := shards[i].Insert(a); err != nil {
+					continue // conflicts with an earlier fact of this shard
+				}
+				conflict = conflict || conflicts(a)
+				buffered = append(buffered, a)
+			}
+		}
+		delta, err := ins.MergeShards(shards...)
+		if conflict {
+			if err == nil {
+				t.Fatalf("MergeShards of %v: arity conflict not reported", buffered)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("MergeShards of %v: %v", buffered, err)
+		}
+		fresh := model{}
+		for _, a := range buffered {
+			if !m.has(a) {
+				fresh.add(a)
+			}
+		}
+		if err := check(delta, fresh); err != nil {
+			t.Fatalf("MergeShards delta: %v", err)
+		}
+		for pred, ts := range fresh {
+			for _, tu := range ts {
+				m.add(logic.NewAtom(pred, tu...))
+			}
+		}
 	}
 }

@@ -68,7 +68,7 @@ import (
 // the next snapshot with one pointer store (publish) — or, when rejected or
 // canceled, publishes nothing — while readers keep evaluating the previous
 // generation, untouched. Only a cold chase materialization (the first
-// chase-mode answer, or one after a budget or partition-count change) builds
+// chase-mode answer, or one after a budget change) builds
 // under the writer lock, single-flight and serialized with mutators; once
 // published it serves every reader until the next write.
 //
@@ -115,12 +115,6 @@ type Ontology struct {
 	// forcing the next chase-mode answer to rebuild from scratch. Surfaced
 	// through MaterializationStats so the rebuild penalty is observable.
 	fullRebuilds atomic.Uint64
-	// prunedProbes counts evaluation-side partition pruning: join probes
-	// that a plan over a P > 1 materialization confined to a single
-	// sub-instance because the partitioning column was bound. Accumulated
-	// live by every Answer* call (eval.Options.Pruned sink) and surfaced
-	// through MaterializationStats.Partition.
-	prunedProbes atomic.Uint64
 
 	// ansBudget is the answer-view cache byte budget; <= 0 disables the
 	// cache entirely (the library default — servers and CLIs opt in via
@@ -263,7 +257,7 @@ func (o *Ontology) dropMat(next *snapshot) {
 // setMat freezes the engine counters into an immutable materialization of
 // the not yet published snapshot. The engine state is the writer's: requires
 // Ontology.wmu.
-func (s *snapshot) setMat(store storage.Store, st *chase.State, terminated bool, lastSteps, lastRounds int) {
+func (s *snapshot) setMat(store *storage.Instance, st *chase.State, terminated bool, lastSteps, lastRounds int) {
 	derivs, dead, compactions := st.ProvenanceStats()
 	s.matEpoch++
 	s.mat = &materialization{
@@ -278,7 +272,6 @@ func (s *snapshot) setMat(store storage.Store, st *chase.State, terminated bool,
 		provDerivs:  derivs,
 		provDead:    dead,
 		compactions: compactions,
-		pstats:      st.PartitionTotals(),
 	}
 }
 
@@ -296,7 +289,7 @@ var compileUCQ = eval.CompileUCQ
 
 // store returns the instance a query over this snapshot evaluates: the
 // materialization or the base data.
-func (s *snapshot) store(onMat bool) storage.Store {
+func (s *snapshot) store(onMat bool) *storage.Instance {
 	if onMat {
 		return s.mat.store
 	}
@@ -334,9 +327,8 @@ func (s *snapshot) evalUCQ(u *query.UCQ, onMat bool, opts eval.Options) *eval.An
 // immutable once published; state is only ever touched by writers serialized
 // under Ontology.wmu.
 type materialization struct {
-	// store is the expansion, in Options.Partitions partitions; a request
-	// for a different partition count rebuilds.
-	store storage.Store
+	// store is the expansion.
+	store *storage.Instance
 	state *chase.State
 	// terminated mirrors the last increment's fixpoint flag; a truncated
 	// cache is only served to callers whose budgets cannot do better.
@@ -349,18 +341,14 @@ type materialization struct {
 	// provDerivs/provDead/compactions freeze the provenance-graph size, its
 	// dead (compactable) portion and the completed sweep count.
 	provDerivs, provDead, compactions int
-	// pstats freezes the chase driver's cumulative locality counters.
-	pstats chase.PartitionStats
 }
 
 // usable reports whether the materialization can serve a request with the
-// given (defaulted) budgets: the partition count must match the request's
-// (answers are identical either way; the caller asked for that layout's
-// locality and pruning), and a truncated cache only serves requests whose
+// given (defaulted) budgets: a truncated cache only serves requests whose
 // budgets are no larger than the ones it was built with (a larger budget
 // could derive more). A terminated fixpoint serves any budget.
 func (m *materialization) usable(copts chase.Options) bool {
-	if m == nil || m.store.NumParts() != copts.Partitions {
+	if m == nil {
 		return false
 	}
 	if m.terminated {

@@ -32,11 +32,10 @@ const (
 type Options struct {
 	// Mode selects the expansion technique (default ModeAuto).
 	Mode AnswerMode
-	// Parallelism is the worker count used by chase materialization and by
-	// UCQ evaluation: the chase fans rule applications out over a pool with
-	// sharded writes, evaluation runs the CQs of the rewriting (and the
-	// outer loop of each join) concurrently. 0 or 1 means sequential. Any
-	// value yields the same answer set.
+	// Parallelism is the chase worker count: a chase-mode materialization
+	// fans rule applications out over a pool with sharded writes. Query
+	// evaluation is always sequential. 0 or 1 means one worker. Any value
+	// yields the same answer set.
 	Parallelism int
 	// MaxSteps bounds chase trigger firings (0 = chase.DefaultMaxSteps).
 	// Big workloads that legitimately exceed the default hard-fail without
@@ -51,54 +50,19 @@ type Options struct {
 	// Limit stops answering after this many distinct answers (0 = all). The
 	// limit is pushed into the streaming executor: the iterator tree stops
 	// as soon as it is satisfied instead of filtering a materialized set.
-	// Limit > 0 forces sequential evaluation, whose answer prefix is
-	// deterministic.
 	Limit int
 	// NoCache bypasses the shared answer-view cache for this call: the
 	// query is evaluated from scratch and the result is not stored. The
 	// property tests use it to compare cached against uncached answers on
 	// one ontology.
 	NoCache bool
-	// Partitions is the partition count P of the chase-mode materialization,
-	// hash-routed on the first term position (distribution milestone 1):
-	// rules the classifier proves partition-local fire with zero
-	// cross-partition coordination, and query plans that bind the
-	// partitioning column probe exactly one sub-instance (see
-	// MaterializationStats.Partition for the counters). 0 uses the package
-	// default (1 unless the test harness overrides it); 1 is the
-	// unpartitioned store. Rewrite-mode answering is unaffected — it
-	// evaluates the base data. Any value yields the same certain answers.
-	Partitions int
 }
 
-// MaxPartitions and MaxParallelism bound Options.Partitions and
-// Options.Parallelism where the value arrives from outside the program; the
-// server and the CLI flags reject anything beyond them. Both are allocations
-// the caller sizes: a partition is a whole instance, a worker a goroutine
-// with its own null generator, write shards and evaluation work units.
-const (
-	MaxPartitions  = storage.MaxPartitions
-	MaxParallelism = 64
-)
-
-// defaultPartitions seeds Options.Partitions when callers leave it zero.
-// The library default is one partition; the test harness flips it (PART env,
-// read by TestMain) to run the public-API suite and the benchmarks at P > 1
-// without touching their call sites.
-var defaultPartitions int
-
-// partitions resolves Options.Partitions against the package default,
-// normalized to >= 1.
-func (opts Options) partitions() int {
-	p := opts.Partitions
-	if p == 0 {
-		p = defaultPartitions
-	}
-	if p < 1 {
-		p = 1
-	}
-	return p
-}
+// MaxParallelism bounds Options.Parallelism where the value arrives from
+// outside the program; the server and the CLI flags reject anything beyond
+// it. A chase worker is an allocation the caller sizes: a goroutine with its
+// own null generator and write shard.
+const MaxParallelism = 64
 
 // chaseOptions maps Options onto a (defaulted) chase configuration.
 func (opts Options) chaseOptions() chase.Options {
@@ -106,7 +70,6 @@ func (opts Options) chaseOptions() chase.Options {
 		MaxSteps:    opts.MaxSteps,
 		MaxRounds:   opts.MaxRounds,
 		Parallelism: opts.Parallelism,
-		Partitions:  opts.partitions(),
 	}
 	if co.MaxSteps == 0 {
 		co.MaxSteps = chase.DefaultMaxSteps
@@ -118,15 +81,9 @@ func (opts Options) chaseOptions() chase.Options {
 }
 
 // evalOptions maps Options onto the evaluation configuration shared by the
-// collecting and streaming answer paths; partition-pruned probes (P > 1
-// materializations only) accumulate into the ontology's live counter.
-func (o *Ontology) evalOptions(opts Options) eval.Options {
-	return eval.Options{
-		FilterNulls: true,
-		Limit:       opts.Limit,
-		Parallelism: opts.Parallelism,
-		Pruned:      &o.prunedProbes,
-	}
+// collecting and streaming answer paths.
+func evalOptions(opts Options) eval.Options {
+	return eval.Options{FilterNulls: true, Limit: opts.Limit}
 }
 
 // Answer computes the certain answers cert(q, P, D) for the query over the
@@ -172,8 +129,7 @@ type Answer = storage.Tuple
 // Every phase before the stream (rewriting, a cold materialization build)
 // honors ctx exactly as AnswerCtx does, and the stream itself is abandoned
 // promptly when ctx is canceled mid-enumeration, returning the context
-// error. Streaming is sequential by construction (the prefix is
-// deterministic); Options.Parallelism is ignored. The tuples passed to yield
+// error. The answer order is deterministic. The tuples passed to yield
 // are shared with the answer set the stream builds (and, on a cache hit,
 // with the cached view): read-only, like Answers.Tuples. A stream that runs
 // to the end leaves its answer set behind as a cached view; one yield stops
@@ -198,9 +154,8 @@ func (o *Ontology) AnswerEach(ctx context.Context, querySrc string, opts Options
 // resolveAnswer resolves the answering mode against the reader's snapshot and
 // produces the evaluation input of openAnswer: the UCQ to run, the snapshot
 // to run it over and which of its stores — the rewriting over the base data,
-// or the query itself over the materialization in Options.Partitions
-// partitions. The snapshot returned is s unless the materialization had to be
-// built, which publishes a successor.
+// or the query itself over the materialization. The snapshot returned is s
+// unless the materialization had to be built, which publishes a successor.
 //
 // Resolution never outlives its deadline. The exit check below covers two
 // gaps the in-build polls cannot: ctx polls inside the chase are amortized,
@@ -261,8 +216,8 @@ func (o *Ontology) resolveAnswerMode(ctx context.Context, s *snapshot, q *query.
 
 // chaseForAnswer returns the snapshot whose materialization chase-mode
 // answering evaluates over: s itself when its materialization serves the
-// requested budgets and partition count — the lock-free fast path — or the
-// successor a cold build publishes.
+// requested budgets — the lock-free fast path — or the successor a cold
+// build publishes.
 func (o *Ontology) chaseForAnswer(ctx context.Context, s *snapshot, q *query.CQ, opts Options) (*query.UCQ, *snapshot, bool, error) {
 	copts := opts.chaseOptions()
 	if !s.mat.usable(copts) {
@@ -288,10 +243,7 @@ func (o *Ontology) buildMat(ctx context.Context, copts chase.Options) (*snapshot
 	if s.mat.usable(copts) {
 		return s, nil // built while we queued
 	}
-	store, err := storage.NewStore(s.base, copts.Partitions, copts.PartitionCol)
-	if err != nil {
-		return nil, err
-	}
+	store := s.base.Clone()
 	// Record provenance only once a DeleteFact/RemoveRule has shown it is
 	// needed.
 	copts.TrackProvenance = o.wantProv.Load()

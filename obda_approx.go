@@ -116,7 +116,7 @@ func (o *Ontology) AnswerApprox(querySrc string, opts ApproxOptions) (*Approx, e
 	// no lock held.
 	if s.mat != nil && s.mat.terminated {
 		return &Approx{
-			Answers:         s.evalUCQ(query.MustNewUCQ(q), true, o.evalOptions(Options{})),
+			Answers:         s.evalUCQ(query.MustNewUCQ(q), true, evalOptions(Options{})),
 			Exact:           true,
 			ChaseTerminated: true,
 		}, nil

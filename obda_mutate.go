@@ -197,9 +197,8 @@ func (o *Ontology) mutate(ctx context.Context, mut mutation) (mutationResult, er
 // before publishing: every apply step threads it, so a multi-part mutation
 // repairs one extension and publishes once.
 type matWork struct {
-	// store is the copy-on-write extension under repair, in the published
-	// materialization's layout.
-	store         storage.Store
+	// store is the copy-on-write extension under repair.
+	store         *storage.Instance
 	state         *chase.State
 	terminated    bool
 	steps, rounds int  // accumulated across this mutation's steps
@@ -220,7 +219,7 @@ func beginMatWork(m *materialization) *matWork {
 		return &matWork{}
 	}
 	return &matWork{
-		store:      m.store.Fork(),
+		store:      m.store.ExtendClone(),
 		state:      m.state,
 		terminated: m.terminated,
 		live:       true,
@@ -345,12 +344,11 @@ func (s *snapshot) checkRuleArities(rules *dependency.Set) error {
 }
 
 // storedRelations returns an instance naming every stored relation, for
-// arity validation: partition 0 of the published expansion (a superset of the
-// base data; by the alignment invariant it sees every relation), or the base
-// data when nothing is materialized.
+// arity validation: the published expansion (a superset of the base data),
+// or the base data when nothing is materialized.
 func (s *snapshot) storedRelations() *storage.Instance {
 	if s.mat != nil {
-		return s.mat.store.Part(0)
+		return s.mat.store
 	}
 	return s.base
 }

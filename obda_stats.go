@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"repro/internal/chase"
-	"repro/internal/storage"
 )
 
 // MaterializationStats describes the cached chase expansion serving
@@ -42,28 +41,6 @@ type MaterializationStats struct {
 	// AnswerCache counts answer-view cache activity (hits, misses,
 	// evictions, the current snapshot's entries and bytes).
 	AnswerCache AnswerCacheStats
-	// Partitions is the partition count of the cached expansion (0 when
-	// nothing is cached).
-	Partitions int
-	// Partition aggregates the partitioned engine's locality counters.
-	Partition PartitionStats
-}
-
-// PartitionStats surfaces how much of the materialization's work stayed
-// inside single partitions (see Options.Partitions; at P = 1 all of it).
-type PartitionStats struct {
-	// LocalFirings counts chase trigger firings of partition-local rules —
-	// work done entirely inside one sub-instance, with zero cross-partition
-	// coordination. Frozen at publish time, cumulative across the initial
-	// build and every incremental extension or repair.
-	LocalFirings uint64
-	// ShippedTriggers counts spanning-rule triggers shipped through the
-	// chase's cross-partition exchange queue (0 on a fully local rule set).
-	ShippedTriggers uint64
-	// PrunedProbes counts join probes confined to a single partition: the
-	// chase's cross-partition runners at publish time, plus query plans that
-	// bound the partitioning column during answering (accumulated live).
-	PrunedProbes uint64
 }
 
 // MaterializationStats reports the state of the published materialization.
@@ -78,7 +55,6 @@ func (o *Ontology) MaterializationStats() MaterializationStats {
 			Epoch:        s.matEpoch,
 			FullRebuilds: o.fullRebuilds.Load(),
 			AnswerCache:  o.AnswerCacheStats(),
-			Partition:    PartitionStats{PrunedProbes: o.prunedProbes.Load()},
 		}
 	}
 	return MaterializationStats{
@@ -96,12 +72,6 @@ func (o *Ontology) MaterializationStats() MaterializationStats {
 		Compactions:         m.compactions,
 		FullRebuilds:        o.fullRebuilds.Load(),
 		AnswerCache:         o.AnswerCacheStats(),
-		Partitions:          m.store.NumParts(),
-		Partition: PartitionStats{
-			LocalFirings:    m.pstats.LocalFirings,
-			ShippedTriggers: m.pstats.ShippedTriggers,
-			PrunedProbes:    m.pstats.PrunedProbes + o.prunedProbes.Load(),
-		},
 	}
 }
 
@@ -124,15 +94,6 @@ func (o *Ontology) ChaseOptions(opts Options) *chase.Result {
 // prefix of the data, and the ontology's own caches are untouched (the run
 // is always fresh and private).
 func (o *Ontology) ChaseCtx(ctx context.Context, opts Options) *chase.Result {
-	copts := opts.chaseOptions()
 	s := o.load()
-	// chase.RunCtx would copy a second time, so the private copy is chased
-	// directly.
-	store, err := storage.NewStore(s.base, copts.Partitions, copts.PartitionCol)
-	if err != nil {
-		return &chase.Result{Err: err}
-	}
-	res := chase.NewState(copts).ResumeCtx(ctx, s.rules, store, store)
-	res.Instance = storage.Flatten(store)
-	return res
+	return chase.RunCtx(ctx, s.rules, s.base, opts.chaseOptions())
 }

@@ -88,6 +88,52 @@ func TestPropertyParallelMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestPropertyPartitionedMatchesOracle is the chase-mode property at the
+// public API: over seeded random ontologies, a chase-mode ontology with 1 or 4
+// workers must produce exactly the certain answers of the textbook chase, and,
+// because workers replay the very same semi-naive rounds, report exactly the
+// Steps/Rounds/NullsCreated of a 1-worker build. The name dates from the
+// hash-partitioned store; this is its one-store leg.
+func TestPropertyPartitionedMatchesOracle(t *testing.T) {
+	families := []datagen.Family{datagen.FamilyLinear, datagen.FamilyChain, datagen.FamilySticky}
+	for _, fam := range families {
+		for seed := int64(1); seed <= 3; seed++ {
+			for _, par := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%v/seed=%d/par=%d", fam, seed, par), func(t *testing.T) {
+					base := ontologyFromDatagen(t, fam, 5, seed)
+					queries := atomicQueriesOf(t, base.Rules())
+					if _, err := base.AnswerOptions(queries[0], Options{Mode: ModeChase}); err != nil {
+						t.Skipf("baseline chase over budget: %v", err)
+					}
+					baseStats := base.MaterializationStats()
+					ref, ok := oracleOf(base.Rules(), base.Data().Atoms(), 20*baseStats.Steps+1000)
+					if !ok {
+						t.Fatalf("oracle over budget on a chase the engine finished in %d steps", baseStats.Steps)
+					}
+
+					ont := ontologyFromDatagen(t, fam, 5, seed)
+					opts := Options{Mode: ModeChase, Parallelism: par}
+					for _, q := range queries {
+						ans, err := ont.AnswerOptions(q, opts)
+						if err != nil {
+							t.Fatalf("par=%d %s: %v", par, q, err)
+						}
+						if got, want := renderedAnswers(ans), ref.answers(t, q); !slices.Equal(got, want) {
+							t.Errorf("par=%d %s: answers differ from the oracle:\nengine: %v\noracle: %v", par, q, got, want)
+						}
+					}
+					if st := ont.MaterializationStats(); st.Steps != baseStats.Steps || st.Rounds != baseStats.Rounds ||
+						st.NullsCreated != baseStats.NullsCreated {
+						t.Errorf("par=%d: counters diverge from par=1: steps %d/%d rounds %d/%d nulls %d/%d",
+							par, st.Steps, baseStats.Steps, st.Rounds, baseStats.Rounds,
+							st.NullsCreated, baseStats.NullsCreated)
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestParallelModesAgree cross-checks the two expansion techniques under
 // parallelism on an FO-rewritable workload: rewrite+eval and chase+eval,
 // sequential and parallel, must all return the oracle's answers.
