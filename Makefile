@@ -15,8 +15,9 @@ test:
 
 # Short fuzzing leg over the committed seed corpora: the query parser, the
 # program parser (rules + facts), the POST .../query body, the fact and rule
-# mutation bodies, LoadCSV, the classifier's report and the rewriter's pool
-# invariant (one target per invocation — go test allows no more).
+# mutation bodies, the create/rule-removal/CSV-load requests, LoadCSV, the
+# classifier's report and the rewriter's pool invariant (one target per
+# invocation — go test allows no more).
 FUZZTIME ?= 10s
 
 fuzz:
@@ -24,6 +25,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseProgram -fuzztime $(FUZZTIME) ./internal/parser
 	$(GO) test -run '^$$' -fuzz FuzzQueryBody -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzMutationBody -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzOntologyBody -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzLoadCSV -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz FuzzClassify -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzRewrite -fuzztime $(FUZZTIME) ./internal/rewrite

@@ -48,11 +48,7 @@ func (o *Ontology) AnswerCacheStats() AnswerCacheStats {
 		Misses:    o.ansStats.Misses.Load(),
 		Evictions: o.ansStats.Evictions.Load(),
 	}
-	// A snapshot whose base was written through Data() is replaced by the
-	// next read, so its views are already unreachable.
-	if s := o.snap.Load(); s.intact() {
-		st.Entries, st.Bytes = s.views.Load().Usage()
-	}
+	st.Entries, st.Bytes = o.snap.Load().views.Load().Usage()
 	return st
 }
 
@@ -113,7 +109,7 @@ func (o *Ontology) openAnswer(ctx context.Context, querySrc string, opts Options
 	if err != nil {
 		return answerStream{}, err
 	}
-	snap := o.load()
+	snap := o.snap.Load()
 	key := ""
 	if !opts.NoCache && o.ansBudget.Load() > 0 {
 		key = answerViewKey(q, opts)

@@ -10,7 +10,6 @@ package repro
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -583,50 +582,6 @@ func BenchmarkRemoveRule(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkProvenanceMemory measures what the generational compaction sweep
-// reclaims: each iteration is one AddFact/DeleteFact cycle with automatic
-// compaction off, so dead derivations accumulate exactly as they would in a
-// long-lived serving process; at the end one sweep runs and the metrics
-// report the derivations dropped and the heap bytes freed.
-func BenchmarkProvenanceMemory(b *testing.B) {
-	ont := MustParse(datagen.University().String() + "\n" + datagen.UniversityData(8, 1).String())
-	ont.SetCompactEvery(0) // accumulate; sweep manually below
-	const q = `q(X) :- person(X) .`
-	if err := ont.AddFact(`undergraduateStudent(primer) .`); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := ont.DeleteFact(`undergraduateStudent(primer) .`); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := ont.AnswerMode(q, ModeChase); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := ont.AddFact(fmt.Sprintf("undergraduateStudent(churn%d) .", i)); err != nil {
-			b.Fatal(err)
-		}
-		if n, err := ont.DeleteFact(fmt.Sprintf("undergraduateStudent(churn%d) .", i)); err != nil || n != 1 {
-			b.Fatalf("delete churn%d: n=%d err=%v", i, n, err)
-		}
-	}
-	b.StopTimer()
-	runtime.GC()
-	var before runtime.MemStats
-	runtime.ReadMemStats(&before)
-	dropped := ont.CompactProvenance()
-	runtime.GC()
-	var after runtime.MemStats
-	runtime.ReadMemStats(&after)
-	b.ReportMetric(float64(dropped), "derivs-dropped")
-	if before.HeapAlloc > after.HeapAlloc {
-		b.ReportMetric(float64(before.HeapAlloc-after.HeapAlloc), "bytes-freed")
-	} else {
-		b.ReportMetric(0, "bytes-freed")
-	}
 }
 
 // BenchmarkSnapshotContention measures chase-mode answering under writer

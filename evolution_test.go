@@ -328,47 +328,63 @@ student(alice) .
 }
 
 // TestCompactionKeepsMaintenanceCorrect is the generational-sweep property
-// at the public API: with compaction forced on every mutation, a stream of
+// at the public API: with a sweep run after every mutation, a stream of
 // add/delete/rule mutations must still answer exactly like scratch, the
 // sweep counters must move, and — the acceptance criterion — DeleteFact
-// after a sweep still repairs correctly.
+// after a sweep still repairs correctly. Its last leg shows the automatic
+// sweep: the DefaultCompactEvery-th mutation runs one on its own.
 func TestCompactionKeepsMaintenanceCorrect(t *testing.T) {
 	base := datagen.University().String() + "\n" + datagen.UniversityData(2, 1).String()
-	ont := MustParse(base)
-	ont.SetCompactEvery(1)
 	const q = `q(X) :- person(X) .`
-	if _, err := ont.AnswerMode(q, ModeChase); err != nil {
-		t.Fatal(err)
-	}
-	// Prime provenance recording (first delete drops the provenance-less
-	// cache, sticky-enabling the graph for every later build).
-	if err := ont.AddFact(`undergraduateStudent(primer) .`); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := ont.DeleteFact(`undergraduateStudent(primer) .`); err != nil || n != 1 {
-		t.Fatalf("priming delete: n=%d err=%v", n, err)
-	}
-	if _, err := ont.AnswerMode(q, ModeChase); err != nil {
-		t.Fatal(err)
-	}
-
-	// Maintenance stream: every mutation both dirties and sweeps the graph.
-	for i := 0; i < 8; i++ {
-		if err := ont.AddFact(fmt.Sprintf("undergraduateStudent(c%d) .", i)); err != nil {
+	// primed returns an ontology recording provenance with its
+	// materialization built, after two mutations: the first delete drops the
+	// provenance-less cache, sticky-enabling the graph for every later build.
+	primed := func() *Ontology {
+		ont := MustParse(base)
+		if _, err := ont.AnswerMode(q, ModeChase); err != nil {
 			t.Fatal(err)
 		}
+		if err := ont.AddFact(`undergraduateStudent(primer) .`); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := ont.DeleteFact(`undergraduateStudent(primer) .`); err != nil || n != 1 {
+			t.Fatalf("priming delete: n=%d err=%v", n, err)
+		}
+		if _, err := ont.AnswerMode(q, ModeChase); err != nil {
+			t.Fatal(err)
+		}
+		return ont
+	}
+	ont := primed()
+
+	// Maintenance stream: every mutation dirties the graph, and a sweep
+	// follows each one.
+	swept := 0
+	mutated := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		swept += ont.CompactProvenance()
+	}
+	for i := 0; i < 8; i++ {
+		mutated(ont.AddFact(fmt.Sprintf("undergraduateStudent(c%d) .", i)))
 	}
 	for i := 0; i < 4; i++ {
-		if n, err := ont.DeleteFact(fmt.Sprintf("undergraduateStudent(c%d) .", i)); err != nil || n != 1 {
-			t.Fatalf("delete c%d: n=%d err=%v", i, n, err)
+		n, err := ont.DeleteFact(fmt.Sprintf("undergraduateStudent(c%d) .", i))
+		if err == nil && n != 1 {
+			err = fmt.Errorf("delete c%d removed %d facts", i, n)
 		}
+		mutated(err)
 	}
-	if err := ont.AddRule(`department(X) -> organization(X) .`); err != nil {
-		t.Fatal(err)
+	mutated(ont.AddRule(`department(X) -> organization(X) .`))
+	mutated(ont.RemoveRule(ont.Rules().Rules[ont.Rules().Len()-1].Label))
+	if swept == 0 {
+		t.Fatal("no sweep reclaimed a dead derivation")
 	}
-	if err := ont.RemoveRule(ont.Rules().Rules[ont.Rules().Len()-1].Label); err != nil {
-		t.Fatal(err)
-	}
+	// The stats are frozen at publication: an insert, which kills nothing,
+	// publishes the swept graph.
+	mutated(ont.AddFact(`undergraduateStudent(c8) .`))
 	st := ont.MaterializationStats()
 	if !st.Cached || st.Compactions == 0 {
 		t.Fatalf("stats = %+v, want compaction sweeps to have run", st)
@@ -387,7 +403,7 @@ func TestCompactionKeepsMaintenanceCorrect(t *testing.T) {
 		t.Fatal(err)
 	}
 	scratch := MustParse(base)
-	for _, i := range []int{4, 6, 7} { // c0..c3 and c5 were deleted
+	for _, i := range []int{4, 6, 7, 8} { // c0..c3 and c5 were deleted
 		if err := scratch.AddFact(fmt.Sprintf("undergraduateStudent(c%d) .", i)); err != nil {
 			t.Fatal(err)
 		}
@@ -400,20 +416,38 @@ func TestCompactionKeepsMaintenanceCorrect(t *testing.T) {
 		t.Errorf("post-compaction maintenance diverged:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 
-	// An on-demand sweep with nothing dead is a no-op; with auto-compaction
-	// off, dead derivations accumulate until one is requested.
-	ont.SetCompactEvery(0)
-	if n, err := ont.DeleteFact(`undergraduateStudent(c6) .`); err != nil || n != 1 {
-		t.Fatalf("delete c6: n=%d err=%v", n, err)
-	}
+	// Between automatic sweeps dead derivations accumulate until one is
+	// requested; an on-demand sweep with nothing dead is a no-op.
 	if st := ont.MaterializationStats(); st.ProvDeadDerivations == 0 {
-		t.Error("with auto-compaction off, the dead derivations must remain visible")
+		t.Error("the dead derivations of the last delete must remain visible until a sweep")
 	}
 	if dropped := ont.CompactProvenance(); dropped == 0 {
 		t.Error("on-demand CompactProvenance must reclaim the dead derivations")
 	}
 	if dropped := ont.CompactProvenance(); dropped != 0 {
 		t.Errorf("idle sweep dropped %d, want 0", dropped)
+	}
+
+	// The automatic sweep: primed has made two mutations, and churn adds the
+	// rest up to DefaultCompactEvery; only the last one sweeps.
+	ont = primed()
+	for i := 2; i < DefaultCompactEvery; i++ {
+		if st := ont.MaterializationStats(); st.Compactions != 0 {
+			t.Fatalf("a sweep ran after %d mutations, want none before %d", i, DefaultCompactEvery)
+		}
+		fact := fmt.Sprintf("undergraduateStudent(churn%d) .", i/2)
+		var err error
+		if i%2 == 0 {
+			err = ont.AddFact(fact)
+		} else {
+			_, err = ont.DeleteFact(fact)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := ont.MaterializationStats(); st.Compactions != 1 || st.ProvDeadDerivations != 0 {
+		t.Errorf("after %d mutations: stats = %+v, want one automatic sweep and nothing dead", DefaultCompactEvery, st)
 	}
 }
 

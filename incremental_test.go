@@ -277,8 +277,9 @@ func TestChaseBudgetsThreadedThroughOptions(t *testing.T) {
 }
 
 // TestOutOfBandDataMutationForcesRebuild: inserting through the Data()
-// accessor bypasses the lock and the cache, but the size guard must detect
-// it and rebuild instead of serving stale answers.
+// accessor would bypass the writer lock and every cache, so it panics — the
+// published base is frozen — and answers in both modes are unchanged, with
+// no rebuild. An AddFact afterwards still lands, incrementally.
 func TestOutOfBandDataMutationForcesRebuild(t *testing.T) {
 	ont := MustParse(`
 student(X) -> person(X) .
@@ -288,37 +289,44 @@ student(alice) .
 	if _, err := ont.AnswerMode(q, ModeChase); err != nil {
 		t.Fatal(err)
 	}
-	e0 := ont.MaterializationStats().Epoch
-	if err := ont.Data().InsertAtom(logic.NewAtom("student", logic.NewConst("rogue"))); err != nil {
+	before := ont.MaterializationStats()
+	held := ont.Data()
+	mustPanic(t, "Data().InsertAtom", func() { held.InsertAtom(logic.NewAtom("student", logic.NewConst("rogue"))) })
+	for _, mode := range []AnswerMode{ModeChase, ModeRewrite} {
+		ans, err := ont.AnswerMode(q, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ans.Len() != 1 || ans.Contains([]logic.Term{logic.NewConst("rogue")}) {
+			t.Errorf("mode %v: answers changed after the refused Data() write:\n%s", mode, ans)
+		}
+	}
+	if after := ont.MaterializationStats(); after.Epoch != before.Epoch || after.FullRebuilds != before.FullRebuilds {
+		t.Errorf("stats %+v -> %+v: a refused write must not rebuild", before, after)
+	}
+
+	// The instance held across an AddFact is the old generation: still
+	// frozen, and still without the new fact. The generation AddFact
+	// publishes is frozen too, base and materialization alike.
+	if err := ont.AddFact(`student(dana) .`); err != nil {
 		t.Fatal(err)
+	}
+	rogue2 := logic.NewAtom("student", logic.NewConst("rogue2"))
+	mustPanic(t, "old generation InsertAtom", func() { held.InsertAtom(rogue2) })
+	mustPanic(t, "new generation InsertAtom", func() { ont.Data().InsertAtom(rogue2) })
+	mustPanic(t, "materialization InsertAtom", func() { ont.snap.Load().mat.store.InsertAtom(rogue2) })
+	if held.ContainsAtom(logic.NewAtom("student", logic.NewConst("dana"))) {
+		t.Error("an AddFact wrote through the generation it forked")
 	}
 	ans, err := ont.AnswerMode(q, ModeChase)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ans.Contains([]logic.Term{logic.NewConst("rogue")}) {
-		t.Errorf("stale cache served after out-of-band insert:\n%s", ans)
+	if !ans.Contains([]logic.Term{logic.NewConst("dana")}) || ans.Contains([]logic.Term{logic.NewConst("rogue2")}) {
+		t.Errorf("answers after AddFact:\n%s", ans)
 	}
-	if e1 := ont.MaterializationStats().Epoch; e1 <= e0 {
-		t.Errorf("epoch %d -> %d, want monotonic bump on rebuild", e0, e1)
-	}
-
-	// An AddFact BETWEEN the out-of-band insert and the next answer must not
-	// extend the stale cache and mask the size guard (regression).
-	if err := ont.Data().InsertAtom(logic.NewAtom("student", logic.NewConst("rogue2"))); err != nil {
-		t.Fatal(err)
-	}
-	if err := ont.AddFact(`student(dana) .`); err != nil {
-		t.Fatal(err)
-	}
-	ans, err = ont.AnswerMode(q, ModeChase)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, who := range []string{"rogue2", "dana"} {
-		if !ans.Contains([]logic.Term{logic.NewConst(who)}) {
-			t.Errorf("person(%s) missing: AddFact extended a stale cache:\n%s", who, ans)
-		}
+	if st := ont.MaterializationStats(); st.FullRebuilds != before.FullRebuilds {
+		t.Errorf("FullRebuilds %d -> %d: AddFact must extend the cache", before.FullRebuilds, st.FullRebuilds)
 	}
 }
 

@@ -3,8 +3,9 @@
 //
 // Readers obtain state exclusively through atomic.Pointer.Load() — the one
 // published snapshot carrying the rule set, the base data and the
-// materialization — and everything reachable from it is immutable by
-// convention: a writer must first launder the
+// materialization — and everything reachable from it is immutable: the
+// storage layer freezes published instances, so a write panics at run time,
+// and this analyzer refuses it at vet time. A writer must first launder the
 // value through Clone()/ExtendClone() (or build a fresh one) before
 // mutating. A single in-place Insert on a loaded snapshot is a data race
 // against every concurrent reader and corrupts history for every future
@@ -13,8 +14,7 @@
 // The analyzer runs an intra-procedural taint pass per function:
 //
 //   - seeds: the result of any `.Load()` call on a sync/atomic Pointer, and
-//     of any call returning a pointer to a type named snapshot (the engine's
-//     load/loadLocked wrappers around the one published pointer);
+//     of any call returning a pointer to a type named snapshot;
 //   - propagation: through assignments to local variables and through
 //     field selection (x tainted ⇒ x.f tainted);
 //   - laundering: `Clone()` and `ExtendClone()` results are fresh.

@@ -274,7 +274,7 @@ func (st *State) rederive(ctx context.Context, rules *dependency.Set, ins *stora
 		for _, ha := range heads {
 			added, err := ins.Insert(ha)
 			if err != nil {
-				panic(err) // arity conflicts are caught at rule-set validation
+				panic(err) // the Ontology keeps rules and data on one signature
 			}
 			if added {
 				if removed[ha.Key()] {

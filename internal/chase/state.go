@@ -435,8 +435,9 @@ func (st *State) resume(ctx context.Context, rules *dependency.Set, ins, delta *
 				}
 				for _, ha := range heads {
 					if _, err := shards[w].Insert(ha); err != nil {
-						// Arity conflicts are caught at rule-set validation;
-						// reaching here is a programming error.
+						// The Ontology keeps rules and data on one signature
+						// (construction, AddRule, AddFact); reaching here is
+						// a programming error.
 						panic(err)
 					}
 				}

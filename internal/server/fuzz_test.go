@@ -2,8 +2,12 @@ package server
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strings"
 	"testing"
 	"time"
 
@@ -146,4 +150,131 @@ func FuzzMutationBody(f *testing.F) {
 			}
 		}
 	})
+}
+
+// ontologyRequests are the requests FuzzOntologyBody drives, picked by the
+// first input byte: a create whose body is the rest of the input, a rule
+// removal whose label is the rest, and a CSV load whose first line names the
+// predicate and whose remaining lines are the records.
+const (
+	fuzzCreate = iota
+	fuzzRemoveRule
+	fuzzLoadCSV
+	fuzzRequests
+)
+
+// FuzzOntologyBody drives the endpoints that take a whole program, a rule
+// label or CSV records: PUT /v1/ontologies/{name}, DELETE .../rules/{label}
+// and POST .../csv/{pred}, against a fresh tiny tenant whose chase
+// materialization is published. Whatever arrives, the handler must not
+// panic and must answer with a client error or a success (the only 5xx
+// allowed is the 504 of an expired deadline). An accepted create must answer
+// a query over each of its predicates in auto and chase mode without
+// panicking; a rejected request must leave the probe tenant's answers, in
+// both modes, as they were.
+func FuzzOntologyBody(f *testing.F) {
+	for _, seed := range []struct {
+		request byte
+		rest    string
+	}{
+		{fuzzCreate, familyProgram},
+		{fuzzCreate, `p(X) -> q(X, Y) . p(a) .`},
+		{fuzzCreate, `p(X) -> q(X) . q(X) -> p(X) . p(a) .`},
+		{fuzzCreate, `p(X) -> q(X, Y) . q(a) . p(b) .`},  // fact against a rule head
+		{fuzzCreate, `p(X) -> q(X) . p(a, b) .`},         // fact against a rule body
+		{fuzzCreate, `p(X) -> q(X) . p(X, Y) -> r(X) .`}, // rule against rule
+		{fuzzCreate, `p(a) . p(a, b) .`},                 // fact against fact
+		{fuzzCreate, `p(X) -> q(X) . ans(X) :- q(X) .`},  // query clause
+		{fuzzCreate, `p(X ->`},
+		{fuzzCreate, ``},
+		{fuzzRemoveRule, "R1"},
+		{fuzzRemoveRule, "R2"},
+		{fuzzRemoveRule, "R3"}, // unknown label
+		{fuzzRemoveRule, "no such rule"},
+		{fuzzRemoveRule, "R1/x"},
+		{fuzzLoadCSV, "parent\ncyd,dee\ndee,eve\n"},
+		{fuzzLoadCSV, "parent\nada,bob\n"},       // duplicate
+		{fuzzLoadCSV, "parent\ncyd\n"},           // arity clash with the data
+		{fuzzLoadCSV, "ancestor\ncyd,dee,eve\n"}, // arity clash with the rules
+		{fuzzLoadCSV, "person\nada\nbob\n"},      // a new predicate
+		{fuzzLoadCSV, "parent\na,b\nc\n"},        // ragged
+		{fuzzLoadCSV, "parent\n\"unterminated\n"},
+		{fuzzLoadCSV, "parent"},
+	} {
+		f.Add(append([]byte{seed.request}, seed.rest...))
+	}
+	s := New(Config{DefaultTimeout: 2 * time.Second})
+	h := s.Handler()
+	const probe = `q(X) :- ancestor(ada, X) .`
+	want, err := repro.MustParse(familyProgram).AnswerOptions(probe, repro.Options{NoCache: true})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) == 0 {
+			return
+		}
+		ont := repro.MustParse(familyProgram)
+		if _, err := ont.AnswerOptions(probe, repro.Options{Mode: repro.ModeChase}); err != nil {
+			t.Fatal(err)
+		}
+		s.Add("fam", ont)
+		rest := string(in[1:])
+		var req *http.Request
+		switch in[0] % fuzzRequests {
+		case fuzzCreate:
+			req = httptest.NewRequest("PUT", "/v1/ontologies/created", strings.NewReader(rest))
+		case fuzzRemoveRule:
+			req = httptest.NewRequest("DELETE", "/v1/ontologies/fam/rules/"+url.PathEscape(rest), nil)
+		default:
+			pred, records, _ := strings.Cut(rest, "\n")
+			req = httptest.NewRequest("POST", "/v1/ontologies/fam/csv/"+url.PathEscape(pred), strings.NewReader(records))
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code >= 500 && rec.Code != http.StatusGatewayTimeout {
+			t.Fatalf("%s %s body %q: status %d: %s", req.Method, req.URL, rest, rec.Code, rec.Body)
+		}
+		if in[0]%fuzzRequests == fuzzCreate && rec.Code < 400 {
+			queryEveryPredicate(t, s.Ontology("created"))
+		}
+		if rec.Code < 400 {
+			return // accepted: the tenant may legitimately answer differently
+		}
+		for _, mode := range []repro.AnswerMode{repro.ModeAuto, repro.ModeChase} {
+			got, err := ont.AnswerOptions(probe, repro.Options{Mode: mode})
+			if err != nil || !got.Equal(want) {
+				t.Fatalf("after rejected %s %s body %q: mode %v answers %v (err %v), want %v",
+					req.Method, req.URL, rest, mode, got, err, want)
+			}
+		}
+	})
+}
+
+// queryEveryPredicate asks q(X1..Xk) :- p(X1..Xk) for each predicate of the
+// ontology's rules and data, in auto and chase mode, under small budgets: an
+// answer or an error is fine, a panic fails the fuzz target.
+func queryEveryPredicate(t *testing.T, ont *repro.Ontology) {
+	sig, err := ont.Rules().Predicates()
+	if err != nil {
+		t.Fatalf("an accepted ontology has an inconsistent signature: %v", err)
+	}
+	for _, pred := range ont.Data().Predicates() {
+		sig[pred] = ont.Data().Relation(pred).Arity()
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	opts := repro.Options{MaxSteps: 2000, MaxRounds: 50, MaxRewriteCQs: 200}
+	for pred, arity := range sig {
+		vars := make([]string, arity)
+		for i := range vars {
+			vars[i] = fmt.Sprintf("X%d", i)
+		}
+		args := strings.Join(vars, ", ")
+		q := fmt.Sprintf("ans(%s) :- %s(%s) .", args, pred, args)
+		for _, mode := range []repro.AnswerMode{repro.ModeAuto, repro.ModeChase} {
+			opts.Mode = mode
+			_, _ = ont.AnswerCtx(ctx, q, opts)
+		}
+	}
 }

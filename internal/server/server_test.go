@@ -586,3 +586,22 @@ func TestQuerySizesBounded(t *testing.T) {
 		}
 	}
 }
+
+// TestCreateRejectsArityConflicts: a program that uses one predicate with two
+// arities, which the chase cannot run, is a 400 naming the predicate, and
+// registers nothing.
+func TestCreateRejectsArityConflicts(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, tc := range []struct{ program, pred string }{
+		{`p(X) -> q(X, Y) . q(a) . p(b) .`, "q"},
+		{`p(X) -> q(X) . p(a, b) .`, "p"},
+	} {
+		st, m := doJSON(t, "PUT", ts.URL+"/v1/ontologies/x", tc.program)
+		if msg, _ := m["error"].(string); st != http.StatusBadRequest || !strings.Contains(msg, " "+tc.pred+" ") {
+			t.Errorf("create %q: status %d %v, want a 400 naming %s", tc.program, st, m, tc.pred)
+		}
+		if st, _ := doJSON(t, "POST", ts.URL+"/v1/ontologies/x/query", `{"query": "q(X) :- p(X) .", "mode": "chase"}`); st != http.StatusNotFound {
+			t.Errorf("after the rejected create %q: query status %d, want 404", tc.program, st)
+		}
+	}
+}

@@ -4,9 +4,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"strings"
 
 	"repro/internal/logic"
 )
@@ -14,8 +11,10 @@ import (
 // LoadCSV reads tuples for one relation from CSV data: every record becomes
 // one tuple of constants. The relation's arity is fixed by the first
 // record; ragged records are an error. Values are taken verbatim (always
-// constants — labelled nulls cannot appear in source data).
+// constants — labelled nulls cannot appear in source data). It panics on a
+// frozen instance.
 func (ins *Instance) LoadCSV(pred string, r io.Reader) (added int, err error) {
+	ins.mustBeWritable()
 	cr := csv.NewReader(r)
 	cr.TrimLeadingSpace = true
 	first := true
@@ -48,21 +47,4 @@ func (ins *Instance) LoadCSV(pred string, r io.Reader) (added int, err error) {
 			added++
 		}
 	}
-}
-
-// LoadCSVFile loads path into the relation named after the file's base name
-// (without extension): loading "person.csv" populates relation "person".
-func (ins *Instance) LoadCSVFile(path string) (pred string, added int, err error) {
-	base := filepath.Base(path)
-	pred = strings.TrimSuffix(base, filepath.Ext(base))
-	if pred == "" {
-		return "", 0, fmt.Errorf("storage: cannot derive a predicate name from %q", path)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return pred, 0, err
-	}
-	defer f.Close()
-	added, err = ins.LoadCSV(pred, f)
-	return pred, added, err
 }

@@ -1,8 +1,6 @@
 package storage
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -45,25 +43,6 @@ func TestLoadCSVArityConflictWithExisting(t *testing.T) {
 	ins.InsertAtom(logic.NewAtom("p", logic.NewConst("x")))
 	if _, err := ins.LoadCSV("p", strings.NewReader("a,b\n")); err == nil {
 		t.Error("arity conflict with existing relation must be rejected")
-	}
-}
-
-func TestLoadCSVFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "city.csv")
-	if err := os.WriteFile(path, []byte("rome,it\nparis,fr\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ins := NewInstance()
-	pred, n, err := ins.LoadCSVFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pred != "city" || n != 2 {
-		t.Errorf("pred=%q n=%d", pred, n)
-	}
-	if _, _, err := ins.LoadCSVFile(filepath.Join(dir, "missing.csv")); err == nil {
-		t.Error("missing file must error")
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/logic"
 )
@@ -57,6 +56,8 @@ func (t Tuple) Clone() Tuple {
 // Contains, Len) concurrently — the lazy index build is synchronized — as
 // long as no goroutine is inserting. Writes are single-writer: the chase
 // buffers new facts in per-worker Shards and merges them at a round barrier.
+// A relation of a frozen instance is frozen too: every generation aliasing
+// it reads it, so a write that would change it panics.
 type Relation struct {
 	name   string
 	arity  int
@@ -65,6 +66,7 @@ type Relation struct {
 	// index[col][term] lists tuple offsets having term at col.
 	index     []map[logic.Term][]int
 	indexOnce sync.Once
+	frozen    bool
 }
 
 // NewRelation creates an empty relation.
@@ -82,8 +84,9 @@ func (r *Relation) Arity() int { return r.arity }
 func (r *Relation) Len() int { return len(r.tuples) }
 
 // Insert adds the tuple, reporting whether it was new. It panics on arity
-// mismatch (a programming error, since callers validate predicates).
-// Single-writer, like all Relation mutations.
+// mismatch (a programming error, since callers validate predicates), and
+// when the tuple is new to a frozen relation. Single-writer, like all
+// Relation mutations.
 func (r *Relation) Insert(t Tuple) bool {
 	if len(t) != r.arity {
 		panic(fmt.Sprintf("storage: tuple arity %d for relation %s/%d", len(t), r.name, r.arity))
@@ -92,6 +95,7 @@ func (r *Relation) Insert(t Tuple) bool {
 	if _, ok := r.keys[k]; ok {
 		return false
 	}
+	r.mustBeWritable()
 	t = t.Clone()
 	r.keys[k] = len(r.tuples)
 	r.tuples = append(r.tuples, t)
@@ -107,13 +111,15 @@ func (r *Relation) Insert(t Tuple) bool {
 // slot is filled by swapping in the last tuple, and already-built per-column
 // indexes are maintained in place (postings of the removed tuple dropped,
 // postings of the moved tuple renamed), so a deletion costs O(arity ·
-// posting-list) instead of an index rebuild. Single-writer, like Insert.
+// posting-list) instead of an index rebuild. Single-writer, like Insert,
+// and like Insert it panics when it would change a frozen relation.
 func (r *Relation) Remove(t Tuple) bool {
 	k := t.Key()
 	i, ok := r.keys[k]
 	if !ok {
 		return false
 	}
+	r.mustBeWritable()
 	last := len(r.tuples) - 1
 	if r.index != nil {
 		for col, term := range r.tuples[i] {
@@ -134,6 +140,15 @@ func (r *Relation) Remove(t Tuple) bool {
 	r.tuples = r.tuples[:last]
 	delete(r.keys, k)
 	return true
+}
+
+// readOnly is the panic a write to frozen data raises.
+const readOnly = "storage: published and ExtendClone-parent instances are read-only; ExtendClone it first"
+
+func (r *Relation) mustBeWritable() {
+	if r.frozen {
+		panic(readOnly)
+	}
 }
 
 // dropOffset removes one occurrence of off from the posting list of term,
@@ -225,21 +240,16 @@ func (r *Relation) Distinct(col int) int {
 // Instance is a database instance: a collection of relations keyed by
 // predicate name.
 //
-// Instances produced by ExtendClone share relations with their parent
-// copy-on-write: a shared relation is copied the first time the clone
-// mutates it, so the parent (typically a published snapshot concurrently
-// read by evaluators) is never written through. A monotonic mutation
-// counter records every successful insert and removal; callers use it to
-// detect out-of-band mutation where a size comparison would be fooled by
-// balanced insert/delete pairs.
+// An instance is frozen by Freeze — the Ontology freezes every instance it
+// publishes — and by ExtendClone, which freezes its receiver. A frozen
+// instance is read-only for good: Insert, InsertAtom, Remove, MergeShards and
+// LoadCSV panic on it, while lazy index builds stay allowed. Instances
+// produced by ExtendClone alias their parent's (frozen) relations
+// copy-on-write: a frozen relation is copied the first time the clone
+// changes it, so every generation sharing it keeps an immutable view.
 type Instance struct {
-	rels map[string]*Relation
-	// shared marks relations aliased with the ExtendClone parent; nil on
-	// ordinary instances. Mutators copy a shared relation before touching it.
-	shared map[string]bool
-	// muts counts successful inserts and removals, monotonic. Atomic so that
-	// staleness checks can read it without excluding writers.
-	muts atomic.Uint64
+	rels   map[string]*Relation
+	frozen bool
 }
 
 // NewInstance returns an empty instance.
@@ -247,9 +257,26 @@ func NewInstance() *Instance {
 	return &Instance{rels: make(map[string]*Relation)}
 }
 
-// Mutations returns the monotonic count of successful inserts and removals.
-// Safe to read concurrently with writers.
-func (ins *Instance) Mutations() uint64 { return ins.muts.Load() }
+// Freeze makes the instance and each of its relations read-only. Freezing a
+// frozen instance is a no-op that writes nothing, so concurrent readers of
+// published data may call it (through ExtendClone) without racing.
+func (ins *Instance) Freeze() {
+	if ins.frozen {
+		return
+	}
+	ins.frozen = true
+	for _, r := range ins.rels {
+		if !r.frozen {
+			r.frozen = true
+		}
+	}
+}
+
+func (ins *Instance) mustBeWritable() {
+	if ins.frozen {
+		panic(readOnly)
+	}
+}
 
 // FromAtoms builds an instance from ground atoms, returning an error on any
 // non-ground atom or arity conflict.
@@ -278,10 +305,10 @@ func MustFromAtoms(atoms []logic.Atom) *Instance {
 // Relation returns the relation for pred, or nil if absent.
 func (ins *Instance) Relation(pred string) *Relation { return ins.rels[pred] }
 
-// EnsureRelation returns the relation for pred, creating it empty when
+// ensureRelation returns the relation for pred, creating it empty when
 // absent; an existing relation with a different arity is an error. Mutating:
 // single-writer, like Insert.
-func (ins *Instance) EnsureRelation(pred string, arity int) (*Relation, error) {
+func (ins *Instance) ensureRelation(pred string, arity int) (*Relation, error) {
 	rel, ok := ins.rels[pred]
 	if !ok {
 		rel = NewRelation(pred, arity)
@@ -305,6 +332,7 @@ func (ins *Instance) InsertAtom(a logic.Atom) error {
 
 // Insert adds a ground atom, reporting whether it was new.
 func (ins *Instance) Insert(a logic.Atom) (bool, error) {
+	ins.mustBeWritable()
 	rel, ok := ins.rels[a.Pred]
 	if !ok {
 		rel = NewRelation(a.Pred, a.Arity())
@@ -314,45 +342,37 @@ func (ins *Instance) Insert(a logic.Atom) (bool, error) {
 		return false, fmt.Errorf("storage: predicate %s used with arity %d and %d",
 			a.Pred, rel.Arity(), a.Arity())
 	}
-	if ins.shared[a.Pred] {
+	if rel.frozen {
 		if rel.Contains(Tuple(a.Args)) {
-			return false, nil // dedup against the shared relation without copying
+			return false, nil // dedup against the frozen relation without copying
 		}
 		rel = ins.own(a.Pred)
 	}
-	added := rel.Insert(Tuple(a.Args))
-	if added {
-		ins.muts.Add(1)
-	}
-	return added, nil
+	return rel.Insert(Tuple(a.Args)), nil
 }
 
 // Remove deletes a ground atom, reporting whether it was present. Removing
 // an absent atom (or one whose predicate has a different arity) is a no-op.
 func (ins *Instance) Remove(a logic.Atom) bool {
+	ins.mustBeWritable()
 	rel := ins.rels[a.Pred]
 	if rel == nil || rel.Arity() != a.Arity() {
 		return false
 	}
-	if ins.shared[a.Pred] {
+	if rel.frozen {
 		if !rel.Contains(Tuple(a.Args)) {
 			return false
 		}
 		rel = ins.own(a.Pred)
 	}
-	removed := rel.Remove(Tuple(a.Args))
-	if removed {
-		ins.muts.Add(1)
-	}
-	return removed
+	return rel.Remove(Tuple(a.Args))
 }
 
-// own replaces the shared relation for pred with a private copy and returns
-// it. Requires ins.shared[pred].
+// own replaces the frozen relation for pred, aliased with an ExtendClone
+// parent, with a private copy and returns it.
 func (ins *Instance) own(pred string) *Relation {
 	rel := ins.rels[pred].Clone()
 	ins.rels[pred] = rel
-	delete(ins.shared, pred)
 	return rel
 }
 
@@ -404,11 +424,11 @@ func (ins *Instance) EnsureIndexes() {
 }
 
 // Clone copies the relation without re-hashing: the tuple slice, key map and
-// per-column indexes are copied wholesale. Tuple values themselves are
-// shared — they are immutable by contract. The index is built first through
-// EnsureIndex, which both carries it into the copy and synchronizes with any
-// concurrent lazy build by readers: Clone is safe to call while other
-// goroutines read r.
+// per-column indexes are copied wholesale, into an unfrozen relation. Tuple
+// values themselves are shared — they are immutable by contract. The index is
+// built first through EnsureIndex, which both carries it into the copy and
+// synchronizes with any concurrent lazy build by readers: Clone is safe to
+// call while other goroutines read r.
 func (r *Relation) Clone() *Relation {
 	r.EnsureIndex()
 	nr := &Relation{name: r.name, arity: r.arity}
@@ -435,35 +455,29 @@ func (r *Relation) Clone() *Relation {
 
 // Clone deep-copies the instance cheaply: per-relation wholesale copies of
 // tuples, key maps and built indexes (see Relation.Clone), making snapshots
-// of a chased instance a copy, not a rebuild. Safe while other goroutines
-// read ins; must not race with writers.
+// of a chased instance a copy, not a rebuild. The copy is unfrozen, even of
+// a frozen instance. Safe while other goroutines read ins; must not race
+// with writers.
 func (ins *Instance) Clone() *Instance {
 	out := NewInstance()
 	for p, r := range ins.rels {
 		out.rels[p] = r.Clone()
 	}
-	out.muts.Store(ins.muts.Load())
 	return out
 }
 
-// ExtendClone returns a copy-on-write snapshot of the instance: every
-// relation is shared with the receiver until the clone first mutates it,
-// at which point just that relation is copied. A writer extending a
+// ExtendClone freezes the receiver and returns a copy-on-write child of it:
+// every relation is aliased with the receiver until the child first changes
+// it, at which point just that relation is copied. A writer extending a
 // published snapshot therefore pays copy cost proportional to the relations
 // its delta touches, not to the whole instance, while readers of the parent
-// keep an immutable view. The parent must not be mutated afterwards (the
-// Ontology enforces this by always publishing the clone and retiring the
-// parent).
+// keep an immutable view — a write to the parent panics from now on.
 func (ins *Instance) ExtendClone() *Instance {
-	out := &Instance{
-		rels:   make(map[string]*Relation, len(ins.rels)),
-		shared: make(map[string]bool, len(ins.rels)),
-	}
+	ins.Freeze()
+	out := &Instance{rels: make(map[string]*Relation, len(ins.rels))}
 	for p, r := range ins.rels {
 		out.rels[p] = r
-		out.shared[p] = true
 	}
-	out.muts.Store(ins.muts.Load())
 	return out
 }
 

@@ -42,33 +42,35 @@ type mergeGroup struct {
 // MergeShards folds the buffered facts of every shard into the instance and
 // returns the delta: a fresh instance holding exactly the facts that were
 // genuinely new. Single-writer: callers invoke it at a barrier, with no
-// concurrent readers of ins.
+// concurrent readers of ins. It panics on a frozen instance.
 //
 // The merge runs per relation, not per shard: all shards' buffers for one
 // predicate are merged together, deduplicated across shards as they go, so
 // a fact buffered by k workers probes the destination once instead of k
 // times, and the relation/COW resolution is hoisted out of the tuple loop.
 // Independent relations merge concurrently when GOMAXPROCS allows —
-// distinct Relation objects, with the instance-level maps (rels, shared)
-// pre-resolved sequentially, keep the fan-out race-free.
+// distinct Relation objects, with the instance's relation map pre-resolved
+// sequentially, keep the fan-out race-free.
 func (ins *Instance) MergeShards(shards ...*Shard) (*Instance, error) {
+	ins.mustBeWritable()
 	groups, order, err := groupShards(shards)
 	if err != nil {
 		return nil, err
 	}
 	delta := NewInstance()
 	// Sequential prologue: create missing destination relations and detect
-	// arity conflicts, then materialize private copies of shared (COW)
+	// arity conflicts, then materialize private copies of frozen (COW)
 	// relations that are about to grow, so the concurrent tail below never
-	// touches the instance-level maps.
+	// touches the relation map.
 	for _, g := range groups {
-		if _, err := ins.EnsureRelation(g.pred, g.arity); err != nil {
+		dst, err := ins.ensureRelation(g.pred, g.arity)
+		if err != nil {
 			return nil, err
 		}
-		if _, err := delta.EnsureRelation(g.pred, g.arity); err != nil {
+		if _, err := delta.ensureRelation(g.pred, g.arity); err != nil {
 			return nil, err
 		}
-		if ins.shared[g.pred] && groupHasNew(ins.rels[g.pred], g) {
+		if dst.frozen && groupHasNew(dst, g) {
 			ins.own(g.pred)
 		}
 	}
@@ -139,7 +141,7 @@ func groupShards(shards []*Shard) (map[string]*mergeGroup, []string, error) {
 }
 
 // groupHasNew reports whether any shard buffers a fact absent from dst —
-// the COW copy test: a shared relation is only privatized when the merge
+// the COW copy test: a frozen relation is only privatized when the merge
 // will genuinely grow it.
 func groupHasNew(dst *Relation, g *mergeGroup) bool {
 	for _, src := range g.srcs {
@@ -169,9 +171,7 @@ func (ins *Instance) mergeRelation(g *mergeGroup, delta *Instance) {
 			}
 			t := src.tuples[i]
 			if dst.Insert(t) {
-				ins.muts.Add(1)
 				dRel.Insert(t)
-				delta.muts.Add(1)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -115,7 +116,9 @@ func conflicts(a logic.Atom) bool { return a.Arity() != modelArity[a.Pred] }
 // chain of ExtendClone generations and compares every generation against a
 // plain set model. Every older generation keeps being read concurrently
 // while its descendants are written, so -race sees any write through to a
-// parent snapshot, and every re-check demands that it never changed.
+// parent snapshot, and every re-check demands that it never changed. Every
+// older generation is an ExtendClone parent, hence frozen: each exported
+// writer must panic on it and leave it reading the same.
 func TestStoreContract(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -145,8 +148,9 @@ func TestStoreContract(t *testing.T) {
 			// Every predicate exists from the start, so a fact of another
 			// width always conflicts.
 			ins, m := NewInstance(), model{}
+			var gens []generation
 			for pred, arity := range modelArity {
-				if _, err := ins.EnsureRelation(pred, arity); err != nil {
+				if _, err := ins.ensureRelation(pred, arity); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -159,7 +163,11 @@ func TestStoreContract(t *testing.T) {
 				}
 				readers.Add(1)
 				go read(gen, ins, m)
+				gens = append(gens, generation{ins, m})
 				ins, m = ins.ExtendClone(), m.clone()
+				for old, g := range gens {
+					refuseWrites(t, old, g.ins, g.m)
+				}
 			}
 		})
 	}
@@ -229,6 +237,58 @@ func step(t *testing.T, rng *rand.Rand, ins *Instance, m model) {
 			for _, tu := range ts {
 				m.add(logic.NewAtom(pred, tu...))
 			}
+		}
+	}
+}
+
+// generation is one frozen ancestor and the model it must keep matching.
+type generation struct {
+	ins *Instance
+	m   model
+}
+
+// refuseWrites calls every exported writer of Instance and Relation on a
+// frozen generation with a change it would make: each must panic, and the
+// generation must read the same afterwards.
+func refuseWrites(t *testing.T, gen int, ins *Instance, m model) {
+	t.Helper()
+	fresh := logic.NewAtom("s", logic.NewConst("fresh")) // outside randAtom's domain
+	type writer struct {
+		name  string
+		write func()
+	}
+	writers := []writer{
+		{"Insert", func() { ins.Insert(fresh) }},
+		{"InsertAtom", func() { ins.InsertAtom(fresh) }},
+		{"Remove", func() { ins.Remove(fresh) }},
+		{"MergeShards", func() {
+			sh := NewShard()
+			sh.Insert(fresh)
+			ins.MergeShards(sh)
+		}},
+		{"LoadCSV", func() { ins.LoadCSV("s", strings.NewReader("fresh\n")) }},
+		{"Relation.Insert", func() { ins.Relation(fresh.Pred).Insert(Tuple(fresh.Args)) }},
+	}
+	for _, pred := range ins.Predicates() {
+		if rel := ins.Relation(pred); rel.Len() > 0 {
+			held := rel.Tuples()[0]
+			writers = append(writers,
+				writer{"Remove of a held fact", func() { ins.Remove(logic.NewAtom(pred, held...)) }},
+				writer{"Relation.Remove", func() { rel.Remove(held) }})
+			break
+		}
+	}
+	for _, w := range writers {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("generation %d: %s on a frozen instance did not panic", gen, w.name)
+				}
+			}()
+			w.write()
+		}()
+		if err := check(ins, m); err != nil {
+			t.Fatalf("generation %d changed under a refused %s: %v", gen, w.name, err)
 		}
 	}
 }

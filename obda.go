@@ -76,13 +76,15 @@ import (
 // visible (rules, base and materialization all refer to one another), that
 // generations are totally ordered (every publication happens under wmu), and
 // that a published snapshot is never written again except for its own lazily
-// filled caches. The answer views are one of those caches: every publication
-// starts empty, and a mutation that changes nothing publishes nothing, so it
-// keeps the views it found.
+// filled caches: publish freezes its base and materialized instances, so a
+// write to either panics. The answer views are one of those caches: every
+// publication starts empty, and a mutation that changes nothing publishes
+// nothing, so it keeps the views it found.
 //
 // Data() and the instance passed to New are the currently published base — a
-// snapshot, not a live handle: mutations fork it and publish the fork, so an
-// instance held across a mutation is the old generation.
+// frozen snapshot, not a live handle: mutations fork it and publish the fork,
+// so an instance held across a mutation is the old generation, and a write
+// through either panics.
 //
 // Maintenance is incremental in every direction: AddFact chases only the
 // newly inserted facts as a delta, DeleteFact repairs the materialization
@@ -91,16 +93,14 @@ import (
 // rule, and RemoveRule over-deletes every fact whose provenance cites the
 // removed rule before re-deriving survivors (see MaterializationStats for the
 // counters). Dead derivations left behind by repairs are reclaimed by a
-// generational provenance sweep every DefaultCompactEvery mutations
-// (SetCompactEvery tunes it).
+// generational provenance sweep every DefaultCompactEvery mutations.
 type Ontology struct {
 	// snap is the one published pointer; only publish (and newOntology)
 	// stores it.
 	snap atomic.Pointer[snapshot]
-	// wmu serializes publishers — every mutation, cold materialization builds
-	// and the republication after an out-of-band Data() write — so the chase
-	// engine state is single-writer and cold builds single-flight. Never held
-	// while evaluating a published snapshot.
+	// wmu serializes publishers — every mutation and cold materialization
+	// build — so the chase engine state is single-writer and cold builds
+	// single-flight. Never held while evaluating a published snapshot.
 	wmu sync.Mutex
 
 	// wantProv turns on derivation-provenance recording for future
@@ -111,9 +111,9 @@ type Ontology struct {
 	wantProv atomic.Bool
 	// fullRebuilds counts every time a published materialization was dropped
 	// — RemoveRule on a provenance-less cache, a repair that became
-	// impossible, a canceled mutation, an out-of-band Data() mutation —
-	// forcing the next chase-mode answer to rebuild from scratch. Surfaced
-	// through MaterializationStats so the rebuild penalty is observable.
+	// impossible, a canceled mutation — forcing the next chase-mode answer
+	// to rebuild from scratch. Surfaced through MaterializationStats so the
+	// rebuild penalty is observable.
 	fullRebuilds atomic.Uint64
 
 	// ansBudget is the answer-view cache byte budget; <= 0 disables the
@@ -123,12 +123,10 @@ type Ontology struct {
 	// ansStats carries the answer-cache counters across generations.
 	ansStats rescache.Stats
 
-	// compactEvery and mutCount drive the generational provenance sweep: a
-	// mutation whose count reaches the interval compacts the engine's
-	// derivation graph before publishing. Both are guarded by wmu
-	// (SetCompactEvery takes it).
-	compactEvery int
-	mutCount     int
+	// mutCount drives the generational provenance sweep: a mutation whose
+	// count reaches DefaultCompactEvery compacts the engine's derivation
+	// graph before publishing. Guarded by wmu.
+	mutCount int
 }
 
 // snapshot is one published generation of the ontology. rules, base, mat and
@@ -138,12 +136,9 @@ type Ontology struct {
 // generation, and only while the rules are unchanged.
 type snapshot struct {
 	rules *dependency.Set
-	// base is the canonical base data. Mutations fork it (ExtendClone) and
-	// publish the fork; baseMut is its mutation counter as published, so a
-	// write that bypassed the Ontology through Data() shows up as a mismatch
-	// (intact, the one validation a read performs).
-	base    *storage.Instance
-	baseMut uint64
+	// base is the canonical base data, frozen. Mutations fork it
+	// (ExtendClone) and publish the fork.
+	base *storage.Instance
 	// mat is the chase materialization of (rules, base), nil until a
 	// chase-mode answer builds it or after a drop. matEpoch counts completed
 	// builds and extensions, monotonic across drops.
@@ -168,57 +163,25 @@ type classification struct {
 }
 
 // DefaultCompactEvery is how many mutations may elapse between generational
-// provenance-compaction sweeps (see SetCompactEvery).
+// provenance-compaction sweeps; CompactProvenance runs one on demand.
 const DefaultCompactEvery = 64
 
 // New wires an already-built rule set and database instance into an
 // Ontology — the programmatic counterpart of Parse for callers (servers,
 // generators, tests) that assemble components directly. The Ontology takes
-// ownership of data: it becomes the first published base (see Data).
+// ownership of data: it is frozen and becomes the first published base (see
+// Data), so a later write to it panics — Clone it first to keep a writable
+// copy.
 func New(rules *dependency.Set, data *storage.Instance) *Ontology {
 	return newOntology(rules, data)
 }
 
-// newOntology publishes generation zero.
+// newOntology freezes data and publishes generation zero.
 func newOntology(rules *dependency.Set, data *storage.Instance) *Ontology {
-	o := &Ontology{compactEvery: DefaultCompactEvery}
-	o.snap.Store(&snapshot{
-		rules:   rules,
-		base:    data,
-		baseMut: data.Mutations(),
-		class:   new(classification),
-	})
+	data.Freeze()
+	o := &Ontology{}
+	o.snap.Store(&snapshot{rules: rules, base: data, class: new(classification)})
 	return o
-}
-
-// intact reports whether the published base is still what was published: a
-// write through Data() moves the instance's mutation counter (balanced
-// insert/delete pairs included) without publishing anything.
-func (s *snapshot) intact() bool { return s.base.Mutations() == s.baseMut }
-
-// load returns the current snapshot — the one load every read path starts
-// with. When the base was written out-of-band, everything derived from it is
-// stale, so a generation that re-reads it is published first.
-func (o *Ontology) load() *snapshot {
-	if s := o.snap.Load(); s.intact() {
-		return s
-	}
-	o.wmu.Lock()
-	defer o.wmu.Unlock()
-	return o.loadLocked()
-}
-
-// loadLocked is load for publishers. Requires o.wmu.
-func (o *Ontology) loadLocked() *snapshot {
-	s := o.snap.Load()
-	if s.intact() {
-		return s
-	}
-	next := s.next()
-	next.baseMut = s.base.Mutations()
-	o.dropMat(next)
-	o.publish(next)
-	return next
 }
 
 // next starts the successor of s: same contents, empty plan and answer-view
@@ -227,7 +190,6 @@ func (s *snapshot) next() *snapshot {
 	return &snapshot{
 		rules:    s.rules,
 		base:     s.base,
-		baseMut:  s.baseMut,
 		mat:      s.mat,
 		matEpoch: s.matEpoch,
 		class:    s.class,
@@ -235,9 +197,15 @@ func (s *snapshot) next() *snapshot {
 }
 
 // publish installs next as the current snapshot: the only store to o.snap
-// after construction. A rule change gives next a fresh classification slot;
-// next's answer views are empty (see next). Requires o.wmu.
+// after construction. It freezes next's base and materialized instances
+// first, so nothing can write a generation readers may hold. A rule change
+// gives next a fresh classification slot; next's answer views are empty (see
+// next). Requires o.wmu.
 func (o *Ontology) publish(next *snapshot) {
+	next.base.Freeze()
+	if next.mat != nil {
+		next.mat.store.Freeze()
+	}
 	if next.rules != o.snap.Load().rules {
 		next.class = new(classification)
 	}
@@ -360,12 +328,20 @@ func (m *materialization) usable(copts chase.Options) bool {
 
 // Parse builds an Ontology from a program text containing TGDs and
 // (optionally) ground facts. Query clauses in the text are rejected — pass
-// queries to Answer/Rewrite instead.
+// queries to Answer/Rewrite instead — and so is a predicate used with two
+// arities anywhere in the program.
 func Parse(src string) (*Ontology, error) {
 	prog, err := parser.Parse(src)
 	if err != nil {
 		return nil, err
 	}
+	return fromProgram(prog)
+}
+
+// fromProgram is the construction path of Parse and ParseFiles: it rejects
+// query clauses and builds the rule set and the data, then validates them
+// together (see build).
+func fromProgram(prog *parser.Program) (*Ontology, error) {
 	if len(prog.Queries) != 0 {
 		return nil, fmt.Errorf("repro: ontology text contains %d query clauses; pass queries to Answer", len(prog.Queries))
 	}
@@ -373,11 +349,19 @@ func Parse(src string) (*Ontology, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := rules.Predicates(); err != nil {
-		return nil, err
-	}
 	data, err := storage.FromAtoms(prog.Facts)
 	if err != nil {
+		return nil, err
+	}
+	return build(rules, data)
+}
+
+// build checks that every predicate has one arity across the rules and the
+// data — the invariant the chase relies on, which AddRule and AddFact keep —
+// and publishes generation zero. Every constructor that can reject its input
+// ends here.
+func build(rules *dependency.Set, data *storage.Instance) (*Ontology, error) {
+	if err := checkRuleArities(rules, data); err != nil {
 		return nil, err
 	}
 	return newOntology(rules, data), nil
@@ -393,21 +377,11 @@ func MustParse(src string) *Ontology {
 }
 
 // ParseFiles builds an Ontology from a rules file and zero or more data
-// files.
+// files, validated exactly like Parse's program text.
 func ParseFiles(rulesPath string, dataPaths ...string) (*Ontology, error) {
 	prog, err := parser.ParseFile(rulesPath)
 	if err != nil {
 		return nil, err
-	}
-	rules, err := prog.RuleSet()
-	if err != nil {
-		return nil, err
-	}
-	data := storage.NewInstance()
-	for _, f := range prog.Facts {
-		if err := data.InsertAtom(f); err != nil {
-			return nil, err
-		}
 	}
 	for _, p := range dataPaths {
 		dp, err := parser.ParseFile(p)
@@ -417,13 +391,9 @@ func ParseFiles(rulesPath string, dataPaths ...string) (*Ontology, error) {
 		if len(dp.Rules) != 0 || len(dp.Queries) != 0 {
 			return nil, fmt.Errorf("%s: data file contains rules or queries", p)
 		}
-		for _, f := range dp.Facts {
-			if err := data.InsertAtom(f); err != nil {
-				return nil, err
-			}
-		}
+		prog.Facts = append(prog.Facts, dp.Facts...)
 	}
-	return newOntology(rules, data), nil
+	return fromProgram(prog)
 }
 
 // Rules returns the ontology's current TGD set. Rule mutations (AddRule,
@@ -431,14 +401,11 @@ func ParseFiles(rulesPath string, dataPaths ...string) (*Ontology, error) {
 // snapshot: it never changes under the caller.
 func (o *Ontology) Rules() *dependency.Set { return o.snap.Load().rules }
 
-// Data returns the currently published base instance — a snapshot, not a
-// live handle: AddFact/DeleteFact/LoadCSV fork it copy-on-write and publish
-// the fork, so an instance held across a mutation is the old generation and
-// never changes again. Treat it as read-only. A write through it is detected
-// by the instance's monotonic mutation counter (so even balanced
-// insert/delete pairs are caught) and forces a full rebuild on the next
-// answer — but it races with concurrent Answer and mutator calls, and is only
-// seen while the instance is still the published one.
+// Data returns the currently published base instance — a frozen snapshot,
+// not a live handle: AddFact/DeleteFact/LoadCSV fork it copy-on-write and
+// publish the fork, so an instance held across a mutation is the old
+// generation and never changes again. A write through it panics; Clone or
+// ExtendClone it for a writable copy.
 func (o *Ontology) Data() *storage.Instance { return o.snap.Load().base }
 
 // Classify runs every class test of the paper's landscape (simple, Linear,

@@ -239,7 +239,7 @@ func (o *Ontology) chaseForAnswer(ctx context.Context, s *snapshot, q *query.CQ,
 func (o *Ontology) buildMat(ctx context.Context, copts chase.Options) (*snapshot, error) {
 	o.wmu.Lock()
 	defer o.wmu.Unlock()
-	s := o.loadLocked()
+	s := o.snap.Load()
 	if s.mat.usable(copts) {
 		return s, nil // built while we queued
 	}

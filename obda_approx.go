@@ -99,7 +99,7 @@ func (o *Ontology) AnswerApprox(querySrc string, opts ApproxOptions) (*Approx, e
 		return nil, err
 	}
 
-	s := o.load()
+	s := o.snap.Load()
 	rw := rewrite.Rewrite(q, s.rules, rewrite.Options{MaxCQs: opts.MaxCQs})
 	if rw.Complete {
 		// Exact via rewriting; evaluating over the snapshot's base data
@@ -157,7 +157,7 @@ func (o *Ontology) AnswerApprox(querySrc string, opts ApproxOptions) (*Approx, e
 		// wmu, so it describes the current ontology only if s is still the
 		// published snapshot.
 		o.wmu.Lock()
-		if o.loadLocked() == s {
+		if o.snap.Load() == s {
 			next := s.next()
 			next.setMat(data, st, true, ch.Steps, ch.Rounds)
 			o.publish(next)

@@ -36,7 +36,7 @@ func FromDLLite(tboxSrc, factsSrc string) (*Ontology, error) {
 			}
 		}
 	}
-	return newOntology(rules, data), nil
+	return build(rules, data)
 }
 
 // FromMappings builds an ontology whose data is the virtual ABox obtained
@@ -56,7 +56,7 @@ func FromMappings(rulesSrc, mappingSrc string, source *storage.Instance) (*Ontol
 	if err != nil {
 		return nil, err
 	}
-	return newOntology(rules, abox), nil
+	return build(rules, abox)
 }
 
 // FO returns the rewriting as a first-order formula with its answer-variable

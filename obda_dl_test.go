@@ -49,6 +49,9 @@ func TestFromDLLiteErrors(t *testing.T) {
 	if _, err := FromDLLite(`Student <= Person`, `p(X) -> q(X) .`); err == nil {
 		t.Error("rules in fact text must be rejected")
 	}
+	if _, err := FromDLLite(`Student <= Person`, `student(ann, bob) .`); err == nil || !strings.Contains(err.Error(), " student ") {
+		t.Errorf("a fact clashing with the TBox signature = %v, want an error naming student", err)
+	}
 }
 
 func TestFromMappingsEndToEnd(t *testing.T) {
@@ -89,6 +92,10 @@ func TestFromMappingsErrors(t *testing.T) {
 	}
 	if _, err := FromMappings(`a(X) -> b(X) .`, `p(X) -> s(X) .`, src); err == nil {
 		t.Error("rule-shaped mapping must be rejected")
+	}
+	src = storage.MustFromAtoms([]logic.Atom{logic.NewAtom("s", logic.NewConst("x"))})
+	if _, err := FromMappings(`a(X, Y) -> b(X) .`, `a(X) :- s(X) .`, src); err == nil || !strings.Contains(err.Error(), " a ") {
+		t.Errorf("an ABox clashing with the rules' signature = %v, want an error naming a", err)
 	}
 }
 

@@ -47,7 +47,8 @@ type mutationResult struct {
 //  3. publishes the next snapshot — new rule set, forked base, repaired
 //     materialization, empty answer views — with one pointer store;
 //     concurrent readers keep the previous snapshot throughout. Every
-//     compactEvery-th mutation first runs the generational provenance sweep.
+//     DefaultCompactEvery-th mutation first runs the generational provenance
+//     sweep.
 //     A mutation that changes nothing (every inserted fact already present,
 //     every deleted fact absent) publishes nothing, so the published snapshot
 //     and its answer views stay in place.
@@ -69,7 +70,7 @@ func (o *Ontology) mutate(ctx context.Context, mut mutation) (mutationResult, er
 	}
 	o.wmu.Lock()
 	defer o.wmu.Unlock()
-	prev := o.loadLocked()
+	prev := o.snap.Load()
 
 	// --- stage & validate ---
 	afterDrop := prev.rules
@@ -91,11 +92,11 @@ func (o *Ontology) mutate(ctx context.Context, mut mutation) (mutationResult, er
 		}
 	}
 	if len(mut.addRules) > 0 {
-		if err := prev.checkRuleArities(newRules); err != nil {
+		if err := checkRuleArities(newRules, prev.storedRelations()); err != nil {
 			return res, err
 		}
 	}
-	stagedAdds, err := prev.stageFacts(mut.addFacts)
+	stagedAdds, err := prev.stageFacts(newRules, mut.addFacts)
 	if err != nil {
 		return res, err
 	}
@@ -173,10 +174,10 @@ func (o *Ontology) mutate(ctx context.Context, mut mutation) (mutationResult, er
 	res = mutationResult{addedFacts: len(added), removedFacts: len(removed)}
 	next.rules = newRules
 	if len(added)+len(removed) > 0 {
-		next.base, next.baseMut = base, base.Mutations()
+		next.base = base
 	}
 	o.mutCount++
-	if w.live && o.compactEvery > 0 && o.mutCount >= o.compactEvery {
+	if w.live && o.mutCount >= DefaultCompactEvery {
 		w.state.CompactProvenance()
 		o.mutCount = 0
 	}
@@ -326,15 +327,14 @@ func (w *matWork) applyFactInsert(ctx context.Context, rules *dependency.Set, ad
 	w.record(res)
 }
 
-// checkRuleArities verifies that a mutated rule set's signature agrees with
-// the arities of the relations already stored (published expansion first,
-// which is a superset of the base data).
-func (s *snapshot) checkRuleArities(rules *dependency.Set) error {
+// checkRuleArities verifies that a rule set's signature is consistent and
+// agrees with the arities of the relations stored in an instance (for a
+// mutation, the published expansion, which is a superset of the base data).
+func checkRuleArities(rules *dependency.Set, stored *storage.Instance) error {
 	sig, err := rules.Predicates()
 	if err != nil {
 		return err
 	}
-	stored := s.storedRelations()
 	for pred, arity := range sig {
 		if rel := stored.Relation(pred); rel != nil && rel.Arity() != arity {
 			return fmt.Errorf("repro: rule uses %s with arity %d, stored relation has %d", pred, arity, rel.Arity())
@@ -466,17 +466,6 @@ func (o *Ontology) RemoveRuleCtx(ctx context.Context, label string) error {
 	return err
 }
 
-// SetCompactEvery tunes the generational provenance compaction: every n-th
-// mutation reclaims the derivation-graph entries that fact and rule
-// deletions have marked dead, bounding provenance memory for long-lived
-// serving processes (default DefaultCompactEvery; n <= 0 disables the
-// automatic sweep — CompactProvenance still runs one on demand).
-func (o *Ontology) SetCompactEvery(n int) {
-	o.wmu.Lock()
-	defer o.wmu.Unlock()
-	o.compactEvery = n
-}
-
 // CompactProvenance immediately runs one generational sweep over the chase
 // engine's derivation graph, returning how many dead derivations were
 // reclaimed (0 when nothing is cached, provenance is off, or nothing died).
@@ -494,15 +483,28 @@ func (o *Ontology) CompactProvenance() int {
 }
 
 // stageFacts validates an AddFact batch against the published expansion (a
-// superset of the base data) when one exists, staging it into a private
+// superset of the base data) when one exists, and against the signature of
+// rules for predicates nothing stores yet, staging it into a private
 // instance so intra-batch arity conflicts also surface — all before the
-// ontology is touched. Returns the staged batch deduplicated.
-func (s *snapshot) stageFacts(facts []logic.Atom) ([]logic.Atom, error) {
+// ontology is touched. A stored relation already agrees with the rules
+// (construction and AddRule check it), so the signature is only derived
+// when a fact needs it. Returns the staged batch deduplicated.
+func (s *snapshot) stageFacts(rules *dependency.Set, facts []logic.Atom) ([]logic.Atom, error) {
 	staged := storage.NewInstance()
 	stored := s.storedRelations()
+	var sig map[string]int
 	for _, f := range facts {
-		if rel := stored.Relation(f.Pred); rel != nil && rel.Arity() != f.Arity() {
-			return nil, fmt.Errorf("repro: predicate %s used with arity %d and %d", f.Pred, rel.Arity(), f.Arity())
+		arity, ok := 0, false
+		if rel := stored.Relation(f.Pred); rel != nil {
+			arity, ok = rel.Arity(), true
+		} else {
+			if sig == nil {
+				sig, _ = rules.Predicates() // consistent: checked before publication
+			}
+			arity, ok = sig[f.Pred]
+		}
+		if ok && arity != f.Arity() {
+			return nil, fmt.Errorf("repro: predicate %s used with arity %d and %d", f.Pred, arity, f.Arity())
 		}
 		if _, err := staged.Insert(f); err != nil {
 			return nil, err // intra-batch arity conflict

@@ -34,9 +34,9 @@ type MaterializationStats struct {
 	// FullRebuilds counts every time a published materialization was dropped
 	// and the next chase-mode answer had to rebuild from scratch — e.g. a
 	// RemoveRule against a cache built without provenance, a repair on a
-	// truncated cache, a canceled mutation, or an out-of-band
-	// Data() mutation. A growing counter on a serving process is the signal
-	// that incremental maintenance is being bypassed.
+	// truncated cache, or a canceled mutation. A growing counter on a
+	// serving process is the signal that incremental maintenance is being
+	// bypassed.
 	FullRebuilds uint64
 	// AnswerCache counts answer-view cache activity (hits, misses,
 	// evictions, the current snapshot's entries and bytes).
@@ -94,6 +94,6 @@ func (o *Ontology) ChaseOptions(opts Options) *chase.Result {
 // prefix of the data, and the ontology's own caches are untouched (the run
 // is always fresh and private).
 func (o *Ontology) ChaseCtx(ctx context.Context, opts Options) *chase.Result {
-	s := o.load()
+	s := o.snap.Load()
 	return chase.RunCtx(ctx, s.rules, s.base, opts.chaseOptions())
 }

@@ -1,6 +1,8 @@
 package repro
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -29,15 +31,77 @@ func TestParseMixed(t *testing.T) {
 	}
 }
 
+// parseBoth builds program through Parse and through ParseFiles (as one
+// rules file), returning the two errors by entry point.
+func parseBoth(t *testing.T, program string) map[string]error {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "program.rules")
+	if err := os.WriteFile(path, []byte(program), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, perr := Parse(program)
+	_, ferr := ParseFiles(path)
+	return map[string]error{"Parse": perr, "ParseFiles": ferr}
+}
+
 func TestParseRejectsQueries(t *testing.T) {
-	if _, err := Parse(`q(X) :- p(X) .`); err == nil {
-		t.Error("queries in ontology text must be rejected")
+	for entry, err := range parseBoth(t, `p(X) -> q(X) . q(X) :- p(X) .`) {
+		if err == nil {
+			t.Errorf("%s: queries in ontology text must be rejected", entry)
+		}
 	}
 }
 
+// TestParseRejectsArityConflicts: the chase relies on every predicate having
+// one arity across the rules and the data, so both program entry points
+// refuse a program that breaks it, naming the predicate.
 func TestParseRejectsArityConflicts(t *testing.T) {
-	if _, err := Parse(`p(X) -> q(X) . p(X,Y) -> q(X) .`); err == nil {
-		t.Error("arity conflicts must be rejected at parse time")
+	for _, tc := range []struct{ program, pred string }{
+		{`p(X) -> q(X, Y) . q(a) . p(b) .`, "q"},  // fact against a rule head
+		{`p(X) -> q(X) . p(a, b) .`, "p"},         // fact against a rule body
+		{`p(X) -> q(X) . p(X, Y) -> r(X) .`, "p"}, // rule against rule
+		{`p(a) . p(a, b) .`, "p"},                 // fact against fact
+	} {
+		for entry, err := range parseBoth(t, tc.program) {
+			if err == nil || !strings.Contains(err.Error(), " "+tc.pred+" ") {
+				t.Errorf("%s(%q) = %v, want an error naming %s", entry, tc.program, err, tc.pred)
+			}
+		}
+	}
+	// A data file is checked against the rules file's signature too.
+	dir := t.TempDir()
+	rules, data := filepath.Join(dir, "split.rules"), filepath.Join(dir, "split.facts")
+	if err := os.WriteFile(rules, []byte(`p(X) -> q(X, Y) . p(b) .`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(data, []byte(`q(a) .`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ParseFiles(rules, data); err == nil || !strings.Contains(err.Error(), " q ") {
+		t.Errorf("ParseFiles with a clashing data file = %v, want an error naming q", err)
+	}
+}
+
+// TestAddFactChecksRuleSignature: a fact for a predicate that no relation
+// stores yet is checked against the rules' signature, so the chase never
+// meets two arities for one predicate.
+func TestAddFactChecksRuleSignature(t *testing.T) {
+	ont := MustParse(`p(X) -> q(X, Y) . p(b) .`)
+	if err := ont.AddFact(`q(a) .`); err == nil || !strings.Contains(err.Error(), " q ") {
+		t.Errorf("AddFact(q(a)) = %v, want an error naming q", err)
+	}
+	if _, err := ont.LoadCSV("q", strings.NewReader("a\n")); err == nil {
+		t.Error("LoadCSV of one column into q/2 must be rejected")
+	}
+	if err := ont.AddFact(`q(a, c) .`); err != nil {
+		t.Fatal(err)
+	}
+	ans, err := ont.AnswerMode(`ans(X) :- q(X, Y) .`, ModeChase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ans.Len() != 2 {
+		t.Errorf("answers = %v, want a and b", ans)
 	}
 }
 
