@@ -1,9 +1,9 @@
 # Mirrors .github/workflows/ci.yml exactly: CI runs `make lint build test
-# fuzz serve-smoke bench` step by step; keep the two in sync.
+# fuzz serve-smoke cli-smoke bench` step by step; keep the two in sync.
 
 GO ?= go
 
-.PHONY: all build test fuzz bench lint serve-smoke
+.PHONY: all build test fuzz bench lint serve-smoke cli-smoke
 
 all: lint build test
 
@@ -54,3 +54,10 @@ lint:
 # against it, and require a clean SIGTERM drain.
 serve-smoke:
 	bash scripts/serve_smoke.sh
+
+# End-to-end smoke of the command-line programs and the examples: each runs
+# on a small program and must exit 0, and a program that uses one predicate
+# with two arities must be rejected by chase and rewrite -eval without a
+# panic.
+cli-smoke:
+	bash scripts/cli_smoke.sh

@@ -47,7 +47,7 @@ func TestPropertyCachedEqualsUncached(t *testing.T) {
 					ont := cachedOnt(t, set.String()+"\n"+factSrc(atoms[:cut]))
 					opts := Options{Mode: ModeChase, Parallelism: par}
 					queries := atomicQueries(t, ont)
-					if _, err := ont.AnswerOptions(queries[0], opts); err != nil {
+					if _, err := ont.AnswerCtx(bg, queries[0], opts); err != nil {
 						t.Skipf("initial chase over budget: %v", err)
 					}
 
@@ -56,16 +56,16 @@ func TestPropertyCachedEqualsUncached(t *testing.T) {
 						// Answer twice so at least one call can be served
 						// from a view, then compare to a cache-bypassing
 						// evaluation of the same ontology.
-						if _, err := ont.AnswerOptions(q, opts); err != nil {
+						if _, err := ont.AnswerCtx(bg, q, opts); err != nil {
 							t.Fatal(err)
 						}
-						cached, err := ont.AnswerOptions(q, opts)
+						cached, err := ont.AnswerCtx(bg, q, opts)
 						if err != nil {
 							t.Fatal(err)
 						}
 						bypass := opts
 						bypass.NoCache = true
-						plain, err := ont.AnswerOptions(q, bypass)
+						plain, err := ont.AnswerCtx(bg, q, bypass)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -113,25 +113,25 @@ func TestCacheHitAvoidsDivergenceAcrossMutationKinds(t *testing.T) {
 	}{
 		{"addFact", func(o *Ontology) error { return o.AddFact(`parent(cyd, dee) .`) }},
 		{"deleteFact", func(o *Ontology) error { _, err := o.DeleteFact(`parent(ada, bob) .`); return err }},
-		{"addRule", func(o *Ontology) error { return o.AddRule(`ancestor(X, Y) -> related(X, Y) .`) }},
-		{"removeRule", func(o *Ontology) error { return o.RemoveRule("R2") }},
+		{"addRule", func(o *Ontology) error { return o.AddRuleCtx(bg, `ancestor(X, Y) -> related(X, Y) .`) }},
+		{"removeRule", func(o *Ontology) error { return o.RemoveRuleCtx(bg, "R2") }},
 	}
 	for _, step := range steps {
 		t.Run(step.name, func(t *testing.T) {
 			ont := cachedOnt(t, prog)
 			for i := 0; i < 2; i++ { // miss then hit: the view is warm
-				if _, err := ont.AnswerOptions(q, Options{}); err != nil {
+				if _, err := ont.AnswerCtx(bg, q, Options{}); err != nil {
 					t.Fatal(err)
 				}
 			}
 			if err := step.mutate(ont); err != nil {
 				t.Fatal(err)
 			}
-			got, err := ont.AnswerOptions(q, Options{})
+			got, err := ont.AnswerCtx(bg, q, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := ont.AnswerOptions(q, Options{NoCache: true})
+			want, err := ont.AnswerCtx(bg, q, Options{NoCache: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,7 +151,7 @@ func warmView(t *testing.T) *Ontology {
 	t.Helper()
 	ont := cachedOnt(t, universityMini)
 	for i := 0; i < 2; i++ { // miss (building the materialization), then hit
-		if _, err := ont.AnswerOptions(viewQuery, Options{Mode: ModeChase}); err != nil {
+		if _, err := ont.AnswerCtx(bg, viewQuery, Options{Mode: ModeChase}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -165,7 +165,7 @@ func warmView(t *testing.T) *Ontology {
 func readIsHit(t *testing.T, ont *Ontology) bool {
 	t.Helper()
 	before := ont.AnswerCacheStats()
-	if _, err := ont.AnswerOptions(viewQuery, Options{Mode: ModeChase}); err != nil {
+	if _, err := ont.AnswerCtx(bg, viewQuery, Options{Mode: ModeChase}); err != nil {
 		t.Fatal(err)
 	}
 	after := ont.AnswerCacheStats()
@@ -187,8 +187,8 @@ func TestEveryPublicationEmptiesViews(t *testing.T) {
 	}{
 		{"addFact", func(o *Ontology) error { return o.AddFact(`teacher(newhire) .`) }},
 		{"deleteFact", func(o *Ontology) error { _, err := o.DeleteFact(`student(alice) .`); return err }},
-		{"addRule", func(o *Ontology) error { return o.AddRule(`teacher(X) -> staff(X) .`) }},
-		{"removeRule", func(o *Ontology) error { return o.RemoveRule(o.Rules().Rules[0].Label) }},
+		{"addRule", func(o *Ontology) error { return o.AddRuleCtx(bg, `teacher(X) -> staff(X) .`) }},
+		{"removeRule", func(o *Ontology) error { return o.RemoveRuleCtx(bg, o.Rules().Rules[0].Label) }},
 		{"canceled", func(o *Ontology) error {
 			// Polled once at entry, then canceled before the insert.
 			if err := o.AddFactCtx(newTrippingCtx(1), `teacher(newhire) .`); !errors.Is(err, context.Canceled) {
@@ -237,7 +237,7 @@ func TestUnchangedSnapshotKeepsViews(t *testing.T) {
 		{"duplicateAddFact", func(o *Ontology) error { return o.AddFact(`student(alice) . teacher(bob) .`) }, false},
 		{"absentDeleteFact", func(o *Ontology) error { _, err := o.DeleteFact(`student(nobody) .`); return err }, false},
 		{"rejectedAddFact", func(o *Ontology) error { return o.AddFact(`student(alice, bob) .`) }, true},
-		{"rejectedRemoveRule", func(o *Ontology) error { return o.RemoveRule("no-such-rule") }, true},
+		{"rejectedRemoveRule", func(o *Ontology) error { return o.RemoveRuleCtx(bg, "no-such-rule") }, true},
 	}
 	for _, step := range steps {
 		t.Run(step.name, func(t *testing.T) {
@@ -266,7 +266,7 @@ func TestUnchangedSnapshotKeepsViews(t *testing.T) {
 func TestAnswerStreamMatchesAnswer(t *testing.T) {
 	ont := cachedOnt(t, universityMini)
 	const q = `q(X) :- person(X) .`
-	want, err := ont.AnswerOptions(q, Options{NoCache: true})
+	want, err := ont.AnswerCtx(bg, q, Options{NoCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestCacheConcurrentAnswersRaceClean(t *testing.T) {
 	ont := cachedOnt(t, universityMini)
 	const q = `q(X) :- person(X) .`
 	opts := Options{Mode: ModeChase}
-	if _, err := ont.AnswerOptions(q, opts); err != nil {
+	if _, err := ont.AnswerCtx(bg, q, opts); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -339,7 +339,7 @@ func TestCacheConcurrentAnswersRaceClean(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
-				cached, err := ont.AnswerOptions(q, opts)
+				cached, err := ont.AnswerCtx(bg, q, opts)
 				if err != nil {
 					t.Error(err)
 					return
@@ -363,11 +363,11 @@ func TestCacheConcurrentAnswersRaceClean(t *testing.T) {
 	}()
 	wg.Wait()
 
-	got, err := ont.AnswerOptions(q, opts)
+	got, err := ont.AnswerCtx(bg, q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ont.AnswerOptions(q, Options{Mode: ModeChase, NoCache: true})
+	want, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase, NoCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +388,7 @@ func TestCacheEvictionUnderTinyBudget(t *testing.T) {
 		`q(X) :- student(X) .`,
 	}
 	for _, q := range queries {
-		if _, err := ont.AnswerOptions(q, Options{}); err != nil {
+		if _, err := ont.AnswerCtx(bg, q, Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -406,7 +406,7 @@ func TestCacheEvictionUnderTinyBudget(t *testing.T) {
 func TestSetAnswerCacheBudgetDisableDropsViews(t *testing.T) {
 	ont := cachedOnt(t, universityMini)
 	const q = `q(X) :- person(X) .`
-	if _, err := ont.AnswerOptions(q, Options{}); err != nil {
+	if _, err := ont.AnswerCtx(bg, q, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if st := ont.AnswerCacheStats(); st.Entries == 0 {
@@ -417,7 +417,7 @@ func TestSetAnswerCacheBudgetDisableDropsViews(t *testing.T) {
 		t.Fatalf("stats=%+v: views survived disabling the cache", st)
 	}
 	hitsBefore := ont.AnswerCacheStats().Hits
-	if _, err := ont.AnswerOptions(q, Options{}); err != nil {
+	if _, err := ont.AnswerCtx(bg, q, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if st := ont.AnswerCacheStats(); st.Hits != hitsBefore {
@@ -464,7 +464,7 @@ func TestRuleMutationLeavesNoStaleRewriteView(t *testing.T) {
 						return
 					default:
 					}
-					if _, err := ont.AnswerMode(q, ModeRewrite); err != nil {
+					if _, err := ont.AnswerCtx(bg, q, Options{Mode: ModeRewrite}); err != nil {
 						t.Error(err)
 						return
 					}
@@ -472,18 +472,18 @@ func TestRuleMutationLeavesNoStaleRewriteView(t *testing.T) {
 			}()
 		}
 		time.Sleep(time.Duration(rng.Intn(2001)) * time.Microsecond)
-		if err := ont.AddRule(`d(X) -> p(X) .`); err != nil {
+		if err := ont.AddRuleCtx(bg, `d(X) -> p(X) .`); err != nil {
 			t.Fatal(err)
 		}
 		// A reader caught mid-rewrite finishes its loop iteration — and its
 		// cache fill — before it sees stop.
 		close(stop)
 		wg.Wait()
-		cached, err := ont.AnswerMode(q, ModeRewrite)
+		cached, err := ont.AnswerCtx(bg, q, Options{Mode: ModeRewrite})
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := ont.AnswerOptions(q, Options{Mode: ModeRewrite, NoCache: true})
+		fresh, err := ont.AnswerCtx(bg, q, Options{Mode: ModeRewrite, NoCache: true})
 		if err != nil {
 			t.Fatal(err)
 		}

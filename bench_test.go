@@ -327,14 +327,14 @@ func BenchmarkAnswerChase(b *testing.B) {
 		b.Run(q.name, func(b *testing.B) {
 			ont := MustParse(src)
 			opts := Options{Mode: ModeChase}
-			if _, err := ont.AnswerOptions(q.src, opts); err != nil {
+			if _, err := ont.AnswerCtx(bg, q.src, opts); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			var n int
 			for i := 0; i < b.N; i++ {
-				ans, err := ont.AnswerOptions(q.src, opts)
+				ans, err := ont.AnswerCtx(bg, q.src, opts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -354,13 +354,13 @@ func BenchmarkAnswerRewrite(b *testing.B) {
 	const q = `q(X) :- person(X) .`
 	ont := MustParse(src)
 	opts := Options{Mode: ModeRewrite}
-	if _, err := ont.AnswerOptions(q, opts); err != nil {
+	if _, err := ont.AnswerCtx(bg, q, opts); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ont.AnswerOptions(q, opts); err != nil {
+		if _, err := ont.AnswerCtx(bg, q, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -378,7 +378,7 @@ func BenchmarkIncrementalAddFact(b *testing.B) {
 	const q = `q(X) :- person(X) .`
 	b.Run("incremental", func(b *testing.B) {
 		ont := MustParse(rules.String() + "\n" + datagen.UniversityData(16, 1).String())
-		if _, err := ont.AnswerMode(q, ModeChase); err != nil {
+		if _, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase}); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
@@ -387,7 +387,7 @@ func BenchmarkIncrementalAddFact(b *testing.B) {
 			if err := ont.AddFact(fmt.Sprintf("undergraduateStudent(bench%d) .", i)); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := ont.AnswerMode(q, ModeChase); err != nil {
+			if _, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -437,7 +437,7 @@ func BenchmarkDeleteFact(b *testing.B) {
 		if _, err := ont.DeleteFact("undergraduateStudent(primer) ."); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ont.AnswerMode(q, ModeChase); err != nil {
+		if _, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase}); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
@@ -446,7 +446,7 @@ func BenchmarkDeleteFact(b *testing.B) {
 			if n, err := ont.DeleteFact(fmt.Sprintf("undergraduateStudent(bench%d) .", i)); err != nil || n != 1 {
 				b.Fatalf("delete: n=%d err=%v", n, err)
 			}
-			if _, err := ont.AnswerMode(q, ModeChase); err != nil {
+			if _, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -490,13 +490,13 @@ func BenchmarkAddRule(b *testing.B) {
 	const q = `q(X) :- person(X) .`
 	b.Run("incremental", func(b *testing.B) {
 		ont := MustParse(rules.String() + "\n" + datagen.UniversityData(16, 1).String())
-		if _, err := ont.AnswerMode(q, ModeChase); err != nil {
+		if _, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase}); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := ont.AddRule(fmt.Sprintf("undergraduateStudent(X) -> cohort%d(X) .", i)); err != nil {
+			if err := ont.AddRuleCtx(bg, fmt.Sprintf("undergraduateStudent(X) -> cohort%d(X) .", i)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -539,19 +539,19 @@ func BenchmarkRemoveRule(b *testing.B) {
 		if _, err := ont.DeleteFact(`undergraduateStudent(primer) .`); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ont.AnswerMode(q, ModeChase); err != nil {
+		if _, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase}); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			if err := ont.AddRule(fmt.Sprintf("undergraduateStudent(X) -> cohort%d(X) .", i)); err != nil {
+			if err := ont.AddRuleCtx(bg, fmt.Sprintf("undergraduateStudent(X) -> cohort%d(X) .", i)); err != nil {
 				b.Fatal(err)
 			}
 			label := ont.Rules().Rules[ont.Rules().Len()-1].Label
 			b.StartTimer()
-			if err := ont.RemoveRule(label); err != nil {
+			if err := ont.RemoveRuleCtx(bg, label); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -598,7 +598,7 @@ func BenchmarkSnapshotContention(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			ont := MustParse(base)
-			if _, err := ont.AnswerMode(q, ModeChase); err != nil {
+			if _, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase}); err != nil {
 				b.Fatal(err)
 			}
 			stop := make(chan struct{})
@@ -624,7 +624,7 @@ func BenchmarkSnapshotContention(b *testing.B) {
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
-					if _, err := ont.AnswerMode(q, ModeChase); err != nil {
+					if _, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase}); err != nil {
 						b.Error(err)
 						return
 					}
@@ -720,7 +720,7 @@ func BenchmarkFirstAnswer(b *testing.B) {
 	const q = `q(X, Z) :- edge(X, Y), edge(Y, Z) .`
 	ont := MustParse(denseGraphSrc())
 	// Warm the snapshot and plan cache so both arms measure steady state.
-	if _, err := ont.Answer(q); err != nil {
+	if _, err := ont.AnswerCtx(bg, q, Options{}); err != nil {
 		b.Fatal(err)
 	}
 	b.Run("streamed-first", func(b *testing.B) {
@@ -740,7 +740,7 @@ func BenchmarkFirstAnswer(b *testing.B) {
 		b.ReportAllocs()
 		var n int
 		for i := 0; i < b.N; i++ {
-			ans, err := ont.Answer(q)
+			ans, err := ont.AnswerCtx(bg, q, Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -756,7 +756,7 @@ func BenchmarkFirstAnswer(b *testing.B) {
 func BenchmarkAnswerLimited(b *testing.B) {
 	const q = `q(X, Z) :- edge(X, Y), edge(Y, Z) .`
 	ont := MustParse(denseGraphSrc())
-	full, err := ont.Answer(q)
+	full, err := ont.AnswerCtx(bg, q, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -772,7 +772,7 @@ func BenchmarkAnswerLimited(b *testing.B) {
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ans, err := ont.AnswerOptions(q, Options{Limit: k})
+				ans, err := ont.AnswerCtx(bg, q, Options{Limit: k})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -798,13 +798,13 @@ func BenchmarkCachedAnswer(b *testing.B) {
 		ont := MustParse(src)
 		bypass := chase
 		bypass.NoCache = true
-		if _, err := ont.AnswerOptions(q, bypass); err != nil {
+		if _, err := ont.AnswerCtx(bg, q, bypass); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := ont.AnswerOptions(q, bypass); err != nil {
+			if _, err := ont.AnswerCtx(bg, q, bypass); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -813,14 +813,14 @@ func BenchmarkCachedAnswer(b *testing.B) {
 		ont := MustParse(src)
 		ont.SetAnswerCacheBudget(DefaultAnswerCacheBytes)
 		for i := 0; i < 2; i++ { // build, then fill the view
-			if _, err := ont.AnswerOptions(q, chase); err != nil {
+			if _, err := ont.AnswerCtx(bg, q, chase); err != nil {
 				b.Fatal(err)
 			}
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := ont.AnswerOptions(q, chase); err != nil {
+			if _, err := ont.AnswerCtx(bg, q, chase); err != nil {
 				b.Fatal(err)
 			}
 		}

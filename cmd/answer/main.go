@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	answer -rules testdata/family.rules -data testdata/family.data \
+//	answer -rules ont.rules -data ont.data \
 //	       -query 'q(X,Y) :- ancestor(X,Y) .' [-mode auto|rewrite|chase] \
 //	       [-timeout 500ms]
 //

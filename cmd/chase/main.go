@@ -1,9 +1,12 @@
 // Command chase materializes a database with a TGD file using the
-// restricted (or oblivious) chase and prints the expanded instance.
+// restricted (or semi-oblivious, -oblivious) chase and prints the expanded
+// instance. The rules and data are
+// loaded through repro.ParseFiles, so a program that uses one predicate with
+// two arities is rejected before the engine runs.
 //
 // Usage:
 //
-//	chase -rules testdata/family.rules -data testdata/family.data
+//	chase -rules ont.rules -data ont.data
 //
 // With -add, extra facts are folded in after the initial chase; -incremental
 // extends the already-chased instance by resuming the engine with just those
@@ -24,6 +27,7 @@ import (
 	"fmt"
 	"os"
 
+	repro "repro"
 	"repro/internal/chase"
 	"repro/internal/cliflags"
 	"repro/internal/parser"
@@ -45,35 +49,20 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: chase -rules FILE [-data FILE] [-oblivious] [-timeout D] [-add 'f(a) .'] [-delete 'f(a) .'] [-add-rule 'p(X) -> q(X) .'] [-drop-rule R2] [-incremental]")
 		os.Exit(2)
 	}
-	prog, err := parser.ParseFile(*rulesPath)
-	if err != nil {
-		fatal(err)
-	}
-	set, err := prog.RuleSet()
-	if err != nil {
-		fatal(err)
-	}
-	data := storage.NewInstance()
-	for _, f := range prog.Facts {
-		if err := data.InsertAtom(f); err != nil {
-			fatal(err)
-		}
-	}
+	var dataPaths []string
 	if *dataPath != "" {
-		facts, err := parser.ParseFile(*dataPath)
-		if err != nil {
-			fatal(err)
-		}
-		for _, f := range facts.Facts {
-			if err := data.InsertAtom(f); err != nil {
-				fatal(err)
-			}
-		}
+		dataPaths = append(dataPaths, *dataPath)
 	}
-	opts, err := shared.ChaseOptions()
+	ont, err := repro.ParseFiles(*rulesPath, dataPaths...)
 	if err != nil {
 		fatal(err)
 	}
+	set, data := ont.Rules(), ont.Data().Clone()
+	ropts, err := shared.Options(repro.ModeChase)
+	if err != nil {
+		fatal(err)
+	}
+	opts := chase.Options{MaxSteps: ropts.MaxSteps, MaxRounds: ropts.MaxRounds, Parallelism: ropts.Parallelism}
 	if *oblivious {
 		opts.Variant = chase.Oblivious
 	}
@@ -98,6 +87,11 @@ func main() {
 	if *add != "" {
 		extra, err := parser.ParseFacts(*add)
 		if err != nil {
+			fatal(err)
+		}
+		// The ontology checks the facts against the program's signature;
+		// the engine below assumes they agree.
+		if err := ont.AddFactCtx(ctx, *add); err != nil {
 			fatal(err)
 		}
 		if *incremental {
@@ -159,6 +153,9 @@ func main() {
 		rule, err := parser.ParseRule(*addRule)
 		if err != nil {
 			fatal(err)
+		}
+		if err := ont.AddRuleCtx(ctx, *addRule); err != nil {
+			fatal(err) // the rule clashes with the program's signature
 		}
 		next, err := set.WithRule(rule)
 		if err != nil {

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	classify -rules testdata/example3.rules [-timeout 5s]
+//	classify -rules ont.rules [-timeout 5s]
 //
 // Classification runs over the rules only (no data), through the same
 // cached path serving-layer auto-mode answering uses (Ontology.Classify).

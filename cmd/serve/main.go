@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	serve -addr :8080 -rules testdata/family.rules -data testdata/family.data
+//	serve -addr :8080 -rules ont.rules -data ont.data
 //
 // preloads the rules/data as ontology "default"; further ontologies can be
 // created over the wire:

@@ -57,7 +57,7 @@ func answersFor(t *testing.T, ont *Ontology, queries []string, opts Options) []*
 	t.Helper()
 	out := make([]*Answers, len(queries))
 	for i, q := range queries {
-		ans, err := ont.AnswerOptions(q, opts)
+		ans, err := ont.AnswerCtx(bg, q, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -177,7 +177,7 @@ func TestAnswerDeadlineExceededPromptly(t *testing.T) {
 		t.Fatalf("took %v to honor a 1ms deadline", elapsed)
 	}
 
-	ans, err := ont.AnswerOptions("q(X) :- person(X) .", opts)
+	ans, err := ont.AnswerCtx(bg, "q(X) :- person(X) .", opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func TestPropertyAddDeleteFactIncrementalEqualsScratch(t *testing.T) {
 					}
 					opts := Options{Mode: ModeChase, Parallelism: par}
 					queries := atomicQueries(t, ont)
-					if _, err := ont.AnswerOptions(queries[0], opts); err != nil {
+					if _, err := ont.AnswerCtx(bg, queries[0], opts); err != nil {
 						t.Skipf("initial chase over budget: %v", err)
 					}
 
@@ -86,7 +86,7 @@ func TestPropertyAddDeleteFactIncrementalEqualsScratch(t *testing.T) {
 							}
 						}
 						if rng.Intn(2) == 0 {
-							if _, err := ont.AnswerOptions(queries[rng.Intn(len(queries))], opts); err != nil {
+							if _, err := ont.AnswerCtx(bg, queries[rng.Intn(len(queries))], opts); err != nil {
 								t.Fatal(err)
 							}
 						}
@@ -101,8 +101,8 @@ func TestPropertyAddDeleteFactIncrementalEqualsScratch(t *testing.T) {
 						t.Fatal(err)
 					}
 					for _, q := range queries {
-						inc, errInc := ont.AnswerOptions(q, opts)
-						scr, errScr := ontScratch.AnswerOptions(q, opts)
+						inc, errInc := ont.AnswerCtx(bg, q, opts)
+						scr, errScr := ontScratch.AnswerCtx(bg, q, opts)
 						if (errInc == nil) != (errScr == nil) {
 							t.Fatalf("%s: error divergence: inc=%v scratch=%v", q, errInc, errScr)
 						}
@@ -132,7 +132,7 @@ func TestDeleteFactWorkProportionalToClosure(t *testing.T) {
 	}
 	// Provenance recording is lazy: the first DeleteFact drops the cache and
 	// flips it on, so prime with a throwaway deletion before measuring.
-	if _, err := ont.AnswerMode(q, ModeChase); err != nil {
+	if _, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase}); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := ont.DeleteFact(`undergraduateStudent(primer) .`); err != nil || n != 1 {
@@ -141,7 +141,7 @@ func TestDeleteFactWorkProportionalToClosure(t *testing.T) {
 	if st := ont.MaterializationStats(); st.Cached {
 		t.Fatalf("first delete must drop the provenance-less cache: %+v", st)
 	}
-	before, err := ont.AnswerMode(q, ModeChase)
+	before, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestDeleteFactWorkProportionalToClosure(t *testing.T) {
 	if err != nil || n != 1 {
 		t.Fatalf("DeleteFact: n=%d err=%v", n, err)
 	}
-	after, err := ont.AnswerMode(q, ModeChase)
+	after, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ person(bob) .
 student(primer) .
 `)
 	const q = `q(X) :- person(X) .`
-	if _, err := ont.AnswerMode(q, ModeChase); err != nil {
+	if _, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase}); err != nil {
 		t.Fatal(err)
 	}
 	// Prime the lazy provenance recording so the assertions below exercise
@@ -201,7 +201,7 @@ student(primer) .
 	if n, err := ont.DeleteFact(`student(primer) .`); err != nil || n != 1 {
 		t.Fatalf("priming delete: n=%d err=%v", n, err)
 	}
-	if _, err := ont.AnswerMode(q, ModeChase); err != nil {
+	if _, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase}); err != nil {
 		t.Fatal(err)
 	}
 	// person(alice) is base AND derivable from student(alice): deleting the
@@ -209,7 +209,7 @@ student(primer) .
 	if n, err := ont.DeleteFact(`person(alice) .`); err != nil || n != 1 {
 		t.Fatalf("delete person(alice): n=%d err=%v", n, err)
 	}
-	ans, err := ont.AnswerMode(q, ModeChase)
+	ans, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ student(primer) .
 	if n, err := ont.DeleteFact(`student(alice) .`); err != nil || n != 1 {
 		t.Fatalf("delete student(alice): n=%d err=%v", n, err)
 	}
-	ans, err = ont.AnswerMode(q, ModeChase)
+	ans, err = ont.AnswerCtx(bg, q, Options{Mode: ModeChase})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,13 +241,13 @@ student(alice) .
 student(bob) .
 `)
 	const q = `q(X) :- person(X) .`
-	if _, err := ont.AnswerMode(q, ModeChase); err != nil {
+	if _, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase}); err != nil {
 		t.Fatal(err)
 	}
 	mustPanic(t, "Data().Remove", func() { ont.Data().Remove(logic.NewAtom("student", logic.NewConst("bob"))) })
 	mustPanic(t, "Data().InsertAtom", func() { ont.Data().InsertAtom(logic.NewAtom("student", logic.NewConst("carol"))) })
 	for _, mode := range []AnswerMode{ModeChase, ModeRewrite} {
-		ans, err := ont.AnswerMode(q, mode)
+		ans, err := ont.AnswerCtx(bg, q, Options{Mode: mode})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,7 +297,7 @@ func TestAnswersDoNotBlockBehindWriters(t *testing.T) {
 	answers := func() map[AnswerMode]*Answers {
 		out := make(map[AnswerMode]*Answers)
 		for _, mode := range modes {
-			ans, err := ont.AnswerMode(q, mode)
+			ans, err := ont.AnswerCtx(bg, q, Options{Mode: mode})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -321,7 +321,7 @@ func TestAnswersDoNotBlockBehindWriters(t *testing.T) {
 		for i, running := 0, true; running; i++ {
 			mode := modes[i%len(modes)]
 			t0 := time.Now()
-			ans, err := ont.AnswerMode(q, mode)
+			ans, err := ont.AnswerCtx(bg, q, Options{Mode: mode})
 			if err != nil {
 				t.Fatalf("%s: read in mode %d: %v", name, mode, err)
 			}
@@ -378,7 +378,7 @@ func TestConcurrentAnswerAddDelete(t *testing.T) {
 	base := datagen.University().String() + "\n" + datagen.UniversityData(2, 1).String()
 	ont := MustParse(base)
 	const q = `q(X) :- person(X) .`
-	if _, err := ont.AnswerMode(q, ModeChase); err != nil {
+	if _, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -410,7 +410,7 @@ func TestConcurrentAnswerAddDelete(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < ops; i++ {
-			if _, err := ont.AnswerOptions(q, Options{Mode: ModeChase, Parallelism: 2}); err != nil {
+			if _, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase, Parallelism: 2}); err != nil {
 				t.Error(err)
 				return
 			}
@@ -424,11 +424,11 @@ func TestConcurrentAnswerAddDelete(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := ont.AnswerMode(q, ModeChase)
+	got, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := scratch.AnswerMode(q, ModeChase)
+	want, err := scratch.AnswerCtx(bg, q, Options{Mode: ModeChase})
 	if err != nil {
 		t.Fatal(err)
 	}

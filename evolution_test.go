@@ -55,21 +55,21 @@ func TestPropertyOntologyEvolutionEqualsScratch(t *testing.T) {
 					// Queries over the FULL signature, so predicates touched
 					// only by reserve rules are compared too.
 					queries := atomicQueriesOf(t, full)
-					if _, err := ont.AnswerOptions(queries[0], opts); err != nil {
+					if _, err := ont.AnswerCtx(bg, queries[0], opts); err != nil {
 						t.Skipf("initial chase over budget: %v", err)
 					}
 
 					for step := 0; step < 24; step++ {
 						switch op := rng.Intn(6); {
 						case op == 0 && len(ruleReserve) > 0: // add a rule
-							if err := ont.AddRule(ruleSrc(ruleReserve[0])); err != nil {
+							if err := ont.AddRuleCtx(bg, ruleSrc(ruleReserve[0])); err != nil {
 								t.Fatal(err)
 							}
 							ruleReserve = ruleReserve[1:]
 						case op == 1 && ont.Rules().Len() > 1: // remove a rule
 							rules := ont.Rules()
 							label := rules.Rules[rng.Intn(rules.Len())].Label
-							if err := ont.RemoveRule(label); err != nil {
+							if err := ont.RemoveRuleCtx(bg, label); err != nil {
 								t.Fatal(err)
 							}
 						case op <= 3 && len(factReserve) > 0: // insert facts
@@ -101,7 +101,7 @@ func TestPropertyOntologyEvolutionEqualsScratch(t *testing.T) {
 							}
 						}
 						if rng.Intn(2) == 0 {
-							if _, err := ont.AnswerOptions(queries[rng.Intn(len(queries))], opts); err != nil {
+							if _, err := ont.AnswerCtx(bg, queries[rng.Intn(len(queries))], opts); err != nil {
 								// Random rule additions can evolve the set into
 								// a non-terminating one; a budget error is the
 								// correct answer there, not a divergence.
@@ -119,8 +119,8 @@ func TestPropertyOntologyEvolutionEqualsScratch(t *testing.T) {
 						t.Fatal(err)
 					}
 					for _, q := range queries {
-						inc, errInc := ont.AnswerOptions(q, opts)
-						scr, errScr := ontScratch.AnswerOptions(q, opts)
+						inc, errInc := ont.AnswerCtx(bg, q, opts)
+						scr, errScr := ontScratch.AnswerCtx(bg, q, opts)
 						if (errInc == nil) != (errScr == nil) {
 							t.Fatalf("%s: error divergence: inc=%v scratch=%v", q, errInc, errScr)
 						}
@@ -172,7 +172,7 @@ func joinVars(vs []string) string {
 // RemoveRule takes exactly that contribution back out.
 func TestAddRuleIncrementalStepsProportionalToDelta(t *testing.T) {
 	ont := MustParse(datagen.University().String() + "\n" + datagen.UniversityData(16, 1).String())
-	if _, err := ont.AnswerMode(`q(X) :- person(X) .`, ModeChase); err != nil {
+	if _, err := ont.AnswerCtx(bg, `q(X) :- person(X) .`, Options{Mode: ModeChase}); err != nil {
 		t.Fatal(err)
 	}
 	s0 := ont.MaterializationStats()
@@ -181,7 +181,7 @@ func TestAddRuleIncrementalStepsProportionalToDelta(t *testing.T) {
 	}
 
 	// One firing per department (16), nothing to propagate.
-	if err := ont.AddRule(`department(X) -> organization(X) .`); err != nil {
+	if err := ont.AddRuleCtx(bg, `department(X) -> organization(X) .`); err != nil {
 		t.Fatal(err)
 	}
 	s1 := ont.MaterializationStats()
@@ -194,7 +194,7 @@ func TestAddRuleIncrementalStepsProportionalToDelta(t *testing.T) {
 	if s1.Steps != s0.Steps+s1.LastSteps {
 		t.Errorf("cumulative Steps = %d, want initial %d + increment %d", s1.Steps, s0.Steps, s1.LastSteps)
 	}
-	ans, err := ont.AnswerMode(`q(X) :- organization(X) .`, ModeChase)
+	ans, err := ont.AnswerCtx(bg, `q(X) :- organization(X) .`, Options{Mode: ModeChase})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,10 +206,10 @@ func TestAddRuleIncrementalStepsProportionalToDelta(t *testing.T) {
 	// RemoveRule pays one provenance rebuild the first time (recording was
 	// off), then repairs are incremental; either way the answers must drop
 	// the rule's contribution.
-	if err := ont.RemoveRule(label); err != nil {
+	if err := ont.RemoveRuleCtx(bg, label); err != nil {
 		t.Fatal(err)
 	}
-	ans, err = ont.AnswerMode(`q(X) :- organization(X) .`, ModeChase)
+	ans, err = ont.AnswerCtx(bg, `q(X) :- organization(X) .`, Options{Mode: ModeChase})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestAddRuleIncrementalStepsProportionalToDelta(t *testing.T) {
 
 	// Second cycle: the cache now records provenance, so the removal itself
 	// must be an incremental repair (epoch bump, delta-sized step count).
-	if err := ont.AddRule(`department(X) -> organization(X) .`); err != nil {
+	if err := ont.AddRuleCtx(bg, `department(X) -> organization(X) .`); err != nil {
 		t.Fatal(err)
 	}
 	s2 := ont.MaterializationStats()
@@ -227,7 +227,7 @@ func TestAddRuleIncrementalStepsProportionalToDelta(t *testing.T) {
 		t.Fatal("cache must be maintained across the second AddRule")
 	}
 	label = ont.Rules().Rules[ont.Rules().Len()-1].Label
-	if err := ont.RemoveRule(label); err != nil {
+	if err := ont.RemoveRuleCtx(bg, label); err != nil {
 		t.Fatal(err)
 	}
 	s3 := ont.MaterializationStats()
@@ -237,7 +237,7 @@ func TestAddRuleIncrementalStepsProportionalToDelta(t *testing.T) {
 	if s3.LastSteps > 20 {
 		t.Errorf("RemoveRule repair LastSteps = %d, want delta-proportional (initial build: %d)", s3.LastSteps, s0.LastSteps)
 	}
-	ans, err = ont.AnswerMode(`q(X) :- organization(X) .`, ModeChase)
+	ans, err = ont.AnswerCtx(bg, `q(X) :- organization(X) .`, Options{Mode: ModeChase})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,10 +260,10 @@ student(alice) .
 	if !ont.Classify().FORewritable {
 		t.Fatal("the linear hierarchy must start FO-rewritable")
 	}
-	if err := ont.AddRule(`t(Y1,Y2), r(Y3,Y4) -> s(Y1,Y3,Y2) .`); err != nil {
+	if err := ont.AddRuleCtx(bg, `t(Y1,Y2), r(Y3,Y4) -> s(Y1,Y3,Y2) .`); err != nil {
 		t.Fatal(err)
 	}
-	if err := ont.AddRule(`s(Y1,Y1,Y2) -> r(Y2,Y3) .`); err != nil {
+	if err := ont.AddRuleCtx(bg, `s(Y1,Y1,Y2) -> r(Y2,Y3) .`); err != nil {
 		t.Fatal(err)
 	}
 	if ont.Rules().Len() != 3 {
@@ -279,7 +279,7 @@ student(alice) .
 		ont.Rules().Rules[2].Label,
 	}
 	for _, l := range labels {
-		if err := ont.RemoveRule(l); err != nil {
+		if err := ont.RemoveRuleCtx(bg, l); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -289,7 +289,7 @@ student(alice) .
 	// And ModeAuto follows the fresh report: with the pair gone the query
 	// must answer (rewriting), with it present it must still answer (chase
 	// fallback through the same Classify).
-	if _, err := ont.Answer(`q(X) :- person(X) .`); err != nil {
+	if _, err := ont.AnswerCtx(bg, `q(X) :- person(X) .`, Options{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -301,7 +301,7 @@ func TestRuleMutationValidation(t *testing.T) {
 student(X) -> person(X) .
 student(alice) .
 `)
-	if _, err := ont.AnswerMode(`q(X) :- person(X) .`, ModeChase); err != nil {
+	if _, err := ont.AnswerCtx(bg, `q(X) :- person(X) .`, Options{Mode: ModeChase}); err != nil {
 		t.Fatal(err)
 	}
 	s0 := ont.MaterializationStats()
@@ -311,11 +311,11 @@ student(alice) .
 		`person(bob) .`,                               // a fact
 		`person(X), tall(X) -> q(X) . q(Y) -> r(Y) .`, // two rules
 	} {
-		if err := ont.AddRule(bad); err == nil {
+		if err := ont.AddRuleCtx(bg, bad); err == nil {
 			t.Errorf("AddRule(%q) must error", bad)
 		}
 	}
-	if err := ont.RemoveRule("R99"); err == nil {
+	if err := ont.RemoveRuleCtx(bg, "R99"); err == nil {
 		t.Error("RemoveRule of an unknown label must error")
 	}
 	if ont.Rules().Len() != 1 {
@@ -341,7 +341,7 @@ func TestCompactionKeepsMaintenanceCorrect(t *testing.T) {
 	// provenance-less cache, sticky-enabling the graph for every later build.
 	primed := func() *Ontology {
 		ont := MustParse(base)
-		if _, err := ont.AnswerMode(q, ModeChase); err != nil {
+		if _, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase}); err != nil {
 			t.Fatal(err)
 		}
 		if err := ont.AddFact(`undergraduateStudent(primer) .`); err != nil {
@@ -350,7 +350,7 @@ func TestCompactionKeepsMaintenanceCorrect(t *testing.T) {
 		if n, err := ont.DeleteFact(`undergraduateStudent(primer) .`); err != nil || n != 1 {
 			t.Fatalf("priming delete: n=%d err=%v", n, err)
 		}
-		if _, err := ont.AnswerMode(q, ModeChase); err != nil {
+		if _, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase}); err != nil {
 			t.Fatal(err)
 		}
 		return ont
@@ -377,8 +377,8 @@ func TestCompactionKeepsMaintenanceCorrect(t *testing.T) {
 		}
 		mutated(err)
 	}
-	mutated(ont.AddRule(`department(X) -> organization(X) .`))
-	mutated(ont.RemoveRule(ont.Rules().Rules[ont.Rules().Len()-1].Label))
+	mutated(ont.AddRuleCtx(bg, `department(X) -> organization(X) .`))
+	mutated(ont.RemoveRuleCtx(bg, ont.Rules().Rules[ont.Rules().Len()-1].Label))
 	if swept == 0 {
 		t.Fatal("no sweep reclaimed a dead derivation")
 	}
@@ -398,7 +398,7 @@ func TestCompactionKeepsMaintenanceCorrect(t *testing.T) {
 	if n, err := ont.DeleteFact(`undergraduateStudent(c5) .`); err != nil || n != 1 {
 		t.Fatalf("post-compaction delete: n=%d err=%v", n, err)
 	}
-	got, err := ont.AnswerMode(q, ModeChase)
+	got, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +408,7 @@ func TestCompactionKeepsMaintenanceCorrect(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want, err := scratch.AnswerMode(q, ModeChase)
+	want, err := scratch.AnswerCtx(bg, q, Options{Mode: ModeChase})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +460,7 @@ func TestConcurrentEvolutionAndAnswer(t *testing.T) {
 	base := datagen.University().String() + "\n" + datagen.UniversityData(2, 1).String()
 	ont := MustParse(base)
 	const q = `q(X) :- person(X) .`
-	if _, err := ont.AnswerMode(q, ModeChase); err != nil {
+	if _, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -479,18 +479,18 @@ func TestConcurrentEvolutionAndAnswer(t *testing.T) {
 	go func() {
 		defer close(ruleDone)
 		for i := 0; i < ops; i++ {
-			if err := ont.AddRule(fmt.Sprintf("department(X) -> org%d(X) .", i)); err != nil {
+			if err := ont.AddRuleCtx(bg, fmt.Sprintf("department(X) -> org%d(X) .", i)); err != nil {
 				t.Error(err)
 				return
 			}
-			if err := ont.RemoveRule(ont.Rules().Rules[ont.Rules().Len()-1].Label); err != nil {
+			if err := ont.RemoveRuleCtx(bg, ont.Rules().Rules[ont.Rules().Len()-1].Label); err != nil {
 				t.Error(err)
 				return
 			}
 		}
 	}()
 	for i := 0; i < ops; i++ {
-		if _, err := ont.AnswerOptions(q, Options{Mode: ModeChase, Parallelism: 2}); err != nil {
+		if _, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase, Parallelism: 2}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -503,11 +503,11 @@ func TestConcurrentEvolutionAndAnswer(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := ont.AnswerMode(q, ModeChase)
+	got, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := scratch.AnswerMode(q, ModeChase)
+	want, err := scratch.AnswerCtx(bg, q, Options{Mode: ModeChase})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,11 +528,11 @@ func TestConcurrentEvolutionAndAnswer(t *testing.T) {
 // the second removal (provenance now recorded) repairs incrementally.
 func TestFullRebuildsSurfacedInStats(t *testing.T) {
 	ont := MustParse(datagen.University().String() + "\n" + datagen.UniversityData(4, 1).String())
-	if err := ont.AddRule(`department(X) -> organization(X) .`); err != nil {
+	if err := ont.AddRuleCtx(bg, `department(X) -> organization(X) .`); err != nil {
 		t.Fatal(err)
 	}
 	label := ont.Rules().Rules[ont.Rules().Len()-1].Label
-	if _, err := ont.AnswerMode(`q(X) :- person(X) .`, ModeChase); err != nil {
+	if _, err := ont.AnswerCtx(bg, `q(X) :- person(X) .`, Options{Mode: ModeChase}); err != nil {
 		t.Fatal(err)
 	}
 	if s := ont.MaterializationStats(); !s.Cached || s.FullRebuilds != 0 {
@@ -541,7 +541,7 @@ func TestFullRebuildsSurfacedInStats(t *testing.T) {
 
 	// Provenance was off during the build: the removal silently drops the
 	// cache instead of repairing it, and the counter must say so.
-	if err := ont.RemoveRule(label); err != nil {
+	if err := ont.RemoveRuleCtx(bg, label); err != nil {
 		t.Fatal(err)
 	}
 	s1 := ont.MaterializationStats()
@@ -554,14 +554,14 @@ func TestFullRebuildsSurfacedInStats(t *testing.T) {
 
 	// Rebuild (now recording provenance), then a second add/remove cycle
 	// repairs incrementally — no further drop, counter unchanged.
-	if _, err := ont.AnswerMode(`q(X) :- person(X) .`, ModeChase); err != nil {
+	if _, err := ont.AnswerCtx(bg, `q(X) :- person(X) .`, Options{Mode: ModeChase}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ont.AddRule(`department(X) -> organization(X) .`); err != nil {
+	if err := ont.AddRuleCtx(bg, `department(X) -> organization(X) .`); err != nil {
 		t.Fatal(err)
 	}
 	label = ont.Rules().Rules[ont.Rules().Len()-1].Label
-	if err := ont.RemoveRule(label); err != nil {
+	if err := ont.RemoveRuleCtx(bg, label); err != nil {
 		t.Fatal(err)
 	}
 	s2 := ont.MaterializationStats()
@@ -607,21 +607,21 @@ func TestPartitionedEvolutionMatchesOracle(t *testing.T) {
 				}
 				opts := Options{Mode: ModeChase, Parallelism: 2}
 				queries := atomicQueriesOf(t, full)
-				if _, err := ont.AnswerOptions(queries[0], opts); err != nil {
+				if _, err := ont.AnswerCtx(bg, queries[0], opts); err != nil {
 					t.Skipf("initial chase over budget: %v", err)
 				}
 
 				for step := 0; step < 20; step++ {
 					switch op := rng.Intn(6); {
 					case op == 0 && len(ruleReserve) > 0:
-						if err := ont.AddRule(ruleSrc(ruleReserve[0])); err != nil {
+						if err := ont.AddRuleCtx(bg, ruleSrc(ruleReserve[0])); err != nil {
 							t.Fatal(err)
 						}
 						ruleReserve = ruleReserve[1:]
 					case op == 1 && ont.Rules().Len() > 1:
 						rules := ont.Rules()
 						label := rules.Rules[rng.Intn(rules.Len())].Label
-						if err := ont.RemoveRule(label); err != nil {
+						if err := ont.RemoveRuleCtx(bg, label); err != nil {
 							t.Fatal(err)
 						}
 					case op <= 3 && len(factReserve) > 0:
@@ -653,7 +653,7 @@ func TestPartitionedEvolutionMatchesOracle(t *testing.T) {
 						}
 					}
 					if rng.Intn(2) == 0 {
-						if _, err := ont.AnswerOptions(queries[rng.Intn(len(queries))], opts); err != nil {
+						if _, err := ont.AnswerCtx(bg, queries[rng.Intn(len(queries))], opts); err != nil {
 							t.Skipf("evolved chase over budget: %v", err)
 						}
 					}
@@ -665,7 +665,7 @@ func TestPartitionedEvolutionMatchesOracle(t *testing.T) {
 				}
 				inc := make(map[string]*Answers)
 				for _, q := range queries {
-					ans, err := ont.AnswerOptions(q, opts)
+					ans, err := ont.AnswerCtx(bg, q, opts)
 					if err != nil {
 						t.Skipf("evolved chase over budget: %v", err)
 					}

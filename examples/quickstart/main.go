@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -11,6 +12,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	ont, err := repro.Parse(`
 % intensional layer: TGDs
 student(X) -> person(X) .
@@ -32,23 +34,17 @@ hasParent(alice, carol) .
 	fmt.Println("classification:")
 	fmt.Print(report)
 
-	// 2. Rewrite: compile a query to a union of conjunctive queries (and
-	//    SQL) evaluated directly over the database.
-	rw, err := ont.Rewrite(`q(X) :- person(X) .`)
+	// 2. Rewrite: compile a query to a union of conjunctive queries
+	//    evaluated directly over the database.
+	rw, err := ont.RewriteCtx(ctx, `q(X) :- person(X) .`)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\nrewriting of q(X) :- person(X):")
 	fmt.Println(rw)
-	sql, err := rw.SQL()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("\nas SQL:")
-	fmt.Println(sql)
 
 	// 3. Answer: certain answers (mode chosen automatically).
-	ans, err := ont.Answer(`q(X) :- hasParent(X, P) .`)
+	ans, err := ont.AnswerCtx(ctx, `q(X) :- hasParent(X, P) .`, repro.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

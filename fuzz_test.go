@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// FuzzLoadCSV feeds arbitrary bytes to LoadCSV, for an arbitrary predicate,
+// FuzzLoadCSV feeds arbitrary bytes to LoadCSVCtx, for an arbitrary predicate,
 // on an ontology whose materialization is published. Whatever arrives, the
 // load must not panic and must be atomic: rejected, it leaves the base data
 // and the answers as they were; accepted, the base grows by exactly the count
@@ -33,13 +33,13 @@ student(alice) .
 	const q = `q(X) :- person(X) .`
 	f.Fuzz(func(t *testing.T, pred string, csv []byte) {
 		ont := MustParse(program)
-		before, err := ont.AnswerMode(q, ModeChase)
+		before, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase})
 		if err != nil {
 			t.Fatal(err)
 		}
 		size := ont.Data().Size()
-		added, err := ont.LoadCSV(pred, bytes.NewReader(csv))
-		after, aerr := ont.AnswerMode(q, ModeChase)
+		added, err := ont.LoadCSVCtx(bg, pred, bytes.NewReader(csv))
+		after, aerr := ont.AnswerCtx(bg, q, Options{Mode: ModeChase})
 		if aerr != nil {
 			t.Fatal(aerr)
 		}
@@ -53,7 +53,7 @@ student(alice) .
 		if got := ont.Data().Size() - size; got != added {
 			t.Fatalf("load of %q into %q reported %d new facts, the base grew by %d", csv, pred, added, got)
 		}
-		scratch, err := New(ont.Rules(), ont.Data().Clone()).AnswerMode(q, ModeChase)
+		scratch, err := New(ont.Rules(), ont.Data().Clone()).AnswerCtx(bg, q, Options{Mode: ModeChase})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -67,7 +67,7 @@ func TestPropertyAddFactIncrementalEqualsScratch(t *testing.T) {
 					}
 					opts := Options{Mode: ModeChase, Parallelism: par}
 					queries := atomicQueries(t, ontInc)
-					if _, err := ontInc.AnswerOptions(queries[0], opts); err != nil {
+					if _, err := ontInc.AnswerCtx(bg, queries[0], opts); err != nil {
 						t.Skipf("initial chase over budget: %v", err)
 					}
 					rest := atoms[cut:]
@@ -81,7 +81,7 @@ func TestPropertyAddFactIncrementalEqualsScratch(t *testing.T) {
 						}
 						rest = rest[n:]
 						if rng.Intn(2) == 0 {
-							if _, err := ontInc.AnswerOptions(queries[rng.Intn(len(queries))], opts); err != nil {
+							if _, err := ontInc.AnswerCtx(bg, queries[rng.Intn(len(queries))], opts); err != nil {
 								t.Fatal(err)
 							}
 						}
@@ -92,8 +92,8 @@ func TestPropertyAddFactIncrementalEqualsScratch(t *testing.T) {
 						t.Fatal(err)
 					}
 					for _, q := range queries {
-						inc, errInc := ontInc.AnswerOptions(q, opts)
-						scr, errScr := ontScratch.AnswerOptions(q, opts)
+						inc, errInc := ontInc.AnswerCtx(bg, q, opts)
+						scr, errScr := ontScratch.AnswerCtx(bg, q, opts)
 						if (errInc == nil) != (errScr == nil) {
 							t.Fatalf("%s: error divergence: inc=%v scratch=%v", q, errInc, errScr)
 						}
@@ -122,7 +122,7 @@ func TestPropertyAddFactIncrementalEqualsScratch(t *testing.T) {
 func TestIncrementalStepsProportionalToDelta(t *testing.T) {
 	ont := MustParse(datagen.University().String() + "\n" + datagen.UniversityData(16, 1).String())
 	const q = `q(X) :- person(X) .`
-	before, err := ont.AnswerMode(q, ModeChase)
+	before, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestIncrementalStepsProportionalToDelta(t *testing.T) {
 	if err := ont.AddFact(`undergraduateStudent(newcomer) .`); err != nil {
 		t.Fatal(err)
 	}
-	after, err := ont.AnswerMode(q, ModeChase)
+	after, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestAddFactAlreadyDerivedIsFree(t *testing.T) {
 student(X) -> person(X) .
 student(alice) .
 `)
-	if _, err := ont.AnswerMode(`q(X) :- person(X) .`, ModeChase); err != nil {
+	if _, err := ont.AnswerCtx(bg, `q(X) :- person(X) .`, Options{Mode: ModeChase}); err != nil {
 		t.Fatal(err)
 	}
 	if err := ont.AddFact(`person(alice) .`); err != nil {
@@ -176,7 +176,7 @@ student(alice) .
 	if st.Epoch != 2 || st.LastSteps != 0 {
 		t.Errorf("stats = %+v, want epoch 2 with 0 incremental steps", st)
 	}
-	ans, err := ont.AnswerMode(`q(X) :- person(X) .`, ModeChase)
+	ans, err := ont.AnswerCtx(bg, `q(X) :- person(X) .`, Options{Mode: ModeChase})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,14 +195,14 @@ student(X) -> person(X) .
 student(alice) .
 `)
 	const q = `q(X) :- person(X) .`
-	if _, err := ont.AnswerMode(q, ModeChase); err != nil {
+	if _, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase}); err != nil {
 		t.Fatal(err)
 	}
-	n, err := ont.LoadCSV("student", strings.NewReader("bob\ncarol\nalice\n"))
+	n, err := ont.LoadCSVCtx(bg, "student", strings.NewReader("bob\ncarol\nalice\n"))
 	if err != nil || n != 2 {
 		t.Fatalf("LoadCSV: n=%d err=%v (alice is a duplicate)", n, err)
 	}
-	ans, err := ont.AnswerMode(q, ModeChase)
+	ans, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,10 +214,10 @@ student(alice) .
 		t.Errorf("stats = %+v, want epoch 2 with a 2-step increment", st)
 	}
 	// A malformed load is atomic and leaves the cache consistent.
-	if _, err := ont.LoadCSV("student", strings.NewReader("x,y\nz\n")); err == nil {
+	if _, err := ont.LoadCSVCtx(bg, "student", strings.NewReader("x,y\nz\n")); err == nil {
 		t.Fatal("ragged CSV must error")
 	}
-	ans, err = ont.AnswerMode(q, ModeChase)
+	ans, err = ont.AnswerCtx(bg, q, Options{Mode: ModeChase})
 	if err != nil || ans.Len() != 3 {
 		t.Errorf("after failed load: answers=%v err=%v, want the 3 persons", ans, err)
 	}
@@ -235,18 +235,18 @@ func TestModeAutoFallsBackToChase(t *testing.T) {
 	const q = `q(X) :- person(X) .`
 	// person(X) rewrites to several disjuncts; a budget of 2 cannot hold it.
 	tiny := Options{Mode: ModeAuto, MaxRewriteCQs: 2}
-	auto, err := ont.AnswerOptions(q, tiny)
+	auto, err := ont.AnswerCtx(bg, q, tiny)
 	if err != nil {
 		t.Fatalf("ModeAuto must fall back to the chase, got error: %v", err)
 	}
-	want, err := ont.AnswerMode(q, ModeChase)
+	want, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !auto.Equal(want) {
 		t.Errorf("fallback answers differ from chase answers:\nauto:\n%s\nchase:\n%s", auto, want)
 	}
-	if _, err := ont.AnswerOptions(q, Options{Mode: ModeRewrite, MaxRewriteCQs: 2}); err == nil {
+	if _, err := ont.AnswerCtx(bg, q, Options{Mode: ModeRewrite, MaxRewriteCQs: 2}); err == nil {
 		t.Error("explicit ModeRewrite must surface the budget error")
 	}
 }
@@ -256,13 +256,13 @@ func TestModeAutoFallsBackToChase(t *testing.T) {
 func TestChaseBudgetsThreadedThroughOptions(t *testing.T) {
 	ont := MustParse(datagen.University().String() + "\n" + datagen.UniversityData(4, 1).String())
 	const q = `q(X) :- person(X) .`
-	if _, err := ont.AnswerOptions(q, Options{Mode: ModeChase, MaxSteps: 3}); err == nil {
+	if _, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase, MaxSteps: 3}); err == nil {
 		t.Fatal("MaxSteps=3 must truncate the chase and error")
 	}
 	if st := ont.MaterializationStats(); st.Terminated {
 		t.Errorf("truncated cache must not claim termination: %+v", st)
 	}
-	ans, err := ont.AnswerOptions(q, Options{Mode: ModeChase})
+	ans, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase})
 	if err != nil {
 		t.Fatalf("default budget must rebuild and succeed: %v", err)
 	}
@@ -271,7 +271,7 @@ func TestChaseBudgetsThreadedThroughOptions(t *testing.T) {
 	}
 	// A repeated tiny-budget request is served the cached (terminated)
 	// materialization: a fixpoint is a fixpoint under any budget.
-	if _, err := ont.AnswerOptions(q, Options{Mode: ModeChase, MaxSteps: 3}); err != nil {
+	if _, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase, MaxSteps: 3}); err != nil {
 		t.Errorf("terminated cache must serve smaller budgets: %v", err)
 	}
 }
@@ -286,14 +286,14 @@ student(X) -> person(X) .
 student(alice) .
 `)
 	const q = `q(X) :- person(X) .`
-	if _, err := ont.AnswerMode(q, ModeChase); err != nil {
+	if _, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase}); err != nil {
 		t.Fatal(err)
 	}
 	before := ont.MaterializationStats()
 	held := ont.Data()
 	mustPanic(t, "Data().InsertAtom", func() { held.InsertAtom(logic.NewAtom("student", logic.NewConst("rogue"))) })
 	for _, mode := range []AnswerMode{ModeChase, ModeRewrite} {
-		ans, err := ont.AnswerMode(q, mode)
+		ans, err := ont.AnswerCtx(bg, q, Options{Mode: mode})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,7 +318,7 @@ student(alice) .
 	if held.ContainsAtom(logic.NewAtom("student", logic.NewConst("dana"))) {
 		t.Error("an AddFact wrote through the generation it forked")
 	}
-	ans, err := ont.AnswerMode(q, ModeChase)
+	ans, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,59 +330,6 @@ student(alice) .
 	}
 }
 
-// TestAnswerApproxServesCachedFixpoint: once chase-mode answering cached a
-// terminated materialization, AnswerApprox must serve the chase side from it
-// (exact) instead of re-chasing per call.
-func TestAnswerApproxServesCachedFixpoint(t *testing.T) {
-	// Non-FO-rewritable within a tiny rewriting budget, but chase-terminating.
-	ont := MustParse(datagen.University().String() + "\n" + datagen.UniversityData(2, 1).String())
-	const q = `q(X) :- person(X) .`
-	want, err := ont.AnswerMode(q, ModeChase)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s0 := ont.MaterializationStats()
-	ap, err := ont.AnswerApprox(q, ApproxOptions{MaxCQs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ap.Exact || !ap.ChaseTerminated {
-		t.Errorf("approx = %+v, want exact via chase", ap)
-	}
-	if !ap.Answers.Equal(want) {
-		t.Errorf("approx answers differ from chase answers:\n%s\nvs\n%s", ap.Answers, want)
-	}
-	if s1 := ont.MaterializationStats(); s1.Steps != s0.Steps {
-		t.Errorf("AnswerApprox re-chased: steps %d -> %d", s0.Steps, s1.Steps)
-	}
-}
-
-// TestAnswerApproxDonatesFixpointToCache: a cold AnswerApprox whose chase
-// terminates must install the materialization, so the second call (and any
-// chase-mode Answer) is a cache hit instead of another full chase.
-func TestAnswerApproxDonatesFixpointToCache(t *testing.T) {
-	ont := MustParse(datagen.University().String() + "\n" + datagen.UniversityData(2, 1).String())
-	const q = `q(X) :- person(X) .`
-	ap1, err := ont.AnswerApprox(q, ApproxOptions{MaxCQs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := ont.MaterializationStats()
-	if !st.Cached || !st.Terminated {
-		t.Fatalf("AnswerApprox must donate its fixpoint: stats = %+v", st)
-	}
-	ap2, err := ont.AnswerApprox(q, ApproxOptions{MaxCQs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2 := ont.MaterializationStats(); s2.Steps != st.Steps || s2.Epoch != st.Epoch {
-		t.Errorf("second AnswerApprox re-chased: %+v -> %+v", st, s2)
-	}
-	if !ap1.Answers.Equal(ap2.Answers) {
-		t.Errorf("answers differ across calls:\n%s\nvs\n%s", ap1.Answers, ap2.Answers)
-	}
-}
-
 // TestAddFactBatchAtomic: an arity conflict anywhere in a multi-fact batch
 // must reject the whole batch, leaving data, cache and answers untouched.
 func TestAddFactBatchAtomic(t *testing.T) {
@@ -391,7 +338,7 @@ student(X) -> person(X) .
 student(alice) .
 `)
 	const q = `q(X) :- person(X) .`
-	if _, err := ont.AnswerMode(q, ModeChase); err != nil {
+	if _, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase}); err != nil {
 		t.Fatal(err)
 	}
 	e0 := ont.MaterializationStats()
@@ -405,7 +352,7 @@ student(alice) .
 	if !e1.Cached || e1.Epoch != e0.Epoch {
 		t.Errorf("rejected batch must keep the cache: %+v -> %+v", e0, e1)
 	}
-	ans, err := ont.AnswerMode(q, ModeChase)
+	ans, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase})
 	if err != nil || ans.Len() != 1 {
 		t.Errorf("answers after rejected batch: %v err=%v, want just alice", ans, err)
 	}
@@ -413,7 +360,7 @@ student(alice) .
 
 // TestTruncatedAnswerUnderWriterStreamTerminates: a chase that always hits
 // its budget, plus a writer stream that keeps dropping the truncated cache,
-// must still make AnswerOptions return the budget error after bounded
+// must still make AnswerCtx return the budget error after bounded
 // attempts (regression: the rebuild loop could starve).
 func TestTruncatedAnswerUnderWriterStreamTerminates(t *testing.T) {
 	ont := MustParse(`
@@ -431,7 +378,7 @@ person(eve) .
 			}
 		}
 	}()
-	if _, err := ont.AnswerOptions(`q(X) :- person(X) .`, Options{Mode: ModeChase, MaxSteps: 10}); err == nil {
+	if _, err := ont.AnswerCtx(bg, `q(X) :- person(X) .`, Options{Mode: ModeChase, MaxSteps: 10}); err == nil {
 		t.Error("truncated chase must surface the budget error")
 	}
 	<-done
@@ -445,7 +392,7 @@ func TestConcurrentAnswerAndAddFact(t *testing.T) {
 	base := datagen.University().String() + "\n" + datagen.UniversityData(2, 1).String()
 	ont := MustParse(base)
 	const q = `q(X) :- person(X) .`
-	if _, err := ont.AnswerMode(q, ModeChase); err != nil {
+	if _, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -464,7 +411,7 @@ func TestConcurrentAnswerAndAddFact(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < writers; i++ {
-			if _, err := ont.AnswerOptions(q, Options{Mode: ModeChase, Parallelism: 2}); err != nil {
+			if _, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase, Parallelism: 2}); err != nil {
 				t.Error(err)
 				return
 			}
@@ -478,11 +425,11 @@ func TestConcurrentAnswerAndAddFact(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := ont.AnswerMode(q, ModeChase)
+	got, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := scratch.AnswerMode(q, ModeChase)
+	want, err := scratch.AnswerCtx(bg, q, Options{Mode: ModeChase})
 	if err != nil {
 		t.Fatal(err)
 	}

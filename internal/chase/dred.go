@@ -123,9 +123,9 @@ func (st *State) repair(ctx context.Context, rules *dependency.Set, ins *storage
 }
 
 // DeleteRule removes one rule's contribution from a maintained chase — the
-// maintenance step behind Ontology.RemoveRule. rules is the SURVIVING set and
-// ri the removed rule's index in the previous set (surviving rules keep their
-// order; indices beyond ri shift down by one).
+// maintenance step behind Ontology.RemoveRuleCtx. rules is the SURVIVING set
+// and ri the removed rule's index in the previous set (surviving rules keep
+// their order; indices beyond ri shift down by one).
 //
 // Over-deletion here is rule-keyed rather than fact-keyed: every derivation
 // whose provenance cites rule ri is marked dead and its outputs removed

@@ -1,8 +1,8 @@
 // Package cliflags is the one flag surface shared by every command in
 // cmd/: the engine knobs (-parallel, -max-steps, -max-rounds),
 // the answer bound (-limit, opt-in via BindLimit) and the deadline
-// (-timeout) are declared once here, so answer, chase, rewrite, classify,
-// graphs and serve agree on names, defaults and help text instead of each
+// (-timeout) are declared once here, so answer, chase, rewrite, classify
+// and serve agree on names, defaults and help text instead of each
 // redeclaring a drifting subset.
 //
 // -limit=N streams only the first N distinct answers and stops the executor
@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/chase"
 	"repro/internal/eval"
 )
 
@@ -92,15 +91,6 @@ func (f *Flags) Options(mode repro.AnswerMode) (repro.Options, error) {
 	}, f.check()
 }
 
-// ChaseOptions maps the shared flags onto a chase engine configuration.
-func (f *Flags) ChaseOptions() (chase.Options, error) {
-	return chase.Options{
-		MaxSteps:    f.MaxSteps,
-		MaxRounds:   f.MaxRounds,
-		Parallelism: f.Parallel,
-	}, f.check()
-}
-
 // EvalOptions maps the shared flags onto query-evaluation options.
 func (f *Flags) EvalOptions() (eval.Options, error) {
 	return eval.Options{FilterNulls: true, Limit: f.Limit}, f.check()
@@ -116,7 +106,7 @@ func (f *Flags) Context() (context.Context, context.CancelFunc) {
 }
 
 // RunTimeout honors -timeout for operations that expose no context hook
-// (classification, graph construction): fn runs in a goroutine and the call
+// (classification): fn runs in a goroutine and the call
 // returns context.DeadlineExceeded when the deadline fires first. The
 // goroutine is not reclaimed on timeout — callers are CLIs that exit
 // immediately after, which is exactly why library code should take a ctx

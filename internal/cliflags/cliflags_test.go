@@ -29,14 +29,13 @@ func TestSizeFlagsBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 		opts, errOpts := f.Options(repro.ModeChase)
-		copts, errChase := f.ChaseOptions()
 		_, errEval := f.EvalOptions()
-		if (errOpts == nil) != tc.ok || (errChase == nil) != tc.ok || (errEval == nil) != tc.ok {
-			t.Errorf("-parallel=%d: Options err=%v, ChaseOptions err=%v, EvalOptions err=%v, want accepted=%v",
-				tc.value, errOpts, errChase, errEval, tc.ok)
+		if (errOpts == nil) != tc.ok || (errEval == nil) != tc.ok {
+			t.Errorf("-parallel=%d: Options err=%v, EvalOptions err=%v, want accepted=%v",
+				tc.value, errOpts, errEval, tc.ok)
 		}
-		if tc.ok && (opts.Parallelism != tc.value || copts.Parallelism != tc.value) {
-			t.Errorf("-parallel=%d mapped to %d / %d", tc.value, opts.Parallelism, copts.Parallelism)
+		if tc.ok && opts.Parallelism != tc.value {
+			t.Errorf("-parallel=%d mapped to %d", tc.value, opts.Parallelism)
 		}
 	}
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)

@@ -3,16 +3,36 @@ package core
 import (
 	"testing"
 
+	"repro/internal/classes"
 	"repro/internal/parser"
+	"repro/internal/pnode"
 )
 
+// wrBudget is the reason the WR verdict gives when the P-node graph hit its
+// node budget: membership unknown, not refuted.
+const wrBudget = "node budget exhausted (membership unknown)"
+
+// verdict returns the report's verdict for the named class.
+func verdict(rep *Report, class string) classes.Verdict {
+	for _, v := range rep.Verdicts {
+		if v.Class == class {
+			return v
+		}
+	}
+	return classes.Verdict{Class: class}
+}
+
 // FuzzClassify feeds arbitrary program text through the parser into
-// Classify — the path every rule set takes from Parse, AddRule and the
+// Classify — the path every rule set takes from Parse, AddRuleCtx and the
 // server to the ModeAuto strategy choice. Classification must not panic and
 // the report must agree with itself: FO-rewritable exactly when some class
 // certifies it, every certificate a member verdict, SWR only on simple sets,
-// and the strategy the one the two flags name. Sets over six rules are
-// skipped to keep every P-node graph inside its node budget.
+// and the strategy the one the two flags name. It must also respect the
+// paper's inclusions: SWR ⇒ WR (unless WR ran out of nodes), and on simple
+// sets Linear, Multilinear, Sticky and Sticky-Join ⇒ SWR. A WR verdict
+// reached over an incomplete P-node graph must say so rather than report a
+// cycle. Sets over six rules are skipped to keep most P-node graphs inside
+// their node budget.
 func FuzzClassify(f *testing.F) {
 	for _, seed := range []string{
 		"s(Y1,Y2,Y3), t(Y4) -> r(Y1,Y3) .\nv(Y1,Y2), q(Y2) -> s(Y1,Y3,Y2) .\nr(Y1,Y2) -> v(Y1,Y2) .",
@@ -50,6 +70,20 @@ func FuzzClassify(f *testing.F) {
 		}
 		if rep.Is("swr") && !set.IsSimple() {
 			t.Fatalf("%q: SWR on a set that is not simple", src)
+		}
+		wr := verdict(rep, "wr")
+		if rep.Is("swr") && !wr.Member && wr.Reason != wrBudget {
+			t.Fatalf("%q: SWR but not WR (%s)", src, wr.Reason)
+		}
+		if set.IsSimple() && !rep.Is("swr") {
+			for _, c := range []string{"linear", "multilinear", "sticky", "sticky-join"} {
+				if rep.Is(c) {
+					t.Fatalf("%q: simple and %s but not SWR (%s)", src, c, verdict(rep, "swr").Reason)
+				}
+			}
+		}
+		if !pnode.Check(set).Complete && (wr.Member || wr.Reason != wrBudget) {
+			t.Fatalf("%q: P-node graph over budget, yet WR verdict %v", src, wr)
 		}
 		want := "bounded"
 		switch {

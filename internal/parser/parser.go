@@ -100,7 +100,7 @@ func MustParseRules(src string) *dependency.Set {
 }
 
 // ParseRule parses a single TGD clause such as `p(X) -> q(X) .` — the
-// input format of live rule mutation (Ontology.AddRule). The positional
+// input format of live rule mutation (Ontology.AddRuleCtx). The positional
 // auto-label is cleared so the receiving rule set can assign a unique one.
 func ParseRule(src string) (*dependency.TGD, error) {
 	prog, err := Parse(src)

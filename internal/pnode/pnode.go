@@ -507,11 +507,6 @@ func (g *Graph) addEdge(from, to *Node, label Label) {
 	g.labels[[2]string{from.key, to.key}] |= label
 }
 
-// Nodes returns the graph's nodes in construction order.
-func (g *Graph) Nodes() []*Node {
-	return append([]*Node(nil), g.order...)
-}
-
 // NodeCount returns the number of nodes.
 func (g *Graph) NodeCount() int { return len(g.nodes) }
 

@@ -62,7 +62,7 @@ func TestBatcherDrainDeliversBacklog(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	ans, err := ont.Answer("q(X, Y) :- parent(X, Y) .")
+	ans, err := ont.AnswerCtx(context.Background(), "q(X, Y) :- parent(X, Y) .", repro.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestBatcherDrainDeliversBacklog(t *testing.T) {
 // flushing later arrivals' batches on its own goroutine, unboundedly.
 func TestBatcherFlusherNotCaptive(t *testing.T) {
 	ont := repro.MustParse(familyProgram)
-	if _, err := ont.Answer("q(X, Y) :- ancestor(X, Y) ."); err != nil {
+	if _, err := ont.AnswerCtx(context.Background(), "q(X, Y) :- ancestor(X, Y) .", repro.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	b := newBatcher(ont)

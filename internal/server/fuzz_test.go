@@ -52,7 +52,7 @@ func FuzzQueryBody(f *testing.F) {
 	s.Add("fam", ont)
 	h := s.Handler()
 	const probe = `q(X) :- ancestor(ada, X) .`
-	want, err := ont.AnswerOptions(probe, repro.Options{NoCache: true})
+	want, err := ont.AnswerCtx(context.Background(), probe, repro.Options{NoCache: true})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func FuzzQueryBody(f *testing.F) {
 			t.Fatalf("body %q: status %d: %s", body, rec.Code, rec.Body)
 		}
 		for _, mode := range []repro.AnswerMode{repro.ModeAuto, repro.ModeChase} {
-			got, err := ont.AnswerOptions(probe, repro.Options{Mode: mode})
+			got, err := ont.AnswerCtx(context.Background(), probe, repro.Options{Mode: mode})
 			if err != nil || !got.Equal(want) {
 				t.Fatalf("after body %q: mode %v answers %v (err %v), want %v", body, mode, got, err, want)
 			}
@@ -119,7 +119,7 @@ func FuzzMutationBody(f *testing.F) {
 	s := New(Config{DefaultTimeout: 2 * time.Second})
 	h := s.Handler()
 	const probe = `q(X) :- ancestor(ada, X) .`
-	want, err := repro.MustParse(familyProgram).AnswerOptions(probe, repro.Options{NoCache: true})
+	want, err := repro.MustParse(familyProgram).AnswerCtx(context.Background(), probe, repro.Options{NoCache: true})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func FuzzMutationBody(f *testing.F) {
 			return
 		}
 		ont := repro.MustParse(familyProgram)
-		if _, err := ont.AnswerOptions(probe, repro.Options{Mode: repro.ModeChase}); err != nil {
+		if _, err := ont.AnswerCtx(context.Background(), probe, repro.Options{Mode: repro.ModeChase}); err != nil {
 			t.Fatal(err)
 		}
 		s.Add("fam", ont)
@@ -143,7 +143,7 @@ func FuzzMutationBody(f *testing.F) {
 			return // accepted: the tenant may legitimately answer differently
 		}
 		for _, mode := range []repro.AnswerMode{repro.ModeAuto, repro.ModeChase} {
-			got, err := ont.AnswerOptions(probe, repro.Options{Mode: mode})
+			got, err := ont.AnswerCtx(context.Background(), probe, repro.Options{Mode: mode})
 			if err != nil || !got.Equal(want) {
 				t.Fatalf("after rejected %s %s body %q: mode %v answers %v (err %v), want %v",
 					p.method, p.path, body, mode, got, err, want)
@@ -206,7 +206,7 @@ func FuzzOntologyBody(f *testing.F) {
 	s := New(Config{DefaultTimeout: 2 * time.Second})
 	h := s.Handler()
 	const probe = `q(X) :- ancestor(ada, X) .`
-	want, err := repro.MustParse(familyProgram).AnswerOptions(probe, repro.Options{NoCache: true})
+	want, err := repro.MustParse(familyProgram).AnswerCtx(context.Background(), probe, repro.Options{NoCache: true})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func FuzzOntologyBody(f *testing.F) {
 			return
 		}
 		ont := repro.MustParse(familyProgram)
-		if _, err := ont.AnswerOptions(probe, repro.Options{Mode: repro.ModeChase}); err != nil {
+		if _, err := ont.AnswerCtx(context.Background(), probe, repro.Options{Mode: repro.ModeChase}); err != nil {
 			t.Fatal(err)
 		}
 		s.Add("fam", ont)
@@ -242,7 +242,7 @@ func FuzzOntologyBody(f *testing.F) {
 			return // accepted: the tenant may legitimately answer differently
 		}
 		for _, mode := range []repro.AnswerMode{repro.ModeAuto, repro.ModeChase} {
-			got, err := ont.AnswerOptions(probe, repro.Options{Mode: mode})
+			got, err := ont.AnswerCtx(context.Background(), probe, repro.Options{Mode: mode})
 			if err != nil || !got.Equal(want) {
 				t.Fatalf("after rejected %s %s body %q: mode %v answers %v (err %v), want %v",
 					req.Method, req.URL, rest, mode, got, err, want)

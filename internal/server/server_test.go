@@ -228,7 +228,7 @@ func TestBatcherCoalesces(t *testing.T) {
 	ont := repro.MustParse(familyProgram)
 	// Materialize once so every write pays an incremental chase (the
 	// contention window the batcher exists for).
-	if _, err := ont.Answer("q(X, Y) :- ancestor(X, Y) ."); err != nil {
+	if _, err := ont.AnswerCtx(context.Background(), "q(X, Y) :- ancestor(X, Y) .", repro.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	b := newBatcher(ont)
@@ -250,7 +250,7 @@ func TestBatcherCoalesces(t *testing.T) {
 	}
 	wg.Wait()
 
-	ans, err := ont.Answer("q(X, Y) :- parent(X, Y) .")
+	ans, err := ont.AnswerCtx(context.Background(), "q(X, Y) :- parent(X, Y) .", repro.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestBatchedEqualsSequential(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		batched := repro.MustParse(familyProgram)
 		sequential := repro.MustParse(familyProgram)
-		if _, err := batched.Answer("q(X, Y) :- ancestor(X, Y) ."); err != nil {
+		if _, err := batched.AnswerCtx(context.Background(), "q(X, Y) :- ancestor(X, Y) .", repro.Options{}); err != nil {
 			t.Fatal(err)
 		}
 
@@ -314,11 +314,11 @@ func TestBatchedEqualsSequential(t *testing.T) {
 				"q(X, Y) :- ancestor(X, Y) .",
 				"q(X, Y) :- parent(X, Y) .",
 			} {
-				got, err := batched.AnswerOptions(q, opts)
+				got, err := batched.AnswerCtx(context.Background(), q, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := sequential.AnswerOptions(q, opts)
+				want, err := sequential.AnswerCtx(context.Background(), q, opts)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -7,8 +7,8 @@
 // under certain-answer semantics, choosing between the two classical
 // expansion techniques:
 //
-//   - query rewriting: compile the query into a first-order query (a UCQ,
-//     or SQL) evaluated directly over the data — possible exactly when the
+//   - query rewriting: compile the query into a first-order query (a UCQ)
+//     evaluated directly over the data — possible exactly when the
 //     rule set is FO-rewritable, which the paper's SWR and WR graph-based
 //     tests certify;
 //   - materialization: chase the data with the rules and evaluate the query
@@ -22,7 +22,7 @@
 //	    student(alice) .
 //	`)
 //	report := ont.Classify()          // SWR? WR? sticky? ... strategy
-//	ans, _ := ont.Answer("q(X) :- person(X) .")
+//	ans, _ := ont.AnswerCtx(context.Background(), "q(X) :- person(X) .", repro.Options{})
 //
 // The internal packages expose the full machinery: internal/posgraph and
 // internal/pnode implement the paper's position graph (SWR) and P-node
@@ -45,7 +45,6 @@ import (
 	"repro/internal/query"
 	"repro/internal/rescache"
 	"repro/internal/rewrite"
-	"repro/internal/sqlgen"
 	"repro/internal/storage"
 )
 
@@ -61,8 +60,9 @@ import (
 // off is reachable.
 //
 // An Ontology is safe for concurrent use: any number of goroutines may call
-// Answer*/Classify/Chase concurrently, and every mutator —
-// AddFact/DeleteFact/LoadCSV/AddRule/RemoveRule — may run alongside them.
+// Answer*/Classify/ChaseCtx concurrently, and every mutator —
+// AddFact/DeleteFact/LoadCSVCtx/AddRuleCtx/RemoveRuleCtx — may run alongside
+// them.
 // Reads never queue behind writers: a mutation forks the published base and
 // materialization copy-on-write, applies itself to the forks, and publishes
 // the next snapshot with one pointer store (publish) — or, when rejected or
@@ -88,11 +88,11 @@ import (
 //
 // Maintenance is incremental in every direction: AddFact chases only the
 // newly inserted facts as a delta, DeleteFact repairs the materialization
-// DRed-style (over-delete the derived closure, re-derive survivors), AddRule
-// resumes the chase with the whole instance as delta against only the new
-// rule, and RemoveRule over-deletes every fact whose provenance cites the
-// removed rule before re-deriving survivors (see MaterializationStats for the
-// counters). Dead derivations left behind by repairs are reclaimed by a
+// DRed-style (over-delete the derived closure, re-derive survivors),
+// AddRuleCtx resumes the chase with the whole instance as delta against only
+// the new rule, and RemoveRuleCtx over-deletes every fact whose provenance
+// cites the removed rule before re-deriving survivors (see
+// MaterializationStats for the counters). Dead derivations left behind by repairs are reclaimed by a
 // generational provenance sweep every DefaultCompactEvery mutations.
 type Ontology struct {
 	// snap is the one published pointer; only publish (and newOntology)
@@ -105,12 +105,12 @@ type Ontology struct {
 
 	// wantProv turns on derivation-provenance recording for future
 	// materialization builds. It is set (sticky) by the first DeleteFact or
-	// RemoveRule, so ontologies that never delete pay nothing for the graph;
-	// the first deletion pays one rebuild, after which repairs are
+	// RemoveRuleCtx, so ontologies that never delete pay nothing for the
+	// graph; the first deletion pays one rebuild, after which repairs are
 	// incremental.
 	wantProv atomic.Bool
 	// fullRebuilds counts every time a published materialization was dropped
-	// — RemoveRule on a provenance-less cache, a repair that became
+	// — RemoveRuleCtx on a provenance-less cache, a repair that became
 	// impossible, a canceled mutation — forcing the next chase-mode answer
 	// to rebuild from scratch. Surfaced through MaterializationStats so the
 	// rebuild penalty is observable.
@@ -290,8 +290,8 @@ func (s *snapshot) evalUCQ(u *query.UCQ, onMat bool, opts eval.Options) *eval.An
 }
 
 // materialization is the chase expansion of one snapshot plus the resumable
-// engine state (null generators, semi-oblivious memory, provenance, counters)
-// that maintains it across mutations. The instance and the counter fields are
+// engine state (null generators, provenance, counters) that maintains it
+// across mutations. The instance and the counter fields are
 // immutable once published; state is only ever touched by writers serialized
 // under Ontology.wmu.
 type materialization struct {
@@ -328,8 +328,8 @@ func (m *materialization) usable(copts chase.Options) bool {
 
 // Parse builds an Ontology from a program text containing TGDs and
 // (optionally) ground facts. Query clauses in the text are rejected — pass
-// queries to Answer/Rewrite instead — and so is a predicate used with two
-// arities anywhere in the program.
+// queries to AnswerCtx/RewriteCtx instead — and so is a predicate used with
+// two arities anywhere in the program.
 func Parse(src string) (*Ontology, error) {
 	prog, err := parser.Parse(src)
 	if err != nil {
@@ -343,7 +343,7 @@ func Parse(src string) (*Ontology, error) {
 // together (see build).
 func fromProgram(prog *parser.Program) (*Ontology, error) {
 	if len(prog.Queries) != 0 {
-		return nil, fmt.Errorf("repro: ontology text contains %d query clauses; pass queries to Answer", len(prog.Queries))
+		return nil, fmt.Errorf("repro: ontology text contains %d query clauses; pass queries to AnswerCtx", len(prog.Queries))
 	}
 	rules, err := prog.RuleSet()
 	if err != nil {
@@ -357,9 +357,9 @@ func fromProgram(prog *parser.Program) (*Ontology, error) {
 }
 
 // build checks that every predicate has one arity across the rules and the
-// data — the invariant the chase relies on, which AddRule and AddFact keep —
-// and publishes generation zero. Every constructor that can reject its input
-// ends here.
+// data — the invariant the chase relies on, which AddRuleCtx and AddFact
+// keep — and publishes generation zero. Every constructor that can reject
+// its input ends here.
 func build(rules *dependency.Set, data *storage.Instance) (*Ontology, error) {
 	if err := checkRuleArities(rules, data); err != nil {
 		return nil, err
@@ -396,13 +396,13 @@ func ParseFiles(rulesPath string, dataPaths ...string) (*Ontology, error) {
 	return fromProgram(prog)
 }
 
-// Rules returns the ontology's current TGD set. Rule mutations (AddRule,
-// RemoveRule) publish a new set, so the returned value is an immutable
+// Rules returns the ontology's current TGD set. Rule mutations (AddRuleCtx,
+// RemoveRuleCtx) publish a new set, so the returned value is an immutable
 // snapshot: it never changes under the caller.
 func (o *Ontology) Rules() *dependency.Set { return o.snap.Load().rules }
 
 // Data returns the currently published base instance — a frozen snapshot,
-// not a live handle: AddFact/DeleteFact/LoadCSV fork it copy-on-write and
+// not a live handle: AddFact/DeleteFact/LoadCSVCtx fork it copy-on-write and
 // publish the fork, so an instance held across a mutation is the old
 // generation and never changes again. A write through it panics; Clone or
 // ExtendClone it for a writable copy.
@@ -433,12 +433,6 @@ type Rewriting struct {
 	Stats *rewrite.Result
 }
 
-// SQL renders the rewriting as a SQL statement over tables named after the
-// predicates (columns c1..ck).
-func (r *Rewriting) SQL() (string, error) {
-	return sqlgen.UCQ(r.UCQ, sqlgen.Options{Distinct: true, Pretty: true})
-}
-
 // String renders the rewriting as UCQ clauses.
 func (r *Rewriting) String() string { return r.UCQ.String() }
 
@@ -452,20 +446,10 @@ func ParseQuery(src string) (*query.CQ, error) {
 	return query.New(pq.Head, pq.Body)
 }
 
-// Rewrite compiles the query into a first-order rewriting with the default
-// engine options.
-func (o *Ontology) Rewrite(querySrc string) (*Rewriting, error) {
-	q, err := ParseQuery(querySrc)
-	if err != nil {
-		return nil, err
-	}
-	return o.RewriteCQ(q), nil
-}
-
-// RewriteCtx is Rewrite under a cancellation context: the rewriting loop
-// checks ctx between pool entries, so a canceled or deadline-expired
-// compilation stops promptly and returns the context error instead of a
-// partial rewriting.
+// RewriteCtx compiles the query into a first-order rewriting with the
+// default engine options. The rewriting loop checks ctx between pool
+// entries, so a canceled or deadline-expired compilation stops promptly and
+// returns the context error instead of a partial rewriting.
 func (o *Ontology) RewriteCtx(ctx context.Context, querySrc string) (*Rewriting, error) {
 	q, err := ParseQuery(querySrc)
 	if err != nil {
@@ -478,7 +462,7 @@ func (o *Ontology) RewriteCtx(ctx context.Context, querySrc string) (*Rewriting,
 	return rw, nil
 }
 
-// RewriteCQ compiles an already-parsed query.
+// RewriteCQ compiles an already-parsed query, without a deadline.
 func (o *Ontology) RewriteCQ(q *query.CQ) *Rewriting {
 	return rewriteCQCtx(context.Background(), q, o.Rules(), 0)
 }

@@ -14,7 +14,8 @@ import (
 // Answers is the set of certain-answer tuples.
 type Answers = eval.Answers
 
-// AnswerMode selects the expansion technique used by Answer.
+// AnswerMode selects the expansion technique used by AnswerCtx and
+// AnswerEach.
 type AnswerMode int
 
 // Answering modes.
@@ -86,24 +87,8 @@ func evalOptions(opts Options) eval.Options {
 	return eval.Options{FilterNulls: true, Limit: opts.Limit}
 }
 
-// Answer computes the certain answers cert(q, P, D) for the query over the
-// ontology. In ModeAuto the strategy follows the classification; the
-// returned mode tells which technique ran.
-func (o *Ontology) Answer(querySrc string) (*Answers, error) {
-	return o.AnswerOptions(querySrc, Options{})
-}
-
-// AnswerMode is Answer with an explicit technique.
-func (o *Ontology) AnswerMode(querySrc string, mode AnswerMode) (*Answers, error) {
-	return o.AnswerOptions(querySrc, Options{Mode: mode})
-}
-
-// AnswerOptions is Answer with explicit technique and parallelism.
-func (o *Ontology) AnswerOptions(querySrc string, opts Options) (*Answers, error) {
-	return o.AnswerCtx(context.Background(), querySrc, opts)
-}
-
-// AnswerCtx computes the certain answers under a cancellation context: the
+// AnswerCtx computes the certain answers cert(q, P, D) for the query over
+// the ontology. In ModeAuto the strategy follows the classification. The
 // context's deadline or cancellation aborts every phase of answering — the
 // rewriting loop, a cold chase materialization build, and the join execution
 // itself (polled at amortized intervals, so the zero-allocation hot path is
@@ -244,7 +229,7 @@ func (o *Ontology) buildMat(ctx context.Context, copts chase.Options) (*snapshot
 		return s, nil // built while we queued
 	}
 	store := s.base.Clone()
-	// Record provenance only once a DeleteFact/RemoveRule has shown it is
+	// Record provenance only once a DeleteFact/RemoveRuleCtx has shown it is
 	// needed.
 	copts.TrackProvenance = o.wantProv.Load()
 	st := chase.NewState(copts)

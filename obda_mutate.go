@@ -3,6 +3,7 @@ package repro
 import (
 	"context"
 	"fmt"
+	"io"
 
 	"repro/internal/chase"
 	"repro/internal/dependency"
@@ -14,9 +15,9 @@ import (
 // mutation is one staged change to the ontology flowing through the unified
 // write pipeline: any combination of fact insertions, fact deletions, rule
 // additions and one rule removal. Every mutator — AddFact, DeleteFact,
-// LoadCSV, AddRule, RemoveRule — builds a mutation and hands it to mutate,
-// which runs the same stage → validate → apply → publish sequence over
-// copy-on-write forks of the published snapshot.
+// LoadCSVCtx, AddRuleCtx, RemoveRuleCtx — builds a mutation and hands it to
+// mutate, which runs the same stage → validate → apply → publish sequence
+// over copy-on-write forks of the published snapshot.
 type mutation struct {
 	addFacts []logic.Atom
 	delFacts []logic.Atom
@@ -416,7 +417,7 @@ func (o *Ontology) DeleteFactCtx(ctx context.Context, src string) (int, error) {
 	return res.removedFacts, err
 }
 
-// AddRule adds a single TGD, parsed from text like
+// AddRuleCtx adds a single TGD, parsed from text like
 // `student(X) -> person(X) .`, to the live ontology — no stop-the-world
 // rebuild. The rule is validated (structure and arity consistency against
 // both the rule set and the stored relations) before anything changes, and
@@ -427,14 +428,9 @@ func (o *Ontology) DeleteFactCtx(ctx context.Context, src string) (int, error) {
 // to a re-chase (see MaterializationStats.LastSteps). The snapshot it
 // publishes starts with empty caches (classification, compiled plans, answer
 // views); concurrent readers keep answering over the previous one
-// throughout.
-func (o *Ontology) AddRule(src string) error {
-	return o.AddRuleCtx(context.Background(), src)
-}
-
-// AddRuleCtx is AddRule under a cancellation context: a canceled extension
-// publishes neither the rule nor any half-derived consequences — the rule
-// set, snapshots and answers stay exactly pre-mutation.
+// throughout. A canceled extension publishes neither the rule nor any
+// half-derived consequences — the rule set, snapshots and answers stay
+// exactly pre-mutation.
 func (o *Ontology) AddRuleCtx(ctx context.Context, src string) error {
 	rule, err := parser.ParseRule(src)
 	if err != nil {
@@ -444,26 +440,51 @@ func (o *Ontology) AddRuleCtx(ctx context.Context, src string) error {
 	return err
 }
 
-// RemoveRule removes the rule with the given label (see Rules for the
+// RemoveRuleCtx removes the rule with the given label (see Rules for the
 // current labels) from the live ontology. A published materialization is
 // repaired DRed-style: every fact whose provenance cites the removed rule
 // is over-deleted together with its derived closure, then survivors are
 // re-derived through the surviving rules — facts also derivable another way
 // (or present in the base data) stay, exactly as a from-scratch chase of
-// the shrunk set would have them. The first RemoveRule on a cache built
+// the shrunk set would have them. The first removal on a cache built
 // without provenance drops it and flips recording on (sticky, shared with
 // DeleteFact), so later removals repair incrementally. Concurrent readers
-// never block and keep the previous snapshot until the repair publishes.
-func (o *Ontology) RemoveRule(label string) error {
-	return o.RemoveRuleCtx(context.Background(), label)
-}
-
-// RemoveRuleCtx is RemoveRule under a cancellation context: a canceled
-// repair keeps the rule — the set is only swapped at publish time, which an
-// aborted mutation never reaches.
+// never block and keep the previous snapshot until the repair publishes. A
+// canceled repair keeps the rule — the set is only swapped at publish time,
+// which an aborted mutation never reaches.
 func (o *Ontology) RemoveRuleCtx(ctx context.Context, label string) error {
 	_, err := o.mutate(ctx, mutation{dropRule: label})
 	return err
+}
+
+// LoadCSVCtx bulk-loads tuples for one predicate from CSV data into the
+// ontology's database (every record one tuple of constants). The load is
+// atomic: on a malformed CSV or an arity conflict nothing is inserted. Like
+// AddFactCtx, the published snapshots are maintained incrementally and
+// copy-on-write — the genuinely new tuples become the delta of a resumed
+// chase, and concurrent readers keep the previous snapshot meanwhile. A load
+// canceled mid-chase publishes nothing, so the bulk load either lands in
+// full or observably never happened.
+func (o *Ontology) LoadCSVCtx(ctx context.Context, pred string, r io.Reader) (added int, err error) {
+	// Stage into a private instance first so parse errors leave the
+	// ontology untouched and the new facts are known for the delta; the
+	// batch then flows through the unified mutation pipeline, whose staging
+	// re-validates arities against the published expansion so a conflict
+	// leaves data and snapshots untouched.
+	staged := storage.NewInstance()
+	if _, err := staged.LoadCSV(pred, r); err != nil {
+		return 0, err
+	}
+	rel := staged.Relation(pred)
+	if rel == nil {
+		return 0, nil // empty CSV
+	}
+	atoms := make([]logic.Atom, 0, rel.Len())
+	for _, t := range rel.Tuples() {
+		atoms = append(atoms, logic.Atom{Pred: pred, Args: t})
+	}
+	res, err := o.mutate(ctx, mutation{addFacts: atoms})
+	return res.addedFacts, err
 }
 
 // CompactProvenance immediately runs one generational sweep over the chase
@@ -487,7 +508,7 @@ func (o *Ontology) CompactProvenance() int {
 // rules for predicates nothing stores yet, staging it into a private
 // instance so intra-batch arity conflicts also surface — all before the
 // ontology is touched. A stored relation already agrees with the rules
-// (construction and AddRule check it), so the signature is only derived
+// (construction and AddRuleCtx check it), so the signature is only derived
 // when a fact needs it. Returns the staged batch deduplicated.
 func (s *snapshot) stageFacts(rules *dependency.Set, facts []logic.Atom) ([]logic.Atom, error) {
 	staged := storage.NewInstance()

@@ -22,8 +22,8 @@ type MaterializationStats struct {
 	// build and every AddFact increment.
 	Steps, Rounds, NullsCreated int
 	// LastSteps and LastRounds describe only the most recent build or
-	// increment — after an AddFact/AddRule they measure the delta, after a
-	// DeleteFact/RemoveRule the repair, never the instance.
+	// increment — after an AddFact/AddRuleCtx they measure the delta, after a
+	// DeleteFact/RemoveRuleCtx the repair, never the instance.
 	LastSteps, LastRounds int
 	// ProvDerivations and ProvDeadDerivations size the engine's derivation
 	// graph (zero when provenance is off): total recorded derivations and
@@ -33,7 +33,7 @@ type MaterializationStats struct {
 	ProvDerivations, ProvDeadDerivations, Compactions int
 	// FullRebuilds counts every time a published materialization was dropped
 	// and the next chase-mode answer had to rebuild from scratch — e.g. a
-	// RemoveRule against a cache built without provenance, a repair on a
+	// RemoveRuleCtx against a cache built without provenance, a repair on a
 	// truncated cache, or a canceled mutation. A growing counter on a
 	// serving process is the signal that incremental maintenance is being
 	// bypassed.
@@ -75,24 +75,13 @@ func (o *Ontology) MaterializationStats() MaterializationStats {
 	}
 }
 
-// Chase materializes the ontology: data expanded with every rule
-// consequence (restricted chase, default budgets). Unlike chase-mode
-// answering it always runs fresh and returns an instance the caller owns —
-// the cached materialization is neither consulted nor touched.
-func (o *Ontology) Chase() *chase.Result {
-	return o.ChaseOptions(Options{})
-}
-
-// ChaseOptions is Chase with explicit worker count and budgets.
-func (o *Ontology) ChaseOptions(opts Options) *chase.Result {
-	return o.ChaseCtx(context.Background(), opts)
-}
-
-// ChaseCtx is ChaseOptions under a cancellation context: a canceled run
-// stops at the current round barrier without merging it and reports the
-// context error in Result.Err — the returned instance is a valid chase
-// prefix of the data, and the ontology's own caches are untouched (the run
-// is always fresh and private).
+// ChaseCtx materializes the ontology: data expanded with every rule
+// consequence (restricted chase) under opts' worker count and budgets.
+// Unlike chase-mode answering it always runs fresh and returns an instance
+// the caller owns — the cached materialization is neither consulted nor
+// touched. A canceled run stops at the current round barrier without
+// merging it and reports the context error in Result.Err: the returned
+// instance is a valid chase prefix of the data.
 func (o *Ontology) ChaseCtx(ctx context.Context, opts Options) *chase.Result {
 	s := o.snap.Load()
 	return chase.RunCtx(ctx, s.rules, s.base, opts.chaseOptions())

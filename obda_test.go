@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +10,10 @@ import (
 	"repro/internal/logic"
 	"repro/internal/storage"
 )
+
+// bg is the context the tests answer and mutate under when they test
+// neither cancellation nor deadlines.
+var bg = context.Background()
 
 const universityMini = `
 % rules
@@ -90,13 +95,13 @@ func TestAddFactChecksRuleSignature(t *testing.T) {
 	if err := ont.AddFact(`q(a) .`); err == nil || !strings.Contains(err.Error(), " q ") {
 		t.Errorf("AddFact(q(a)) = %v, want an error naming q", err)
 	}
-	if _, err := ont.LoadCSV("q", strings.NewReader("a\n")); err == nil {
+	if _, err := ont.LoadCSVCtx(bg, "q", strings.NewReader("a\n")); err == nil {
 		t.Error("LoadCSV of one column into q/2 must be rejected")
 	}
 	if err := ont.AddFact(`q(a, c) .`); err != nil {
 		t.Fatal(err)
 	}
-	ans, err := ont.AnswerMode(`ans(X) :- q(X, Y) .`, ModeChase)
+	ans, err := ont.AnswerCtx(bg, `ans(X) :- q(X, Y) .`, Options{Mode: ModeChase})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +126,7 @@ func TestClassifyAndStrategy(t *testing.T) {
 
 func TestAnswerAuto(t *testing.T) {
 	o := MustParse(universityMini)
-	ans, err := o.Answer(`q(X) :- person(X) .`)
+	ans, err := o.AnswerCtx(bg, `q(X) :- person(X) .`, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,11 +143,11 @@ func TestAnswerAuto(t *testing.T) {
 func TestAnswerModesAgree(t *testing.T) {
 	o := MustParse(universityMini)
 	q := `q(X) :- hasParent(X, Y) .`
-	rw, err := o.AnswerMode(q, ModeRewrite)
+	rw, err := o.AnswerCtx(bg, q, Options{Mode: ModeRewrite})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := o.AnswerMode(q, ModeChase)
+	ch, err := o.AnswerCtx(bg, q, Options{Mode: ModeChase})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,14 +162,14 @@ func TestAnswerModesAgree(t *testing.T) {
 
 func TestAnswerWithConstant(t *testing.T) {
 	o := MustParse(universityMini)
-	ans, err := o.Answer(`q() :- hasParent(alice, carol) .`)
+	ans, err := o.AnswerCtx(bg, `q() :- hasParent(alice, carol) .`, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ans.Len() != 1 {
 		t.Error("boolean query must hold")
 	}
-	none, err := o.Answer(`q() :- hasParent(bob, carol) .`)
+	none, err := o.AnswerCtx(bg, `q() :- hasParent(bob, carol) .`, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,9 +178,11 @@ func TestAnswerWithConstant(t *testing.T) {
 	}
 }
 
-func TestRewriteAndSQL(t *testing.T) {
+// TestRewriteUnfoldsHierarchy: person's rewriting is the union of person
+// and the two classes below it.
+func TestRewriteUnfoldsHierarchy(t *testing.T) {
 	o := MustParse(universityMini)
-	rw, err := o.Rewrite(`q(X) :- person(X) .`)
+	rw, err := o.RewriteCtx(bg, `q(X) :- person(X) .`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,13 +190,9 @@ func TestRewriteAndSQL(t *testing.T) {
 		t.Fatalf("rewriting = %d disjuncts (complete=%v):\n%s",
 			rw.UCQ.Len(), rw.Complete, rw)
 	}
-	sql, err := rw.SQL()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tbl := range []string{`"person"`, `"student"`, `"teacher"`, "UNION"} {
-		if !strings.Contains(sql, tbl) {
-			t.Errorf("SQL missing %s:\n%s", tbl, sql)
+	for _, pred := range []string{"person(", "student(", "teacher("} {
+		if !strings.Contains(rw.String(), pred) {
+			t.Errorf("rewriting missing %s:\n%s", pred, rw)
 		}
 	}
 }
@@ -199,7 +202,7 @@ func TestAddFact(t *testing.T) {
 	if err := o.AddFact(`student(dora) .`); err != nil {
 		t.Fatal(err)
 	}
-	ans, err := o.Answer(`q(X) :- person(X) .`)
+	ans, err := o.AnswerCtx(bg, `q(X) :- person(X) .`, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +213,7 @@ func TestAddFact(t *testing.T) {
 
 func TestChaseFacade(t *testing.T) {
 	o := MustParse(universityMini)
-	res := o.Chase()
+	res := o.ChaseCtx(bg, Options{})
 	if !res.Terminated {
 		t.Fatal("chase must terminate")
 	}
@@ -236,7 +239,7 @@ r(a,b) .
 	if rep.FORewritable {
 		t.Fatal("Example 2 must not be FO-rewritable")
 	}
-	ans, err := o.Answer(`q(X,Y,Z) :- s(X,Y,Z) .`)
+	ans, err := o.AnswerCtx(bg, `q(X,Y,Z) :- s(X,Y,Z) .`, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +260,72 @@ func TestParseQueryErrors(t *testing.T) {
 
 func TestAnswerModeUnknown(t *testing.T) {
 	o := MustParse(`a(X) -> b(X) .`)
-	if _, err := o.AnswerMode(`q(X) :- b(X) .`, AnswerMode(99)); err == nil {
+	if _, err := o.AnswerCtx(bg, `q(X) :- b(X) .`, Options{Mode: AnswerMode(99)}); err == nil {
 		t.Error("unknown mode must error")
+	}
+}
+
+// TestPerQueryRewritingAnswersDivergingChase: the chase of this set never
+// ends, yet the query's own rewriting reaches a fixpoint, so ModeAuto and
+// ModeRewrite answer it exactly while ModeChase runs out of budget.
+func TestPerQueryRewritingAnswersDivergingChase(t *testing.T) {
+	ont := MustParse(`
+person(X) -> hasParent(X,Y) .
+hasParent(X,Y) -> person(Y) .
+person(ann) .
+hasParent(bo, cy) .
+`)
+	const q = `q(X) :- hasParent(X,P) .`
+	for _, mode := range []AnswerMode{ModeAuto, ModeRewrite} {
+		ans, err := ont.AnswerCtx(bg, q, Options{Mode: mode})
+		if err != nil {
+			t.Fatalf("mode %d: %v", mode, err)
+		}
+		// ann (person rule), bo (explicit), and cy: hasParent(bo,cy) makes
+		// cy a person, who in turn certainly has a parent.
+		if ans.Len() != 3 {
+			t.Errorf("mode %d: answers = %v, want ann, bo and cy", mode, ans)
+		}
+	}
+	if _, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase, MaxSteps: 200}); err == nil {
+		t.Error("the chase of this set diverges; ModeChase must report its budget")
+	}
+}
+
+// TestRewritingBudgetMissChaseAnswers: paper Example 2, whose boolean query
+// has no finite rewriting but whose chase terminates (weakly acyclic).
+// ModeRewrite reports its budget instead of answering; ModeChase answers.
+func TestRewritingBudgetMissChaseAnswers(t *testing.T) {
+	ont := MustParse(`
+t(Y1,Y2), r(Y3,Y4) -> s(Y1,Y3,Y2) .
+s(Y1,Y1,Y2) -> r(Y2,Y3) .
+t(a,a) .
+r(a,b) .
+`)
+	const q = `q() :- r(a,X) .`
+	if _, err := ont.AnswerCtx(bg, q, Options{Mode: ModeRewrite, MaxRewriteCQs: 30}); err == nil {
+		t.Error("Example 2's boolean query is not rewritable within 30 CQs; ModeRewrite must error")
+	}
+	ans, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ans.Len() != 1 {
+		t.Errorf("r(a,_) certainly holds: %v", ans)
+	}
+}
+
+func TestFacadeLoadCSV(t *testing.T) {
+	ont := MustParse(`employee(X,D) -> person(X) .`)
+	n, err := ont.LoadCSVCtx(bg, "employee", strings.NewReader("ann,sales\nbob,eng\n"))
+	if err != nil || n != 2 {
+		t.Fatalf("LoadCSV: n=%d err=%v", n, err)
+	}
+	ans, err := ont.AnswerCtx(bg, `q(X) :- person(X) .`, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ans.Len() != 2 {
+		t.Errorf("answers = %v", ans)
 	}
 }

@@ -45,7 +45,7 @@ func TestPropertyParallelMatchesOracle(t *testing.T) {
 				// The reference is only affordable where the chase is finite: size
 				// its budget from an engine run that terminated.
 				var ref *oracle
-				if _, err := ontSeq.AnswerOptions("q() :- nosuchpredicate(X) .", Options{Mode: ModeChase}); err == nil {
+				if _, err := ontSeq.AnswerCtx(bg, "q() :- nosuchpredicate(X) .", Options{Mode: ModeChase}); err == nil {
 					var ok bool
 					if ref, ok = oracleOf(ontSeq.Rules(), ontSeq.Data().Atoms(), 20*ontSeq.MaterializationStats().Steps+1000); !ok {
 						t.Fatal("oracle over budget on a chase the engine finished")
@@ -64,8 +64,8 @@ func TestPropertyParallelMatchesOracle(t *testing.T) {
 					}
 					q := fmt.Sprintf("q(%s) :- %s(%s) .", strings.Join(vars, ","), p, strings.Join(vars, ","))
 					for _, mode := range []AnswerMode{ModeRewrite, ModeChase} {
-						seq, errSeq := ontSeq.AnswerOptions(q, Options{Mode: mode})
-						par, errPar := ontPar.AnswerOptions(q, Options{Mode: mode, Parallelism: 4})
+						seq, errSeq := ontSeq.AnswerCtx(bg, q, Options{Mode: mode})
+						par, errPar := ontPar.AnswerCtx(bg, q, Options{Mode: mode, Parallelism: 4})
 						if (errSeq == nil) != (errPar == nil) {
 							t.Fatalf("%s mode %v: error divergence: seq=%v par=%v", q, mode, errSeq, errPar)
 						}
@@ -102,7 +102,7 @@ func TestPropertyPartitionedMatchesOracle(t *testing.T) {
 				t.Run(fmt.Sprintf("%v/seed=%d/par=%d", fam, seed, par), func(t *testing.T) {
 					base := ontologyFromDatagen(t, fam, 5, seed)
 					queries := atomicQueriesOf(t, base.Rules())
-					if _, err := base.AnswerOptions(queries[0], Options{Mode: ModeChase}); err != nil {
+					if _, err := base.AnswerCtx(bg, queries[0], Options{Mode: ModeChase}); err != nil {
 						t.Skipf("baseline chase over budget: %v", err)
 					}
 					baseStats := base.MaterializationStats()
@@ -114,7 +114,7 @@ func TestPropertyPartitionedMatchesOracle(t *testing.T) {
 					ont := ontologyFromDatagen(t, fam, 5, seed)
 					opts := Options{Mode: ModeChase, Parallelism: par}
 					for _, q := range queries {
-						ans, err := ont.AnswerOptions(q, opts)
+						ans, err := ont.AnswerCtx(bg, q, opts)
 						if err != nil {
 							t.Fatalf("par=%d %s: %v", par, q, err)
 						}
@@ -151,7 +151,7 @@ func TestParallelModesAgree(t *testing.T) {
 		want := ref.answers(t, q)
 		for _, mode := range []AnswerMode{ModeRewrite, ModeChase} {
 			for _, par := range []int{1, 4} {
-				ans, err := ont.AnswerOptions(q, Options{Mode: mode, Parallelism: par})
+				ans, err := ont.AnswerCtx(bg, q, Options{Mode: mode, Parallelism: par})
 				if err != nil {
 					t.Fatalf("%s mode=%v par=%d: %v", q, mode, par, err)
 				}

@@ -176,7 +176,7 @@ func TestReadPathDifferential(t *testing.T) {
 			queries := atomicQueriesOf(t, base.Rules())
 			// The reference is only affordable where the chase is finite.
 			var ref *oracle
-			if _, err := base.AnswerOptions(queries[0], Options{Mode: ModeChase}); err == nil {
+			if _, err := base.AnswerCtx(bg, queries[0], Options{Mode: ModeChase}); err == nil {
 				var ok bool
 				if ref, ok = oracleOf(base.Rules(), base.Data().Atoms(), 20*base.MaterializationStats().Steps+1000); !ok {
 					t.Fatal("oracle over budget on a chase the engine finished")
@@ -351,7 +351,7 @@ func runMutationScript(t *testing.T, fam datagen.Family, seed int64) {
 			o.NoCache = rrng.Intn(2) == 0
 			ob := observation{q: queries[rrng.Intn(len(queries))], lo: int(committed.Load())}
 			started.Add(1)
-			ans, err := ont.AnswerOptions(ob.q, o)
+			ans, err := ont.AnswerCtx(bg, ob.q, o)
 			// A mutation publishes before the script counts it.
 			ob.hi = int(committed.Load()) + 1
 			if ob.err = err; err == nil {
@@ -476,7 +476,7 @@ a(c1) . a(c2) .
 	const q = `q(X) :- a(X) .` // no rule derives a: the rewriting is q itself
 	for i := 0; i < 5; i++ {
 		for _, mode := range []AnswerMode{ModeChase, ModeRewrite} {
-			ans, err := ont.AnswerMode(q, mode)
+			ans, err := ont.AnswerCtx(bg, q, Options{Mode: mode})
 			if err != nil || ans.Len() != 2 {
 				t.Fatalf("mode %d: %v, err=%v", mode, ans, err)
 			}

@@ -1,0 +1,119 @@
+#!/usr/bin/env bash
+# End-to-end smoke test for the command-line programs and the examples, run
+# by `make cli-smoke` and CI.
+#
+# Builds every program under cmd/ (but reprovet and serve, which have their
+# own checks) and examples/, then:
+#   1. runs each example, and classify, rewrite -eval, answer (auto and
+#      chase) and chase -incremental -add on a small family program; each
+#      must exit 0;
+#   2. runs programs that use one predicate with two arities through chase
+#      and rewrite -eval; each must exit non-zero with a message naming the
+#      predicate, and must not panic.
+set -euo pipefail
+
+cd "$(dirname "$0")/.."
+workdir=$(mktemp -d)
+trap 'rm -rf "$workdir"' EXIT
+
+for cmd in answer chase classify rewrite; do
+  go build -o "$workdir/$cmd" "./cmd/$cmd"
+done
+examples=$(cd examples && ls -d */ | tr -d /)
+for ex in $examples; do
+  go build -o "$workdir/example-$ex" "./examples/$ex"
+done
+
+cat > "$workdir/fam.rules" <<'EOF'
+parent(X, Y) -> ancestor(X, Y) .
+parent(X, Y), ancestor(Y, Z) -> ancestor(X, Z) .
+person(X) -> hasParent(X, Y) .
+EOF
+cat > "$workdir/fam.data" <<'EOF'
+parent(ada, bob) .
+parent(bob, cyd) .
+person(ada) .
+EOF
+
+fail=0
+# ok NAME CMD...: the command must exit 0.
+ok() {
+  local name=$1
+  shift
+  if ! "$@" > "$workdir/out" 2> "$workdir/err"; then
+    echo "FAIL $name: exit non-zero" >&2
+    cat "$workdir/err" >&2
+    fail=1
+    return
+  fi
+  echo "ok   $name"
+}
+# rejects NAME PRED CMD...: the command must exit non-zero, name PRED on
+# stderr and not panic.
+rejects() {
+  local name=$1 pred=$2
+  shift 2
+  if "$@" > "$workdir/out" 2> "$workdir/err"; then
+    echo "FAIL $name: exit 0, want a rejection" >&2
+    fail=1
+    return
+  fi
+  if grep -q 'panic:' "$workdir/err"; then
+    echo "FAIL $name: panicked" >&2
+    cat "$workdir/err" >&2
+    fail=1
+    return
+  fi
+  if ! grep -qw "$pred" "$workdir/err"; then
+    echo "FAIL $name: error does not name $pred" >&2
+    cat "$workdir/err" >&2
+    fail=1
+    return
+  fi
+  echo "ok   $name (rejected: $(tail -1 "$workdir/err"))"
+}
+
+for ex in $examples; do
+  ok "example $ex" "$workdir/example-$ex"
+done
+ok "classify" "$workdir/classify" -rules "$workdir/fam.rules"
+ok "rewrite -eval" "$workdir/rewrite" -rules "$workdir/fam.rules" -data "$workdir/fam.data" \
+  -query 'q(X) :- hasParent(X, Y) .' -eval -timeout 60s
+if ! grep -q ada "$workdir/out"; then
+  echo "FAIL rewrite -eval: ada certainly has a parent" >&2
+  fail=1
+fi
+ok "answer auto" "$workdir/answer" -rules "$workdir/fam.rules" -data "$workdir/fam.data" \
+  -query 'q(X) :- ancestor(ada, X) .'
+ok "answer chase" "$workdir/answer" -rules "$workdir/fam.rules" -data "$workdir/fam.data" \
+  -query 'q(X) :- ancestor(ada, X) .' -mode chase
+if ! grep -q cyd "$workdir/out"; then
+  echo "FAIL answer chase: ancestor(ada, cyd) missing" >&2
+  fail=1
+fi
+ok "chase -incremental -add" "$workdir/chase" -rules "$workdir/fam.rules" -data "$workdir/fam.data" \
+  -incremental -add 'parent(cyd, dee) .'
+if ! grep -q 'ancestor(ada, dee)' "$workdir/out"; then
+  echo "FAIL chase -incremental -add: ancestor(ada, dee) missing" >&2
+  fail=1
+fi
+
+# One predicate, two arities: q is binary in the rule and unary in the data.
+printf 'p(X) -> q(X, Y) .\n' > "$workdir/clash.rules"
+printf 'q(a) .\np(b) .\n' > "$workdir/clash.data"
+rejects "chase, clashing data" q "$workdir/chase" -rules "$workdir/clash.rules" -data "$workdir/clash.data"
+# ... and unary in the rule, binary in the data.
+printf 'p(X) -> q(X) .\n' > "$workdir/clash2.rules"
+printf 'q(a, b) .\n' > "$workdir/clash2.data"
+rejects "rewrite -eval, clashing data" q "$workdir/rewrite" -rules "$workdir/clash2.rules" \
+  -data "$workdir/clash2.data" -query 'ans(X) :- q(X) .' -eval
+# A clashing fact that arrives through -add, before anything derives q.
+printf 'r(z) .\n' > "$workdir/clash3.data"
+rejects "chase -add, clashing fact" q "$workdir/chase" -rules "$workdir/clash.rules" \
+  -data "$workdir/clash3.data" -incremental -add 'q(c) . p(d) .'
+
+if [ "$fail" -ne 0 ]; then
+  echo "cli smoke: FAILED" >&2
+  exit 1
+fi
+echo "cli smoke: ok"
