@@ -66,10 +66,9 @@ type hashIter struct {
 	regs    []int
 }
 
-// probeKey follows the unannotated-helper precedent (regsKey, bindingKey):
-// hot but allocation-free in steady state — it appends into a buffer whose
-// capacity survives across calls — so the allocation test, not the
-// analyzer, vouches for it.
+// probeKey is an unannotated helper on a hot path, yet allocation-free in
+// steady state — it appends into a buffer whose capacity survives across
+// calls — so the allocation test, not the analyzer, vouches for it.
 func (it *hashIter) probeKey(k byte) []byte {
 	it.keyBuf = it.keyBuf[:0]
 	it.keyBuf = append(it.keyBuf, k, 0)

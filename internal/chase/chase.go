@@ -13,9 +13,12 @@
 // (Options.Parallelism): trigger collection is parallel over (rule, delta
 // atom) tasks against the frozen instance, and trigger firing is parallel
 // over trigger chunks with per-worker sharded writes (storage.Shard) that
-// are merged, coordination-free, at the round barrier. The chase yields the
-// same certain answers for every worker count; only labelled-null names and
-// redundant-null counts may differ.
+// are merged, coordination-free, at the round barrier. A run is
+// reproducible: the same input, options and worker count give the same
+// instance, down to tuple order and null names (under several workers, a
+// run cut by the step budget excepted: which triggers beat the budget is a
+// race). Across worker counts the certain answers and the counters agree;
+// only labelled-null names may differ.
 //
 // The fixpoint is resumable: Run is a thin wrapper that copies the data,
 // creates a State (NewState) and calls State.Resume with the whole input as
@@ -125,28 +128,176 @@ type Result struct {
 	NullsCreated int
 }
 
-// trigger is one candidate rule application: a rule index, the full-body
-// binding restricted to the body variables, and its canonical key (computed
-// once at discovery, reused for cross-task dedup).
+// trigger is one candidate rule application: a rule index and its row, the
+// values of the rule's BodyVars in order. Rows are carved from a per-task
+// rowArena; a trigger owns no map and no key.
 type trigger struct {
-	rule     int32
-	frontier logic.Subst
-	key      string
+	rule int32
+	row  []logic.Term
+}
+
+// rowArena hands out trigger rows from shared chunks, so collecting a trigger
+// allocates nothing of its own. Rows are never freed one by one: a round's
+// arenas become garbage together with its trigger list.
+type rowArena struct {
+	chunk []logic.Term
+	size  int // capacity of the next chunk, doubling up to maxArenaChunk
+}
+
+const maxArenaChunk = 4096
+
+// row returns a fresh row of n terms.
+func (a *rowArena) row(n int) []logic.Term {
+	if len(a.chunk) < n {
+		a.size = min(max(2*a.size, 64), maxArenaChunk)
+		a.chunk = make([]logic.Term, max(a.size, n))
+	}
+	r := a.chunk[:n:n]
+	a.chunk = a.chunk[n:]
+	return r
+}
+
+// srcKind says where an argument of an instantiated atom comes from.
+type srcKind uint8
+
+const (
+	fromRow   srcKind = iota // the trigger row, at idx
+	fromNull                 // the idx-th fresh null of the firing
+	fromConst                // the constant term
+)
+
+// argSrc is the source of one argument of a template atom.
+type argSrc struct {
+	kind srcKind
+	idx  int
+	term logic.Term
+}
+
+// value is the argument's term in a firing of row whose fresh nulls are
+// nulls (nil for a body atom, which has none).
+func (s argSrc) value(row, nulls []logic.Term) logic.Term {
+	switch s.kind {
+	case fromRow:
+		return row[s.idx]
+	case fromNull:
+		return nulls[s.idx]
+	}
+	return s.term
+}
+
+// atomTmpl is a rule atom with every argument resolved to its source.
+type atomTmpl struct {
+	pred string
+	args []argSrc
+}
+
+// template is a rule compiled for firing from a trigger row: the row layout
+// (the rule's BodyVars), the row position of each distinguished variable (in
+// Distinguished order, which is also the seed order of the head plan), the
+// number of existential head variables (nulls are invented in
+// ExistentialHead order), and the source of every head and body argument.
+// Templates are compiled once per rule per Resume (and per DRed call), so
+// the firing path never recomputes the rule's variable sets.
+type template struct {
+	vars      []logic.Term
+	dist      []int
+	nexist    int
+	head      []atomTmpl
+	headArity int
+	body      []atomTmpl
+}
+
+// compileTemplate builds the firing template of one rule.
+func compileTemplate(rule *dependency.TGD) *template {
+	tp := &template{vars: rule.BodyVars()}
+	pos := make(map[logic.Term]int, len(tp.vars))
+	for i, v := range tp.vars {
+		pos[v] = i
+	}
+	for _, v := range rule.Distinguished() {
+		tp.dist = append(tp.dist, pos[v])
+	}
+	exist := make(map[logic.Term]int)
+	for k, v := range rule.ExistentialHead() {
+		exist[v] = k
+	}
+	tp.nexist = len(exist)
+	compile := func(a logic.Atom) atomTmpl {
+		at := atomTmpl{pred: a.Pred, args: make([]argSrc, len(a.Args))}
+		for j, t := range a.Args {
+			if p, ok := pos[t]; ok {
+				at.args[j] = argSrc{kind: fromRow, idx: p}
+			} else if k, ok := exist[t]; ok {
+				at.args[j] = argSrc{kind: fromNull, idx: k}
+			} else {
+				at.args[j] = argSrc{kind: fromConst, term: t}
+			}
+		}
+		return at
+	}
+	for _, a := range rule.Head {
+		tp.head = append(tp.head, compile(a))
+		tp.headArity += a.Arity()
+	}
+	for _, a := range rule.Body {
+		tp.body = append(tp.body, compile(a))
+	}
+	return tp
+}
+
+// compileTemplates compiles the firing template of every rule of the set.
+func compileTemplates(rules *dependency.Set) []*template {
+	out := make([]*template, len(rules.Rules))
+	for ri, rule := range rules.Rules {
+		out[ri] = compileTemplate(rule)
+	}
+	return out
+}
+
+// subst is the row as a substitution of the body variables, for the cold
+// paths that still match through eval.Matches (DRed's head check).
+func (tp *template) subst(row []logic.Term) logic.Subst {
+	s := make(logic.Subst, len(row))
+	for i, v := range tp.vars {
+		s[v] = row[i]
+	}
+	return s
+}
+
+// key returns the logic.Atom.Key of a body atom instantiated with row — the
+// provenance key of a fact the firing consumed — in one allocation.
+func (at *atomTmpl) key(row []logic.Term) string {
+	n := len(at.pred)
+	for _, s := range at.args {
+		n += 2 + len(s.value(row, nil).Name)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString(at.pred)
+	for _, s := range at.args {
+		t := s.value(row, nil)
+		b.WriteByte(0)
+		b.WriteByte('0' + byte(t.Kind))
+		b.WriteString(t.Name)
+	}
+	return b.String()
 }
 
 // planSet holds the plans compiled once per Resume call and reused across
 // every round and every delta fact: per (rule, body atom) a delta plan that
-// pins that atom to a delta tuple and joins the rest, and per rule a
-// head-satisfaction plan seeded by the distinguished variables. Statistics
-// are frozen at compile time — a relation that merely grows keeps the order
-// (only speed is affected, never the computed fixpoint) — except that a
-// relation transitioning empty→non-empty between rounds re-costs the rules
-// reading it (refresh): an order costed against an empty relation is
-// arbitrary, and later-round relations routinely start empty.
+// pins that atom to a delta tuple and joins the rest, per rule a
+// head-satisfaction plan seeded by the distinguished variables, and per rule
+// the firing template. Statistics are frozen at compile time — a relation
+// that merely grows keeps the order (only speed is affected, never the
+// computed fixpoint) — except that a relation transitioning empty→non-empty
+// between rounds re-costs the rules reading it (refresh): an order costed
+// against an empty relation is arbitrary, and later-round relations
+// routinely start empty.
 type planSet struct {
 	delta [][]*eval.Plan // [rule][bodyAtom]
-	slots [][][]int      // [rule][bodyAtom] → register slot of each BodyVars()[k]
+	slots [][][]int      // [rule][bodyAtom] → register slot of each row position
 	head  []*eval.Plan   // [rule]
+	tmpl  []*template    // [rule]
 	// emptyReads[rule] lists the distinct relations the rule's plans read
 	// (body and head) that were empty at compile time — the watch list for
 	// refresh. Emptied lazily as transitions are consumed.
@@ -160,6 +311,7 @@ func newPlanSet(rules *dependency.Set, ins *storage.Instance) *planSet {
 		delta:      make([][]*eval.Plan, n),
 		slots:      make([][][]int, n),
 		head:       make([]*eval.Plan, n),
+		tmpl:       compileTemplates(rules),
 		emptyReads: make([][]string, n),
 	}
 	for ri, rule := range rules.Rules {
@@ -171,13 +323,12 @@ func newPlanSet(rules *dependency.Set, ins *storage.Instance) *planSet {
 // compileRule (re)compiles one rule's delta and head plans against the
 // instance and records which of the relations it reads are still empty.
 func (ps *planSet) compileRule(ri int, rule *dependency.TGD, ins *storage.Instance) {
-	bodyVars := rule.BodyVars()
 	ps.delta[ri] = make([]*eval.Plan, len(rule.Body))
 	ps.slots[ri] = make([][]int, len(rule.Body))
 	for bi := range rule.Body {
 		p := eval.CompileDelta(rule.Body, bi, ins, eval.PlannerDefault, eval.JoinDefault)
 		ps.delta[ri][bi] = p
-		ps.slots[ri][bi] = p.Slots(bodyVars)
+		ps.slots[ri][bi] = p.Slots(ps.tmpl[ri].vars)
 	}
 	ps.head[ri] = eval.CompileBody(rule.Head, ins, rule.Distinguished(), eval.PlannerDefault, eval.JoinDefault)
 
@@ -224,13 +375,14 @@ func (ps *planSet) refresh(rules *dependency.Set, ins *storage.Instance) int {
 }
 
 // headSatisfied is the restricted-chase applicability test on the compiled
-// head plan: with the distinguished variables seeded from the trigger
-// frontier, any match of the head atoms (existential variables free) means
-// the head already holds. runners caches one Runner per rule for the calling
-// worker, so repeated checks allocate nothing.
+// head plan: with the distinguished variables seeded straight from the
+// trigger row into the plan's registers, any match of the head atoms
+// (existential variables free) means the head already holds. runners caches
+// one Runner per rule for the calling worker, so repeated checks allocate
+// nothing.
 //
 //repro:hotpath
-func (ps *planSet) headSatisfied(ri int, frontier logic.Subst, ins *storage.Instance, runners []*eval.Runner) bool {
+func (ps *planSet) headSatisfied(ri int, row []logic.Term, ins *storage.Instance, runners []*eval.Runner) bool {
 	r := runners[ri]
 	if r == nil {
 		r = ps.head[ri].NewRunner()
@@ -239,14 +391,12 @@ func (ps *planSet) headSatisfied(ri int, frontier logic.Subst, ins *storage.Inst
 	if !r.Bind(ins) {
 		return false // a head relation is absent: nothing can satisfy it
 	}
-	r.SeedSubst(frontier)
-	found := false
-	//repro:allow hotalloc non-escaping yield closure; steady state stays 0 allocs/op (TestSeededJoinStepAllocationFree)
-	r.Run(func([]logic.Term) bool {
-		found = true
-		return false
-	})
-	return found
+	regs := r.Regs()
+	for i, p := range ps.tmpl[ri].dist {
+		regs[i] = row[p]
+	}
+	r.Start()
+	return r.Next()
 }
 
 // Run chases data with rules. The input instance is not modified.
@@ -272,20 +422,25 @@ func RunCtx(ctx context.Context, rules *dependency.Set, data *storage.Instance, 
 // one body atom in the delta: task (rule, i) runs the precompiled delta plan
 // that pins body atom i to a delta tuple and joins the remaining atoms
 // against the frozen instance — no substitution maps and no re-planning per
-// delta fact; frontiers and their keys are read straight out of the register
-// file and a Subst is materialized only for genuinely new bindings. Bindings
-// found through several delta atoms are deduplicated at the merge, preserving
-// task order so the sequential path stays deterministic. from restricts
-// collection to rules with index ≥ from (0 = all): the AddRule maintenance
-// round only re-examines the instance against the new rules. Collection reads
-// only, so a ctx abort (runner-level polling plus a per-tuple guard) leaves
-// the instance untouched; the caller detects it via ctx.Err() and discards
-// the partial trigger list.
+// delta fact; each binding's row is copied straight out of the register file
+// into the task's arena. A task cannot yield one binding twice: the delta is
+// a set, so each binding pins atom i to exactly one delta tuple, and the
+// remaining atoms' tuples are the binding's images. Only a binding with
+// several body atoms in the delta is found more than once — once per such
+// atom, by different tasks of its rule — so just the rules with two or more
+// tasks in the round are deduplicated, at the merge, keeping the first
+// occurrence in task order so the sequential path stays deterministic. from
+// restricts collection to rules with index ≥ from (0 = all): the AddRule
+// maintenance round only re-examines the instance against the new rules.
+// Collection reads only, so a ctx abort (runner-level polling plus a
+// per-tuple guard) leaves the instance untouched; the caller detects it via
+// ctx.Err() and discards the partial trigger list.
 func collectTriggers(ctx context.Context, rules *dependency.Set, ins, delta *storage.Instance, workers int, ps *planSet, from int) []trigger {
 	type task struct {
 		rule, atom int
 	}
 	var tasks []task
+	ntasks := make([]int, len(rules.Rules))
 	for ri, rule := range rules.Rules {
 		if ri < from {
 			continue
@@ -293,52 +448,57 @@ func collectTriggers(ctx context.Context, rules *dependency.Set, ins, delta *sto
 		for bi, a := range rule.Body {
 			if rel := delta.Relation(a.Pred); rel != nil && rel.Arity() == a.Arity() && rel.Len() > 0 {
 				tasks = append(tasks, task{rule: ri, atom: bi})
+				ntasks[ri]++
 			}
 		}
 	}
 	found := make([][]trigger, len(tasks))
 	runTasks(len(tasks), workers, func(ti int) {
 		t := tasks[ti]
-		rule := rules.Rules[t.rule]
-		bodyVars := rule.BodyVars()
 		slots := ps.slots[t.rule][t.atom]
 		runner := ps.delta[t.rule][t.atom].NewRunner()
 		if !runner.Bind(ins) {
 			return // a body relation is absent: the rule cannot fire
 		}
 		runner.SetContext(ctx)
-		seen := make(map[string]bool)
-		for di, tuple := range delta.Relation(rule.Body[t.atom].Pred).Tuples() {
+		var arena rowArena
+		tuples := delta.Relation(rules.Rules[t.rule].Body[t.atom].Pred).Tuples()
+		// A delta tuple most often yields one binding: size for that.
+		found[ti] = make([]trigger, 0, len(tuples))
+		for di, tuple := range tuples {
 			if runner.Err() != nil || (di&0xFF == 0 && ctx.Err() != nil) {
 				return // canceled: the caller discards the partial collection
 			}
 			runner.RunTuple(tuple, func(regs []logic.Term) bool {
-				key := regsKey(regs, slots)
-				if !seen[key] {
-					seen[key] = true
-					frontier := make(logic.Subst, len(slots))
-					for i, v := range bodyVars {
-						frontier[v] = regs[slots[i]]
-					}
-					found[ti] = append(found[ti], trigger{rule: int32(t.rule), frontier: frontier, key: key})
+				row := arena.row(len(slots))
+				for i, s := range slots {
+					row[i] = regs[s]
 				}
+				found[ti] = append(found[ti], trigger{rule: int32(t.rule), row: row})
 				return true
 			})
 		}
 	})
-	// Merge, deduplicating across tasks of the same rule (a binding with two
-	// delta atoms is found once per delta atom).
-	var out []trigger
-	seen := make(map[int]map[string]bool, len(rules.Rules))
+	n := 0
+	for _, trs := range found {
+		n += len(trs)
+	}
+	out := make([]trigger, 0, n)
+	seen := make(map[int]map[string]bool)
 	for ti, trs := range found {
-		ruleSeen := seen[tasks[ti].rule]
+		ri := tasks[ti].rule
+		if ntasks[ri] < 2 {
+			out = append(out, trs...)
+			continue
+		}
+		ruleSeen := seen[ri]
 		if ruleSeen == nil {
 			ruleSeen = make(map[string]bool)
-			seen[tasks[ti].rule] = ruleSeen
+			seen[ri] = ruleSeen
 		}
 		for _, tr := range trs {
-			if !ruleSeen[tr.key] {
-				ruleSeen[tr.key] = true
+			if k := rowKey(nil, tr.row); !ruleSeen[k] {
+				ruleSeen[k] = true
 				out = append(out, tr)
 			}
 		}
@@ -410,22 +570,18 @@ func headSatisfied(rule *dependency.TGD, frontier logic.Subst, ins *storage.Inst
 	return found
 }
 
-// bindingKey canonically encodes a body binding for deduplication: for each
-// variable in order, the walked term's kind digit, name, and a NUL. It is
-// the hottest string in the engine (one per enumerated binding per round):
-// one Walk pass into a stack buffer sizes and fills a single pre-grown
-// strings.Builder — no per-term fmt allocations, no double chain traversal.
-func bindingKey(frontier logic.Subst, vars []logic.Term) string {
-	return buildKey(nil, frontier, vars)
-}
-
-// triggerKey is bindingKey prefixed with the rule index, keying the
-// semi-oblivious fired-trigger memory.
-func triggerKey(rule int, frontier logic.Subst, vars []logic.Term) string {
+// triggerKey keys the semi-oblivious fired-trigger memory: the rule index,
+// a NUL, then rowKey of the row's values at the distinguished positions.
+func triggerKey(rule int, row []logic.Term, dist []int) string {
 	var prefix [20]byte
 	p := strconv.AppendInt(prefix[:0], int64(rule), 10)
 	p = append(p, 0)
-	return buildKey(p, frontier, vars)
+	var buf [8]logic.Term
+	frontier := buf[:0]
+	for _, i := range dist {
+		frontier = append(frontier, row[i])
+	}
+	return rowKey(p, frontier)
 }
 
 // splitTriggerKey splits a semi-oblivious trigger key into its rule index
@@ -442,38 +598,17 @@ func joinTriggerKey(rule int, suffix string) string {
 	return strconv.Itoa(rule) + suffix
 }
 
-// regsKey is bindingKey read straight from a plan's register file: same
-// encoding (kind digit, name, NUL per variable), no substitution walks.
-func regsKey(regs []logic.Term, slots []int) string {
-	n := 0
-	for _, s := range slots {
-		n += len(regs[s].Name) + 2
-	}
-	var b strings.Builder
-	b.Grow(n)
-	for _, s := range slots {
-		t := regs[s]
-		b.WriteByte('0' + byte(t.Kind))
-		b.WriteString(t.Name)
-		b.WriteByte(0)
-	}
-	return b.String()
-}
-
-// buildKey assembles prefix plus the canonical binding encoding.
-func buildKey(prefix []byte, frontier logic.Subst, vars []logic.Term) string {
-	var buf [8]logic.Term
-	walked := buf[:0]
+// rowKey canonically encodes prefix plus a row: per value its kind digit,
+// name and a NUL, in one pre-sized allocation.
+func rowKey(prefix []byte, row []logic.Term) string {
 	n := len(prefix)
-	for _, v := range vars {
-		t := frontier.Walk(v)
-		walked = append(walked, t)
+	for _, t := range row {
 		n += len(t.Name) + 2
 	}
 	var b strings.Builder
 	b.Grow(n)
 	b.Write(prefix)
-	for _, t := range walked {
+	for _, t := range row {
 		b.WriteByte('0' + byte(t.Kind))
 		b.WriteString(t.Name)
 		b.WriteByte(0)

@@ -250,26 +250,27 @@ func (st *State) overDelete(ctx context.Context, ins *storage.Instance, base *st
 // discipline, and the consequences of the restored facts propagate through
 // an ordinary semi-naive resume; res.Result describes the whole increment.
 func (st *State) rederive(ctx context.Context, rules *dependency.Set, ins *storage.Instance, removedFacts []logic.Atom, removed map[string]bool, res *DeleteResult) {
-	cands := st.collectRederiveTriggers(rules, ins, removedFacts)
+	tmpls := compileTemplates(rules)
+	cands := collectRederiveTriggers(rules, tmpls, ins, removedFacts)
 	delta := storage.NewInstance()
 	steps, nulls, restored := 0, 0, 0
 	for ci, tr := range cands {
 		if ci&0x1F == 0 && ctx.Err() != nil {
 			break // canceled: the propagation below reports the abort
 		}
-		rule := rules.Rules[tr.rule]
-		if st.opts.Variant == Restricted && headSatisfied(rule, tr.frontier, ins) {
+		tp := tmpls[tr.rule]
+		if st.opts.Variant == Restricted && headSatisfied(rules.Rules[tr.rule], tp.subst(tr.row), ins) {
 			continue
 		}
 		if st.opts.Variant == Oblivious {
-			key := triggerKey(int(tr.rule), tr.frontier, rule.Distinguished())
+			key := triggerKey(int(tr.rule), tr.row, tp.dist)
 			if st.fired[key] {
 				continue
 			}
 			st.fired[key] = true
 		}
 		steps++
-		heads, n := instantiateHead(rule, tr.frontier, st.gens[0])
+		heads, n := instantiateHead(tp, tr.row, st.gens[0], nil)
 		nulls += n
 		for _, ha := range heads {
 			added, err := ins.Insert(ha)
@@ -286,7 +287,7 @@ func (st *State) rederive(ctx context.Context, rules *dependency.Set, ins *stora
 				restored++
 			}
 		}
-		d := st.newDerivation(rules, tr)
+		d := st.newDerivation(tp, tr)
 		d.heads = heads
 		st.prov.add(d)
 	}
@@ -351,13 +352,13 @@ func (st *State) remapRuleIndices(ri int) {
 // positions bind freely during unification but are dropped from the seed
 // (they are not body variables); the full head-satisfaction check happens at
 // fire time.
-func (st *State) collectRederiveTriggers(rules *dependency.Set, ins *storage.Instance, removed []logic.Atom) []trigger {
+func collectRederiveTriggers(rules *dependency.Set, tmpls []*template, ins *storage.Instance, removed []logic.Atom) []trigger {
 	var out []trigger
 	seen := make(map[int]map[string]bool)
 	for _, f := range removed {
 		tup := storage.Tuple(f.Args)
 		for ri, rule := range rules.Rules {
-			bodyVars := rule.BodyVars()
+			vars := tmpls[ri].vars
 			for _, h := range rule.Head {
 				if h.Pred != f.Pred || h.Arity() != f.Arity() {
 					continue
@@ -371,12 +372,14 @@ func (st *State) collectRederiveTriggers(rules *dependency.Set, ins *storage.Ins
 					ruleSeen = make(map[string]bool)
 					seen[ri] = ruleSeen
 				}
-				eval.MatchesSeeded(rule.Body, ins, seed.Restrict(bodyVars), func(s logic.Subst) bool {
-					frontier := s.Restrict(bodyVars)
-					key := bindingKey(frontier, bodyVars)
-					if !ruleSeen[key] {
+				eval.MatchesSeeded(rule.Body, ins, seed.Restrict(vars), func(s logic.Subst) bool {
+					row := make([]logic.Term, len(vars))
+					for i, v := range vars {
+						row[i] = s.Walk(v)
+					}
+					if key := rowKey(nil, row); !ruleSeen[key] {
 						ruleSeen[key] = true
-						out = append(out, trigger{rule: int32(ri), frontier: frontier})
+						out = append(out, trigger{rule: int32(ri), row: row})
 					}
 					return true
 				})

@@ -210,18 +210,20 @@ func (st *State) Extend(rules *dependency.Set, ins *storage.Instance, facts []lo
 // the inserted base facts remain in the instance and the returned Result
 // carries the context error; the caller owns the rollback of the instance and
 // must discard the state.
+//
+// The facts go in through a shard and MergeShards, the firing loop's own
+// write path: each is copied and keyed once, and the merge yields exactly
+// the genuinely new ones, in the given order, as the delta.
 func (st *State) ExtendCtx(ctx context.Context, rules *dependency.Set, ins *storage.Instance, facts []logic.Atom) (*Result, error) {
-	delta := storage.NewInstance()
+	sh := storage.NewShard()
 	for _, f := range facts {
-		isNew, err := ins.Insert(f)
-		if err != nil {
+		if err := sh.Insert(logic.Atom{Pred: f.Pred, Args: storage.Tuple(f.Args).Clone()}); err != nil {
 			return nil, err
 		}
-		if isNew {
-			if _, err := delta.Insert(f); err != nil {
-				return nil, err
-			}
-		}
+	}
+	delta, err := ins.MergeShards(sh)
+	if err != nil {
+		return nil, err
 	}
 	if delta.Size() == 0 {
 		return &Result{Terminated: true}, nil
@@ -229,37 +231,44 @@ func (st *State) ExtendCtx(ctx context.Context, rules *dependency.Set, ins *stor
 	return st.resume(ctx, rules, ins, delta, 0), nil
 }
 
-// instantiateHead grounds the rule head for a firing of frontier: frontier
-// variables from the trigger, existential head variables as fresh nulls from
-// gen. Returns the ground head atoms and the null count. Shared by the
-// Resume firing loop and the DRed re-derivation sweep so the invention
-// discipline cannot drift between them.
-func instantiateHead(rule *dependency.TGD, frontier logic.Subst, gen *logic.VarGen) ([]logic.Atom, int) {
-	inst := frontier.Clone()
-	nulls := 0
-	for _, e := range rule.ExistentialHead() {
-		inst.Bind(e, gen.FreshNull())
-		nulls++
+// instantiateHead grounds the rule head for a firing of row: row slots for
+// the body variables, fresh nulls from gen for the existential head
+// variables (invented in ExistentialHead order), constants as written. Every
+// head argument lands in one allocation; the atoms are appended to
+// atoms[:0], which the caller may reuse when it keeps none of them. Returns
+// the ground head atoms and the null count. Shared by the Resume firing loop
+// and the DRed re-derivation sweep so the invention discipline cannot drift
+// between them.
+func instantiateHead(tp *template, row []logic.Term, gen *logic.VarGen, atoms []logic.Atom) ([]logic.Atom, int) {
+	var buf [4]logic.Term
+	nulls := buf[:0]
+	for k := 0; k < tp.nexist; k++ {
+		nulls = append(nulls, gen.FreshNull())
 	}
-	heads := make([]logic.Atom, len(rule.Head))
-	for i, h := range rule.Head {
-		heads[i] = inst.ApplyAtom(h)
+	args := make([]logic.Term, tp.headArity)
+	atoms = atoms[:0]
+	for _, h := range tp.head {
+		a := args[:len(h.args):len(h.args)]
+		args = args[len(h.args):]
+		for j, s := range h.args {
+			a[j] = s.value(row, nulls)
+		}
+		atoms = append(atoms, logic.Atom{Pred: h.pred, Args: a})
 	}
-	return heads, nulls
+	return atoms, tp.nexist
 }
 
-// newDerivation starts the provenance record for a firing of tr: the rule,
-// the semi-oblivious memory key (oblivious variant only) and the ground body
-// facts the trigger consumed. Head facts are appended by the caller as they
-// are instantiated.
-func (st *State) newDerivation(rules *dependency.Set, tr trigger) derivation {
-	rule := rules.Rules[tr.rule]
-	d := derivation{rule: int(tr.rule), body: make([]string, 0, len(rule.Body))}
+// newDerivation starts the provenance record for a firing of tr under its
+// template: the rule, the semi-oblivious memory key (oblivious variant only)
+// and the keys of the ground body facts the trigger consumed. Head facts are
+// set by the caller once instantiated.
+func (st *State) newDerivation(tp *template, tr trigger) derivation {
+	d := derivation{rule: int(tr.rule), body: make([]string, len(tp.body))}
 	if st.opts.Variant == Oblivious {
-		d.trigger = triggerKey(int(tr.rule), tr.frontier, rule.Distinguished())
+		d.trigger = triggerKey(int(tr.rule), tr.row, tp.dist)
 	}
-	for _, b := range rule.Body {
-		d.body = append(d.body, tr.frontier.ApplyAtom(b).Key())
+	for i := range tp.body {
+		d.body[i] = tp.body[i].key(tr.row)
 	}
 	return d
 }
@@ -379,7 +388,7 @@ func (st *State) resume(ctx context.Context, rules *dependency.Set, ins, delta *
 			// filter runs single-threaded at the barrier.
 			kept := triggers[:0]
 			for _, tr := range triggers {
-				key := triggerKey(int(tr.rule), tr.frontier, rules.Rules[tr.rule].Distinguished())
+				key := triggerKey(int(tr.rule), tr.row, plans.tmpl[tr.rule].dist)
 				if !st.fired[key] {
 					st.fired[key] = true
 					kept = append(kept, tr)
@@ -405,6 +414,9 @@ func (st *State) resume(ctx context.Context, rules *dependency.Set, ins, delta *
 			// Per-worker head-plan runners, lazily created per rule: repeated
 			// applicability checks reuse the register file, allocation-free.
 			headRunners := make([]*eval.Runner, len(rules.Rules))
+			// Without provenance no head atom outlives its firing (the
+			// shard keeps only their arguments), so one atom buffer serves.
+			var heads []logic.Atom
 			polled := 0
 			for i := w; i < len(triggers); i += workers {
 				if truncated.Load() || canceled.Load() {
@@ -419,8 +431,8 @@ func (st *State) resume(ctx context.Context, rules *dependency.Set, ins, delta *
 					return
 				}
 				tr := triggers[i]
-				rule := rules.Rules[tr.rule]
-				if opts.Variant == Restricted && plans.headSatisfied(int(tr.rule), tr.frontier, ins, headRunners) {
+				tp := plans.tmpl[tr.rule]
+				if opts.Variant == Restricted && plans.headSatisfied(int(tr.rule), tr.row, ins, headRunners) {
 					continue
 				}
 				if n := steps.Add(1); int(n) > opts.MaxSteps {
@@ -428,13 +440,18 @@ func (st *State) resume(ctx context.Context, rules *dependency.Set, ins, delta *
 					truncated.Store(true)
 					return
 				}
-				heads, n := instantiateHead(rule, tr.frontier, st.gens[w])
+				if st.prov != nil {
+					heads = nil // the derivation keeps this firing's atoms
+				}
+				var n int
+				heads, n = instantiateHead(tp, tr.row, st.gens[w], heads)
 				nulls[w] += n
 				if shards[w] == nil {
 					shards[w] = storage.NewShard()
 				}
 				for _, ha := range heads {
-					if _, err := shards[w].Insert(ha); err != nil {
+					// The shard takes the freshly built arguments as they are.
+					if err := shards[w].Insert(ha); err != nil {
 						// The Ontology keeps rules and data on one signature
 						// (construction, AddRule, AddFact); reaching here is
 						// a programming error.
@@ -442,7 +459,7 @@ func (st *State) resume(ctx context.Context, rules *dependency.Set, ins, delta *
 					}
 				}
 				if st.prov != nil {
-					d := st.newDerivation(rules, tr)
+					d := st.newDerivation(tp, tr)
 					d.heads = heads
 					provs[w] = append(provs[w], d)
 				}

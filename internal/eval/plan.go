@@ -115,8 +115,8 @@ func (p *Plan) Access() []AtomAccess {
 }
 
 // Slots maps variables to their register slots, -1 for variables the plan
-// never binds. The chase uses it to read trigger frontiers straight out of
-// the register file.
+// never binds. The chase uses it to read trigger rows straight out of the
+// register file.
 func (p *Plan) Slots(vars []logic.Term) []int {
 	out := make([]int, len(vars))
 	for i, v := range vars {

@@ -96,7 +96,25 @@ func (r *Relation) Insert(t Tuple) bool {
 		return false
 	}
 	r.mustBeWritable()
-	t = t.Clone()
+	r.add(k, t.Clone())
+	return true
+}
+
+// insertKeyed is Insert for a tuple whose key the caller already holds and
+// which the relation may keep: no re-keying and no copy. The shard merge
+// uses it, so that a derived fact is keyed once on its way in.
+func (r *Relation) insertKeyed(k string, t Tuple) bool {
+	if _, ok := r.keys[k]; ok {
+		return false
+	}
+	r.mustBeWritable()
+	r.add(k, t)
+	return true
+}
+
+// add appends a tuple known to be absent under its key k, maintaining
+// already-built indexes.
+func (r *Relation) add(k string, t Tuple) {
 	r.keys[k] = len(r.tuples)
 	r.tuples = append(r.tuples, t)
 	if r.index != nil {
@@ -104,7 +122,6 @@ func (r *Relation) Insert(t Tuple) bool {
 			r.index[col][term] = append(r.index[col][term], len(r.tuples)-1)
 		}
 	}
-	return true
 }
 
 // Remove deletes the tuple, reporting whether it was present. The vacated
@@ -114,7 +131,11 @@ func (r *Relation) Insert(t Tuple) bool {
 // posting-list) instead of an index rebuild. Single-writer, like Insert,
 // and like Insert it panics when it would change a frozen relation.
 func (r *Relation) Remove(t Tuple) bool {
-	k := t.Key()
+	return r.removeKeyed(t.Key())
+}
+
+// removeKeyed is Remove by tuple key.
+func (r *Relation) removeKeyed(k string) bool {
 	i, ok := r.keys[k]
 	if !ok {
 		return false
@@ -330,7 +351,8 @@ func (ins *Instance) InsertAtom(a logic.Atom) error {
 	return err
 }
 
-// Insert adds a ground atom, reporting whether it was new.
+// Insert adds a ground atom, reporting whether it was new. The atom is keyed
+// once, and its arguments are copied only when it is new.
 func (ins *Instance) Insert(a logic.Atom) (bool, error) {
 	ins.mustBeWritable()
 	rel, ok := ins.rels[a.Pred]
@@ -342,13 +364,15 @@ func (ins *Instance) Insert(a logic.Atom) (bool, error) {
 		return false, fmt.Errorf("storage: predicate %s used with arity %d and %d",
 			a.Pred, rel.Arity(), a.Arity())
 	}
+	k := Tuple(a.Args).Key()
+	if _, ok := rel.keys[k]; ok {
+		return false, nil // dedup, against a frozen relation too, without copying
+	}
 	if rel.frozen {
-		if rel.Contains(Tuple(a.Args)) {
-			return false, nil // dedup against the frozen relation without copying
-		}
 		rel = ins.own(a.Pred)
 	}
-	return rel.Insert(Tuple(a.Args)), nil
+	rel.add(k, Tuple(a.Args).Clone())
+	return true, nil
 }
 
 // Remove deletes a ground atom, reporting whether it was present. Removing
@@ -359,13 +383,14 @@ func (ins *Instance) Remove(a logic.Atom) bool {
 	if rel == nil || rel.Arity() != a.Arity() {
 		return false
 	}
+	k := Tuple(a.Args).Key()
+	if _, ok := rel.keys[k]; !ok {
+		return false
+	}
 	if rel.frozen {
-		if !rel.Contains(Tuple(a.Args)) {
-			return false
-		}
 		rel = ins.own(a.Pred)
 	}
-	return rel.Remove(Tuple(a.Args))
+	return rel.removeKeyed(k)
 }
 
 // own replaces the frozen relation for pred, aliased with an ExtendClone

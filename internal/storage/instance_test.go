@@ -312,3 +312,43 @@ func TestRelationStats(t *testing.T) {
 		t.Errorf("Distinct(1) after second remove = %d, want 1", r.Distinct(1))
 	}
 }
+
+// TestMergeShardsKeepsInsertionOrder: the merge replays the shards in order
+// and each shard in the order it was written, into both the instance and the
+// delta, dropping facts already present or buffered earlier; the merged
+// facts are the shards' own tuples, not copies.
+func TestMergeShardsKeepsInsertionOrder(t *testing.T) {
+	ins := MustFromAtoms([]logic.Atom{logic.NewAtom("p", c("old"))})
+	s0, s1 := NewShard(), NewShard()
+	for _, a := range []string{"z", "old", "y", "z", "x"} {
+		if err := s0.Insert(logic.NewAtom("p", c(a))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w := logic.NewAtom("p", c("w"))
+	for _, a := range []logic.Atom{logic.NewAtom("p", c("y")), w} {
+		if err := s1.Insert(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	delta, err := ins.MergeShards(s0, s1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := func(r *Relation) string {
+		var names []string
+		for _, tu := range r.Tuples() {
+			names = append(names, tu[0].Name)
+		}
+		return strings.Join(names, " ")
+	}
+	if got := order(ins.Relation("p")); got != "old z y x w" {
+		t.Errorf("instance order %q, want %q", got, "old z y x w")
+	}
+	if got := order(delta.Relation("p")); got != "z y x w" {
+		t.Errorf("delta order %q, want %q", got, "z y x w")
+	}
+	if got := ins.Relation("p").Tuples()[4]; &got[0] != &w.Args[0] {
+		t.Error("the merge copied a buffered tuple instead of keeping it")
+	}
+}

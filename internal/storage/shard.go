@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 
@@ -8,35 +9,55 @@ import (
 )
 
 // Shard is a coordination-free write buffer for one chase worker: new facts
-// accumulate here, deduplicated locally per predicate, while the shared
-// Instance stays frozen for concurrent readers. At the round barrier the
-// shards are merged into the instance (MergeShards), which also yields the
-// round's delta. A Shard must only ever be used by one goroutine.
+// accumulate here, keyed but not deduplicated, while the shared Instance
+// stays frozen for concurrent readers. At the round barrier the shards are
+// merged into the instance (MergeShards), whose destination probe drops
+// every fact already present — earlier in this shard, in another shard or
+// in the instance — and which yields the round's delta. A Shard must only
+// ever be used by one goroutine.
 type Shard struct {
-	ins *Instance
+	rels map[string]*shardRel
+}
+
+// shardRel is one predicate's buffer: the tuples in insertion order, each
+// with its key, so the merge neither re-keys nor copies a fact and replays
+// the buffer in the order it was written.
+type shardRel struct {
+	arity  int
+	keys   []string
+	tuples []Tuple
 }
 
 // NewShard returns an empty write buffer.
 func NewShard() *Shard {
-	return &Shard{ins: NewInstance()}
+	return &Shard{rels: make(map[string]*shardRel)}
 }
 
-// Insert buffers a ground atom, reporting whether it was new *to this
-// shard*. Arity conflicts with earlier buffered atoms are errors; conflicts
+// Insert buffers a ground atom. The shard takes ownership of a.Args: the
+// caller must not modify them afterwards, and the merge stores them as they
+// are. Arity conflicts with earlier buffered atoms are errors; conflicts
 // with the destination instance surface at merge time.
-func (s *Shard) Insert(a logic.Atom) (bool, error) {
-	return s.ins.Insert(a)
+func (s *Shard) Insert(a logic.Atom) error {
+	r := s.rels[a.Pred]
+	if r == nil {
+		r = &shardRel{arity: a.Arity()}
+		s.rels[a.Pred] = r
+	}
+	if r.arity != a.Arity() {
+		return fmt.Errorf("storage: predicate %s used with arity %d and %d",
+			a.Pred, r.arity, a.Arity())
+	}
+	r.keys = append(r.keys, Tuple(a.Args).Key())
+	r.tuples = append(r.tuples, a.Args)
+	return nil
 }
-
-// Len returns the number of distinct buffered facts.
-func (s *Shard) Len() int { return s.ins.Size() }
 
 // mergeGroup gathers, for one predicate, every shard relation buffering
 // facts for it — the unit of per-relation merging.
 type mergeGroup struct {
 	pred  string
 	arity int
-	srcs  []*Relation
+	srcs  []*shardRel
 }
 
 // MergeShards folds the buffered facts of every shard into the instance and
@@ -45,12 +66,10 @@ type mergeGroup struct {
 // concurrent readers of ins. It panics on a frozen instance.
 //
 // The merge runs per relation, not per shard: all shards' buffers for one
-// predicate are merged together, deduplicated across shards as they go, so
-// a fact buffered by k workers probes the destination once instead of k
-// times, and the relation/COW resolution is hoisted out of the tuple loop.
-// Independent relations merge concurrently when GOMAXPROCS allows —
-// distinct Relation objects, with the instance's relation map pre-resolved
-// sequentially, keep the fan-out race-free.
+// predicate are merged together, so the relation/COW resolution is hoisted
+// out of the tuple loop. Independent relations merge concurrently when
+// GOMAXPROCS allows — distinct Relation objects, with the instance's
+// relation map pre-resolved sequentially, keep the fan-out race-free.
 func (ins *Instance) MergeShards(shards ...*Shard) (*Instance, error) {
 	ins.mustBeWritable()
 	groups, order, err := groupShards(shards)
@@ -115,8 +134,8 @@ func dropEmpty(delta *Instance) *Instance {
 	return delta
 }
 
-// groupShards gathers the shard relations per predicate, surfacing
-// cross-shard arity conflicts; order keeps the merge deterministic.
+// groupShards gathers the shard relations per predicate, in shard order,
+// surfacing cross-shard arity conflicts; order lists the predicates.
 func groupShards(shards []*Shard) (map[string]*mergeGroup, []string, error) {
 	groups := make(map[string]*mergeGroup)
 	var order []string
@@ -124,15 +143,15 @@ func groupShards(shards []*Shard) (map[string]*mergeGroup, []string, error) {
 		if s == nil {
 			continue
 		}
-		for pred, r := range s.ins.rels {
+		for pred, r := range s.rels {
 			g := groups[pred]
 			if g == nil {
-				g = &mergeGroup{pred: pred, arity: r.Arity()}
+				g = &mergeGroup{pred: pred, arity: r.arity}
 				groups[pred] = g
 				order = append(order, pred)
 			}
-			if g.arity != r.Arity() {
-				return nil, nil, arityErr(pred, g.arity, r.Arity())
+			if g.arity != r.arity {
+				return nil, nil, arityErr(pred, g.arity, r.arity)
 			}
 			g.srcs = append(g.srcs, r)
 		}
@@ -145,8 +164,8 @@ func groupShards(shards []*Shard) (map[string]*mergeGroup, []string, error) {
 // will genuinely grow it.
 func groupHasNew(dst *Relation, g *mergeGroup) bool {
 	for _, src := range g.srcs {
-		for _, t := range src.Tuples() {
-			if !dst.Contains(t) {
+		for _, k := range src.keys {
+			if _, ok := dst.keys[k]; !ok {
 				return true
 			}
 		}
@@ -155,38 +174,24 @@ func groupHasNew(dst *Relation, g *mergeGroup) bool {
 }
 
 // mergeRelation folds one predicate's shard buffers into its destination
-// relation, deduplicating across shards via the shards' own key maps: a
-// tuple seen in an earlier shard of the group is skipped before the
-// destination is probed. New tuples land in the delta relation directly —
-// they are distinct by construction, so the delta insert never re-probes a
-// grown set. The destination relation is private by the time this runs
+// relation, shard by shard in insertion order, so a run's tuple order (and
+// with it the next round's firing order and null names) is reproducible.
+// Each fact enters the destination and the delta under the key and with the
+// tuple its shard built: no re-keying, no copy. The destination probe is the
+// only dedup — a fact buffered twice, by one shard or by several, is found
+// there the second time — so the tuples reaching the delta are distinct by
+// construction. The destination relation is private by the time this runs
 // (see MergeShards), so concurrent per-relation merges are disjoint.
 func (ins *Instance) mergeRelation(g *mergeGroup, delta *Instance) {
 	dst := ins.rels[g.pred]
 	dRel := delta.rels[g.pred]
-	for si, src := range g.srcs {
-		for k, i := range src.keys {
-			if dupInEarlierShard(g, si, k) {
-				continue
-			}
-			t := src.tuples[i]
-			if dst.Insert(t) {
-				dRel.Insert(t)
+	for _, src := range g.srcs {
+		for i, k := range src.keys {
+			if t := src.tuples[i]; dst.insertKeyed(k, t) {
+				dRel.add(k, t)
 			}
 		}
 	}
-}
-
-// dupInEarlierShard reports whether tuple key k already appears in a shard
-// before index si in the group — cross-shard dedup reusing the shards' key
-// maps instead of growing a scratch set.
-func dupInEarlierShard(g *mergeGroup, si int, k string) bool {
-	for _, prev := range g.srcs[:si] {
-		if _, ok := prev.keys[k]; ok {
-			return true
-		}
-	}
-	return false
 }
 
 func arityErr(pred string, a, b int) error {

@@ -207,7 +207,7 @@ func step(t *testing.T, rng *rand.Rand, ins *Instance, m model) {
 			shards[i] = NewShard()
 			for j := rng.Intn(5); j >= 0; j-- {
 				a := randAtom(rng)
-				if _, err := shards[i].Insert(a); err != nil {
+				if err := shards[i].Insert(a); err != nil {
 					continue // conflicts with an earlier fact of this shard
 				}
 				conflict = conflict || conflicts(a)
