@@ -656,28 +656,6 @@ func BenchmarkInstanceClone(b *testing.B) {
 
 // --- Ablations: design choices of the rewriter, the chase and the graphs --
 
-// BenchmarkAblationChaseVariant compares the restricted chase (checks head
-// satisfaction before firing) against the semi-oblivious chase (fires once
-// per frontier binding) on the university workload.
-func BenchmarkAblationChaseVariant(b *testing.B) {
-	rules := datagen.University()
-	data := datagen.UniversityData(4, 1)
-	for _, variant := range []chase.Variant{chase.Restricted, chase.Oblivious} {
-		b.Run(variant.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			nulls := 0
-			for i := 0; i < b.N; i++ {
-				res := chase.Run(rules, data, chase.Options{Variant: variant})
-				if !res.Terminated {
-					b.Fatal("chase must terminate")
-				}
-				nulls = res.NullsCreated
-			}
-			b.ReportMetric(float64(nulls), "nulls")
-		})
-	}
-}
-
 // BenchmarkGraphConstructionOnly separates the two graph constructions from
 // their cycle checks on a mid-sized generated set.
 func BenchmarkGraphConstructionOnly(b *testing.B) {

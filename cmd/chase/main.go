@@ -1,6 +1,5 @@
 // Command chase materializes a database with a TGD file using the
-// restricted (or semi-oblivious, -oblivious) chase and prints the expanded
-// instance. The rules and data are
+// restricted chase and prints the expanded instance. The rules and data are
 // loaded through repro.ParseFiles, so a program that uses one predicate with
 // two arities is rejected before the engine runs.
 //
@@ -37,7 +36,6 @@ import (
 func main() {
 	rulesPath := flag.String("rules", "", "path to a .rules file of TGDs")
 	dataPath := flag.String("data", "", "path to a .data file of facts")
-	oblivious := flag.Bool("oblivious", false, "use the semi-oblivious chase")
 	add := flag.String("add", "", "extra facts (program text) to fold in after the initial chase")
 	del := flag.String("delete", "", "facts (program text) to delete after the initial chase")
 	addRule := flag.String("add-rule", "", "a TGD (rule text, e.g. 'p(X) -> q(X) .') to add after the initial chase")
@@ -46,7 +44,7 @@ func main() {
 	shared := cliflags.Bind(flag.CommandLine)
 	flag.Parse()
 	if *rulesPath == "" {
-		fmt.Fprintln(os.Stderr, "usage: chase -rules FILE [-data FILE] [-oblivious] [-timeout D] [-add 'f(a) .'] [-delete 'f(a) .'] [-add-rule 'p(X) -> q(X) .'] [-drop-rule R2] [-incremental]")
+		fmt.Fprintln(os.Stderr, "usage: chase -rules FILE [-data FILE] [-timeout D] [-add 'f(a) .'] [-delete 'f(a) .'] [-add-rule 'p(X) -> q(X) .'] [-drop-rule R2] [-incremental]")
 		os.Exit(2)
 	}
 	var dataPaths []string
@@ -63,9 +61,6 @@ func main() {
 		fatal(err)
 	}
 	opts := chase.Options{MaxSteps: ropts.MaxSteps, MaxRounds: ropts.MaxRounds, Parallelism: ropts.Parallelism}
-	if *oblivious {
-		opts.Variant = chase.Oblivious
-	}
 	// Incremental deletion (of facts or of a rule's contribution) walks the
 	// engine's derivation provenance.
 	opts.TrackProvenance = (*del != "" || *dropRule != "") && *incremental
@@ -76,7 +71,7 @@ func main() {
 	ins := data.Clone()
 	res := st.ResumeCtx(ctx, set, ins, ins)
 	checkCtx(res, ins)
-	report(opts, "initial", res, ins)
+	report("initial", res, ins)
 
 	if (*add != "" || *del != "" || *addRule != "" || *dropRule != "") && *incremental && !res.Terminated {
 		// Maintaining a truncated chase is unsound (dropped triggers are
@@ -100,7 +95,7 @@ func main() {
 				fatal(err)
 			}
 			checkCtx(res, ins)
-			report(opts, "incremental add", res, ins)
+			report("incremental add", res, ins)
 			for _, f := range extra {
 				if err := data.InsertAtom(f); err != nil {
 					fatal(err)
@@ -115,7 +110,7 @@ func main() {
 			res = chase.RunCtx(ctx, set, data, opts)
 			ins = res.Instance
 			checkCtx(res, ins)
-			report(opts, "re-chase", res, ins)
+			report("re-chase", res, ins)
 		}
 	}
 	if *del != "" {
@@ -141,12 +136,12 @@ func main() {
 				dres.Requested, dres.OverDeleted, dres.Rederived)
 			res = dres.Result
 			checkCtx(res, ins)
-			report(opts, "incremental delete", res, ins)
+			report("incremental delete", res, ins)
 		} else {
 			res = chase.RunCtx(ctx, set, data, opts)
 			ins = res.Instance
 			checkCtx(res, ins)
-			report(opts, "re-chase", res, ins)
+			report("re-chase", res, ins)
 		}
 	}
 	if *addRule != "" {
@@ -167,12 +162,12 @@ func main() {
 			// Resume with the whole instance as delta against the new rule only.
 			res = st.ExtendRulesCtx(ctx, next, ins, set.Len())
 			checkCtx(res, ins)
-			report(opts, "incremental add-rule", res, ins)
+			report("incremental add-rule", res, ins)
 		} else {
 			res = chase.RunCtx(ctx, next, data, opts)
 			ins = res.Instance
 			checkCtx(res, ins)
-			report(opts, "re-chase (add-rule)", res, ins)
+			report("re-chase (add-rule)", res, ins)
 		}
 		set = next
 	}
@@ -194,12 +189,12 @@ func main() {
 				*dropRule, dres.Requested, dres.OverDeleted, dres.Rederived)
 			res = dres.Result
 			checkCtx(res, ins)
-			report(opts, "incremental drop-rule", res, ins)
+			report("incremental drop-rule", res, ins)
 		} else {
 			res = chase.RunCtx(ctx, next, data, opts)
 			ins = res.Instance
 			checkCtx(res, ins)
-			report(opts, "re-chase (drop-rule)", res, ins)
+			report("re-chase (drop-rule)", res, ins)
 		}
 		set = next
 	}
@@ -217,9 +212,9 @@ func checkCtx(res *chase.Result, ins *storage.Instance) {
 	os.Exit(1)
 }
 
-func report(opts chase.Options, phase string, res *chase.Result, ins *storage.Instance) {
-	fmt.Fprintf(os.Stderr, "%s chase (%s): terminated=%v steps=%d rounds=%d nulls=%d facts=%d\n",
-		opts.Variant, phase, res.Terminated, res.Steps, res.Rounds, res.NullsCreated, ins.Size())
+func report(phase string, res *chase.Result, ins *storage.Instance) {
+	fmt.Fprintf(os.Stderr, "restricted chase (%s): terminated=%v steps=%d rounds=%d nulls=%d facts=%d\n",
+		phase, res.Terminated, res.Steps, res.Rounds, res.NullsCreated, ins.Size())
 }
 
 func fatal(err error) {

@@ -1,10 +1,10 @@
 // Package chase implements the chase procedure for TGDs over database
 // instances: the materialization-based expansion technique for
-// certain-answer query answering. Both the oblivious chase (fire every
-// trigger once) and the restricted chase (fire a trigger only when its head
-// is not already satisfied) are provided, with labelled-null invention for
-// existential head variables, round-based fair scheduling, and step/round
-// budgets so non-terminating rule sets are handled gracefully.
+// certain-answer query answering. The chase is the restricted one: a
+// trigger fires only when its head is not already satisfied. It invents
+// labelled nulls for existential head variables, schedules in fair rounds,
+// and has step/round budgets so non-terminating rule sets are handled
+// gracefully.
 //
 // The engine is a semi-naive, delta-driven fixpoint: each round enumerates
 // only the triggers in which at least one body atom matches a fact derived
@@ -30,7 +30,6 @@ package chase
 
 import (
 	"context"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -42,28 +41,6 @@ import (
 	"repro/internal/storage"
 )
 
-// Variant selects the chase flavour.
-type Variant int
-
-const (
-	// Restricted (standard) chase: a trigger fires only if the head cannot
-	// already be satisfied by extending the trigger homomorphism. Terminates
-	// strictly more often than the oblivious chase.
-	Restricted Variant = iota
-	// Oblivious (semi-oblivious) chase: every rule fires at most once per
-	// frontier binding regardless of head satisfaction. Simpler, but
-	// invents more nulls than the restricted chase.
-	Oblivious
-)
-
-// String names the variant.
-func (v Variant) String() string {
-	if v == Oblivious {
-		return "oblivious"
-	}
-	return "restricted"
-}
-
 // Default budgets applied when Options leaves them zero.
 const (
 	// DefaultMaxSteps is the default trigger-firing budget.
@@ -74,7 +51,6 @@ const (
 
 // Options configures a chase run.
 type Options struct {
-	Variant Variant
 	// MaxSteps bounds the number of trigger firings (0 = DefaultMaxSteps).
 	MaxSteps int
 	// MaxRounds bounds the number of fair rounds (0 = DefaultMaxRounds).
@@ -116,7 +92,7 @@ type Result struct {
 	// deadline (ResumeCtx and friends). An aborted run stopped at a round
 	// barrier without merging the interrupted round's writes, so Instance is
 	// a valid chase prefix of the input — but the engine State has consumed
-	// partial bookkeeping (counters, fired memory) and must be discarded:
+	// partial bookkeeping (counters, provenance) and must be discarded:
 	// incremental maintenance on top of an aborted run is unsound, exactly
 	// as after a truncation.
 	Err error
@@ -497,7 +473,7 @@ func collectTriggers(ctx context.Context, rules *dependency.Set, ins, delta *sto
 			seen[ri] = ruleSeen
 		}
 		for _, tr := range trs {
-			if k := rowKey(nil, tr.row); !ruleSeen[k] {
+			if k := rowKey(tr.row); !ruleSeen[k] {
 				ruleSeen[k] = true
 				out = append(out, tr)
 			}
@@ -570,44 +546,15 @@ func headSatisfied(rule *dependency.TGD, frontier logic.Subst, ins *storage.Inst
 	return found
 }
 
-// triggerKey keys the semi-oblivious fired-trigger memory: the rule index,
-// a NUL, then rowKey of the row's values at the distinguished positions.
-func triggerKey(rule int, row []logic.Term, dist []int) string {
-	var prefix [20]byte
-	p := strconv.AppendInt(prefix[:0], int64(rule), 10)
-	p = append(p, 0)
-	var buf [8]logic.Term
-	frontier := buf[:0]
-	for _, i := range dist {
-		frontier = append(frontier, row[i])
-	}
-	return rowKey(p, frontier)
-}
-
-// splitTriggerKey splits a semi-oblivious trigger key into its rule index
-// and the binding suffix (the separating NUL stays with the suffix).
-func splitTriggerKey(k string) (int, string) {
-	i := strings.IndexByte(k, 0)
-	n, _ := strconv.Atoi(k[:i])
-	return n, k[i:]
-}
-
-// joinTriggerKey re-prefixes a trigger-key suffix with a rule index — the
-// inverse of splitTriggerKey, used when rule removal shifts indices down.
-func joinTriggerKey(rule int, suffix string) string {
-	return strconv.Itoa(rule) + suffix
-}
-
-// rowKey canonically encodes prefix plus a row: per value its kind digit,
-// name and a NUL, in one pre-sized allocation.
-func rowKey(prefix []byte, row []logic.Term) string {
-	n := len(prefix)
+// rowKey canonically encodes a row: per value its kind digit, name and a
+// NUL, in one pre-sized allocation.
+func rowKey(row []logic.Term) string {
+	n := 0
 	for _, t := range row {
 		n += len(t.Name) + 2
 	}
 	var b strings.Builder
 	b.Grow(n)
-	b.Write(prefix)
 	for _, t := range row {
 		b.WriteByte('0' + byte(t.Kind))
 		b.WriteString(t.Name)

@@ -14,14 +14,14 @@
 //     semi-naively from the removed facts themselves: each removed fact is
 //     unified with rule heads and the rule bodies are joined against the
 //     surviving instance from that seed, so the work is proportional to the
-//     deleted closure, not to the instance. Survivor triggers re-fire under
-//     the usual variant discipline and their consequences propagate through
-//     an ordinary semi-naive Resume.
+//     deleted closure, not to the instance. A candidate whose head no longer
+//     holds re-fires, and the consequences propagate through an ordinary
+//     semi-naive Resume.
 //
 // The result is a valid chase of the remaining base data: certain answers
-// equal a from-scratch chase (property-tested for both variants, sequential
-// and parallel states). Only labelled-null names and redundant-null counts
-// may differ, exactly as for parallelism.
+// equal a from-scratch chase (property-tested, sequential and parallel
+// states). Only labelled-null names and redundant-null counts may differ,
+// exactly as for parallelism.
 package chase
 
 import (
@@ -35,11 +35,11 @@ import (
 )
 
 // DeleteResult describes one incremental deletion pass — of base facts
-// (Delete) or of a whole rule's contribution (DeleteRule).
+// (Delete) or of a whole rule's contribution (DeleteRuleCtx).
 type DeleteResult struct {
 	// Requested counts the facts removed directly: for Delete, the facts
 	// named by the caller that were present (absent facts are no-ops); for
-	// DeleteRule, the outputs of the removed rule's firings.
+	// DeleteRuleCtx, the outputs of the removed rule's firings.
 	Requested int
 	// OverDeleted counts the additional facts removed by the closure sweep.
 	OverDeleted int
@@ -122,7 +122,7 @@ func (st *State) repair(ctx context.Context, rules *dependency.Set, ins *storage
 	st.rederive(ctx, rules, ins, queue, removed, res)
 }
 
-// DeleteRule removes one rule's contribution from a maintained chase — the
+// DeleteRuleCtx removes one rule's contribution from a maintained chase — the
 // maintenance step behind Ontology.RemoveRuleCtx. rules is the SURVIVING set
 // and ri the removed rule's index in the previous set (surviving rules keep
 // their order; indices beyond ri shift down by one).
@@ -130,19 +130,14 @@ func (st *State) repair(ctx context.Context, rules *dependency.Set, ins *storage
 // Over-deletion here is rule-keyed rather than fact-keyed: every derivation
 // whose provenance cites rule ri is marked dead and its outputs removed
 // (base facts are guarded exactly as in Delete), then the derived closure of
-// those facts is over-deleted through the consumer edges. Stored rule
-// indices — provenance derivations and semi-oblivious fired-memory keys —
-// are remapped to the shrunk set, and survivors are re-derived against the
-// surviving rules and propagated semi-naively. DeleteResult.Requested counts
-// the facts removed directly from the rule's firings, OverDeleted the
-// closure beyond them; the work is proportional to the removed rule's
-// contribution, not to the instance.
-func (st *State) DeleteRule(rules *dependency.Set, ins *storage.Instance, ri int, base *storage.Instance) (*DeleteResult, error) {
-	return st.DeleteRuleCtx(context.Background(), rules, ins, ri, base)
-}
-
-// DeleteRuleCtx is DeleteRule under a cancellation context, with the same
-// abort semantics as DeleteCtx: on cancellation the repair is half-applied,
+// those facts is over-deleted through the consumer edges. The rule indices
+// stored in provenance derivations are remapped to the shrunk set, and
+// survivors are re-derived against the surviving rules and propagated
+// semi-naively. DeleteResult.Requested counts the facts removed directly
+// from the rule's firings, OverDeleted the closure beyond them; the work is
+// proportional to the removed rule's contribution, not to the instance.
+//
+// Aborts as DeleteCtx does: on cancellation the repair is half-applied,
 // Result.Err is set, the state is marked truncated, and the caller must
 // discard instance and state.
 func (st *State) DeleteRuleCtx(ctx context.Context, rules *dependency.Set, ins *storage.Instance, ri int, base *storage.Instance) (*DeleteResult, error) {
@@ -173,8 +168,8 @@ func (st *State) DeleteRuleCtx(ctx context.Context, rules *dependency.Set, ins *
 		}
 	}
 	// The set shrank: shift every stored rule index past ri down by one so
-	// provenance and fired memory keep meaning the same rules. Must happen
-	// before re-derivation, which records new derivations under new indices.
+	// provenance keeps meaning the same rules. Must happen before
+	// re-derivation, which records new derivations under new indices.
 	st.remapRuleIndices(ri)
 	if len(queue) > 0 {
 		st.repair(ctx, rules, ins, base, queue, removed, res)
@@ -195,30 +190,19 @@ func (st *State) repairable() error {
 	return nil
 }
 
-// overDelete is the closure sweep shared by Delete and DeleteRule: walk
-// consumer edges breadth-first from the
-// already-removed facts in queue, removing everything derived through a
-// removed fact. Dead derivations are marked (and counted for the compaction
-// sweep) so later deletions skip them, and semi-oblivious trigger memory is
-// cleared for every firing that either consumed or produced a removed fact,
-// so re-derivation may re-fire it. Facts still present in base are never
-// removed — a base fact needs no derivation. Returns the full removed queue
-// for the re-derivation sweep; res.OverDeleted counts the facts removed
-// beyond the initial seeds.
+// overDelete is the closure sweep shared by Delete and DeleteRuleCtx: walk
+// consumer edges breadth-first from the already-removed facts in queue,
+// removing everything derived through a removed fact. Dead derivations are
+// marked (and counted for the compaction sweep) so later deletions skip
+// them. Facts still present in base are never removed — a base fact needs
+// no derivation. Returns the full removed queue for the re-derivation sweep;
+// res.OverDeleted counts the facts removed beyond the initial seeds.
 func (st *State) overDelete(ctx context.Context, ins *storage.Instance, base *storage.Instance, queue []logic.Atom, removed map[string]bool, res *DeleteResult) []logic.Atom {
 	for qi := 0; qi < len(queue); qi++ {
 		if qi&0xFF == 0 && ctx.Err() != nil {
 			return queue // canceled: half-swept, caller surfaces the abort
 		}
 		fk := queue[qi].Key()
-		if st.prov.producers != nil {
-			for _, di := range st.prov.producers[fk] {
-				if t := st.prov.derivs[di].trigger; t != "" {
-					delete(st.fired, t)
-				}
-			}
-			delete(st.prov.producers, fk)
-		}
 		for _, di := range st.prov.consumers[fk] {
 			d := &st.prov.derivs[di]
 			if d.dead {
@@ -241,14 +225,14 @@ func (st *State) overDelete(ctx context.Context, ins *storage.Instance, base *st
 	return queue
 }
 
-// rederive is the re-derivation sweep shared by Delete and DeleteRule,
+// rederive is the re-derivation sweep shared by Delete and DeleteRuleCtx,
 // seeded by the removed facts: any trigger the deletion could have
 // unsuppressed must produce (or have had its head satisfied by) a removed
 // fact, so unifying rule heads with removed facts and joining the body from
 // that seed enumerates every candidate without touching the unaffected part
-// of the instance. Survivor triggers re-fire under the usual variant
-// discipline, and the consequences of the restored facts propagate through
-// an ordinary semi-naive resume; res.Result describes the whole increment.
+// of the instance. A candidate whose head no longer holds re-fires, and the
+// consequences of the restored facts propagate through an ordinary
+// semi-naive resume; res.Result describes the whole increment.
 func (st *State) rederive(ctx context.Context, rules *dependency.Set, ins *storage.Instance, removedFacts []logic.Atom, removed map[string]bool, res *DeleteResult) {
 	tmpls := compileTemplates(rules)
 	cands := collectRederiveTriggers(rules, tmpls, ins, removedFacts)
@@ -259,15 +243,8 @@ func (st *State) rederive(ctx context.Context, rules *dependency.Set, ins *stora
 			break // canceled: the propagation below reports the abort
 		}
 		tp := tmpls[tr.rule]
-		if st.opts.Variant == Restricted && headSatisfied(rules.Rules[tr.rule], tp.subst(tr.row), ins) {
+		if headSatisfied(rules.Rules[tr.rule], tp.subst(tr.row), ins) {
 			continue
-		}
-		if st.opts.Variant == Oblivious {
-			key := triggerKey(int(tr.rule), tr.row, tp.dist)
-			if st.fired[key] {
-				continue
-			}
-			st.fired[key] = true
 		}
 		steps++
 		heads, n := instantiateHead(tp, tr.row, st.gens[0], nil)
@@ -287,7 +264,7 @@ func (st *State) rederive(ctx context.Context, rules *dependency.Set, ins *stora
 				restored++
 			}
 		}
-		d := st.newDerivation(tp, tr)
+		d := newDerivation(tp, tr)
 		d.heads = heads
 		st.prov.add(d)
 	}
@@ -311,38 +288,16 @@ func (st *State) rederive(ctx context.Context, rules *dependency.Set, ins *stora
 	res.Result = rres
 }
 
-// remapRuleIndices rewrites every stored rule index after the rule at ri was
-// removed from the set: provenance derivations and semi-oblivious fired
-// memory for rules beyond ri shift down by one (their trigger keys embed the
-// index, so the keys are re-prefixed), and fired entries of ri itself are
-// dropped. One pass over the graph and the fired map — rule removal is rare
-// next to fact maintenance.
+// remapRuleIndices rewrites the rule index of every provenance derivation
+// after the rule at ri was removed from the set: derivations of rules beyond
+// ri shift down by one. One pass over the graph — rule removal is rare next
+// to fact maintenance.
 func (st *State) remapRuleIndices(ri int) {
 	for di := range st.prov.derivs {
-		d := &st.prov.derivs[di]
-		if d.rule > ri {
+		if d := &st.prov.derivs[di]; d.rule > ri {
 			d.rule--
-			if d.trigger != "" {
-				_, suffix := splitTriggerKey(d.trigger)
-				d.trigger = joinTriggerKey(d.rule, suffix)
-			}
 		}
 	}
-	if st.fired == nil {
-		return
-	}
-	nf := make(map[string]bool, len(st.fired))
-	for k, v := range st.fired {
-		idx, suffix := splitTriggerKey(k)
-		switch {
-		case idx == ri: // the removed rule's memory: drop
-		case idx > ri:
-			nf[joinTriggerKey(idx-1, suffix)] = v
-		default:
-			nf[k] = v
-		}
-	}
-	st.fired = nf
 }
 
 // collectRederiveTriggers enumerates, deduplicated, every trigger whose
@@ -377,7 +332,7 @@ func collectRederiveTriggers(rules *dependency.Set, tmpls []*template, ins *stor
 					for i, v := range vars {
 						row[i] = s.Walk(v)
 					}
-					if key := rowKey(nil, row); !ruleSeen[key] {
+					if key := rowKey(row); !ruleSeen[key] {
 						ruleSeen[key] = true
 						out = append(out, trigger{rule: int32(ri), row: row})
 					}

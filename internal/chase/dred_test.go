@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/eval"
 	"repro/internal/logic"
 	"repro/internal/parser"
+	"repro/internal/query"
 	"repro/internal/storage"
 )
 
@@ -15,9 +17,8 @@ import (
 // the engine level: chasing the full data and then deleting random chunks of
 // base facts — with AddFact-style Extend calls interleaved — must leave the
 // same null-free fact set as a from-scratch chase of the surviving base
-// facts. Both variants, sequential and parallel: the restricted variant
-// exercises the head-unification re-derivation seeds, the oblivious variant
-// the fired-memory clearing.
+// facts. Sequential and parallel; the re-derivation goes through the
+// head-unification seeds.
 func TestDeleteIncrementalEqualsScratch(t *testing.T) {
 	families := []datagen.Family{
 		datagen.FamilyLinear, datagen.FamilyMultilinear,
@@ -25,58 +26,114 @@ func TestDeleteIncrementalEqualsScratch(t *testing.T) {
 	}
 	for _, fam := range families {
 		for seed := int64(1); seed <= 4; seed++ {
-			for _, variant := range []Variant{Restricted, Oblivious} {
-				for _, par := range []int{1, 4} {
-					name := fmt.Sprintf("%v/seed=%d/%v/par=%d", fam, seed, variant, par)
-					t.Run(name, func(t *testing.T) {
-						rules := datagen.Rules(datagen.Config{Family: fam, Rules: 6, Seed: seed})
-						data := datagen.Instance(rules, 25, 8, seed)
-						opts := Options{Variant: variant, MaxRounds: 60, MaxSteps: 40000, Parallelism: par, TrackProvenance: true}
+			for _, par := range []int{1, 4} {
+				name := fmt.Sprintf("%v/seed=%d/restricted/par=%d", fam, seed, par)
+				t.Run(name, func(t *testing.T) {
+					rules := datagen.Rules(datagen.Config{Family: fam, Rules: 6, Seed: seed})
+					data := datagen.Instance(rules, 25, 8, seed)
+					opts := Options{MaxRounds: 60, MaxSteps: 40000, Parallelism: par, TrackProvenance: true}
 
-						base := data.Atoms()
-						rng := rand.New(rand.NewSource(seed * 104729))
-						rng.Shuffle(len(base), func(i, j int) { base[i], base[j] = base[j], base[i] })
+					base := data.Atoms()
+					rng := rand.New(rand.NewSource(seed * 104729))
+					rng.Shuffle(len(base), func(i, j int) { base[i], base[j] = base[j], base[i] })
 
-						st := NewState(opts)
-						ins := data.Clone()
-						res := st.Resume(rules, ins, ins)
-						if !res.Terminated {
-							t.Skip("initial chase truncated; nothing exact to compare")
-						}
+					st := NewState(opts)
+					ins := data.Clone()
+					res := st.Resume(rules, ins, ins)
+					if !res.Terminated {
+						t.Skip("initial chase truncated; nothing exact to compare")
+					}
 
-						// Delete the first half of the shuffled base in a few
-						// chunks, keeping a mirror of the surviving base.
-						remaining := base[len(base)/2:]
-						doomed := base[:len(base)/2]
-						baseIns := storage.MustFromAtoms(base)
-						for len(doomed) > 0 {
-							n := 1 + rng.Intn(4)
-							if n > len(doomed) {
-								n = len(doomed)
-							}
-							for _, f := range doomed[:n] {
-								baseIns.Remove(f)
-							}
-							dres, err := st.Delete(rules, ins, doomed[:n], baseIns)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if !dres.Result.Terminated {
-								t.Fatal("re-derivation truncated under the scratch budget")
-							}
-							doomed = doomed[n:]
+					// Delete the first half of the shuffled base in a few
+					// chunks, keeping a mirror of the surviving base.
+					remaining := base[len(base)/2:]
+					doomed := base[:len(base)/2]
+					baseIns := storage.MustFromAtoms(base)
+					for len(doomed) > 0 {
+						n := 1 + rng.Intn(4)
+						if n > len(doomed) {
+							n = len(doomed)
 						}
+						for _, f := range doomed[:n] {
+							baseIns.Remove(f)
+						}
+						dres, err := st.Delete(rules, ins, doomed[:n], baseIns)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !dres.Result.Terminated {
+							t.Fatal("re-derivation truncated under the scratch budget")
+						}
+						doomed = doomed[n:]
+					}
 
-						scratch := Run(rules, storage.MustFromAtoms(remaining), opts)
-						if !scratch.Terminated {
-							t.Fatal("scratch chase of the survivors truncated")
-						}
-						if sf, inf := constFacts(scratch.Instance), constFacts(ins); sf != inf {
-							t.Errorf("null-free facts differ after deletions:\nscratch:\n%s\nincremental:\n%s", sf, inf)
-						}
-					})
-				}
+					scratch := Run(rules, storage.MustFromAtoms(remaining), opts)
+					if !scratch.Terminated {
+						t.Fatal("scratch chase of the survivors truncated")
+					}
+					if sf, inf := constFacts(scratch.Instance), constFacts(ins); sf != inf {
+						t.Errorf("null-free facts differ after deletions:\nscratch:\n%s\nincremental:\n%s", sf, inf)
+					}
+				})
 			}
+		}
+	}
+}
+
+// TestDeleteRederivesBlockedTrigger: deleting the fact that blocked a
+// trigger must make that trigger fire. The restricted chase never fired the
+// blocked trigger, so no derivation records it and no consumer edge leads to
+// it; re-derivation finds it only by unifying the removed blocker with the
+// rule head. The blocker is a base fact in one case and derived (through a
+// rule whose body fact is deleted) in the other.
+func TestDeleteRederivesBlockedTrigger(t *testing.T) {
+	a, b := c("a"), c("b")
+	cases := []struct {
+		name   string
+		rules  string
+		base   []logic.Atom
+		doomed logic.Atom
+	}{
+		{"base-blocker", `p(X) -> q(X,Y) .`,
+			[]logic.Atom{at("p", a), at("q", a, b)}, at("q", a, b)},
+		// t(a) reaches p(a) one round after s(a) has derived q(a,b), so the
+		// p trigger meets a derived blocker.
+		{"derived-blocker", `t(X) -> p(X) . p(X) -> q(X,Y) . s(X) -> q(X,b) .`,
+			[]logic.Atom{at("t", a), at("s", a)}, at("s", a)},
+	}
+	pq := parser.MustParseQuery(`ans(X) :- q(X,Y) .`)
+	u := query.MustNewUCQ(query.MustNew(pq.Head, pq.Body))
+	for _, tc := range cases {
+		for _, par := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/par=%d", tc.name, par), func(t *testing.T) {
+				rules := parser.MustParseRules(tc.rules)
+				baseIns := storage.MustFromAtoms(tc.base)
+				st := NewState(Options{Parallelism: par, TrackProvenance: true})
+				ins := baseIns.Clone()
+				if res := st.Resume(rules, ins, ins); !res.Terminated || res.NullsCreated != 0 {
+					t.Fatalf("initial chase: terminated=%v nulls=%d, want a blocked trigger and no null", res.Terminated, res.NullsCreated)
+				}
+
+				baseIns.Remove(tc.doomed)
+				dres, err := st.Delete(rules, ins, []logic.Atom{tc.doomed}, baseIns)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !dres.Result.Terminated || dres.Result.Steps != 1 || dres.Result.NullsCreated != 1 {
+					t.Errorf("repair = %+v, want the unblocked trigger fired once with one null", dres.Result)
+				}
+				q := ins.Relation("q")
+				if q == nil || q.Len() != 1 || q.Tuples()[0][0] != a || !q.Tuples()[0][1].IsNull() {
+					t.Fatalf("q after deleting the blocker = %v, want q(a, _) with a fresh null", ins)
+				}
+				if ans := eval.UCQ(u, ins, eval.Options{FilterNulls: true}); ans.Len() != 1 || ans.Tuples()[0][0] != a {
+					t.Errorf("ans(X) :- q(X,Y) = %v, want a", ans)
+				}
+				scratch := Run(rules, baseIns, Options{})
+				if sf, inf := constFacts(scratch.Instance), constFacts(ins); sf != inf {
+					t.Errorf("null-free facts differ:\nscratch:\n%s\nincremental:\n%s", sf, inf)
+				}
+			})
 		}
 	}
 }

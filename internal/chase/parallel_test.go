@@ -41,24 +41,22 @@ func TestParallelChaseMatchesSequential(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				rules := datagen.Rules(datagen.Config{Family: fam, Rules: 6, Seed: seed})
 				data := datagen.Instance(rules, 25, 8, seed)
-				for _, variant := range []Variant{Restricted, Oblivious} {
-					opts := Options{Variant: variant, MaxRounds: 30, MaxSteps: 20000}
-					seq := Run(rules, data, opts)
-					opts.Parallelism = 4
-					par := Run(rules, data, opts)
-					if seq.Terminated != par.Terminated {
-						t.Fatalf("%v: Terminated: seq=%v par=%v", variant, seq.Terminated, par.Terminated)
-					}
-					if !seq.Terminated {
-						continue // truncation order may differ; nothing exact to compare
-					}
-					if seq.Steps != par.Steps || seq.Rounds != par.Rounds || seq.NullsCreated != par.NullsCreated {
-						t.Errorf("%v: counters differ: seq steps=%d rounds=%d nulls=%d, par steps=%d rounds=%d nulls=%d",
-							variant, seq.Steps, seq.Rounds, seq.NullsCreated, par.Steps, par.Rounds, par.NullsCreated)
-					}
-					if sf, pf := constFacts(seq.Instance), constFacts(par.Instance); sf != pf {
-						t.Errorf("%v: null-free facts differ:\nseq:\n%s\npar:\n%s", variant, sf, pf)
-					}
+				opts := Options{MaxRounds: 30, MaxSteps: 20000}
+				seq := Run(rules, data, opts)
+				opts.Parallelism = 4
+				par := Run(rules, data, opts)
+				if seq.Terminated != par.Terminated {
+					t.Fatalf("Terminated: seq=%v par=%v", seq.Terminated, par.Terminated)
+				}
+				if !seq.Terminated {
+					return // truncation order may differ; nothing exact to compare
+				}
+				if seq.Steps != par.Steps || seq.Rounds != par.Rounds || seq.NullsCreated != par.NullsCreated {
+					t.Errorf("counters differ: seq steps=%d rounds=%d nulls=%d, par steps=%d rounds=%d nulls=%d",
+						seq.Steps, seq.Rounds, seq.NullsCreated, par.Steps, par.Rounds, par.NullsCreated)
+				}
+				if sf, pf := constFacts(seq.Instance), constFacts(par.Instance); sf != pf {
+					t.Errorf("null-free facts differ:\nseq:\n%s\npar:\n%s", sf, pf)
 				}
 			})
 		}
@@ -81,31 +79,29 @@ func TestPartitionedChaseMatchesOracle(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				rules := datagen.Rules(datagen.Config{Family: fam, Rules: 6, Seed: seed})
 				data := datagen.Instance(rules, 25, 8, seed)
-				for _, variant := range []Variant{Restricted, Oblivious} {
-					opts := Options{Variant: variant, MaxRounds: 30, MaxSteps: 20000}
-					base := Run(rules, data, opts)
-					if !base.Terminated {
-						continue // truncation order may differ; nothing exact to compare
+				opts := Options{MaxRounds: 30, MaxSteps: 20000}
+				base := Run(rules, data, opts)
+				if !base.Terminated {
+					return // truncation order may differ; nothing exact to compare
+				}
+				want, ok := oracleFacts(rules, data.Atoms())
+				if !ok {
+					t.Fatalf("oracle over budget on a chase the engine finished in %d steps", base.Steps)
+				}
+				for _, par := range []int{1, 4} {
+					popts := opts
+					popts.Parallelism = par
+					res := Run(rules, data, popts)
+					tag := fmt.Sprintf("par=%d", par)
+					if !res.Terminated {
+						t.Fatalf("%s: truncated where par=1 terminated", tag)
 					}
-					want, ok := oracleFacts(rules, data.Atoms(), variant)
-					if !ok {
-						t.Fatalf("%v: oracle over budget on a chase the engine finished in %d steps", variant, base.Steps)
+					if got := constFacts(res.Instance); got != want {
+						t.Errorf("%s: null-free facts differ from the oracle:\noracle:\n%s\nengine:\n%s", tag, want, got)
 					}
-					for _, par := range []int{1, 4} {
-						popts := opts
-						popts.Parallelism = par
-						res := Run(rules, data, popts)
-						tag := fmt.Sprintf("%v par=%d", variant, par)
-						if !res.Terminated {
-							t.Fatalf("%s: truncated where par=1 terminated", tag)
-						}
-						if got := constFacts(res.Instance); got != want {
-							t.Errorf("%s: null-free facts differ from the oracle:\noracle:\n%s\nengine:\n%s", tag, want, got)
-						}
-						if base.Steps != res.Steps || base.Rounds != res.Rounds || base.NullsCreated != res.NullsCreated {
-							t.Errorf("%s: counters differ from par=1: steps %d/%d rounds %d/%d nulls %d/%d",
-								tag, res.Steps, base.Steps, res.Rounds, base.Rounds, res.NullsCreated, base.NullsCreated)
-						}
+					if base.Steps != res.Steps || base.Rounds != res.Rounds || base.NullsCreated != res.NullsCreated {
+						t.Errorf("%s: counters differ from par=1: steps %d/%d rounds %d/%d nulls %d/%d",
+							tag, res.Steps, base.Steps, res.Rounds, base.Rounds, res.NullsCreated, base.NullsCreated)
 					}
 				}
 			})
@@ -136,26 +132,6 @@ func TestParallelCertainAnswersMatchSequential(t *testing.T) {
 		}
 		if ansSeq.String() != ansPar.String() {
 			t.Errorf("%s: sorted renderings differ", qs)
-		}
-	}
-}
-
-// TestObliviousFiresPerFrontierNotPerBodyBinding pins the semi-oblivious
-// semantics under the semi-naive engine: rebinding an existential *body*
-// variable (here Y, to the null just invented) must not re-fire the rule,
-// or `a(X,Y) -> a(X,Z)` would run forever.
-func TestObliviousFiresPerFrontierNotPerBodyBinding(t *testing.T) {
-	rules := parser.MustParseRules(`a(X,Y) -> a(X,Z) .`)
-	d := storage.MustFromAtoms([]logic.Atom{
-		logic.NewAtom("a", logic.NewConst("1"), logic.NewConst("2")),
-	})
-	for _, p := range []int{1, 4} {
-		res := Run(rules, d, Options{Variant: Oblivious, MaxRounds: 50, Parallelism: p})
-		if !res.Terminated {
-			t.Fatalf("p=%d: semi-oblivious chase must terminate (ran %d rounds)", p, res.Rounds)
-		}
-		if res.Steps != 1 || res.NullsCreated != 1 {
-			t.Errorf("p=%d: fired %d steps, %d nulls; want 1 and 1", p, res.Steps, res.NullsCreated)
 		}
 	}
 }

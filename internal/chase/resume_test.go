@@ -24,10 +24,9 @@ func chunkAtoms(ins *storage.Instance, n int) [][]logic.Atom {
 // correctness property at the engine level: chasing a prefix of the data and
 // then resuming with the remaining facts as deltas — in several increments —
 // must yield the same null-free fact set (= the certain facts) as a single
-// from-scratch chase of the full data. Both variants, sequential and
-// parallel: the restricted variant exercises the head-satisfaction re-check
-// against the cached instance, the oblivious variant the persistent
-// fired-trigger memory.
+// from-scratch chase of the full data. Sequential and parallel: the
+// increments exercise the head-satisfaction re-check against the cached
+// instance.
 func TestResumeIncrementalEqualsScratch(t *testing.T) {
 	families := []datagen.Family{
 		datagen.FamilyLinear, datagen.FamilyMultilinear,
@@ -35,63 +34,56 @@ func TestResumeIncrementalEqualsScratch(t *testing.T) {
 	}
 	for _, fam := range families {
 		for seed := int64(1); seed <= 4; seed++ {
-			for _, variant := range []Variant{Restricted, Oblivious} {
-				for _, par := range []int{1, 4} {
-					name := fmt.Sprintf("%v/seed=%d/%v/par=%d", fam, seed, variant, par)
-					t.Run(name, func(t *testing.T) {
-						rules := datagen.Rules(datagen.Config{Family: fam, Rules: 6, Seed: seed})
-						data := datagen.Instance(rules, 25, 8, seed)
-						opts := Options{Variant: variant, MaxRounds: 60, MaxSteps: 40000, Parallelism: par}
+			for _, par := range []int{1, 4} {
+				name := fmt.Sprintf("%v/seed=%d/restricted/par=%d", fam, seed, par)
+				t.Run(name, func(t *testing.T) {
+					rules := datagen.Rules(datagen.Config{Family: fam, Rules: 6, Seed: seed})
+					data := datagen.Instance(rules, 25, 8, seed)
+					opts := Options{MaxRounds: 60, MaxSteps: 40000, Parallelism: par}
 
-						scratch := Run(rules, data, opts)
-						if !scratch.Terminated {
-							t.Skip("from-scratch chase truncated; nothing exact to compare")
-						}
+					scratch := Run(rules, data, opts)
+					if !scratch.Terminated {
+						t.Skip("from-scratch chase truncated; nothing exact to compare")
+					}
 
-						chunks := chunkAtoms(data, 3)
-						st := NewState(opts)
-						ins, err := storage.FromAtoms(chunks[0])
-						if err != nil {
-							t.Fatal(err)
+					chunks := chunkAtoms(data, 3)
+					st := NewState(opts)
+					ins, err := storage.FromAtoms(chunks[0])
+					if err != nil {
+						t.Fatal(err)
+					}
+					incSteps := 0
+					res := st.Resume(rules, ins, ins)
+					incSteps += res.Steps
+					for _, chunk := range chunks[1:] {
+						if !res.Terminated {
+							t.Fatal("increment truncated under the same budget")
 						}
-						incSteps := 0
-						res := st.Resume(rules, ins, ins)
-						incSteps += res.Steps
-						for _, chunk := range chunks[1:] {
-							if !res.Terminated {
-								t.Fatal("increment truncated under the same budget")
+						delta := storage.NewInstance()
+						for _, a := range chunk {
+							added, err := ins.Insert(a)
+							if err != nil {
+								t.Fatal(err)
 							}
-							delta := storage.NewInstance()
-							for _, a := range chunk {
-								added, err := ins.Insert(a)
-								if err != nil {
+							if added {
+								if _, err := delta.Insert(a); err != nil {
 									t.Fatal(err)
 								}
-								if added {
-									if _, err := delta.Insert(a); err != nil {
-										t.Fatal(err)
-									}
-								}
 							}
-							res = st.Resume(rules, ins, delta)
-							incSteps += res.Steps
 						}
-						if !res.Terminated {
-							t.Fatal("final increment truncated under the same budget")
-						}
-						if sf, inf := constFacts(scratch.Instance), constFacts(ins); sf != inf {
-							t.Errorf("null-free facts differ:\nscratch:\n%s\nincremental:\n%s", sf, inf)
-						}
-						if st.TotalSteps() != incSteps {
-							t.Errorf("State.TotalSteps = %d, want sum of increments %d", st.TotalSteps(), incSteps)
-						}
-						if variant == Oblivious && st.TotalSteps() != scratch.Steps {
-							// Semi-oblivious fires exactly once per (rule,
-							// frontier) no matter how the data arrives.
-							t.Errorf("oblivious steps: incremental %d vs scratch %d", st.TotalSteps(), scratch.Steps)
-						}
-					})
-				}
+						res = st.Resume(rules, ins, delta)
+						incSteps += res.Steps
+					}
+					if !res.Terminated {
+						t.Fatal("final increment truncated under the same budget")
+					}
+					if sf, inf := constFacts(scratch.Instance), constFacts(ins); sf != inf {
+						t.Errorf("null-free facts differ:\nscratch:\n%s\nincremental:\n%s", sf, inf)
+					}
+					if st.TotalSteps() != incSteps {
+						t.Errorf("State.TotalSteps = %d, want sum of increments %d", st.TotalSteps(), incSteps)
+					}
+				})
 			}
 		}
 	}

@@ -14,13 +14,12 @@ import (
 
 // TestRuleMutationIncrementalEqualsScratch is the ontology-evolution
 // correctness property at the engine level: starting from a chased prefix of
-// a generated rule set, a random interleaving of ExtendRules (new rules over
-// the whole instance as delta), DeleteRule (rule-keyed over-deletion +
+// a generated rule set, a random interleaving of ExtendRulesCtx (new rules
+// over the whole instance as delta), DeleteRuleCtx (rule-keyed over-deletion +
 // re-derivation), Extend (fact inserts) and Delete (fact removals) must
 // leave the same null-free fact set as a from-scratch chase of the FINAL
-// rule set over the surviving base facts. Both variants, sequential and
-// parallel: the oblivious variant additionally exercises the fired-memory
-// index remap when the set shrinks.
+// rule set over the surviving base facts. Sequential and parallel; a
+// shrinking set exercises the provenance rule-index remap.
 func TestRuleMutationIncrementalEqualsScratch(t *testing.T) {
 	families := []datagen.Family{
 		datagen.FamilyLinear, datagen.FamilyMultilinear,
@@ -28,103 +27,101 @@ func TestRuleMutationIncrementalEqualsScratch(t *testing.T) {
 	}
 	for _, fam := range families {
 		for seed := int64(1); seed <= 4; seed++ {
-			for _, variant := range []Variant{Restricted, Oblivious} {
-				for _, par := range []int{1, 4} {
-					name := fmt.Sprintf("%v/seed=%d/%v/par=%d", fam, seed, variant, par)
-					t.Run(name, func(t *testing.T) {
-						full := datagen.Rules(datagen.Config{Family: fam, Rules: 8, Seed: seed})
-						data := datagen.Instance(full, 20, 8, seed)
-						opts := Options{Variant: variant, MaxRounds: 60, MaxSteps: 40000, Parallelism: par, TrackProvenance: true}
+			for _, par := range []int{1, 4} {
+				name := fmt.Sprintf("%v/seed=%d/restricted/par=%d", fam, seed, par)
+				t.Run(name, func(t *testing.T) {
+					full := datagen.Rules(datagen.Config{Family: fam, Rules: 8, Seed: seed})
+					data := datagen.Instance(full, 20, 8, seed)
+					opts := Options{MaxRounds: 60, MaxSteps: 40000, Parallelism: par, TrackProvenance: true}
 
-						// Start with a prefix of the rules; the rest is the
-						// AddRule reserve.
-						cur := dependency.MustNewSet(full.Rules[:5]...)
-						reserve := full.Rules[5:]
+					// Start with a prefix of the rules; the rest is the
+					// AddRule reserve.
+					cur := dependency.MustNewSet(full.Rules[:5]...)
+					reserve := full.Rules[5:]
 
-						baseAtoms := data.Atoms()
-						rng := rand.New(rand.NewSource(seed * 60013))
-						rng.Shuffle(len(baseAtoms), func(i, j int) { baseAtoms[i], baseAtoms[j] = baseAtoms[j], baseAtoms[i] })
-						cut := 3 * len(baseAtoms) / 4
-						baseIns := storage.MustFromAtoms(baseAtoms[:cut])
-						factReserve := baseAtoms[cut:]
+					baseAtoms := data.Atoms()
+					rng := rand.New(rand.NewSource(seed * 60013))
+					rng.Shuffle(len(baseAtoms), func(i, j int) { baseAtoms[i], baseAtoms[j] = baseAtoms[j], baseAtoms[i] })
+					cut := 3 * len(baseAtoms) / 4
+					baseIns := storage.MustFromAtoms(baseAtoms[:cut])
+					factReserve := baseAtoms[cut:]
 
-						st := NewState(opts)
-						ins := baseIns.Clone()
-						if res := st.Resume(cur, ins, ins); !res.Terminated {
-							t.Skip("initial chase truncated; nothing exact to compare")
-						}
+					st := NewState(opts)
+					ins := baseIns.Clone()
+					if res := st.Resume(cur, ins, ins); !res.Terminated {
+						t.Skip("initial chase truncated; nothing exact to compare")
+					}
 
-						for step := 0; step < 20; step++ {
-							switch op := rng.Intn(4); {
-							case op == 0 && len(reserve) > 0: // add a rule
-								next, err := cur.WithRule(reserve[0])
-								if err != nil {
+					for step := 0; step < 20; step++ {
+						switch op := rng.Intn(4); {
+						case op == 0 && len(reserve) > 0: // add a rule
+							next, err := cur.WithRule(reserve[0])
+							if err != nil {
+								t.Fatal(err)
+							}
+							reserve = reserve[1:]
+							res := st.ExtendRulesCtx(t.Context(), next, ins, cur.Len())
+							if !res.Terminated {
+								t.Skip("rule-extension increment truncated")
+							}
+							cur = next
+						case op == 1 && cur.Len() > 1: // drop a rule
+							ri := rng.Intn(cur.Len())
+							next, err := cur.WithoutRule(ri)
+							if err != nil {
+								t.Fatal(err)
+							}
+							dres, err := st.DeleteRuleCtx(t.Context(), next, ins, ri, baseIns)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !dres.Result.Terminated {
+								t.Skip("rule-removal repair truncated")
+							}
+							cur = next
+						case op == 2 && len(factReserve) > 0: // insert facts
+							n := 1 + rng.Intn(3)
+							if n > len(factReserve) {
+								n = len(factReserve)
+							}
+							for _, f := range factReserve[:n] {
+								if err := baseIns.InsertAtom(f); err != nil {
 									t.Fatal(err)
-								}
-								reserve = reserve[1:]
-								res := st.ExtendRules(next, ins, cur.Len())
-								if !res.Terminated {
-									t.Skip("rule-extension increment truncated")
-								}
-								cur = next
-							case op == 1 && cur.Len() > 1: // drop a rule
-								ri := rng.Intn(cur.Len())
-								next, err := cur.WithoutRule(ri)
-								if err != nil {
-									t.Fatal(err)
-								}
-								dres, err := st.DeleteRule(next, ins, ri, baseIns)
-								if err != nil {
-									t.Fatal(err)
-								}
-								if !dres.Result.Terminated {
-									t.Skip("rule-removal repair truncated")
-								}
-								cur = next
-							case op == 2 && len(factReserve) > 0: // insert facts
-								n := 1 + rng.Intn(3)
-								if n > len(factReserve) {
-									n = len(factReserve)
-								}
-								for _, f := range factReserve[:n] {
-									if err := baseIns.InsertAtom(f); err != nil {
-										t.Fatal(err)
-									}
-								}
-								res, err := st.Extend(cur, ins, factReserve[:n])
-								if err != nil {
-									t.Fatal(err)
-								}
-								if !res.Terminated {
-									t.Skip("fact-extension increment truncated")
-								}
-								factReserve = factReserve[n:]
-							default: // delete facts
-								live := baseIns.Atoms()
-								if len(live) == 0 {
-									continue
-								}
-								victim := live[rng.Intn(len(live))]
-								baseIns.Remove(victim)
-								dres, err := st.Delete(cur, ins, []logic.Atom{victim}, baseIns)
-								if err != nil {
-									t.Fatal(err)
-								}
-								if !dres.Result.Terminated {
-									t.Skip("deletion repair truncated")
 								}
 							}
+							res, err := st.Extend(cur, ins, factReserve[:n])
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !res.Terminated {
+								t.Skip("fact-extension increment truncated")
+							}
+							factReserve = factReserve[n:]
+						default: // delete facts
+							live := baseIns.Atoms()
+							if len(live) == 0 {
+								continue
+							}
+							victim := live[rng.Intn(len(live))]
+							baseIns.Remove(victim)
+							dres, err := st.Delete(cur, ins, []logic.Atom{victim}, baseIns)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !dres.Result.Terminated {
+								t.Skip("deletion repair truncated")
+							}
 						}
+					}
 
-						scratch := Run(cur, baseIns, opts)
-						if !scratch.Terminated {
-							t.Skip("scratch chase of the final state truncated")
-						}
-						if sf, inf := constFacts(scratch.Instance), constFacts(ins); sf != inf {
-							t.Errorf("null-free facts differ after rule mutations:\nscratch:\n%s\nincremental:\n%s", sf, inf)
-						}
-					})
-				}
+					scratch := Run(cur, baseIns, opts)
+					if !scratch.Terminated {
+						t.Skip("scratch chase of the final state truncated")
+					}
+					if sf, inf := constFacts(scratch.Instance), constFacts(ins); sf != inf {
+						t.Errorf("null-free facts differ after rule mutations:\nscratch:\n%s\nincremental:\n%s", sf, inf)
+					}
+				})
 			}
 		}
 	}
@@ -156,7 +153,7 @@ func TestExtendRulesDeltaProportional(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := st.ExtendRules(next, ins, rules.Len())
+	res := st.ExtendRulesCtx(t.Context(), next, ins, rules.Len())
 	if !res.Terminated {
 		t.Fatal("rule extension must terminate")
 	}
@@ -167,7 +164,7 @@ func TestExtendRulesDeltaProportional(t *testing.T) {
 		t.Errorf("organization facts = %d, want 16", n)
 	}
 	// A no-op extension (firstNew past the end) runs no rounds.
-	if res := st.ExtendRules(next, ins, next.Len()); !res.Terminated || res.Steps != 0 || res.Rounds != 0 {
+	if res := st.ExtendRulesCtx(t.Context(), next, ins, next.Len()); !res.Terminated || res.Steps != 0 || res.Rounds != 0 {
 		t.Errorf("empty extension = %+v, want an immediate terminated no-op", res)
 	}
 }
@@ -175,70 +172,68 @@ func TestExtendRulesDeltaProportional(t *testing.T) {
 // TestDeleteRuleRemovesContribution: removing a rule must take exactly its
 // (non-rederivable) contribution out of the instance, keep facts derivable
 // through surviving rules, and remap stored rule indices so later deletions
-// against the shrunk set stay correct — for both variants.
+// against the shrunk set stay correct.
 func TestDeleteRuleRemovesContribution(t *testing.T) {
-	for _, variant := range []Variant{Restricted, Oblivious} {
-		t.Run(variant.String(), func(t *testing.T) {
-			rules := parser.MustParseRules(`
+	t.Run("restricted", func(t *testing.T) {
+		rules := parser.MustParseRules(`
 student(X) -> person(X) .
 employee(X) -> person(X) .
 person(X) -> entity(X) .
 `)
-			d := data(
-				at("student", c("dana")),
-				at("employee", c("dana")),
-				at("student", c("solo")),
-			)
-			st := NewState(Options{Variant: variant, TrackProvenance: true})
-			ins := d.Clone()
-			if res := st.Resume(rules, ins, ins); !res.Terminated {
-				t.Fatal("chase must terminate")
-			}
+		d := data(
+			at("student", c("dana")),
+			at("employee", c("dana")),
+			at("student", c("solo")),
+		)
+		st := NewState(Options{TrackProvenance: true})
+		ins := d.Clone()
+		if res := st.Resume(rules, ins, ins); !res.Terminated {
+			t.Fatal("chase must terminate")
+		}
 
-			// Remove R1 (student ⊑ person): person(dana) survives via the
-			// employee rule, person(solo) and entity(solo) go.
-			next, err := rules.WithoutRule(0)
-			if err != nil {
-				t.Fatal(err)
+		// Remove R1 (student ⊑ person): person(dana) survives via the
+		// employee rule, person(solo) and entity(solo) go.
+		next, err := rules.WithoutRule(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dres, err := st.DeleteRuleCtx(t.Context(), next, ins, 0, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dres.Requested == 0 || dres.Rederived == 0 {
+			t.Errorf("counters = %+v, want an over-delete/re-derive cycle", dres)
+		}
+		for _, a := range []logic.Atom{at("person", c("dana")), at("entity", c("dana"))} {
+			if !ins.ContainsAtom(a) {
+				t.Errorf("%v must survive via the employee derivation", a)
 			}
-			dres, err := st.DeleteRule(next, ins, 0, d)
-			if err != nil {
-				t.Fatal(err)
+		}
+		for _, a := range []logic.Atom{at("person", c("solo")), at("entity", c("solo"))} {
+			if ins.ContainsAtom(a) {
+				t.Errorf("%v must be gone with the removed rule", a)
 			}
-			if dres.Requested == 0 || dres.Rederived == 0 {
-				t.Errorf("counters = %+v, want an over-delete/re-derive cycle", dres)
-			}
-			for _, a := range []logic.Atom{at("person", c("dana")), at("entity", c("dana"))} {
-				if !ins.ContainsAtom(a) {
-					t.Errorf("%v must survive via the employee derivation", a)
-				}
-			}
-			for _, a := range []logic.Atom{at("person", c("solo")), at("entity", c("solo"))} {
-				if ins.ContainsAtom(a) {
-					t.Errorf("%v must be gone with the removed rule", a)
-				}
-			}
-			if !ins.ContainsAtom(at("student", c("solo"))) {
-				t.Error("base facts must never be touched by rule removal")
-			}
+		}
+		if !ins.ContainsAtom(at("student", c("solo"))) {
+			t.Error("base facts must never be touched by rule removal")
+		}
 
-			// The indices were remapped: deleting employee(dana) against the
-			// shrunk set must now take person(dana) and entity(dana) with it.
-			d.Remove(at("employee", c("dana")))
-			dres, err = st.Delete(next, ins, []logic.Atom{at("employee", c("dana"))}, d)
-			if err != nil {
-				t.Fatal(err)
+		// The indices were remapped: deleting employee(dana) against the
+		// shrunk set must now take person(dana) and entity(dana) with it.
+		d.Remove(at("employee", c("dana")))
+		dres, err = st.Delete(next, ins, []logic.Atom{at("employee", c("dana"))}, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !dres.Result.Terminated {
+			t.Fatal("repair must terminate")
+		}
+		for _, a := range []logic.Atom{at("person", c("dana")), at("entity", c("dana"))} {
+			if ins.ContainsAtom(a) {
+				t.Errorf("%v must be gone after its last support was deleted (index remap broken?)", a)
 			}
-			if !dres.Result.Terminated {
-				t.Fatal("repair must terminate")
-			}
-			for _, a := range []logic.Atom{at("person", c("dana")), at("entity", c("dana"))} {
-				if ins.ContainsAtom(a) {
-					t.Errorf("%v must be gone after its last support was deleted (index remap broken?)", a)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestDeleteRuleRequiresProvenance mirrors the Delete guard: rule removal on
@@ -253,7 +248,7 @@ func TestDeleteRuleRequiresProvenance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.DeleteRule(next, ins, 0, d); err == nil {
+	if _, err := st.DeleteRuleCtx(t.Context(), next, ins, 0, d); err == nil {
 		t.Error("DeleteRule without TrackProvenance must error")
 	}
 }
@@ -312,7 +307,7 @@ entity(X) -> thing(X) .
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.DeleteRule(next, ins, 1, base); err != nil {
+	if _, err := st.DeleteRuleCtx(t.Context(), next, ins, 1, base); err != nil {
 		t.Fatal(err)
 	}
 	scratch := Run(next, base, Options{})

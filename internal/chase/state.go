@@ -12,18 +12,16 @@ import (
 )
 
 // State is the resumable engine state of an ongoing chase: the per-worker
-// labelled-null generators, the semi-oblivious fired-trigger memory, and the
-// cumulative counters. A State is created once per materialization
+// labelled-null generators, the derivation provenance (when tracked), and
+// the cumulative counters. A State is created once per materialization
 // (NewState) and threaded through successive Resume calls so that later
-// increments invent nulls disjoint from earlier ones and never re-fire a
-// semi-oblivious trigger. A State must not be used by concurrent Resume
-// calls; callers serialize maintenance (Ontology does so under its write
-// lock).
+// increments invent nulls disjoint from earlier ones. A State must not be
+// used by concurrent Resume calls; callers serialize maintenance (Ontology
+// does so under its write lock).
 type State struct {
-	opts  Options
-	gens  []*logic.VarGen
-	fired map[string]bool // semi-oblivious trigger memory, nil when Restricted
-	prov  *provenance     // derivation graph, nil unless Options.TrackProvenance
+	opts Options
+	gens []*logic.VarGen
+	prov *provenance // derivation graph, nil unless Options.TrackProvenance
 
 	steps     int
 	rounds    int
@@ -33,26 +31,20 @@ type State struct {
 }
 
 // derivation records one fired trigger: which rule, the ground body facts it
-// consumed and the ground head facts it produced. trigger carries the
-// semi-oblivious memory key (empty for the restricted variant) so deletion
-// can clear the memory when the firing's outputs are removed.
+// consumed and the ground head facts it produced.
 type derivation struct {
-	rule    int
-	trigger string
-	body    []string // fact keys (logic.Atom.Key) consumed
-	heads   []logic.Atom
-	dead    bool // a body fact was deleted; skip in future traversals
+	rule  int
+	body  []string // fact keys (logic.Atom.Key) consumed
+	heads []logic.Atom
+	dead  bool // a body fact was deleted; skip in future traversals
 }
 
 // provenance is the derivation graph accumulated across Resume calls:
 // consumers maps a fact key to the derivations that used it in their body
-// (the edge set the over-deletion closure walks), producers maps a fact key
-// to the derivations that produced it (maintained only for the oblivious
-// variant, whose fired-trigger memory must be cleared when outputs vanish).
+// (the edge set the over-deletion closure walks).
 type provenance struct {
 	derivs    []derivation
 	consumers map[string][]int
-	producers map[string][]int // nil when Restricted
 	// dead counts derivations marked dead by deletions; the generational
 	// compaction sweep (State.CompactProvenance) reclaims them.
 	dead int
@@ -67,18 +59,12 @@ func (p *provenance) add(d derivation) {
 	for _, bk := range d.body {
 		p.consumers[bk] = append(p.consumers[bk], di)
 	}
-	if p.producers != nil {
-		for _, h := range d.heads {
-			hk := h.Key()
-			p.producers[hk] = append(p.producers[hk], di)
-		}
-	}
 }
 
 // NewState creates the engine state for a materialization chased with the
-// given options. Variant and Parallelism are frozen for the lifetime of the
-// state (the null-name space is partitioned per worker); the budgets apply
-// per Resume call.
+// given options. Parallelism is frozen for the lifetime of the state (the
+// null-name space is partitioned per worker); the budgets apply per Resume
+// call.
 func NewState(opts Options) *State {
 	opts = opts.withDefaults()
 	// Per-worker null generators with disjoint prefixes ("n#…", "n1#…",
@@ -93,14 +79,8 @@ func NewState(opts Options) *State {
 		gens[w] = logic.NewVarGen(prefix)
 	}
 	st := &State{opts: opts, gens: gens}
-	if opts.Variant == Oblivious {
-		st.fired = make(map[string]bool)
-	}
 	if opts.TrackProvenance {
 		st.prov = &provenance{consumers: make(map[string][]int)}
-		if opts.Variant == Oblivious {
-			st.prov.producers = make(map[string][]int)
-		}
 	}
 	return st
 }
@@ -139,56 +119,37 @@ func (st *State) ProvenanceStats() (derivs, dead, compactions int) {
 // CompactProvenance reclaims dead derivations: deletions (DRed fact and rule
 // repairs) mark the derivations they invalidate dead rather than splicing
 // them out, so over a long-lived serving process the graph would otherwise
-// grow without bound. The sweep rebuilds the derivation slice and both edge
-// indexes from the live generation only, returning the number of derivations
-// dropped. Callers serialize it with other maintenance (Ontology runs it
-// under its writer lock, automatically every N mutations).
+// grow without bound. The sweep rebuilds the derivation slice and the
+// consumer index from the live generation only, returning the number of
+// derivations dropped. Callers serialize it with other maintenance (Ontology
+// runs it under its writer lock, automatically every N mutations).
 func (st *State) CompactProvenance() (dropped int) {
 	p := st.prov
 	if p == nil || p.dead == 0 {
 		return 0
 	}
-	live := make([]derivation, 0, len(p.derivs)-p.dead)
-	for _, d := range p.derivs {
-		if !d.dead {
-			live = append(live, d)
-		}
-	}
-	dropped = len(p.derivs) - len(live)
-	p.derivs = live
+	all := p.derivs
+	p.derivs = make([]derivation, 0, len(all)-p.dead)
 	p.consumers = make(map[string][]int, len(p.consumers))
-	if p.producers != nil {
-		p.producers = make(map[string][]int, len(p.producers))
-	}
-	for di := range live {
-		d := &live[di]
-		for _, bk := range d.body {
-			p.consumers[bk] = append(p.consumers[bk], di)
-		}
-		if p.producers != nil {
-			for _, h := range d.heads {
-				hk := h.Key()
-				p.producers[hk] = append(p.producers[hk], di)
-			}
+	for _, d := range all {
+		if !d.dead {
+			p.add(d)
 		}
 	}
+	dropped = len(all) - len(p.derivs)
 	p.dead = 0
 	p.compactions++
 	return dropped
 }
 
 // markDead invalidates a derivation: it is skipped by future provenance
-// traversals, reclaimed by the next CompactProvenance sweep, and its
-// semi-oblivious fired-memory entry is cleared so the trigger may re-fire.
+// traversals and reclaimed by the next CompactProvenance sweep.
 func (st *State) markDead(d *derivation) {
 	if d.dead {
 		return
 	}
 	d.dead = true
 	st.prov.dead++
-	if d.trigger != "" {
-		delete(st.fired, d.trigger)
-	}
 }
 
 // Truncated reports whether any Resume call hit its budget; when true the
@@ -259,14 +220,10 @@ func instantiateHead(tp *template, row []logic.Term, gen *logic.VarGen, atoms []
 }
 
 // newDerivation starts the provenance record for a firing of tr under its
-// template: the rule, the semi-oblivious memory key (oblivious variant only)
-// and the keys of the ground body facts the trigger consumed. Head facts are
-// set by the caller once instantiated.
-func (st *State) newDerivation(tp *template, tr trigger) derivation {
+// template: the rule and the keys of the ground body facts the trigger
+// consumed. Head facts are set by the caller once instantiated.
+func newDerivation(tp *template, tr trigger) derivation {
 	d := derivation{rule: int(tr.rule), body: make([]string, len(tp.body))}
-	if st.opts.Variant == Oblivious {
-		d.trigger = triggerKey(int(tr.rule), tr.row, tp.dist)
-	}
 	for i := range tp.body {
 		d.body[i] = tp.body[i].key(tr.row)
 	}
@@ -280,10 +237,10 @@ func (st *State) newDerivation(tp *template, tr trigger) derivation {
 // pass the instance itself, as Run does; for incremental maintenance pass
 // just the newly inserted facts, or use Extend).
 //
-// The restricted variant re-checks head satisfaction against the full instance —
-// including everything derived by earlier Resume calls — so resuming after an
-// insertion yields a valid restricted chase of the extended data: certain
-// answers are identical to a from-scratch chase (property-tested).
+// Head satisfaction is re-checked against the full instance — including
+// everything derived by earlier Resume calls — so resuming after an insertion
+// yields a valid restricted chase of the extended data: certain answers are
+// identical to a from-scratch chase (property-tested).
 //
 // The returned Result describes this call only (Steps, Rounds, NullsCreated
 // count the increment); cumulative totals live on the State. Budgets apply
@@ -305,7 +262,7 @@ func (st *State) ResumeCtx(ctx context.Context, rules *dependency.Set, ins, delt
 	return st.resume(ctx, rules, ins, delta, 0)
 }
 
-// ExtendRules resumes the chase after rules were appended to the set (the
+// ExtendRulesCtx resumes the chase after rules were appended to the set (the
 // AddRule maintenance step): the first round considers only the new rules —
 // those at index firstNew and beyond — with the whole instance as the delta,
 // since every existing fact is "new" to a rule that has never seen any.
@@ -313,13 +270,7 @@ func (st *State) ResumeCtx(ctx context.Context, rules *dependency.Set, ins, delt
 // the work is proportional to what the new rules actually derive, not to a
 // re-chase of the instance. The existing rules need no first-round pass: the
 // instance is already their fixpoint. Unsound after a truncated run, exactly
-// like Extend.
-func (st *State) ExtendRules(rules *dependency.Set, ins *storage.Instance, firstNew int) *Result {
-	return st.ExtendRulesCtx(context.Background(), rules, ins, firstNew)
-}
-
-// ExtendRulesCtx is ExtendRules under a cancellation context (see ResumeCtx
-// for abort semantics).
+// like Extend. ctx aborts as in ResumeCtx.
 func (st *State) ExtendRulesCtx(ctx context.Context, rules *dependency.Set, ins *storage.Instance, firstNew int) *Result {
 	if firstNew >= rules.Len() {
 		return &Result{Terminated: true} // no new rules
@@ -328,13 +279,13 @@ func (st *State) ExtendRulesCtx(ctx context.Context, rules *dependency.Set, ins 
 }
 
 // resume is the one fixpoint driver. Each round: collect the triggers the
-// delta enables, apply the oblivious fired filter, fire the survivors
-// chunked across the workers into per-worker shards, and merge the shards
-// into the next delta. It terminates when the delta is empty. onlyFrom
-// restricts the FIRST round's trigger collection to rules with index ≥
-// onlyFrom (0 = all rules); later rounds always consider the whole set,
-// which is what makes the restriction sound — anything the filtered round
-// derives is re-examined by every rule.
+// delta enables, fire those whose head is not yet satisfied, chunked across
+// the workers into per-worker shards, and merge the shards into the next
+// delta. It terminates when the delta is empty. onlyFrom restricts the
+// FIRST round's trigger collection to rules with index ≥ onlyFrom (0 = all
+// rules); later rounds always consider the whole set, which is what makes
+// the restriction sound — anything the filtered round derives is
+// re-examined by every rule.
 func (st *State) resume(ctx context.Context, rules *dependency.Set, ins, delta *storage.Instance, onlyFrom int) *Result {
 	opts := st.opts
 	res := &Result{}
@@ -383,19 +334,6 @@ func (st *State) resume(ctx context.Context, rules *dependency.Set, ins, delta *
 			return res
 		}
 		onlyFrom = 0 // the rule filter applies to the first round only
-		if opts.Variant == Oblivious {
-			// The semi-oblivious fired memory is shared engine state, so the
-			// filter runs single-threaded at the barrier.
-			kept := triggers[:0]
-			for _, tr := range triggers {
-				key := triggerKey(int(tr.rule), tr.row, plans.tmpl[tr.rule].dist)
-				if !st.fired[key] {
-					st.fired[key] = true
-					kept = append(kept, tr)
-				}
-			}
-			triggers = kept
-		}
 		if len(triggers) == 0 {
 			res.Steps = int(steps.Load())
 			res.Terminated = true
@@ -432,7 +370,7 @@ func (st *State) resume(ctx context.Context, rules *dependency.Set, ins, delta *
 				}
 				tr := triggers[i]
 				tp := plans.tmpl[tr.rule]
-				if opts.Variant == Restricted && plans.headSatisfied(int(tr.rule), tr.row, ins, headRunners) {
+				if plans.headSatisfied(int(tr.rule), tr.row, ins, headRunners) {
 					continue
 				}
 				if n := steps.Add(1); int(n) > opts.MaxSteps {
@@ -459,7 +397,7 @@ func (st *State) resume(ctx context.Context, rules *dependency.Set, ins, delta *
 					}
 				}
 				if st.prov != nil {
-					d := st.newDerivation(tp, tr)
+					d := newDerivation(tp, tr)
 					d.heads = heads
 					provs[w] = append(provs[w], d)
 				}

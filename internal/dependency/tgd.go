@@ -339,7 +339,7 @@ func (s *Set) WithRule(r *TGD) (*Set, error) {
 // WithoutRule returns a new Set with the rule at index i removed, leaving
 // the receiver untouched. Surviving rules are shared by pointer (stable
 // identity); only their indices shift — callers maintaining index-keyed
-// state remap it (see chase.State.DeleteRule).
+// state remap it (see chase.State.DeleteRuleCtx).
 func (s *Set) WithoutRule(i int) (*Set, error) {
 	if i < 0 || i >= len(s.Rules) {
 		return nil, fmt.Errorf("dependency: rule index %d out of range [0,%d)", i, len(s.Rules))

@@ -39,9 +39,9 @@ type mutationResult struct {
 //     mutation is a strict no-op;
 //  2. applies it to copy-on-write forks of the published base and
 //     materialization: rule removal first (DRed rule-keyed over-deletion +
-//     re-derivation via chase.State.DeleteRule), then rule additions (the
+//     re-derivation via chase.State.DeleteRuleCtx), then rule additions (the
 //     whole instance as delta against only the new rules via
-//     chase.State.ExtendRules), then fact deletions (chase.State.Delete),
+//     chase.State.ExtendRulesCtx), then fact deletions (chase.State.Delete),
 //     then fact insertions (chase.State.Extend) — each step repairing the
 //     same fork of the materialization, or giving it up when incremental
 //     repair is impossible (truncated cache, missing provenance);

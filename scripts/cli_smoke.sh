@@ -9,7 +9,12 @@
 #      must exit 0;
 #   2. runs programs that use one predicate with two arities through chase
 #      and rewrite -eval; each must exit non-zero with a message naming the
-#      predicate, and must not panic.
+#      predicate, and must not panic;
+#   3. runs chase twice at -parallel 1 and twice at -parallel 4 on a larger
+#      family program: runs at one worker count must print byte-identical
+#      instances, and the two worker counts must agree on the stderr counters
+#      and on the sorted null-free facts (null names may differ);
+#   4. checks that chase rejects the removed -oblivious flag as a flag error.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -111,6 +116,41 @@ rejects "rewrite -eval, clashing data" q "$workdir/rewrite" -rules "$workdir/cla
 printf 'r(z) .\n' > "$workdir/clash3.data"
 rejects "chase -add, clashing fact" q "$workdir/chase" -rules "$workdir/clash.rules" \
   -data "$workdir/clash3.data" -incremental -add 'q(c) . p(d) .'
+
+# Determinism: a 40-generation family chases in 41 rounds.
+for i in $(seq 1 40); do
+  printf 'parent(p%d, p%d) .\nperson(p%d) .\n' "$i" "$((i + 1))" "$i"
+done > "$workdir/big.data"
+for par in 1 4; do
+  for run in a b; do
+    ok "chase -parallel $par (run $run)" "$workdir/chase" -rules "$workdir/fam.rules" \
+      -data "$workdir/big.data" -parallel "$par"
+    mv "$workdir/out" "$workdir/det-$par-$run.out"
+    mv "$workdir/err" "$workdir/det-$par-$run.err"
+  done
+  if ! cmp -s "$workdir/det-$par-a.out" "$workdir/det-$par-b.out"; then
+    echo "FAIL chase -parallel $par: two runs print different instances" >&2
+    fail=1
+  fi
+done
+if ! cmp -s "$workdir/det-1-a.err" "$workdir/det-4-a.err"; then
+  echo "FAIL chase: -parallel 1 and -parallel 4 report different counters" >&2
+  cat "$workdir/det-1-a.err" "$workdir/det-4-a.err" >&2
+  fail=1
+fi
+grep -v '_:' "$workdir/det-1-a.out" | sort > "$workdir/det-1.facts"
+grep -v '_:' "$workdir/det-4-a.out" | sort > "$workdir/det-4.facts"
+if ! cmp -s "$workdir/det-1.facts" "$workdir/det-4.facts"; then
+  echo "FAIL chase: -parallel 1 and -parallel 4 derive different null-free facts" >&2
+  fail=1
+fi
+
+# There is one chase: -oblivious is an unknown flag.
+rejects "chase -oblivious" oblivious "$workdir/chase" -rules "$workdir/fam.rules" -oblivious
+if ! grep -q 'flag provided but not defined' "$workdir/err"; then
+  echo "FAIL chase -oblivious: not a flag error" >&2
+  fail=1
+fi
 
 if [ "$fail" -ne 0 ]; then
   echo "cli smoke: FAILED" >&2
