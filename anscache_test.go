@@ -376,6 +376,52 @@ func TestCacheConcurrentAnswersRaceClean(t *testing.T) {
 	}
 }
 
+// TestCachedViewSharedAcrossReaders: AnswerCtx hands every cache hit the
+// same shared set, so several readers may call Contains and Equal on it at
+// once. Under -race this checks that reading the hash-keyed set writes
+// nothing.
+func TestCachedViewSharedAcrossReaders(t *testing.T) {
+	ont := cachedOnt(t, universityMini)
+	const q = `q(X) :- person(X) .`
+	opts := Options{Mode: ModeChase}
+	view, err := ont.AnswerCtx(bg, q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase, NoCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if view.Len() == 0 {
+		t.Fatal("the query has no answers; fixture broken")
+	}
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := ont.AnswerCtx(bg, q, opts)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if got != view {
+				t.Error("a cache hit returned a different set than the cached view")
+				return
+			}
+			for _, tu := range want.Tuples() {
+				if !got.Contains(tu) {
+					t.Errorf("the shared view lacks %v", tu)
+				}
+			}
+			if !got.Equal(want) || !want.Equal(got) {
+				t.Error("the shared view is not Equal to an uncached read")
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestCacheEvictionUnderTinyBudget asserts the budget is honored: with room
 // for roughly one view, distinct queries evict each other instead of
 // growing without bound.

@@ -73,6 +73,18 @@ func TestMutationIncrementAtBudget(t *testing.T) {
 				return err
 			},
 			func(o *Ontology) bool { return !has(o, "q", "d", "e") && has(o, "p0", "d") }},
+		// Five triggers refire in the direct re-derivation sweep alone —
+		// p(d) for q(d, _), r(b), r(e) for r1 and r2(b), r2(e) for r3 —
+		// more than the initial chase's 3 steps.
+		{"DeleteFactCtxDirect",
+			func(ctx context.Context, o *Ontology) error {
+				_, err := o.DeleteFactCtx(ctx, `q(d, e) . r1(b) . r1(e) . r3(b) . r3(e) .`)
+				return err
+			},
+			func(o *Ontology) bool {
+				return !has(o, "q", "d", "e") && !has(o, "r1", "b") && !has(o, "r1", "e") &&
+					!has(o, "r3", "b") && !has(o, "r3", "e") && has(o, "r2", "b")
+			}},
 		{"LoadCSVCtx",
 			func(ctx context.Context, o *Ontology) error {
 				_, err := o.LoadCSVCtx(ctx, "p", strings.NewReader("c\nf\n"))

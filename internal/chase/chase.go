@@ -30,7 +30,6 @@ package chase
 
 import (
 	"context"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -241,22 +240,16 @@ func (tp *template) subst(row []logic.Term) logic.Subst {
 }
 
 // key returns the logic.Atom.Key of a body atom instantiated with row — the
-// provenance key of a fact the firing consumed — in one allocation.
+// provenance key of a fact the firing consumed, which overDelete looks up by
+// the removed fact's own Atom.Key. The arguments are gathered on the stack
+// for the usual short atom, so the key string is the one allocation.
 func (at *atomTmpl) key(row []logic.Term) string {
-	n := len(at.pred)
+	var buf [8]logic.Term
+	args := buf[:0]
 	for _, s := range at.args {
-		n += 2 + len(s.value(row, nil).Name)
+		args = append(args, s.value(row, nil))
 	}
-	var b strings.Builder
-	b.Grow(n)
-	b.WriteString(at.pred)
-	for _, s := range at.args {
-		t := s.value(row, nil)
-		b.WriteByte(0)
-		b.WriteByte('0' + byte(t.Kind))
-		b.WriteString(t.Name)
-	}
-	return b.String()
+	return logic.Atom{Pred: at.pred, Args: args}.Key()
 }
 
 // planSet holds the plans compiled once per Resume call and reused across
@@ -473,7 +466,7 @@ func collectTriggers(ctx context.Context, rules *dependency.Set, ins, delta *sto
 			seen[ri] = ruleSeen
 		}
 		for _, tr := range trs {
-			if k := rowKey(tr.row); !ruleSeen[k] {
+			if k := storage.Tuple(tr.row).Key(); !ruleSeen[k] {
 				ruleSeen[k] = true
 				out = append(out, tr)
 			}
@@ -544,23 +537,6 @@ func headSatisfied(rule *dependency.TGD, frontier logic.Subst, ins *storage.Inst
 		return false
 	})
 	return found
-}
-
-// rowKey canonically encodes a row: per value its kind digit, name and a
-// NUL, in one pre-sized allocation.
-func rowKey(row []logic.Term) string {
-	n := 0
-	for _, t := range row {
-		n += len(t.Name) + 2
-	}
-	var b strings.Builder
-	b.Grow(n)
-	for _, t := range row {
-		b.WriteByte('0' + byte(t.Kind))
-		b.WriteString(t.Name)
-		b.WriteByte(0)
-	}
-	return b.String()
 }
 
 // CertainAnswers evaluates a UCQ over the chase of (rules, data) and keeps

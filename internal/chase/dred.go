@@ -238,6 +238,7 @@ func (st *State) rederive(ctx context.Context, rules *dependency.Set, ins *stora
 	cands := collectRederiveTriggers(rules, tmpls, ins, removedFacts)
 	delta := storage.NewInstance()
 	steps, nulls, restored := 0, 0, 0
+	exhausted := false
 	for ci, tr := range cands {
 		if ci&0x1F == 0 && ctx.Err() != nil {
 			break // canceled: the propagation below reports the abort
@@ -245,6 +246,10 @@ func (st *State) rederive(ctx context.Context, rules *dependency.Set, ins *stora
 		tp := tmpls[tr.rule]
 		if headSatisfied(rules.Rules[tr.rule], tp.subst(tr.row), ins) {
 			continue
+		}
+		if steps == st.opts.MaxSteps {
+			exhausted = true // the firing budget ends the sweep, as in resume
+			break
 		}
 		steps++
 		heads, n := instantiateHead(tp, tr.row, st.gens[0], nil)
@@ -276,12 +281,18 @@ func (st *State) rederive(ctx context.Context, rules *dependency.Set, ins *stora
 	// the direct sweep above or inside the propagation — surfaces as
 	// Result.Err with Terminated false, and marks the state truncated so
 	// future incremental repairs refuse to build on the half-applied sweep.
+	// A direct sweep that ran out of firing budget skips the propagation and
+	// leaves the state truncated, as resume's own budget exhaustion does;
+	// otherwise the propagation gets what the sweep left of the budget.
 	rres := &Result{Terminated: true}
 	if err := ctx.Err(); err != nil {
 		rres = &Result{Err: err}
 		st.truncated = true
+	} else if exhausted {
+		rres = &Result{}
+		st.truncated = true
 	} else if restored > 0 {
-		rres = st.resume(ctx, rules, ins, delta, 0)
+		rres = st.resume(ctx, rules, ins, delta, 0, steps)
 	}
 	rres.Steps += steps
 	rres.NullsCreated += nulls
@@ -332,7 +343,7 @@ func collectRederiveTriggers(rules *dependency.Set, tmpls []*template, ins *stor
 					for i, v := range vars {
 						row[i] = s.Walk(v)
 					}
-					if key := rowKey(row); !ruleSeen[key] {
+					if key := storage.Tuple(row).Key(); !ruleSeen[key] {
 						ruleSeen[key] = true
 						out = append(out, trigger{rule: int32(ri), row: row})
 					}

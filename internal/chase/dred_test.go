@@ -276,3 +276,100 @@ func TestDeleteRequiresProvenance(t *testing.T) {
 		t.Error("Delete on a truncated state must error")
 	}
 }
+
+// TestDeleteDirectSweepHonorsMaxSteps: the direct re-derivation sweep fires
+// under the same MaxSteps budget as resume. Deleting ten blockers unblocks
+// ten triggers; at a budget of three the sweep fires three, reports a
+// truncated increment without propagating, and leaves the state truncated.
+func TestDeleteDirectSweepHonorsMaxSteps(t *testing.T) {
+	rules := parser.MustParseRules(`p(X) -> q(X,Y) .`)
+	var facts, blockers []logic.Atom
+	for i := 0; i < 10; i++ {
+		a := c(fmt.Sprintf("a%d", i))
+		facts = append(facts, at("p", a))
+		blockers = append(blockers, at("q", a, c("b")))
+	}
+	baseIns := storage.MustFromAtoms(append(facts, blockers...))
+	st := NewState(Options{MaxSteps: 3, TrackProvenance: true})
+	ins := baseIns.Clone()
+	if res := st.Resume(rules, ins, ins); !res.Terminated || res.Steps != 0 {
+		t.Fatalf("initial chase: terminated=%v steps=%d, want every trigger blocked", res.Terminated, res.Steps)
+	}
+	for _, f := range blockers {
+		baseIns.Remove(f)
+	}
+	dres, err := st.Delete(rules, ins, blockers, baseIns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dres.Result.Terminated || dres.Result.Steps != 3 || dres.Result.NullsCreated != 3 {
+		t.Errorf("repair = %+v, want 3 firings and Terminated false", dres.Result)
+	}
+	if q := ins.Relation("q"); q == nil || q.Len() != 3 {
+		t.Errorf("q after the truncated repair = %v, want the 3 fired heads", ins)
+	}
+	if !st.Truncated() {
+		t.Error("a repair that ran out of budget must leave the state truncated")
+	}
+	if _, err := st.Delete(rules, ins, facts[:1], nil); err == nil {
+		t.Error("a truncated state accepted another incremental deletion")
+	}
+
+	// A sweep that stays inside the budget leaves the propagation only the
+	// rest of it: two sweep firings and two propagation firings overrun a
+	// budget of three.
+	rules = parser.MustParseRules(`p(X) -> q(X,Y) . q(X,Y) -> r(X,Y) .`)
+	baseIns = storage.MustFromAtoms(append(facts[:2:2], blockers[:2]...))
+	st = NewState(Options{MaxSteps: 3, TrackProvenance: true})
+	ins = baseIns.Clone()
+	if res := st.Resume(rules, ins, ins); !res.Terminated || res.Steps != 2 {
+		t.Fatalf("initial chase: terminated=%v steps=%d, want the 2 r firings", res.Terminated, res.Steps)
+	}
+	for _, f := range blockers[:2] {
+		baseIns.Remove(f)
+	}
+	dres, err = st.Delete(rules, ins, blockers[:2], baseIns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dres.Result.Terminated || dres.Result.Steps != 3 {
+		t.Errorf("repair = %+v, want 3 firings in all and Terminated false", dres.Result)
+	}
+	if !st.Truncated() {
+		t.Error("a repair that ran out of budget must leave the state truncated")
+	}
+}
+
+// TestDeleteFactWithNULInName: a provenance body key and the key overDelete
+// looks a removed fact up by are one encoding, also for a name that holds a
+// NUL byte. Deleting p("a\x00b") under p(X) -> s(X) must over-delete
+// s("a\x00b") and leave s(a) and s(b).
+func TestDeleteFactWithNULInName(t *testing.T) {
+	rules := parser.MustParseRules(`p(X) -> s(X) .`)
+	for _, par := range []int{1, 4} {
+		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
+			victim := at("p", c("a\x00b"))
+			base := []logic.Atom{victim, at("p", c("a")), at("p", c("b"))}
+			baseIns := storage.MustFromAtoms(base)
+			st := NewState(Options{Parallelism: par, TrackProvenance: true})
+			ins := baseIns.Clone()
+			if res := st.Resume(rules, ins, ins); !res.Terminated || res.Steps != 3 {
+				t.Fatalf("initial chase: terminated=%v steps=%d, want 3 firings", res.Terminated, res.Steps)
+			}
+			baseIns.Remove(victim)
+			dres, err := st.Delete(rules, ins, []logic.Atom{victim}, baseIns)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !dres.Result.Terminated || dres.OverDeleted != 1 {
+				t.Errorf("repair = %+v, want 1 fact over-deleted", dres)
+			}
+			if ins.ContainsAtom(at("s", c("a\x00b"))) {
+				t.Errorf("s(\"a\\x00b\") survived the deletion of its only support:\n%s", ins)
+			}
+			if !ins.ContainsAtom(at("s", c("a"))) || !ins.ContainsAtom(at("s", c("b"))) || ins.Relation("s").Len() != 2 {
+				t.Errorf("s after the deletion = %s, want s(a) and s(b)", ins)
+			}
+		})
+	}
+}

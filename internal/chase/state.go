@@ -189,7 +189,7 @@ func (st *State) ExtendCtx(ctx context.Context, rules *dependency.Set, ins *stor
 	if delta.Size() == 0 {
 		return &Result{Terminated: true}, nil
 	}
-	return st.resume(ctx, rules, ins, delta, 0), nil
+	return st.resume(ctx, rules, ins, delta, 0, 0), nil
 }
 
 // instantiateHead grounds the rule head for a firing of row: row slots for
@@ -259,7 +259,7 @@ func (st *State) Resume(rules *dependency.Set, ins, delta *storage.Instance) *Re
 // truncated — discard both and rebuild (Ontology.mutate rolls the base data
 // back and drops the cache, so readers keep the pre-mutation snapshot).
 func (st *State) ResumeCtx(ctx context.Context, rules *dependency.Set, ins, delta *storage.Instance) *Result {
-	return st.resume(ctx, rules, ins, delta, 0)
+	return st.resume(ctx, rules, ins, delta, 0, 0)
 }
 
 // ExtendRulesCtx resumes the chase after rules were appended to the set (the
@@ -275,7 +275,7 @@ func (st *State) ExtendRulesCtx(ctx context.Context, rules *dependency.Set, ins 
 	if firstNew >= rules.Len() {
 		return &Result{Terminated: true} // no new rules
 	}
-	return st.resume(ctx, rules, ins, ins, firstNew)
+	return st.resume(ctx, rules, ins, ins, firstNew, 0)
 }
 
 // resume is the one fixpoint driver. Each round: collect the triggers the
@@ -285,9 +285,12 @@ func (st *State) ExtendRulesCtx(ctx context.Context, rules *dependency.Set, ins 
 // FIRST round's trigger collection to rules with index ≥ onlyFrom (0 = all
 // rules); later rounds always consider the whole set, which is what makes
 // the restriction sound — anything the filtered round derives is
-// re-examined by every rule.
-func (st *State) resume(ctx context.Context, rules *dependency.Set, ins, delta *storage.Instance, onlyFrom int) *Result {
+// re-examined by every rule. spent is the number of firings the increment
+// has already made before the fixpoint (DRed's direct re-derivation sweep):
+// they count against MaxSteps, and res.Steps does not include them.
+func (st *State) resume(ctx context.Context, rules *dependency.Set, ins, delta *storage.Instance, onlyFrom, spent int) *Result {
 	opts := st.opts
+	budget := opts.MaxSteps - spent
 	res := &Result{}
 	workers := opts.Parallelism
 
@@ -373,7 +376,7 @@ func (st *State) resume(ctx context.Context, rules *dependency.Set, ins, delta *
 				if plans.headSatisfied(int(tr.rule), tr.row, ins, headRunners) {
 					continue
 				}
-				if n := steps.Add(1); int(n) > opts.MaxSteps {
+				if n := steps.Add(1); int(n) > budget {
 					steps.Add(-1)
 					truncated.Store(true)
 					return

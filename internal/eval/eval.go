@@ -12,10 +12,18 @@
 // Matches and MatchesSeeded all share the same compiled pipeline; callers
 // that evaluate the same query repeatedly can compile once (CompileCQ /
 // CompileUCQ) and run the plans via RunPlans.
+//
+// Answers are a set, as the paper's semantics asks. The stream (stream.go)
+// projects rows into slabs of terms and keeps them in Answers, whose
+// membership is a hash of each tuple's terms with term comparison on a
+// collision — no key string per row.
 package eval
 
 import (
+	"cmp"
 	"context"
+	"hash/maphash"
+	"slices"
 	"sort"
 	"strings"
 
@@ -33,45 +41,134 @@ type Options struct {
 	Limit int
 }
 
-// Answers is a deduplicated set of answer tuples.
+// Answers is a set of answer tuples that keeps insertion order.
+//
+// Membership is hash-keyed, with no key string per row: a tuple is hashed
+// once into 64 bits (tupleHash), an open-addressing table maps the hash to
+// tuple indices, and a probe compares terms, so tuples whose hashes collide
+// but which differ are all kept. An insert probes once. Reads do not write,
+// so a completed set may be read by any number of goroutines.
 type Answers struct {
 	arity  int
-	keys   map[string]bool
 	tuples []storage.Tuple
+	// table has a power-of-two length and is at most half full.
+	table []answerSlot
+}
+
+// answerSlot is one entry of the membership table.
+type answerSlot struct {
+	hash uint32 // the low 32 bits of the tuple's hash; they also place the slot
+	row  int32  // index of the tuple in Answers.tuples, plus one; 0 is empty
+}
+
+// minAnswerTable is the table length of an empty set.
+const minAnswerTable = 8
+
+// answerSeed seeds every tuple hash of the process.
+var answerSeed = maphash.MakeSeed()
+
+// tupleHash is the membership hash. It is a variable only so that tests can
+// force collisions.
+var tupleHash = hashTuple
+
+// hashTuple hashes each term's Kind and Name, in order.
+func hashTuple(t storage.Tuple) uint64 {
+	h := uint64(len(t))
+	for _, x := range t {
+		h = (h + maphash.String(answerSeed, x.Name) + uint64(x.Kind)) * 0x9e3779b97f4a7c15
+	}
+	return h
 }
 
 // NewAnswers creates an empty answer set of the given arity.
 func NewAnswers(arity int) *Answers {
-	return &Answers{arity: arity, keys: make(map[string]bool)}
+	return &Answers{arity: arity, table: make([]answerSlot, minAnswerTable)}
 }
 
 // Add inserts a copy of the tuple, reporting whether it was new. Use
 // AddOwned when the tuple is freshly allocated and never reused by the
 // caller — the executor's projection path is, so evaluation never clones.
 func (a *Answers) Add(t storage.Tuple) bool {
-	k := t.Key()
-	if a.keys[k] {
+	i, h, found := a.find(t)
+	if found {
 		return false
 	}
-	a.keys[k] = true
-	a.tuples = append(a.tuples, t.Clone())
+	a.put(i, h, t.Clone())
 	return true
 }
 
 // AddOwned inserts the tuple without copying, taking ownership. The caller
 // must not mutate or reuse the tuple afterwards.
+//
+//repro:hotpath
 func (a *Answers) AddOwned(t storage.Tuple) bool {
-	k := t.Key()
-	if a.keys[k] {
+	i, h, found := a.find(t)
+	if found {
 		return false
 	}
-	a.keys[k] = true
-	a.tuples = append(a.tuples, t)
+	a.put(i, h, t)
 	return true
 }
 
 // Contains reports membership.
-func (a *Answers) Contains(t storage.Tuple) bool { return a.keys[t.Key()] }
+func (a *Answers) Contains(t storage.Tuple) bool {
+	_, _, found := a.find(t)
+	return found
+}
+
+// find probes the table for t: found, or the empty slot where t goes.
+//
+//repro:hotpath
+func (a *Answers) find(t storage.Tuple) (slot int, h uint64, found bool) {
+	h = tupleHash(t)
+	mask := len(a.table) - 1
+	//repro:allow ctxpoll a probe ends at an empty slot: the table is at most half full
+	for i := int(h) & mask; ; i = (i + 1) & mask {
+		s := a.table[i]
+		if s.row == 0 {
+			return i, h, false
+		}
+		if s.hash == uint32(h) && slices.Equal(a.tuples[s.row-1], t) {
+			return i, h, true
+		}
+	}
+}
+
+// put appends t, a tuple not in the set whose hash is h, and records it in
+// the empty table slot i. The row list doubles its capacity when full:
+// append alone grows a large slice by a quarter at a time, which allocates
+// about five times the final list on the way up, doubling about twice.
+//
+//repro:hotpath
+func (a *Answers) put(i int, h uint64, t storage.Tuple) {
+	if len(a.tuples) == cap(a.tuples) {
+		a.tuples = slices.Grow(a.tuples, max(len(a.tuples), 4))
+	}
+	//repro:allow hotalloc the capacity check above makes this append in place
+	a.tuples = append(a.tuples, t)
+	a.table[i] = answerSlot{hash: uint32(h), row: int32(len(a.tuples))}
+	if 2*len(a.tuples) > len(a.table) {
+		a.growTable()
+	}
+}
+
+// growTable doubles the table, re-placing every entry by its stored hash.
+func (a *Answers) growTable() {
+	old := a.table
+	a.table = make([]answerSlot, 2*len(old))
+	mask := len(a.table) - 1
+	for _, s := range old {
+		if s.row == 0 {
+			continue
+		}
+		i := int(s.hash) & mask
+		//repro:allow ctxpoll a probe ends at an empty slot: the table is at most half full
+		for a.table[i].row != 0 {
+			i = (i + 1) & mask
+		}
+		a.table[i] = s
+	}
+}
 
 // Len returns the number of distinct answers.
 func (a *Answers) Len() int { return len(a.tuples) }
@@ -82,31 +179,26 @@ func (a *Answers) Arity() int { return a.arity }
 // Tuples returns the answers in insertion order; callers must not mutate.
 func (a *Answers) Tuples() []storage.Tuple { return a.tuples }
 
-// Sorted returns the answers sorted lexicographically by key (stable,
-// deterministic output for printing and comparison). Keys are computed once
-// per tuple, not once per comparison.
+// Sorted returns the answers sorted lexicographically, term by term on
+// (kind, name): stable, deterministic output for printing and comparison.
 func (a *Answers) Sorted() []storage.Tuple {
 	out := make([]storage.Tuple, len(a.tuples))
 	copy(out, a.tuples)
-	keys := make([]string, len(out))
-	for i, t := range out {
-		keys[i] = t.Key()
-	}
-	sort.Sort(&byKey{tuples: out, keys: keys})
+	slices.SortFunc(out, compareTuples)
 	return out
 }
 
-// byKey sorts tuples by their precomputed keys.
-type byKey struct {
-	tuples []storage.Tuple
-	keys   []string
-}
-
-func (s *byKey) Len() int           { return len(s.tuples) }
-func (s *byKey) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
-func (s *byKey) Swap(i, j int) {
-	s.tuples[i], s.tuples[j] = s.tuples[j], s.tuples[i]
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
+// compareTuples orders tuples term by term, on kind and then name.
+func compareTuples(x, y storage.Tuple) int {
+	for i := range min(len(x), len(y)) {
+		if c := cmp.Compare(x[i].Kind, y[i].Kind); c != 0 {
+			return c
+		}
+		if c := strings.Compare(x[i].Name, y[i].Name); c != 0 {
+			return c
+		}
+	}
+	return cmp.Compare(len(x), len(y))
 }
 
 // Equal reports whether two answer sets contain the same tuples.
@@ -114,8 +206,8 @@ func (a *Answers) Equal(b *Answers) bool {
 	if a.Len() != b.Len() {
 		return false
 	}
-	for k := range a.keys {
-		if !b.keys[k] {
+	for _, t := range a.tuples {
+		if !b.Contains(t) {
 			return false
 		}
 	}
@@ -191,20 +283,6 @@ func headHasNull(plan *Plan, regs []logic.Term) bool {
 		}
 	}
 	return false
-}
-
-// projectHead materializes the head tuple of the current match. The returned
-// tuple is freshly allocated and owned by the caller.
-func projectHead(plan *Plan, regs []logic.Term) storage.Tuple {
-	t := make(storage.Tuple, len(plan.head))
-	for i, h := range plan.head {
-		if h.slot >= 0 {
-			t[i] = regs[h.slot]
-		} else {
-			t[i] = h.term
-		}
-	}
-	return t
 }
 
 // Holds reports whether a boolean query (arity 0) is satisfied.

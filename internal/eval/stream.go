@@ -3,6 +3,7 @@ package eval
 import (
 	"context"
 
+	"repro/internal/logic"
 	"repro/internal/storage"
 )
 
@@ -14,6 +15,8 @@ import (
 // iterator tree is still enumerating, and a Limit abandons the tree as soon
 // as it is satisfied. The dedup set is the answer set being built, so a
 // collector takes the finished set from Answers instead of re-inserting every
+// row; each row costs one probe of it, and no key string. Rows are
+// projected into slabs of terms, one allocation per slab rather than per
 // row. Not safe for concurrent use: every consumer opens its own stream.
 type Stream struct {
 	plans []*Plan
@@ -21,11 +24,23 @@ type Stream struct {
 	opts  Options
 	// pi is the plan being enumerated by r (nil: not opened yet);
 	// len(plans) once the stream is exhausted or closed.
-	pi  int
-	r   *Runner
-	ans *Answers
-	err error
+	pi int
+	r  *Runner
+	// slab is the unused tail of the current row slab; slabRows is the
+	// number of rows the current slab was allocated for.
+	slab     []logic.Term
+	slabRows int
+	ans      *Answers
+	err      error
 }
+
+// Row slabs start at firstSlabRows rows and double up to maxSlabRows: a
+// small result, such as one of many cached views, holds a small slab, and a
+// large one pays one allocation per maxSlabRows rows.
+const (
+	firstSlabRows = 4
+	maxSlabRows   = 1024
+)
 
 // NewStream builds a stream over the plans of a union of the given arity.
 func NewStream(plans []*Plan, arity int, ins *storage.Instance, opts Options) *Stream {
@@ -62,8 +77,13 @@ func (s *Stream) Next(ctx context.Context) (storage.Tuple, bool, error) {
 			if s.opts.FilterNulls && headHasNull(plan, regs) {
 				continue
 			}
-			t := projectHead(plan, regs)
-			if !s.ans.AddOwned(t) {
+			// A nil slab is refilled even for arity 0, whose rows must be
+			// empty tuples, not nil ones.
+			if s.slab == nil || len(s.slab) < len(plan.head) {
+				s.refill(len(plan.head))
+			}
+			t, ok := s.emit(plan, regs)
+			if !ok {
 				continue
 			}
 			if s.opts.Limit > 0 && s.ans.Len() >= s.opts.Limit {
@@ -77,6 +97,35 @@ func (s *Stream) Next(ctx context.Context) (storage.Tuple, bool, error) {
 		s.r = nil
 	}
 	return nil, false, nil
+}
+
+// emit projects the current match into the next free row of the slab and
+// adds it to the answer set, reporting whether it was new. A duplicate
+// leaves its row of the slab to the next match.
+//
+//repro:hotpath
+func (s *Stream) emit(plan *Plan, regs []logic.Term) (storage.Tuple, bool) {
+	w := len(plan.head)
+	t := storage.Tuple(s.slab[:w:w])
+	for i, h := range plan.head {
+		if h.slot >= 0 {
+			t[i] = regs[h.slot]
+		} else {
+			t[i] = h.term
+		}
+	}
+	if !s.ans.AddOwned(t) {
+		return nil, false
+	}
+	s.slab = s.slab[w:]
+	return t, true
+}
+
+// refill replaces the exhausted slab by a fresh one for rows of width w,
+// twice the rows of the last (firstSlabRows to start, maxSlabRows at most).
+func (s *Stream) refill(w int) {
+	s.slabRows = min(max(2*s.slabRows, firstSlabRows), maxSlabRows)
+	s.slab = make([]logic.Term, s.slabRows*w)
 }
 
 // Close ends the stream early — the consumer has what it wanted. Later Next

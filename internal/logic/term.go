@@ -227,9 +227,25 @@ func (a Atom) Positions(t Term) []int {
 
 // Key returns a canonical string encoding of the atom, unique per atom up to
 // syntactic identity. It is used as a map key for fact and atom sets.
+//
+// The encoding is the predicate, then per argument a NUL byte, the kind digit
+// and the name. A NUL byte inside the predicate or a name is written as NUL
+// 0xFF: a separating NUL is always followed by a kind digit, so the encoding
+// stays injective whatever bytes names hold. For NUL-free names the key is
+// exactly the unescaped layout, and keys of one predicate sort as their
+// argument lists do, term by term on (kind, name).
 func (a Atom) Key() string {
+	n := len(a.Pred) + 2*len(a.Args)
+	plain := strings.IndexByte(a.Pred, 0) < 0
+	for _, t := range a.Args {
+		n += len(t.Name)
+		plain = plain && strings.IndexByte(t.Name, 0) < 0
+	}
+	if !plain {
+		return a.escapedKey()
+	}
 	var b strings.Builder
-	b.Grow(len(a.Pred) + 8*len(a.Args))
+	b.Grow(n)
 	b.WriteString(a.Pred)
 	for _, t := range a.Args {
 		b.WriteByte(0)
@@ -237,6 +253,32 @@ func (a Atom) Key() string {
 		b.WriteString(t.Name)
 	}
 	return b.String()
+}
+
+// escapedKey is Key for an atom whose predicate or names hold a NUL byte.
+func (a Atom) escapedKey() string {
+	var b strings.Builder
+	writeEscaped(&b, a.Pred)
+	for _, t := range a.Args {
+		b.WriteByte(0)
+		b.WriteByte(byte('0') + byte(t.Kind))
+		writeEscaped(&b, t.Name)
+	}
+	return b.String()
+}
+
+// writeEscaped writes s with every NUL byte escaped as NUL 0xFF.
+func writeEscaped(b *strings.Builder, s string) {
+	for {
+		i := strings.IndexByte(s, 0)
+		if i < 0 {
+			b.WriteString(s)
+			return
+		}
+		b.WriteString(s[:i+1])
+		b.WriteByte(0xFF)
+		s = s[i+1:]
+	}
 }
 
 // String renders the atom in surface syntax, e.g. `parent(X, "bob")`.

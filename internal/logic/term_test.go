@@ -121,6 +121,34 @@ func TestAtomKeyInjectiveProperty(t *testing.T) {
 	}
 }
 
+// TestAtomKeyInjectiveWithNULs: names and predicates may hold NUL bytes,
+// the key's own separator. Over every binary atom built from a small
+// NUL-heavy alphabet, two keys are equal only for equal atoms; NUL-free atoms
+// keep the unescaped layout, whose order Key's callers sort by.
+func TestAtomKeyInjectiveWithNULs(t *testing.T) {
+	names := []string{"", "\x00", "0", "a", "\x000", "a\x00", "a\x000b", "b\x000c", "\x00\xff", "\xff"}
+	var atoms []Atom
+	for _, p := range []string{"p", "p\x000"} {
+		for _, x := range names {
+			for _, y := range names {
+				for k := Kind(0); k < 3; k += 2 {
+					atoms = append(atoms, NewAtom(p, Term{Kind: k, Name: x}, NewConst(y)))
+				}
+			}
+		}
+	}
+	seen := make(map[string]Atom, len(atoms))
+	for _, a := range atoms {
+		if b, ok := seen[a.Key()]; ok {
+			t.Fatalf("%q and %q share the key %q", a, b, a.Key())
+		}
+		seen[a.Key()] = a
+	}
+	if got := NewAtom("p", NewConst("a"), NewNull("b")).Key(); got != "p\x000a\x002b" {
+		t.Errorf("Key = %q, want the unescaped layout", got)
+	}
+}
+
 func TestAtomString(t *testing.T) {
 	a := NewAtom("parent", NewVar("X"), NewConst("bob"))
 	if got := a.String(); got != "parent(X, bob)" {

@@ -161,12 +161,14 @@ func (q *CQ) SortBody() *CQ {
 }
 
 // Key returns a syntactic identity key (predicate-level; not renaming
-// invariant — use DedupKey for that).
+// invariant — use DedupKey for that). Atoms are separated by NUL 0x01, which
+// no atom key holds (a NUL in one is followed by a kind digit or 0xFF), so a
+// name holding 0x01 cannot forge an atom boundary.
 func (q *CQ) Key() string {
 	var b strings.Builder
 	b.WriteString(q.Head.Key())
 	for _, a := range q.Body {
-		b.WriteByte(1)
+		b.WriteString("\x00\x01")
 		b.WriteString(a.Key())
 	}
 	return b.String()

@@ -43,11 +43,14 @@ func NewEntry(ans *eval.Answers) *Entry {
 }
 
 // estimateBytes approximates the heap footprint of an answer set: tuple
-// headers, term headers and name bytes, plus the dedup-key map.
+// headers, term headers and name bytes, plus a share for membership. The
+// membership share is generous — the hash-keyed set holds 16 to 32 bytes per
+// row in its table — and stays so that eviction does not move under a fixed
+// cache budget.
 func estimateBytes(ans *eval.Answers) int64 {
 	var n int64 = 256
 	for _, t := range ans.Tuples() {
-		n += 96 // slice header + map key + bucket share
+		n += 96 // slice header plus a membership share
 		for _, term := range t {
 			n += 32 + int64(len(term.Name))
 		}

@@ -15,21 +15,11 @@ import (
 // Tuple is one row of a relation.
 type Tuple []logic.Term
 
-// Key returns a canonical encoding of the tuple for dedup, built in one
+// Key returns a canonical, injective encoding of the tuple for dedup: the
+// key of an atom with an empty predicate (logic.Atom.Key), built in one
 // pre-sized pass (it is hashed once per insert/lookup on the hot path).
 func (t Tuple) Key() string {
-	n := 2 * len(t)
-	for _, x := range t {
-		n += len(x.Name)
-	}
-	var b strings.Builder
-	b.Grow(n)
-	for _, x := range t {
-		b.WriteByte(0)
-		b.WriteByte(byte('0') + byte(x.Kind))
-		b.WriteString(x.Name)
-	}
-	return b.String()
+	return logic.Atom{Args: t}.Key()
 }
 
 // HasNull reports whether the tuple contains a labelled null.

@@ -329,3 +329,102 @@ func TestFacadeLoadCSV(t *testing.T) {
 		t.Errorf("answers = %v", ans)
 	}
 }
+
+// TestFactsWithNULInNamesStayDistinct: names may hold NUL bytes, through
+// quoted parser strings and CSV fields. The facts p("a\x000b", c) and
+// p(a, "b\x000c") are distinct, and both must be stored and answered — a key
+// that wrote names raw between NUL separators gave both the same key, and the
+// second was dropped as a duplicate.
+func TestFactsWithNULInNamesStayDistinct(t *testing.T) {
+	x := storage.Tuple{logic.NewConst("a\x000b"), logic.NewConst("c")}
+	y := storage.Tuple{logic.NewConst("a"), logic.NewConst("b\x000c")}
+	check := func(t *testing.T, ont *Ontology) {
+		t.Helper()
+		if n := ont.Data().Relation("p").Len(); n != 2 {
+			t.Errorf("stored %d p facts, want 2", n)
+		}
+		for _, mode := range []AnswerMode{ModeAuto, ModeChase} {
+			ans, err := ont.AnswerCtx(bg, `q(X, Y) :- p(X, Y) .`, Options{Mode: mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ans.Len() != 2 || !ans.Contains(x) || !ans.Contains(y) {
+				t.Errorf("mode %v answers %q, want both facts", mode, ans.Tuples())
+			}
+		}
+	}
+	t.Run("LoadCSVCtx", func(t *testing.T) {
+		ont := MustParse(`p(X, Y) -> s(X) .`)
+		n, err := ont.LoadCSVCtx(bg, "p", strings.NewReader("a\x000b,c\na,b\x000c\n"))
+		if err != nil || n != 2 {
+			t.Fatalf("LoadCSVCtx added %d (err %v), want 2", n, err)
+		}
+		check(t, ont)
+	})
+	t.Run("AddFactCtx", func(t *testing.T) {
+		ont := MustParse(`p(X, Y) -> s(X) .`)
+		if err := ont.AddFactCtx(bg, "p(\"a\x000b\", c) . p(a, \"b\x000c\") ."); err != nil {
+			t.Fatal(err)
+		}
+		check(t, ont)
+	})
+}
+
+// TestDeleteFactWithNULInNameRepairsChase: deleting a fact whose name holds
+// a NUL byte from a materialized ontology repairs the chase incrementally —
+// the consequence derived from it goes, and chase-mode answers see that.
+func TestDeleteFactWithNULInNameRepairsChase(t *testing.T) {
+	ont := MustParse("p(X) -> s(X) . p(\"a\x00b\") . p(a) . p(b) . p(c) .")
+	query := `q(X) :- s(X) .`
+	answer := func() *Answers {
+		t.Helper()
+		ans, err := ont.AnswerCtx(bg, query, Options{Mode: ModeChase})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ans
+	}
+	if n := answer().Len(); n != 4 {
+		t.Fatalf("before the deletions: %d answers, want 4", n)
+	}
+	// The first deletion turns provenance on; the second must be repaired
+	// by DRed, not by a rebuild.
+	if _, err := ont.DeleteFactCtx(bg, `p(c) .`); err != nil {
+		t.Fatal(err)
+	}
+	answer()
+	before := ont.MaterializationStats().FullRebuilds
+	if n, err := ont.DeleteFactCtx(bg, "p(\"a\x00b\") ."); err != nil || n != 1 {
+		t.Fatalf("DeleteFactCtx removed %d (err %v), want 1", n, err)
+	}
+	ans := answer()
+	if s := ont.MaterializationStats(); s.FullRebuilds != before {
+		t.Fatalf("the deletion rebuilt the materialization (stats %+v), want an incremental repair", s)
+	}
+	if ans.Len() != 2 || ans.Contains(storage.Tuple{logic.NewConst("a\x00b")}) {
+		t.Errorf("answers after deleting p(\"a\\x00b\") = %q, want a and b", ans.Tuples())
+	}
+}
+
+// TestQueriesDifferingByAControlByteStayDistinct: q(X) :- p(X, "a\x01r") .
+// and q(X) :- p(X, a), r() . are different queries. Query keys once joined
+// atom keys with the byte 0x01, so the two shared a key, and the plan cache
+// and the answer-view cache served the first one's answers for the second.
+func TestQueriesDifferingByAControlByteStayDistinct(t *testing.T) {
+	ont := MustParse("p(a, a) . r() . p(b, \"a\x01r\") .")
+	ont.SetAnswerCacheBudget(DefaultAnswerCacheBytes)
+	for _, tc := range []struct{ query, want string }{
+		{`q(X) :- p(X, a), r() .`, "a"},
+		{"q(X) :- p(X, \"a\x01r\") .", "b"},
+	} {
+		for _, opts := range []Options{{}, {NoCache: true}} {
+			ans, err := ont.AnswerCtx(bg, tc.query, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ans.Len() != 1 || ans.Tuples()[0][0] != logic.NewConst(tc.want) {
+				t.Errorf("%q (NoCache %v) = %v, want %s", tc.query, opts.NoCache, ans.Tuples(), tc.want)
+			}
+		}
+	}
+}

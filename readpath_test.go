@@ -487,3 +487,42 @@ a(c1) . a(c2) .
 		t.Errorf("eval.CompileUCQ ran %d times over 5 chase/rewrite alternations, want 2", n)
 	}
 }
+
+// TestStreamAllocsPerAnswer bounds what one answer costs in heap
+// allocations on the read path: the difference in allocations between
+// answering over two University sizes, divided by the difference in answers,
+// so the fixed cost of a call (parsing, the view lookup, the runners) drops
+// out. Both modes, for a single-atom query, a rewriting into a union, and a
+// join that projects a variable away. A key string and a fresh tuple per
+// answer cost 2 to 6; rows in slabs and a hash-keyed set cost nothing per
+// answer beyond amortized growth.
+func TestStreamAllocsPerAnswer(t *testing.T) {
+	queries := []string{
+		`q(X) :- person(X) .`,
+		`q(S, P) :- taughtBy(S, P) .`,
+		`q(C, D) :- teacherOf(P, C), worksFor(P, D) .`,
+	}
+	for _, mode := range []AnswerMode{ModeAuto, ModeChase} {
+		for _, q := range queries {
+			measure := func(depts int) (allocs float64, answers int) {
+				ont := New(datagen.University(), datagen.UniversityData(depts, 1))
+				opts := Options{Mode: mode, NoCache: true}
+				allocs = testing.AllocsPerRun(3, func() {
+					ans, err := ont.AnswerCtx(bg, q, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					answers = ans.Len()
+				})
+				return allocs, answers
+			}
+			a1, n1 := measure(50)
+			a2, n2 := measure(200)
+			perAnswer := (a2 - a1) / float64(n2-n1)
+			t.Logf("mode %v, %s: %.0f allocations for %d answers, %.0f for %d: %.3f per answer", mode, q, a1, n1, a2, n2, perAnswer)
+			if perAnswer > 0.25 {
+				t.Errorf("mode %v, %s: %.3f allocations per answer, want at most 0.25", mode, q, perAnswer)
+			}
+		}
+	}
+}
