@@ -414,8 +414,8 @@ func BenchmarkIncrementalAddFact(b *testing.B) {
 }
 
 // BenchmarkDeleteFact compares DRed-style incremental deletion (DeleteFact
-// over-deletes the fact's derived closure via provenance and re-derives
-// survivors) against removing the fact and re-chasing the whole instance
+// over-deletes the fact's derived closure by re-evaluating the rules with
+// the fact as the delta and rederives survivors) against removing the fact and re-chasing the whole instance
 // from scratch. Each iteration deletes one pre-inserted fact and re-answers
 // the same query; the dred arm's work is proportional to the deleted
 // closure, the re-chase arm's to the instance.
@@ -428,14 +428,6 @@ func BenchmarkDeleteFact(b *testing.B) {
 			if err := ont.AddFact(fmt.Sprintf("undergraduateStudent(bench%d) .", i)); err != nil {
 				b.Fatal(err)
 			}
-		}
-		// Prime the lazy provenance recording (the first DeleteFact pays one
-		// rebuild) so the timed loop measures steady-state repairs.
-		if err := ont.AddFact("undergraduateStudent(primer) ."); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := ont.DeleteFact("undergraduateStudent(primer) ."); err != nil {
-			b.Fatal(err)
 		}
 		if _, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase}); err != nil {
 			b.Fatal(err)
@@ -523,22 +515,15 @@ func BenchmarkAddRule(b *testing.B) {
 	})
 }
 
-// BenchmarkRemoveRule compares DRed-style rule removal — over-delete every
-// fact whose provenance cites the rule, re-derive survivors — against
-// re-chasing the shrunk rule set from scratch. Each iteration removes a rule
-// added (untimed) just before it.
+// BenchmarkRemoveRule compares DRed-style rule removal — over-delete the
+// head facts of the rule's triggers and their closure, rederive survivors —
+// against re-chasing the shrunk rule set from scratch. Each iteration
+// removes a rule added (untimed) just before it.
 func BenchmarkRemoveRule(b *testing.B) {
 	rules := datagen.University()
 	const q = `q(X) :- person(X) .`
 	b.Run("incremental", func(b *testing.B) {
 		ont := MustParse(rules.String() + "\n" + datagen.UniversityData(16, 1).String())
-		// Prime provenance recording so removals repair instead of rebuild.
-		if err := ont.AddFact(`undergraduateStudent(primer) .`); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := ont.DeleteFact(`undergraduateStudent(primer) .`); err != nil {
-			b.Fatal(err)
-		}
 		if _, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase}); err != nil {
 			b.Fatal(err)
 		}

@@ -12,9 +12,9 @@
 // facts as the delta (the maintenance path Ontology.AddFact uses), while
 // without it the full input is re-chased from scratch for comparison. With
 // -delete, facts are removed after the initial chase (and after -add):
-// incrementally via DRed over-deletion/re-derivation (the path
+// incrementally by DRed over-deletion and rederiving (the path
 // Ontology.DeleteFact uses), or by a from-scratch re-chase of the surviving
-// input.
+// input. -add-rule and -drop-rule change the rule set the same two ways.
 //
 // -timeout bounds the whole run: an expired deadline stops the engine at
 // the current round barrier without merging it and the command exits
@@ -61,9 +61,6 @@ func main() {
 		fatal(err)
 	}
 	opts := chase.Options{MaxSteps: ropts.MaxSteps, MaxRounds: ropts.MaxRounds, Parallelism: ropts.Parallelism}
-	// Incremental deletion (of facts or of a rule's contribution) walks the
-	// engine's derivation provenance.
-	opts.TrackProvenance = (*del != "" || *dropRule != "") && *incremental
 	ctx, cancel := shared.Context()
 	defer cancel()
 

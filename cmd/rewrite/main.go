@@ -30,7 +30,7 @@ func main() {
 	rulesPath := flag.String("rules", "", "path to a .rules file of TGDs")
 	dataPath := flag.String("data", "", "path to a .data file (used with -eval)")
 	querySrc := flag.String("query", "", "conjunctive query, e.g. 'q(X) :- r(X,Y) .'")
-	trace := flag.Bool("trace", false, "print the rule derivation path of each disjunct")
+	trace := flag.Bool("trace", false, "print the chain of rules that rewrote each disjunct")
 	evalFlag := flag.Bool("eval", false, "evaluate the rewriting over the -data instance and print the certain answers")
 	maxCQs := flag.Int("max-cqs", 0, "budget on generated CQs (0 = default)")
 	shared := cliflags.Bind(flag.CommandLine)

@@ -120,26 +120,15 @@ func TestPropertyAddDeleteFactIncrementalEqualsScratch(t *testing.T) {
 }
 
 // TestDeleteFactWorkProportionalToClosure asserts, through the public
-// counters, that DeleteFact repairs the materialization with work
-// proportional to the deleted closure: the repair's steps are a handful
-// while the initial build's were hundreds, and the answers lose exactly the
-// deleted student.
+// counters, that DeleteFactCtx repairs the materialization in place — the
+// very first deletion too, with no rebuild — with work proportional to the
+// deleted closure: the repair's steps are a handful while the initial
+// build's were hundreds, and the answers lose exactly the deleted student.
 func TestDeleteFactWorkProportionalToClosure(t *testing.T) {
 	ont := MustParse(datagen.University().String() + "\n" + datagen.UniversityData(16, 1).String())
 	const q = `q(X) :- person(X) .`
-	if err := ont.AddFact(`undergraduateStudent(doomed) . undergraduateStudent(primer) .`); err != nil {
+	if err := ont.AddFact(`undergraduateStudent(doomed) .`); err != nil {
 		t.Fatal(err)
-	}
-	// Provenance recording is lazy: the first DeleteFact drops the cache and
-	// flips it on, so prime with a throwaway deletion before measuring.
-	if _, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase}); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := ont.DeleteFact(`undergraduateStudent(primer) .`); err != nil || n != 1 {
-		t.Fatalf("priming delete: n=%d err=%v", n, err)
-	}
-	if st := ont.MaterializationStats(); st.Cached {
-		t.Fatalf("first delete must drop the provenance-less cache: %+v", st)
 	}
 	before, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase})
 	if err != nil {
@@ -150,17 +139,17 @@ func TestDeleteFactWorkProportionalToClosure(t *testing.T) {
 		t.Fatalf("initial build fired %d steps; workload too small for the proportionality claim", s0.LastSteps)
 	}
 
-	n, err := ont.DeleteFact(`undergraduateStudent(doomed) .`)
+	n, err := ont.DeleteFactCtx(bg, `undergraduateStudent(doomed) .`)
 	if err != nil || n != 1 {
-		t.Fatalf("DeleteFact: n=%d err=%v", n, err)
+		t.Fatalf("DeleteFactCtx: n=%d err=%v", n, err)
+	}
+	s1 := ont.MaterializationStats()
+	if !s1.Cached || s1.Epoch != s0.Epoch+1 || s1.FullRebuilds != 0 {
+		t.Errorf("stats after the first delete = %+v, want the cache repaired in place: epoch bump, no rebuild", s1)
 	}
 	after, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase})
 	if err != nil {
 		t.Fatal(err)
-	}
-	s1 := ont.MaterializationStats()
-	if !s1.Cached || s1.Epoch != s0.Epoch+1 {
-		t.Errorf("stats after delete = %+v, want epoch bump on the repaired cache", s1)
 	}
 	if s1.LastSteps > 10 {
 		t.Errorf("repair LastSteps = %d, want a handful (initial build: %d)", s1.LastSteps, s0.LastSteps)
@@ -190,17 +179,8 @@ student(X) -> person(X) .
 student(alice) .
 person(alice) .
 person(bob) .
-student(primer) .
 `)
 	const q = `q(X) :- person(X) .`
-	if _, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase}); err != nil {
-		t.Fatal(err)
-	}
-	// Prime the lazy provenance recording so the assertions below exercise
-	// the DRed repair path, not the drop-and-rebuild of a first deletion.
-	if n, err := ont.DeleteFact(`student(primer) .`); err != nil || n != 1 {
-		t.Fatalf("priming delete: n=%d err=%v", n, err)
-	}
 	if _, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase}); err != nil {
 		t.Fatal(err)
 	}
@@ -282,14 +262,6 @@ func TestAnswersDoNotBlockBehindWriters(t *testing.T) {
 	ont := New(datagen.University(), datagen.UniversityData(100, 1))
 	const q = `q(X) :- person(X) .`
 	modes := []AnswerMode{ModeChase, ModeRewrite}
-	// Prime provenance recording so the deletion below repairs the published
-	// materialization incrementally instead of dropping it.
-	if err := ont.AddFact(`undergraduateStudent(primer) .`); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := ont.DeleteFact(`undergraduateStudent(primer) .`); err != nil || n != 1 {
-		t.Fatalf("priming delete: n=%d err=%v", n, err)
-	}
 	var batch strings.Builder
 	for i := 0; i < 3000; i++ {
 		fmt.Fprintf(&batch, "graduateStudent(late%d) . takesCourse(late%d, course%d_%d) .\n", i, i, i%100, i%3)

@@ -203,9 +203,8 @@ func TestAddRuleIncrementalStepsProportionalToDelta(t *testing.T) {
 	}
 	label := ont.Rules().Rules[ont.Rules().Len()-1].Label
 
-	// RemoveRule pays one provenance rebuild the first time (recording was
-	// off), then repairs are incremental; either way the answers must drop
-	// the rule's contribution.
+	// RemoveRule repairs the cache in place; the answers must drop the
+	// rule's contribution.
 	if err := ont.RemoveRuleCtx(bg, label); err != nil {
 		t.Fatal(err)
 	}
@@ -217,8 +216,8 @@ func TestAddRuleIncrementalStepsProportionalToDelta(t *testing.T) {
 		t.Errorf("organizations after RemoveRule = %d, want 0", ans.Len())
 	}
 
-	// Second cycle: the cache now records provenance, so the removal itself
-	// must be an incremental repair (epoch bump, delta-sized step count).
+	// Second cycle: the removal is again an incremental repair (epoch bump,
+	// delta-sized step count).
 	if err := ont.AddRuleCtx(bg, `department(X) -> organization(X) .`); err != nil {
 		t.Fatal(err)
 	}
@@ -327,130 +326,6 @@ student(alice) .
 	}
 }
 
-// TestCompactionKeepsMaintenanceCorrect is the generational-sweep property
-// at the public API: with a sweep run after every mutation, a stream of
-// add/delete/rule mutations must still answer exactly like scratch, the
-// sweep counters must move, and — the acceptance criterion — DeleteFact
-// after a sweep still repairs correctly. Its last leg shows the automatic
-// sweep: the DefaultCompactEvery-th mutation runs one on its own.
-func TestCompactionKeepsMaintenanceCorrect(t *testing.T) {
-	base := datagen.University().String() + "\n" + datagen.UniversityData(2, 1).String()
-	const q = `q(X) :- person(X) .`
-	// primed returns an ontology recording provenance with its
-	// materialization built, after two mutations: the first delete drops the
-	// provenance-less cache, sticky-enabling the graph for every later build.
-	primed := func() *Ontology {
-		ont := MustParse(base)
-		if _, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase}); err != nil {
-			t.Fatal(err)
-		}
-		if err := ont.AddFact(`undergraduateStudent(primer) .`); err != nil {
-			t.Fatal(err)
-		}
-		if n, err := ont.DeleteFact(`undergraduateStudent(primer) .`); err != nil || n != 1 {
-			t.Fatalf("priming delete: n=%d err=%v", n, err)
-		}
-		if _, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase}); err != nil {
-			t.Fatal(err)
-		}
-		return ont
-	}
-	ont := primed()
-
-	// Maintenance stream: every mutation dirties the graph, and a sweep
-	// follows each one.
-	swept := 0
-	mutated := func(err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-		swept += ont.CompactProvenance()
-	}
-	for i := 0; i < 8; i++ {
-		mutated(ont.AddFact(fmt.Sprintf("undergraduateStudent(c%d) .", i)))
-	}
-	for i := 0; i < 4; i++ {
-		n, err := ont.DeleteFact(fmt.Sprintf("undergraduateStudent(c%d) .", i))
-		if err == nil && n != 1 {
-			err = fmt.Errorf("delete c%d removed %d facts", i, n)
-		}
-		mutated(err)
-	}
-	mutated(ont.AddRuleCtx(bg, `department(X) -> organization(X) .`))
-	mutated(ont.RemoveRuleCtx(bg, ont.Rules().Rules[ont.Rules().Len()-1].Label))
-	if swept == 0 {
-		t.Fatal("no sweep reclaimed a dead derivation")
-	}
-	// The stats are frozen at publication: an insert, which kills nothing,
-	// publishes the swept graph.
-	mutated(ont.AddFact(`undergraduateStudent(c8) .`))
-	st := ont.MaterializationStats()
-	if !st.Cached || st.Compactions == 0 {
-		t.Fatalf("stats = %+v, want compaction sweeps to have run", st)
-	}
-	if st.ProvDeadDerivations != 0 {
-		t.Errorf("ProvDeadDerivations = %d after a sweep-every-mutation stream, want 0", st.ProvDeadDerivations)
-	}
-
-	// The acceptance criterion: a DeleteFact against the compacted graph
-	// still repairs to exactly the scratch answers.
-	if n, err := ont.DeleteFact(`undergraduateStudent(c5) .`); err != nil || n != 1 {
-		t.Fatalf("post-compaction delete: n=%d err=%v", n, err)
-	}
-	got, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scratch := MustParse(base)
-	for _, i := range []int{4, 6, 7, 8} { // c0..c3 and c5 were deleted
-		if err := scratch.AddFact(fmt.Sprintf("undergraduateStudent(c%d) .", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := scratch.AnswerCtx(bg, q, Options{Mode: ModeChase})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Errorf("post-compaction maintenance diverged:\ngot:\n%s\nwant:\n%s", got, want)
-	}
-
-	// Between automatic sweeps dead derivations accumulate until one is
-	// requested; an on-demand sweep with nothing dead is a no-op.
-	if st := ont.MaterializationStats(); st.ProvDeadDerivations == 0 {
-		t.Error("the dead derivations of the last delete must remain visible until a sweep")
-	}
-	if dropped := ont.CompactProvenance(); dropped == 0 {
-		t.Error("on-demand CompactProvenance must reclaim the dead derivations")
-	}
-	if dropped := ont.CompactProvenance(); dropped != 0 {
-		t.Errorf("idle sweep dropped %d, want 0", dropped)
-	}
-
-	// The automatic sweep: primed has made two mutations, and churn adds the
-	// rest up to DefaultCompactEvery; only the last one sweeps.
-	ont = primed()
-	for i := 2; i < DefaultCompactEvery; i++ {
-		if st := ont.MaterializationStats(); st.Compactions != 0 {
-			t.Fatalf("a sweep ran after %d mutations, want none before %d", i, DefaultCompactEvery)
-		}
-		fact := fmt.Sprintf("undergraduateStudent(churn%d) .", i/2)
-		var err error
-		if i%2 == 0 {
-			err = ont.AddFact(fact)
-		} else {
-			_, err = ont.DeleteFact(fact)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := ont.MaterializationStats(); st.Compactions != 1 || st.ProvDeadDerivations != 0 {
-		t.Errorf("after %d mutations: stats = %+v, want one automatic sweep and nothing dead", DefaultCompactEvery, st)
-	}
-}
-
 // TestConcurrentEvolutionAndAnswer hammers every mutation kind against
 // concurrent readers: one writer streams fact mutations, another streams
 // rule mutations, while readers answer in chase mode over published
@@ -520,14 +395,14 @@ func TestConcurrentEvolutionAndAnswer(t *testing.T) {
 }
 
 // TestFullRebuildsSurfacedInStats is the observability regression for the
-// silent-rebuild path: RemoveRule against a cache built without provenance
-// cannot repair incrementally, so it drops the materialization and the next
-// chase answer rebuilds from scratch. That used to be invisible — the stats
-// looked identical to a healthy repair once the rebuild finished. The
-// FullRebuilds counter must tick exactly on the drop, and must NOT tick when
-// the second removal (provenance now recorded) repairs incrementally.
+// rebuild path. The first RemoveRuleCtx on a materialized ontology repairs
+// in place: the cache stays, its epoch advances, and FullRebuilds stays 0.
+// A cache the chase truncated cannot be repaired, so a mutation drops it and
+// the next chase answer rebuilds from scratch: FullRebuilds must tick
+// exactly on that drop.
 func TestFullRebuildsSurfacedInStats(t *testing.T) {
-	ont := MustParse(datagen.University().String() + "\n" + datagen.UniversityData(4, 1).String())
+	src := datagen.University().String() + "\n" + datagen.UniversityData(4, 1).String()
+	ont := MustParse(src)
 	if err := ont.AddRuleCtx(bg, `department(X) -> organization(X) .`); err != nil {
 		t.Fatal(err)
 	}
@@ -535,41 +410,38 @@ func TestFullRebuildsSurfacedInStats(t *testing.T) {
 	if _, err := ont.AnswerCtx(bg, `q(X) :- person(X) .`, Options{Mode: ModeChase}); err != nil {
 		t.Fatal(err)
 	}
-	if s := ont.MaterializationStats(); !s.Cached || s.FullRebuilds != 0 {
-		t.Fatalf("fresh build stats = %+v, want cached with FullRebuilds 0", s)
+	s0 := ont.MaterializationStats()
+	if !s0.Cached || s0.FullRebuilds != 0 {
+		t.Fatalf("fresh build stats = %+v, want cached with FullRebuilds 0", s0)
 	}
-
-	// Provenance was off during the build: the removal silently drops the
-	// cache instead of repairing it, and the counter must say so.
 	if err := ont.RemoveRuleCtx(bg, label); err != nil {
 		t.Fatal(err)
 	}
-	s1 := ont.MaterializationStats()
-	if s1.Cached {
-		t.Fatalf("provenance-less RemoveRule kept the cache: %+v", s1)
-	}
-	if s1.FullRebuilds != 1 {
-		t.Fatalf("FullRebuilds after provenance-less RemoveRule = %d, want 1", s1.FullRebuilds)
+	if s1 := ont.MaterializationStats(); !s1.Cached || s1.FullRebuilds != 0 || s1.Epoch != s0.Epoch+1 {
+		t.Fatalf("stats after the first RemoveRule = %+v, want the cache repaired in place: epoch bump, no rebuild", s1)
 	}
 
-	// Rebuild (now recording provenance), then a second add/remove cycle
-	// repairs incrementally — no further drop, counter unchanged.
+	// A budget too small for the chase publishes a truncated cache, which
+	// no mutation can repair: the deletion drops it, and the counter says so.
+	ont = MustParse(src)
+	if _, err := ont.AnswerCtx(bg, `q(X) :- person(X) .`, Options{Mode: ModeChase, MaxSteps: 10}); err == nil {
+		t.Fatal("a 10-step budget must truncate the chase")
+	}
+	if s := ont.MaterializationStats(); !s.Cached || s.Terminated {
+		t.Fatalf("stats after the truncated build = %+v, want a cached, truncated materialization", s)
+	}
+	victim := ont.Data().Atoms()[0]
+	if n, err := ont.DeleteFactCtx(bg, victim.String()+" ."); err != nil || n != 1 {
+		t.Fatalf("DeleteFactCtx(%v): n=%d err=%v", victim, n, err)
+	}
+	if s := ont.MaterializationStats(); s.Cached || s.FullRebuilds != 1 {
+		t.Fatalf("stats after deleting from a truncated cache = %+v, want it dropped with FullRebuilds 1", s)
+	}
 	if _, err := ont.AnswerCtx(bg, `q(X) :- person(X) .`, Options{Mode: ModeChase}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ont.AddRuleCtx(bg, `department(X) -> organization(X) .`); err != nil {
-		t.Fatal(err)
-	}
-	label = ont.Rules().Rules[ont.Rules().Len()-1].Label
-	if err := ont.RemoveRuleCtx(bg, label); err != nil {
-		t.Fatal(err)
-	}
-	s2 := ont.MaterializationStats()
-	if !s2.Cached {
-		t.Fatalf("incremental RemoveRule dropped the cache: %+v", s2)
-	}
-	if s2.FullRebuilds != 1 {
-		t.Fatalf("FullRebuilds after incremental RemoveRule = %d, want still 1", s2.FullRebuilds)
+	if s := ont.MaterializationStats(); !s.Cached || !s.Terminated || s.FullRebuilds != 1 {
+		t.Fatalf("stats after the rebuild = %+v, want a terminated cache and FullRebuilds still 1", s)
 	}
 }
 

@@ -58,10 +58,8 @@ type Options struct {
 	// within a round (0 or 1 = sequential). The resulting instance is a
 	// valid chase for any value; certain answers are identical.
 	Parallelism int
-	// TrackProvenance records, for every fired trigger, the ground body
-	// facts consumed and head facts produced. The provenance graph is what
-	// State.Delete needs for DRed-style incremental deletion; runs that will
-	// never delete can leave it off and pay nothing.
+	// Deprecated: TrackProvenance is ignored. Every State can repair
+	// deletions: it keeps only each existential firing's nulls.
 	TrackProvenance bool
 }
 
@@ -91,7 +89,7 @@ type Result struct {
 	// deadline (ResumeCtx and friends). An aborted run stopped at a round
 	// barrier without merging the interrupted round's writes, so Instance is
 	// a valid chase prefix of the input — but the engine State has consumed
-	// partial bookkeeping (counters, provenance) and must be discarded:
+	// partial bookkeeping (counters, null table) and must be discarded:
 	// incremental maintenance on top of an aborted run is unsound, exactly
 	// as after a truncation.
 	Err error
@@ -148,8 +146,7 @@ type argSrc struct {
 	term logic.Term
 }
 
-// value is the argument's term in a firing of row whose fresh nulls are
-// nulls (nil for a body atom, which has none).
+// value is the argument's term in a firing of row whose nulls are nulls.
 func (s argSrc) value(row, nulls []logic.Term) logic.Term {
 	switch s.kind {
 	case fromRow:
@@ -170,7 +167,7 @@ type atomTmpl struct {
 // (the rule's BodyVars), the row position of each distinguished variable (in
 // Distinguished order, which is also the seed order of the head plan), the
 // number of existential head variables (nulls are invented in
-// ExistentialHead order), and the source of every head and body argument.
+// ExistentialHead order), and the source of every head argument.
 // Templates are compiled once per rule per Resume (and per DRed call), so
 // the firing path never recomputes the rule's variable sets.
 type template struct {
@@ -179,7 +176,6 @@ type template struct {
 	nexist    int
 	head      []atomTmpl
 	headArity int
-	body      []atomTmpl
 }
 
 // compileTemplate builds the firing template of one rule.
@@ -197,7 +193,7 @@ func compileTemplate(rule *dependency.TGD) *template {
 		exist[v] = k
 	}
 	tp.nexist = len(exist)
-	compile := func(a logic.Atom) atomTmpl {
+	for _, a := range rule.Head {
 		at := atomTmpl{pred: a.Pred, args: make([]argSrc, len(a.Args))}
 		for j, t := range a.Args {
 			if p, ok := pos[t]; ok {
@@ -208,14 +204,8 @@ func compileTemplate(rule *dependency.TGD) *template {
 				at.args[j] = argSrc{kind: fromConst, term: t}
 			}
 		}
-		return at
-	}
-	for _, a := range rule.Head {
-		tp.head = append(tp.head, compile(a))
+		tp.head = append(tp.head, at)
 		tp.headArity += a.Arity()
-	}
-	for _, a := range rule.Body {
-		tp.body = append(tp.body, compile(a))
 	}
 	return tp
 }
@@ -227,29 +217,6 @@ func compileTemplates(rules *dependency.Set) []*template {
 		out[ri] = compileTemplate(rule)
 	}
 	return out
-}
-
-// subst is the row as a substitution of the body variables, for the cold
-// paths that still match through eval.Matches (DRed's head check).
-func (tp *template) subst(row []logic.Term) logic.Subst {
-	s := make(logic.Subst, len(row))
-	for i, v := range tp.vars {
-		s[v] = row[i]
-	}
-	return s
-}
-
-// key returns the logic.Atom.Key of a body atom instantiated with row — the
-// provenance key of a fact the firing consumed, which overDelete looks up by
-// the removed fact's own Atom.Key. The arguments are gathered on the stack
-// for the usual short atom, so the key string is the one allocation.
-func (at *atomTmpl) key(row []logic.Term) string {
-	var buf [8]logic.Term
-	args := buf[:0]
-	for _, s := range at.args {
-		args = append(args, s.value(row, nil))
-	}
-	return logic.Atom{Pred: at.pred, Args: args}.Key()
 }
 
 // planSet holds the plans compiled once per Resume call and reused across
@@ -522,21 +489,6 @@ func runTasks(n, workers int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// headSatisfied reports whether the rule head, with frontier variables bound
-// per the trigger, already holds in the instance (the restricted-chase
-// applicability test). Existential head variables may map to anything.
-// Compiles per call — the Resume hot path uses planSet.headSatisfied
-// instead; this stays for the DRed direct sweep, where triggers are few.
-func headSatisfied(rule *dependency.TGD, frontier logic.Subst, ins *storage.Instance) bool {
-	head := frontier.ApplyAtoms(rule.Head)
-	found := false
-	eval.Matches(head, ins, func(logic.Subst) bool {
-		found = true
-		return false
-	})
-	return found
 }
 
 // CertainAnswers evaluates a UCQ over the chase of (rules, data) and keeps

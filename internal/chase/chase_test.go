@@ -291,7 +291,7 @@ func TestPartitionedMutationMatchesOracle(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					full := datagen.Rules(datagen.Config{Family: fam, Rules: 8, Seed: seed})
 					data := datagen.Instance(full, 20, 8, seed)
-					opts := Options{MaxRounds: 60, MaxSteps: 40000, Parallelism: par, TrackProvenance: true}
+					opts := Options{MaxRounds: 60, MaxSteps: 40000, Parallelism: par}
 
 					cur := dependency.MustNewSet(full.Rules[:5]...)
 					reserve := full.Rules[5:]

@@ -1,22 +1,28 @@
 // DRed-style incremental deletion for a maintained chase (Gupta, Mumick &
 // Subrahmanian's delete-and-rederive, adapted to TGDs with labelled nulls).
 //
-// Deleting base facts from a chased instance proceeds in two sweeps over the
-// derivation provenance the engine records when Options.TrackProvenance is
-// set:
+// As DRed does for Datalog, a repair re-evaluates rule bodies instead of
+// walking a recorded graph of firings. The one thing a re-evaluated trigger
+// cannot reproduce is the nulls it invented, so the State keeps those per
+// fired existential trigger — its null table, keyed by the rule and the
+// trigger's full body row, a Skolem-style naming — and nothing else.
+// Deleting base facts from a chased instance proceeds in two sweeps:
 //
-//  1. over-deletion — the requested facts are removed together with the
-//     closure of everything derived through them: walking the consumer edges
-//     of the provenance graph, any firing that consumed a removed fact has
-//     its outputs removed too, transitively. This over-approximates (a
-//     removed fact may have an independent surviving derivation);
-//  2. re-derivation — triggers that can restore removed facts are found
+//  1. over-deletion — a semi-naive pass of the chase's own trigger
+//     collection with each round's doomed facts as the delta: every trigger
+//     that joins a doomed fact rebuilds its head facts from its row (and,
+//     for an existential rule, from its table entry; a trigger without one
+//     never fired, so it made nothing), and those still present that are
+//     not base facts are doomed in the next round. This over-approximates:
+//     a removed fact may have another support that survives;
+//  2. rederiving — triggers that can restore removed facts are found
 //     semi-naively from the removed facts themselves: each removed fact is
 //     unified with rule heads and the rule bodies are joined against the
 //     surviving instance from that seed, so the work is proportional to the
 //     deleted closure, not to the instance. A candidate whose head no longer
 //     holds re-fires, and the consequences propagate through an ordinary
-//     semi-naive Resume.
+//     semi-naive Resume. A killed trigger that fires again reuses the nulls
+//     it invented before, so a repair restores exactly what it removed.
 //
 // The result is a valid chase of the remaining base data: certain answers
 // equal a from-scratch chase (property-tested, sequential and parallel
@@ -39,103 +45,85 @@ import (
 type DeleteResult struct {
 	// Requested counts the facts removed directly: for Delete, the facts
 	// named by the caller that were present (absent facts are no-ops); for
-	// DeleteRuleCtx, the outputs of the removed rule's firings.
+	// DeleteRuleCtx, the head facts of the removed rule's triggers.
 	Requested int
 	// OverDeleted counts the additional facts removed by the closure sweep.
 	OverDeleted int
 	// Rederived counts removed facts restored directly by a surviving
-	// trigger in the re-derivation sweep (facts restored deeper in the
+	// trigger in the rederiving sweep (facts restored deeper in the
 	// propagation are not counted here).
 	Rederived int
-	// Result is the re-derivation increment: Steps/Rounds/NullsCreated count
+	// Result is the rederiving increment: Steps/Rounds/NullsCreated count
 	// the refires (direct and propagated), and Terminated reports whether
 	// the propagation reached its fixpoint within budget.
 	Result *Result
 }
 
 // Delete removes the given ground base facts from ins and incrementally
-// repairs the chase: the deleted closure is over-deleted via the recorded
-// provenance, then survivors are re-derived against the remaining instance.
-// The work is proportional to the consequences of the deletion (see
-// DeleteResult's counters), not to the instance.
+// repairs the chase: the deleted closure is over-deleted by re-evaluating
+// the rules with the removed facts as the delta, then survivors are
+// rederived against the remaining instance. The work is proportional to the
+// consequences of the deletion (see DeleteResult's counters), not to the
+// instance.
 //
 // base is the surviving base data (with the requested facts already gone):
 // the closure sweep never removes a fact still present in it, since a base
-// fact needs no derivation — without the guard, a fact that is both base
-// and derived would be over-deleted through its dead derivation and lost
-// (rules cannot re-derive it). nil disables the guard, for callers whose
-// base facts are never also rule heads.
+// fact needs no support — without the guard, a fact that is both base and
+// derived would be over-deleted and lost (rules cannot rederive it). nil
+// disables the guard, for callers whose base facts are never also rule
+// heads.
 //
-// The state must have been created with Options.TrackProvenance and must not
-// be truncated (a truncated chase dropped triggers that deletion cannot
-// reconsider) — either condition is an error telling the caller to rebuild
-// from scratch instead. ins must be the instance this state materialized,
-// possibly behind its ExtendClone.
+// The state must not be truncated (a truncated chase dropped triggers that
+// deletion cannot reconsider): that is an error telling the caller to
+// rebuild from scratch instead. ins must be the instance this state
+// materialized, possibly behind its ExtendClone.
 func (st *State) Delete(rules *dependency.Set, ins *storage.Instance, facts []logic.Atom, base *storage.Instance) (*DeleteResult, error) {
 	return st.DeleteCtx(context.Background(), rules, ins, facts, base)
 }
 
 // DeleteCtx is Delete under a cancellation context: the over-deletion sweep
-// polls ctx between queue items and the re-derivation propagation inherits it
-// (see ResumeCtx). On abort the repair is half-applied — facts removed but
-// survivors not yet re-derived — so Result.Err is set and the caller must
-// discard both the instance and the state and rebuild from the base data
-// (Ontology.mutate rolls back and drops the cache).
+// polls ctx in its trigger collection and the rederiving propagation
+// inherits it (see ResumeCtx). On abort the repair is half-applied — facts
+// removed but survivors not yet rederived — so Result.Err is set and the
+// caller must discard both the instance and the state and rebuild from the
+// base data (Ontology.mutate rolls back and drops the cache).
 func (st *State) DeleteCtx(ctx context.Context, rules *dependency.Set, ins *storage.Instance, facts []logic.Atom, base *storage.Instance) (*DeleteResult, error) {
 	if err := st.repairable(); err != nil {
 		return nil, err
 	}
 	res := &DeleteResult{Result: &Result{Terminated: true}}
-
-	// Seed the over-deletion with the requested facts themselves.
-	removed := make(map[string]bool)
-	var queue []logic.Atom
+	seed := storage.NewInstance()
 	for _, f := range facts {
 		if !f.IsGround() {
 			return nil, fmt.Errorf("chase: cannot delete non-ground atom %v", f)
 		}
-		if k := f.Key(); !removed[k] && ins.Remove(f) {
-			removed[k] = true
-			queue = append(queue, f)
-			res.Requested++
+		if ins.ContainsAtom(f) {
+			if _, err := seed.Insert(f); err != nil {
+				panic(err) // f is in ins, so its arity is the relation's
+			}
 		}
 	}
-	if res.Requested == 0 {
+	if res.Requested = seed.Size(); res.Requested == 0 {
 		return res, nil
 	}
-	st.repair(ctx, rules, ins, base, queue, removed, res)
+	st.repair(ctx, rules, ins, base, seed, res)
 	return res, nil
-}
-
-// repair finishes a deletion seeded with the already-removed facts in queue:
-// over-delete their derived closure, then re-derive survivors. A ctx abort
-// between the sweeps leaves the repair half-applied and says so in
-// res.Result.
-func (st *State) repair(ctx context.Context, rules *dependency.Set, ins *storage.Instance, base *storage.Instance, queue []logic.Atom, removed map[string]bool, res *DeleteResult) {
-	queue = st.overDelete(ctx, ins, base, queue, removed, res)
-	if err := ctx.Err(); err != nil {
-		st.truncated = true // half-repaired: refuse future incremental work
-		res.Result.Err = err
-		res.Result.Terminated = false
-		return
-	}
-	st.rederive(ctx, rules, ins, queue, removed, res)
 }
 
 // DeleteRuleCtx removes one rule's contribution from a maintained chase — the
 // maintenance step behind Ontology.RemoveRuleCtx. rules is the SURVIVING set
-// and ri the removed rule's index in the previous set (surviving rules keep
-// their order; indices beyond ri shift down by one).
+// and ri the removed rule's index in the set the state last chased
+// (surviving rules keep their order; indices beyond ri shift down by one).
+// Any other rules is an error.
 //
-// Over-deletion here is rule-keyed rather than fact-keyed: every derivation
-// whose provenance cites rule ri is marked dead and its outputs removed
-// (base facts are guarded exactly as in Delete), then the derived closure of
-// those facts is over-deleted through the consumer edges. The rule indices
-// stored in provenance derivations are remapped to the shrunk set, and
-// survivors are re-derived against the surviving rules and propagated
-// semi-naively. DeleteResult.Requested counts the facts removed directly
-// from the rule's firings, OverDeleted the closure beyond them; the work is
-// proportional to the removed rule's contribution, not to the instance.
+// The removed rule's body is evaluated once: every match is a trigger of
+// the rule, and its head facts (base facts guarded exactly as in Delete)
+// seed the same over-deletion sweep Delete runs, after which survivors are
+// rederived against the surviving rules. DeleteResult.Requested counts the
+// facts removed directly from the rule's triggers, OverDeleted the closure
+// beyond them; the work is proportional to the removed rule's contribution,
+// not to the instance. The null table is keyed by rule identity, so the
+// surviving rules' entries stand as they are.
 //
 // Aborts as DeleteCtx does: on cancellation the repair is half-applied,
 // Result.Err is set, the state is marked truncated, and the caller must
@@ -144,107 +132,161 @@ func (st *State) DeleteRuleCtx(ctx context.Context, rules *dependency.Set, ins *
 	if err := st.repairable(); err != nil {
 		return nil, err
 	}
+	if !isWithout(rules, st.rules, ri) {
+		return nil, fmt.Errorf("chase: rules is not the set last chased without its rule %d", ri)
+	}
+	dropped := st.rules.Rules[ri]
 	res := &DeleteResult{Result: &Result{Terminated: true}}
 
-	// Rule-keyed over-deletion seed: kill every firing of the removed rule
-	// and take its outputs out of the instance.
-	removed := make(map[string]bool)
-	var queue []logic.Atom
-	for di := range st.prov.derivs {
-		d := &st.prov.derivs[di]
-		if d.dead || d.rule != ri {
-			continue
+	// kill only reads ins, so it runs inside the evaluation; it copies
+	// what it keeps of the row.
+	tp := compileTemplate(dropped)
+	row := make([]logic.Term, len(tp.vars))
+	seed := storage.NewInstance()
+	var heads []logic.Atom
+	eval.Matches(dropped.Body, ins, func(s logic.Subst) bool {
+		for i, v := range tp.vars {
+			row[i] = s.Walk(v)
 		}
-		st.markDead(d)
-		for _, h := range d.heads {
-			if base != nil && base.ContainsAtom(h) {
-				continue // still a base fact; needs no derivation
-			}
-			if hk := h.Key(); !removed[hk] && ins.Remove(h) {
-				removed[hk] = true
-				queue = append(queue, h)
-				res.Requested++
-			}
-		}
-	}
-	// The set shrank: shift every stored rule index past ri down by one so
-	// provenance keeps meaning the same rules. Must happen before
-	// re-derivation, which records new derivations under new indices.
-	st.remapRuleIndices(ri)
-	if len(queue) > 0 {
-		st.repair(ctx, rules, ins, base, queue, removed, res)
-	}
+		heads = st.kill(dropped, tp, row, ins, base, seed, heads)
+		return true
+	})
+	st.rules = rules
+	res.Requested = seed.Size()
+	st.repair(ctx, rules, ins, base, seed, res)
 	return res, nil
 }
 
-// repairable reports whether the state can run an incremental DRed repair:
-// it must record provenance and must not have truncated (a truncated chase
-// dropped triggers that deletion cannot reconsider).
-func (st *State) repairable() error {
-	if st.prov == nil {
-		return fmt.Errorf("chase: incremental deletion needs a state built with Options.TrackProvenance")
+// isWithout reports whether rules is prev with its rule at ri left out.
+func isWithout(rules, prev *dependency.Set, ri int) bool {
+	if prev == nil || ri < 0 || ri >= prev.Len() || rules.Len() != prev.Len()-1 {
+		return false
 	}
+	for i, r := range rules.Rules {
+		j := i
+		if i >= ri {
+			j++
+		}
+		if prev.Rules[j] != r {
+			return false
+		}
+	}
+	return true
+}
+
+// repairable reports whether the state can run an incremental DRed repair:
+// it must not have truncated (a truncated chase dropped triggers that
+// deletion cannot reconsider).
+func (st *State) repairable() error {
 	if st.truncated {
 		return fmt.Errorf("chase: cannot repair a truncated chase; rebuild from scratch")
 	}
 	return nil
 }
 
-// overDelete is the closure sweep shared by Delete and DeleteRuleCtx: walk
-// consumer edges breadth-first from the already-removed facts in queue,
-// removing everything derived through a removed fact. Dead derivations are
-// marked (and counted for the compaction sweep) so later deletions skip
-// them. Facts still present in base are never removed — a base fact needs
-// no derivation. Returns the full removed queue for the re-derivation sweep;
-// res.OverDeleted counts the facts removed beyond the initial seeds.
-func (st *State) overDelete(ctx context.Context, ins *storage.Instance, base *storage.Instance, queue []logic.Atom, removed map[string]bool, res *DeleteResult) []logic.Atom {
-	for qi := 0; qi < len(queue); qi++ {
-		if qi&0xFF == 0 && ctx.Err() != nil {
-			return queue // canceled: half-swept, caller surfaces the abort
-		}
-		fk := queue[qi].Key()
-		for _, di := range st.prov.consumers[fk] {
-			d := &st.prov.derivs[di]
-			if d.dead {
-				continue
-			}
-			st.markDead(d)
-			for _, h := range d.heads {
-				if base != nil && base.ContainsAtom(h) {
-					continue // still a base fact; needs no derivation
-				}
-				if hk := h.Key(); !removed[hk] && ins.Remove(h) {
-					removed[hk] = true
-					queue = append(queue, h)
-					res.OverDeleted++
-				}
-			}
-		}
-		delete(st.prov.consumers, fk)
+// repair finishes a deletion from seed, the facts chosen for removal and
+// still in ins: over-delete their closure, then rederive survivors, with one
+// plan set compiled for both sweeps. Null-table entries still aside at the
+// end belong to triggers that did not fire again; they are dropped. A ctx
+// abort between the sweeps leaves the repair half-applied and says so in
+// res.Result.
+func (st *State) repair(ctx context.Context, rules *dependency.Set, ins, base, seed *storage.Instance, res *DeleteResult) {
+	defer clear(st.aside)
+	if seed.Size() == 0 {
+		return
 	}
-	return queue
+	ins.EnsureIndexes()
+	plans := newPlanSet(rules, ins)
+	gone := st.overDelete(ctx, rules, ins, base, plans, seed)
+	res.OverDeleted = gone.Size() - res.Requested
+	if err := ctx.Err(); err != nil {
+		st.truncated = true // half-repaired: refuse future incremental work
+		res.Result.Err = err
+		res.Result.Terminated = false
+		return
+	}
+	st.rederive(ctx, rules, ins, plans, gone, res)
 }
 
-// rederive is the re-derivation sweep shared by Delete and DeleteRuleCtx,
-// seeded by the removed facts: any trigger the deletion could have
+// overDelete is the closure sweep shared by Delete and DeleteRuleCtx: a
+// semi-naive pass of collectTriggers with each round's doomed facts as the
+// delta. A round collects its triggers while the delta is still in ins — so
+// a trigger that joined doomed facts is found in the round of the first of
+// them — then takes the delta out of ins and kills the triggers, whose
+// surviving non-base head facts are the next round's delta. Returns every
+// removed fact.
+func (st *State) overDelete(ctx context.Context, rules *dependency.Set, ins, base *storage.Instance, plans *planSet, delta *storage.Instance) *storage.Instance {
+	gone := storage.NewInstance()
+	var heads []logic.Atom
+	for delta.Size() > 0 {
+		ins.EnsureIndexes()
+		triggers := collectTriggers(ctx, rules, ins, delta, st.opts.Parallelism, plans, 0)
+		if ctx.Err() != nil {
+			return gone // canceled: half-swept, caller surfaces the abort
+		}
+		for _, f := range delta.Atoms() {
+			ins.Remove(f)
+			if _, err := gone.Insert(f); err != nil {
+				panic(err)
+			}
+		}
+		next := storage.NewInstance()
+		for _, tr := range triggers {
+			heads = st.kill(rules.Rules[tr.rule], plans.tmpl[tr.rule], tr.row, ins, base, next, heads)
+		}
+		delta = next
+	}
+	return gone
+}
+
+// kill takes a trigger's head facts out of the maintained chase. It rebuilds
+// them from the row and, for an existential rule, from the trigger's
+// null-table entry, which moves aside; a trigger without an entry never
+// fired and made nothing. The head facts still in ins and not in base join
+// doomed. heads is a scratch buffer, returned for reuse.
+func (st *State) kill(rule *dependency.TGD, tp *template, row []logic.Term, ins, base, doomed *storage.Instance, heads []logic.Atom) []logic.Atom {
+	var nulls []logic.Term
+	if tp.nexist > 0 {
+		key := nullKey{rule: rule, row: storage.Tuple(row).Key()}
+		ns, ok := st.invented[key]
+		if !ok {
+			return heads
+		}
+		delete(st.invented, key)
+		st.aside[key] = ns
+		nulls = ns
+	}
+	heads = instantiateHead(tp, row, nulls, heads)
+	for _, h := range heads {
+		if ins.ContainsAtom(h) && (base == nil || !base.ContainsAtom(h)) {
+			if _, err := doomed.Insert(h); err != nil {
+				panic(err) // h is in ins, so its arity is the relation's
+			}
+		}
+	}
+	return heads
+}
+
+// rederive is the rederiving sweep shared by Delete and DeleteRuleCtx,
+// seeded by the removed facts gone: any trigger the deletion could have
 // unsuppressed must produce (or have had its head satisfied by) a removed
 // fact, so unifying rule heads with removed facts and joining the body from
 // that seed enumerates every candidate without touching the unaffected part
 // of the instance. A candidate whose head no longer holds re-fires, and the
 // consequences of the restored facts propagate through an ordinary
 // semi-naive resume; res.Result describes the whole increment.
-func (st *State) rederive(ctx context.Context, rules *dependency.Set, ins *storage.Instance, removedFacts []logic.Atom, removed map[string]bool, res *DeleteResult) {
-	tmpls := compileTemplates(rules)
-	cands := collectRederiveTriggers(rules, tmpls, ins, removedFacts)
+func (st *State) rederive(ctx context.Context, rules *dependency.Set, ins *storage.Instance, plans *planSet, gone *storage.Instance, res *DeleteResult) {
+	cands := collectRederiveTriggers(rules, plans.tmpl, ins, gone.Atoms())
 	delta := storage.NewInstance()
+	runners := make([]*eval.Runner, len(rules.Rules))
+	var heads []logic.Atom
 	steps, nulls, restored := 0, 0, 0
 	exhausted := false
 	for ci, tr := range cands {
 		if ci&0x1F == 0 && ctx.Err() != nil {
 			break // canceled: the propagation below reports the abort
 		}
-		tp := tmpls[tr.rule]
-		if headSatisfied(rules.Rules[tr.rule], tp.subst(tr.row), ins) {
+		if plans.headSatisfied(int(tr.rule), tr.row, ins, runners) {
 			continue
 		}
 		if steps == st.opts.MaxSteps {
@@ -252,15 +294,20 @@ func (st *State) rederive(ctx context.Context, rules *dependency.Set, ins *stora
 			break
 		}
 		steps++
-		heads, n := instantiateHead(tp, tr.row, st.gens[0], nil)
+		tp := plans.tmpl[tr.rule]
+		ns, rec, n := st.nullsFor(rules.Rules[tr.rule], tp, tr.row, st.gens[0])
+		if rec.nulls != nil {
+			st.keep(rec)
+		}
 		nulls += n
+		heads = instantiateHead(tp, tr.row, ns, heads)
 		for _, ha := range heads {
 			added, err := ins.Insert(ha)
 			if err != nil {
 				panic(err) // the Ontology keeps rules and data on one signature
 			}
 			if added {
-				if removed[ha.Key()] {
+				if gone.ContainsAtom(ha) {
 					res.Rederived++
 				}
 				if _, err := delta.Insert(ha); err != nil {
@@ -269,9 +316,6 @@ func (st *State) rederive(ctx context.Context, rules *dependency.Set, ins *stora
 				restored++
 			}
 		}
-		d := newDerivation(tp, tr)
-		d.heads = heads
-		st.prov.add(d)
 	}
 	st.steps += steps
 	st.nulls += nulls
@@ -292,23 +336,11 @@ func (st *State) rederive(ctx context.Context, rules *dependency.Set, ins *stora
 		rres = &Result{}
 		st.truncated = true
 	} else if restored > 0 {
-		rres = st.resume(ctx, rules, ins, delta, 0, steps)
+		rres = st.resume(ctx, rules, ins, delta, plans, 0, steps)
 	}
 	rres.Steps += steps
 	rres.NullsCreated += nulls
 	res.Result = rres
-}
-
-// remapRuleIndices rewrites the rule index of every provenance derivation
-// after the rule at ri was removed from the set: derivations of rules beyond
-// ri shift down by one. One pass over the graph — rule removal is rare next
-// to fact maintenance.
-func (st *State) remapRuleIndices(ri int) {
-	for di := range st.prov.derivs {
-		if d := &st.prov.derivs[di]; d.rule > ri {
-			d.rule--
-		}
-	}
 }
 
 // collectRederiveTriggers enumerates, deduplicated, every trigger whose

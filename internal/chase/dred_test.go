@@ -31,7 +31,7 @@ func TestDeleteIncrementalEqualsScratch(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					rules := datagen.Rules(datagen.Config{Family: fam, Rules: 6, Seed: seed})
 					data := datagen.Instance(rules, 25, 8, seed)
-					opts := Options{MaxRounds: 60, MaxSteps: 40000, Parallelism: par, TrackProvenance: true}
+					opts := Options{MaxRounds: 60, MaxSteps: 40000, Parallelism: par}
 
 					base := data.Atoms()
 					rng := rand.New(rand.NewSource(seed * 104729))
@@ -108,7 +108,7 @@ func TestDeleteRederivesBlockedTrigger(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/par=%d", tc.name, par), func(t *testing.T) {
 				rules := parser.MustParseRules(tc.rules)
 				baseIns := storage.MustFromAtoms(tc.base)
-				st := NewState(Options{Parallelism: par, TrackProvenance: true})
+				st := NewState(Options{Parallelism: par})
 				ins := baseIns.Clone()
 				if res := st.Resume(rules, ins, ins); !res.Terminated || res.NullsCreated != 0 {
 					t.Fatalf("initial chase: terminated=%v nulls=%d, want a blocked trigger and no null", res.Terminated, res.NullsCreated)
@@ -152,7 +152,7 @@ person(X) -> entity(X) .
 		at("employee", c("dana")),
 		at("student", c("solo")),
 	)
-	opts := Options{TrackProvenance: true}
+	opts := Options{}
 	st := NewState(opts)
 	ins := d.Clone()
 	baseIns := d.Clone() // mirror of the surviving base data
@@ -212,7 +212,7 @@ person(X) -> entity(X) .
 func TestDeleteWorkProportionalToClosure(t *testing.T) {
 	rules := datagen.University()
 	data := datagen.UniversityData(16, 1)
-	opts := Options{TrackProvenance: true}
+	opts := Options{}
 	st := NewState(opts)
 	ins := data.Clone()
 	first := st.Resume(rules, ins, ins)
@@ -255,24 +255,17 @@ func TestDeleteWorkProportionalToClosure(t *testing.T) {
 	}
 }
 
-// TestDeleteRequiresProvenance: states built without provenance (or after a
-// truncated run) must refuse to delete instead of silently corrupting.
+// TestDeleteRequiresProvenance: a state after a truncated run must refuse
+// to delete instead of silently corrupting. The name dates from the
+// derivation graph every repair once needed; any untruncated state repairs.
 func TestDeleteRequiresProvenance(t *testing.T) {
 	rules := parser.MustParseRules(`student(X) -> person(X) .`)
-	d := data(at("student", c("a")))
-	st := NewState(Options{})
-	ins := d.Clone()
-	st.Resume(rules, ins, ins)
-	if _, err := st.Delete(rules, ins, []logic.Atom{at("student", c("a"))}, nil); err == nil {
-		t.Error("Delete without TrackProvenance must error")
-	}
-
-	st2 := NewState(Options{MaxSteps: 1, TrackProvenance: true})
-	ins2 := data(at("student", c("a")), at("student", c("b"))).Clone()
-	if res := st2.Resume(rules, ins2, ins2); res.Terminated {
+	st := NewState(Options{MaxSteps: 1})
+	ins := data(at("student", c("a")), at("student", c("b"))).Clone()
+	if res := st.Resume(rules, ins, ins); res.Terminated {
 		t.Fatal("tiny budget must truncate")
 	}
-	if _, err := st2.Delete(rules, ins2, []logic.Atom{at("student", c("a"))}, nil); err == nil {
+	if _, err := st.Delete(rules, ins, []logic.Atom{at("student", c("a"))}, nil); err == nil {
 		t.Error("Delete on a truncated state must error")
 	}
 }
@@ -290,7 +283,7 @@ func TestDeleteDirectSweepHonorsMaxSteps(t *testing.T) {
 		blockers = append(blockers, at("q", a, c("b")))
 	}
 	baseIns := storage.MustFromAtoms(append(facts, blockers...))
-	st := NewState(Options{MaxSteps: 3, TrackProvenance: true})
+	st := NewState(Options{MaxSteps: 3})
 	ins := baseIns.Clone()
 	if res := st.Resume(rules, ins, ins); !res.Terminated || res.Steps != 0 {
 		t.Fatalf("initial chase: terminated=%v steps=%d, want every trigger blocked", res.Terminated, res.Steps)
@@ -320,7 +313,7 @@ func TestDeleteDirectSweepHonorsMaxSteps(t *testing.T) {
 	// budget of three.
 	rules = parser.MustParseRules(`p(X) -> q(X,Y) . q(X,Y) -> r(X,Y) .`)
 	baseIns = storage.MustFromAtoms(append(facts[:2:2], blockers[:2]...))
-	st = NewState(Options{MaxSteps: 3, TrackProvenance: true})
+	st = NewState(Options{MaxSteps: 3})
 	ins = baseIns.Clone()
 	if res := st.Resume(rules, ins, ins); !res.Terminated || res.Steps != 2 {
 		t.Fatalf("initial chase: terminated=%v steps=%d, want the 2 r firings", res.Terminated, res.Steps)
@@ -351,7 +344,7 @@ func TestDeleteFactWithNULInName(t *testing.T) {
 			victim := at("p", c("a\x00b"))
 			base := []logic.Atom{victim, at("p", c("a")), at("p", c("b"))}
 			baseIns := storage.MustFromAtoms(base)
-			st := NewState(Options{Parallelism: par, TrackProvenance: true})
+			st := NewState(Options{Parallelism: par})
 			ins := baseIns.Clone()
 			if res := st.Resume(rules, ins, ins); !res.Terminated || res.Steps != 3 {
 				t.Fatalf("initial chase: terminated=%v steps=%d, want 3 firings", res.Terminated, res.Steps)

@@ -32,7 +32,7 @@ func TestRuleMutationIncrementalEqualsScratch(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					full := datagen.Rules(datagen.Config{Family: fam, Rules: 8, Seed: seed})
 					data := datagen.Instance(full, 20, 8, seed)
-					opts := Options{MaxRounds: 60, MaxSteps: 40000, Parallelism: par, TrackProvenance: true}
+					opts := Options{MaxRounds: 60, MaxSteps: 40000, Parallelism: par}
 
 					// Start with a prefix of the rules; the rest is the
 					// AddRule reserve.
@@ -185,7 +185,7 @@ person(X) -> entity(X) .
 			at("employee", c("dana")),
 			at("student", c("solo")),
 		)
-		st := NewState(Options{TrackProvenance: true})
+		st := NewState(Options{})
 		ins := d.Clone()
 		if res := st.Resume(rules, ins, ins); !res.Terminated {
 			t.Fatal("chase must terminate")
@@ -237,82 +237,34 @@ person(X) -> entity(X) .
 }
 
 // TestDeleteRuleRequiresProvenance mirrors the Delete guard: rule removal on
-// a provenance-less or truncated state must refuse instead of corrupting.
+// a truncated state, or with a set that is not the state's set without the
+// named rule, must refuse instead of corrupting. The name dates from the
+// derivation graph every repair once needed; any untruncated state repairs.
 func TestDeleteRuleRequiresProvenance(t *testing.T) {
-	rules := parser.MustParseRules(`student(X) -> person(X) .`)
-	d := data(at("student", c("a")))
-	st := NewState(Options{})
-	ins := d.Clone()
-	st.Resume(rules, ins, ins)
+	rules := parser.MustParseRules(`student(X) -> person(X) . person(X) -> agent(X) .`)
 	next, err := rules.WithoutRule(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.DeleteRuleCtx(t.Context(), next, ins, 0, d); err == nil {
-		t.Error("DeleteRule without TrackProvenance must error")
+	st := NewState(Options{MaxSteps: 1})
+	ins := data(at("student", c("a")), at("student", c("b"))).Clone()
+	if res := st.Resume(rules, ins, ins); res.Terminated {
+		t.Fatal("tiny budget must truncate")
 	}
-}
+	if _, err := st.DeleteRuleCtx(t.Context(), next, ins, 0, nil); err == nil {
+		t.Error("DeleteRule on a truncated state must error")
+	}
 
-// TestCompactProvenanceKeepsRepairsCorrect: the generational sweep must drop
-// exactly the dead derivations and leave the graph fully able to serve later
-// fact and rule deletions — the post-compaction repairs still match scratch.
-func TestCompactProvenanceKeepsRepairsCorrect(t *testing.T) {
-	rules := parser.MustParseRules(`
-student(X) -> person(X) .
-employee(X) -> person(X) .
-person(X) -> entity(X) .
-entity(X) -> thing(X) .
-`)
-	base := data(
-		at("student", c("a")), at("employee", c("a")),
-		at("student", c("b")), at("student", c("c")),
-		at("employee", c("d")),
-	)
-	st := NewState(Options{TrackProvenance: true})
-	ins := base.Clone()
+	st = NewState(Options{})
+	ins = data(at("student", c("a"))).Clone()
 	if res := st.Resume(rules, ins, ins); !res.Terminated {
 		t.Fatal("chase must terminate")
 	}
-
-	// Kill some derivations, then sweep.
-	base.Remove(at("student", c("b")))
-	if _, err := st.Delete(rules, ins, []logic.Atom{at("student", c("b"))}, base); err != nil {
-		t.Fatal(err)
+	if _, err := st.DeleteRuleCtx(t.Context(), next, ins, 1, nil); err == nil {
+		t.Error("DeleteRule with an index that does not name the dropped rule must error")
 	}
-	derivs0, dead, _ := st.ProvenanceStats()
-	if dead == 0 {
-		t.Fatal("deletion must have marked derivations dead")
-	}
-	dropped := st.CompactProvenance()
-	if dropped != dead {
-		t.Errorf("CompactProvenance dropped %d, want the %d dead derivations", dropped, dead)
-	}
-	derivs1, dead1, compactions := st.ProvenanceStats()
-	if derivs1 != derivs0-dropped || dead1 != 0 || compactions != 1 {
-		t.Errorf("stats after sweep = (%d,%d,%d), want (%d,0,1)", derivs1, dead1, compactions, derivs0-dropped)
-	}
-	// A second sweep with nothing dead is a no-op.
-	if n := st.CompactProvenance(); n != 0 {
-		t.Errorf("idle sweep dropped %d, want 0", n)
-	}
-
-	// Deletions after the sweep must still repair exactly: deleting
-	// student(a) keeps person(a)/entity(a)/thing(a) via employee(a); then a
-	// rule removal against the compacted graph must match scratch too.
-	base.Remove(at("student", c("a")))
-	if _, err := st.Delete(rules, ins, []logic.Atom{at("student", c("a"))}, base); err != nil {
-		t.Fatal(err)
-	}
-	next, err := rules.WithoutRule(1) // drop employee ⊑ person
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.DeleteRuleCtx(t.Context(), next, ins, 1, base); err != nil {
-		t.Fatal(err)
-	}
-	scratch := Run(next, base, Options{})
-	if sf, inf := constFacts(scratch.Instance), constFacts(ins); sf != inf {
-		t.Errorf("post-compaction repairs diverged from scratch:\nscratch:\n%s\nincremental:\n%s", sf, inf)
+	if _, err := st.DeleteRuleCtx(t.Context(), rules, ins, 0, nil); err == nil {
+		t.Error("DeleteRule with the unshrunk set must error")
 	}
 }
 

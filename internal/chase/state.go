@@ -12,8 +12,8 @@ import (
 )
 
 // State is the resumable engine state of an ongoing chase: the per-worker
-// labelled-null generators, the derivation provenance (when tracked), and
-// the cumulative counters. A State is created once per materialization
+// labelled-null generators, the null table, the rule set last chased and the
+// cumulative counters. A State is created once per materialization
 // (NewState) and threaded through successive Resume calls so that later
 // increments invent nulls disjoint from earlier ones. A State must not be
 // used by concurrent Resume calls; callers serialize maintenance (Ontology
@@ -21,7 +21,15 @@ import (
 type State struct {
 	opts Options
 	gens []*logic.VarGen
-	prov *provenance // derivation graph, nil unless Options.TrackProvenance
+	// invented maps every fired existential trigger whose body still holds
+	// to the nulls it invented: the one thing a DRed repair cannot recompute
+	// from a trigger's row. aside holds, during a repair only, the entries of
+	// the triggers the over-deletion killed, so that a trigger firing again
+	// in the same repair reuses its nulls.
+	invented, aside map[nullKey][]logic.Term
+	// rules is the set last chased, whose rule at DeleteRuleCtx's index is
+	// the one removed.
+	rules *dependency.Set
 
 	steps     int
 	rounds    int
@@ -30,35 +38,21 @@ type State struct {
 	truncated bool
 }
 
-// derivation records one fired trigger: which rule, the ground body facts it
-// consumed and the ground head facts it produced.
-type derivation struct {
-	rule  int
-	body  []string // fact keys (logic.Atom.Key) consumed
-	heads []logic.Atom
-	dead  bool // a body fact was deleted; skip in future traversals
+// nullKey names a fired existential trigger in the null table, which maps it
+// to the nulls the trigger invented, in ExistentialHead order. The rule is
+// keyed by identity, which survives the removal of other rules from the set;
+// the row by the key of the full body row (storage.Tuple.Key), not the
+// frontier, so two triggers that share a frontier have two entries, as the
+// chase gives them two nulls.
+type nullKey struct {
+	rule *dependency.TGD
+	row  string
 }
 
-// provenance is the derivation graph accumulated across Resume calls:
-// consumers maps a fact key to the derivations that used it in their body
-// (the edge set the over-deletion closure walks).
-type provenance struct {
-	derivs    []derivation
-	consumers map[string][]int
-	// dead counts derivations marked dead by deletions; the generational
-	// compaction sweep (State.CompactProvenance) reclaims them.
-	dead int
-	// compactions counts completed sweeps, for observability.
-	compactions int
-}
-
-// add appends a derivation and indexes its edges.
-func (p *provenance) add(d derivation) {
-	di := len(p.derivs)
-	p.derivs = append(p.derivs, d)
-	for _, bk := range d.body {
-		p.consumers[bk] = append(p.consumers[bk], di)
-	}
+// nullEntry is one table entry a firing records.
+type nullEntry struct {
+	key   nullKey
+	nulls []logic.Term
 }
 
 // NewState creates the engine state for a materialization chased with the
@@ -78,16 +72,8 @@ func NewState(opts Options) *State {
 		}
 		gens[w] = logic.NewVarGen(prefix)
 	}
-	st := &State{opts: opts, gens: gens}
-	if opts.TrackProvenance {
-		st.prov = &provenance{consumers: make(map[string][]int)}
-	}
-	return st
+	return &State{opts: opts, gens: gens, invented: make(map[nullKey][]logic.Term), aside: make(map[nullKey][]logic.Term)}
 }
-
-// TracksProvenance reports whether the state records derivation provenance,
-// i.e. whether Delete can maintain it incrementally.
-func (st *State) TracksProvenance() bool { return st.prov != nil }
 
 // Options returns the (defaulted) options the state was created with.
 func (st *State) Options() Options { return st.opts }
@@ -105,52 +91,6 @@ func (st *State) TotalNulls() int { return st.nulls }
 // mid-fixpoint because a relation they read transitioned empty→non-empty
 // (see planSet.refresh).
 func (st *State) TotalReplans() int { return st.replans }
-
-// ProvenanceStats reports the size of the derivation graph: total recorded
-// derivations, how many are dead (reclaimable by CompactProvenance), and how
-// many compaction sweeps have run. All zero when provenance is off.
-func (st *State) ProvenanceStats() (derivs, dead, compactions int) {
-	if st.prov == nil {
-		return 0, 0, 0
-	}
-	return len(st.prov.derivs), st.prov.dead, st.prov.compactions
-}
-
-// CompactProvenance reclaims dead derivations: deletions (DRed fact and rule
-// repairs) mark the derivations they invalidate dead rather than splicing
-// them out, so over a long-lived serving process the graph would otherwise
-// grow without bound. The sweep rebuilds the derivation slice and the
-// consumer index from the live generation only, returning the number of
-// derivations dropped. Callers serialize it with other maintenance (Ontology
-// runs it under its writer lock, automatically every N mutations).
-func (st *State) CompactProvenance() (dropped int) {
-	p := st.prov
-	if p == nil || p.dead == 0 {
-		return 0
-	}
-	all := p.derivs
-	p.derivs = make([]derivation, 0, len(all)-p.dead)
-	p.consumers = make(map[string][]int, len(p.consumers))
-	for _, d := range all {
-		if !d.dead {
-			p.add(d)
-		}
-	}
-	dropped = len(all) - len(p.derivs)
-	p.dead = 0
-	p.compactions++
-	return dropped
-}
-
-// markDead invalidates a derivation: it is skipped by future provenance
-// traversals and reclaimed by the next CompactProvenance sweep.
-func (st *State) markDead(d *derivation) {
-	if d.dead {
-		return
-	}
-	d.dead = true
-	st.prov.dead++
-}
 
 // Truncated reports whether any Resume call hit its budget; when true the
 // instance is a sound but incomplete approximation and incremental
@@ -189,23 +129,17 @@ func (st *State) ExtendCtx(ctx context.Context, rules *dependency.Set, ins *stor
 	if delta.Size() == 0 {
 		return &Result{Terminated: true}, nil
 	}
-	return st.resume(ctx, rules, ins, delta, 0, 0), nil
+	return st.resume(ctx, rules, ins, delta, nil, 0, 0), nil
 }
 
 // instantiateHead grounds the rule head for a firing of row: row slots for
-// the body variables, fresh nulls from gen for the existential head
-// variables (invented in ExistentialHead order), constants as written. Every
-// head argument lands in one allocation; the atoms are appended to
-// atoms[:0], which the caller may reuse when it keeps none of them. Returns
-// the ground head atoms and the null count. Shared by the Resume firing loop
-// and the DRed re-derivation sweep so the invention discipline cannot drift
-// between them.
-func instantiateHead(tp *template, row []logic.Term, gen *logic.VarGen, atoms []logic.Atom) ([]logic.Atom, int) {
-	var buf [4]logic.Term
-	nulls := buf[:0]
-	for k := 0; k < tp.nexist; k++ {
-		nulls = append(nulls, gen.FreshNull())
-	}
+// the body variables, nulls for the existential head variables (in
+// ExistentialHead order, see nullsFor), constants as written. Every head
+// argument lands in one allocation; the atoms are appended to atoms[:0],
+// which the caller may reuse when it keeps none of them. Shared by the
+// Resume firing loop and the DRed sweeps, so a repair rebuilds exactly the
+// facts a firing made.
+func instantiateHead(tp *template, row, nulls []logic.Term, atoms []logic.Atom) []logic.Atom {
 	args := make([]logic.Term, tp.headArity)
 	atoms = atoms[:0]
 	for _, h := range tp.head {
@@ -216,18 +150,38 @@ func instantiateHead(tp *template, row []logic.Term, gen *logic.VarGen, atoms []
 		}
 		atoms = append(atoms, logic.Atom{Pred: h.pred, Args: a})
 	}
-	return atoms, tp.nexist
+	return atoms
 }
 
-// newDerivation starts the provenance record for a firing of tr under its
-// template: the rule and the keys of the ground body facts the trigger
-// consumed. Head facts are set by the caller once instantiated.
-func newDerivation(tp *template, tr trigger) derivation {
-	d := derivation{rule: int(tr.rule), body: make([]string, len(tp.body))}
-	for i := range tp.body {
-		d.body[i] = tp.body[i].key(tr.row)
+// nullsFor returns the nulls a firing of row under rule uses: the ones the
+// trigger invented when it last fired — its entry is in the table, or set
+// aside by the repair in progress — else fresh ones from gen. rec is the
+// entry the firing must record (rec.nulls is nil when there is none to
+// record), and fresh counts the nulls it invented. Only reads the state, so
+// workers call it concurrently; the caller records rec at the round barrier
+// (keep).
+func (st *State) nullsFor(rule *dependency.TGD, tp *template, row []logic.Term, gen *logic.VarGen) (nulls []logic.Term, rec nullEntry, fresh int) {
+	if tp.nexist == 0 {
+		return nil, nullEntry{}, 0
 	}
-	return d
+	key := nullKey{rule: rule, row: storage.Tuple(row).Key()}
+	if ns, ok := st.invented[key]; ok {
+		return ns, nullEntry{}, 0
+	}
+	if ns, ok := st.aside[key]; ok {
+		return ns, nullEntry{key, ns}, 0
+	}
+	ns := make([]logic.Term, tp.nexist)
+	for k := range ns {
+		ns[k] = gen.FreshNull()
+	}
+	return ns, nullEntry{key, ns}, tp.nexist
+}
+
+// keep records a firing's table entry, out of the aside set if it was there.
+func (st *State) keep(e nullEntry) {
+	st.invented[e.key] = e.nulls
+	delete(st.aside, e.key)
 }
 
 // Resume runs the chase fixpoint on the instance starting from an explicit
@@ -259,7 +213,7 @@ func (st *State) Resume(rules *dependency.Set, ins, delta *storage.Instance) *Re
 // truncated — discard both and rebuild (Ontology.mutate rolls the base data
 // back and drops the cache, so readers keep the pre-mutation snapshot).
 func (st *State) ResumeCtx(ctx context.Context, rules *dependency.Set, ins, delta *storage.Instance) *Result {
-	return st.resume(ctx, rules, ins, delta, 0, 0)
+	return st.resume(ctx, rules, ins, delta, nil, 0, 0)
 }
 
 // ExtendRulesCtx resumes the chase after rules were appended to the set (the
@@ -275,7 +229,7 @@ func (st *State) ExtendRulesCtx(ctx context.Context, rules *dependency.Set, ins 
 	if firstNew >= rules.Len() {
 		return &Result{Terminated: true} // no new rules
 	}
-	return st.resume(ctx, rules, ins, ins, firstNew, 0)
+	return st.resume(ctx, rules, ins, ins, nil, firstNew, 0)
 }
 
 // resume is the one fixpoint driver. Each round: collect the triggers the
@@ -286,9 +240,10 @@ func (st *State) ExtendRulesCtx(ctx context.Context, rules *dependency.Set, ins 
 // rules); later rounds always consider the whole set, which is what makes
 // the restriction sound — anything the filtered round derives is
 // re-examined by every rule. spent is the number of firings the increment
-// has already made before the fixpoint (DRed's direct re-derivation sweep):
-// they count against MaxSteps, and res.Steps does not include them.
-func (st *State) resume(ctx context.Context, rules *dependency.Set, ins, delta *storage.Instance, onlyFrom, spent int) *Result {
+// has already made before the fixpoint (DRed's direct rederiving sweep):
+// they count against MaxSteps, and res.Steps does not include them. plans
+// are the repair's compiled plans, or nil to compile them here.
+func (st *State) resume(ctx context.Context, rules *dependency.Set, ins, delta *storage.Instance, plans *planSet, onlyFrom, spent int) *Result {
 	opts := st.opts
 	budget := opts.MaxSteps - spent
 	res := &Result{}
@@ -298,6 +253,7 @@ func (st *State) resume(ctx context.Context, rules *dependency.Set, ins, delta *
 	var truncated atomic.Bool
 	var canceled atomic.Bool
 
+	st.rules = rules
 	defer func() {
 		st.steps += res.Steps
 		st.rounds += res.Rounds
@@ -316,7 +272,9 @@ func (st *State) resume(ctx context.Context, rules *dependency.Set, ins, delta *
 	// (planSet.refresh): an order chosen when the relation was empty is
 	// arbitrary, not merely stale.
 	ins.EnsureIndexes()
-	plans := newPlanSet(rules, ins)
+	if plans == nil {
+		plans = newPlanSet(rules, ins)
+	}
 
 	for res.Rounds < opts.MaxRounds {
 		// Round barrier: a canceled increment aborts between rounds (and at
@@ -347,16 +305,13 @@ func (st *State) resume(ctx context.Context, rules *dependency.Set, ins, delta *
 		// into a private shard against the frozen instance.
 		shards := make([]*storage.Shard, workers)
 		nulls := make([]int, workers)
-		var provs [][]derivation
-		if st.prov != nil {
-			provs = make([][]derivation, workers)
-		}
+		entries := make([][]nullEntry, workers)
 		runTasks(workers, workers, func(w int) {
 			// Per-worker head-plan runners, lazily created per rule: repeated
 			// applicability checks reuse the register file, allocation-free.
 			headRunners := make([]*eval.Runner, len(rules.Rules))
-			// Without provenance no head atom outlives its firing (the
-			// shard keeps only their arguments), so one atom buffer serves.
+			// No head atom outlives its firing (the shard keeps only their
+			// arguments), so one atom buffer serves.
 			var heads []logic.Atom
 			polled := 0
 			for i := w; i < len(triggers); i += workers {
@@ -381,12 +336,12 @@ func (st *State) resume(ctx context.Context, rules *dependency.Set, ins, delta *
 					truncated.Store(true)
 					return
 				}
-				if st.prov != nil {
-					heads = nil // the derivation keeps this firing's atoms
+				ns, rec, n := st.nullsFor(rules.Rules[tr.rule], tp, tr.row, st.gens[w])
+				if rec.nulls != nil {
+					entries[w] = append(entries[w], rec)
 				}
-				var n int
-				heads, n = instantiateHead(tp, tr.row, st.gens[w], heads)
 				nulls[w] += n
+				heads = instantiateHead(tp, tr.row, ns, heads)
 				if shards[w] == nil {
 					shards[w] = storage.NewShard()
 				}
@@ -398,11 +353,6 @@ func (st *State) resume(ctx context.Context, rules *dependency.Set, ins, delta *
 						// a programming error.
 						panic(err)
 					}
-				}
-				if st.prov != nil {
-					d := newDerivation(tp, tr)
-					d.heads = heads
-					provs[w] = append(provs[w], d)
 				}
 			}
 		})
@@ -417,16 +367,14 @@ func (st *State) resume(ctx context.Context, rules *dependency.Set, ins, delta *
 		}
 
 		// Round barrier: single-writer merge of the shards, producing the
-		// next delta, and of the workers' provenance records.
+		// next delta, and of the workers' null-table entries.
 		var err error
 		if delta, err = ins.MergeShards(shards...); err != nil {
 			panic(err)
 		}
-		if st.prov != nil {
-			for _, ds := range provs {
-				for _, d := range ds {
-					st.prov.add(d)
-				}
+		for _, es := range entries {
+			for _, e := range es {
+				st.keep(e)
 			}
 		}
 		for _, n := range nulls {

@@ -309,7 +309,7 @@ func (s *Set) IndexOfLabel(label string) int {
 // WithRule returns a new Set with r appended, leaving the receiver
 // untouched. The surviving rules are shared by pointer, so rule identity —
 // the *TGD and its label — is stable across mutations and anything keyed on
-// it (compiled plans, provenance, fired-trigger memory) stays valid. If r's
+// it (compiled plans, the chase's null table) stays valid. If r's
 // label is empty or already taken, a fresh unused "R<n>" label is assigned.
 // The rule is validated, including arity consistency against the set's
 // derived signature.
@@ -338,8 +338,8 @@ func (s *Set) WithRule(r *TGD) (*Set, error) {
 
 // WithoutRule returns a new Set with the rule at index i removed, leaving
 // the receiver untouched. Surviving rules are shared by pointer (stable
-// identity); only their indices shift — callers maintaining index-keyed
-// state remap it (see chase.State.DeleteRuleCtx).
+// identity); only their indices shift, so state keyed by rule identity
+// (chase.State's null table) needs no remap.
 func (s *Set) WithoutRule(i int) (*Set, error) {
 	if i < 0 || i >= len(s.Rules) {
 		return nil, fmt.Errorf("dependency: rule index %d out of range [0,%d)", i, len(s.Rules))

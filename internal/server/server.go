@@ -287,8 +287,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, t *tenant) 
 		"baseFacts":       t.ont.Data().Size(),
 		"materialization": m,
 		// Surfaced at top level: a growing value on a serving process means
-		// incremental maintenance is being bypassed (e.g. RemoveRule against
-		// a provenance-less cache forcing silent full rebuilds).
+		// incremental maintenance is being bypassed (e.g. mutations against
+		// a truncated cache, each forcing a full rebuild).
 		"fullRebuilds": m.FullRebuilds,
 		// Answer-view cache counters for this tenant's ontology.
 		"answerCache": m.AnswerCache,

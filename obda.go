@@ -86,14 +86,13 @@ import (
 // so an instance held across a mutation is the old generation, and a write
 // through either panics.
 //
-// Maintenance is incremental in every direction: AddFact chases only the
-// newly inserted facts as a delta, DeleteFact repairs the materialization
-// DRed-style (over-delete the derived closure, re-derive survivors),
-// AddRuleCtx resumes the chase with the whole instance as delta against only
-// the new rule, and RemoveRuleCtx over-deletes every fact whose provenance
-// cites the removed rule before re-deriving survivors (see
-// MaterializationStats for the counters). Dead derivations left behind by repairs are reclaimed by a
-// generational provenance sweep every DefaultCompactEvery mutations.
+// Maintenance is incremental in every direction, on every materialization:
+// AddFact chases only the newly inserted facts as a delta, DeleteFact
+// repairs the materialization DRed-style (over-delete the derived closure,
+// rederive survivors), AddRuleCtx resumes the chase with the whole instance
+// as delta against only the new rule, and RemoveRuleCtx over-deletes the
+// head facts of the removed rule's triggers and their closure before
+// rederiving survivors (see MaterializationStats for the counters).
 type Ontology struct {
 	// snap is the one published pointer; only publish (and newOntology)
 	// stores it.
@@ -103,17 +102,10 @@ type Ontology struct {
 	// single-flight. Never held while evaluating a published snapshot.
 	wmu sync.Mutex
 
-	// wantProv turns on derivation-provenance recording for future
-	// materialization builds. It is set (sticky) by the first DeleteFact or
-	// RemoveRuleCtx, so ontologies that never delete pay nothing for the
-	// graph; the first deletion pays one rebuild, after which repairs are
-	// incremental.
-	wantProv atomic.Bool
 	// fullRebuilds counts every time a published materialization was dropped
-	// — RemoveRuleCtx on a provenance-less cache, a repair that became
-	// impossible, a canceled mutation — forcing the next chase-mode answer
-	// to rebuild from scratch. Surfaced through MaterializationStats so the
-	// rebuild penalty is observable.
+	// — a repair or extension of a truncated cache, a canceled mutation —
+	// forcing the next chase-mode answer to rebuild from scratch. Surfaced
+	// through MaterializationStats so the rebuild penalty is observable.
 	fullRebuilds atomic.Uint64
 
 	// ansBudget is the answer-view cache byte budget; <= 0 disables the
@@ -122,11 +114,6 @@ type Ontology struct {
 	ansBudget atomic.Int64
 	// ansStats carries the answer-cache counters across generations.
 	ansStats rescache.Stats
-
-	// mutCount drives the generational provenance sweep: a mutation whose
-	// count reaches DefaultCompactEvery compacts the engine's derivation
-	// graph before publishing. Guarded by wmu.
-	mutCount int
 }
 
 // snapshot is one published generation of the ontology. rules, base, mat and
@@ -161,10 +148,6 @@ type classification struct {
 	once   sync.Once
 	report *core.Report
 }
-
-// DefaultCompactEvery is how many mutations may elapse between generational
-// provenance-compaction sweeps; CompactProvenance runs one on demand.
-const DefaultCompactEvery = 64
 
 // New wires an already-built rule set and database instance into an
 // Ontology — the programmatic counterpart of Parse for callers (servers,
@@ -226,20 +209,16 @@ func (o *Ontology) dropMat(next *snapshot) {
 // the not yet published snapshot. The engine state is the writer's: requires
 // Ontology.wmu.
 func (s *snapshot) setMat(store *storage.Instance, st *chase.State, terminated bool, lastSteps, lastRounds int) {
-	derivs, dead, compactions := st.ProvenanceStats()
 	s.matEpoch++
 	s.mat = &materialization{
-		store:       store,
-		state:       st,
-		terminated:  terminated,
-		steps:       st.TotalSteps(),
-		rounds:      st.TotalRounds(),
-		nulls:       st.TotalNulls(),
-		lastSteps:   lastSteps,
-		lastRounds:  lastRounds,
-		provDerivs:  derivs,
-		provDead:    dead,
-		compactions: compactions,
+		store:      store,
+		state:      st,
+		terminated: terminated,
+		steps:      st.TotalSteps(),
+		rounds:     st.TotalRounds(),
+		nulls:      st.TotalNulls(),
+		lastSteps:  lastSteps,
+		lastRounds: lastRounds,
 	}
 }
 
@@ -290,7 +269,7 @@ func (s *snapshot) evalUCQ(u *query.UCQ, onMat bool, opts eval.Options) *eval.An
 }
 
 // materialization is the chase expansion of one snapshot plus the resumable
-// engine state (null generators, provenance, counters) that maintains it
+// engine state (null generators, null table, counters) that maintains it
 // across mutations. The instance and the counter fields are
 // immutable once published; state is only ever touched by writers serialized
 // under Ontology.wmu.
@@ -306,9 +285,6 @@ type materialization struct {
 	steps, rounds, nulls int
 	// lastSteps/lastRounds describe the most recent build or increment.
 	lastSteps, lastRounds int
-	// provDerivs/provDead/compactions freeze the provenance-graph size, its
-	// dead (compactable) portion and the completed sweep count.
-	provDerivs, provDead, compactions int
 }
 
 // usable reports whether the materialization can serve a request with the

@@ -229,9 +229,6 @@ func (o *Ontology) buildMat(ctx context.Context, copts chase.Options) (*snapshot
 		return s, nil // built while we queued
 	}
 	store := s.base.Clone()
-	// Record provenance only once a DeleteFact/RemoveRuleCtx has shown it is
-	// needed.
-	copts.TrackProvenance = o.wantProv.Load()
 	st := chase.NewState(copts)
 	res := st.ResumeCtx(ctx, s.rules, store, store)
 	if res.Err != nil {

@@ -38,18 +38,17 @@ type mutationResult struct {
 //     published expansion — before anything is forked, so a rejected
 //     mutation is a strict no-op;
 //  2. applies it to copy-on-write forks of the published base and
-//     materialization: rule removal first (DRed rule-keyed over-deletion +
-//     re-derivation via chase.State.DeleteRuleCtx), then rule additions (the
-//     whole instance as delta against only the new rules via
-//     chase.State.ExtendRulesCtx), then fact deletions (chase.State.Delete),
-//     then fact insertions (chase.State.Extend) — each step repairing the
-//     same fork of the materialization, or giving it up when incremental
-//     repair is impossible (truncated cache, missing provenance);
+//     materialization: rule removal first (DRed over-deletion seeded by the
+//     removed rule's triggers, then rederiving, via
+//     chase.State.DeleteRuleCtx), then rule additions (the whole instance as
+//     delta against only the new rules via chase.State.ExtendRulesCtx), then
+//     fact deletions (chase.State.Delete), then fact insertions
+//     (chase.State.Extend) — each step repairing the same fork of the
+//     materialization, or giving it up when the cache is truncated, which
+//     no step can repair or extend soundly;
 //  3. publishes the next snapshot — new rule set, forked base, repaired
 //     materialization, empty answer views — with one pointer store;
-//     concurrent readers keep the previous snapshot throughout. Every
-//     DefaultCompactEvery-th mutation first runs the generational provenance
-//     sweep.
+//     concurrent readers keep the previous snapshot throughout.
 //     A mutation that changes nothing (every inserted fact already present,
 //     every deleted fact absent) publishes nothing, so the published snapshot
 //     and its answer views stay in place.
@@ -116,9 +115,6 @@ func (o *Ontology) mutate(ctx context.Context, mut mutation) (mutationResult, er
 		return mutationResult{}, err
 	}
 	if dropIdx >= 0 {
-		// Future builds must record provenance so later rule removals can
-		// repair incrementally instead of rebuilding (sticky, like DeleteFact).
-		o.wantProv.Store(true)
 		w.applyRuleDrop(ctx, afterDrop, dropIdx, prev.base)
 	}
 	if len(mut.addRules) > 0 {
@@ -142,7 +138,6 @@ func (o *Ontology) mutate(ctx context.Context, mut mutation) (mutationResult, er
 			}
 		}
 		if len(removed) > 0 {
-			o.wantProv.Store(true)
 			w.applyFactDelete(ctx, newRules, removed, base)
 			if w.ctxErr != nil {
 				return abort(w.ctxErr)
@@ -177,18 +172,13 @@ func (o *Ontology) mutate(ctx context.Context, mut mutation) (mutationResult, er
 	if len(added)+len(removed) > 0 {
 		next.base = base
 	}
-	o.mutCount++
-	if w.live && o.mutCount >= DefaultCompactEvery {
-		w.state.CompactProvenance()
-		o.mutCount = 0
-	}
 	switch {
 	case w.touched:
 		next.setMat(w.store, w.state, w.terminated, w.steps, w.rounds)
 	case !w.live:
-		// Maintenance became impossible (truncated cache, missing
-		// provenance): rebuild lazily, and count it so
-		// MaterializationStats.FullRebuilds surfaces the penalty.
+		// Maintenance became impossible (a truncated cache): rebuild lazily,
+		// and count it so MaterializationStats.FullRebuilds surfaces the
+		// penalty.
 		o.dropMat(next)
 	}
 	o.publish(next)
@@ -251,26 +241,25 @@ func (w *matWork) record(res *chase.Result) {
 	w.rounds += res.Rounds
 }
 
-// repairableWork reports whether the work-set can absorb a DRed repair; a
-// truncated cache cannot (triggers were dropped), and one built without
-// provenance has nothing to walk — both drop, and the caller's sticky
-// wantProv makes the lazily rebuilt cache repairable next time.
-func (w *matWork) repairableWork() bool {
+// maintainable reports whether the work-set can absorb an apply step. A
+// truncated cache cannot (its chase dropped triggers that no increment or
+// repair reconsiders), so it is dropped.
+func (w *matWork) maintainable() bool {
 	if !w.live {
 		return false
 	}
-	if !w.terminated || !w.state.TracksProvenance() {
+	if !w.terminated {
 		w.drop()
 		return false
 	}
 	return true
 }
 
-// applyRuleDrop repairs the work-set after a rule removal: every fact whose
-// provenance cites the removed rule is over-deleted, survivors re-derived
-// against the surviving set, stored rule indices remapped.
+// applyRuleDrop repairs the work-set after a rule removal: the head facts of
+// the removed rule's triggers are over-deleted with their closure, and
+// survivors rederived against the surviving set.
 func (w *matWork) applyRuleDrop(ctx context.Context, afterDrop *dependency.Set, dropIdx int, base *storage.Instance) {
-	if !w.repairableWork() {
+	if !w.maintainable() {
 		return
 	}
 	dres, err := w.state.DeleteRuleCtx(ctx, afterDrop, w.store, dropIdx, base)
@@ -285,11 +274,7 @@ func (w *matWork) applyRuleDrop(ctx context.Context, afterDrop *dependency.Set, 
 // the chase with the whole instance as the delta against only those rules —
 // work proportional to what the new rules derive.
 func (w *matWork) applyRuleAdd(ctx context.Context, newRules *dependency.Set, firstNew int) {
-	if !w.live {
-		return
-	}
-	if !w.terminated {
-		w.drop() // a truncated cache cannot be extended soundly
+	if !w.maintainable() {
 		return
 	}
 	w.record(w.state.ExtendRulesCtx(ctx, newRules, w.store, firstNew))
@@ -298,7 +283,7 @@ func (w *matWork) applyRuleAdd(ctx context.Context, newRules *dependency.Set, fi
 // applyFactDelete repairs the work-set DRed-style after facts were removed
 // from base, the mutation's fork of the base data.
 func (w *matWork) applyFactDelete(ctx context.Context, rules *dependency.Set, removed []logic.Atom, base *storage.Instance) {
-	if !w.repairableWork() {
+	if !w.maintainable() {
 		return
 	}
 	dres, err := w.state.DeleteCtx(ctx, rules, w.store, removed, base)
@@ -312,11 +297,7 @@ func (w *matWork) applyFactDelete(ctx context.Context, rules *dependency.Set, re
 // applyFactInsert folds newly inserted base facts into the work-set by
 // resuming the chase with just those facts as the delta.
 func (w *matWork) applyFactInsert(ctx context.Context, rules *dependency.Set, added []logic.Atom) {
-	if !w.live {
-		return
-	}
-	if !w.terminated {
-		w.drop() // a truncated cache cannot be extended soundly
+	if !w.maintainable() {
 		return
 	}
 	res, err := w.state.ExtendCtx(ctx, rules, w.store, added)
@@ -394,9 +375,9 @@ func (o *Ontology) AddFactAtoms(ctx context.Context, facts []logic.Atom) (int, e
 // DeleteFact removes ground base facts, parsed like AddFact's input, and
 // reports how many were actually present (absent facts are no-ops). The
 // published materialization is repaired DRed-style instead of discarded:
-// the derived closure of the removed facts is over-deleted via the chase's
-// recorded provenance, then survivors are re-derived against the remaining
-// instance — work proportional to the consequences of the deletion, not to
+// the derived closure of the removed facts is over-deleted by re-evaluating
+// the rules with the removed facts as the delta, then survivors are
+// rederived against the remaining instance — work proportional to the consequences of the deletion, not to
 // the instance (see chase.DeleteResult). A fact that is also derivable from
 // the surviving base stays in the expansion, exactly as a from-scratch
 // chase would keep it. Concurrent readers keep the previous snapshot until
@@ -442,15 +423,13 @@ func (o *Ontology) AddRuleCtx(ctx context.Context, src string) error {
 
 // RemoveRuleCtx removes the rule with the given label (see Rules for the
 // current labels) from the live ontology. A published materialization is
-// repaired DRed-style: every fact whose provenance cites the removed rule
-// is over-deleted together with its derived closure, then survivors are
-// re-derived through the surviving rules — facts also derivable another way
-// (or present in the base data) stay, exactly as a from-scratch chase of
-// the shrunk set would have them. The first removal on a cache built
-// without provenance drops it and flips recording on (sticky, shared with
-// DeleteFact), so later removals repair incrementally. Concurrent readers
-// never block and keep the previous snapshot until the repair publishes. A
-// canceled repair keeps the rule — the set is only swapped at publish time,
+// repaired DRed-style, in place: the removed rule's body is evaluated once,
+// the head facts of its triggers are over-deleted together with their
+// derived closure, then survivors are rederived through the surviving rules
+// — facts also derivable another way (or present in the base data) stay,
+// exactly as a from-scratch chase of the shrunk set would have them.
+// Concurrent readers never block and keep the previous snapshot until the
+// repair publishes. A canceled repair keeps the rule — the set is only swapped at publish time,
 // which an aborted mutation never reaches.
 func (o *Ontology) RemoveRuleCtx(ctx context.Context, label string) error {
 	_, err := o.mutate(ctx, mutation{dropRule: label})
@@ -485,22 +464,6 @@ func (o *Ontology) LoadCSVCtx(ctx context.Context, pred string, r io.Reader) (ad
 	}
 	res, err := o.mutate(ctx, mutation{addFacts: atoms})
 	return res.addedFacts, err
-}
-
-// CompactProvenance immediately runs one generational sweep over the chase
-// engine's derivation graph, returning how many dead derivations were
-// reclaimed (0 when nothing is cached, provenance is off, or nothing died).
-// The published snapshot is untouched — provenance is writer-side state —
-// so readers are unaffected; the stats frozen into MaterializationStats
-// refresh at the next publication.
-func (o *Ontology) CompactProvenance() int {
-	o.wmu.Lock()
-	defer o.wmu.Unlock()
-	m := o.snap.Load().mat
-	if m == nil {
-		return 0
-	}
-	return m.state.CompactProvenance()
 }
 
 // stageFacts validates an AddFact batch against the published expansion (a

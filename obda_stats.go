@@ -25,18 +25,12 @@ type MaterializationStats struct {
 	// increment — after an AddFact/AddRuleCtx they measure the delta, after a
 	// DeleteFact/RemoveRuleCtx the repair, never the instance.
 	LastSteps, LastRounds int
-	// ProvDerivations and ProvDeadDerivations size the engine's derivation
-	// graph (zero when provenance is off): total recorded derivations and
-	// how many are dead — invalidated by deletions and reclaimable by the
-	// generational compaction sweep. Compactions counts completed sweeps.
-	// All three are frozen at publish time, like the step counters.
-	ProvDerivations, ProvDeadDerivations, Compactions int
 	// FullRebuilds counts every time a published materialization was dropped
-	// and the next chase-mode answer had to rebuild from scratch — e.g. a
-	// RemoveRuleCtx against a cache built without provenance, a repair on a
-	// truncated cache, or a canceled mutation. A growing counter on a
-	// serving process is the signal that incremental maintenance is being
-	// bypassed.
+	// and the next chase-mode answer had to rebuild from scratch: a mutation
+	// against a truncated cache, which cannot be repaired or extended
+	// soundly, or a canceled mutation. Every terminated materialization is
+	// repaired in place, so a growing counter on a serving process is the
+	// signal that incremental maintenance is being bypassed.
 	FullRebuilds uint64
 	// AnswerCache counts answer-view cache activity (hits, misses,
 	// evictions, the current snapshot's entries and bytes).
@@ -58,20 +52,17 @@ func (o *Ontology) MaterializationStats() MaterializationStats {
 		}
 	}
 	return MaterializationStats{
-		Cached:              true,
-		Epoch:               s.matEpoch,
-		Terminated:          m.terminated,
-		Facts:               m.store.Size(),
-		Steps:               m.steps,
-		Rounds:              m.rounds,
-		NullsCreated:        m.nulls,
-		LastSteps:           m.lastSteps,
-		LastRounds:          m.lastRounds,
-		ProvDerivations:     m.provDerivs,
-		ProvDeadDerivations: m.provDead,
-		Compactions:         m.compactions,
-		FullRebuilds:        o.fullRebuilds.Load(),
-		AnswerCache:         o.AnswerCacheStats(),
+		Cached:       true,
+		Epoch:        s.matEpoch,
+		Terminated:   m.terminated,
+		Facts:        m.store.Size(),
+		Steps:        m.steps,
+		Rounds:       m.rounds,
+		NullsCreated: m.nulls,
+		LastSteps:    m.lastSteps,
+		LastRounds:   m.lastRounds,
+		FullRebuilds: o.fullRebuilds.Load(),
+		AnswerCache:  o.AnswerCacheStats(),
 	}
 }
 

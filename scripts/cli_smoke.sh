@@ -14,7 +14,11 @@
 #      family program: runs at one worker count must print byte-identical
 #      instances, and the two worker counts must agree on the stderr counters
 #      and on the sorted null-free facts (null names may differ);
-#   4. checks that chase rejects the removed -oblivious flag as a flag error.
+#   4. runs chase -incremental -delete and chase -incremental -drop-rule R2
+#      on that larger program at -parallel 1 and -parallel 4: each must
+#      repair incrementally without a panic and print the same sorted
+#      null-free facts as the same change re-chased from scratch;
+#   5. checks that chase rejects the removed -oblivious flag as a flag error.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -144,6 +148,32 @@ if ! cmp -s "$workdir/det-1.facts" "$workdir/det-4.facts"; then
   echo "FAIL chase: -parallel 1 and -parallel 4 derive different null-free facts" >&2
   fail=1
 fi
+
+# Incremental deletes: a DRed repair of facts (-delete) or of a rule's
+# contribution (-drop-rule) must leave the null-free facts of a re-chase.
+for par in 1 4; do
+  for leg in '-delete|parent(p20, p21) . person(p5) .' '-drop-rule|R2'; do
+    flag=${leg%%|*}
+    arg=${leg#*|}
+    name="chase -incremental $flag -parallel $par"
+    ok "$name" "$workdir/chase" -rules "$workdir/fam.rules" -data "$workdir/big.data" \
+      -parallel "$par" -incremental "$flag" "$arg"
+    grep -v '_:' "$workdir/out" | sort > "$workdir/inc.facts"
+    if grep -q 'panic:' "$workdir/err" || ! grep -q 'restricted chase (incremental' "$workdir/err"; then
+      echo "FAIL $name: no incremental repair" >&2
+      cat "$workdir/err" >&2
+      fail=1
+    fi
+    ok "chase $flag -parallel $par" "$workdir/chase" -rules "$workdir/fam.rules" \
+      -data "$workdir/big.data" -parallel "$par" "$flag" "$arg"
+    grep -v '_:' "$workdir/out" | sort > "$workdir/rechase.facts"
+    if ! cmp -s "$workdir/inc.facts" "$workdir/rechase.facts"; then
+      echo "FAIL $name: null-free facts differ from the re-chase" >&2
+      diff "$workdir/inc.facts" "$workdir/rechase.facts" | head >&2
+      fail=1
+    fi
+  done
+done
 
 # There is one chase: -oblivious is an unknown flag.
 rejects "chase -oblivious" oblivious "$workdir/chase" -rules "$workdir/fam.rules" -oblivious

@@ -63,7 +63,7 @@ ans=$(curl --fail -sS -X POST "$base/default/query" \
 echo "read: $ans"
 grep -q '"count":3' <<<"$ans" || { echo "expected 3 ancestors, got: $ans" >&2; exit 1; }
 
-# 2. Write, then a read that must see the new derivations.
+# 2. Write, then a read that must see the newly derived facts.
 curl --fail -sS -X POST "$base/default/facts" \
   -d '{"facts": "parent(cyd, dan) ."}' > /dev/null
 ans=$(curl --fail -sS -X POST "$base/default/query" \
