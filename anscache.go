@@ -11,9 +11,10 @@ import (
 	"repro/internal/storage"
 )
 
-// DefaultAnswerCacheBytes is the answer-view cache budget the server and
-// the CLIs enable by default (their -cache flag). The library default is
-// off — SetAnswerCacheBudget opts an Ontology in.
+// DefaultAnswerCacheBytes is the answer-view cache budget the server
+// enables by default (server.Config.AnswerCacheBytes and cmd/serve's -cache
+// flag). The library default is off — SetAnswerCacheBudget opts an Ontology
+// in.
 const DefaultAnswerCacheBytes = 32 << 20
 
 // SetAnswerCacheBudget sets the answer-view cache byte budget. n <= 0

@@ -115,8 +115,8 @@ func TestMutationIncrementAtBudget(t *testing.T) {
 		for _, m := range mutations {
 			t.Run(b.name+"/"+m.name, func(t *testing.T) {
 				ont := MustParse(budgetProgram)
-				// A fact deletion switches provenance recording on, so the
-				// build below can be repaired by DRed.
+				// junk(z) goes before the build; the build below is then
+				// repaired by DRed like any other.
 				if n, err := ont.DeleteFact(`junk(z) .`); err != nil || n != 1 {
 					t.Fatalf("priming delete: n=%d err=%v", n, err)
 				}

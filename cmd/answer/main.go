@@ -15,8 +15,8 @@
 // — the printed stats show the delta-proportional step count.
 // -incremental=false instead rebuilds the whole ontology from scratch for
 // comparison. -timeout bounds the whole run (parsing aside): an expired
-// deadline aborts rewriting, chase rounds and join execution mid-flight and
-// rolls any in-flight mutation back.
+// deadline aborts rewriting, chase rounds and join execution mid-flight, and
+// an in-flight mutation publishes none of its changes.
 package main
 
 import (
@@ -40,7 +40,6 @@ func main() {
 	incremental := flag.Bool("incremental", true, "with -add/-delete/-add-rule/-drop-rule: maintain the published materialization incrementally (false = rebuild the ontology from scratch)")
 	shared := cliflags.Bind(flag.CommandLine)
 	shared.BindLimit(flag.CommandLine)
-	shared.BindCache(flag.CommandLine, 0)
 	flag.Parse()
 	if *rulesPath == "" || *querySrc == "" {
 		fmt.Fprintln(os.Stderr, "usage: answer -rules FILE [-data FILE] -query 'q(X) :- ... .' [-mode M] [-timeout D] [-add 'f(a) .']")
@@ -58,7 +57,6 @@ func main() {
 	defer cancel()
 
 	ont := load(*rulesPath, *dataPath)
-	ont.SetAnswerCacheBudget(shared.CacheBytes)
 	ans, err := ont.AnswerCtx(ctx, *querySrc, opts)
 	if err != nil {
 		cliflags.Fatal(err)
@@ -79,7 +77,6 @@ func main() {
 		// base data; rule mutations on it just swap the set, with no
 		// materialization to repair).
 		ont = load(*rulesPath, *dataPath)
-		ont.SetAnswerCacheBudget(shared.CacheBytes)
 	}
 	if *add != "" {
 		if err := ont.AddFactCtx(ctx, *add); err != nil {

@@ -1,7 +1,7 @@
 // Command serve runs the HTTP serving layer: named ontologies held hot in
 // memory behind JSON endpoints, answering queries over lock-free published
-// snapshots while mutations stream through the incremental maintenance
-// pipeline (concurrent fact insertions are coalesced into one chase delta).
+// snapshots while each write request runs as one incrementally maintained
+// mutation.
 //
 // Usage:
 //
@@ -19,7 +19,7 @@
 // Every request runs under a deadline — ?timeout= per request, clamped by
 // -max-timeout, defaulting to -default-timeout — threaded through the
 // context-first ontology API: an expired query returns 504 mid-join, an
-// expired mutation rolls back to the pre-mutation snapshot. SIGINT/SIGTERM
+// expired mutation publishes none of its changes. SIGINT/SIGTERM
 // drain in-flight requests before exiting.
 package main
 
@@ -48,23 +48,22 @@ func main() {
 	maxTimeout := flag.Duration("max-timeout", 30*time.Second, "upper clamp on any request deadline (0 = unclamped)")
 	maxConcurrent := flag.Int("max-concurrent", 0, "cap on requests executing at once (0 = unlimited)")
 	maxQueue := flag.Int("max-queue", 0, "requests allowed to wait for a slot before shedding with 429 (with -max-concurrent)")
+	cacheBytes := flag.Int64("cache", repro.DefaultAnswerCacheBytes, "answer-view cache budget in bytes (0 = disabled)")
 	shared := cliflags.Bind(flag.CommandLine)
-	shared.BindCache(flag.CommandLine, repro.DefaultAnswerCacheBytes)
 	flag.Parse()
 
 	opts, err := shared.Options(repro.ModeAuto)
 	if err != nil {
 		cliflags.Fatal(err)
 	}
-	cacheBytes := shared.CacheBytes
-	if cacheBytes <= 0 {
-		cacheBytes = -1 // Config: negative disables, zero means the default
+	if *cacheBytes <= 0 {
+		*cacheBytes = -1 // Config: negative disables, zero means the default
 	}
 	srv := server.New(server.Config{
 		DefaultTimeout:   *defaultTimeout,
 		MaxTimeout:       *maxTimeout,
 		Answer:           opts,
-		AnswerCacheBytes: cacheBytes,
+		AnswerCacheBytes: *cacheBytes,
 		MaxConcurrent:    *maxConcurrent,
 		MaxQueue:         *maxQueue,
 	})

@@ -66,12 +66,12 @@ func answersFor(t *testing.T, ont *Ontology, queries []string, opts Options) []*
 	return out
 }
 
-// TestCanceledMutationLeavesSnapshotUntouched is the mutation-rollback
+// TestCanceledMutationLeavesSnapshotUntouched is the mutation-abort
 // regression test: a mutation whose context cancels at ANY point before the
 // publish phase must leave the ontology answering exactly as before — same
-// base facts, same published materialization — and must leave the derivation
-// provenance intact, so that redoing the mutation for real afterwards still
-// agrees with an ontology built from scratch on the final state. The
+// base facts, same answers — and must leave nothing half-repaired behind, so
+// that redoing the mutation for real afterwards still agrees with an
+// ontology built from scratch on the final state. The
 // cancellation point is swept (0, 1, 2, 4, ... context polls) until the
 // mutation runs to completion, so every abort site in the pipeline is hit.
 func TestCanceledMutationLeavesSnapshotUntouched(t *testing.T) {
@@ -133,10 +133,11 @@ func TestCanceledMutationLeavesSnapshotUntouched(t *testing.T) {
 							k, queries[i], before[i], after[i])
 					}
 				}
-				// Provenance intact: redo the mutation for real and require
-				// agreement with a scratch ontology on the resulting state.
+				// Nothing half-repaired survives: redo the mutation for real
+				// and require agreement with a scratch ontology on the
+				// resulting state.
 				if err := m.apply(ont, context.Background()); err != nil {
-					t.Fatalf("k=%d: redo after rollback: %v", k, err)
+					t.Fatalf("k=%d: redo after abort: %v", k, err)
 				}
 				scratch, err := Parse(ont.Rules().String() + "\n" + factSrc(ont.Data().Atoms()))
 				if err != nil {

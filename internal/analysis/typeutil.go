@@ -46,19 +46,6 @@ func IsTypeNamed(t types.Type, name string) bool {
 	return n != nil && n.Obj() != nil && n.Obj().Name() == name
 }
 
-// ReceiverNamed returns the named type of a FuncDecl receiver (through one
-// pointer level), or nil for plain functions.
-func ReceiverNamed(info *types.Info, decl *ast.FuncDecl) *types.Named {
-	if decl.Recv == nil || len(decl.Recv.List) == 0 {
-		return nil
-	}
-	tv, ok := info.Types[decl.Recv.List[0].Type]
-	if !ok {
-		return nil
-	}
-	return NamedOf(tv.Type)
-}
-
 // SelectorCall matches expr against the shape recv.Method(...) and returns
 // the receiver expression and method name; ok is false otherwise.
 func SelectorCall(expr ast.Expr) (recv ast.Expr, method string, ok bool) {

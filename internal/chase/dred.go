@@ -86,7 +86,7 @@ func (st *State) Delete(rules *dependency.Set, ins *storage.Instance, facts []lo
 // inherits it (see ResumeCtx). On abort the repair is half-applied — facts
 // removed but survivors not yet rederived — so Result.Err is set and the
 // caller must discard both the instance and the state and rebuild from the
-// base data (Ontology.mutate rolls back and drops the cache).
+// base data (Ontology.mutate drops its forks and the materialization).
 func (st *State) DeleteCtx(ctx context.Context, rules *dependency.Set, ins *storage.Instance, facts []logic.Atom, base *storage.Instance) (*DeleteResult, error) {
 	if err := st.repairable(); err != nil {
 		return nil, err

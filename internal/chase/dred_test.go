@@ -82,9 +82,9 @@ func TestDeleteIncrementalEqualsScratch(t *testing.T) {
 
 // TestDeleteRederivesBlockedTrigger: deleting the fact that blocked a
 // trigger must make that trigger fire. The restricted chase never fired the
-// blocked trigger, so no derivation records it and no consumer edge leads to
-// it; re-derivation finds it only by unifying the removed blocker with the
-// rule head. The blocker is a base fact in one case and derived (through a
+// blocked trigger, so it has no null-table entry and over-deletion skips it;
+// re-derivation finds it only by unifying the removed blocker with the rule
+// head. The blocker is a base fact in one case and derived (through a
 // rule whose body fact is deleted) in the other.
 func TestDeleteRederivesBlockedTrigger(t *testing.T) {
 	a, b := c("a"), c("b")
@@ -333,9 +333,8 @@ func TestDeleteDirectSweepHonorsMaxSteps(t *testing.T) {
 	}
 }
 
-// TestDeleteFactWithNULInName: a provenance body key and the key overDelete
-// looks a removed fact up by are one encoding, also for a name that holds a
-// NUL byte. Deleting p("a\x00b") under p(X) -> s(X) must over-delete
+// TestDeleteFactWithNULInName: over-deletion finds the consequences of a
+// removed fact also when its name holds a NUL byte. Deleting p("a\x00b") under p(X) -> s(X) must over-delete
 // s("a\x00b") and leave s(a) and s(b).
 func TestDeleteFactWithNULInName(t *testing.T) {
 	rules := parser.MustParseRules(`p(X) -> s(X) .`)

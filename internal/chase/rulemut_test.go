@@ -19,7 +19,7 @@ import (
 // re-derivation), Extend (fact inserts) and Delete (fact removals) must
 // leave the same null-free fact set as a from-scratch chase of the FINAL
 // rule set over the surviving base facts. Sequential and parallel; a
-// shrinking set exercises the provenance rule-index remap.
+// shrinking set exercises the null table's rule-keyed entries.
 func TestRuleMutationIncrementalEqualsScratch(t *testing.T) {
 	families := []datagen.Family{
 		datagen.FamilyLinear, datagen.FamilyMultilinear,

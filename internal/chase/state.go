@@ -109,8 +109,8 @@ func (st *State) Extend(rules *dependency.Set, ins *storage.Instance, facts []lo
 
 // ExtendCtx is Extend under a cancellation context (see ResumeCtx). On abort
 // the inserted base facts remain in the instance and the returned Result
-// carries the context error; the caller owns the rollback of the instance and
-// must discard the state.
+// carries the context error; the caller must discard both the instance and
+// the state.
 //
 // The facts go in through a shard and MergeShards, the firing loop's own
 // write path: each is copied and keyed once, and the merge yields exactly
@@ -210,8 +210,8 @@ func (st *State) Resume(rules *dependency.Set, ins, delta *storage.Instance) *Re
 // aborted run returns with Result.Err set and Terminated false, WITHOUT
 // merging the interrupted round's buffered writes: the instance is a valid
 // chase prefix, but the state has consumed partial bookkeeping and is marked
-// truncated — discard both and rebuild (Ontology.mutate rolls the base data
-// back and drops the cache, so readers keep the pre-mutation snapshot).
+// truncated — discard both and rebuild (Ontology.mutate drops its forks and
+// the materialization, so readers keep the pre-mutation base).
 func (st *State) ResumeCtx(ctx context.Context, rules *dependency.Set, ins, delta *storage.Instance) *Result {
 	return st.resume(ctx, rules, ins, delta, nil, 0, 0)
 }

@@ -32,9 +32,6 @@ type Flags struct {
 	// Limit bounds the number of answers streamed (0 = all); registered
 	// separately by BindLimit, only on the commands that answer queries.
 	Limit int
-	// CacheBytes is the answer-view cache budget; registered separately by
-	// BindCache on the commands that answer repeatedly (answer, serve).
-	CacheBytes int64
 	// Timeout bounds the whole operation; 0 means no deadline.
 	Timeout time.Duration
 }
@@ -54,14 +51,6 @@ func Bind(fs *flag.FlagSet) *Flags {
 // stops as soon as the bound is reached.
 func (f *Flags) BindLimit(fs *flag.FlagSet) {
 	fs.IntVar(&f.Limit, "limit", 0, "stop after this many distinct answers (0 = all)")
-}
-
-// BindCache additionally registers -cache, for the commands that answer
-// the same query repeatedly: a positive byte budget keeps completed answer
-// sets cached (and incrementally maintained across fact insertions), so a
-// repeat answer is a lock-free lookup instead of a re-evaluation.
-func (f *Flags) BindCache(fs *flag.FlagSet, def int64) {
-	fs.Int64Var(&f.CacheBytes, "cache", def, "answer-view cache budget in bytes (0 = disabled)")
 }
 
 // BindTimeout registers only -timeout, for commands with no engine knobs.

@@ -73,13 +73,6 @@ func Homomorphism(src []Atom, target []Atom, opts HomOptions) (Subst, bool) {
 	return found, true
 }
 
-// HasHomomorphism reports whether any homomorphism from src into target
-// exists.
-func HasHomomorphism(src []Atom, target []Atom, opts HomOptions) bool {
-	_, ok := Homomorphism(src, target, opts)
-	return ok
-}
-
 // AllHomomorphisms returns every homomorphism from src into target, up to
 // opts.Limit (0 = all). Each substitution is restricted to the variables of
 // src.

@@ -17,8 +17,8 @@ import (
 
 // BenchmarkServing measures the HTTP serving layer under a mixed workload:
 // each iteration fires a fixed burst of requests from concurrent clients
-// against a hot ontology — reads are lockless snapshot queries, writes flow
-// through the coalescing batcher — and reports the per-request latency
+// against a hot ontology — reads are lockless snapshot queries, each write is
+// one mutation under the ontology's writer lock — and reports the per-request latency
 // percentiles (p50-ns / p99-ns) alongside the usual ns/op for the burst.
 // The burst size is fixed so the percentiles are meaningful even under
 // -benchtime 1x (the CI smoke configuration).

@@ -3,16 +3,15 @@
 // JSON endpoints. It is a thin shim by design — reads are a lockless pass
 // through the ontologies' published snapshots (the handler adds no
 // synchronization of its own; AnswerCtx evaluates an immutable instance
-// loaded through an atomic pointer), and writes drive the unified mutation
-// pipeline, with concurrent fact insertions opportunistically coalesced into
-// one staged batch per chase delta (see batcher).
+// loaded through an atomic pointer), and every write request is one
+// ontology mutation, serialized by the ontology's writer lock.
 //
 // Every request runs under a context deadline: a per-request ?timeout=
 // duration, clamped to the server's maximum, or the configured default. The
 // context threads through the new ctx-first ontology API, so an expired
 // deadline aborts rewriting, chase rounds and join execution mid-flight —
-// queries return 504 without ever corrupting a published snapshot, and
-// canceled mutations roll back to the pre-mutation state.
+// queries return 504 without ever corrupting a published snapshot, and a
+// canceled mutation publishes none of its changes.
 //
 // Endpoints (Go 1.22 pattern routing):
 //
@@ -53,6 +52,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/parser"
 )
 
 // Config tunes the server.
@@ -85,8 +85,8 @@ type Config struct {
 type Server struct {
 	cfg Config
 
-	mu      sync.RWMutex
-	tenants map[string]*tenant
+	mu         sync.RWMutex
+	ontologies map[string]*repro.Ontology
 
 	// sem, queued and shed implement admission control: a semaphore of
 	// MaxConcurrent slots, an atomic count of requests waiting for one,
@@ -96,15 +96,9 @@ type Server struct {
 	shed   atomic.Uint64
 }
 
-// tenant is one named ontology plus its write batcher.
-type tenant struct {
-	ont     *repro.Ontology
-	batcher *batcher
-}
-
 // New creates an empty server.
 func New(cfg Config) *Server {
-	s := &Server{cfg: cfg, tenants: make(map[string]*tenant)}
+	s := &Server{cfg: cfg, ontologies: make(map[string]*repro.Ontology)}
 	if cfg.MaxConcurrent > 0 {
 		s.sem = make(chan struct{}, cfg.MaxConcurrent)
 	}
@@ -130,21 +124,14 @@ func (s *Server) Add(name string, ont *repro.Ontology) {
 	ont.SetAnswerCacheBudget(s.cacheBudget())
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.tenants[name] = &tenant{ont: ont, batcher: newBatcher(ont)}
+	s.ontologies[name] = ont
 }
 
 // Ontology returns the named ontology, or nil.
 func (s *Server) Ontology(name string) *repro.Ontology {
-	if t := s.lookup(name); t != nil {
-		return t.ont
-	}
-	return nil
-}
-
-func (s *Server) lookup(name string) *tenant {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.tenants[name]
+	return s.ontologies[name]
 }
 
 // Handler builds the routing table. The returned handler is safe for
@@ -208,10 +195,10 @@ func (s *Server) admit(next http.Handler) http.Handler {
 
 // tenantHandler resolves {name} and arms the per-request deadline before
 // dispatching; unknown names 404 without consuming the body.
-func (s *Server) tenantHandler(h func(http.ResponseWriter, *http.Request, *tenant)) http.HandlerFunc {
+func (s *Server) tenantHandler(h func(http.ResponseWriter, *http.Request, *repro.Ontology)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		t := s.lookup(r.PathValue("name"))
-		if t == nil {
+		ont := s.Ontology(r.PathValue("name"))
+		if ont == nil {
 			writeErr(w, http.StatusNotFound, fmt.Errorf("no ontology named %q", r.PathValue("name")))
 			return
 		}
@@ -232,14 +219,14 @@ func (s *Server) tenantHandler(h func(http.ResponseWriter, *http.Request, *tenan
 			defer cancel()
 			r = r.WithContext(ctx)
 		}
-		h(w, r, t)
+		h(w, r, ont)
 	}
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
-	names := make([]string, 0, len(s.tenants))
-	for name := range s.tenants {
+	names := make([]string, 0, len(s.ontologies))
+	for name := range s.ontologies {
 		names = append(names, name)
 	}
 	s.mu.RUnlock()
@@ -270,8 +257,8 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	s.mu.Lock()
-	_, ok := s.tenants[name]
-	delete(s.tenants, name)
+	_, ok := s.ontologies[name]
+	delete(s.ontologies, name)
 	s.mu.Unlock()
 	if !ok {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("no ontology named %q", name))
@@ -280,11 +267,11 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"deleted": name})
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, t *tenant) {
-	m := t.ont.MaterializationStats()
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, ont *repro.Ontology) {
+	m := ont.MaterializationStats()
 	writeJSON(w, http.StatusOK, map[string]any{
-		"rules":           t.ont.Rules().Len(),
-		"baseFacts":       t.ont.Data().Size(),
+		"rules":           ont.Rules().Len(),
+		"baseFacts":       ont.Data().Size(),
 		"materialization": m,
 		// Surfaced at top level: a growing value on a serving process means
 		// incremental maintenance is being bypassed (e.g. mutations against
@@ -318,7 +305,7 @@ type queryRequest struct {
 	NoCache bool `json:"noCache,omitempty"`
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, t *tenant) {
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, ont *repro.Ontology) {
 	var req queryRequest
 	if err := decodeJSON(r, &req); err != nil {
 		writeErr(w, http.StatusBadRequest, err)
@@ -366,10 +353,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, t *tenant) 
 		opts.Limit = n
 	}
 	if req.Stream || strings.Contains(r.Header.Get("Accept"), "application/x-ndjson") {
-		s.streamQuery(w, r, t, req.Query, opts)
+		s.streamQuery(w, r, ont, req.Query, opts)
 		return
 	}
-	ans, err := t.ont.AnswerCtx(r.Context(), req.Query, opts)
+	ans, err := ont.AnswerCtx(r.Context(), req.Query, opts)
 	if err != nil {
 		writeErr(w, errStatus(err), err)
 		return
@@ -390,7 +377,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, t *tenant) 
 // A stream is one AnswerEach: it replays a cached view or evaluates on its
 // own, so concurrent identical streams each evaluate until one of them has
 // filled the view.
-func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, t *tenant, query string, opts repro.Options) {
+func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, ont *repro.Ontology, query string, opts repro.Options) {
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	flusher, _ := w.(http.Flusher)
@@ -418,7 +405,7 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, t *tenant, 
 		n++
 		return true
 	}
-	err := t.ont.AnswerEach(r.Context(), query, opts, yield)
+	err := ont.AnswerEach(r.Context(), query, opts, yield)
 	if err != nil && !started {
 		writeErr(w, errStatus(err), err)
 		return
@@ -442,30 +429,32 @@ type factsRequest struct {
 	Facts string `json:"facts"`
 }
 
-func (s *Server) handleAddFacts(w http.ResponseWriter, r *http.Request, t *tenant) {
+func (s *Server) handleAddFacts(w http.ResponseWriter, r *http.Request, ont *repro.Ontology) {
 	var req factsRequest
 	if err := decodeJSON(r, &req); err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	res, err := t.batcher.AddFacts(r.Context(), req.Facts)
+	facts, err := parser.ParseFacts(req.Facts)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
+	n, err := ont.AddFactAtoms(r.Context(), facts)
 	if err != nil {
 		writeErr(w, errStatus(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"added":     res.added,
-		"coalesced": res.coalesced,
-	})
+	writeJSON(w, http.StatusOK, map[string]any{"added": n})
 }
 
-func (s *Server) handleDeleteFacts(w http.ResponseWriter, r *http.Request, t *tenant) {
+func (s *Server) handleDeleteFacts(w http.ResponseWriter, r *http.Request, ont *repro.Ontology) {
 	var req factsRequest
 	if err := decodeJSON(r, &req); err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	n, err := t.ont.DeleteFactCtx(r.Context(), req.Facts)
+	n, err := ont.DeleteFactCtx(r.Context(), req.Facts)
 	if err != nil {
 		writeErr(w, errStatus(err), err)
 		return
@@ -478,30 +467,30 @@ type ruleRequest struct {
 	Rule string `json:"rule"`
 }
 
-func (s *Server) handleAddRule(w http.ResponseWriter, r *http.Request, t *tenant) {
+func (s *Server) handleAddRule(w http.ResponseWriter, r *http.Request, ont *repro.Ontology) {
 	var req ruleRequest
 	if err := decodeJSON(r, &req); err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	if err := t.ont.AddRuleCtx(r.Context(), req.Rule); err != nil {
+	if err := ont.AddRuleCtx(r.Context(), req.Rule); err != nil {
 		writeErr(w, errStatus(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"rules": t.ont.Rules().Len()})
+	writeJSON(w, http.StatusOK, map[string]any{"rules": ont.Rules().Len()})
 }
 
-func (s *Server) handleRemoveRule(w http.ResponseWriter, r *http.Request, t *tenant) {
+func (s *Server) handleRemoveRule(w http.ResponseWriter, r *http.Request, ont *repro.Ontology) {
 	label := r.PathValue("label")
-	if err := t.ont.RemoveRuleCtx(r.Context(), label); err != nil {
+	if err := ont.RemoveRuleCtx(r.Context(), label); err != nil {
 		writeErr(w, errStatus(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"rules": t.ont.Rules().Len()})
+	writeJSON(w, http.StatusOK, map[string]any{"rules": ont.Rules().Len()})
 }
 
-func (s *Server) handleLoadCSV(w http.ResponseWriter, r *http.Request, t *tenant) {
-	n, err := t.ont.LoadCSVCtx(r.Context(), r.PathValue("pred"), r.Body)
+func (s *Server) handleLoadCSV(w http.ResponseWriter, r *http.Request, ont *repro.Ontology) {
+	n, err := ont.LoadCSVCtx(r.Context(), r.PathValue("pred"), r.Body)
 	if err != nil {
 		writeErr(w, errStatus(err), err)
 		return

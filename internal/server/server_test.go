@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -18,6 +17,7 @@ import (
 
 	"repro"
 	"repro/internal/datagen"
+	"repro/internal/parser"
 )
 
 const familyProgram = `
@@ -221,85 +221,70 @@ func TestWriteDeadlineRollsBack(t *testing.T) {
 	}
 }
 
-// TestBatcherCoalesces drives many concurrent fact insertions through the
-// batcher and verifies (a) every fact landed, (b) at least one batch was
-// actually coalesced under contention.
-func TestBatcherCoalesces(t *testing.T) {
-	ont := repro.MustParse(familyProgram)
-	// Materialize once so every write pays an incremental chase (the
-	// contention window the batcher exists for).
-	if _, err := ont.AnswerCtx(context.Background(), "q(X, Y) :- ancestor(X, Y) .", repro.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	b := newBatcher(ont)
-
-	const writers = 32
-	var wg sync.WaitGroup
-	coalesced := make([]int, writers)
-	for i := 0; i < writers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, err := b.AddFacts(context.Background(), fmt.Sprintf("parent(p%d, q%d) .", i, i))
-			if err != nil {
-				t.Errorf("writer %d: %v", i, err)
-				return
-			}
-			coalesced[i] = res.coalesced
-		}(i)
-	}
-	wg.Wait()
-
-	ans, err := ont.AnswerCtx(context.Background(), "q(X, Y) :- parent(X, Y) .", repro.Options{})
+// postFacts POSTs facts to url and returns the reply's status and its
+// "added" count. It reports failures instead of failing the test, so writer
+// goroutines may call it.
+func postFacts(url, facts string) (status, added int, err error) {
+	body, _ := json.Marshal(map[string]string{"facts": facts})
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
 	if err != nil {
-		t.Fatal(err)
+		return 0, 0, err
 	}
-	if want := 2 + writers; ans.Len() != want {
-		t.Fatalf("parent count = %d, want %d", ans.Len(), want)
+	defer resp.Body.Close()
+	var m struct {
+		Added int `json:"added"`
 	}
-	max := 0
-	for _, c := range coalesced {
-		if c > max {
-			max = c
-		}
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		return 0, 0, err
 	}
-	t.Logf("largest coalesced batch: %d requests", max)
+	return resp.StatusCode, m.Added, nil
 }
 
-// TestBatchedEqualsSequential is the ISSUE property test: for random
-// interleavings, facts inserted through the coalescing batcher yield an
-// ontology answer-equivalent to the same facts inserted sequentially,
-// under both sequential and parallel answering.
+// TestBatchedEqualsSequential is the concurrent-writer property test: random,
+// overlapping batches of facts POSTed to one ontology by concurrent HTTP
+// writers yield an ontology answer-equivalent, in chase mode at 1 and 4
+// workers, to a twin fed the same batches in order; and the replies' "added"
+// counts sum to the number of distinct new facts, since every reply counts
+// its own request's facts. A second leg gives some writers ?timeout=1ms on
+// disjoint facts: a timeout never hides a committed write, and a committed
+// reply never hides a rolled-back one.
 func TestBatchedEqualsSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 5; trial++ {
+		s, ts := newTestServer(t, Config{})
 		batched := repro.MustParse(familyProgram)
 		sequential := repro.MustParse(familyProgram)
-		if _, err := batched.AnswerCtx(context.Background(), "q(X, Y) :- ancestor(X, Y) .", repro.Options{}); err != nil {
+		if _, err := batched.AnswerCtx(context.Background(), "q(X, Y) :- ancestor(X, Y) .", repro.Options{Mode: repro.ModeChase}); err != nil {
 			t.Fatal(err)
 		}
+		s.Add("fam", batched)
 
 		// Random batches of random facts, some overlapping across writers.
 		nWriters := 4 + rng.Intn(12)
 		batches := make([]string, nWriters)
+		distinct := map[[2]int]bool{}
 		for i := range batches {
 			var sb strings.Builder
 			for j, n := 0, 1+rng.Intn(4); j < n; j++ {
-				fmt.Fprintf(&sb, "parent(n%d, n%d) . ", rng.Intn(20), rng.Intn(20))
+				x, y := rng.Intn(20), rng.Intn(20)
+				distinct[[2]int{x, y}] = true
+				fmt.Fprintf(&sb, "parent(n%d, n%d) . ", x, y)
 			}
 			batches[i] = sb.String()
 		}
 
-		b := newBatcher(batched)
 		var wg sync.WaitGroup
-		for _, facts := range batches {
+		added := make([]int, nWriters)
+		for i, facts := range batches {
 			wg.Add(1)
-			go func(facts string) {
+			go func(i int, facts string) {
 				defer wg.Done()
-				if _, err := b.AddFacts(context.Background(), facts); err != nil {
-					t.Errorf("batched add: %v", err)
+				st, n, err := postFacts(ts.URL+"/v1/ontologies/fam/facts", facts)
+				if err != nil || st != http.StatusOK {
+					t.Errorf("writer %d: status %d, %v", i, st, err)
 				}
-			}(facts)
+				added[i] = n
+			}(i, facts)
 		}
 		wg.Wait()
 		for _, facts := range batches {
@@ -308,6 +293,13 @@ func TestBatchedEqualsSequential(t *testing.T) {
 			}
 		}
 
+		sum := 0
+		for _, n := range added {
+			sum += n
+		}
+		if sum != len(distinct) {
+			t.Fatalf("trial %d: replies added %d facts in all, want the %d distinct new ones", trial, sum, len(distinct))
+		}
 		for _, par := range []int{1, 4} {
 			opts := repro.Options{Mode: repro.ModeChase, Parallelism: par}
 			for _, q := range []string{
@@ -323,12 +315,104 @@ func TestBatchedEqualsSequential(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !got.Equal(want) {
-					t.Fatalf("trial %d par %d %s: batched answers differ from sequential\nbatched: %v\nsequential: %v",
+					t.Fatalf("trial %d par %d %s: concurrent answers differ from sequential\nconcurrent: %v\nsequential: %v",
 						trial, par, q, got, want)
 				}
 			}
 		}
 	}
+
+	t.Run("timeouts", func(t *testing.T) {
+		const writers, perWriter = 12, 3
+		for trial := 0; trial < 3; trial++ {
+			s, ts := newTestServer(t, Config{})
+			var chain strings.Builder
+			for i := 0; i < 40; i++ {
+				fmt.Fprintf(&chain, "parent(c%d, c%d) . ", i, i+1)
+			}
+			ont := repro.MustParse(familyProgram + chain.String())
+			if _, err := ont.AnswerCtx(context.Background(), "q(X, Y) :- ancestor(X, Y) .", repro.Options{Mode: repro.ModeChase}); err != nil {
+				t.Fatal(err)
+			}
+			s.Add("fam", ont)
+
+			// Writer i's facts hang new parents off the chain: disjoint from
+			// every other writer's, and each derives dozens of ancestors.
+			batches := make([]string, writers)
+			for i := range batches {
+				var sb strings.Builder
+				for j := 0; j < perWriter; j++ {
+					fmt.Fprintf(&sb, "parent(w%d_%d, c%d) . ", i, j, rng.Intn(40))
+				}
+				batches[i] = sb.String()
+			}
+			status := make([]int, writers)
+			added := make([]int, writers)
+			var wg sync.WaitGroup
+			for i, facts := range batches {
+				url := ts.URL + "/v1/ontologies/fam/facts"
+				if i%2 == 1 {
+					url += "?timeout=1ms"
+				}
+				wg.Add(1)
+				go func(i int, url, facts string) {
+					defer wg.Done()
+					var err error
+					if status[i], added[i], err = postFacts(url, facts); err != nil {
+						t.Errorf("writer %d: %v", i, err)
+					}
+				}(i, url, facts)
+			}
+			wg.Wait()
+
+			data := ont.Data()
+			timedOut := 0
+			for i, facts := range batches {
+				atoms, err := parser.ParseFacts(facts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				switch status[i] {
+				case http.StatusOK:
+					if added[i] != perWriter {
+						t.Errorf("writer %d: 200 reply added %d, want %d", i, added[i], perWriter)
+					}
+					for _, a := range atoms {
+						if !data.ContainsAtom(a) {
+							t.Errorf("writer %d: 200 reply, but %v is not in the data", i, a)
+						}
+					}
+				case http.StatusGatewayTimeout, 499:
+					timedOut++
+					for _, a := range atoms {
+						if data.ContainsAtom(a) {
+							t.Errorf("writer %d: %d reply, but %v is in the data", i, status[i], a)
+						}
+					}
+				default:
+					t.Errorf("writer %d: status %d", i, status[i])
+				}
+			}
+			t.Logf("trial %d: %d of %d writes timed out", trial, timedOut, writers)
+
+			// Whatever the aborts dropped, the published state answers like
+			// a scratch chase of its own data.
+			scratch := repro.New(ont.Rules(), data.Clone())
+			opts := repro.Options{Mode: repro.ModeChase}
+			q := "q(X, Y) :- ancestor(X, Y) ."
+			got, err := ont.AnswerCtx(context.Background(), q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := scratch.AnswerCtx(context.Background(), q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("trial %d: answers after timed-out writes differ from a scratch chase", trial)
+			}
+		}
+	})
 }
 
 // TestGracefulShutdownDrains verifies that Server.Shutdown waits for an
@@ -349,88 +433,6 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	httpSrv.Close() // Close drains active connections like Shutdown does
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("in-flight request got %d", resp.StatusCode)
-	}
-}
-
-// parkRequest arms b as if a flush were inside the pipeline, fires AddFacts
-// on a goroutine so it parks, and returns the parked request plus the
-// channel its outcome will land on.
-func parkRequest(t *testing.T, b *batcher, ctx context.Context, facts string) (*writeReq, chan writeResult, chan error) {
-	t.Helper()
-	b.mu.Lock()
-	b.flushing = true
-	b.mu.Unlock()
-	resc := make(chan writeResult, 1)
-	errc := make(chan error, 1)
-	go func() {
-		res, err := b.AddFacts(ctx, facts)
-		resc <- res
-		errc <- err
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		b.mu.Lock()
-		if len(b.pending) > 0 {
-			req := b.pending[0]
-			b.mu.Unlock()
-			return req, resc, errc
-		}
-		b.mu.Unlock()
-		if time.Now().After(deadline) {
-			t.Fatal("request never parked on the pending queue")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestBatcherCancelAfterClaimReportsCommit is the commit-vs-timeout race
-// regression (white box): a parked request whose batch a flush has already
-// claimed must report the flush's outcome, not a fabricated context error —
-// the old select returned 504 for facts that verifiably committed.
-func TestBatcherCancelAfterClaimReportsCommit(t *testing.T) {
-	b := newBatcher(repro.MustParse(familyProgram))
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	req, resc, errc := parkRequest(t, b, ctx, "parent(late, later) .")
-
-	// A flush claims the batch (pending empties), THEN the caller's ctx
-	// expires, THEN the commit lands. The caller must wait for the verdict.
-	b.mu.Lock()
-	b.pending = nil
-	b.mu.Unlock()
-	cancel()
-	// Let the caller reach its ctx.Done branch before the result arrives, so
-	// the test fails (not flakes) if the select shortcut comes back.
-	time.Sleep(20 * time.Millisecond)
-	req.done <- writeResult{added: 1, coalesced: 2}
-
-	res, err := <-resc, <-errc
-	if err != nil {
-		t.Fatalf("claimed request reported %v; its facts committed", err)
-	}
-	if res.added != 1 || res.coalesced != 2 {
-		t.Fatalf("claimed request got %+v, want the flush result", res)
-	}
-}
-
-// TestBatcherCancelWithdrawsUnclaimed is the other half of the ticket: a
-// request still on the pending queue when its ctx expires is withdrawn under
-// the lock, so the context error is truthful — no later flush can commit it.
-func TestBatcherCancelWithdrawsUnclaimed(t *testing.T) {
-	b := newBatcher(repro.MustParse(familyProgram))
-	ctx, cancel := context.WithCancel(context.Background())
-	_, resc, errc := parkRequest(t, b, ctx, "parent(never, landed) .")
-
-	cancel()
-	res, err := <-resc, <-errc
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("unclaimed canceled request returned (%+v, %v); want context.Canceled", res, err)
-	}
-	b.mu.Lock()
-	n := len(b.pending)
-	b.mu.Unlock()
-	if n != 0 {
-		t.Fatalf("%d withdrawn request(s) still pending; a later flush could commit canceled facts", n)
 	}
 }
 

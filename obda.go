@@ -63,11 +63,11 @@ import (
 // Answer*/Classify/ChaseCtx concurrently, and every mutator —
 // AddFact/DeleteFact/LoadCSVCtx/AddRuleCtx/RemoveRuleCtx — may run alongside
 // them.
-// Reads never queue behind writers: a mutation forks the published base and
-// materialization copy-on-write, applies itself to the forks, and publishes
-// the next snapshot with one pointer store (publish) — or, when rejected or
-// canceled, publishes nothing — while readers keep evaluating the previous
-// generation, untouched. Only a cold chase materialization (the first
+// Reads never queue behind writers: a mutation forks what it writes of the
+// published base and materialization copy-on-write, repairs the forks, and
+// publishes the next snapshot with one pointer store (publish) — or, when
+// rejected or canceled, publishes nothing — while readers keep evaluating
+// the previous generation, untouched. Only a cold chase materialization (the first
 // chase-mode answer, or one after a budget change) builds
 // under the writer lock, single-flight and serialized with mutators; once
 // published it serves every reader until the next write.
@@ -109,8 +109,8 @@ type Ontology struct {
 	fullRebuilds atomic.Uint64
 
 	// ansBudget is the answer-view cache byte budget; <= 0 disables the
-	// cache entirely (the library default — servers and CLIs opt in via
-	// their -cache flag and SetAnswerCacheBudget).
+	// cache entirely (the library default — the server opts in through
+	// SetAnswerCacheBudget, see server.Config.AnswerCacheBytes).
 	ansBudget atomic.Int64
 	// ansStats carries the answer-cache counters across generations.
 	ansStats rescache.Stats
@@ -123,7 +123,7 @@ type Ontology struct {
 // generation, and only while the rules are unchanged.
 type snapshot struct {
 	rules *dependency.Set
-	// base is the canonical base data, frozen. Mutations fork it
+	// base is the canonical base data, frozen. Fact mutations fork it
 	// (ExtendClone) and publish the fork.
 	base *storage.Instance
 	// mat is the chase materialization of (rules, base), nil until a
@@ -260,12 +260,6 @@ func (s *snapshot) plansFor(u *query.UCQ, onMat bool) []*eval.Plan {
 	plans := compileUCQ(u, s.store(onMat), eval.PlannerDefault, eval.JoinDefault)
 	s.plans.Store(key, plans)
 	return plans
-}
-
-// evalUCQ evaluates a union over one of the snapshot's stores through its
-// plan cache.
-func (s *snapshot) evalUCQ(u *query.UCQ, onMat bool, opts eval.Options) *eval.Answers {
-	return eval.RunPlans(s.plansFor(u, onMat), u.Arity(), s.store(onMat), opts)
 }
 
 // materialization is the chase expansion of one snapshot plus the resumable

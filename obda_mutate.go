@@ -12,301 +12,103 @@ import (
 	"repro/internal/storage"
 )
 
-// mutation is one staged change to the ontology flowing through the unified
-// write pipeline: any combination of fact insertions, fact deletions, rule
-// additions and one rule removal. Every mutator — AddFact, DeleteFact,
-// LoadCSVCtx, AddRuleCtx, RemoveRuleCtx — builds a mutation and hands it to
-// mutate, which runs the same stage → validate → apply → publish sequence
-// over copy-on-write forks of the published snapshot.
-type mutation struct {
-	addFacts []logic.Atom
-	delFacts []logic.Atom
-	addRules []*dependency.TGD
-	dropRule string // label of the rule to remove; "" = none
+// change is one staged mutation: the next rule set, the next base (a fork,
+// or nil when only the rules change) and the one engine call that repairs a
+// fork of the published materialization to match them.
+type change struct {
+	rules *dependency.Set
+	base  *storage.Instance
+	// n is the mutator's report: the base facts added or removed.
+	n int
+	// repair brings store, a fork of the published materialization, in line
+	// with rules and base through st, the engine state behind it.
+	repair func(st *chase.State, store *storage.Instance) (*chase.Result, error)
 }
 
-// mutationResult reports what a mutation actually changed.
-type mutationResult struct {
-	addedFacts   int // genuinely new base facts
-	removedFacts int // base facts that were present and removed
-}
-
-// mutate is the unified write pipeline. Under the writer lock it
+// mutate is the one write path. Under the writer lock it
 //
-//  1. stages and validates the whole mutation — rule arities against the
-//     set's signature and the stored relations, fact arities against the
-//     published expansion — before anything is forked, so a rejected
-//     mutation is a strict no-op;
-//  2. applies it to copy-on-write forks of the published base and
-//     materialization: rule removal first (DRed over-deletion seeded by the
-//     removed rule's triggers, then rederiving, via
-//     chase.State.DeleteRuleCtx), then rule additions (the whole instance as
-//     delta against only the new rules via chase.State.ExtendRulesCtx), then
-//     fact deletions (chase.State.Delete), then fact insertions
-//     (chase.State.Extend) — each step repairing the same fork of the
-//     materialization, or giving it up when the cache is truncated, which
-//     no step can repair or extend soundly;
-//  3. publishes the next snapshot — new rule set, forked base, repaired
+//  1. stages the change over the published snapshot: stage validates it —
+//     rule arities against the set's signature and the stored relations,
+//     fact arities against the published expansion — and forks only what
+//     it writes, so a rejected mutation is a strict no-op. A nil change
+//     changes nothing (every inserted fact already present, every deleted
+//     fact absent), so nothing is published and the snapshot keeps its
+//     answer views;
+//  2. repairs a copy-on-write fork of the published materialization with
+//     the change's one engine call, or drops a truncated materialization,
+//     which no repair can maintain soundly (counted in FullRebuilds);
+//  3. publishes the next snapshot — rule set, base, repaired
 //     materialization, empty answer views — with one pointer store;
 //     concurrent readers keep the previous snapshot throughout.
-//     A mutation that changes nothing (every inserted fact already present,
-//     every deleted fact absent) publishes nothing, so the published snapshot
-//     and its answer views stay in place.
 //
-// Cancellation is honored at step boundaries and inside every chase-driven
-// apply step (the engines poll ctx at amortized intervals). An aborted
-// mutation throws its forks away: nothing it did was ever visible, so
-// subsequent answers are identical to ones computed before it started. The
-// one thing a canceled step may have half-repaired is the chase engine state
-// the published materialization shares with its forks, so that
-// materialization is dropped (rebuilt lazily from the untouched base, counted
-// in FullRebuilds). Once every step has completed, the mutation commits even
-// if ctx expires during publication — like a database commit, the point of
-// no return is the start of the publish phase.
-func (o *Ontology) mutate(ctx context.Context, mut mutation) (mutationResult, error) {
-	var res mutationResult
+// Cancellation is honored before the repair and inside it (the engines poll
+// ctx at amortized intervals); see abort. Once the repair has completed, the
+// mutation commits even if ctx expires during publication — like a database
+// commit, the point of no return is the start of the publish phase.
+func (o *Ontology) mutate(ctx context.Context, stage func(prev *snapshot) (*change, error)) (int, error) {
 	if err := ctx.Err(); err != nil {
-		return res, err // strict no-op: nothing staged, nothing touched
+		return 0, err // strict no-op: nothing staged, nothing touched
 	}
 	o.wmu.Lock()
 	defer o.wmu.Unlock()
 	prev := o.snap.Load()
-
-	// --- stage & validate ---
-	afterDrop := prev.rules
-	dropIdx := -1
-	if mut.dropRule != "" {
-		if dropIdx = prev.rules.IndexOfLabel(mut.dropRule); dropIdx < 0 {
-			return res, fmt.Errorf("repro: no rule labeled %q", mut.dropRule)
-		}
-		var err error
-		if afterDrop, err = prev.rules.WithoutRule(dropIdx); err != nil {
-			return res, err
-		}
-	}
-	newRules := afterDrop
-	for _, r := range mut.addRules {
-		var err error
-		if newRules, err = newRules.WithRule(r); err != nil {
-			return res, err
-		}
-	}
-	if len(mut.addRules) > 0 {
-		if err := checkRuleArities(newRules, prev.storedRelations()); err != nil {
-			return res, err
-		}
-	}
-	stagedAdds, err := prev.stageFacts(newRules, mut.addFacts)
+	c, err := stage(prev)
 	if err != nil {
-		return res, err
+		return 0, err
 	}
-
-	// --- apply ---
-	w := beginMatWork(prev.mat)
+	if err := ctx.Err(); err != nil {
+		return 0, o.abort(prev, err)
+	}
+	if c == nil {
+		return 0, nil // nothing changed: keep the published snapshot
+	}
 	next := prev.next()
-	// abort throws the forks away. The one thing it publishes is the loss of
-	// the materialization whose engine state a canceled step may have
-	// poisoned.
-	abort := func(err error) (mutationResult, error) {
-		if w.had {
-			o.dropMat(next)
-			o.publish(next)
-		}
-		return mutationResult{}, err
+	next.rules = c.rules
+	if c.base != nil {
+		next.base = c.base
 	}
-	if dropIdx >= 0 {
-		w.applyRuleDrop(ctx, afterDrop, dropIdx, prev.base)
-	}
-	if len(mut.addRules) > 0 {
-		w.applyRuleAdd(ctx, newRules, afterDrop.Len())
-	}
-	if w.ctxErr != nil {
-		return abort(w.ctxErr)
-	}
-	// Forked unconditionally (a map of relation pointers): a variable that is
-	// only sometimes the published base is what snapshotmut exists to refuse.
-	base := prev.base.ExtendClone()
-	var removed, added []logic.Atom
-	if len(mut.delFacts) > 0 {
-		if err := ctx.Err(); err != nil {
-			return abort(err)
-		}
-		for _, f := range mut.delFacts {
-			// Remove is idempotent: a duplicated fact in the batch removes once.
-			if base.Remove(f) {
-				removed = append(removed, f)
-			}
-		}
-		if len(removed) > 0 {
-			w.applyFactDelete(ctx, newRules, removed, base)
-			if w.ctxErr != nil {
-				return abort(w.ctxErr)
-			}
-		}
-	}
-	if len(stagedAdds) > 0 {
-		if err := ctx.Err(); err != nil {
-			return abort(err)
-		}
-		for _, f := range stagedAdds {
-			// Cannot fail: staging checked every arity against the stored
-			// relations, a superset of the base.
-			if isNew, _ := base.Insert(f); isNew {
-				added = append(added, f)
-			}
-		}
-		if len(added) > 0 {
-			w.applyFactInsert(ctx, newRules, added)
-			if w.ctxErr != nil {
-				return abort(w.ctxErr)
-			}
-		}
-	}
-
-	// --- publish ---
-	if newRules == prev.rules && len(added)+len(removed) == 0 {
-		return res, nil // nothing changed: keep the published snapshot
-	}
-	res = mutationResult{addedFacts: len(added), removedFacts: len(removed)}
-	next.rules = newRules
-	if len(added)+len(removed) > 0 {
-		next.base = base
-	}
-	switch {
-	case w.touched:
-		next.setMat(w.store, w.state, w.terminated, w.steps, w.rounds)
-	case !w.live:
-		// Maintenance became impossible (a truncated cache): rebuild lazily,
-		// and count it so MaterializationStats.FullRebuilds surfaces the
-		// penalty.
+	switch m := prev.mat; {
+	case m == nil:
+		// Nothing to repair: the next chase-mode answer builds.
+	case !m.terminated:
 		o.dropMat(next)
+	default:
+		store := m.store.ExtendClone()
+		res, err := c.repair(m.state, store)
+		switch {
+		case err != nil:
+			o.dropMat(next) // the engine refused the repair: rebuild lazily
+		case res.Err != nil:
+			return 0, o.abort(prev, res.Err)
+		default:
+			next.setMat(store, m.state, res.Terminated, res.Steps, res.Rounds)
+		}
 	}
 	o.publish(next)
-	return res, w.err
+	return c.n, nil
 }
 
-// matWork is the in-flight copy-on-write materialization a mutation edits
-// before publishing: every apply step threads it, so a multi-part mutation
-// repairs one extension and publishes once.
-type matWork struct {
-	// store is the copy-on-write extension under repair.
-	store         *storage.Instance
-	state         *chase.State
-	terminated    bool
-	steps, rounds int  // accumulated across this mutation's steps
-	live          bool // a maintainable work-set is in hand
-	had           bool // a materialization was published at entry
-	touched       bool // at least one step edited the work-set
-	err           error
-	// ctxErr is the context error that aborted an apply step; when set the
-	// mutation aborts (see Ontology.mutate).
-	ctxErr error
+// abort ends a canceled mutation. Its forks are thrown away: nothing it did
+// was ever visible, so subsequent answers are identical to ones computed
+// before it started. The one thing a canceled repair may have half-done is
+// the chase engine state the published materialization shares with its
+// fork, so abort publishes the loss of that materialization (rebuilt lazily
+// from the untouched base, counted in FullRebuilds) and nothing else.
+func (o *Ontology) abort(prev *snapshot, err error) error {
+	if prev.mat != nil {
+		next := prev.next()
+		o.dropMat(next)
+		o.publish(next)
+	}
+	return err
 }
 
-// beginMatWork opens a copy-on-write fork of the published materialization
-// for the mutation's apply steps; with nothing published the work-set starts
-// dead and every step is a no-op.
-func beginMatWork(m *materialization) *matWork {
-	if m == nil {
-		return &matWork{}
-	}
-	return &matWork{
-		store:      m.store.ExtendClone(),
-		state:      m.state,
-		terminated: m.terminated,
-		live:       true,
-		had:        true,
-	}
-}
-
-// drop abandons maintenance: the published materialization is stale and the
-// next answer rebuilds it from the base data.
-func (w *matWork) drop() {
-	w.live = false
-	w.touched = false
-}
-
-// record folds one apply step's chase increment into the work-set. A step
-// aborted by context cancellation (res.Err) poisons the work-set instead:
-// the mutation aborts and publishes at most the loss of the materialization.
-func (w *matWork) record(res *chase.Result) {
-	if res.Err != nil {
-		w.ctxErr = res.Err
-		w.drop()
-		return
-	}
-	w.touched = true
-	w.terminated = res.Terminated
-	w.steps += res.Steps
-	w.rounds += res.Rounds
-}
-
-// maintainable reports whether the work-set can absorb an apply step. A
-// truncated cache cannot (its chase dropped triggers that no increment or
-// repair reconsiders), so it is dropped.
-func (w *matWork) maintainable() bool {
-	if !w.live {
-		return false
-	}
-	if !w.terminated {
-		w.drop()
-		return false
-	}
-	return true
-}
-
-// applyRuleDrop repairs the work-set after a rule removal: the head facts of
-// the removed rule's triggers are over-deleted with their closure, and
-// survivors rederived against the surviving set.
-func (w *matWork) applyRuleDrop(ctx context.Context, afterDrop *dependency.Set, dropIdx int, base *storage.Instance) {
-	if !w.maintainable() {
-		return
-	}
-	dres, err := w.state.DeleteRuleCtx(ctx, afterDrop, w.store, dropIdx, base)
+// repaired unwraps a DRed repair's increment.
+func repaired(d *chase.DeleteResult, err error) (*chase.Result, error) {
 	if err != nil {
-		w.drop()
-		return
+		return nil, err
 	}
-	w.record(dres.Result)
-}
-
-// applyRuleAdd extends the work-set with newly appended rules by resuming
-// the chase with the whole instance as the delta against only those rules —
-// work proportional to what the new rules derive.
-func (w *matWork) applyRuleAdd(ctx context.Context, newRules *dependency.Set, firstNew int) {
-	if !w.maintainable() {
-		return
-	}
-	w.record(w.state.ExtendRulesCtx(ctx, newRules, w.store, firstNew))
-}
-
-// applyFactDelete repairs the work-set DRed-style after facts were removed
-// from base, the mutation's fork of the base data.
-func (w *matWork) applyFactDelete(ctx context.Context, rules *dependency.Set, removed []logic.Atom, base *storage.Instance) {
-	if !w.maintainable() {
-		return
-	}
-	dres, err := w.state.DeleteCtx(ctx, rules, w.store, removed, base)
-	if err != nil {
-		w.drop() // the base removal stands; the next answer rebuilds
-		return
-	}
-	w.record(dres.Result)
-}
-
-// applyFactInsert folds newly inserted base facts into the work-set by
-// resuming the chase with just those facts as the delta.
-func (w *matWork) applyFactInsert(ctx context.Context, rules *dependency.Set, added []logic.Atom) {
-	if !w.maintainable() {
-		return
-	}
-	res, err := w.state.ExtendCtx(ctx, rules, w.store, added)
-	if err != nil {
-		w.drop()
-		w.err = err
-		return
-	}
-	w.record(res)
+	return d.Result, nil
 }
 
 // checkRuleArities verifies that a rule set's signature is consistent and
@@ -357,19 +159,37 @@ func (o *Ontology) AddFactCtx(ctx context.Context, src string) error {
 	if err != nil {
 		return err
 	}
-	_, err = o.mutate(ctx, mutation{addFacts: facts})
+	_, err = o.AddFactAtoms(ctx, facts)
 	return err
 }
 
-// AddFactAtoms inserts a batch of already-parsed ground atoms under a
-// cancellation context, reporting how many were genuinely new. It is the
-// batching entry point for serving layers that coalesce concurrent writers'
-// facts into one staged batch per chase delta; semantics are exactly
+// AddFactAtoms inserts already-parsed ground atoms under a cancellation
+// context, reporting how many were genuinely new; semantics are exactly
 // AddFactCtx's (all-or-nothing staging, incremental delta chase, nothing
 // published on cancellation).
 func (o *Ontology) AddFactAtoms(ctx context.Context, facts []logic.Atom) (int, error) {
-	res, err := o.mutate(ctx, mutation{addFacts: facts})
-	return res.addedFacts, err
+	return o.mutate(ctx, func(prev *snapshot) (*change, error) {
+		staged, err := prev.stageFacts(facts)
+		if err != nil {
+			return nil, err
+		}
+		base := prev.base.ExtendClone()
+		var added []logic.Atom
+		for _, f := range staged {
+			// Cannot fail: staging checked every arity against the stored
+			// relations, a superset of the base.
+			if isNew, _ := base.Insert(f); isNew {
+				added = append(added, f)
+			}
+		}
+		if len(added) == 0 {
+			return nil, nil
+		}
+		return &change{rules: prev.rules, base: base, n: len(added),
+			repair: func(st *chase.State, store *storage.Instance) (*chase.Result, error) {
+				return st.ExtendCtx(ctx, prev.rules, store, added)
+			}}, nil
+	})
 }
 
 // DeleteFact removes ground base facts, parsed like AddFact's input, and
@@ -394,8 +214,23 @@ func (o *Ontology) DeleteFactCtx(ctx context.Context, src string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	res, err := o.mutate(ctx, mutation{delFacts: facts})
-	return res.removedFacts, err
+	return o.mutate(ctx, func(prev *snapshot) (*change, error) {
+		base := prev.base.ExtendClone()
+		var removed []logic.Atom
+		for _, f := range facts {
+			// Remove is idempotent: a fact named twice is removed once.
+			if base.Remove(f) {
+				removed = append(removed, f)
+			}
+		}
+		if len(removed) == 0 {
+			return nil, nil
+		}
+		return &change{rules: prev.rules, base: base, n: len(removed),
+			repair: func(st *chase.State, store *storage.Instance) (*chase.Result, error) {
+				return repaired(st.DeleteCtx(ctx, prev.rules, store, removed, base))
+			}}, nil
+	})
 }
 
 // AddRuleCtx adds a single TGD, parsed from text like
@@ -417,7 +252,20 @@ func (o *Ontology) AddRuleCtx(ctx context.Context, src string) error {
 	if err != nil {
 		return err
 	}
-	_, err = o.mutate(ctx, mutation{addRules: []*dependency.TGD{rule}})
+	_, err = o.mutate(ctx, func(prev *snapshot) (*change, error) {
+		rules, err := prev.rules.WithRule(rule)
+		if err != nil {
+			return nil, err
+		}
+		if err := checkRuleArities(rules, prev.storedRelations()); err != nil {
+			return nil, err
+		}
+		firstNew := prev.rules.Len()
+		return &change{rules: rules,
+			repair: func(st *chase.State, store *storage.Instance) (*chase.Result, error) {
+				return st.ExtendRulesCtx(ctx, rules, store, firstNew), nil
+			}}, nil
+	})
 	return err
 }
 
@@ -432,7 +280,20 @@ func (o *Ontology) AddRuleCtx(ctx context.Context, src string) error {
 // repair publishes. A canceled repair keeps the rule — the set is only swapped at publish time,
 // which an aborted mutation never reaches.
 func (o *Ontology) RemoveRuleCtx(ctx context.Context, label string) error {
-	_, err := o.mutate(ctx, mutation{dropRule: label})
+	_, err := o.mutate(ctx, func(prev *snapshot) (*change, error) {
+		ri := prev.rules.IndexOfLabel(label)
+		if ri < 0 {
+			return nil, fmt.Errorf("repro: no rule labeled %q", label)
+		}
+		rules, err := prev.rules.WithoutRule(ri)
+		if err != nil {
+			return nil, err
+		}
+		return &change{rules: rules,
+			repair: func(st *chase.State, store *storage.Instance) (*chase.Result, error) {
+				return repaired(st.DeleteRuleCtx(ctx, rules, store, ri, prev.base))
+			}}, nil
+	})
 	return err
 }
 
@@ -446,10 +307,9 @@ func (o *Ontology) RemoveRuleCtx(ctx context.Context, label string) error {
 // full or observably never happened.
 func (o *Ontology) LoadCSVCtx(ctx context.Context, pred string, r io.Reader) (added int, err error) {
 	// Stage into a private instance first so parse errors leave the
-	// ontology untouched and the new facts are known for the delta; the
-	// batch then flows through the unified mutation pipeline, whose staging
-	// re-validates arities against the published expansion so a conflict
-	// leaves data and snapshots untouched.
+	// ontology untouched; the tuples then go through AddFactAtoms, whose
+	// staging re-validates arities against the published expansion so a
+	// conflict leaves data and snapshots untouched.
 	staged := storage.NewInstance()
 	if _, err := staged.LoadCSV(pred, r); err != nil {
 		return 0, err
@@ -462,18 +322,17 @@ func (o *Ontology) LoadCSVCtx(ctx context.Context, pred string, r io.Reader) (ad
 	for _, t := range rel.Tuples() {
 		atoms = append(atoms, logic.Atom{Pred: pred, Args: t})
 	}
-	res, err := o.mutate(ctx, mutation{addFacts: atoms})
-	return res.addedFacts, err
+	return o.AddFactAtoms(ctx, atoms)
 }
 
 // stageFacts validates an AddFact batch against the published expansion (a
 // superset of the base data) when one exists, and against the signature of
-// rules for predicates nothing stores yet, staging it into a private
+// the rules for predicates nothing stores yet, staging it into a private
 // instance so intra-batch arity conflicts also surface — all before the
 // ontology is touched. A stored relation already agrees with the rules
 // (construction and AddRuleCtx check it), so the signature is only derived
 // when a fact needs it. Returns the staged batch deduplicated.
-func (s *snapshot) stageFacts(rules *dependency.Set, facts []logic.Atom) ([]logic.Atom, error) {
+func (s *snapshot) stageFacts(facts []logic.Atom) ([]logic.Atom, error) {
 	staged := storage.NewInstance()
 	stored := s.storedRelations()
 	var sig map[string]int
@@ -483,7 +342,7 @@ func (s *snapshot) stageFacts(rules *dependency.Set, facts []logic.Atom) ([]logi
 			arity, ok = rel.Arity(), true
 		} else {
 			if sig == nil {
-				sig, _ = rules.Predicates() // consistent: checked before publication
+				sig, _ = s.rules.Predicates() // consistent: checked before publication
 			}
 			arity, ok = sig[f.Pred]
 		}

@@ -387,8 +387,7 @@ func TestDeleteFactWithNULInNameRepairsChase(t *testing.T) {
 	if n := answer().Len(); n != 4 {
 		t.Fatalf("before the deletions: %d answers, want 4", n)
 	}
-	// The first deletion turns provenance on; the second must be repaired
-	// by DRed, not by a rebuild.
+	// Both deletions are repaired by DRed; the second must not rebuild.
 	if _, err := ont.DeleteFactCtx(bg, `p(c) .`); err != nil {
 		t.Fatal(err)
 	}

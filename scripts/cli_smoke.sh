@@ -18,7 +18,8 @@
 #      on that larger program at -parallel 1 and -parallel 4: each must
 #      repair incrementally without a panic and print the same sorted
 #      null-free facts as the same change re-chased from scratch;
-#   5. checks that chase rejects the removed -oblivious flag as a flag error.
+#   5. checks that chase rejects the removed -oblivious flag, and answer the
+#      removed -cache flag, as flag errors.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -179,6 +180,14 @@ done
 rejects "chase -oblivious" oblivious "$workdir/chase" -rules "$workdir/fam.rules" -oblivious
 if ! grep -q 'flag provided but not defined' "$workdir/err"; then
   echo "FAIL chase -oblivious: not a flag error" >&2
+  fail=1
+fi
+# answer has no -cache: it answers once before and once after its mutations,
+# and every publication empties the answer views, so a cache never hits.
+rejects "answer -cache" cache "$workdir/answer" -rules "$workdir/fam.rules" \
+  -query 'q(X) :- person(X) .' -cache 1048576
+if ! grep -q 'flag provided but not defined' "$workdir/err"; then
+  echo "FAIL answer -cache: not a flag error" >&2
   fail=1
 fi
 

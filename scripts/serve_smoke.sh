@@ -4,8 +4,7 @@
 # Boots the server on an ephemeral port with a small preloaded family
 # ontology, then exercises the three request shapes that matter:
 #   1. a read over the published snapshot,
-#   2. a write through the coalescing mutation pipeline (and a re-read that
-#      must see it),
+#   2. a write, one mutation per request (and a re-read that must see it),
 #   3. a 1ms-deadline chase query against a deliberately large second
 #      ontology, which must come back 504 without corrupting anything,
 #   4. a streamed NDJSON read (rows flushed as produced, trailing count) and
