@@ -55,9 +55,8 @@ func (o *Ontology) AnswerCacheStats() AnswerCacheStats {
 
 // answerViewKey canonicalizes one answering request: the input query in
 // renaming- and body-order-invariant form plus every option that can
-// change the answer set. Parallelism is excluded (any value yields the
-// same answers) and Limit is handled by the caller — only complete result
-// sets are cached, and a limited request replays a prefix of one.
+// change the answer set. Limit is handled by the caller — only complete
+// result sets are cached, and a limited request replays a prefix of one.
 func answerViewKey(q *query.CQ, opts Options) string {
 	var b strings.Builder
 	b.WriteByte('0' + byte(opts.Mode))

@@ -29,13 +29,12 @@ func cachedOnt(t *testing.T, src string) *Ontology {
 // TestPropertyCachedEqualsUncached is the cache-correctness property:
 // over seeded random ontologies, interleaving AddFact batches with
 // repeated answering must give exactly the answers of an uncached
-// evaluation at every step — hits and misses alike. Sequential and
-// parallel.
+// evaluation at every step — hits and misses alike.
 func TestPropertyCachedEqualsUncached(t *testing.T) {
 	families := []datagen.Family{datagen.FamilyLinear, datagen.FamilyChain, datagen.FamilySticky}
 	for _, fam := range families {
 		for seed := int64(1); seed <= 4; seed++ {
-			for _, par := range []int{1, 4} {
+			for _, par := range parLegs {
 				t.Run(fmt.Sprintf("%v/seed=%d/par=%d", fam, seed, par), func(t *testing.T) {
 					set := datagen.Rules(datagen.Config{Family: fam, Rules: 5, Seed: seed})
 					data := datagen.Instance(set, 20, 8, seed)
@@ -177,9 +176,10 @@ func readIsHit(t *testing.T, ont *Ontology) bool {
 
 // TestEveryPublicationEmptiesViews pins the answer-view contract: a view
 // belongs to the snapshot it was evaluated over, so every publication —
-// each kind of mutation, and a canceled mutation that gives up the published
-// materialization — leaves no view behind, and the next read is a miss. A
-// write through Data() publishes nothing: it panics, and the view survives.
+// each kind of mutation, and a mutation canceled in its repair, which gives
+// up the published materialization — leaves no view behind, and the next
+// read is a miss. A write through Data() publishes nothing: it panics, and
+// the view survives.
 func TestEveryPublicationEmptiesViews(t *testing.T) {
 	steps := []struct {
 		name   string
@@ -190,8 +190,9 @@ func TestEveryPublicationEmptiesViews(t *testing.T) {
 		{"addRule", func(o *Ontology) error { return o.AddRuleCtx(bg, `teacher(X) -> staff(X) .`) }},
 		{"removeRule", func(o *Ontology) error { return o.RemoveRuleCtx(bg, o.Rules().Rules[0].Label) }},
 		{"canceled", func(o *Ontology) error {
-			// Polled once at entry, then canceled before the insert.
-			if err := o.AddFactCtx(newTrippingCtx(1), `teacher(newhire) .`); !errors.Is(err, context.Canceled) {
+			// Polled at entry and after staging, then canceled at the
+			// repair's first round barrier.
+			if err := o.AddFactCtx(newTrippingCtx(2), `teacher(newhire) .`); !errors.Is(err, context.Canceled) {
 				return fmt.Errorf("AddFactCtx under a tripping context = %v, want context.Canceled", err)
 			}
 			return nil
@@ -226,8 +227,9 @@ func TestEveryPublicationEmptiesViews(t *testing.T) {
 }
 
 // TestUnchangedSnapshotKeepsViews is the other half of the contract: a
-// mutation that changes nothing (facts already present or already absent)
-// or is rejected publishes nothing, so the views stay and the next read hits.
+// mutation that changes nothing (facts already present or already absent),
+// is rejected, or is canceled before its repair starts publishes nothing, so
+// the views stay and the next read hits.
 func TestUnchangedSnapshotKeepsViews(t *testing.T) {
 	steps := []struct {
 		name    string
@@ -238,6 +240,8 @@ func TestUnchangedSnapshotKeepsViews(t *testing.T) {
 		{"absentDeleteFact", func(o *Ontology) error { _, err := o.DeleteFact(`student(nobody) .`); return err }, false},
 		{"rejectedAddFact", func(o *Ontology) error { return o.AddFact(`student(alice, bob) .`) }, true},
 		{"rejectedRemoveRule", func(o *Ontology) error { return o.RemoveRuleCtx(bg, "no-such-rule") }, true},
+		// Polled once at entry, then canceled before the repair.
+		{"canceledBeforeRepair", func(o *Ontology) error { return o.AddFactCtx(newTrippingCtx(1), `teacher(newhire) .`) }, true},
 	}
 	for _, step := range steps {
 		t.Run(step.name, func(t *testing.T) {

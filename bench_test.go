@@ -291,28 +291,6 @@ c(X,Y) -> x3(X) .
 	}
 }
 
-// --- P1: parallel chase ---------------------------------------------------
-
-// BenchmarkParallelChase materializes the university ontology with the
-// semi-naive chase at growing worker counts. The workers=1 run is the
-// sequential baseline the speedup criterion is measured against; gains
-// require actual cores (GOMAXPROCS).
-func BenchmarkParallelChase(b *testing.B) {
-	rules := datagen.University()
-	data := datagen.UniversityData(16, 1)
-	for _, p := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", p), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res := chase.Run(rules, data, chase.Options{Parallelism: p})
-				if !res.Terminated {
-					b.Fatal("chase must terminate")
-				}
-			}
-		})
-	}
-}
-
 // --- Q1: compiled plans and the plan cache --------------------------------
 
 // BenchmarkAnswerChase measures steady-state chase-mode answering over a

@@ -49,10 +49,7 @@ func main() {
 	if err != nil {
 		cliflags.Fatal(err)
 	}
-	opts, err := shared.Options(m)
-	if err != nil {
-		cliflags.Fatal(err)
-	}
+	opts := shared.Options(m)
 	ctx, cancel := shared.Context()
 	defer cancel()
 

@@ -56,11 +56,7 @@ func main() {
 		fatal(err)
 	}
 	set, data := ont.Rules(), ont.Data().Clone()
-	ropts, err := shared.Options(repro.ModeChase)
-	if err != nil {
-		fatal(err)
-	}
-	opts := chase.Options{MaxSteps: ropts.MaxSteps, MaxRounds: ropts.MaxRounds, Parallelism: ropts.Parallelism}
+	opts := chase.Options{MaxSteps: shared.MaxSteps, MaxRounds: shared.MaxRounds}
 	ctx, cancel := shared.Context()
 	defer cancel()
 

@@ -79,11 +79,7 @@ func main() {
 		}
 	case *evalFlag:
 		data := ont.Data()
-		eopts, err := shared.EvalOptions()
-		if err != nil {
-			cliflags.Fatal(err)
-		}
-		ans, err := eval.UCQCtx(ctx, res.UCQ, data, eopts)
+		ans, err := eval.UCQCtx(ctx, res.UCQ, data, shared.EvalOptions())
 		if err != nil {
 			cliflags.Fatal(err)
 		}

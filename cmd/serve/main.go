@@ -52,10 +52,7 @@ func main() {
 	shared := cliflags.Bind(flag.CommandLine)
 	flag.Parse()
 
-	opts, err := shared.Options(repro.ModeAuto)
-	if err != nil {
-		cliflags.Fatal(err)
-	}
+	opts := shared.Options(repro.ModeAuto)
 	if *cacheBytes <= 0 {
 		*cacheBytes = -1 // Config: negative disables, zero means the default
 	}

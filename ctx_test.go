@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/datagen"
+	"repro/internal/logic"
 )
 
 // trippingCtx is a context whose Err starts reporting context.Canceled after
@@ -16,7 +17,7 @@ import (
 // the engines arm their amortized Err polling instead of disarming; nothing
 // in the engine blocks on Done, so the channel never needs to close. Sweeping
 // `trips` drives cancellation into every poll site of a mutation: the entry
-// check, the chase round barrier, the per-worker firing loop, the DRed
+// check, the chase round barrier, the firing loop, the DRed
 // over-deletion and re-derivation scans, and the join executor.
 type trippingCtx struct {
 	done  chan struct{}
@@ -156,6 +157,52 @@ func TestCanceledMutationLeavesSnapshotUntouched(t *testing.T) {
 	}
 }
 
+// TestCanceledBeforeRepairKeepsMaterialization: a mutation whose context
+// expires after staging but before the repair starts — typically while it
+// waits for the writer lock — ran no engine step, so it returns the context
+// error and leaves the published materialization in place: Cached stays
+// true and FullRebuilds 0. The context passes the entry check and fails the
+// next one, the check after staging.
+func TestCanceledBeforeRepairKeepsMaterialization(t *testing.T) {
+	const q = "q(X, Y) :- ancestor(X, Y) ."
+	opts := Options{Mode: ModeChase}
+	muts := []struct {
+		name  string
+		apply func(ont *Ontology, ctx context.Context) error
+	}{
+		{"delete-fact", func(o *Ontology, ctx context.Context) error {
+			_, err := o.DeleteFactCtx(ctx, "parent(p10, p11) .")
+			return err
+		}},
+		{"add-facts", func(o *Ontology, ctx context.Context) error {
+			_, err := o.AddFactAtoms(ctx, []logic.Atom{logic.NewAtom("parent", logic.NewConst("p24"), logic.NewConst("n0"))})
+			return err
+		}},
+	}
+	for _, m := range muts {
+		t.Run(m.name, func(t *testing.T) {
+			ont := chainFamilyOntology(t, 24)
+			before := answersFor(t, ont, []string{q}, opts)[0]
+			size := ont.Data().Size()
+			if err := m.apply(ont, newTrippingCtx(1)); !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if st := ont.MaterializationStats(); !st.Cached || st.FullRebuilds != 0 {
+				t.Fatalf("stats %+v: want the materialization kept (Cached, FullRebuilds 0)", st)
+			}
+			if got := ont.Data().Size(); got != size {
+				t.Errorf("base has %d facts, want the untouched %d", got, size)
+			}
+			if after := answersFor(t, ont, []string{q}, opts)[0]; !after.Equal(before) {
+				t.Errorf("answers changed after a mutation canceled before its repair")
+			}
+			if st := ont.MaterializationStats(); st.FullRebuilds != 0 {
+				t.Errorf("FullRebuilds %d after answering: the kept materialization must serve", st.FullRebuilds)
+			}
+		})
+	}
+}
+
 // TestAnswerDeadlineExceededPromptly is the serving acceptance criterion at
 // the library level: a 1ms-deadline query that forces a materialization-scale
 // chase must return context.DeadlineExceeded promptly (not after the full
@@ -164,7 +211,7 @@ func TestCanceledMutationLeavesSnapshotUntouched(t *testing.T) {
 func TestAnswerDeadlineExceededPromptly(t *testing.T) {
 	const departments = 32
 	ont := New(datagen.University(), datagen.UniversityData(departments, 1))
-	opts := Options{Mode: ModeChase, Parallelism: 4}
+	opts := Options{Mode: ModeChase}
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()

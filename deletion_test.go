@@ -18,12 +18,12 @@ import (
 // and chase-mode Answer calls — so the published materialization is
 // repeatedly extended and DRed-repaired rather than rebuilt — must end with
 // exactly the answers of an ontology chased from scratch on the surviving
-// facts. Sequential and parallel, race-clean under -race.
+// facts, race-clean under -race.
 func TestPropertyAddDeleteFactIncrementalEqualsScratch(t *testing.T) {
 	families := []datagen.Family{datagen.FamilyLinear, datagen.FamilyChain, datagen.FamilySticky}
 	for _, fam := range families {
 		for seed := int64(1); seed <= 5; seed++ {
-			for _, par := range []int{1, 4} {
+			for _, par := range parLegs {
 				t.Run(fmt.Sprintf("%v/seed=%d/par=%d", fam, seed, par), func(t *testing.T) {
 					set := datagen.Rules(datagen.Config{Family: fam, Rules: 5, Seed: seed})
 					data := datagen.Instance(set, 20, 8, seed)
@@ -209,12 +209,11 @@ person(bob) .
 	}
 }
 
-// TestEqualSizeOutOfBandMutationDetected: the balanced insert+delete pair
-// through Data() that once kept Data().Size() constant while changing its
-// contents — and fooled a size-based staleness check into serving stale
-// answers — cannot happen at all: the published base is frozen, so both
-// writes panic, and answers in both modes stay what they were.
-func TestEqualSizeOutOfBandMutationDetected(t *testing.T) {
+// TestBalancedDataWritesPanic: a balanced insert+delete pair through Data(),
+// which keeps Data().Size() constant while changing its contents, cannot
+// happen at all: the published base is frozen, so both writes panic, and
+// answers in both modes stay what they were.
+func TestBalancedDataWritesPanic(t *testing.T) {
 	ont := MustParse(`
 student(X) -> person(X) .
 student(alice) .
@@ -382,7 +381,7 @@ func TestConcurrentAnswerAddDelete(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < ops; i++ {
-			if _, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase, Parallelism: 2}); err != nil {
+			if _, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase}); err != nil {
 				t.Error(err)
 				return
 			}

@@ -22,12 +22,12 @@ func ruleSrc(r *dependency.TGD) string {
 // chase-mode Answer calls in between, so the published materialization is
 // repeatedly extended and DRed-repaired rather than rebuilt — must end with
 // exactly the answers of an ontology parsed from scratch on the FINAL rule
-// set and surviving facts. Sequential and parallel, race-clean under -race.
+// set and surviving facts, race-clean under -race.
 func TestPropertyOntologyEvolutionEqualsScratch(t *testing.T) {
 	families := []datagen.Family{datagen.FamilyLinear, datagen.FamilyChain, datagen.FamilySticky}
 	for _, fam := range families {
 		for seed := int64(1); seed <= 5; seed++ {
-			for _, par := range []int{1, 4} {
+			for _, par := range parLegs {
 				t.Run(fmt.Sprintf("%v/seed=%d/par=%d", fam, seed, par), func(t *testing.T) {
 					full := datagen.Rules(datagen.Config{Family: fam, Rules: 8, Seed: seed})
 					data := datagen.Instance(full, 20, 8, seed)
@@ -365,7 +365,7 @@ func TestConcurrentEvolutionAndAnswer(t *testing.T) {
 		}
 	}()
 	for i := 0; i < ops; i++ {
-		if _, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase, Parallelism: 2}); err != nil {
+		if _, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -445,14 +445,13 @@ func TestFullRebuildsSurfacedInStats(t *testing.T) {
 	}
 }
 
-// TestPartitionedEvolutionMatchesOracle runs the live-mutation pipeline over
-// a 2-worker materialization: a seeded interleaving of AddRule, RemoveRule,
-// AddFact and DeleteFact — with chase-mode answers in between, so the build
-// is repeatedly extended and DRed-repaired in place — must end with exactly
-// the answers of the textbook chase of the final rule set over the surviving
-// facts. The name dates from the hash-partitioned store; this is its one-store
-// leg.
-func TestPartitionedEvolutionMatchesOracle(t *testing.T) {
+// TestEvolutionMatchesOracle runs the live-mutation pipeline over a
+// materialization: a seeded interleaving of AddRule, RemoveRule, AddFact and
+// DeleteFact — with chase-mode answers in between, so the build is
+// repeatedly extended and DRed-repaired in place — must end with exactly the
+// answers of the textbook chase of the final rule set over the surviving
+// facts.
+func TestEvolutionMatchesOracle(t *testing.T) {
 	families := []datagen.Family{datagen.FamilyLinear, datagen.FamilyChain, datagen.FamilySticky}
 	for _, fam := range families {
 		for seed := int64(1); seed <= 2; seed++ {
@@ -477,7 +476,7 @@ func TestPartitionedEvolutionMatchesOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				opts := Options{Mode: ModeChase, Parallelism: 2}
+				opts := Options{Mode: ModeChase}
 				queries := atomicQueriesOf(t, full)
 				if _, err := ont.AnswerCtx(bg, queries[0], opts); err != nil {
 					t.Skipf("initial chase over budget: %v", err)

@@ -44,12 +44,12 @@ func atomicQueries(t *testing.T, ont *Ontology) []string {
 // facts in random interleavings of AddFact batches — with chase-mode Answer
 // calls in between, so the cached materialization is repeatedly extended
 // rather than rebuilt — must end with exactly the answers of an ontology
-// chased from scratch on the full data. Sequential and parallel.
+// chased from scratch on the full data.
 func TestPropertyAddFactIncrementalEqualsScratch(t *testing.T) {
 	families := []datagen.Family{datagen.FamilyLinear, datagen.FamilyChain, datagen.FamilySticky}
 	for _, fam := range families {
 		for seed := int64(1); seed <= 5; seed++ {
-			for _, par := range []int{1, 4} {
+			for _, par := range parLegs {
 				t.Run(fmt.Sprintf("%v/seed=%d/par=%d", fam, seed, par), func(t *testing.T) {
 					set := datagen.Rules(datagen.Config{Family: fam, Rules: 5, Seed: seed})
 					data := datagen.Instance(set, 20, 8, seed)
@@ -276,11 +276,12 @@ func TestChaseBudgetsThreadedThroughOptions(t *testing.T) {
 	}
 }
 
-// TestOutOfBandDataMutationForcesRebuild: inserting through the Data()
+// TestDataWritesPanicOnFrozenGenerations: inserting through the Data()
 // accessor would bypass the writer lock and every cache, so it panics — the
 // published base is frozen — and answers in both modes are unchanged, with
-// no rebuild. An AddFact afterwards still lands, incrementally.
-func TestOutOfBandDataMutationForcesRebuild(t *testing.T) {
+// no rebuild. An AddFact afterwards still lands, incrementally, and the old
+// and new generations and the materialization all refuse writes.
+func TestDataWritesPanicOnFrozenGenerations(t *testing.T) {
 	ont := MustParse(`
 student(X) -> person(X) .
 student(alice) .
@@ -411,7 +412,7 @@ func TestConcurrentAnswerAndAddFact(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < writers; i++ {
-			if _, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase, Parallelism: 2}); err != nil {
+			if _, err := ont.AnswerCtx(bg, q, Options{Mode: ModeChase}); err != nil {
 				t.Error(err)
 				return
 			}

@@ -9,16 +9,11 @@
 // The engine is a semi-naive, delta-driven fixpoint: each round enumerates
 // only the triggers in which at least one body atom matches a fact derived
 // in the previous round (the delta), instead of re-joining the whole
-// instance. Within a round the work fans out over a worker pool
-// (Options.Parallelism): trigger collection is parallel over (rule, delta
-// atom) tasks against the frozen instance, and trigger firing is parallel
-// over trigger chunks with per-worker sharded writes (storage.Shard) that
-// are merged, coordination-free, at the round barrier. A run is
-// reproducible: the same input, options and worker count give the same
-// instance, down to tuple order and null names (under several workers, a
-// run cut by the step budget excepted: which triggers beat the budget is a
-// race). Across worker counts the certain answers and the counters agree;
-// only labelled-null names may differ.
+// instance. A round reads the instance as it stood at the round's start:
+// trigger collection runs over (rule, delta atom) tasks against it, and the
+// firings buffer their head facts in a storage.Shard that is merged at the
+// round barrier. A run is reproducible: the same input and options give the
+// same instance, down to tuple order and null names.
 //
 // The fixpoint is resumable: Run is a thin wrapper that copies the data,
 // creates a State (NewState) and calls State.Resume with the whole input as
@@ -30,8 +25,6 @@ package chase
 
 import (
 	"context"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/dependency"
 	"repro/internal/eval"
@@ -54,9 +47,7 @@ type Options struct {
 	MaxSteps int
 	// MaxRounds bounds the number of fair rounds (0 = DefaultMaxRounds).
 	MaxRounds int
-	// Parallelism is the worker count for trigger collection and firing
-	// within a round (0 or 1 = sequential). The resulting instance is a
-	// valid chase for any value; certain answers are identical.
+	// Deprecated: Parallelism is ignored. The chase runs on one worker.
 	Parallelism int
 	// Deprecated: TrackProvenance is ignored. Every State can repair
 	// deletions: it keeps only each existential firing's nulls.
@@ -69,9 +60,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxRounds == 0 {
 		o.MaxRounds = DefaultMaxRounds
-	}
-	if o.Parallelism < 1 {
-		o.Parallelism = 1
 	}
 	return o
 }
@@ -102,7 +90,7 @@ type Result struct {
 }
 
 // trigger is one candidate rule application: a rule index and its row, the
-// values of the rule's BodyVars in order. Rows are carved from a per-task
+// values of the rule's BodyVars in order. Rows are carved from the round's
 // rowArena; a trigger owns no map and no key.
 type trigger struct {
 	rule int32
@@ -111,7 +99,7 @@ type trigger struct {
 
 // rowArena hands out trigger rows from shared chunks, so collecting a trigger
 // allocates nothing of its own. Rows are never freed one by one: a round's
-// arenas become garbage together with its trigger list.
+// arena becomes garbage together with its trigger list.
 type rowArena struct {
 	chunk []logic.Term
 	size  int // capacity of the next chunk, doubling up to maxArenaChunk
@@ -314,8 +302,7 @@ func (ps *planSet) refresh(rules *dependency.Set, ins *storage.Instance) int {
 // head plan: with the distinguished variables seeded straight from the
 // trigger row into the plan's registers, any match of the head atoms
 // (existential variables free) means the head already holds. runners caches
-// one Runner per rule for the calling worker, so repeated checks allocate
-// nothing.
+// one Runner per rule for the caller, so repeated checks allocate nothing.
 //
 //repro:hotpath
 func (ps *planSet) headSatisfied(ri int, row []logic.Term, ins *storage.Instance, runners []*eval.Runner) bool {
@@ -341,14 +328,14 @@ func Run(rules *dependency.Set, data *storage.Instance, opts Options) *Result {
 }
 
 // RunCtx is Run under a cancellation context: the fixpoint checks ctx at
-// every round barrier and the workers poll it during trigger collection and
-// firing, so a canceled or deadline-expired chase aborts promptly with
-// Result.Err set instead of running to its budget.
+// every round barrier and polls it during trigger collection and firing, so
+// a canceled or deadline-expired chase aborts promptly with Result.Err set
+// instead of running to its budget.
 func RunCtx(ctx context.Context, rules *dependency.Set, data *storage.Instance, opts Options) *Result {
 	ins := data.Clone()
 	// Round zero's delta is the whole input: every initial fact is "new".
 	// Aliasing the instance is safe — rounds only read the delta, writes are
-	// buffered in shards until the barrier.
+	// buffered in a shard until the barrier.
 	res := NewState(opts).ResumeCtx(ctx, rules, ins, ins)
 	res.Instance = ins
 	return res
@@ -359,24 +346,25 @@ func RunCtx(ctx context.Context, rules *dependency.Set, data *storage.Instance, 
 // that pins body atom i to a delta tuple and joins the remaining atoms
 // against the frozen instance — no substitution maps and no re-planning per
 // delta fact; each binding's row is copied straight out of the register file
-// into the task's arena. A task cannot yield one binding twice: the delta is
-// a set, so each binding pins atom i to exactly one delta tuple, and the
+// into one arena. A task cannot yield one binding twice: the delta is a
+// set, so each binding pins atom i to exactly one delta tuple, and the
 // remaining atoms' tuples are the binding's images. Only a binding with
 // several body atoms in the delta is found more than once — once per such
 // atom, by different tasks of its rule — so just the rules with two or more
-// tasks in the round are deduplicated, at the merge, keeping the first
-// occurrence in task order so the sequential path stays deterministic. from
-// restricts collection to rules with index ≥ from (0 = all): the AddRule
-// maintenance round only re-examines the instance against the new rules.
+// tasks in the round are deduplicated, keeping the first occurrence in task
+// order so the trigger list is deterministic. from restricts collection to
+// rules with index ≥ from (0 = all): the AddRule maintenance round only
+// re-examines the instance against the new rules.
 // Collection reads only, so a ctx abort (runner-level polling plus a
 // per-tuple guard) leaves the instance untouched; the caller detects it via
 // ctx.Err() and discards the partial trigger list.
-func collectTriggers(ctx context.Context, rules *dependency.Set, ins, delta *storage.Instance, workers int, ps *planSet, from int) []trigger {
+func collectTriggers(ctx context.Context, rules *dependency.Set, ins, delta *storage.Instance, ps *planSet, from int) []trigger {
 	type task struct {
 		rule, atom int
 	}
 	var tasks []task
 	ntasks := make([]int, len(rules.Rules))
+	bound := 0 // delta tuples over all tasks
 	for ri, rule := range rules.Rules {
 		if ri < from {
 			continue
@@ -385,58 +373,47 @@ func collectTriggers(ctx context.Context, rules *dependency.Set, ins, delta *sto
 			if rel := delta.Relation(a.Pred); rel != nil && rel.Arity() == a.Arity() && rel.Len() > 0 {
 				tasks = append(tasks, task{rule: ri, atom: bi})
 				ntasks[ri]++
+				bound += rel.Len()
 			}
 		}
 	}
-	found := make([][]trigger, len(tasks))
-	runTasks(len(tasks), workers, func(ti int) {
-		t := tasks[ti]
+	// A delta tuple most often yields one binding: size for that.
+	out := make([]trigger, 0, bound)
+	var arena rowArena
+	seen := make(map[int]map[string]bool)
+	for _, t := range tasks {
 		slots := ps.slots[t.rule][t.atom]
 		runner := ps.delta[t.rule][t.atom].NewRunner()
 		if !runner.Bind(ins) {
-			return // a body relation is absent: the rule cannot fire
+			continue // a body relation is absent: the rule cannot fire
 		}
 		runner.SetContext(ctx)
-		var arena rowArena
-		tuples := delta.Relation(rules.Rules[t.rule].Body[t.atom].Pred).Tuples()
-		// A delta tuple most often yields one binding: size for that.
-		found[ti] = make([]trigger, 0, len(tuples))
-		for di, tuple := range tuples {
+		var ruleSeen map[string]bool
+		if ntasks[t.rule] > 1 {
+			if ruleSeen = seen[t.rule]; ruleSeen == nil {
+				ruleSeen = make(map[string]bool)
+				seen[t.rule] = ruleSeen
+			}
+		}
+		for di, tuple := range delta.Relation(rules.Rules[t.rule].Body[t.atom].Pred).Tuples() {
 			if runner.Err() != nil || (di&0xFF == 0 && ctx.Err() != nil) {
-				return // canceled: the caller discards the partial collection
+				return nil // canceled: the caller discards the partial collection
 			}
 			runner.RunTuple(tuple, func(regs []logic.Term) bool {
 				row := arena.row(len(slots))
 				for i, s := range slots {
 					row[i] = regs[s]
 				}
-				found[ti] = append(found[ti], trigger{rule: int32(t.rule), row: row})
+				if ruleSeen != nil {
+					k := storage.Tuple(row).Key()
+					if ruleSeen[k] {
+						return true
+					}
+					ruleSeen[k] = true
+				}
+				out = append(out, trigger{rule: int32(t.rule), row: row})
 				return true
 			})
-		}
-	})
-	n := 0
-	for _, trs := range found {
-		n += len(trs)
-	}
-	out := make([]trigger, 0, n)
-	seen := make(map[int]map[string]bool)
-	for ti, trs := range found {
-		ri := tasks[ti].rule
-		if ntasks[ri] < 2 {
-			out = append(out, trs...)
-			continue
-		}
-		ruleSeen := seen[ri]
-		if ruleSeen == nil {
-			ruleSeen = make(map[string]bool)
-			seen[ri] = ruleSeen
-		}
-		for _, tr := range trs {
-			if k := storage.Tuple(tr.row).Key(); !ruleSeen[k] {
-				ruleSeen[k] = true
-				out = append(out, tr)
-			}
 		}
 	}
 	return out
@@ -458,37 +435,6 @@ func seedFromTuple(a logic.Atom, t storage.Tuple) (logic.Subst, bool) {
 		}
 	}
 	return s, true
-}
-
-// runTasks executes fn(0..n-1) on up to `workers` goroutines; with one
-// worker it runs inline, so the sequential path pays no scheduling cost.
-func runTasks(n, workers int, fn func(i int)) {
-	if workers <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			//repro:allow ctxpoll bounded by the shared task counter; fn polls per firing
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // CertainAnswers evaluates a UCQ over the chase of (rules, data) and keeps

@@ -224,9 +224,8 @@ func oracleFacts(rules *dependency.Set, data []logic.Atom) (string, bool) {
 // on the fixed-seed datagen families (Rules 6, 25 tuples, domain 8, MaxRounds
 // 30, MaxSteps 20000) and on University(4 departments, seed 1, default
 // budgets): what still checks "counters identical to the old
-// classic driver" now that it is gone. Truncated rows are pinned too — at one
-// worker truncation is deterministic; under 4 workers only a round-budget
-// truncation is.
+// classic driver" now that it is gone. Truncated rows are pinned too:
+// truncation is deterministic.
 func TestGoldenChaseCounters(t *testing.T) {
 	type row struct {
 		family               string
@@ -261,124 +260,114 @@ func TestGoldenChaseCounters(t *testing.T) {
 			rules = datagen.Rules(datagen.Config{Family: fam, Rules: 6, Seed: g.seed})
 			data = datagen.Instance(rules, 25, 8, g.seed)
 		}
-		for _, par := range []int{1, 4} {
-			if par > 1 && g.steps == opts.MaxSteps {
-				continue // which triggers beat a step-budget truncation is a race
-			}
-			opts.Parallelism = par
-			res := Run(rules, data, opts)
-			if res.Terminated != g.terminated || res.Steps != g.steps || res.Rounds != g.rounds || res.NullsCreated != g.nulls {
-				t.Errorf("%s/seed=%d/par=%d: terminated=%v steps=%d rounds=%d nulls=%d, golden %v %d %d %d",
-					g.family, g.seed, par, res.Terminated, res.Steps, res.Rounds, res.NullsCreated,
-					g.terminated, g.steps, g.rounds, g.nulls)
-			}
+		res := Run(rules, data, opts)
+		if res.Terminated != g.terminated || res.Steps != g.steps || res.Rounds != g.rounds || res.NullsCreated != g.nulls {
+			t.Errorf("%s/seed=%d: terminated=%v steps=%d rounds=%d nulls=%d, golden %v %d %d %d",
+				g.family, g.seed, res.Terminated, res.Steps, res.Rounds, res.NullsCreated,
+				g.terminated, g.steps, g.rounds, g.nulls)
 		}
 	}
 }
 
-// TestPartitionedMutationMatchesOracle is the ontology-evolution property
-// over the one driver, sequential and parallel: a random interleaving of
-// ExtendRulesCtx, DeleteRuleCtx, Extend and Delete must leave the null-free fact set
-// of the textbook chase of the final rule set over the surviving base facts.
-// The name and the P=1 in the subtest names date from the hash-partitioned
-// store, whose one-partition leg this is.
-func TestPartitionedMutationMatchesOracle(t *testing.T) {
+// TestMutationMatchesOracle is the ontology-evolution property over the one
+// driver: a random interleaving of ExtendRulesCtx, DeleteRuleCtx, Extend and
+// Delete must leave the null-free fact set of the textbook chase of the final
+// rule set over the surviving base facts.
+func TestMutationMatchesOracle(t *testing.T) {
 	families := []datagen.Family{datagen.FamilyLinear, datagen.FamilyChain}
 	for _, fam := range families {
 		for seed := int64(1); seed <= 3; seed++ {
-			for _, par := range []int{1, 4} {
-				name := fmt.Sprintf("%v/seed=%d/restricted/par=%d/P=1", fam, seed, par)
-				t.Run(name, func(t *testing.T) {
-					full := datagen.Rules(datagen.Config{Family: fam, Rules: 8, Seed: seed})
-					data := datagen.Instance(full, 20, 8, seed)
-					opts := Options{MaxRounds: 60, MaxSteps: 40000, Parallelism: par}
+			name := fmt.Sprintf("%v/seed=%d", fam, seed)
+			t.Run(name, func(t *testing.T) {
+				full := datagen.Rules(datagen.Config{Family: fam, Rules: 8, Seed: seed})
+				data := datagen.Instance(full, 20, 8, seed)
+				opts := Options{MaxRounds: 60, MaxSteps: 40000}
 
-					cur := dependency.MustNewSet(full.Rules[:5]...)
-					reserve := full.Rules[5:]
+				cur := dependency.MustNewSet(full.Rules[:5]...)
+				reserve := full.Rules[5:]
 
-					baseAtoms := data.Atoms()
-					rng := rand.New(rand.NewSource(seed * 70001))
-					rng.Shuffle(len(baseAtoms), func(i, j int) { baseAtoms[i], baseAtoms[j] = baseAtoms[j], baseAtoms[i] })
-					cut := 3 * len(baseAtoms) / 4
-					baseIns := storage.MustFromAtoms(baseAtoms[:cut])
-					factReserve := baseAtoms[cut:]
+				baseAtoms := data.Atoms()
+				rng := rand.New(rand.NewSource(seed * 70001))
+				rng.Shuffle(len(baseAtoms), func(i, j int) { baseAtoms[i], baseAtoms[j] = baseAtoms[j], baseAtoms[i] })
+				cut := 3 * len(baseAtoms) / 4
+				baseIns := storage.MustFromAtoms(baseAtoms[:cut])
+				factReserve := baseAtoms[cut:]
 
-					st := NewState(opts)
-					store := baseIns.Clone()
-					if res := st.Resume(cur, store, store); !res.Terminated {
-						t.Skip("initial chase truncated; nothing exact to compare")
-					}
+				st := NewState(opts)
+				store := baseIns.Clone()
+				if res := st.Resume(cur, store, store); !res.Terminated {
+					t.Skip("initial chase truncated; nothing exact to compare")
+				}
 
-					for step := 0; step < 16; step++ {
-						switch op := rng.Intn(4); {
-						case op == 0 && len(reserve) > 0: // add a rule
-							next, err := cur.WithRule(reserve[0])
-							if err != nil {
+				for step := 0; step < 16; step++ {
+					switch op := rng.Intn(4); {
+					case op == 0 && len(reserve) > 0: // add a rule
+						next, err := cur.WithRule(reserve[0])
+						if err != nil {
+							t.Fatal(err)
+						}
+						reserve = reserve[1:]
+						if res := st.ExtendRulesCtx(t.Context(), next, store, cur.Len()); !res.Terminated {
+							t.Skip("rule-extension increment truncated")
+						}
+						cur = next
+					case op == 1 && cur.Len() > 1: // drop a rule
+						ri := rng.Intn(cur.Len())
+						next, err := cur.WithoutRule(ri)
+						if err != nil {
+							t.Fatal(err)
+						}
+						dres, err := st.DeleteRuleCtx(t.Context(), next, store, ri, baseIns)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !dres.Result.Terminated {
+							t.Skip("rule-removal repair truncated")
+						}
+						cur = next
+					case op == 2 && len(factReserve) > 0: // insert facts
+						n := 1 + rng.Intn(3)
+						if n > len(factReserve) {
+							n = len(factReserve)
+						}
+						for _, f := range factReserve[:n] {
+							if err := baseIns.InsertAtom(f); err != nil {
 								t.Fatal(err)
-							}
-							reserve = reserve[1:]
-							if res := st.ExtendRulesCtx(t.Context(), next, store, cur.Len()); !res.Terminated {
-								t.Skip("rule-extension increment truncated")
-							}
-							cur = next
-						case op == 1 && cur.Len() > 1: // drop a rule
-							ri := rng.Intn(cur.Len())
-							next, err := cur.WithoutRule(ri)
-							if err != nil {
-								t.Fatal(err)
-							}
-							dres, err := st.DeleteRuleCtx(t.Context(), next, store, ri, baseIns)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if !dres.Result.Terminated {
-								t.Skip("rule-removal repair truncated")
-							}
-							cur = next
-						case op == 2 && len(factReserve) > 0: // insert facts
-							n := 1 + rng.Intn(3)
-							if n > len(factReserve) {
-								n = len(factReserve)
-							}
-							for _, f := range factReserve[:n] {
-								if err := baseIns.InsertAtom(f); err != nil {
-									t.Fatal(err)
-								}
-							}
-							res, err := st.Extend(cur, store, factReserve[:n])
-							if err != nil {
-								t.Fatal(err)
-							}
-							if !res.Terminated {
-								t.Skip("fact-extension increment truncated")
-							}
-							factReserve = factReserve[n:]
-						default: // delete facts
-							live := baseIns.Atoms()
-							if len(live) == 0 {
-								continue
-							}
-							victim := live[rng.Intn(len(live))]
-							baseIns.Remove(victim)
-							dres, err := st.DeleteCtx(t.Context(), cur, store, []logic.Atom{victim}, baseIns)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if !dres.Result.Terminated {
-								t.Skip("deletion repair truncated")
 							}
 						}
+						res, err := st.Extend(cur, store, factReserve[:n])
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !res.Terminated {
+							t.Skip("fact-extension increment truncated")
+						}
+						factReserve = factReserve[n:]
+					default: // delete facts
+						live := baseIns.Atoms()
+						if len(live) == 0 {
+							continue
+						}
+						victim := live[rng.Intn(len(live))]
+						baseIns.Remove(victim)
+						dres, err := st.DeleteCtx(t.Context(), cur, store, []logic.Atom{victim}, baseIns)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !dres.Result.Terminated {
+							t.Skip("deletion repair truncated")
+						}
 					}
+				}
 
-					want, ok := oracleFacts(cur, baseIns.Atoms())
-					if !ok {
-						t.Skip("oracle chase of the final state over budget")
-					}
-					if got := constFacts(store); got != want {
-						t.Errorf("null-free facts differ after mutations:\noracle:\n%s\nincremental:\n%s", want, got)
-					}
-				})
-			}
+				want, ok := oracleFacts(cur, baseIns.Atoms())
+				if !ok {
+					t.Skip("oracle chase of the final state over budget")
+				}
+				if got := constFacts(store); got != want {
+					t.Errorf("null-free facts differ after mutations:\noracle:\n%s\nincremental:\n%s", want, got)
+				}
+			})
 		}
 	}
 }

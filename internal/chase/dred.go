@@ -25,9 +25,8 @@
 //     it invented before, so a repair restores exactly what it removed.
 //
 // The result is a valid chase of the remaining base data: certain answers
-// equal a from-scratch chase (property-tested, sequential and parallel
-// states). Only labelled-null names and redundant-null counts may differ,
-// exactly as for parallelism.
+// equal a from-scratch chase (property-tested). Only labelled-null names and
+// redundant-null counts may differ.
 package chase
 
 import (
@@ -220,7 +219,7 @@ func (st *State) overDelete(ctx context.Context, rules *dependency.Set, ins, bas
 	var heads []logic.Atom
 	for delta.Size() > 0 {
 		ins.EnsureIndexes()
-		triggers := collectTriggers(ctx, rules, ins, delta, st.opts.Parallelism, plans, 0)
+		triggers := collectTriggers(ctx, rules, ins, delta, plans, 0)
 		if ctx.Err() != nil {
 			return gone // canceled: half-swept, caller surfaces the abort
 		}
@@ -295,10 +294,7 @@ func (st *State) rederive(ctx context.Context, rules *dependency.Set, ins *stora
 		}
 		steps++
 		tp := plans.tmpl[tr.rule]
-		ns, rec, n := st.nullsFor(rules.Rules[tr.rule], tp, tr.row, st.gens[0])
-		if rec.nulls != nil {
-			st.keep(rec)
-		}
+		ns, n := st.nullsFor(rules.Rules[tr.rule], tp, tr.row)
 		nulls += n
 		heads = instantiateHead(tp, tr.row, ns, heads)
 		for _, ha := range heads {

@@ -17,8 +17,7 @@ import (
 // the engine level: chasing the full data and then deleting random chunks of
 // base facts — with AddFact-style Extend calls interleaved — must leave the
 // same null-free fact set as a from-scratch chase of the surviving base
-// facts. Sequential and parallel; the re-derivation goes through the
-// head-unification seeds.
+// facts. The re-derivation goes through the head-unification seeds.
 func TestDeleteIncrementalEqualsScratch(t *testing.T) {
 	families := []datagen.Family{
 		datagen.FamilyLinear, datagen.FamilyMultilinear,
@@ -26,7 +25,7 @@ func TestDeleteIncrementalEqualsScratch(t *testing.T) {
 	}
 	for _, fam := range families {
 		for seed := int64(1); seed <= 4; seed++ {
-			for _, par := range []int{1, 4} {
+			for _, par := range parLegs {
 				name := fmt.Sprintf("%v/seed=%d/restricted/par=%d", fam, seed, par)
 				t.Run(name, func(t *testing.T) {
 					rules := datagen.Rules(datagen.Config{Family: fam, Rules: 6, Seed: seed})
@@ -104,7 +103,7 @@ func TestDeleteRederivesBlockedTrigger(t *testing.T) {
 	pq := parser.MustParseQuery(`ans(X) :- q(X,Y) .`)
 	u := query.MustNewUCQ(query.MustNew(pq.Head, pq.Body))
 	for _, tc := range cases {
-		for _, par := range []int{1, 4} {
+		for _, par := range parLegs {
 			t.Run(fmt.Sprintf("%s/par=%d", tc.name, par), func(t *testing.T) {
 				rules := parser.MustParseRules(tc.rules)
 				baseIns := storage.MustFromAtoms(tc.base)
@@ -338,7 +337,7 @@ func TestDeleteDirectSweepHonorsMaxSteps(t *testing.T) {
 // s("a\x00b") and leave s(a) and s(b).
 func TestDeleteFactWithNULInName(t *testing.T) {
 	rules := parser.MustParseRules(`p(X) -> s(X) .`)
-	for _, par := range []int{1, 4} {
+	for _, par := range parLegs {
 		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
 			victim := at("p", c("a\x00b"))
 			base := []logic.Atom{victim, at("p", c("a")), at("p", c("b"))}

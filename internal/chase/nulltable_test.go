@@ -20,7 +20,7 @@ import (
 func TestNullTableNoOrphanNoRedundantNull(t *testing.T) {
 	rules := parser.MustParseRules(`p(X) -> q(X,Y), r(X) . s(X) -> r(X) .`)
 	a := c("a")
-	for _, par := range []int{1, 4} {
+	for _, par := range parLegs {
 		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
 			baseIns := data(at("p", a), at("s", a))
 			st := NewState(Options{Parallelism: par})
@@ -72,7 +72,7 @@ func TestNullTableNoOrphanNoRedundantNull(t *testing.T) {
 func TestNullTableNoChurn(t *testing.T) {
 	rules := parser.MustParseRules(`t(X) -> p(X) . p(X) -> q(X,Y) .`)
 	a := c("a")
-	for _, par := range []int{1, 4} {
+	for _, par := range parLegs {
 		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
 			baseIns := data(at("t", a), at("p", a))
 			st := NewState(Options{Parallelism: par})
@@ -106,7 +106,7 @@ func TestNullTableNoChurn(t *testing.T) {
 // shuffled chunks, must leave both the instance and the table empty.
 func TestNullTableHygiene(t *testing.T) {
 	rules := datagen.University()
-	for _, par := range []int{1, 4} {
+	for _, par := range parLegs {
 		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
 			baseIns := datagen.UniversityData(4, 1)
 			st := NewState(Options{Parallelism: par})

@@ -18,8 +18,8 @@ import (
 // over the whole instance as delta), DeleteRuleCtx (rule-keyed over-deletion +
 // re-derivation), Extend (fact inserts) and Delete (fact removals) must
 // leave the same null-free fact set as a from-scratch chase of the FINAL
-// rule set over the surviving base facts. Sequential and parallel; a
-// shrinking set exercises the null table's rule-keyed entries.
+// rule set over the surviving base facts. A shrinking set exercises the
+// null table's rule-keyed entries.
 func TestRuleMutationIncrementalEqualsScratch(t *testing.T) {
 	families := []datagen.Family{
 		datagen.FamilyLinear, datagen.FamilyMultilinear,
@@ -27,7 +27,7 @@ func TestRuleMutationIncrementalEqualsScratch(t *testing.T) {
 	}
 	for _, fam := range families {
 		for seed := int64(1); seed <= 4; seed++ {
-			for _, par := range []int{1, 4} {
+			for _, par := range parLegs {
 				name := fmt.Sprintf("%v/seed=%d/restricted/par=%d", fam, seed, par)
 				t.Run(name, func(t *testing.T) {
 					full := datagen.Rules(datagen.Config{Family: fam, Rules: 8, Seed: seed})

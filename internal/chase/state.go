@@ -2,8 +2,6 @@ package chase
 
 import (
 	"context"
-	"fmt"
-	"sync/atomic"
 
 	"repro/internal/dependency"
 	"repro/internal/eval"
@@ -11,16 +9,16 @@ import (
 	"repro/internal/storage"
 )
 
-// State is the resumable engine state of an ongoing chase: the per-worker
-// labelled-null generators, the null table, the rule set last chased and the
-// cumulative counters. A State is created once per materialization
-// (NewState) and threaded through successive Resume calls so that later
-// increments invent nulls disjoint from earlier ones. A State must not be
+// State is the resumable engine state of an ongoing chase: the labelled-null
+// generator, the null table, the rule set last chased and the cumulative
+// counters. A State is created once per materialization (NewState) and
+// threaded through successive Resume calls so that later increments invent
+// nulls disjoint from earlier ones. A State must not be
 // used by concurrent Resume calls; callers serialize maintenance (Ontology
 // does so under its write lock).
 type State struct {
 	opts Options
-	gens []*logic.VarGen
+	gen  *logic.VarGen
 	// invented maps every fired existential trigger whose body still holds
 	// to the nulls it invented: the one thing a DRed repair cannot recompute
 	// from a trigger's row. aside holds, during a repair only, the entries of
@@ -49,30 +47,17 @@ type nullKey struct {
 	row  string
 }
 
-// nullEntry is one table entry a firing records.
-type nullEntry struct {
-	key   nullKey
-	nulls []logic.Term
-}
-
 // NewState creates the engine state for a materialization chased with the
-// given options. Parallelism is frozen for the lifetime of the state (the
-// null-name space is partitioned per worker); the budgets apply per Resume
-// call.
+// given options; the budgets apply per Resume call. Nulls are named "n#…"
+// by one generator, so names cannot collide with parser-produced terms (the
+// lexer rejects '#').
 func NewState(opts Options) *State {
-	opts = opts.withDefaults()
-	// Per-worker null generators with disjoint prefixes ("n#…", "n1#…",
-	// "n2#…"): invention needs no coordination, and names cannot collide
-	// with parser-produced terms (the lexer rejects '#').
-	gens := make([]*logic.VarGen, opts.Parallelism)
-	for w := range gens {
-		prefix := "n"
-		if w > 0 {
-			prefix = fmt.Sprintf("n%d", w)
-		}
-		gens[w] = logic.NewVarGen(prefix)
+	return &State{
+		opts:     opts.withDefaults(),
+		gen:      logic.NewVarGen("n"),
+		invented: make(map[nullKey][]logic.Term),
+		aside:    make(map[nullKey][]logic.Term),
 	}
-	return &State{opts: opts, gens: gens, invented: make(map[nullKey][]logic.Term), aside: make(map[nullKey][]logic.Term)}
 }
 
 // Options returns the (defaulted) options the state was created with.
@@ -155,33 +140,29 @@ func instantiateHead(tp *template, row, nulls []logic.Term, atoms []logic.Atom) 
 
 // nullsFor returns the nulls a firing of row under rule uses: the ones the
 // trigger invented when it last fired — its entry is in the table, or set
-// aside by the repair in progress — else fresh ones from gen. rec is the
-// entry the firing must record (rec.nulls is nil when there is none to
-// record), and fresh counts the nulls it invented. Only reads the state, so
-// workers call it concurrently; the caller records rec at the round barrier
-// (keep).
-func (st *State) nullsFor(rule *dependency.TGD, tp *template, row []logic.Term, gen *logic.VarGen) (nulls []logic.Term, rec nullEntry, fresh int) {
+// aside by the repair in progress — else fresh ones from the state's
+// generator. The firing's entry is recorded at once (out of the aside set if
+// it was there); fresh counts the nulls it invented.
+func (st *State) nullsFor(rule *dependency.TGD, tp *template, row []logic.Term) (nulls []logic.Term, fresh int) {
 	if tp.nexist == 0 {
-		return nil, nullEntry{}, 0
+		return nil, 0
 	}
 	key := nullKey{rule: rule, row: storage.Tuple(row).Key()}
 	if ns, ok := st.invented[key]; ok {
-		return ns, nullEntry{}, 0
+		return ns, 0
 	}
-	if ns, ok := st.aside[key]; ok {
-		return ns, nullEntry{key, ns}, 0
+	ns, ok := st.aside[key]
+	if ok {
+		delete(st.aside, key)
+	} else {
+		ns = make([]logic.Term, tp.nexist)
+		for k := range ns {
+			ns[k] = st.gen.FreshNull()
+		}
+		fresh = tp.nexist
 	}
-	ns := make([]logic.Term, tp.nexist)
-	for k := range ns {
-		ns[k] = gen.FreshNull()
-	}
-	return ns, nullEntry{key, ns}, tp.nexist
-}
-
-// keep records a firing's table entry, out of the aside set if it was there.
-func (st *State) keep(e nullEntry) {
-	st.invented[e.key] = e.nulls
-	delete(st.aside, e.key)
+	st.invented[key] = ns
+	return ns, fresh
 }
 
 // Resume runs the chase fixpoint on the instance starting from an explicit
@@ -204,7 +185,7 @@ func (st *State) Resume(rules *dependency.Set, ins, delta *storage.Instance) *Re
 }
 
 // ResumeCtx is Resume under a cancellation context. The fixpoint polls ctx
-// at every round barrier, during parallel trigger collection (amortized, in
+// at every round barrier, during trigger collection (amortized, in
 // the compiled-plan runners) and in the firing loop, so a canceled or
 // deadline-expired increment aborts within a bounded amount of work. An
 // aborted run returns with Result.Err set and Terminated false, WITHOUT
@@ -233,25 +214,20 @@ func (st *State) ExtendRulesCtx(ctx context.Context, rules *dependency.Set, ins 
 }
 
 // resume is the one fixpoint driver. Each round: collect the triggers the
-// delta enables, fire those whose head is not yet satisfied, chunked across
-// the workers into per-worker shards, and merge the shards into the next
-// delta. It terminates when the delta is empty. onlyFrom restricts the
-// FIRST round's trigger collection to rules with index ≥ onlyFrom (0 = all
-// rules); later rounds always consider the whole set, which is what makes
-// the restriction sound — anything the filtered round derives is
-// re-examined by every rule. spent is the number of firings the increment
-// has already made before the fixpoint (DRed's direct rederiving sweep):
-// they count against MaxSteps, and res.Steps does not include them. plans
-// are the repair's compiled plans, or nil to compile them here.
+// delta enables, fire those whose head is not yet satisfied into a shard
+// against the frozen instance, and merge the shard into the next delta. It
+// terminates when the delta is empty. onlyFrom restricts the FIRST round's
+// trigger collection to rules with index ≥ onlyFrom (0 = all rules); later
+// rounds always consider the whole set, which is what makes the restriction
+// sound — anything the filtered round derives is re-examined by every rule.
+// spent is the number of firings the increment has already made before the
+// fixpoint (DRed's direct rederiving sweep): they count against MaxSteps,
+// and res.Steps does not include them. plans are the repair's compiled
+// plans, or nil to compile them here.
 func (st *State) resume(ctx context.Context, rules *dependency.Set, ins, delta *storage.Instance, plans *planSet, onlyFrom, spent int) *Result {
 	opts := st.opts
 	budget := opts.MaxSteps - spent
 	res := &Result{}
-	workers := opts.Parallelism
-
-	var steps atomic.Int64
-	var truncated atomic.Bool
-	var canceled atomic.Bool
 
 	st.rules = rules
 	defer func() {
@@ -275,6 +251,12 @@ func (st *State) resume(ctx context.Context, rules *dependency.Set, ins, delta *
 	if plans == nil {
 		plans = newPlanSet(rules, ins)
 	}
+	// Head-plan runners, lazily created per rule: repeated applicability
+	// checks reuse the register file, allocation-free. No head atom outlives
+	// its firing (the shard keeps only their arguments), so one atom buffer
+	// serves.
+	headRunners := make([]*eval.Runner, len(rules.Rules))
+	var heads []logic.Atom
 
 	for res.Rounds < opts.MaxRounds {
 		// Round barrier: a canceled increment aborts between rounds (and at
@@ -286,102 +268,62 @@ func (st *State) resume(ctx context.Context, rules *dependency.Set, ins, delta *
 		res.Rounds++
 
 		// Freeze the instance for this round: indexes pre-built, all reads
-		// below are lock-free and race-free, all writes buffered in shards.
+		// below see the previous rounds only, all writes buffered in a shard.
 		ins.EnsureIndexes()
 
-		triggers := collectTriggers(ctx, rules, ins, delta, workers, plans, onlyFrom)
+		triggers := collectTriggers(ctx, rules, ins, delta, plans, onlyFrom)
 		if err := ctx.Err(); err != nil {
 			res.Err = err // collection aborted; its partial output is unusable
 			return res
 		}
 		onlyFrom = 0 // the rule filter applies to the first round only
 		if len(triggers) == 0 {
-			res.Steps = int(steps.Load())
 			res.Terminated = true
 			return res
 		}
 
-		// Fire the round's triggers: chunked across workers, each writing
-		// into a private shard against the frozen instance.
-		shards := make([]*storage.Shard, workers)
-		nulls := make([]int, workers)
-		entries := make([][]nullEntry, workers)
-		runTasks(workers, workers, func(w int) {
-			// Per-worker head-plan runners, lazily created per rule: repeated
-			// applicability checks reuse the register file, allocation-free.
-			headRunners := make([]*eval.Runner, len(rules.Rules))
-			// No head atom outlives its firing (the shard keeps only their
-			// arguments), so one atom buffer serves.
-			var heads []logic.Atom
-			polled := 0
-			for i := w; i < len(triggers); i += workers {
-				if truncated.Load() || canceled.Load() {
-					return
-				}
-				// Poll ctx every 32 firings per worker: a firing does real
-				// work (head-satisfaction join, instantiation, shard insert),
-				// so the amortized poll bounds abort latency without putting
-				// a lock acquisition on every trigger.
-				if polled++; polled&0x1F == 0 && ctx.Err() != nil {
-					canceled.Store(true)
-					return
-				}
-				tr := triggers[i]
-				tp := plans.tmpl[tr.rule]
-				if plans.headSatisfied(int(tr.rule), tr.row, ins, headRunners) {
-					continue
-				}
-				if n := steps.Add(1); int(n) > budget {
-					steps.Add(-1)
-					truncated.Store(true)
-					return
-				}
-				ns, rec, n := st.nullsFor(rules.Rules[tr.rule], tp, tr.row, st.gens[w])
-				if rec.nulls != nil {
-					entries[w] = append(entries[w], rec)
-				}
-				nulls[w] += n
-				heads = instantiateHead(tp, tr.row, ns, heads)
-				if shards[w] == nil {
-					shards[w] = storage.NewShard()
-				}
-				for _, ha := range heads {
-					// The shard takes the freshly built arguments as they are.
-					if err := shards[w].Insert(ha); err != nil {
-						// The Ontology keeps rules and data on one signature
-						// (construction, AddRule, AddFact); reaching here is
-						// a programming error.
-						panic(err)
-					}
+		sh := storage.NewShard()
+		truncated := false
+		for i, tr := range triggers {
+			// Poll ctx every 32 triggers: a firing does real work
+			// (head-satisfaction join, instantiation, shard insert), so the
+			// amortized poll bounds abort latency cheaply. A canceled round
+			// discards its shard unmerged: the instance stays a consistent
+			// prefix (every completed round merged at its barrier), only the
+			// engine bookkeeping is dirty.
+			if i&0x1F == 0x1F && ctx.Err() != nil {
+				res.Err = ctx.Err()
+				return res
+			}
+			tp := plans.tmpl[tr.rule]
+			if plans.headSatisfied(int(tr.rule), tr.row, ins, headRunners) {
+				continue
+			}
+			if res.Steps >= budget {
+				truncated = true
+				break
+			}
+			res.Steps++
+			ns, n := st.nullsFor(rules.Rules[tr.rule], tp, tr.row)
+			res.NullsCreated += n
+			heads = instantiateHead(tp, tr.row, ns, heads)
+			for _, ha := range heads {
+				// The shard takes the freshly built arguments as they are.
+				if err := sh.Insert(ha); err != nil {
+					// The Ontology keeps rules and data on one signature
+					// (construction, AddRule, AddFact); reaching here is a
+					// programming error.
+					panic(err)
 				}
 			}
-		})
-
-		// A canceled round discards its buffered shards unmerged: the
-		// instance stays a consistent prefix (every completed round merged
-		// atomically at its barrier), only the engine bookkeeping is dirty.
-		if canceled.Load() || ctx.Err() != nil {
-			res.Steps = int(steps.Load())
-			res.Err = ctx.Err()
-			return res
 		}
 
-		// Round barrier: single-writer merge of the shards, producing the
-		// next delta, and of the workers' null-table entries.
+		// Round barrier: merge the shard, producing the next delta.
 		var err error
-		if delta, err = ins.MergeShards(shards...); err != nil {
+		if delta, err = ins.MergeShards(sh); err != nil {
 			panic(err)
 		}
-		for _, es := range entries {
-			for _, e := range es {
-				st.keep(e)
-			}
-		}
-		for _, n := range nulls {
-			res.NullsCreated += n
-		}
-		res.Steps = int(steps.Load())
-		if truncated.Load() {
+		if truncated {
 			return res
 		}
 		if delta.Size() == 0 {

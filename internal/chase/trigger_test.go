@@ -16,18 +16,18 @@ import (
 	"repro/internal/storage"
 )
 
-// TestSequentialChaseDeterministic: a one-worker chase is a function of its
-// input. The shard merge replays each worker's writes in insertion order, so
-// every run lands the same tuples in the same order, fires the next round in
-// the same order and names its nulls the same.
+// TestSequentialChaseDeterministic: a chase is a function of its input. The
+// shard merge replays the round's writes in insertion order, so every run
+// lands the same tuples in the same order, fires the next round in the same
+// order and names its nulls the same.
 func TestSequentialChaseDeterministic(t *testing.T) {
 	rules, data := datagen.University(), datagen.UniversityData(5, 1)
-	first := Run(rules, data, Options{Parallelism: 1})
+	first := Run(rules, data, Options{})
 	if !first.Terminated {
 		t.Fatal("University must chase to a fixpoint")
 	}
 	for run := 1; run < 20; run++ {
-		res := Run(rules, data, Options{Parallelism: 1})
+		res := Run(rules, data, Options{})
 		if got, want := res.Instance.String(), first.Instance.String(); got != want {
 			t.Fatalf("run %d: instance differs from run 0:\n%s\nvs\n%s", run, got, want)
 		}
@@ -128,20 +128,18 @@ func TestCollectTriggersMatchesNaive(t *testing.T) {
 				}
 			}
 			want := naiveTriggers(pg.rules, ins, delta)
-			for _, workers := range []int{1, 4} {
-				ps := newPlanSet(pg.rules, ins)
-				got := make(map[string]bool)
-				for _, tr := range collectTriggers(context.Background(), pg.rules, ins, delta, workers, ps, 0) {
-					k := triggerString(int(tr.rule), tr.row)
-					if got[k] {
-						t.Errorf("%s/trial=%d/workers=%d: trigger %s collected twice", pg.name, trial, workers, k)
-					}
-					got[k] = true
+			ps := newPlanSet(pg.rules, ins)
+			got := make(map[string]bool)
+			for _, tr := range collectTriggers(context.Background(), pg.rules, ins, delta, ps, 0) {
+				k := triggerString(int(tr.rule), tr.row)
+				if got[k] {
+					t.Errorf("%s/trial=%d: trigger %s collected twice", pg.name, trial, k)
 				}
-				if g, w := sortedKeys(got), sortedKeys(want); g != w {
-					t.Errorf("%s/trial=%d/workers=%d: triggers differ from the naive enumeration:\ngot:\n%s\nwant:\n%s",
-						pg.name, trial, workers, g, w)
-				}
+				got[k] = true
+			}
+			if g, w := sortedKeys(got), sortedKeys(want); g != w {
+				t.Errorf("%s/trial=%d: triggers differ from the naive enumeration:\ngot:\n%s\nwant:\n%s",
+					pg.name, trial, g, w)
 			}
 		}
 	}

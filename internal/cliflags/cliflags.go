@@ -1,5 +1,5 @@
 // Package cliflags is the one flag surface shared by every command in
-// cmd/: the engine knobs (-parallel, -max-steps, -max-rounds),
+// cmd/: the chase budgets (-max-steps, -max-rounds),
 // the answer bound (-limit, opt-in via BindLimit) and the deadline
 // (-timeout) are declared once here, so answer, chase, rewrite, classify
 // and serve agree on names, defaults and help text instead of each
@@ -22,9 +22,6 @@ import (
 
 // Flags holds the parsed shared flag values.
 type Flags struct {
-	// Parallel is the chase worker count, 1..repro.MaxParallelism (1 =
-	// sequential). Query evaluation is always sequential.
-	Parallel int
 	// MaxSteps bounds chase trigger firings (0 = engine default).
 	MaxSteps int
 	// MaxRounds bounds chase fair rounds (0 = engine default).
@@ -37,10 +34,9 @@ type Flags struct {
 }
 
 // Bind registers the full shared surface on fs (flag.CommandLine in the
-// commands): -parallel, -max-steps, -max-rounds and -timeout.
+// commands): -max-steps, -max-rounds and -timeout.
 func Bind(fs *flag.FlagSet) *Flags {
 	f := BindTimeout(fs)
-	fs.IntVar(&f.Parallel, "parallel", 1, fmt.Sprintf("chase worker count (1 = sequential, max %d); query evaluation is sequential", repro.MaxParallelism))
 	fs.IntVar(&f.MaxSteps, "max-steps", 0, "chase trigger-firing budget (0 = default 100000)")
 	fs.IntVar(&f.MaxRounds, "max-rounds", 0, "chase fair-round budget (0 = default 1000)")
 	return f
@@ -60,29 +56,19 @@ func BindTimeout(fs *flag.FlagSet) *Flags {
 	return f
 }
 
-// check rejects -parallel outside 1..repro.MaxParallelism: every worker is
-// an allocation the command line controls.
-func (f *Flags) check() error {
-	if f.Parallel < 1 || f.Parallel > repro.MaxParallelism {
-		return fmt.Errorf("bad -parallel %d: want 1..%d", f.Parallel, repro.MaxParallelism)
-	}
-	return nil
-}
-
 // Options maps the shared flags onto the root answering options.
-func (f *Flags) Options(mode repro.AnswerMode) (repro.Options, error) {
+func (f *Flags) Options(mode repro.AnswerMode) repro.Options {
 	return repro.Options{
-		Mode:        mode,
-		Parallelism: f.Parallel,
-		MaxSteps:    f.MaxSteps,
-		MaxRounds:   f.MaxRounds,
-		Limit:       f.Limit,
-	}, f.check()
+		Mode:      mode,
+		MaxSteps:  f.MaxSteps,
+		MaxRounds: f.MaxRounds,
+		Limit:     f.Limit,
+	}
 }
 
 // EvalOptions maps the shared flags onto query-evaluation options.
-func (f *Flags) EvalOptions() (eval.Options, error) {
-	return eval.Options{FilterNulls: true, Limit: f.Limit}, f.check()
+func (f *Flags) EvalOptions() eval.Options {
+	return eval.Options{FilterNulls: true, Limit: f.Limit}
 }
 
 // Context arms the -timeout deadline: with a zero timeout it returns the

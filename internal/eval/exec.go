@@ -32,7 +32,7 @@ type cursor struct {
 
 // Runner is the mutable execution state of one plan: the register file, the
 // per-level cursors, and the relation pointers resolved against a store. A
-// Runner belongs to one goroutine; allocate one per worker (NewRunner) and
+// Runner belongs to one goroutine; allocate one per goroutine (NewRunner) and
 // reuse it across executions — Bind, seed, Start and Next allocate nothing in
 // steady state.
 type Runner struct {

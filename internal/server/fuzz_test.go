@@ -22,18 +22,18 @@ import (
 func FuzzQueryBody(f *testing.F) {
 	for _, seed := range []string{
 		`{"query": "q(X) :- ancestor(ada, X) ."}`,
-		`{"query": "q(X) :- ancestor(ada, X) .", "mode": "chase", "parallelism": 2}`,
 		`{"query": "q(X,Y) :- parent(X,Y) .", "mode": "rewrite", "limit": 1, "stream": true}`,
 		`{"query": "q(X) :- ancestor(ada, X) .", "noCache": true, "maxSteps": 1, "maxRounds": 1}`,
-		// Removed fields (the strategy options and partitioning): unknown,
-		// so a 400.
+		// Removed fields (the strategy options, partitioning and the chase
+		// worker count): unknown, so a 400.
+		`{"query": "q(X) :- ancestor(ada, X) .", "mode": "chase", "parallelism": 2}`,
+		`{"query": "q(X) :- ancestor(ada, X) .", "parallelism": 100000000}`,
+		`{"query": "q(X) :- ancestor(ada, X) .", "parallelism": -1}`,
 		`{"query": "q(X) :- ancestor(ada, X) .", "planner": "greedy"}`,
 		`{"query": "q(X) :- ancestor(ada, X) .", "join": "hash"}`,
 		`{"query": "q(X) :- ancestor(ada, X) .", "mode": "chase", "partitions": 2000000000}`,
 		`{"query": "q(X) :- ancestor(ada, X) .", "partitions": -7}`,
 		// Sizes from outside the program, out of range.
-		`{"query": "q(X) :- ancestor(ada, X) .", "parallelism": 100000000}`,
-		`{"query": "q(X) :- ancestor(ada, X) .", "parallelism": -1}`,
 		`{"query": "q(X) :- ancestor(ada, X) .", "limit": -1}`,
 		`{"query": "q(X) :- ancestor(ada, X) .", "limit": 9223372036854775807}`,
 		`{"query": "q(X) :- ancestor(ada, X) .", "limit": 1e99}`,

@@ -63,7 +63,7 @@ type Config struct {
 	// MaxTimeout clamps every request deadline, including explicit ones
 	// (0 = no clamp).
 	MaxTimeout time.Duration
-	// Answer are the default answering options (mode, parallelism, budgets)
+	// Answer are the default answering options (mode, budgets)
 	// applied to query requests; per-request fields override.
 	Answer repro.Options
 	// AnswerCacheBytes is the answer-view cache budget applied to every
@@ -288,11 +288,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, ont *repro.
 // queryRequest is the body of POST .../query. Zero-valued fields fall back
 // to the server's configured answering defaults.
 type queryRequest struct {
-	Query       string `json:"query"`
-	Mode        string `json:"mode,omitempty"` // "auto" | "rewrite" | "chase"
-	Parallelism int    `json:"parallelism,omitempty"`
-	MaxSteps    int    `json:"maxSteps,omitempty"`
-	MaxRounds   int    `json:"maxRounds,omitempty"`
+	Query     string `json:"query"`
+	Mode      string `json:"mode,omitempty"` // "auto" | "rewrite" | "chase"
+	MaxSteps  int    `json:"maxSteps,omitempty"`
+	MaxRounds int    `json:"maxRounds,omitempty"`
 	// Limit bounds the distinct answers produced (0 = all); the ?limit=
 	// query parameter overrides it.
 	Limit int `json:"limit,omitempty"`
@@ -321,16 +320,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, ont *repro.
 	default:
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("unknown mode %q", req.Mode))
 		return
-	}
-	// Parallelism sizes allocations made under the writer lock (a chase
-	// worker's goroutine, null generator and shard): an unchecked count is
-	// one request taking every tenant down.
-	if req.Parallelism != 0 {
-		if req.Parallelism < 1 || req.Parallelism > repro.MaxParallelism {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad parallelism %d: want 1..%d", req.Parallelism, repro.MaxParallelism))
-			return
-		}
-		opts.Parallelism = req.Parallelism
 	}
 	if req.MaxSteps > 0 {
 		opts.MaxSteps = req.MaxSteps

@@ -242,8 +242,8 @@ func postFacts(url, facts string) (status, added int, err error) {
 
 // TestBatchedEqualsSequential is the concurrent-writer property test: random,
 // overlapping batches of facts POSTed to one ontology by concurrent HTTP
-// writers yield an ontology answer-equivalent, in chase mode at 1 and 4
-// workers, to a twin fed the same batches in order; and the replies' "added"
+// writers yield an ontology answer-equivalent, in chase mode, to a twin fed
+// the same batches in order; and the replies' "added"
 // counts sum to the number of distinct new facts, since every reply counts
 // its own request's facts. A second leg gives some writers ?timeout=1ms on
 // disjoint facts: a timeout never hides a committed write, and a committed
@@ -300,24 +300,22 @@ func TestBatchedEqualsSequential(t *testing.T) {
 		if sum != len(distinct) {
 			t.Fatalf("trial %d: replies added %d facts in all, want the %d distinct new ones", trial, sum, len(distinct))
 		}
-		for _, par := range []int{1, 4} {
-			opts := repro.Options{Mode: repro.ModeChase, Parallelism: par}
-			for _, q := range []string{
-				"q(X, Y) :- ancestor(X, Y) .",
-				"q(X, Y) :- parent(X, Y) .",
-			} {
-				got, err := batched.AnswerCtx(context.Background(), q, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := sequential.AnswerCtx(context.Background(), q, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !got.Equal(want) {
-					t.Fatalf("trial %d par %d %s: concurrent answers differ from sequential\nconcurrent: %v\nsequential: %v",
-						trial, par, q, got, want)
-				}
+		opts := repro.Options{Mode: repro.ModeChase}
+		for _, q := range []string{
+			"q(X, Y) :- ancestor(X, Y) .",
+			"q(X, Y) :- parent(X, Y) .",
+		} {
+			got, err := batched.AnswerCtx(context.Background(), q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := sequential.AnswerCtx(context.Background(), q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("trial %d %s: concurrent answers differ from sequential\nconcurrent: %v\nsequential: %v",
+					trial, q, got, want)
 			}
 		}
 	}
@@ -552,40 +550,26 @@ func TestQueryStreamNDJSON(t *testing.T) {
 	}
 }
 
-// TestQuerySizesBounded checks that a request body cannot size the worker
-// pool: "parallelism" outside 1..repro.MaxParallelism is a 400 before
-// anything is built (a hundred million workers' worth of null generators and
-// shards used to be allocated under the writer lock), the removed
-// "planner"/"join"/"partitions" fields are a 400 naming the field, and the
-// tenant keeps answering: the bounds themselves are served.
-func TestQuerySizesBounded(t *testing.T) {
+// TestRemovedQueryFieldsRejected checks that the query-body fields of
+// deleted mechanisms — "parallelism" (the parallel chase), "planner",
+// "join" and "partitions" — are a 400 naming the field, whatever their
+// value, and that the tenant keeps answering.
+func TestRemovedQueryFieldsRejected(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	s.Add("fam", repro.MustParse(familyProgram))
 	url := ts.URL + "/v1/ontologies/fam/query"
-	for _, tc := range []struct {
-		value int
-		want  int
-	}{
-		{2000000000, http.StatusBadRequest},
-		{repro.MaxParallelism + 1, http.StatusBadRequest},
-		{-1, http.StatusBadRequest},
-		{1, http.StatusOK},
-		{repro.MaxParallelism, http.StatusOK},
+	for _, tc := range []struct{ field, value string }{
+		{"parallelism", "1"}, {"parallelism", "4"}, {"parallelism", "-1"},
+		{"planner", `"hash"`}, {"join", `"hash"`}, {"partitions", `"hash"`},
 	} {
-		body := fmt.Sprintf(`{"query": "q(X) :- ancestor(ada, X) .", "mode": "chase", "parallelism": %d}`, tc.value)
-		st, m := doJSON(t, "POST", url, body)
-		if st != tc.want {
-			t.Errorf("parallelism=%d: status %d, want %d (%v)", tc.value, st, tc.want, m)
-		}
-		if st == http.StatusOK && int(m["count"].(float64)) != 2 {
-			t.Errorf("parallelism=%d: %v answers, want 2", tc.value, m["count"])
+		st, m := doJSON(t, "POST", url, fmt.Sprintf(`{"query": "q(X) :- ancestor(ada, X) .", "mode": "chase", %q: %s}`, tc.field, tc.value))
+		if msg, _ := m["error"].(string); st != http.StatusBadRequest || !strings.Contains(msg, tc.field) {
+			t.Errorf("removed field %q: %s: status %d %v, want a 400 naming it", tc.field, tc.value, st, m)
 		}
 	}
-	for _, field := range []string{"planner", "join", "partitions"} {
-		st, m := doJSON(t, "POST", url, fmt.Sprintf(`{"query": "q(X) :- ancestor(ada, X) .", %q: "hash"}`, field))
-		if msg, _ := m["error"].(string); st != http.StatusBadRequest || !strings.Contains(msg, field) {
-			t.Errorf("removed field %q: status %d %v, want a 400 naming it", field, st, m)
-		}
+	st, m := doJSON(t, "POST", url, `{"query": "q(X) :- ancestor(ada, X) .", "mode": "chase"}`)
+	if st != http.StatusOK || int(m["count"].(float64)) != 2 {
+		t.Errorf("after the rejected bodies: status %d %v, want 2 answers", st, m)
 	}
 }
 

@@ -45,7 +45,7 @@ func (t Tuple) Clone() Tuple {
 // Concurrency contract: any number of goroutines may read (Lookup, Tuples,
 // Contains, Len) concurrently — the lazy index build is synchronized — as
 // long as no goroutine is inserting. Writes are single-writer: the chase
-// buffers new facts in per-worker Shards and merges them at a round barrier.
+// buffers a round's new facts in a Shard and merges it at the round barrier.
 // A relation of a frozen instance is frozen too: every generation aliasing
 // it reads it, so a write that would change it panics.
 type Relation struct {

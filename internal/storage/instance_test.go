@@ -313,25 +313,23 @@ func TestRelationStats(t *testing.T) {
 	}
 }
 
-// TestMergeShardsKeepsInsertionOrder: the merge replays the shards in order
-// and each shard in the order it was written, into both the instance and the
-// delta, dropping facts already present or buffered earlier; the merged
-// facts are the shards' own tuples, not copies.
+// TestMergeShardsKeepsInsertionOrder: the merge replays the shard in the
+// order it was written, into both the instance and the delta, dropping facts
+// already present or buffered earlier; the merged facts are the shard's own
+// tuples, not copies.
 func TestMergeShardsKeepsInsertionOrder(t *testing.T) {
 	ins := MustFromAtoms([]logic.Atom{logic.NewAtom("p", c("old"))})
-	s0, s1 := NewShard(), NewShard()
-	for _, a := range []string{"z", "old", "y", "z", "x"} {
-		if err := s0.Insert(logic.NewAtom("p", c(a))); err != nil {
-			t.Fatal(err)
-		}
-	}
+	sh := NewShard()
 	w := logic.NewAtom("p", c("w"))
-	for _, a := range []logic.Atom{logic.NewAtom("p", c("y")), w} {
-		if err := s1.Insert(a); err != nil {
+	for _, a := range []logic.Atom{
+		logic.NewAtom("p", c("z")), logic.NewAtom("p", c("old")), logic.NewAtom("p", c("y")),
+		logic.NewAtom("p", c("z")), logic.NewAtom("p", c("x")), logic.NewAtom("p", c("y")), w,
+	} {
+		if err := sh.Insert(a); err != nil {
 			t.Fatal(err)
 		}
 	}
-	delta, err := ins.MergeShards(s0, s1)
+	delta, err := ins.MergeShards(sh)
 	if err != nil {
 		t.Fatal(err)
 	}

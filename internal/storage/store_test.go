@@ -200,21 +200,20 @@ func step(t *testing.T, rng *rand.Rand, ins *Instance, m model) {
 			delete(m[a.Pred], Tuple(a.Args).Key())
 		}
 	default:
-		shards := make([]*Shard, 1+rng.Intn(3))
+		sh := NewShard()
 		var buffered []logic.Atom
 		conflict := false
-		for i := range shards {
-			shards[i] = NewShard()
+		for i := rng.Intn(3); i >= 0; i-- {
 			for j := rng.Intn(5); j >= 0; j-- {
 				a := randAtom(rng)
-				if err := shards[i].Insert(a); err != nil {
-					continue // conflicts with an earlier fact of this shard
+				if err := sh.Insert(a); err != nil {
+					continue // conflicts with an earlier fact of the shard
 				}
 				conflict = conflict || conflicts(a)
 				buffered = append(buffered, a)
 			}
 		}
-		delta, err := ins.MergeShards(shards...)
+		delta, err := ins.MergeShards(sh)
 		if conflict {
 			if err == nil {
 				t.Fatalf("MergeShards of %v: arity conflict not reported", buffered)

@@ -33,10 +33,7 @@ const (
 type Options struct {
 	// Mode selects the expansion technique (default ModeAuto).
 	Mode AnswerMode
-	// Parallelism is the chase worker count: a chase-mode materialization
-	// fans rule applications out over a pool with sharded writes. Query
-	// evaluation is always sequential. 0 or 1 means one worker. Any value
-	// yields the same answer set.
+	// Deprecated: Parallelism is ignored. The chase runs on one worker.
 	Parallelism int
 	// MaxSteps bounds chase trigger firings (0 = chase.DefaultMaxSteps).
 	// Big workloads that legitimately exceed the default hard-fail without
@@ -59,18 +56,11 @@ type Options struct {
 	NoCache bool
 }
 
-// MaxParallelism bounds Options.Parallelism where the value arrives from
-// outside the program; the server and the CLI flags reject anything beyond
-// it. A chase worker is an allocation the caller sizes: a goroutine with its
-// own null generator and write shard.
-const MaxParallelism = 64
-
 // chaseOptions maps Options onto a (defaulted) chase configuration.
 func (opts Options) chaseOptions() chase.Options {
 	co := chase.Options{
-		MaxSteps:    opts.MaxSteps,
-		MaxRounds:   opts.MaxRounds,
-		Parallelism: opts.Parallelism,
+		MaxSteps:  opts.MaxSteps,
+		MaxRounds: opts.MaxRounds,
 	}
 	if co.MaxSteps == 0 {
 		co.MaxSteps = chase.DefaultMaxSteps

@@ -42,7 +42,8 @@ type change struct {
 //     concurrent readers keep the previous snapshot throughout.
 //
 // Cancellation is honored before the repair and inside it (the engines poll
-// ctx at amortized intervals); see abort. Once the repair has completed, the
+// ctx at amortized intervals). A ctx error before the repair starts returns
+// with nothing published; one inside the repair ends in abort. Once the repair has completed, the
 // mutation commits even if ctx expires during publication — like a database
 // commit, the point of no return is the start of the publish phase.
 func (o *Ontology) mutate(ctx context.Context, stage func(prev *snapshot) (*change, error)) (int, error) {
@@ -57,7 +58,8 @@ func (o *Ontology) mutate(ctx context.Context, stage func(prev *snapshot) (*chan
 		return 0, err
 	}
 	if err := ctx.Err(); err != nil {
-		return 0, o.abort(prev, err)
+		// No engine step ran: the published materialization is intact.
+		return 0, err
 	}
 	if c == nil {
 		return 0, nil // nothing changed: keep the published snapshot

@@ -28,9 +28,10 @@ type MaterializationStats struct {
 	// FullRebuilds counts every time a published materialization was dropped
 	// and the next chase-mode answer had to rebuild from scratch: a mutation
 	// against a truncated cache, which cannot be repaired or extended
-	// soundly, or a canceled mutation. Every terminated materialization is
-	// repaired in place, so a growing counter on a serving process is the
-	// signal that incremental maintenance is being bypassed.
+	// soundly, or a mutation canceled during its repair. Every terminated
+	// materialization is repaired in place, so a growing counter on a
+	// serving process is the signal that incremental maintenance is being
+	// bypassed.
 	FullRebuilds uint64
 	// AnswerCache counts answer-view cache activity (hits, misses,
 	// evictions, the current snapshot's entries and bytes).
@@ -67,7 +68,7 @@ func (o *Ontology) MaterializationStats() MaterializationStats {
 }
 
 // ChaseCtx materializes the ontology: data expanded with every rule
-// consequence (restricted chase) under opts' worker count and budgets.
+// consequence (restricted chase) under opts' budgets.
 // Unlike chase-mode answering it always runs fresh and returns an instance
 // the caller owns — the cached materialization is neither consulted nor
 // touched. A canceled run stops at the current round barrier without

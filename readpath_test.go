@@ -183,12 +183,9 @@ func TestReadPathDifferential(t *testing.T) {
 				}
 			}
 			for _, mode := range []AnswerMode{ModeAuto, ModeChase} {
-				for _, par := range []int{1, 2} {
-					ont := build(t)
-					opts := Options{Mode: mode, Parallelism: par}
-					for _, q := range queries {
-						diffReadPath(t, ont, ref, q, opts)
-					}
+				ont := build(t)
+				for _, q := range queries {
+					diffReadPath(t, ont, ref, q, Options{Mode: mode})
 				}
 			}
 		})
