@@ -16,8 +16,9 @@ test:
 # Short fuzzing leg over the committed seed corpora: the query parser, the
 # program parser (rules + facts), the POST .../query body, the fact and rule
 # mutation bodies, the create/rule-removal/CSV-load requests, LoadCSV, the
-# classifier's report, the rewriter's pool invariant and the answer set
-# (one target per invocation — go test allows no more).
+# classifier's report, the rewriter's pool invariant, the answer set and the
+# relation's hashed tuple set (one target per invocation — go test allows no
+# more).
 FUZZTIME ?= 10s
 
 fuzz:
@@ -30,6 +31,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzClassify -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzRewrite -fuzztime $(FUZZTIME) ./internal/rewrite
 	$(GO) test -run '^$$' -fuzz FuzzAnswerSet -fuzztime $(FUZZTIME) ./internal/eval
+	$(GO) test -run '^$$' -fuzz FuzzRelationSet -fuzztime $(FUZZTIME) ./internal/storage
 
 # Benchmark smoke pass: compile and run every benchmark once. Performance
 # claims are measured with the gated benchmark BENCHMARK.json declares

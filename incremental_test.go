@@ -3,6 +3,7 @@ package repro
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -436,5 +437,53 @@ func TestConcurrentAnswerAndAddFact(t *testing.T) {
 	}
 	if !got.Equal(want) {
 		t.Errorf("concurrent maintenance diverged:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestColdBuildSharesBase: the first chase-mode answer chases a
+// copy-on-write fork of the base, so every base relation the chase never
+// derives into is the base's own *Relation in the materialization — stored
+// once, not copied. Later fact mutations fork both stores and leave the
+// snapshot that shared them reading as it did.
+func TestColdBuildSharesBase(t *testing.T) {
+	ont := New(datagen.University(), datagen.UniversityData(20, 1))
+	if _, err := ont.AnswerCtx(bg, "q(X) :- person(X) .", Options{Mode: ModeChase}); err != nil {
+		t.Fatal(err)
+	}
+	built := ont.snap.Load()
+	shared := 0
+	for _, pred := range built.base.Predicates() {
+		base, mat := built.base.Relation(pred), built.mat.store.Relation(pred)
+		if mat.Len() > base.Len() {
+			continue // the chase derived into it: the fork owns a copy
+		}
+		if base != mat {
+			t.Errorf("%s: the chase derived nothing into it, but the materialization holds a copy", pred)
+		}
+		shared++
+	}
+	if shared == 0 {
+		t.Fatal("no base relation is shared; the test checks nothing")
+	}
+
+	baseAtoms, matAtoms := built.base.Atoms(), built.mat.store.Atoms()
+	fresh := []logic.Atom{
+		logic.NewAtom("graduateStudent", logic.NewConst("newcomer")),
+		logic.NewAtom("takesCourse", logic.NewConst("newcomer"), logic.NewConst("course0_0")),
+	}
+	if n, err := ont.AddFactAtoms(bg, fresh); err != nil || n != len(fresh) {
+		t.Fatalf("AddFactAtoms = %d, %v", n, err)
+	}
+	if n, err := ont.DeleteFactCtx(bg, `fullProfessor(prof0_0) . graduateStudent(student0_0) .`); err != nil || n != 2 {
+		t.Fatalf("DeleteFactCtx = %d, %v", n, err)
+	}
+	if ont.snap.Load() == built {
+		t.Fatal("the mutations published nothing")
+	}
+	if !slices.EqualFunc(built.base.Atoms(), baseAtoms, logic.Atom.Equal) {
+		t.Error("a mutation changed the earlier snapshot's base")
+	}
+	if !slices.EqualFunc(built.mat.store.Atoms(), matAtoms, logic.Atom.Equal) {
+		t.Error("a mutation changed the earlier snapshot's materialization")
 	}
 }

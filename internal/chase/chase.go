@@ -380,7 +380,7 @@ func collectTriggers(ctx context.Context, rules *dependency.Set, ins, delta *sto
 	// A delta tuple most often yields one binding: size for that.
 	out := make([]trigger, 0, bound)
 	var arena rowArena
-	seen := make(map[int]map[string]bool)
+	seen := make(map[int]*storage.TupleSet)
 	for _, t := range tasks {
 		slots := ps.slots[t.rule][t.atom]
 		runner := ps.delta[t.rule][t.atom].NewRunner()
@@ -388,10 +388,10 @@ func collectTriggers(ctx context.Context, rules *dependency.Set, ins, delta *sto
 			continue // a body relation is absent: the rule cannot fire
 		}
 		runner.SetContext(ctx)
-		var ruleSeen map[string]bool
+		var ruleSeen *storage.TupleSet
 		if ntasks[t.rule] > 1 {
 			if ruleSeen = seen[t.rule]; ruleSeen == nil {
-				ruleSeen = make(map[string]bool)
+				ruleSeen = new(storage.TupleSet)
 				seen[t.rule] = ruleSeen
 			}
 		}
@@ -404,12 +404,8 @@ func collectTriggers(ctx context.Context, rules *dependency.Set, ins, delta *sto
 				for i, s := range slots {
 					row[i] = regs[s]
 				}
-				if ruleSeen != nil {
-					k := storage.Tuple(row).Key()
-					if ruleSeen[k] {
-						return true
-					}
-					ruleSeen[k] = true
+				if ruleSeen != nil && !ruleSeen.Add(row) {
+					return true
 				}
 				out = append(out, trigger{rule: int32(t.rule), row: row})
 				return true

@@ -348,7 +348,7 @@ func (st *State) rederive(ctx context.Context, rules *dependency.Set, ins *stora
 // fire time.
 func collectRederiveTriggers(rules *dependency.Set, tmpls []*template, ins *storage.Instance, removed []logic.Atom) []trigger {
 	var out []trigger
-	seen := make(map[int]map[string]bool)
+	seen := make(map[int]*storage.TupleSet)
 	for _, f := range removed {
 		tup := storage.Tuple(f.Args)
 		for ri, rule := range rules.Rules {
@@ -363,7 +363,7 @@ func collectRederiveTriggers(rules *dependency.Set, tmpls []*template, ins *stor
 				}
 				ruleSeen := seen[ri]
 				if ruleSeen == nil {
-					ruleSeen = make(map[string]bool)
+					ruleSeen = new(storage.TupleSet)
 					seen[ri] = ruleSeen
 				}
 				eval.MatchesSeeded(rule.Body, ins, seed.Restrict(vars), func(s logic.Subst) bool {
@@ -371,8 +371,7 @@ func collectRederiveTriggers(rules *dependency.Set, tmpls []*template, ins *stor
 					for i, v := range vars {
 						row[i] = s.Walk(v)
 					}
-					if key := storage.Tuple(row).Key(); !ruleSeen[key] {
-						ruleSeen[key] = true
+					if ruleSeen.Add(row) {
 						out = append(out, trigger{rule: int32(ri), row: row})
 					}
 					return true

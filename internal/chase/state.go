@@ -98,7 +98,7 @@ func (st *State) Extend(rules *dependency.Set, ins *storage.Instance, facts []lo
 // the state.
 //
 // The facts go in through a shard and MergeShards, the firing loop's own
-// write path: each is copied and keyed once, and the merge yields exactly
+// write path: each is copied and hashed once, and the merge yields exactly
 // the genuinely new ones, in the given order, as the delta.
 func (st *State) ExtendCtx(ctx context.Context, rules *dependency.Set, ins *storage.Instance, facts []logic.Atom) (*Result, error) {
 	sh := storage.NewShard()

@@ -15,14 +15,13 @@
 //
 // Answers are a set, as the paper's semantics asks. The stream (stream.go)
 // projects rows into slabs of terms and keeps them in Answers, whose
-// membership is a hash of each tuple's terms with term comparison on a
-// collision — no key string per row.
+// membership is the store's hashed tuple set (storage.TupleSet) — no key
+// string per row.
 package eval
 
 import (
 	"cmp"
 	"context"
-	"hash/maphash"
 	"slices"
 	"sort"
 	"strings"
@@ -43,147 +42,52 @@ type Options struct {
 
 // Answers is a set of answer tuples that keeps insertion order.
 //
-// Membership is hash-keyed, with no key string per row: a tuple is hashed
-// once into 64 bits (tupleHash), an open-addressing table maps the hash to
-// tuple indices, and a probe compares terms, so tuples whose hashes collide
+// Membership is the store's: a storage.TupleSet, hash-keyed with no key
+// string per row, whose probe compares terms, so tuples whose hashes collide
 // but which differ are all kept. An insert probes once. Reads do not write,
 // so a completed set may be read by any number of goroutines.
 type Answers struct {
-	arity  int
-	tuples []storage.Tuple
-	// table has a power-of-two length and is at most half full.
-	table []answerSlot
-}
-
-// answerSlot is one entry of the membership table.
-type answerSlot struct {
-	hash uint32 // the low 32 bits of the tuple's hash; they also place the slot
-	row  int32  // index of the tuple in Answers.tuples, plus one; 0 is empty
-}
-
-// minAnswerTable is the table length of an empty set.
-const minAnswerTable = 8
-
-// answerSeed seeds every tuple hash of the process.
-var answerSeed = maphash.MakeSeed()
-
-// tupleHash is the membership hash. It is a variable only so that tests can
-// force collisions.
-var tupleHash = hashTuple
-
-// hashTuple hashes each term's Kind and Name, in order.
-func hashTuple(t storage.Tuple) uint64 {
-	h := uint64(len(t))
-	for _, x := range t {
-		h = (h + maphash.String(answerSeed, x.Name) + uint64(x.Kind)) * 0x9e3779b97f4a7c15
-	}
-	return h
+	arity int
+	set   storage.TupleSet
 }
 
 // NewAnswers creates an empty answer set of the given arity.
 func NewAnswers(arity int) *Answers {
-	return &Answers{arity: arity, table: make([]answerSlot, minAnswerTable)}
+	return &Answers{arity: arity}
 }
 
 // Add inserts a copy of the tuple, reporting whether it was new. Use
 // AddOwned when the tuple is freshly allocated and never reused by the
 // caller — the executor's projection path is, so evaluation never clones.
 func (a *Answers) Add(t storage.Tuple) bool {
-	i, h, found := a.find(t)
-	if found {
+	if a.set.Contains(t) {
 		return false
 	}
-	a.put(i, h, t.Clone())
-	return true
+	return a.set.Add(t.Clone())
 }
 
 // AddOwned inserts the tuple without copying, taking ownership. The caller
 // must not mutate or reuse the tuple afterwards.
 //
 //repro:hotpath
-func (a *Answers) AddOwned(t storage.Tuple) bool {
-	i, h, found := a.find(t)
-	if found {
-		return false
-	}
-	a.put(i, h, t)
-	return true
-}
+func (a *Answers) AddOwned(t storage.Tuple) bool { return a.set.Add(t) }
 
 // Contains reports membership.
-func (a *Answers) Contains(t storage.Tuple) bool {
-	_, _, found := a.find(t)
-	return found
-}
-
-// find probes the table for t: found, or the empty slot where t goes.
-//
-//repro:hotpath
-func (a *Answers) find(t storage.Tuple) (slot int, h uint64, found bool) {
-	h = tupleHash(t)
-	mask := len(a.table) - 1
-	//repro:allow ctxpoll a probe ends at an empty slot: the table is at most half full
-	for i := int(h) & mask; ; i = (i + 1) & mask {
-		s := a.table[i]
-		if s.row == 0 {
-			return i, h, false
-		}
-		if s.hash == uint32(h) && slices.Equal(a.tuples[s.row-1], t) {
-			return i, h, true
-		}
-	}
-}
-
-// put appends t, a tuple not in the set whose hash is h, and records it in
-// the empty table slot i. The row list doubles its capacity when full:
-// append alone grows a large slice by a quarter at a time, which allocates
-// about five times the final list on the way up, doubling about twice.
-//
-//repro:hotpath
-func (a *Answers) put(i int, h uint64, t storage.Tuple) {
-	if len(a.tuples) == cap(a.tuples) {
-		a.tuples = slices.Grow(a.tuples, max(len(a.tuples), 4))
-	}
-	//repro:allow hotalloc the capacity check above makes this append in place
-	a.tuples = append(a.tuples, t)
-	a.table[i] = answerSlot{hash: uint32(h), row: int32(len(a.tuples))}
-	if 2*len(a.tuples) > len(a.table) {
-		a.growTable()
-	}
-}
-
-// growTable doubles the table, re-placing every entry by its stored hash.
-func (a *Answers) growTable() {
-	old := a.table
-	a.table = make([]answerSlot, 2*len(old))
-	mask := len(a.table) - 1
-	for _, s := range old {
-		if s.row == 0 {
-			continue
-		}
-		i := int(s.hash) & mask
-		//repro:allow ctxpoll a probe ends at an empty slot: the table is at most half full
-		for a.table[i].row != 0 {
-			i = (i + 1) & mask
-		}
-		a.table[i] = s
-	}
-}
+func (a *Answers) Contains(t storage.Tuple) bool { return a.set.Contains(t) }
 
 // Len returns the number of distinct answers.
-func (a *Answers) Len() int { return len(a.tuples) }
+func (a *Answers) Len() int { return a.set.Len() }
 
 // Arity returns the tuple width.
 func (a *Answers) Arity() int { return a.arity }
 
 // Tuples returns the answers in insertion order; callers must not mutate.
-func (a *Answers) Tuples() []storage.Tuple { return a.tuples }
+func (a *Answers) Tuples() []storage.Tuple { return a.set.Tuples() }
 
 // Sorted returns the answers sorted lexicographically, term by term on
 // (kind, name): stable, deterministic output for printing and comparison.
 func (a *Answers) Sorted() []storage.Tuple {
-	out := make([]storage.Tuple, len(a.tuples))
-	copy(out, a.tuples)
+	out := slices.Clone(a.Tuples())
 	slices.SortFunc(out, compareTuples)
 	return out
 }
@@ -206,7 +110,7 @@ func (a *Answers) Equal(b *Answers) bool {
 	if a.Len() != b.Len() {
 		return false
 	}
-	for _, t := range a.tuples {
+	for _, t := range a.Tuples() {
 		if !b.Contains(t) {
 			return false
 		}
@@ -217,7 +121,7 @@ func (a *Answers) Equal(b *Answers) bool {
 // Minus returns the tuples in a but not in b.
 func (a *Answers) Minus(b *Answers) []storage.Tuple {
 	var out []storage.Tuple
-	for _, t := range a.tuples {
+	for _, t := range a.Tuples() {
 		if !b.Contains(t) {
 			out = append(out, t)
 		}

@@ -40,7 +40,8 @@ func (t Tuple) Clone() Tuple {
 }
 
 // Relation is a named, fixed-arity set of tuples with lazily built
-// per-column hash indexes.
+// per-column hash indexes. Its tuples live in a TupleSet, in insertion
+// order, keyed by hash: no key string is built per tuple.
 //
 // Concurrency contract: any number of goroutines may read (Lookup, Tuples,
 // Contains, Len) concurrently — the lazy index build is synchronized — as
@@ -49,10 +50,9 @@ func (t Tuple) Clone() Tuple {
 // A relation of a frozen instance is frozen too: every generation aliasing
 // it reads it, so a write that would change it panics.
 type Relation struct {
-	name   string
-	arity  int
-	tuples []Tuple
-	keys   map[string]int // tuple key -> index into tuples
+	name  string
+	arity int
+	set   TupleSet
 	// index[col][term] lists tuple offsets having term at col.
 	index     []map[logic.Term][]int
 	indexOnce sync.Once
@@ -61,7 +61,7 @@ type Relation struct {
 
 // NewRelation creates an empty relation.
 func NewRelation(name string, arity int) *Relation {
-	return &Relation{name: name, arity: arity, keys: make(map[string]int)}
+	return &Relation{name: name, arity: arity}
 }
 
 // Name returns the relation name.
@@ -71,7 +71,7 @@ func (r *Relation) Name() string { return r.name }
 func (r *Relation) Arity() int { return r.arity }
 
 // Len returns the number of tuples.
-func (r *Relation) Len() int { return len(r.tuples) }
+func (r *Relation) Len() int { return r.set.Len() }
 
 // Insert adds the tuple, reporting whether it was new. It panics on arity
 // mismatch (a programming error, since callers validate predicates), and
@@ -81,76 +81,58 @@ func (r *Relation) Insert(t Tuple) bool {
 	if len(t) != r.arity {
 		panic(fmt.Sprintf("storage: tuple arity %d for relation %s/%d", len(t), r.name, r.arity))
 	}
-	k := t.Key()
-	if _, ok := r.keys[k]; ok {
+	h := tupleHash(t)
+	i, found := r.set.find(h, t)
+	if found {
 		return false
 	}
 	r.mustBeWritable()
-	r.add(k, t.Clone())
+	r.addAt(i, h, t.Clone())
 	return true
 }
 
-// insertKeyed is Insert for a tuple whose key the caller already holds and
-// which the relation may keep: no re-keying and no copy. The shard merge
-// uses it, so that a derived fact is keyed once on its way in.
-func (r *Relation) insertKeyed(k string, t Tuple) bool {
-	if _, ok := r.keys[k]; ok {
-		return false
-	}
-	r.mustBeWritable()
-	r.add(k, t)
-	return true
-}
-
-// add appends a tuple known to be absent under its key k, maintaining
-// already-built indexes.
-func (r *Relation) add(k string, t Tuple) {
-	r.keys[k] = len(r.tuples)
-	r.tuples = append(r.tuples, t)
+// addAt appends t, absent and hashing to h, recording it in the empty slot
+// i that the set's probe returned, and maintains already-built indexes.
+func (r *Relation) addAt(i int, h uint32, t Tuple) {
+	r.set.put(i, h, t)
 	if r.index != nil {
+		last := r.set.Len() - 1
 		for col, term := range t {
-			r.index[col][term] = append(r.index[col][term], len(r.tuples)-1)
+			r.index[col][term] = append(r.index[col][term], last)
 		}
 	}
 }
 
 // Remove deletes the tuple, reporting whether it was present. The vacated
-// slot is filled by swapping in the last tuple, and already-built per-column
+// row is filled by swapping in the last tuple, and already-built per-column
 // indexes are maintained in place (postings of the removed tuple dropped,
 // postings of the moved tuple renamed), so a deletion costs O(arity ·
 // posting-list) instead of an index rebuild. Single-writer, like Insert,
 // and like Insert it panics when it would change a frozen relation.
 func (r *Relation) Remove(t Tuple) bool {
-	return r.removeKeyed(t.Key())
-}
-
-// removeKeyed is Remove by tuple key.
-func (r *Relation) removeKeyed(k string) bool {
-	i, ok := r.keys[k]
-	if !ok {
+	i, found := r.set.find(tupleHash(t), t)
+	if !found {
 		return false
 	}
 	r.mustBeWritable()
-	last := len(r.tuples) - 1
+	r.removeAt(i)
+	return true
+}
+
+// removeAt deletes the tuple recorded in slot i of the set.
+func (r *Relation) removeAt(i int) {
+	row, last := int(r.set.slots[i].row)-1, r.set.Len()-1
 	if r.index != nil {
-		for col, term := range r.tuples[i] {
-			dropOffset(r.index[col], term, i)
+		for col, term := range r.set.tuples[row] {
+			dropOffset(r.index[col], term, row)
 		}
-		if i != last {
-			for col, term := range r.tuples[last] {
-				renameOffset(r.index[col][term], last, i)
+		if row != last {
+			for col, term := range r.set.tuples[last] {
+				renameOffset(r.index[col][term], last, row)
 			}
 		}
 	}
-	if i != last {
-		moved := r.tuples[last]
-		r.tuples[i] = moved
-		r.keys[moved.Key()] = i
-	}
-	r.tuples[last] = nil
-	r.tuples = r.tuples[:last]
-	delete(r.keys, k)
-	return true
+	r.set.removeAt(i)
 }
 
 // readOnly is the panic a write to frozen data raises.
@@ -192,15 +174,12 @@ func renameOffset(offs []int, from, to int) {
 }
 
 // Contains reports whether the tuple is present.
-func (r *Relation) Contains(t Tuple) bool {
-	_, ok := r.keys[t.Key()]
-	return ok
-}
+func (r *Relation) Contains(t Tuple) bool { return r.set.Contains(t) }
 
 // Tuples returns the backing slice of tuples; callers must not mutate it.
 //
 //repro:hotpath
-func (r *Relation) Tuples() []Tuple { return r.tuples }
+func (r *Relation) Tuples() []Tuple { return r.set.tuples }
 
 // buildIndex materializes the per-column indexes. Indexes carried over by
 // Clone are kept as-is.
@@ -212,7 +191,7 @@ func (r *Relation) buildIndex() {
 	for col := 0; col < r.arity; col++ {
 		index[col] = make(map[logic.Term][]int)
 	}
-	for i, t := range r.tuples {
+	for i, t := range r.set.tuples {
 		for col, term := range t {
 			index[col][term] = append(index[col][term], i)
 		}
@@ -341,7 +320,7 @@ func (ins *Instance) InsertAtom(a logic.Atom) error {
 	return err
 }
 
-// Insert adds a ground atom, reporting whether it was new. The atom is keyed
+// Insert adds a ground atom, reporting whether it was new. The atom is hashed
 // once, and its arguments are copied only when it is new.
 func (ins *Instance) Insert(a logic.Atom) (bool, error) {
 	ins.mustBeWritable()
@@ -354,14 +333,15 @@ func (ins *Instance) Insert(a logic.Atom) (bool, error) {
 		return false, fmt.Errorf("storage: predicate %s used with arity %d and %d",
 			a.Pred, rel.Arity(), a.Arity())
 	}
-	k := Tuple(a.Args).Key()
-	if _, ok := rel.keys[k]; ok {
+	h := tupleHash(a.Args)
+	i, found := rel.set.find(h, a.Args)
+	if found {
 		return false, nil // dedup, against a frozen relation too, without copying
 	}
 	if rel.frozen {
-		rel = ins.own(a.Pred)
+		rel = ins.own(a.Pred) // the copy's slot table is the original's: i stays valid
 	}
-	rel.add(k, Tuple(a.Args).Clone())
+	rel.addAt(i, h, Tuple(a.Args).Clone())
 	return true, nil
 }
 
@@ -373,14 +353,15 @@ func (ins *Instance) Remove(a logic.Atom) bool {
 	if rel == nil || rel.Arity() != a.Arity() {
 		return false
 	}
-	k := Tuple(a.Args).Key()
-	if _, ok := rel.keys[k]; !ok {
+	i, found := rel.set.find(tupleHash(a.Args), a.Args)
+	if !found {
 		return false
 	}
 	if rel.frozen {
-		rel = ins.own(a.Pred)
+		rel = ins.own(a.Pred) // the copy's slot table is the original's: i stays valid
 	}
-	return rel.removeKeyed(k)
+	rel.removeAt(i)
+	return true
 }
 
 // own replaces the frozen relation for pred, aliased with an ExtendClone
@@ -438,21 +419,16 @@ func (ins *Instance) EnsureIndexes() {
 	}
 }
 
-// Clone copies the relation without re-hashing: the tuple slice, key map and
-// per-column indexes are copied wholesale, into an unfrozen relation. Tuple
-// values themselves are shared — they are immutable by contract. The index is
-// built first through EnsureIndex, which both carries it into the copy and
+// Clone copies the relation without re-hashing: the tuple list and the
+// set's flat slot table are copied with one copy each, and the per-column
+// indexes posting by posting, into an unfrozen relation. Tuple values
+// themselves are shared — they are immutable by contract. The index is built
+// first through EnsureIndex, which both carries it into the copy and
 // synchronizes with any concurrent lazy build by readers: Clone is safe to
 // call while other goroutines read r.
 func (r *Relation) Clone() *Relation {
 	r.EnsureIndex()
-	nr := &Relation{name: r.name, arity: r.arity}
-	nr.tuples = make([]Tuple, len(r.tuples))
-	copy(nr.tuples, r.tuples)
-	nr.keys = make(map[string]int, len(r.keys))
-	for k, v := range r.keys {
-		nr.keys[k] = v
-	}
+	nr := &Relation{name: r.name, arity: r.arity, set: r.set.clone()}
 	index := make([]map[logic.Term][]int, r.arity)
 	for col, m := range r.index {
 		nm := make(map[logic.Term][]int, len(m))
@@ -469,7 +445,7 @@ func (r *Relation) Clone() *Relation {
 }
 
 // Clone deep-copies the instance cheaply: per-relation wholesale copies of
-// tuples, key maps and built indexes (see Relation.Clone), making snapshots
+// tuples, slot tables and built indexes (see Relation.Clone), making snapshots
 // of a chased instance a copy, not a rebuild. The copy is unfrozen, even of
 // a frozen instance. Safe while other goroutines read ins; must not race
 // with writers.

@@ -8,22 +8,23 @@ import (
 	"repro/internal/logic"
 )
 
-// Shard is the chase round's write buffer: new facts accumulate here, keyed
-// but not deduplicated, while the Instance stays frozen for the round's
-// reads. At the round barrier the shard is merged into the instance
-// (MergeShards), whose destination probe drops every fact already present —
-// earlier in the shard or in the instance — and which yields the round's
-// delta.
+// Shard is the chase round's write buffer: new facts accumulate here, not
+// deduplicated, while the Instance stays frozen for the round's reads. Each
+// fact is hashed once, as it is buffered, and carries its hash into the
+// merge. At the round barrier the shard is merged into the instance
+// (MergeShards), whose destination probe under that hash drops every fact
+// already present — earlier in the shard or in the instance — and which
+// yields the round's delta.
 type Shard struct {
 	rels map[string]*shardRel
 }
 
 // shardRel is one predicate's buffer: the tuples in insertion order, each
-// with its key, so the merge neither re-keys nor copies a fact and replays
-// the buffer in the order it was written.
+// with its hash, so the merge neither re-hashes nor copies a fact and
+// replays the buffer in the order it was written.
 type shardRel struct {
 	arity  int
-	keys   []string
+	hashes []uint32
 	tuples []Tuple
 }
 
@@ -46,7 +47,7 @@ func (s *Shard) Insert(a logic.Atom) error {
 		return fmt.Errorf("storage: predicate %s used with arity %d and %d",
 			a.Pred, r.arity, a.Arity())
 	}
-	r.keys = append(r.keys, Tuple(a.Args).Key())
+	r.hashes = append(r.hashes, tupleHash(a.Args))
 	r.tuples = append(r.tuples, a.Args)
 	return nil
 }
@@ -124,8 +125,8 @@ func dropEmpty(delta *Instance) *Instance {
 // test: a frozen relation is only privatized when the merge will genuinely
 // grow it.
 func hasNew(dst *Relation, src *shardRel) bool {
-	for _, k := range src.keys {
-		if _, ok := dst.keys[k]; !ok {
+	for i, h := range src.hashes {
+		if _, found := dst.set.find(h, src.tuples[i]); !found {
 			return true
 		}
 	}
@@ -135,8 +136,8 @@ func hasNew(dst *Relation, src *shardRel) bool {
 // mergeRelation folds one predicate's buffer into its destination relation
 // in insertion order, so a run's tuple order (and with it the next round's
 // firing order and null names) is reproducible. Each fact enters the
-// destination and the delta under the key and with the tuple the shard
-// built: no re-keying, no copy. The destination probe is the only dedup — a
+// destination and the delta under the hash and with the tuple the shard
+// built: no re-hashing, no copy. The destination probe is the only dedup — a
 // fact buffered twice is found there the second time — so the tuples
 // reaching the delta are distinct by construction. The destination relation
 // is private by the time this runs (see MergeShards), so concurrent
@@ -144,9 +145,12 @@ func hasNew(dst *Relation, src *shardRel) bool {
 func (ins *Instance) mergeRelation(pred string, src *shardRel, delta *Instance) {
 	dst := ins.rels[pred]
 	dRel := delta.rels[pred]
-	for i, k := range src.keys {
-		if t := src.tuples[i]; dst.insertKeyed(k, t) {
-			dRel.add(k, t)
+	for i, h := range src.hashes {
+		t := src.tuples[i]
+		if j, found := dst.set.find(h, t); !found {
+			dst.mustBeWritable()
+			dst.addAt(j, h, t)
+			dRel.set.addHashed(h, t) // the delta is fresh: no index to maintain
 		}
 	}
 }

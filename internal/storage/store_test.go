@@ -119,57 +119,73 @@ func conflicts(a logic.Atom) bool { return a.Arity() != modelArity[a.Pred] }
 // parent snapshot, and every re-check demands that it never changed. Every
 // older generation is an ExtendClone parent, hence frozen: each exported
 // writer must panic on it and leave it reading the same.
+//
+// The collide leg runs the same scripts with every tuple hashed to one of
+// four values whose low bits are all ones: each probe chain starts at the
+// last slots of its table and wraps, so backward-shift deletion, the slot
+// rename of Remove's swap-with-last and the copy-on-write Clone all run on
+// long colliding runs.
 func TestStoreContract(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			stop := make(chan struct{})
-			var readers sync.WaitGroup
-			defer func() {
-				close(stop)
-				readers.Wait()
-			}()
-			read := func(gen int, ins *Instance, m model) {
-				defer readers.Done()
-				//repro:allow ctxpoll test reader, bounded by the stop channel
-				for {
-					if err := check(ins, m); err != nil {
-						t.Errorf("generation %d changed under its descendants: %v", gen, err)
-						return
-					}
-					select {
-					case <-stop:
-						return
-					default:
-					}
-				}
-			}
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { storeContract(t, seed) })
+	}
+	t.Run("collide", func(t *testing.T) {
+		collideHashes(t, func(tu Tuple) uint32 { return ^uint32(0) - hashTuple(tu)%4 })
+		for seed := int64(1); seed <= 4; seed++ {
+			t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { storeContract(t, seed) })
+		}
+	})
+}
 
-			// Every predicate exists from the start, so a fact of another
-			// width always conflicts.
-			ins, m := NewInstance(), model{}
-			var gens []generation
-			for pred, arity := range modelArity {
-				if _, err := ins.ensureRelation(pred, arity); err != nil {
-					t.Fatal(err)
-				}
+// storeContract is one TestStoreContract script: 8 generations of 24 random
+// steps each, drawn from seed.
+func storeContract(t *testing.T, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	defer func() {
+		close(stop)
+		readers.Wait()
+	}()
+	read := func(gen int, ins *Instance, m model) {
+		defer readers.Done()
+		//repro:allow ctxpoll test reader, bounded by the stop channel
+		for {
+			if err := check(ins, m); err != nil {
+				t.Errorf("generation %d changed under its descendants: %v", gen, err)
+				return
 			}
-			for gen := 0; gen < 8; gen++ {
-				for op := 0; op < 24; op++ {
-					step(t, rng, ins, m)
-				}
-				if err := check(ins, m); err != nil {
-					t.Fatalf("generation %d: %v", gen, err)
-				}
-				readers.Add(1)
-				go read(gen, ins, m)
-				gens = append(gens, generation{ins, m})
-				ins, m = ins.ExtendClone(), m.clone()
-				for old, g := range gens {
-					refuseWrites(t, old, g.ins, g.m)
-				}
+			select {
+			case <-stop:
+				return
+			default:
 			}
-		})
+		}
+	}
+
+	// Every predicate exists from the start, so a fact of another
+	// width always conflicts.
+	ins, m := NewInstance(), model{}
+	var gens []generation
+	for pred, arity := range modelArity {
+		if _, err := ins.ensureRelation(pred, arity); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for gen := 0; gen < 8; gen++ {
+		for op := 0; op < 24; op++ {
+			step(t, rng, ins, m)
+		}
+		if err := check(ins, m); err != nil {
+			t.Fatalf("generation %d: %v", gen, err)
+		}
+		readers.Add(1)
+		go read(gen, ins, m)
+		gens = append(gens, generation{ins, m})
+		ins, m = ins.ExtendClone(), m.clone()
+		for old, g := range gens {
+			refuseWrites(t, old, g.ins, g.m)
+		}
 	}
 }
 

@@ -268,7 +268,9 @@ func (s *snapshot) plansFor(u *query.UCQ, onMat bool) []*eval.Plan {
 // immutable once published; state is only ever touched by writers serialized
 // under Ontology.wmu.
 type materialization struct {
-	// store is the expansion.
+	// store is the expansion. It is a copy-on-write fork of the base: every
+	// base relation the chase never derived into is the base's own
+	// *storage.Relation, shared until a mutation writes it.
 	store *storage.Instance
 	state *chase.State
 	// terminated mirrors the last increment's fixpoint flag; a truncated

@@ -209,8 +209,12 @@ func (o *Ontology) chaseForAnswer(ctx context.Context, s *snapshot, q *query.CQ,
 
 // buildMat chases the current base under wmu — single-flight, serialized
 // with writers, so nothing can be published underneath it — and publishes the
-// result as the next snapshot's materialization. A canceled build publishes
-// nothing: the half-chased copy and its engine state are simply discarded.
+// result as the next snapshot's materialization. The chase runs over a
+// copy-on-write fork of the (frozen) base, not a copy: the merge privatizes a
+// base relation only when the chase derives a new fact into it, so every
+// other base relation is stored once and shared by the base and the
+// materialization. A canceled build publishes nothing: the half-chased fork
+// and its engine state are simply discarded.
 func (o *Ontology) buildMat(ctx context.Context, copts chase.Options) (*snapshot, error) {
 	o.wmu.Lock()
 	defer o.wmu.Unlock()
@@ -218,7 +222,7 @@ func (o *Ontology) buildMat(ctx context.Context, copts chase.Options) (*snapshot
 	if s.mat.usable(copts) {
 		return s, nil // built while we queued
 	}
-	store := s.base.Clone()
+	store := s.base.ExtendClone()
 	st := chase.NewState(copts)
 	res := st.ResumeCtx(ctx, s.rules, store, store)
 	if res.Err != nil {
