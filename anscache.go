@@ -125,7 +125,7 @@ func (o *Ontology) openAnswer(ctx context.Context, querySrc string, opts Options
 	if err != nil {
 		return answerStream{}, err
 	}
-	s := answerStream{s: eval.NewStream(snap.plansFor(u, onMat), u.Arity(), snap.store(onMat), evalOptions(opts))}
+	s := answerStream{s: eval.NewStream(snap.plansFor(u), u.Arity(), snap.store(onMat), evalOptions(opts))}
 	if key != "" && opts.Limit == 0 {
 		s.fill = func(ans *Answers) { o.storeView(snap, key, ans) }
 	}

@@ -55,13 +55,15 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	set, data := ont.Rules(), ont.Data().Clone()
+	// Two copy-on-write forks of the frozen base: data takes the -add and
+	// -delete edits, ins is chased.
+	set, data := ont.Rules(), ont.Data().ExtendClone()
 	opts := chase.Options{MaxSteps: shared.MaxSteps, MaxRounds: shared.MaxRounds}
 	ctx, cancel := shared.Context()
 	defer cancel()
 
 	st := chase.NewState(opts)
-	ins := data.Clone()
+	ins := ont.Data().ExtendClone()
 	res := st.ResumeCtx(ctx, set, ins, ins)
 	checkCtx(res, ins)
 	report("initial", res, ins)
@@ -150,7 +152,7 @@ func main() {
 			fatal(err)
 		}
 		// Gate on the engine state, not just the latest result: an earlier
-		// truncated increment poisons st even after a re-chase refreshed res.
+		// truncated increment poisons st even after a re-chase replaced res.
 		if *incremental && res.Terminated && !st.Truncated() {
 			// Resume with the whole instance as delta against the new rule only.
 			res = st.ExtendRulesCtx(ctx, next, ins, set.Len())

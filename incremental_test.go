@@ -487,3 +487,43 @@ func TestColdBuildSharesBase(t *testing.T) {
 		t.Error("a mutation changed the earlier snapshot's materialization")
 	}
 }
+
+// TestChaseCtxForksBase: ChaseCtx chases a copy-on-write fork of the frozen
+// published base, not a deep copy. Every base relation the chase did not
+// grow is the base's own, and writing to the returned instance leaves Data()
+// as it was.
+func TestChaseCtxForksBase(t *testing.T) {
+	ont := New(datagen.University(), datagen.UniversityData(20, 1))
+	data := ont.Data()
+	before := data.Atoms()
+	res := ont.ChaseCtx(bg, Options{})
+	if !res.Terminated {
+		t.Fatal("chase must terminate")
+	}
+	shared := 0
+	for _, pred := range data.Predicates() {
+		base, out := data.Relation(pred), res.Instance.Relation(pred)
+		if out.Len() > base.Len() {
+			continue // the chase derived into it: the fork owns a copy
+		}
+		if base != out {
+			t.Errorf("%s: the chase derived nothing into it, but the result holds a copy", pred)
+		}
+		shared++
+	}
+	if shared == 0 {
+		t.Fatal("no base relation is shared; the test checks nothing")
+	}
+	for _, pred := range data.Predicates() {
+		for _, tu := range res.Instance.Relation(pred).Tuples() {
+			res.Instance.Remove(logic.Atom{Pred: pred, Args: tu})
+			break
+		}
+	}
+	if err := res.Instance.InsertAtom(logic.NewAtom("graduateStudent", logic.NewConst("newcomer"))); err != nil {
+		t.Fatal(err)
+	}
+	if ont.Data() != data || !slices.EqualFunc(data.Atoms(), before, logic.Atom.Equal) {
+		t.Error("writing to ChaseCtx's result changed the published base")
+	}
+}

@@ -15,7 +15,7 @@
 // round barrier. A run is reproducible: the same input and options give the
 // same instance, down to tuple order and null names.
 //
-// The fixpoint is resumable: Run is a thin wrapper that copies the data,
+// The fixpoint is resumable: Run is a thin wrapper that forks the data,
 // creates a State (NewState) and calls State.Resume with the whole input as
 // the starting delta. Incremental maintenance calls Resume again with only
 // the newly inserted facts as the delta, against the already-chased instance
@@ -25,6 +25,7 @@ package chase
 
 import (
 	"context"
+	"slices"
 
 	"repro/internal/dependency"
 	"repro/internal/eval"
@@ -156,8 +157,8 @@ type atomTmpl struct {
 // Distinguished order, which is also the seed order of the head plan), the
 // number of existential head variables (nulls are invented in
 // ExistentialHead order), and the source of every head argument.
-// Templates are compiled once per rule per Resume (and per DRed call), so
-// the firing path never recomputes the rule's variable sets.
+// Templates are compiled with the rule's plans (planSet), so the firing
+// path never recomputes the rule's variable sets.
 type template struct {
 	vars      []logic.Term
 	dist      []int
@@ -207,95 +208,42 @@ func compileTemplates(rules *dependency.Set) []*template {
 	return out
 }
 
-// planSet holds the plans compiled once per Resume call and reused across
-// every round and every delta fact: per (rule, body atom) a delta plan that
-// pins that atom to a delta tuple and joins the rest, per rule a
+// planSet holds the plans of one rule set, reused across every Resume, every
+// round and every delta fact: per (rule, body atom) a delta plan that pins
+// that atom to a delta tuple and joins the rest, per rule a
 // head-satisfaction plan seeded by the distinguished variables, and per rule
-// the firing template. Statistics are frozen at compile time — a relation
-// that merely grows keeps the order (only speed is affected, never the
-// computed fixpoint) — except that a relation transitioning empty→non-empty
-// between rounds re-costs the rules reading it (refresh): an order costed
-// against an empty relation is arbitrary, and later-round relations
-// routinely start empty.
+// the firing template. A plan depends on the rule alone, so the set is
+// compiled when the State first chases these rules and kept until it chases
+// others (State.plansFor).
 type planSet struct {
-	delta [][]*eval.Plan // [rule][bodyAtom]
-	slots [][][]int      // [rule][bodyAtom] → register slot of each row position
-	head  []*eval.Plan   // [rule]
-	tmpl  []*template    // [rule]
-	// emptyReads[rule] lists the distinct relations the rule's plans read
-	// (body and head) that were empty at compile time — the watch list for
-	// refresh. Emptied lazily as transitions are consumed.
-	emptyReads [][]string
+	rules []*dependency.TGD // the rules compiled, in order
+	delta [][]*eval.Plan    // [rule][bodyAtom]
+	slots [][][]int         // [rule][bodyAtom] → register slot of each row position
+	head  []*eval.Plan      // [rule]
+	tmpl  []*template       // [rule]
 }
 
-// newPlanSet compiles the rule set against the instance.
-func newPlanSet(rules *dependency.Set, ins *storage.Instance) *planSet {
+// newPlanSet compiles the rule set.
+func newPlanSet(rules *dependency.Set) *planSet {
 	n := len(rules.Rules)
 	ps := &planSet{
-		delta:      make([][]*eval.Plan, n),
-		slots:      make([][][]int, n),
-		head:       make([]*eval.Plan, n),
-		tmpl:       compileTemplates(rules),
-		emptyReads: make([][]string, n),
+		rules: slices.Clone(rules.Rules),
+		delta: make([][]*eval.Plan, n),
+		slots: make([][][]int, n),
+		head:  make([]*eval.Plan, n),
+		tmpl:  compileTemplates(rules),
 	}
 	for ri, rule := range rules.Rules {
-		ps.compileRule(ri, rule, ins)
+		ps.delta[ri] = make([]*eval.Plan, len(rule.Body))
+		ps.slots[ri] = make([][]int, len(rule.Body))
+		for bi := range rule.Body {
+			p := eval.CompileDelta(rule.Body, bi)
+			ps.delta[ri][bi] = p
+			ps.slots[ri][bi] = p.Slots(ps.tmpl[ri].vars)
+		}
+		ps.head[ri] = eval.CompileBody(rule.Head, rule.Distinguished())
 	}
 	return ps
-}
-
-// compileRule (re)compiles one rule's delta and head plans against the
-// instance and records which of the relations it reads are still empty.
-func (ps *planSet) compileRule(ri int, rule *dependency.TGD, ins *storage.Instance) {
-	ps.delta[ri] = make([]*eval.Plan, len(rule.Body))
-	ps.slots[ri] = make([][]int, len(rule.Body))
-	for bi := range rule.Body {
-		p := eval.CompileDelta(rule.Body, bi, ins, eval.PlannerDefault, eval.JoinDefault)
-		ps.delta[ri][bi] = p
-		ps.slots[ri][bi] = p.Slots(ps.tmpl[ri].vars)
-	}
-	ps.head[ri] = eval.CompileBody(rule.Head, ins, rule.Distinguished(), eval.PlannerDefault, eval.JoinDefault)
-
-	var empty []string
-	seen := make(map[string]bool)
-	for _, a := range append(append([]logic.Atom{}, rule.Body...), rule.Head...) {
-		if seen[a.Pred] {
-			continue
-		}
-		seen[a.Pred] = true
-		if !populated(ins, a.Pred) {
-			empty = append(empty, a.Pred)
-		}
-	}
-	ps.emptyReads[ri] = empty
-}
-
-// populated reports whether the instance holds a tuple of pred.
-func populated(ins *storage.Instance, pred string) bool {
-	rel := ins.Relation(pred)
-	return rel != nil && rel.Len() > 0
-}
-
-// refresh re-costs the plans of every rule for which a watched relation
-// transitioned empty→non-empty since compilation, returning how many rules
-// were re-planned. Runs at the round barrier, where no plan runners are in
-// flight; the recompiled plans pick up both fresh statistics and genuine
-// access paths for the newly populated relation.
-func (ps *planSet) refresh(rules *dependency.Set, ins *storage.Instance) int {
-	n := 0
-	for ri, watch := range ps.emptyReads {
-		if len(watch) == 0 {
-			continue
-		}
-		for _, pred := range watch {
-			if populated(ins, pred) {
-				ps.compileRule(ri, rules.Rules[ri], ins)
-				n++
-				break
-			}
-		}
-	}
-	return n
 }
 
 // headSatisfied is the restricted-chase applicability test on the compiled
@@ -331,8 +279,17 @@ func Run(rules *dependency.Set, data *storage.Instance, opts Options) *Result {
 // every round barrier and polls it during trigger collection and firing, so
 // a canceled or deadline-expired chase aborts promptly with Result.Err set
 // instead of running to its budget.
+//
+// A frozen input is forked copy-on-write (ExtendClone): the relations the
+// chase never derives into stay shared with it. An unfrozen one is copied
+// (Clone), so the caller may keep writing it.
 func RunCtx(ctx context.Context, rules *dependency.Set, data *storage.Instance, opts Options) *Result {
-	ins := data.Clone()
+	var ins *storage.Instance
+	if data.Frozen() {
+		ins = data.ExtendClone()
+	} else {
+		ins = data.Clone()
+	}
 	// Round zero's delta is the whole input: every initial fact is "new".
 	// Aliasing the instance is safe — rounds only read the delta, writes are
 	// buffered in a shard until the barrier.

@@ -243,14 +243,11 @@ func TestGoldenChaseCounters(t *testing.T) {
 		{"sticky", 1, true, 7, 2, 14},
 		{"sticky", 2, true, 8, 2, 10},
 		{"sticky", 3, true, 2, 2, 3},
-		{"chain", 1, false, 20000, 24, 24568},
-		{"chain", 2, false, 1690, 30, 1176},
-		{"chain", 3, true, 6, 3, 1},
 		{"university", 1, true, 244, 3, 4},
 	}
 	families := map[string]datagen.Family{
 		"linear": datagen.FamilyLinear, "multilinear": datagen.FamilyMultilinear,
-		"sticky": datagen.FamilySticky, "chain": datagen.FamilyChain,
+		"sticky": datagen.FamilySticky,
 	}
 	for _, g := range golden {
 		opts := Options{}

@@ -184,18 +184,17 @@ func (st *State) repairable() error {
 }
 
 // repair finishes a deletion from seed, the facts chosen for removal and
-// still in ins: over-delete their closure, then rederive survivors, with one
-// plan set compiled for both sweeps. Null-table entries still aside at the
-// end belong to triggers that did not fire again; they are dropped. A ctx
-// abort between the sweeps leaves the repair half-applied and says so in
-// res.Result.
+// still in ins: over-delete their closure, then rederive survivors, both
+// sweeps on the plans of rules (State.plansFor). Null-table entries still
+// aside at the end belong to triggers that did not fire again; they are
+// dropped. A ctx abort between the sweeps leaves the repair half-applied
+// and says so in res.Result.
 func (st *State) repair(ctx context.Context, rules *dependency.Set, ins, base, seed *storage.Instance, res *DeleteResult) {
 	defer clear(st.aside)
 	if seed.Size() == 0 {
 		return
 	}
-	ins.EnsureIndexes()
-	plans := newPlanSet(rules, ins)
+	plans := st.plansFor(rules)
 	gone := st.overDelete(ctx, rules, ins, base, plans, seed)
 	res.OverDeleted = gone.Size() - res.Requested
 	if err := ctx.Err(); err != nil {
@@ -218,7 +217,6 @@ func (st *State) overDelete(ctx context.Context, rules *dependency.Set, ins, bas
 	gone := storage.NewInstance()
 	var heads []logic.Atom
 	for delta.Size() > 0 {
-		ins.EnsureIndexes()
 		triggers := collectTriggers(ctx, rules, ins, delta, plans, 0)
 		if ctx.Err() != nil {
 			return gone // canceled: half-swept, caller surfaces the abort
@@ -332,7 +330,7 @@ func (st *State) rederive(ctx context.Context, rules *dependency.Set, ins *stora
 		rres = &Result{}
 		st.truncated = true
 	} else if restored > 0 {
-		rres = st.resume(ctx, rules, ins, delta, plans, 0, steps)
+		rres = st.resume(ctx, rules, ins, delta, 0, steps)
 	}
 	rres.Steps += steps
 	rres.NullsCreated += nulls

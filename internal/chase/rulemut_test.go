@@ -269,11 +269,9 @@ func TestDeleteRuleRequiresProvenance(t *testing.T) {
 }
 
 // TestReplanOnEmptyToNonEmptyRelation: a rule reading a relation that is
-// empty when Resume compiles its plans — populated only by another rule in a
-// later round — must be re-costed at the round barrier instead of keeping an
-// order chosen against an empty relation. The fixpoint is unchanged either
-// way (the replan is a cost matter); the counter proves the transition was
-// consumed.
+// empty when the chase starts — populated only by another rule in a later
+// round — joins it once it is populated. Its plan, compiled from the
+// pattern alone, is the same before and after; only Bind sees the change.
 func TestReplanOnEmptyToNonEmptyRelation(t *testing.T) {
 	rules := parser.MustParseRules(`
 a(X, Y) -> b(X, Y) .
@@ -295,11 +293,6 @@ b(X, Y), c(Y) -> d(X) .
 	res := st.Resume(rules, work, work)
 	if !res.Terminated {
 		t.Fatal("chase must terminate")
-	}
-	// b was empty at compile time and non-empty at the first barrier: the
-	// second rule (reading b) must have been re-costed at least once.
-	if st.TotalReplans() == 0 {
-		t.Error("no replan recorded for the empty→non-empty transition of b")
 	}
 	if n := work.Relation("d").Len(); n != 20 {
 		t.Errorf("d facts = %d, want 20", n)

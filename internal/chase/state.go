@@ -2,6 +2,7 @@ package chase
 
 import (
 	"context"
+	"slices"
 
 	"repro/internal/dependency"
 	"repro/internal/eval"
@@ -10,12 +11,12 @@ import (
 )
 
 // State is the resumable engine state of an ongoing chase: the labelled-null
-// generator, the null table, the rule set last chased and the cumulative
-// counters. A State is created once per materialization (NewState) and
-// threaded through successive Resume calls so that later increments invent
-// nulls disjoint from earlier ones. A State must not be
-// used by concurrent Resume calls; callers serialize maintenance (Ontology
-// does so under its write lock).
+// generator, the null table, the rule set last chased, the plans of the
+// rules it chases and the cumulative counters. A State is created once per
+// materialization (NewState) and threaded through successive Resume calls
+// so that later increments invent nulls disjoint from earlier ones. A State
+// must not be used by concurrent Resume calls; callers serialize
+// maintenance (Ontology does so under its write lock).
 type State struct {
 	opts Options
 	gen  *logic.VarGen
@@ -28,11 +29,12 @@ type State struct {
 	// rules is the set last chased, whose rule at DeleteRuleCtx's index is
 	// the one removed.
 	rules *dependency.Set
+	// plans are the compiled plans of the rules last chased or repaired.
+	plans *planSet
 
 	steps     int
 	rounds    int
 	nulls     int
-	replans   int
 	truncated bool
 }
 
@@ -72,11 +74,6 @@ func (st *State) TotalRounds() int { return st.rounds }
 // TotalNulls returns the labelled nulls invented across all Resume calls.
 func (st *State) TotalNulls() int { return st.nulls }
 
-// TotalReplans returns how many times a rule's compiled plans were re-costed
-// mid-fixpoint because a relation they read transitioned empty→non-empty
-// (see planSet.refresh).
-func (st *State) TotalReplans() int { return st.replans }
-
 // Truncated reports whether any Resume call hit its budget; when true the
 // instance is a sound but incomplete approximation and incremental
 // maintenance on top of it is unsound — rebuild from scratch instead.
@@ -114,7 +111,16 @@ func (st *State) ExtendCtx(ctx context.Context, rules *dependency.Set, ins *stor
 	if delta.Size() == 0 {
 		return &Result{Terminated: true}, nil
 	}
-	return st.resume(ctx, rules, ins, delta, nil, 0, 0), nil
+	return st.resume(ctx, rules, ins, delta, 0, 0), nil
+}
+
+// plansFor returns the compiled plans of rules, compiling them only when
+// they are not the rules the state last compiled.
+func (st *State) plansFor(rules *dependency.Set) *planSet {
+	if st.plans == nil || !slices.Equal(st.plans.rules, rules.Rules) {
+		st.plans = newPlanSet(rules)
+	}
+	return st.plans
 }
 
 // instantiateHead grounds the rule head for a firing of row: row slots for
@@ -194,7 +200,7 @@ func (st *State) Resume(rules *dependency.Set, ins, delta *storage.Instance) *Re
 // truncated — discard both and rebuild (Ontology.mutate drops its forks and
 // the materialization, so readers keep the pre-mutation base).
 func (st *State) ResumeCtx(ctx context.Context, rules *dependency.Set, ins, delta *storage.Instance) *Result {
-	return st.resume(ctx, rules, ins, delta, nil, 0, 0)
+	return st.resume(ctx, rules, ins, delta, 0, 0)
 }
 
 // ExtendRulesCtx resumes the chase after rules were appended to the set (the
@@ -210,7 +216,7 @@ func (st *State) ExtendRulesCtx(ctx context.Context, rules *dependency.Set, ins 
 	if firstNew >= rules.Len() {
 		return &Result{Terminated: true} // no new rules
 	}
-	return st.resume(ctx, rules, ins, ins, nil, firstNew, 0)
+	return st.resume(ctx, rules, ins, ins, firstNew, 0)
 }
 
 // resume is the one fixpoint driver. Each round: collect the triggers the
@@ -222,9 +228,8 @@ func (st *State) ExtendRulesCtx(ctx context.Context, rules *dependency.Set, ins 
 // sound — anything the filtered round derives is re-examined by every rule.
 // spent is the number of firings the increment has already made before the
 // fixpoint (DRed's direct rederiving sweep): they count against MaxSteps,
-// and res.Steps does not include them. plans are the repair's compiled
-// plans, or nil to compile them here.
-func (st *State) resume(ctx context.Context, rules *dependency.Set, ins, delta *storage.Instance, plans *planSet, onlyFrom, spent int) *Result {
+// and res.Steps does not include them.
+func (st *State) resume(ctx context.Context, rules *dependency.Set, ins, delta *storage.Instance, onlyFrom, spent int) *Result {
 	opts := st.opts
 	budget := opts.MaxSteps - spent
 	res := &Result{}
@@ -239,18 +244,7 @@ func (st *State) resume(ctx context.Context, rules *dependency.Set, ins, delta *
 		}
 	}()
 
-	// Compile every rule body and head once for this Resume call; the plans
-	// (atom order, access paths, register micro-programs) are reused across
-	// all rounds and all delta facts. Column statistics are read from the
-	// instance as of now — relations that grow later keep the order (only
-	// speed is affected), except that a relation transitioning empty→
-	// non-empty re-costs the rules reading it at the round barrier
-	// (planSet.refresh): an order chosen when the relation was empty is
-	// arbitrary, not merely stale.
-	ins.EnsureIndexes()
-	if plans == nil {
-		plans = newPlanSet(rules, ins)
-	}
+	plans := st.plansFor(rules)
 	// Head-plan runners, lazily created per rule: repeated applicability
 	// checks reuse the register file, allocation-free. No head atom outlives
 	// its firing (the shard keeps only their arguments), so one atom buffer
@@ -267,10 +261,8 @@ func (st *State) resume(ctx context.Context, rules *dependency.Set, ins, delta *
 		}
 		res.Rounds++
 
-		// Freeze the instance for this round: indexes pre-built, all reads
-		// below see the previous rounds only, all writes buffered in a shard.
-		ins.EnsureIndexes()
-
+		// All reads below see the previous rounds only; all writes are
+		// buffered in a shard. An index is built by its first Lookup.
 		triggers := collectTriggers(ctx, rules, ins, delta, plans, onlyFrom)
 		if err := ctx.Err(); err != nil {
 			res.Err = err // collection aborted; its partial output is unusable
@@ -330,9 +322,6 @@ func (st *State) resume(ctx context.Context, rules *dependency.Set, ins, delta *
 			res.Terminated = true
 			return res
 		}
-		// Round barrier: re-cost any rule whose plans were compiled while a
-		// relation they read was still empty and has since been populated.
-		st.replans += plans.refresh(rules, ins)
 	}
 	return res
 }

@@ -31,8 +31,10 @@ const (
 	// repeats (generated conservatively: body atoms share only variables
 	// that appear in the head).
 	FamilySticky
-	// FamilyChain: a(X) -> b(X) -> c(X) ... hierarchies with occasional
-	// existential extensions.
+	// FamilyChain generates exactly FamilyLinear's sets (the generator
+	// shares one branch; TestFamilyChainIsLinear pins it), so a test loop
+	// running both reruns identical inputs. It stays because the
+	// onboard_rewrite benchmark workload (benchmark/w_onboard.go) names it.
 	FamilyChain
 )
 

@@ -198,3 +198,18 @@ func TestFamilyString(t *testing.T) {
 		}
 	}
 }
+
+// TestFamilyChainIsLinear: FamilyChain's rule sets, and so the instances
+// generated from them, are FamilyLinear's, over every seed and Rules size
+// the family test loops use.
+func TestFamilyChainIsLinear(t *testing.T) {
+	for _, n := range []int{3, 4, 5, 6, 8} {
+		for seed := int64(0); seed < 12; seed++ {
+			chain := Rules(Config{Family: FamilyChain, Rules: n, Seed: seed})
+			linear := Rules(Config{Family: FamilyLinear, Rules: n, Seed: seed})
+			if chain.String() != linear.String() {
+				t.Errorf("Rules=%d seed=%d: chain\n%s\nlinear\n%s", n, seed, chain, linear)
+			}
+		}
+	}
+}

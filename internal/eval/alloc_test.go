@@ -27,7 +27,7 @@ func TestSeededJoinStepAllocationFree(t *testing.T) {
 		at("b", v("Y"), v("Z")),
 		at("g", v("Z")),
 	}
-	plan := CompileDelta(body, 0, ins, PlannerDefault, JoinDefault)
+	plan := CompileDelta(body, 0)
 	r := plan.NewRunner()
 	if !r.Bind(ins) {
 		t.Fatal("Bind failed")
@@ -54,7 +54,7 @@ func TestSeededJoinStepAllocationFree(t *testing.T) {
 	}
 
 	// The Subst-seeded path (head-satisfaction checks) is equally clean.
-	headPlan := CompileBody([]logic.Atom{at("b", v("Y"), v("Z"))}, ins, []logic.Term{v("Y")}, PlannerDefault, JoinDefault)
+	headPlan := CompileBody([]logic.Atom{at("b", v("Y"), v("Z"))}, []logic.Term{v("Y")})
 	hr := headPlan.NewRunner()
 	if !hr.Bind(ins) {
 		t.Fatal("Bind failed")

@@ -3,10 +3,9 @@
 // first-order rewriting reduces ontological query answering to.
 //
 // Evaluation is split into a planner and an executor. The planner (plan.go)
-// compiles a query once per (query, instance): variables are numbered into
-// integer register slots, atoms are ordered by a statistics-driven cost
-// model over the per-column distinct counts storage maintains, and every
-// atom gets a fixed access path plus a check/bind micro-program. The
+// compiles a query once per pattern: variables are numbered into integer
+// register slots, atoms are ordered by their known argument positions, and
+// every atom gets a fixed access path plus a check/bind micro-program. The
 // executor (exec.go) runs the plan over a flat register array — no
 // substitution maps, no term walking, no per-binding allocation. CQ, UCQ,
 // Matches and MatchesSeeded all share the same compiled pipeline; callers
@@ -145,7 +144,7 @@ func (a *Answers) String() string {
 // CQ evaluates a conjunctive query over the instance, compiling a plan per
 // call.
 func CQ(q *query.CQ, ins *storage.Instance, opts Options) *Answers {
-	return RunPlans([]*Plan{CompileCQ(q, ins, PlannerDefault, JoinDefault)}, q.Arity(), ins, opts)
+	return RunPlans([]*Plan{CompileCQ(q)}, q.Arity(), ins, opts)
 }
 
 // UCQ evaluates a union of conjunctive queries, unioning the answers.
@@ -212,7 +211,7 @@ func MatchesSeeded(body []logic.Atom, ins *storage.Instance, seed logic.Subst, y
 		seedVars = append(seedVars, v)
 	}
 	sort.Slice(seedVars, func(i, j int) bool { return seedVars[i].Name < seedVars[j].Name })
-	plan := CompileBody(body, ins, seedVars, PlannerDefault, JoinDefault)
+	plan := CompileBody(body, seedVars)
 	r := plan.NewRunner()
 	if !r.Bind(ins) {
 		return

@@ -102,19 +102,20 @@ func (r *Runner) canceled() bool {
 }
 
 // Bind resolves the plan's relations against the instance, reporting
-// whether every atom has a matching relation (false means no binding can
-// ever match, and Run must not be called). Resolution is by name on every
-// Bind, so plans survive copy-on-write relation swaps and relations created
-// after compilation; within one enumeration the instance must be frozen, as
-// for all concurrent reads. The instance is only consulted here: enumeration
-// reads the resolved relations directly.
+// whether every atom has a non-empty relation of its arity (false means no
+// binding can ever match, and Run must not be called): an empty relation
+// prunes the whole enumeration wherever the plan put it. Resolution is by
+// name on every Bind, so plans survive copy-on-write relation swaps and
+// relations created after compilation; within one enumeration the instance
+// must be frozen, as for all concurrent reads. The instance is only
+// consulted here: enumeration reads the resolved relations directly.
 //
 //repro:hotpath
 func (r *Runner) Bind(ins *storage.Instance) bool {
 	for i := range r.plan.atoms {
 		a := &r.plan.atoms[i]
 		rel := ins.Relation(a.pred)
-		if rel == nil || rel.Arity() != a.arity {
+		if rel == nil || rel.Arity() != a.arity || rel.Len() == 0 {
 			return false
 		}
 		r.rels[i] = rel

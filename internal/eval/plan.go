@@ -1,36 +1,32 @@
 // The planner half of the evaluation engine: a conjunctive query (or rule
-// body) is compiled once per (query, instance) into a Plan — variables
-// numbered into integer register slots, atoms ordered by the cost model
-// (orderCost), and for every atom its one access path — a probe of the
-// per-column index of the known column with the most distinct values, or a
-// scan when no column is known — plus a check/bind micro-program resolved
-// entirely at plan time. The executor (exec.go) then runs the plan over a
-// flat register array with no substitution maps, no term walking and no
-// per-binding allocation.
+// body) is compiled once per pattern into a Plan — variables numbered into
+// integer register slots, atoms ordered by what the pattern itself says
+// (orderPattern), and for every atom its one access path — a probe of the
+// per-column index of its first known column, or a scan when no column is
+// known — plus a check/bind micro-program resolved entirely at plan time.
+// No store is read: a plan is a pure function of the body and its seed
+// variables, so one plan serves the base data and the chase alike. The
+// executor (exec.go) then runs the plan over a flat register array with no
+// substitution maps, no term walking and no per-binding allocation.
 package eval
 
 import (
-	"math"
-
 	"repro/internal/logic"
 	"repro/internal/query"
 	"repro/internal/storage"
 )
 
-// Planner is the atom-ordering parameter of the Compile* functions. One
-// order exists — orderCost, the statistics-driven cost order — so the type
-// has one value. It survives only because benchmark/ calls
-// CompileUCQ(u, ins, PlannerDefault, JoinDefault); the type and the
-// parameter can go once that call does.
+// Planner is a parameter kept only because benchmark/ calls
+// CompileUCQ(u, ins, PlannerDefault, JoinDefault). One atom order exists,
+// the pattern order, so the type has one value and no Compile* function
+// reads it.
 type Planner int
 
-// PlannerDefault is the cost order.
+// PlannerDefault is the pattern order.
 const PlannerDefault Planner = 0
 
-// JoinStrategy is the join parameter of the Compile* functions. Every atom
-// has one access path (see the package comment), so the type has one value.
-// Like Planner it survives only because benchmark/ calls
-// CompileUCQ(u, ins, PlannerDefault, JoinDefault).
+// JoinStrategy is, like Planner, kept only for CompileUCQ's signature: every
+// atom has one access path (see the package comment).
 type JoinStrategy int
 
 // JoinDefault is the single-column index probe.
@@ -130,25 +126,27 @@ func (p *Plan) Slots(vars []logic.Term) []int {
 }
 
 // CompileCQ compiles a conjunctive query into a plan with head projection.
-func CompileCQ(q *query.CQ, ins *storage.Instance, _ Planner, _ JoinStrategy) *Plan {
-	return compile(&q.Head, q.Body, -1, nil, ins)
+func CompileCQ(q *query.CQ) *Plan {
+	return compile(&q.Head, q.Body, -1, nil)
 }
 
-// CompileUCQ compiles every member CQ of a union.
-func CompileUCQ(u *query.UCQ, ins *storage.Instance, _ Planner, _ JoinStrategy) []*Plan {
+// CompileUCQ compiles every member CQ of a union. The instance and the two
+// one-value parameters are ignored: a plan depends on the pattern alone.
+// They stay because benchmark/ calls CompileUCQ with them.
+func CompileUCQ(u *query.UCQ, _ *storage.Instance, _ Planner, _ JoinStrategy) []*Plan {
 	plans := make([]*Plan, len(u.CQs))
 	for i, q := range u.CQs {
-		plans[i] = CompileCQ(q, ins, PlannerDefault, JoinDefault)
+		plans[i] = CompileCQ(q)
 	}
 	return plans
 }
 
 // CompileBody compiles a rule body (no head projection) with seedVars
 // pre-bound: they occupy the first registers, filled by Runner.SeedSubst
-// before enumeration, and steer the atom order toward atoms they make
-// selective. Every seed variable must be mapped to a rigid term at run time.
-func CompileBody(body []logic.Atom, ins *storage.Instance, seedVars []logic.Term, _ Planner, _ JoinStrategy) *Plan {
-	return compile(nil, body, -1, seedVars, ins)
+// before enumeration, and count as known positions when the atoms are
+// ordered. Every seed variable must be mapped to a rigid term at run time.
+func CompileBody(body []logic.Atom, seedVars []logic.Term) *Plan {
+	return compile(nil, body, -1, seedVars)
 }
 
 // CompileDelta compiles a rule body with atom di pinned to a seed tuple: the
@@ -157,14 +155,14 @@ func CompileBody(body []logic.Atom, ins *storage.Instance, seedVars []logic.Term
 // and constants — then joins the remaining atoms. The semi-naive chase
 // compiles one delta plan per (rule, body atom) and reuses it for every
 // delta fact of every round.
-func CompileDelta(body []logic.Atom, di int, ins *storage.Instance, _ Planner, _ JoinStrategy) *Plan {
-	return compile(nil, body, di, nil, ins)
+func CompileDelta(body []logic.Atom, di int) *Plan {
+	return compile(nil, body, di, nil)
 }
 
 // compile is the shared planner: number variables into slots, order the
-// atoms, fix each atom's access path, and emit the micro-programs. The
-// instance supplies the statistics; Runner.Bind resolves the relations.
-func compile(head *logic.Atom, body []logic.Atom, seedAtom int, seedVars []logic.Term, ins *storage.Instance) *Plan {
+// atoms, fix each atom's access path, and emit the micro-programs. It reads
+// no store; Runner.Bind resolves the relations.
+func compile(head *logic.Atom, body []logic.Atom, seedAtom int, seedVars []logic.Term) *Plan {
 	p := &Plan{varSlot: make(map[logic.Term]int)}
 	slotOf := func(v logic.Term) int {
 		if s, ok := p.varSlot[v]; ok {
@@ -209,26 +207,16 @@ func compile(head *logic.Atom, body []logic.Atom, seedAtom int, seedVars []logic
 	}
 
 	// Fix access paths and emit micro-programs, threading the bound set.
-	for _, a := range orderCost(rest, ins, bound) {
+	for _, a := range orderPattern(rest, bound) {
 		step := atomStep{pred: a.Pred, arity: a.Arity(), idxCol: -1, keySlot: -1}
-		rel := ins.Relation(a.Pred)
-		statsOK := rel != nil && rel.Arity() == a.Arity()
 
-		// Access path: among columns whose value is known before this atom
-		// runs (a constant/null argument, or a variable bound earlier), probe
-		// the one with the most distinct values — the shortest expected
-		// posting list. Unknown stats fall back to the first such column.
-		bestDistinct := -1
+		// Access path: probe the first column whose value is known before
+		// this atom runs — a constant or null argument, or a variable bound
+		// earlier.
 		for j, t := range a.Args {
-			if t.IsVar() && !bound[t] {
-				continue
-			}
-			d := 0
-			if statsOK {
-				d = rel.Distinct(j)
-			}
-			if d > bestDistinct {
-				step.idxCol, bestDistinct = j, d
+			if !t.IsVar() || bound[t] {
+				step.idxCol = j
+				break
 			}
 		}
 		if step.idxCol >= 0 {
@@ -279,39 +267,30 @@ func compile(head *logic.Atom, body []logic.Atom, seedAtom int, seedVars []logic
 	return p
 }
 
-// orderCost greedily picks, at each step, the atom with the smallest
-// estimated candidate count given the variables bound so far: the relation
-// size divided by the largest distinct count among its known columns —
-// exactly the posting-list length compile's access path then expects, or
-// the whole relation when no column is known. Bound variables from earlier
-// picks make joins selective, so the order chains through shared variables
-// whenever the statistics reward it.
-func orderCost(body []logic.Atom, ins *storage.Instance, bound map[logic.Term]bool) []logic.Atom {
+// orderPattern greedily picks, at each step, the first remaining atom with
+// the most known argument positions — constants, nulls and variables bound
+// by the seed or by earlier picks — so ties go to body order. The order
+// chains through shared variables and reads no statistics: an empty
+// relation prunes wherever it runs, because Runner.Bind refuses it.
+func orderPattern(body []logic.Atom, bound map[logic.Term]bool) []logic.Atom {
 	nowBound := make(map[logic.Term]bool, len(bound))
 	for v := range bound {
 		nowBound[v] = true
 	}
 	remaining := append([]logic.Atom(nil), body...)
 	ordered := make([]logic.Atom, 0, len(body))
-	estimate := func(a logic.Atom) float64 {
-		rel := ins.Relation(a.Pred)
-		if rel == nil || rel.Arity() != a.Arity() {
-			return 0 // empty relation: prunes everything, run it first
-		}
-		d := 1
-		for j, t := range a.Args {
-			if !t.IsVar() || nowBound[t] {
-				d = max(d, rel.Distinct(j))
-			}
-		}
-		return float64(rel.Len()) / float64(d)
-	}
 	//repro:allow ctxpoll planning loop, consumes one atom per iteration
 	for len(remaining) > 0 {
-		best, bestEst := 0, math.Inf(1)
+		best, bestKnown := 0, -1
 		for i, a := range remaining {
-			if est := estimate(a); est < bestEst {
-				best, bestEst = i, est
+			known := 0
+			for _, t := range a.Args {
+				if !t.IsVar() || nowBound[t] {
+					known++
+				}
+			}
+			if known > bestKnown {
+				best, bestKnown = i, known
 			}
 		}
 		a := remaining[best]

@@ -2,20 +2,22 @@ package eval
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/logic"
+	"repro/internal/parser"
 	"repro/internal/query"
 	"repro/internal/storage"
 )
 
-// statsFixture builds an instance with known per-column cardinalities:
+// planFixture builds an instance of three relations of different sizes:
 //
-//	r/2: 1000 tuples, column 0 has 1000 distinct values (a key), column 1
-//	     has 10 distinct values;
-//	s/1: 100 tuples, all distinct;
-//	t/2: 200 tuples, column 0 has 2 distinct values, column 1 has 200.
-func statsFixture(t *testing.T) *storage.Instance {
+//	r/2: (k_i, g_{i mod 10}) for i < 1000;
+//	s/1: g_i for i < 100;
+//	t/2: (b_{i mod 2}, u_i) for i < 200.
+func planFixture(t *testing.T) *storage.Instance {
 	t.Helper()
 	ins := storage.NewInstance()
 	for i := 0; i < 1000; i++ {
@@ -37,58 +39,85 @@ func mustInsert(t *testing.T, ins *storage.Instance, a logic.Atom) {
 	}
 }
 
-// TestCostPlanOrdersBySelectivity: with a constant probing r's key column,
-// the cost planner runs r first (estimated cardinality 1000/1000 = 1) and
-// joins s through the bound variable, even though s is the smaller relation.
-// Both access the planned index columns.
-func TestCostPlanOrdersBySelectivity(t *testing.T) {
-	ins := statsFixture(t)
+// TestPatternOrderMostKnownPositions: the planner reads no statistics. At
+// each step it runs the first remaining atom with the most known argument
+// positions, so r(k7, X) (one constant) runs before s(X) although s is the
+// smaller relation, and s then probes the variable r bound. With no known
+// position anywhere, body order decides, and a seed variable counts as
+// known.
+func TestPatternOrderMostKnownPositions(t *testing.T) {
 	q := query.MustNew(at("q", v("X")),
 		[]logic.Atom{at("s", v("X")), at("r", c("k7"), v("X"))})
+	if got, want := render(CompileCQ(q).Access()), "r@0 s@0"; got != want {
+		t.Errorf("constant first: access %s, want %s", got, want)
+	}
 
-	cost := CompileCQ(q, ins, PlannerDefault, JoinDefault).Access()
-	if len(cost) != 2 || cost[0].Pred != "r" || cost[1].Pred != "s" {
-		t.Fatalf("cost order = %+v, want r before s", cost)
+	body := []logic.Atom{at("s", v("Y")), at("t", v("X"), v("Y")), at("r", v("X"), v("Z"))}
+	if got, want := render(CompileBody(body, nil).Access()), "s@- t@1 r@0"; got != want {
+		t.Errorf("body order on ties: access %s, want %s", got, want)
 	}
-	if cost[0].Index != 0 {
-		t.Errorf("cost r access = col %d, want the key column 0", cost[0].Index)
+	if got, want := render(CompileBody(body, []logic.Term{v("Z")}).Access()), "r@1 t@0 s@0"; got != want {
+		t.Errorf("seeded Z: access %s, want %s", got, want)
 	}
-	if cost[1].Index != 0 {
-		t.Errorf("cost s access = col %d, want probe on the bound variable", cost[1].Index)
+
+	// Two known positions beat one, whatever the sizes.
+	q2 := query.MustNew(at("q"), []logic.Atom{at("s", c("g1")), at("t", c("b0"), c("u4"))})
+	if got, want := render(CompileCQ(q2).Access()), "t@0 s@0"; got != want {
+		t.Errorf("most known first: access %s, want %s", got, want)
 	}
 }
 
-// TestAccessPathPicksMostDistinctColumn: when several columns of an atom are
-// bound, the probe goes through the column with the most distinct values —
-// the shortest expected posting list.
-func TestAccessPathPicksMostDistinctColumn(t *testing.T) {
-	ins := statsFixture(t)
-	// Both columns of t are bound constants; column 1 (200 distinct) beats
-	// column 0 (2 distinct).
+// render prints a plan's access paths as pred@col, with @- for a scan.
+func render(acc []AtomAccess) string {
+	parts := make([]string, len(acc))
+	for i, a := range acc {
+		if a.Index < 0 {
+			parts[i] = a.Pred + "@-"
+		} else {
+			parts[i] = fmt.Sprintf("%s@%d", a.Pred, a.Index)
+		}
+	}
+	return strings.Join(parts, " ")
+}
+
+// TestAccessPathProbesFirstKnownColumn: when several columns of an atom are
+// known, the probe goes through the first of them; the others are checked
+// by the micro-program.
+func TestAccessPathProbesFirstKnownColumn(t *testing.T) {
+	ins := planFixture(t)
 	q := query.MustNew(at("q"), []logic.Atom{at("t", c("b0"), c("u4"))})
-	acc := CompileCQ(q, ins, PlannerDefault, JoinDefault).Access()
-	if acc[0].Index != 1 {
-		t.Fatalf("access = col %d, want the 200-distinct column 1", acc[0].Index)
+	if acc := CompileCQ(q).Access(); acc[0].Index != 0 {
+		t.Fatalf("access = col %d, want the first known column 0", acc[0].Index)
+	}
+	if !Holds(q, ins, Options{}) {
+		t.Error("t(b0, u4) holds in the fixture")
 	}
 
-	// Join binding both columns of t: X (2 distinct at col 0), Y (200
-	// distinct at col 1) — probe col 1 again.
+	// Self-join binding both columns of t: the second occurrence probes
+	// column 0 and checks column 1.
 	q2 := query.MustNew(at("q", v("X"), v("Y")),
-		[]logic.Atom{
-			at("t", v("X"), v("Y")),
-			at("t", v("X"), v("Y")), // self-join: second occurrence fully bound
-		})
-	acc2 := CompileCQ(q2, ins, PlannerDefault, JoinDefault).Access()
-	if acc2[1].Index != 1 {
-		t.Fatalf("self-join access = col %d, want column 1", acc2[1].Index)
+		[]logic.Atom{at("t", v("X"), v("Y")), at("t", v("X"), v("Y"))})
+	if got, want := render(CompileCQ(q2).Access()), "t@- t@0"; got != want {
+		t.Fatalf("self-join access %s, want %s", got, want)
+	}
+	if n := CQ(q2, ins, Options{}).Len(); n != 200 {
+		t.Errorf("self-join answers = %d, want 200", n)
+	}
+
+	// A constant after an unknown variable: the constant's column is probed.
+	q3 := query.MustNew(at("q", v("X")), []logic.Atom{at("r", v("X"), c("g3"))})
+	if got, want := render(CompileCQ(q3).Access()), "r@1"; got != want {
+		t.Fatalf("access %s, want %s", got, want)
+	}
+	if n := CQ(q3, ins, Options{}).Len(); n != 100 {
+		t.Errorf("r(X, g3) answers = %d, want 100", n)
 	}
 }
 
 // TestScanWhenNothingBound: an atom with no bound columns scans.
 func TestScanWhenNothingBound(t *testing.T) {
-	ins := statsFixture(t)
 	q := query.MustNew(at("q", v("X")), []logic.Atom{at("s", v("X"))})
-	if acc := CompileCQ(q, ins, PlannerDefault, JoinDefault).Access(); acc[0].Index != -1 {
+	if acc := CompileCQ(q).Access(); acc[0].Index != -1 {
 		t.Errorf("access = col %d, want scan (-1)", acc[0].Index)
 	}
 }
@@ -96,9 +125,9 @@ func TestScanWhenNothingBound(t *testing.T) {
 // TestDeltaPlanSeedsBindings: a delta plan pins one body atom to the seed
 // tuple; the remaining atoms see its variables as bound and probe them.
 func TestDeltaPlanSeedsBindings(t *testing.T) {
-	ins := statsFixture(t)
+	ins := planFixture(t)
 	body := []logic.Atom{at("r", v("X"), v("Y")), at("s", v("Y"))}
-	plan := CompileDelta(body, 0, ins, PlannerDefault, JoinDefault)
+	plan := CompileDelta(body, 0)
 	acc := plan.Access()
 	if len(acc) != 1 || acc[0].Pred != "s" || acc[0].Index != 0 {
 		t.Fatalf("delta plan access = %+v, want s probed on its only column", acc)
@@ -133,7 +162,7 @@ func TestDeltaPlanSeedsBindings(t *testing.T) {
 func TestDeltaPlanRepeatedVariableAndConstant(t *testing.T) {
 	ins := inst(at("e", c("a"), c("a")), at("p", c("a")))
 	body := []logic.Atom{at("e", v("X"), v("X")), at("p", v("X"))}
-	plan := CompileDelta(body, 0, ins, PlannerDefault, JoinDefault)
+	plan := CompileDelta(body, 0)
 	r := plan.NewRunner()
 	if !r.Bind(ins) {
 		t.Fatal("Bind failed")
@@ -150,7 +179,7 @@ func TestDeltaPlanRepeatedVariableAndConstant(t *testing.T) {
 	}
 
 	bodyConst := []logic.Atom{at("e", c("a"), v("Y")), at("p", v("Y"))}
-	planC := CompileDelta(bodyConst, 0, ins, PlannerDefault, JoinDefault)
+	planC := CompileDelta(bodyConst, 0)
 	rc := planC.NewRunner()
 	if !rc.Bind(ins) {
 		t.Fatal("Bind failed")
@@ -162,18 +191,27 @@ func TestDeltaPlanRepeatedVariableAndConstant(t *testing.T) {
 	}
 }
 
-// TestEmptyRelationFirst: an atom over an absent relation gets cost 0 and
-// runs first — it prunes the whole enumeration immediately.
-func TestEmptyRelationFirst(t *testing.T) {
-	ins := statsFixture(t)
-	q := query.MustNew(at("q", v("X")),
-		[]logic.Atom{at("r", v("X"), v("Y")), at("nope", v("X"))})
-	acc := CompileCQ(q, ins, PlannerDefault, JoinDefault).Access()
-	if acc[0].Pred != "nope" {
-		t.Fatalf("order = %+v, want the empty relation first", acc)
-	}
-	if CQ(q, ins, Options{}).Len() != 0 {
-		t.Fatal("query over an absent relation must have no answers")
+// TestEmptyRelationFailsBind: a plan over an absent relation, or over a
+// present but empty one, does not bind, wherever the pattern order put that
+// atom, so the enumeration is pruned before it starts and the query has no
+// answers.
+func TestEmptyRelationFailsBind(t *testing.T) {
+	ins := planFixture(t)
+	mustInsert(t, ins, at("gone", c("x")))
+	ins.Relation("gone").Remove(storage.Tuple{c("x")})
+	for _, empty := range []string{"nope", "gone"} {
+		for _, body := range [][]logic.Atom{
+			{at(empty, v("X")), at("r", v("X"), v("Y"))},
+			{at("r", v("X"), v("Y")), at(empty, v("X"))},
+		} {
+			q := query.MustNew(at("q", v("X")), body)
+			if CompileCQ(q).NewRunner().Bind(ins) {
+				t.Errorf("%v: Bind = true over the empty relation %s", q, empty)
+			}
+			if CQ(q, ins, Options{}).Len() != 0 {
+				t.Errorf("%v: query over the empty relation %s must have no answers", q, empty)
+			}
+		}
 	}
 }
 
@@ -182,7 +220,7 @@ func TestEmptyRelationFirst(t *testing.T) {
 func TestPlanSlots(t *testing.T) {
 	ins := inst(at("r", c("a"), c("b")))
 	body := []logic.Atom{at("r", v("X"), v("Y"))}
-	plan := CompileBody(body, ins, nil, PlannerDefault, JoinDefault)
+	plan := CompileBody(body, nil)
 	slots := plan.Slots([]logic.Term{v("X"), v("Y"), v("Z")})
 	if slots[0] < 0 || slots[1] < 0 || slots[2] != -1 {
 		t.Fatalf("Slots = %v", slots)
@@ -199,11 +237,11 @@ func TestPlanSlots(t *testing.T) {
 	})
 }
 
-// TestCompileOnForkIsSizeIndependent: compiling a plan over a freshly forked
-// and written relation costs the same allocations whatever the relation's
-// size. Planning reads only per-column distinct counts, which the fork's
-// copied index already holds; a statistic rebuilt from the tuples on every
-// fork would put relation-sized work on each mutation's critical path.
+// TestCompileOnForkIsSizeIndependent: compiling a plan and binding it to a
+// freshly forked and written relation costs the same allocations whatever
+// the relation's size. Planning reads no store, and Bind reads only each
+// relation's length; a statistic rebuilt from the tuples on every fork would
+// put relation-sized work on each mutation's critical path.
 func TestCompileOnForkIsSizeIndependent(t *testing.T) {
 	const runs = 4
 	body := []logic.Atom{at("r", v("X"), v("Y"))}
@@ -223,11 +261,69 @@ func TestCompileOnForkIsSizeIndependent(t *testing.T) {
 		}
 		next := 0
 		return testing.AllocsPerRun(runs, func() {
-			CompileBody(body, forks[next], seed, PlannerDefault, JoinDefault)
+			if !CompileBody(body, seed).NewRunner().Bind(forks[next]) {
+				t.Fatal("Bind failed on a non-empty fork")
+			}
 			next++
 		})
 	}
 	if small, large := compileAllocs(500), compileAllocs(5000); small != large {
-		t.Fatalf("compile on a fork allocates %.1f times at 500 rows and %.1f at 5000, want equal", small, large)
+		t.Fatalf("compile and bind on a fork allocate %.1f times at 500 rows and %.1f at 5000, want equal", small, large)
+	}
+}
+
+// TestPatternPlans pins the plans the pattern order gives the University
+// rules (every delta plan, "|"-separated in body order, then the head plan)
+// and the query shapes of the answer_scan and serve_read_zipf benchmark
+// workloads. A plan is a function of the pattern, so the table needs no
+// data.
+func TestPatternPlans(t *testing.T) {
+	rules := map[string][2]string{
+		"U1": {"", "professor@0"}, "U2": {"", "professor@0"},
+		"U3": {"", "faculty@0"}, "U4": {"", "faculty@0"},
+		"U5": {"", "employee@0"}, "U6": {"", "student@0"},
+		"U7": {"", "student@0"}, "U8": {"", "person@0"},
+		"U9": {"", "person@0"}, "U10": {"", "faculty@0"},
+		"U11": {"", "course@0"}, "U12": {"", "student@0"},
+		"U13": {"", "course@0"}, "U14": {"", "student@0"},
+		"U15": {"", "professor@0"}, "U16": {"", "employee@0"},
+		"U17": {"", "department@0"}, "U18": {"", "teacherOf@0"},
+		"U19": {"", "advisor@0"}, "U20": {"", "worksFor@0"},
+		"U21": {"", "subOrganizationOf@0 university@0"},
+		"U22": {"teacherOf@1|takesCourse@1", "taughtBy@0"},
+	}
+	set := datagen.University()
+	if len(set.Rules) != len(rules) {
+		t.Fatalf("University has %d rules, the table %d", len(set.Rules), len(rules))
+	}
+	for _, r := range set.Rules {
+		deltas := make([]string, len(r.Body))
+		for bi := range r.Body {
+			deltas[bi] = render(CompileDelta(r.Body, bi).Access())
+		}
+		got := [2]string{strings.Join(deltas, "|"), render(CompileBody(r.Head, r.Distinguished()).Access())}
+		if got != rules[r.Label] {
+			t.Errorf("%s: delta %q, head %q; want %q", r.Label, got[0], got[1], rules[r.Label])
+		}
+	}
+
+	queries := []struct{ src, want string }{
+		// answer_scan
+		{"q(S, P) :- taughtBy(S, P) .", "taughtBy@-"},
+		{"q(S, P, D) :- advisor(S, P), worksFor(P, D) .", "advisor@- worksFor@0"},
+		{"q(X, C) :- faculty(X), teacherOf(X, C) .", "faculty@- teacherOf@0"},
+		{"q(C, D) :- teacherOf(P, C), worksFor(P, D) .", "teacherOf@- worksFor@0"},
+		{"q(X) :- employee(X) .", "employee@-"},
+		// serve_read_zipf
+		{"q(X) :- worksFor(X, dept3) .", "worksFor@1"},
+		{"q(C) :- takesCourse(student3_2, C) .", "takesCourse@0"},
+		{"q(X, C) :- worksFor(X, dept3), teacherOf(X, C) .", "worksFor@1 teacherOf@0"},
+		{"q(S) :- taughtBy(S, prof3_1) .", "taughtBy@1"},
+	}
+	for _, tc := range queries {
+		pq := parser.MustParseQuery(tc.src)
+		if got := render(CompileCQ(query.MustNew(pq.Head, pq.Body)).Access()); got != tc.want {
+			t.Errorf("%s: access %s, want %s", tc.src, got, tc.want)
+		}
 	}
 }

@@ -284,7 +284,7 @@ func TestStreamRandomUnions(t *testing.T) {
 		at("q", v("D"), v("C"), v("P"), v("C"), c("k")),
 	} {
 		q := query.MustNew(head, body)
-		plan := CompileCQ(q, ins, PlannerDefault, JoinDefault)
+		plan := CompileCQ(q)
 		want := naive.Answers(query.MustNewUCQ(q), ins.Atoms())
 		rows := streamRows(t, NewStream([]*Plan{plan}, q.Arity(), ins, Options{}))
 		if got := naive.RenderAll(rows); !slices.Equal(got, want) || len(rows) != len(want) {
@@ -297,7 +297,7 @@ func TestStreamRandomUnions(t *testing.T) {
 		ins, cqs := randomUnionWorkload(rng)
 		plans := make([]*Plan, len(cqs))
 		for i, q := range cqs {
-			plans[i] = CompileCQ(q, ins, PlannerDefault, JoinDefault)
+			plans[i] = CompileCQ(q)
 		}
 		u := query.MustNewUCQ(cqs...)
 		want := naive.Answers(u, ins.Atoms())

@@ -216,17 +216,6 @@ func (r *Relation) Lookup(col int, term logic.Term) []int {
 	return r.index[col][term]
 }
 
-// Distinct returns the number of distinct terms at column col — the key
-// count of the per-column index, which Insert and Remove maintain
-// incrementally (Remove drops a term's map entry when its posting list
-// empties). Builds the index on first use; safe for concurrent readers under
-// the Relation concurrency contract. The join planner's cost model divides
-// Len by this to estimate the expected posting-list length of an index probe.
-func (r *Relation) Distinct(col int) int {
-	r.EnsureIndex()
-	return len(r.index[col])
-}
-
 // Instance is a database instance: a collection of relations keyed by
 // predicate name.
 //
@@ -261,6 +250,9 @@ func (ins *Instance) Freeze() {
 		}
 	}
 }
+
+// Frozen reports whether the instance is read-only (see Freeze).
+func (ins *Instance) Frozen() bool { return ins.frozen }
 
 func (ins *Instance) mustBeWritable() {
 	if ins.frozen {
@@ -411,8 +403,9 @@ func (ins *Instance) Atoms() []logic.Atom {
 	return out
 }
 
-// EnsureIndexes pre-builds the per-column indexes of every relation so that
-// subsequent concurrent readers never race on the lazy build.
+// EnsureIndexes pre-builds the per-column indexes of every relation, so no
+// later read pays for a build. Nothing requires it: Lookup builds a missing
+// index itself, synchronized for concurrent readers.
 func (ins *Instance) EnsureIndexes() {
 	for _, r := range ins.rels {
 		r.EnsureIndex()

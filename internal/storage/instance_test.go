@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -286,31 +287,40 @@ func TestCloneBuildsIndexForRaceSafety(t *testing.T) {
 	}
 }
 
+// TestRelationStats: the per-column index is maintained incrementally once
+// built — an insert adds its postings, and a removal drops the removed
+// tuple's postings and renames those of the tuple swapped into its row.
 func TestRelationStats(t *testing.T) {
 	r := NewRelation("r", 2)
 	r.Insert(Tuple{c("a"), c("x")})
 	r.Insert(Tuple{c("a"), c("y")})
 	r.Insert(Tuple{c("b"), c("x")})
-	if r.Distinct(0) != 2 || r.Distinct(1) != 2 {
-		t.Errorf("Distinct = %d,%d", r.Distinct(0), r.Distinct(1))
+	lookup := func(col int, term string) []Tuple {
+		var out []Tuple
+		for _, o := range r.Lookup(col, c(term)) {
+			out = append(out, r.Tuples()[o])
+		}
+		slices.SortFunc(out, func(x, y Tuple) int { return strings.Compare(x.Key(), y.Key()) })
+		return out
 	}
-	// Incremental maintenance: inserts after the index is built keep the
-	// counts current, and removals drop a term once its postings empty.
+	want := func(step string, col int, term string, tuples ...Tuple) {
+		t.Helper()
+		if got := lookup(col, term); !slices.EqualFunc(got, tuples, slices.Equal) {
+			t.Errorf("%s: Lookup(%d, %s) = %v, want %v", step, col, term, got, tuples)
+		}
+	}
+	want("built", 0, "a", Tuple{c("a"), c("x")}, Tuple{c("a"), c("y")})
+	want("built", 1, "x", Tuple{c("a"), c("x")}, Tuple{c("b"), c("x")})
 	r.Insert(Tuple{c("c"), c("x")})
-	if r.Distinct(0) != 3 {
-		t.Errorf("Distinct(0) after insert = %d, want 3", r.Distinct(0))
-	}
+	want("insert", 0, "c", Tuple{c("c"), c("x")})
+	want("insert", 1, "x", Tuple{c("a"), c("x")}, Tuple{c("b"), c("x")}, Tuple{c("c"), c("x")})
 	r.Remove(Tuple{c("b"), c("x")})
-	if r.Distinct(0) != 2 {
-		t.Errorf("Distinct(0) after remove = %d, want 2", r.Distinct(0))
-	}
-	if r.Distinct(1) != 2 {
-		t.Errorf("Distinct(1) after remove = %d, want 2 (x still posted by a,c)", r.Distinct(1))
-	}
+	want("remove", 0, "b")
+	want("remove", 0, "c", Tuple{c("c"), c("x")})
+	want("remove", 1, "x", Tuple{c("a"), c("x")}, Tuple{c("c"), c("x")})
 	r.Remove(Tuple{c("a"), c("y")})
-	if r.Distinct(1) != 1 {
-		t.Errorf("Distinct(1) after second remove = %d, want 1", r.Distinct(1))
-	}
+	want("second remove", 1, "y")
+	want("second remove", 0, "a", Tuple{c("a"), c("x")})
 }
 
 // TestMergeShardsKeepsInsertionOrder: the merge replays the shard in the

@@ -42,8 +42,15 @@ func (m model) add(a logic.Atom) {
 // of any other width is an arity conflict.
 var modelArity = map[string]int{"r": 2, "s": 1, "t": 3}
 
+// domain is every term randAtom draws.
+var domain = []logic.Term{
+	logic.NewConst("c0"), logic.NewConst("c1"), logic.NewConst("c2"), logic.NewConst("c3"),
+	logic.NewNull("n0"), logic.NewNull("n1"),
+}
+
 // check compares an instance against the model through every read the
-// evaluator and the chase use: Relation, Tuples, Lookup and Distinct.
+// evaluator and the chase use: Relation, Tuples and Lookup. Every posting
+// list of the domain is read, so a stale posting of a removed tuple shows.
 func check(ins *Instance, m model) error {
 	for _, pred := range ins.Predicates() {
 		if len(m[pred]) == 0 && ins.Relation(pred).Len() != 0 {
@@ -71,10 +78,8 @@ func check(ins *Instance, m model) error {
 			for _, t := range want {
 				count[t[col]]++
 			}
-			if d := rel.Distinct(col); d != len(count) {
-				return fmt.Errorf("%s Distinct(%d) = %d, want %d", pred, col, d, len(count))
-			}
-			for term, n := range count {
+			for _, term := range domain {
+				n := count[term]
 				offs := rel.Lookup(col, term)
 				if len(offs) != n {
 					return fmt.Errorf("%s Lookup(%d, %v) = %d offsets, want %d", pred, col, term, len(offs), n)

@@ -133,7 +133,7 @@ type snapshot struct {
 	matEpoch uint64
 	// class is shared by consecutive snapshots over the same rule set.
 	class *classification
-	// plans holds the compiled query plans (planKey -> []*eval.Plan), so
+	// plans holds the compiled query plans (canonical UCQ -> []*eval.Plan), so
 	// workloads re-answering the same (or α-equivalent) queries skip the
 	// planner; the cache dies with the snapshot.
 	plans sync.Map
@@ -222,14 +222,6 @@ func (s *snapshot) setMat(store *storage.Instance, st *chase.State, terminated b
 	}
 }
 
-// planKey files one snapshot's compiled plans by which of its two stores
-// they were compiled for plus the canonical query: the frozen statistics and
-// resolved join order inside a plan belong to that store.
-type planKey struct {
-	onMat bool
-	ucq   string
-}
-
 // compileUCQ is eval.CompileUCQ behind a seam the plan-cache test counts
 // calls through.
 var compileUCQ = eval.CompileUCQ
@@ -243,21 +235,21 @@ func (s *snapshot) store(onMat bool) *storage.Instance {
 	return s.base
 }
 
-// plansFor returns the plans for u over one of the snapshot's stores, from
-// the cache when warm. A miss compiles (compilation only reads the immutable
-// snapshot; racing callers may each compile once, which is benign) and files
-// the entry for the next caller.
-func (s *snapshot) plansFor(u *query.UCQ, onMat bool) []*eval.Plan {
+// plansFor returns the plans for u, from the cache when warm. A plan depends
+// on the pattern alone, so one entry per canonical UCQ serves both stores. A
+// miss compiles (racing callers may each compile once, which is benign) and
+// files the entry for the next caller.
+func (s *snapshot) plansFor(u *query.UCQ) []*eval.Plan {
 	var b strings.Builder
 	for _, q := range u.CQs {
 		b.WriteByte('\n')
 		b.WriteString(q.DedupKey()) // renaming- and body-order-invariant
 	}
-	key := planKey{onMat: onMat, ucq: b.String()}
+	key := b.String()
 	if plans, ok := s.plans.Load(key); ok {
 		return plans.([]*eval.Plan)
 	}
-	plans := compileUCQ(u, s.store(onMat), eval.PlannerDefault, eval.JoinDefault)
+	plans := compileUCQ(u, nil, eval.PlannerDefault, eval.JoinDefault)
 	s.plans.Store(key, plans)
 	return plans
 }

@@ -71,7 +71,9 @@ func (o *Ontology) MaterializationStats() MaterializationStats {
 // consequence (restricted chase) under opts' budgets.
 // Unlike chase-mode answering it always runs fresh and returns an instance
 // the caller owns — the cached materialization is neither consulted nor
-// touched. A canceled run stops at the current round barrier without
+// touched. The instance is a copy-on-write fork of the published base: a
+// relation the chase never derived into is the base's own until the caller
+// writes it. A canceled run stops at the current round barrier without
 // merging it and reports the context error in Result.Err: the returned
 // instance is a valid chase prefix of the data.
 func (o *Ontology) ChaseCtx(ctx context.Context, opts Options) *chase.Result {

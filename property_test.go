@@ -6,7 +6,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/chase"
 	"repro/internal/datagen"
+	"repro/internal/dependency"
+	"repro/internal/storage"
 )
 
 // parLegs are the values of the par subtest axis. Both legs run the one
@@ -14,6 +17,58 @@ import (
 // ignored, so a par=4 leg checks that the field changes nothing. The axis
 // goes when the field does (ROADMAP item 1).
 var parLegs = []int{1, 4}
+
+// TestParallelismIsIgnored: Options.Parallelism 4 answers and counts
+// exactly as 0 does, through the Ontology and through chase.Run, down to
+// tuple order and null names, on University and generated sets.
+func TestParallelismIsIgnored(t *testing.T) {
+	type input struct {
+		rules *dependency.Set
+		data  *storage.Instance
+	}
+	inputs := map[string]input{"university": {datagen.University(), datagen.UniversityData(4, 1)}}
+	for _, fam := range []datagen.Family{datagen.FamilyLinear, datagen.FamilySticky} {
+		for seed := int64(2); seed <= 3; seed++ {
+			set := datagen.Rules(datagen.Config{Family: fam, Rules: 5, Seed: seed})
+			inputs[fmt.Sprintf("%v/seed=%d", fam, seed)] = input{set, datagen.Instance(set, 20, 8, seed)}
+		}
+	}
+	for name, in := range inputs {
+		copts := chase.Options{MaxRounds: 30, MaxSteps: 20000}
+		seq := chase.Run(in.rules, in.data, copts)
+		copts.Parallelism = 4
+		par := chase.Run(in.rules, in.data, copts)
+		if seq.Steps != par.Steps || seq.Rounds != par.Rounds || seq.NullsCreated != par.NullsCreated ||
+			seq.Terminated != par.Terminated || seq.Instance.String() != par.Instance.String() {
+			t.Errorf("%s: chase.Run differs with Parallelism 4: %d/%d/%d vs %d/%d/%d", name,
+				seq.Steps, seq.Rounds, seq.NullsCreated, par.Steps, par.Rounds, par.NullsCreated)
+		}
+
+		var stats []MaterializationStats
+		var answers [][]string
+		for _, p := range []int{0, 4} {
+			ont := New(in.rules, in.data.Clone())
+			opts := Options{Mode: ModeChase, MaxSteps: 20000, MaxRounds: 30, Parallelism: p}
+			var got []string
+			for _, q := range atomicQueriesOf(t, in.rules) {
+				ans, err := ont.AnswerCtx(bg, q, opts)
+				if err != nil {
+					t.Fatalf("%s: %s: %v", name, q, err)
+				}
+				got = append(got, q+" "+strings.Join(renderedAnswers(ans), " "))
+			}
+			slices.Sort(got) // atomicQueriesOf's order is a map's
+			answers = append(answers, got)
+			stats = append(stats, ont.MaterializationStats())
+		}
+		if !slices.Equal(answers[0], answers[1]) {
+			t.Errorf("%s: answers differ with Parallelism 4", name)
+		}
+		if a, b := stats[0], stats[1]; a.Steps != b.Steps || a.Rounds != b.Rounds || a.NullsCreated != b.NullsCreated || a.Facts != b.Facts {
+			t.Errorf("%s: materialization stats differ with Parallelism 4: %+v vs %+v", name, a, b)
+		}
+	}
+}
 
 // ontologyFromDatagen renders a generated rule set and instance back to
 // program text and parses it into an Ontology, exercising the whole public
