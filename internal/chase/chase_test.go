@@ -1,6 +1,8 @@
 package chase
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -225,25 +227,29 @@ func oracleFacts(rules *dependency.Set, data []logic.Atom) (string, bool) {
 // 30, MaxSteps 20000) and on University(4 departments, seed 1, default
 // budgets): what still checks "counters identical to the old
 // classic driver" now that it is gone. Truncated rows are pinned too:
-// truncation is deterministic.
+// truncation is deterministic. Each row also pins a digest of the chased
+// instance (instanceDigest), so a change to the engine's write path that
+// moves a tuple or renames a null fails here, not only across runs of one
+// build (TestSequentialChaseDeterministic).
 func TestGoldenChaseCounters(t *testing.T) {
 	type row struct {
 		family               string
 		seed                 int64
 		terminated           bool
 		steps, rounds, nulls int
+		digest               string // instanceDigest of the chased instance
 	}
 	golden := []row{
-		{"linear", 1, false, 20000, 24, 24568},
-		{"linear", 2, false, 1690, 30, 1176},
-		{"linear", 3, true, 6, 3, 1},
-		{"multilinear", 1, true, 14, 2, 14},
-		{"multilinear", 2, true, 7, 2, 0},
-		{"multilinear", 3, false, 190, 30, 300},
-		{"sticky", 1, true, 7, 2, 14},
-		{"sticky", 2, true, 8, 2, 10},
-		{"sticky", 3, true, 2, 2, 3},
-		{"university", 1, true, 244, 3, 4},
+		{"linear", 1, false, 20000, 24, 24568, "73843dcc9d4aba83"},
+		{"linear", 2, false, 1690, 30, 1176, "ffccac67045edbf6"},
+		{"linear", 3, true, 6, 3, 1, "67c6299b21e12174"},
+		{"multilinear", 1, true, 14, 2, 14, "df30b2c29ab0418f"},
+		{"multilinear", 2, true, 7, 2, 0, "79d19061b19ce858"},
+		{"multilinear", 3, false, 190, 30, 300, "9fd9b3382d34291d"},
+		{"sticky", 1, true, 7, 2, 14, "b845301daf75ad9a"},
+		{"sticky", 2, true, 8, 2, 10, "7c85f3f5438d8cdb"},
+		{"sticky", 3, true, 2, 2, 3, "0b3446a3f723b3b2"},
+		{"university", 1, true, 244, 3, 4, "6f0e509c5c999a88"},
 	}
 	families := map[string]datagen.Family{
 		"linear": datagen.FamilyLinear, "multilinear": datagen.FamilyMultilinear,
@@ -263,7 +269,25 @@ func TestGoldenChaseCounters(t *testing.T) {
 				g.family, g.seed, res.Terminated, res.Steps, res.Rounds, res.NullsCreated,
 				g.terminated, g.steps, g.rounds, g.nulls)
 		}
+		if got := instanceDigest(res.Instance); got != g.digest {
+			t.Errorf("%s/seed=%d: instance digest %s, golden %s", g.family, g.seed, got, g.digest)
+		}
 	}
+}
+
+// instanceDigest hashes every fact of ins, predicate by predicate in sorted
+// order and each relation's tuples in insertion order, null names included:
+// two chases share a digest only when they land the same facts in the same
+// order and name their nulls the same.
+func instanceDigest(ins *storage.Instance) string {
+	h := sha256.New()
+	for _, pred := range ins.Predicates() {
+		fmt.Fprintf(h, "%s\n", pred)
+		for _, tu := range ins.Relation(pred).Tuples() {
+			fmt.Fprintf(h, "%s\n", tu.Key())
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
 // TestMutationMatchesOracle is the ontology-evolution property over the one
