@@ -18,7 +18,8 @@ test:
 # mutation bodies, the create/rule-removal/CSV-load requests, LoadCSV, the
 # classifier's report, the rewriter's pool invariant, the answer set, the
 # compiled plan against the naive evaluator and the relation's hashed tuple
-# set (one target per invocation — go test allows no more).
+# set (one target per invocation — go test allows no more). CI runs this
+# list through `make fuzz FUZZTIME=10s`; it is the only copy of it.
 FUZZTIME ?= 10s
 
 fuzz:

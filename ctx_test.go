@@ -12,8 +12,8 @@ import (
 	"repro/internal/logic"
 )
 
-// trippingCtx is a context whose Err starts reporting context.Canceled after
-// the first `trips` polls. Done returns a non-nil (never-closed) channel so
+// trippingCtx is a context whose Err starts reporting err (context.Canceled
+// unless the test sets another) after the first `trips` polls. Done returns a non-nil (never-closed) channel so
 // the engines arm their amortized Err polling instead of disarming; nothing
 // in the engine blocks on Done, so the channel never needs to close. Sweeping
 // `trips` drives cancellation into every poll site of a mutation: the entry
@@ -23,10 +23,11 @@ type trippingCtx struct {
 	done  chan struct{}
 	polls atomic.Int64
 	trips int64
+	err   error
 }
 
 func newTrippingCtx(trips int64) *trippingCtx {
-	return &trippingCtx{done: make(chan struct{}), trips: trips}
+	return &trippingCtx{done: make(chan struct{}), trips: trips, err: context.Canceled}
 }
 
 func (c *trippingCtx) Deadline() (time.Time, bool) { return time.Time{}, false }
@@ -34,7 +35,7 @@ func (c *trippingCtx) Done() <-chan struct{}       { return c.done }
 func (c *trippingCtx) Value(key any) any           { return nil }
 func (c *trippingCtx) Err() error {
 	if c.polls.Add(1) > c.trips {
-		return context.Canceled
+		return c.err
 	}
 	return nil
 }
@@ -204,28 +205,37 @@ func TestCanceledBeforeRepairKeepsMaterialization(t *testing.T) {
 }
 
 // TestAnswerDeadlineExceededPromptly is the serving acceptance criterion at
-// the library level: a 1ms-deadline query that forces a materialization-scale
-// chase must return context.DeadlineExceeded promptly (not after the full
-// chase), and the aborted build must not corrupt the ontology — a follow-up
-// query without a deadline gets the complete answer set.
+// the library level: a query whose deadline expires while it forces a
+// materialization-scale chase must return context.DeadlineExceeded promptly
+// (not after the full chase), and the aborted build must not corrupt the
+// ontology — a follow-up query without a deadline gets the complete answer
+// set. The deadline is a trippingCtx that expires halfway through the polls
+// of an unexpired answer, so it lands mid-chase on every machine, however
+// fast; "promptly" is counted in polls, not in wall time.
 func TestAnswerDeadlineExceededPromptly(t *testing.T) {
 	const departments = 32
-	ont := New(datagen.University(), datagen.UniversityData(departments, 1))
+	const q = "q(X) :- person(X) ."
 	opts := Options{Mode: ModeChase}
+	full := newTrippingCtx(1 << 62)
+	if _, err := New(datagen.University(), datagen.UniversityData(departments, 1)).AnswerCtx(full, q, opts); err != nil {
+		t.Fatal(err)
+	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err := ont.AnswerCtx(ctx, "q(X) :- person(X) .", opts)
-	elapsed := time.Since(start)
+	ont := New(datagen.University(), datagen.UniversityData(departments, 1))
+	ctx := newTrippingCtx(full.polls.Load() / 2)
+	ctx.err = context.DeadlineExceeded
+	_, err := ont.AnswerCtx(ctx, q, opts)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
-	if elapsed > 2*time.Second {
-		t.Fatalf("took %v to honor a 1ms deadline", elapsed)
+	if late := ctx.polls.Load() - ctx.trips; late > 4 {
+		t.Fatalf("%d polls after the deadline expired, want at most 4 (%d in a full answer)", late, full.polls.Load())
+	}
+	if st := ont.MaterializationStats(); st.Cached {
+		t.Fatalf("stats %+v: the aborted build was cached", st)
 	}
 
-	ans, err := ont.AnswerCtx(bg, "q(X) :- person(X) .", opts)
+	ans, err := ont.AnswerCtx(bg, q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

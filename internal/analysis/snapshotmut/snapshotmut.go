@@ -22,8 +22,8 @@
 // It flags, on tainted values of the snapshot-carrying types
 // (storage.Instance, storage.Relation, dependency.Set):
 //
-//   - calls to their mutating methods (Insert, InsertAtom, Remove,
-//     MergeShards, LoadCSV);
+//   - calls to their mutating methods (Insert, InsertAtom, Remove, AddNew,
+//     Append, LoadCSV);
 //   - assignments through their fields (e.g. `set.Rules = ...`).
 package snapshotmut
 
@@ -44,7 +44,7 @@ var Analyzer = &analysis.Analyzer{
 // keyed by package name then type name (package-name matching keeps the
 // analyzer honest over both the real packages and fixtures importing them).
 var mutators = map[[2]string]map[string]bool{
-	{"storage", "Instance"}: {"Insert": true, "InsertAtom": true, "Remove": true, "MergeShards": true, "LoadCSV": true},
+	{"storage", "Instance"}: {"Insert": true, "InsertAtom": true, "Remove": true, "AddNew": true, "Append": true, "LoadCSV": true},
 	{"storage", "Relation"}: {"Insert": true, "Remove": true},
 	// dependency.Set mutates only through exported fields (Rules), caught
 	// by the field-write rule; its methods (WithRule, WithoutRule) are

@@ -42,10 +42,10 @@ func mutateRuleSet(h *holder) {
 	set.Rules = nil // want "write to field Rules of a dependency.Set loaded from an atomic.Pointer"
 }
 
-func mergeIntoLoaded(h *holder, sh *storage.Shard) {
-	// The chase's round-barrier merge is as much a write as an Insert.
+func appendIntoLoaded(h *holder, next *storage.Instance) {
+	// The chase's round-barrier append is as much a write as an Insert.
 	ins := h.mat.Load().ins
-	ins.MergeShards(sh) // want "storage.Instance.MergeShards on a snapshot"
+	ins.Append(next) // want "storage.Instance.Append on a snapshot"
 }
 
 // snapshot mimics the engine's published generation; load its accessor. The

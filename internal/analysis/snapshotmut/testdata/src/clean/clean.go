@@ -54,10 +54,15 @@ func persistentRules(h *holder, i int) (*dependency.Set, error) {
 	return set.WithoutRule(i)
 }
 
-func mergeIntoExtension(h *holder, sh *storage.Shard) (*storage.Instance, error) {
+func appendIntoExtension(h *holder, a logic.Atom) (*storage.Instance, error) {
 	// A mutation's materialization work-set: an ExtendClone of the published
-	// expansion, merged into at the chase's round barrier.
+	// expansion, fired against (AddNew only reads it) and appended to at the
+	// chase's round barrier.
 	ins := h.mat.Load().ins.ExtendClone()
-	_, err := ins.MergeShards(sh)
-	return ins, err
+	next := storage.NewInstance()
+	if err := next.AddNew(ins, a); err != nil {
+		return nil, err
+	}
+	ins.Append(next)
+	return ins, nil
 }

@@ -11,9 +11,10 @@
 // in the previous round (the delta), instead of re-joining the whole
 // instance. A round reads the instance as it stood at the round's start:
 // trigger collection runs over (rule, delta atom) tasks against it, and the
-// firings buffer their head facts in a storage.Shard that is merged at the
-// round barrier. A run is reproducible: the same input and options give the
-// same instance, down to tuple order and null names.
+// firings add the head facts it lacks to the next delta (AddNew), which is
+// appended to it at the round barrier (Append). A run is reproducible: the
+// same input and options give the same instance, down to tuple order and
+// null names.
 //
 // The fixpoint is resumable: Run is a thin wrapper that forks the data,
 // creates a State (NewState) and calls State.Resume with the whole input as
@@ -75,8 +76,8 @@ type Result struct {
 	// When false the instance is a sound but incomplete approximation.
 	Terminated bool
 	// Err is the context error when the run was aborted by cancellation or
-	// deadline (ResumeCtx and friends). An aborted run stopped at a round
-	// barrier without merging the interrupted round's writes, so Instance is
+	// deadline (ResumeCtx and friends). An aborted run stopped without
+	// appending the interrupted round's next delta, so Instance is
 	// a valid chase prefix of the input — but the engine State has consumed
 	// partial bookkeeping (counters, null table) and must be discarded:
 	// incremental maintenance on top of an aborted run is unsound, exactly
@@ -291,8 +292,8 @@ func RunCtx(ctx context.Context, rules *dependency.Set, data *storage.Instance, 
 		ins = data.Clone()
 	}
 	// Round zero's delta is the whole input: every initial fact is "new".
-	// Aliasing the instance is safe — rounds only read the delta, writes are
-	// buffered in a shard until the barrier.
+	// Aliasing the instance is safe — rounds only read the delta, and the
+	// writes wait in the next delta until the barrier.
 	res := NewState(opts).ResumeCtx(ctx, rules, ins, ins)
 	res.Instance = ins
 	return res

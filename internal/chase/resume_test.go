@@ -2,10 +2,12 @@ package chase
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/datagen"
 	"repro/internal/logic"
+	"repro/internal/parser"
 	"repro/internal/storage"
 )
 
@@ -138,5 +140,29 @@ func TestResumeStepsProportionalToDelta(t *testing.T) {
 	}
 	if !ins.ContainsAtom(logic.NewAtom("person", logic.NewConst("newcomer"))) {
 		t.Error("person(newcomer) must be derived by the increment")
+	}
+}
+
+// TestRejectedExtendLeavesInstanceUntouched: an Extend whose facts conflict
+// in arity with the instance is refused as a whole. The new predicate q of
+// the same write must not appear, not even as an empty relation, and p must
+// keep its one fact. The write order of predicates inside a round is not
+// fixed by the input, so the call repeats until every order has had its
+// chance to leave a stray relation behind.
+func TestRejectedExtendLeavesInstanceUntouched(t *testing.T) {
+	rules := parser.MustParseRules(`p(X) -> r(X) .`)
+	for run := 0; run < 100; run++ {
+		ins := data(at("p", c("a")))
+		before := ins.String()
+		_, err := NewState(Options{}).Extend(rules, ins, []logic.Atom{
+			at("q", c("a")), at("p", c("a"), c("b")),
+		})
+		if err == nil {
+			t.Fatal("Extend with p/2 against p/1: arity conflict not reported")
+		}
+		if got := ins.Predicates(); !slices.Equal(got, []string{"p"}) || ins.String() != before {
+			t.Fatalf("run %d: rejected Extend left predicates %v and facts %q, want [p] and %q",
+				run, got, ins.String(), before)
+		}
 	}
 }

@@ -94,23 +94,20 @@ func (st *State) Extend(rules *dependency.Set, ins *storage.Instance, facts []lo
 // carries the context error; the caller must discard both the instance and
 // the state.
 //
-// The facts go in through a shard and MergeShards, the firing loop's own
-// write path: each is copied and hashed once, and the merge yields exactly
-// the genuinely new ones, in the given order, as the delta.
+// The facts go in through the firing loop's own write: each is copied and
+// hashed once into the delta when the instance lacks it (AddNew), and an
+// arity conflict rejects them all before the delta is appended (Append).
 func (st *State) ExtendCtx(ctx context.Context, rules *dependency.Set, ins *storage.Instance, facts []logic.Atom) (*Result, error) {
-	sh := storage.NewShard()
+	delta := storage.NewInstance()
 	for _, f := range facts {
-		if err := sh.Insert(logic.Atom{Pred: f.Pred, Args: storage.Tuple(f.Args).Clone()}); err != nil {
+		if err := delta.AddNew(ins, logic.Atom{Pred: f.Pred, Args: storage.Tuple(f.Args).Clone()}); err != nil {
 			return nil, err
 		}
-	}
-	delta, err := ins.MergeShards(sh)
-	if err != nil {
-		return nil, err
 	}
 	if delta.Size() == 0 {
 		return &Result{Terminated: true}, nil
 	}
+	ins.Append(delta)
 	return st.resume(ctx, rules, ins, delta, 0, 0), nil
 }
 
@@ -195,7 +192,7 @@ func (st *State) Resume(rules *dependency.Set, ins, delta *storage.Instance) *Re
 // the compiled-plan runners) and in the firing loop, so a canceled or
 // deadline-expired increment aborts within a bounded amount of work. An
 // aborted run returns with Result.Err set and Terminated false, WITHOUT
-// merging the interrupted round's buffered writes: the instance is a valid
+// appending the interrupted round's new facts: the instance is a valid
 // chase prefix, but the state has consumed partial bookkeeping and is marked
 // truncated — discard both and rebuild (Ontology.mutate drops its forks and
 // the materialization, so readers keep the pre-mutation base).
@@ -220,9 +217,10 @@ func (st *State) ExtendRulesCtx(ctx context.Context, rules *dependency.Set, ins 
 }
 
 // resume is the one fixpoint driver. Each round: collect the triggers the
-// delta enables, fire those whose head is not yet satisfied into a shard
-// against the frozen instance, and merge the shard into the next delta. It
-// terminates when the delta is empty. onlyFrom restricts the FIRST round's
+// delta enables, fire those whose head is not yet satisfied in the instance
+// as it stood at the round's start, adding each head fact the instance lacks
+// to the next delta, and append that delta to the instance at the barrier.
+// It terminates when the delta is empty. onlyFrom restricts the FIRST round's
 // trigger collection to rules with index ≥ onlyFrom (0 = all rules); later
 // rounds always consider the whole set, which is what makes the restriction
 // sound — anything the filtered round derives is re-examined by every rule.
@@ -247,22 +245,22 @@ func (st *State) resume(ctx context.Context, rules *dependency.Set, ins, delta *
 	plans := st.plansFor(rules)
 	// Head-plan runners, lazily created per rule: repeated applicability
 	// checks reuse the register file, allocation-free. No head atom outlives
-	// its firing (the shard keeps only their arguments), so one atom buffer
-	// serves.
+	// its firing (the next delta keeps only their arguments), so one atom
+	// buffer serves.
 	headRunners := make([]*eval.Runner, len(rules.Rules))
 	var heads []logic.Atom
 
 	for res.Rounds < opts.MaxRounds {
 		// Round barrier: a canceled increment aborts between rounds (and at
-		// the finer-grained polls below) without merging partial writes.
+		// the finer-grained polls below) without appending partial writes.
 		if err := ctx.Err(); err != nil {
 			res.Err = err
 			return res
 		}
 		res.Rounds++
 
-		// All reads below see the previous rounds only; all writes are
-		// buffered in a shard. An index is built by its first Lookup.
+		// All reads below see the previous rounds only; all writes go to
+		// the next delta. An index is built by its first Lookup.
 		triggers := collectTriggers(ctx, rules, ins, delta, plans, onlyFrom)
 		if err := ctx.Err(); err != nil {
 			res.Err = err // collection aborted; its partial output is unusable
@@ -274,15 +272,15 @@ func (st *State) resume(ctx context.Context, rules *dependency.Set, ins, delta *
 			return res
 		}
 
-		sh := storage.NewShard()
+		next := storage.NewInstance()
 		truncated := false
 		for i, tr := range triggers {
 			// Poll ctx every 32 triggers: a firing does real work
-			// (head-satisfaction join, instantiation, shard insert), so the
-			// amortized poll bounds abort latency cheaply. A canceled round
-			// discards its shard unmerged: the instance stays a consistent
-			// prefix (every completed round merged at its barrier), only the
-			// engine bookkeeping is dirty.
+			// (head-satisfaction join, instantiation, the write to next), so
+			// the amortized poll bounds abort latency cheaply. A canceled
+			// round drops next unappended: the instance stays a consistent
+			// prefix (every completed round appended at its barrier), only
+			// the engine bookkeeping is dirty.
 			if i&0x1F == 0x1F && ctx.Err() != nil {
 				res.Err = ctx.Err()
 				return res
@@ -300,8 +298,8 @@ func (st *State) resume(ctx context.Context, rules *dependency.Set, ins, delta *
 			res.NullsCreated += n
 			heads = instantiateHead(tp, tr.row, ns, heads)
 			for _, ha := range heads {
-				// The shard takes the freshly built arguments as they are.
-				if err := sh.Insert(ha); err != nil {
+				// next takes the freshly built arguments as they are.
+				if err := next.AddNew(ins, ha); err != nil {
 					// The Ontology keeps rules and data on one signature
 					// (construction, AddRule, AddFact); reaching here is a
 					// programming error.
@@ -310,11 +308,10 @@ func (st *State) resume(ctx context.Context, rules *dependency.Set, ins, delta *
 			}
 		}
 
-		// Round barrier: merge the shard, producing the next delta.
-		var err error
-		if delta, err = ins.MergeShards(sh); err != nil {
-			panic(err)
-		}
+		// Round barrier: the facts new this round join the instance and
+		// are the next round's delta.
+		ins.Append(next)
+		delta = next
 		if truncated {
 			return res
 		}

@@ -17,9 +17,10 @@ import (
 )
 
 // TestSequentialChaseDeterministic: a chase is a function of its input. The
-// shard merge replays the round's writes in insertion order, so every run
-// lands the same tuples in the same order, fires the next round in the same
-// order and names its nulls the same.
+// round barrier appends the next delta in the order its facts were first
+// written, so every run lands the same tuples in the same order, fires the
+// next round in the same order and names its nulls the same. Across commits
+// the same is pinned by TestGoldenChaseCounters' digests.
 func TestSequentialChaseDeterministic(t *testing.T) {
 	rules, data := datagen.University(), datagen.UniversityData(5, 1)
 	first := Run(rules, data, Options{})
@@ -48,8 +49,8 @@ func TestSequentialChaseDeterministic(t *testing.T) {
 // sizes, divided by the difference in derived facts, so the fixed cost of a
 // run (plans, templates, the input copy) drops out. A trigger that carries a
 // substitution map or a key, or a fact keyed or copied once per hop from
-// shard to relation to delta, costs about 25; rows, templates and one key
-// per fact cost about 6.
+// delta to relation, costs about 25; rows, templates and one key per fact
+// cost about 3.
 func TestChaseAllocsPerDerivedFact(t *testing.T) {
 	rules := datagen.University()
 	measure := func(depts int) (allocs float64, derived int) {

@@ -46,7 +46,8 @@ func (t Tuple) Clone() Tuple {
 // Concurrency contract: any number of goroutines may read (Lookup, Tuples,
 // Contains, Len) concurrently — the lazy index build is synchronized — as
 // long as no goroutine is inserting. Writes are single-writer: the chase
-// buffers a round's new facts in a Shard and merges it at the round barrier.
+// collects a round's new facts in a next instance (AddNew) and appends them
+// at the round barrier (Append).
 // A relation of a frozen instance is frozen too: every generation aliasing
 // it reads it, so a write that would change it panics.
 type Relation struct {
@@ -95,11 +96,16 @@ func (r *Relation) Insert(t Tuple) bool {
 // i that the set's probe returned, and maintains already-built indexes.
 func (r *Relation) addAt(i int, h uint32, t Tuple) {
 	r.set.put(i, h, t)
-	if r.index != nil {
-		last := r.set.Len() - 1
-		for col, term := range t {
-			r.index[col][term] = append(r.index[col][term], last)
-		}
+	r.post(r.set.Len() - 1)
+}
+
+// post adds the postings of the tuple at row to already-built indexes.
+func (r *Relation) post(row int) {
+	if r.index == nil {
+		return
+	}
+	for col, term := range r.set.tuples[row] {
+		r.index[col][term] = append(r.index[col][term], row)
 	}
 }
 
@@ -221,8 +227,8 @@ func (r *Relation) Lookup(col int, term logic.Term) []int {
 //
 // An instance is frozen by Freeze — the Ontology freezes every instance it
 // publishes — and by ExtendClone, which freezes its receiver. A frozen
-// instance is read-only for good: Insert, InsertAtom, Remove, MergeShards and
-// LoadCSV panic on it, while lazy index builds stay allowed. Instances
+// instance is read-only for good: Insert, InsertAtom, Remove, AddNew, Append
+// and LoadCSV panic on it, while lazy index builds stay allowed. Instances
 // produced by ExtendClone alias their parent's (frozen) relations
 // copy-on-write: a frozen relation is copied the first time the clone
 // changes it, so every generation sharing it keeps an immutable view.
@@ -298,10 +304,14 @@ func (ins *Instance) ensureRelation(pred string, arity int) (*Relation, error) {
 		return rel, nil
 	}
 	if rel.Arity() != arity {
-		return nil, fmt.Errorf("storage: predicate %s used with arity %d and %d",
-			pred, rel.Arity(), arity)
+		return nil, arityConflict(pred, rel.Arity(), arity)
 	}
 	return rel, nil
+}
+
+// arityConflict is the error for a predicate used with two arities.
+func arityConflict(pred string, have, got int) error {
+	return fmt.Errorf("storage: predicate %s used with arity %d and %d", pred, have, got)
 }
 
 // InsertAtom adds a ground atom as a tuple, creating the relation on first
@@ -316,14 +326,9 @@ func (ins *Instance) InsertAtom(a logic.Atom) error {
 // once, and its arguments are copied only when it is new.
 func (ins *Instance) Insert(a logic.Atom) (bool, error) {
 	ins.mustBeWritable()
-	rel, ok := ins.rels[a.Pred]
-	if !ok {
-		rel = NewRelation(a.Pred, a.Arity())
-		ins.rels[a.Pred] = rel
-	}
-	if rel.Arity() != a.Arity() {
-		return false, fmt.Errorf("storage: predicate %s used with arity %d and %d",
-			a.Pred, rel.Arity(), a.Arity())
+	rel, err := ins.ensureRelation(a.Pred, a.Arity())
+	if err != nil {
+		return false, err
 	}
 	h := tupleHash(a.Args)
 	i, found := rel.set.find(h, a.Args)
@@ -335,6 +340,59 @@ func (ins *Instance) Insert(a logic.Atom) (bool, error) {
 	}
 	rel.addAt(i, h, Tuple(a.Args).Clone())
 	return true, nil
+}
+
+// AddNew adds the ground atom a to the instance unless old holds it, the
+// firing half of a chase round's write: a is hashed once, old is only read,
+// and the instance keeps first-write order and takes ownership of a.Args. An
+// arity conflict with either instance is an error and changes neither.
+//
+//repro:hotpath
+func (ins *Instance) AddNew(old *Instance, a logic.Atom) error {
+	ins.mustBeWritable()
+	h := tupleHash(a.Args)
+	if rel := old.rels[a.Pred]; rel != nil {
+		if rel.arity != len(a.Args) {
+			return arityConflict(a.Pred, rel.arity, len(a.Args))
+		}
+		if _, found := rel.set.find(h, a.Args); found {
+			return nil
+		}
+	}
+	rel, err := ins.ensureRelation(a.Pred, len(a.Args))
+	if err != nil {
+		return err
+	}
+	if i, found := rel.set.find(h, a.Args); !found {
+		rel.addAt(i, h, a.Args)
+	}
+	return nil
+}
+
+// Append adds the facts of next, built by AddNew against the receiver, in
+// next's order: the barrier half of a round's write. Each enters unprobed,
+// as next's tuple under the hash next's slot table holds. A frozen relation
+// that grows is copied first (own). It panics on a frozen receiver and on an
+// arity conflict, which AddNew rules out.
+func (ins *Instance) Append(next *Instance) {
+	ins.mustBeWritable()
+	for pred, src := range next.rels {
+		if src.Len() == 0 {
+			continue
+		}
+		dst, err := ins.ensureRelation(pred, src.arity)
+		if err != nil {
+			panic(err)
+		}
+		if dst.frozen {
+			dst = ins.own(pred)
+		}
+		first := dst.Len()
+		dst.set.appendSet(&src.set)
+		for row := first; row < dst.Len(); row++ {
+			dst.post(row)
+		}
+	}
 }
 
 // Remove deletes a ground atom, reporting whether it was present. Removing

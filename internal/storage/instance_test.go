@@ -323,26 +323,23 @@ func TestRelationStats(t *testing.T) {
 	want("second remove", 0, "a", Tuple{c("a"), c("x")})
 }
 
-// TestMergeShardsKeepsInsertionOrder: the merge replays the shard in the
-// order it was written, into both the instance and the delta, dropping facts
-// already present or buffered earlier; the merged facts are the shard's own
-// tuples, not copies.
-func TestMergeShardsKeepsInsertionOrder(t *testing.T) {
+// TestAppendKeepsFirstWriteOrder: AddNew keeps the facts the instance lacks,
+// each once, in the order they were first written, and Append replays them
+// in that order into the instance while the delta keeps them too; the
+// appended facts are the written tuples, not copies.
+func TestAppendKeepsFirstWriteOrder(t *testing.T) {
 	ins := MustFromAtoms([]logic.Atom{logic.NewAtom("p", c("old"))})
-	sh := NewShard()
+	next := NewInstance()
 	w := logic.NewAtom("p", c("w"))
 	for _, a := range []logic.Atom{
 		logic.NewAtom("p", c("z")), logic.NewAtom("p", c("old")), logic.NewAtom("p", c("y")),
 		logic.NewAtom("p", c("z")), logic.NewAtom("p", c("x")), logic.NewAtom("p", c("y")), w,
 	} {
-		if err := sh.Insert(a); err != nil {
+		if err := next.AddNew(ins, a); err != nil {
 			t.Fatal(err)
 		}
 	}
-	delta, err := ins.MergeShards(sh)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ins.Append(next)
 	order := func(r *Relation) string {
 		var names []string
 		for _, tu := range r.Tuples() {
@@ -353,10 +350,15 @@ func TestMergeShardsKeepsInsertionOrder(t *testing.T) {
 	if got := order(ins.Relation("p")); got != "old z y x w" {
 		t.Errorf("instance order %q, want %q", got, "old z y x w")
 	}
-	if got := order(delta.Relation("p")); got != "z y x w" {
+	if got := order(next.Relation("p")); got != "z y x w" {
 		t.Errorf("delta order %q, want %q", got, "z y x w")
 	}
 	if got := ins.Relation("p").Tuples()[4]; &got[0] != &w.Args[0] {
-		t.Error("the merge copied a buffered tuple instead of keeping it")
+		t.Error("Append copied a written tuple instead of keeping it")
+	}
+	for _, name := range []string{"old", "z", "y", "x", "w"} {
+		if !ins.ContainsAtom(logic.NewAtom("p", c(name))) {
+			t.Errorf("p(%s) not found after Append", name)
+		}
 	}
 }

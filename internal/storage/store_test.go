@@ -117,7 +117,7 @@ func randAtom(rng *rand.Rand) logic.Atom {
 
 func conflicts(a logic.Atom) bool { return a.Arity() != modelArity[a.Pred] }
 
-// TestStoreContract runs random Insert/Remove/MergeShards scripts over a
+// TestStoreContract runs random Insert/Remove/AddNew+Append scripts over a
 // chain of ExtendClone generations and compares every generation against a
 // plain set model. Every older generation keeps being read concurrently
 // while its descendants are written, so -race sees any write through to a
@@ -221,37 +221,27 @@ func step(t *testing.T, rng *rand.Rand, ins *Instance, m model) {
 			delete(m[a.Pred], Tuple(a.Args).Key())
 		}
 	default:
-		sh := NewShard()
-		var buffered []logic.Atom
-		conflict := false
+		// One round write: AddNew against the unchanged instance, then
+		// Append at the barrier, after which next is the delta.
+		next, fresh := NewInstance(), model{}
 		for i := rng.Intn(3); i >= 0; i-- {
 			for j := rng.Intn(5); j >= 0; j-- {
 				a := randAtom(rng)
-				if err := sh.Insert(a); err != nil {
-					continue // conflicts with an earlier fact of the shard
+				err := next.AddNew(ins, a)
+				if conflicts(a) != (err != nil) {
+					t.Fatalf("AddNew(%v) = %v; conflicts: %v", a, err, conflicts(a))
 				}
-				conflict = conflict || conflicts(a)
-				buffered = append(buffered, a)
+				if err == nil && !m.has(a) {
+					fresh.add(a)
+				}
 			}
 		}
-		delta, err := ins.MergeShards(sh)
-		if conflict {
-			if err == nil {
-				t.Fatalf("MergeShards of %v: arity conflict not reported", buffered)
-			}
-			return
+		if err := check(ins, m); err != nil {
+			t.Fatalf("AddNew changed the instance it read: %v", err)
 		}
-		if err != nil {
-			t.Fatalf("MergeShards of %v: %v", buffered, err)
-		}
-		fresh := model{}
-		for _, a := range buffered {
-			if !m.has(a) {
-				fresh.add(a)
-			}
-		}
-		if err := check(delta, fresh); err != nil {
-			t.Fatalf("MergeShards delta: %v", err)
+		ins.Append(next)
+		if err := check(next, fresh); err != nil {
+			t.Fatalf("Append delta: %v", err)
 		}
 		for pred, ts := range fresh {
 			for _, tu := range ts {
@@ -281,10 +271,11 @@ func refuseWrites(t *testing.T, gen int, ins *Instance, m model) {
 		{"Insert", func() { ins.Insert(fresh) }},
 		{"InsertAtom", func() { ins.InsertAtom(fresh) }},
 		{"Remove", func() { ins.Remove(fresh) }},
-		{"MergeShards", func() {
-			sh := NewShard()
-			sh.Insert(fresh)
-			ins.MergeShards(sh)
+		{"AddNew", func() { ins.AddNew(NewInstance(), fresh) }},
+		{"Append", func() {
+			next := NewInstance()
+			next.AddNew(ins, fresh)
+			ins.Append(next)
 		}},
 		{"LoadCSV", func() { ins.LoadCSV("s", strings.NewReader("fresh\n")) }},
 		{"Relation.Insert", func() { ins.Relation(fresh.Pred).Insert(Tuple(fresh.Args)) }},

@@ -64,12 +64,8 @@ func (s *TupleSet) Contains(t Tuple) bool {
 // t when it is new: the caller must not mutate it afterwards.
 //
 //repro:hotpath
-func (s *TupleSet) Add(t Tuple) bool { return s.addHashed(tupleHash(t), t) }
-
-// addHashed is Add for a tuple whose hash h the caller already holds.
-//
-//repro:hotpath
-func (s *TupleSet) addHashed(h uint32, t Tuple) bool {
+func (s *TupleSet) Add(t Tuple) bool {
+	h := tupleHash(t)
 	i, found := s.find(h, t)
 	if found {
 		return false
@@ -108,7 +104,7 @@ func (s *TupleSet) find(h uint32, t Tuple) (int, bool) {
 //repro:hotpath
 func (s *TupleSet) put(i int, h uint32, t Tuple) {
 	if 2*(len(s.tuples)+1) > len(s.slots) {
-		s.grow()
+		s.resize(max(2*len(s.slots), minSlots))
 		i = s.empty(h)
 	}
 	if len(s.tuples) == cap(s.tuples) {
@@ -130,13 +126,36 @@ func (s *TupleSet) empty(h uint32) int {
 	return i
 }
 
-// grow doubles the table, re-placing every entry by its stored hash.
-func (s *TupleSet) grow() {
+// resize re-places every entry by its stored hash in a table of n slots.
+func (s *TupleSet) resize(n int) {
 	old := s.slots
-	s.slots = make([]tupleSlot, max(2*len(old), minSlots))
+	s.slots = make([]tupleSlot, n)
 	for _, sl := range old {
 		if sl.row != 0 {
 			s.slots[s.empty(sl.hash)] = sl
+		}
+	}
+}
+
+// appendSet appends the tuples of src, none of which s holds, in src's
+// order. Each goes in under the hash src's table records: no tuple is
+// re-hashed, compared or copied. Both lists double as put's do.
+func (s *TupleSet) appendSet(src *TupleSet) {
+	base := int32(len(s.tuples))
+	if n := len(s.tuples) + len(src.tuples); n > cap(s.tuples) {
+		s.tuples = slices.Grow(s.tuples, max(len(src.tuples), len(s.tuples)))
+	}
+	s.tuples = append(s.tuples, src.tuples...)
+	n := max(len(s.slots), minSlots)
+	for 2*len(s.tuples) > n {
+		n *= 2
+	}
+	if n > len(s.slots) {
+		s.resize(n)
+	}
+	for _, sl := range src.slots {
+		if sl.row != 0 {
+			s.slots[s.empty(sl.hash)] = tupleSlot{hash: sl.hash, row: base + sl.row}
 		}
 	}
 }

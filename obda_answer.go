@@ -210,8 +210,8 @@ func (o *Ontology) chaseForAnswer(ctx context.Context, s *snapshot, q *query.CQ,
 // buildMat chases the current base under wmu — single-flight, serialized
 // with writers, so nothing can be published underneath it — and publishes the
 // result as the next snapshot's materialization. The chase runs over a
-// copy-on-write fork of the (frozen) base, not a copy: the merge privatizes a
-// base relation only when the chase derives a new fact into it, so every
+// copy-on-write fork of the (frozen) base, not a copy: the barrier's Append
+// privatizes a base relation only when the chase derives a new fact into it, so every
 // other base relation is stored once and shared by the base and the
 // materialization. A canceled build publishes nothing: the half-chased fork
 // and its engine state are simply discarded.
