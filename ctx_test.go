@@ -13,12 +13,13 @@ import (
 )
 
 // trippingCtx is a context whose Err starts reporting err (context.Canceled
-// unless the test sets another) after the first `trips` polls. Done returns a non-nil (never-closed) channel so
-// the engines arm their amortized Err polling instead of disarming; nothing
-// in the engine blocks on Done, so the channel never needs to close. Sweeping
-// `trips` drives cancellation into every poll site of a mutation: the entry
-// check, the chase round barrier, the firing loop, the DRed
-// over-deletion and re-derivation scans, and the join executor.
+// unless the test sets another) after the first `trips` polls. Done returns
+// a non-nil (never-closed) channel so the engines arm their amortized Err
+// polling instead of disarming; nothing in the engine blocks on Done, so the
+// channel never needs to close. Sweeping `trips` drives cancellation into
+// every poll site of a mutation: the entry check, the chase round barrier,
+// the firing loop, the DRed over-deletion and re-derivation scans, and the
+// join executor.
 type trippingCtx struct {
 	done  chan struct{}
 	polls atomic.Int64

@@ -211,10 +211,10 @@ func (o *Ontology) chaseForAnswer(ctx context.Context, s *snapshot, q *query.CQ,
 // with writers, so nothing can be published underneath it — and publishes the
 // result as the next snapshot's materialization. The chase runs over a
 // copy-on-write fork of the (frozen) base, not a copy: the barrier's Append
-// privatizes a base relation only when the chase derives a new fact into it, so every
-// other base relation is stored once and shared by the base and the
-// materialization. A canceled build publishes nothing: the half-chased fork
-// and its engine state are simply discarded.
+// privatizes a base relation only when the chase derives a new fact into it,
+// so every other base relation is stored once and shared by the base and
+// the materialization. A canceled build publishes nothing: the half-chased
+// fork and its engine state are simply discarded.
 func (o *Ontology) buildMat(ctx context.Context, copts chase.Options) (*snapshot, error) {
 	o.wmu.Lock()
 	defer o.wmu.Unlock()

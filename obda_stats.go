@@ -74,8 +74,8 @@ func (o *Ontology) MaterializationStats() MaterializationStats {
 // touched. The instance is a copy-on-write fork of the published base: a
 // relation the chase never derived into is the base's own until the caller
 // writes it. A canceled run stops within the current round without
-// appending its writes and reports the context error in Result.Err: the returned
-// instance is a valid chase prefix of the data.
+// appending its writes and reports the context error in Result.Err: the
+// returned instance is a valid chase prefix of the data.
 func (o *Ontology) ChaseCtx(ctx context.Context, opts Options) *chase.Result {
 	s := o.snap.Load()
 	return chase.RunCtx(ctx, s.rules, s.base, opts.chaseOptions())
